@@ -152,9 +152,7 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     # vectors of the product have zero angle components)
     m = bf.rep.manifold.ambient_dim
     fiber_vectors = bases[:, : bf.rep.manifold.dim, :]
-    beta_vals = np.stack(
-        [bf.beta.at_basis(pts, fiber_vectors[:, None, j, :])
-         for j in range(fiber_vectors.shape[1])], axis=-1)
+    beta_vals = bf.beta.restrict(pts, fiber_vectors)
     details.append(make_report(
         "beta_fiber_vanishing", n_samples=len(pts),
         max_residual=float(np.max(np.abs(beta_vals))), tolerance=1e-15,
@@ -353,27 +351,19 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     # annihilates page-tangent vectors
     mu = rep.f.mu_form()
     bases = tangent_bases(rep.manifold, samples)
-    mu_restricted = np.stack(
-        [mu.at_basis(samples, bases[:, None, j, :])
-         for j in range(bases.shape[1])], axis=-1)
-    rho = rep.f.modulus(samples)
-    page_gap = np.empty(len(samples))
-    for i in range(len(samples)):
-        w = mu_restricted[i]
-        norm = np.linalg.norm(w)
-        if norm < 1e-14:
-            page_gap[i] = 0.0
-            continue
-        # orthonormal basis of ker(w) inside the tangent space
-        proj = np.eye(len(w)) - np.outer(w, w) / norm ** 2
-        eigval, eigvec = np.linalg.eigh(proj)
-        page = eigvec[:, eigval > 0.5].T @ bases[i]
-        page_gap[i] = c * np.max(np.abs(
-            [mu.at_basis(samples[i], v[None, :]) for v in page]))
+    w = mu.restrict(samples, bases)
+    norm = np.linalg.norm(w, axis=-1)
+    on_binding = norm < 1e-14
+    norm2 = np.where(on_binding, 1.0, norm ** 2)[:, None, None]
+    # orthonormal basis of ker(w) inside the tangent space: the eigenvectors
+    # of the projector with eigenvalue 1
+    proj = np.eye(w.shape[1]) - w[:, :, None] * w[:, None, :] / norm2
+    _, eigvec = np.linalg.eigh(proj)
+    page = np.swapaxes(eigvec[:, :, 1:], -1, -2) @ bases
+    page_gap = np.where(on_binding, 0.0, c * np.max(np.abs(
+        mu.restrict(samples, page)), axis=-1))
     bind_bases = tangent_bases(rep.manifold, binding_samples)
-    bind_gap = c * np.max(np.abs(np.stack(
-        [mu.at_basis(binding_samples, bind_bases[:, None, j, :])
-         for j in range(bind_bases.shape[1])], axis=-1)))
+    bind_gap = c * np.max(np.abs(mu.restrict(binding_samples, bind_bases)))
     details.append(make_report(
         "restriction_agreement", n_samples=len(samples) + len(binding_samples),
         max_residual=float(max(np.max(page_gap), bind_gap)),
@@ -483,8 +473,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     for tau in tau_grid:
         alpha_tau = family_form(rep, tau, c)
         pulled = _pullback_on_bases(shear_map(rep, tau, c), alpha0, pts, bases)
-        direct = np.stack([alpha_tau.at_basis(pts, bases[:, None, j, :])
-                           for j in range(bases.shape[1])], axis=-1)
+        direct = alpha_tau.restrict(pts, bases)
         worst_pull = max(worst_pull, float(np.max(np.abs(pulled - direct))))
         vol_tau = wedge(alpha_tau, wedge_power(ext_deriv(alpha_tau), n + 1)
                         ).at_basis(pts, bases)
@@ -514,8 +503,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
                         f=rep.f.conjugate(),
                         name=f"{rep.name} (inverse)")
     target = bourgeois_form(rep_minus).alpha
-    target_vals = np.stack([target.at_basis(pts, bases[:, None, j, :])
-                            for j in range(bases.shape[1])], axis=-1)
+    target_vals = target.restrict(pts, bases)
     details.append(make_report(
         "endpoint_flip", n_samples=len(pts),
         max_residual=float(np.max(np.abs(flipped - target_vals))),
@@ -535,8 +523,7 @@ def _pullback_on_bases(phi: SmoothMap, form1: KForm, pts, bases):
     q = phi(pts)
     jac = phi.jacobian(pts)
     pushed = np.einsum("ntm,njm->njt", jac, bases)
-    return np.stack([form1.at_basis(q, pushed[:, None, j, :])
-                     for j in range(bases.shape[1])], axis=-1)
+    return form1.restrict(q, pushed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ suites.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error.  Reports are deterministic given the seed (bit
-identical JSON apart from the wall_time_ms fields); the thread count for
-running independent checks can be overridden with OPENBOOKS_THREADS.
+identical JSON apart from the wall_time_ms fields).
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,8 +303,7 @@ def _suite_g2_s5():
         pts = sample(bf.manifold, 200, seed)
         phi1 = np.zeros((len(pts), 8))
         phi1[:, 6] = 1.0
-        vals = np.stack([bf.alpha.at_basis(pts, phi1[i][None, :])
-                         for i in range(len(pts))])
+        vals = bf.alpha.restrict(pts, phi1[:, None, :])[:, 0]
         gap = float(np.max(np.abs(
             vals - np.real(rep.f.value(pts[:, :6])))))
         return make_report(
@@ -462,11 +458,8 @@ SUITES = {
 def run_suite(cfg: SuiteConfig) -> list[CheckReport]:
     """Execute the configured suite; every check gets its own derived
     seed, so reports are independent of execution order."""
-    checks = SUITES[cfg.suite]()
-    workers = int(os.environ.get("OPENBOOKS_THREADS", "1"))
-
-    def run_one(item):
-        index, (name, fn) = item
+    reports = []
+    for index, (name, fn) in enumerate(SUITES[cfg.suite]()):
         seed = cfg.seed + 1000 * index
         try:
             report = fn(cfg, seed)
@@ -476,15 +469,8 @@ def run_suite(cfg: SuiteConfig) -> list[CheckReport]:
                 max_residual=float("inf"),
                 note=f"check raised {type(exc).__name__}: {exc}")
         report.name = f"{cfg.suite}/{name}"
-        return index, report
-
-    items = list(enumerate(checks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(item) for item in items]
-    return [report for _, report in sorted(results, key=lambda r: r[0])]
+        reports.append(report)
+    return reports
 
 
 def emit_report(reports, fmt: str, out_dir) -> list[str]:

@@ -165,20 +165,8 @@ def reeb_fields(cf: ContactForm, points, tol=1e-8):
         pts = pts[None, :]
     bases = tangent_bases(cf.manifold, pts)
     d = bases.shape[1]
-    alpha = cf.alpha
-    dalpha = cf.d_alpha()
-    arow = np.stack([alpha.at_basis(pts, bases[:, None, j, :])
-                     for j in range(d)], axis=-1)          # (N, d)
-    pair = np.empty((pts.shape[0], d, d))
-    for i in range(d):
-        for j in range(d):
-            if j <= i:
-                continue
-            val = dalpha.at_basis(
-                pts, np.stack([bases[:, j, :], bases[:, i, :]], axis=1))
-            pair[:, i, j] = val
-            pair[:, j, i] = -val
-        pair[:, i, i] = 0.0
+    arow = cf.alpha.restrict(pts, bases)                     # (N, d)
+    pair = -cf.d_alpha().restrict(pts, bases)   # [i, j] = d(alpha)(e_j, e_i)
     mat = np.concatenate([arow[:, None, :], pair], axis=1)   # (N, d+1, d)
     rhs = np.zeros((pts.shape[0], d + 1))
     rhs[:, 0] = 1.0
@@ -435,9 +423,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     t0 = time.perf_counter()
     bases = tangent_bases(manifold, samples)
     mu = rep.f.mu_form()
-    mu_restricted = np.stack(
-        [mu.at_basis(samples, bases[:, None, j, :])
-         for j in range(bases.shape[1])], axis=-1)
+    mu_restricted = mu.restrict(samples, bases)
     mu_norm = np.linalg.norm(mu_restricted, axis=-1)
     rho = f.modulus(samples)
     g = f.grad(samples)

@@ -13,7 +13,10 @@ A k-form with coefficients ``c_I`` relative to the increasing multi-indices
 
 Evaluation sorts the argument vectors lexicographically first and applies
 the permutation sign, which makes the alternation property exact: swapping
-two arguments flips the sign bit-for-bit.
+two arguments flips the sign bit-for-bit.  :meth:`KForm.restrict` is the
+batched restriction of a 1- or 2-form to a frame: the row ``(N, d)`` or
+antisymmetric matrix ``(N, d, d)`` that the checks build their identities
+from.
 """
 
 from __future__ import annotations
@@ -191,7 +194,39 @@ class KForm:
             raise DimensionMismatch("vector dimension does not match form")
         if self.degree == 0:
             return self.coeffs(p)[..., 0]
+        return self._on_vectors(self.coeffs(p), v)
+
+    def restrict(self, p, frame):
+        """Restriction to a frame: p (..., m), frame (..., d, m).
+
+        A 1-form gives (..., d) with [..., j] = form(e_j); a 2-form gives
+        the antisymmetric (..., d, d) with [..., i, j] = form(e_i, e_j).
+        The coefficients are evaluated once; each entry is bit-identical to
+        :meth:`at_basis` on that vector or pair.
+        """
+        p = np.asarray(p, float)
+        e = np.asarray(frame, float)
+        if self.degree not in (1, 2):
+            raise DimensionMismatch(
+                f"restrict needs a 1- or 2-form, got degree {self.degree}")
+        if e.shape[-1] != self.ambient_dim:
+            raise DimensionMismatch("frame dimension does not match form")
         c = self.coeffs(p)
+        d = e.shape[-2]
+        if self.degree == 1:
+            return np.stack([self._on_vectors(c, e[..., None, j, :])
+                             for j in range(d)], axis=-1)
+        out = np.zeros(e.shape[:-2] + (d, d))
+        for i in range(d):
+            for j in range(i + 1, d):
+                val = self._on_vectors(
+                    c, np.stack([e[..., i, :], e[..., j, :]], axis=-2))
+                out[..., i, j] = val
+                out[..., j, i] = -val
+        return out
+
+    def _on_vectors(self, c, v):
+        """Evaluate given coefficients c (..., n_idx) on vectors (..., k, m)."""
         order, sign = _lex_order_sign(v)
         vs = np.take_along_axis(v, order[..., None], axis=-2)
         idx = np.asarray(increasing_indices(self.ambient_dim, self.degree))

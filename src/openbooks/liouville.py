@@ -143,12 +143,8 @@ def liouville_relation_residual(ld: LiouvilleDomain, samples):
     pts = np.asarray(samples, float)
     bases = tangent_bases(ld.manifold, pts)
     contracted = interior(ld.liouville_field, ext_deriv(ld.lambda_c))
-    gaps = []
-    for j in range(bases.shape[1]):
-        v = bases[:, None, j, :]
-        gaps.append(contracted.at_basis(pts, v)
-                    - ld.lambda_c.at_basis(pts, v))
-    return np.max(np.abs(np.stack(gaps, axis=-1)))
+    return np.max(np.abs(contracted.restrict(pts, bases)
+                         - ld.lambda_c.restrict(pts, bases)))
 
 
 def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
@@ -297,11 +293,8 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
     pulled = pullback(phi, target)
     expected = scale_form(lambda x: 1.0 / ld.u(x), ld.lambda_c)
     bases = tangent_bases(ld.manifold, pts)
-    gaps = []
-    for j in range(bases.shape[1]):
-        v = bases[:, None, j, :]
-        gaps.append(pulled.at_basis(pts, v) - expected.at_basis(pts, v))
-    gap = float(np.max(np.abs(np.stack(gaps, axis=-1))))
+    gap = float(np.max(np.abs(pulled.restrict(pts, bases)
+                              - expected.restrict(pts, bases))))
     return make_report(
         f"interior_identification[{example_id}]", n_samples=len(pts),
         max_residual=gap, tolerance=tol, seed=seed,
@@ -583,11 +576,8 @@ def weinstein_check(w: WeinsteinStructure, samples, delta,
         np.sum(x_vals ** 2, axis=-1) + np.sum(df ** 2, axis=-1))
     contracted = interior(w.field, w.omega)
     bases = tangent_bases(w.manifold, pts)
-    gaps = []
-    for j in range(bases.shape[1]):
-        v = bases[:, None, j, :]
-        gaps.append(contracted.at_basis(pts, v) - w.lam.at_basis(pts, v))
-    residual = float(np.max(np.abs(np.stack(gaps, axis=-1))))
+    residual = float(np.max(np.abs(contracted.restrict(pts, bases)
+                                   - w.lam.restrict(pts, bases))))
     return make_report(
         f"weinstein[{w.name}]", n_samples=len(pts),
         min_margin=float(np.min(lyap_margin)),

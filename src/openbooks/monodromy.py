@@ -63,16 +63,8 @@ def _spinning_solve_batch(rep: Representation, pts, residual_tol=1e-8):
     # tangent-space components
     mu_t = np.einsum("nm,njm->nj", mu, bases)
     drho2_t = np.einsum("nm,njm->nj", half_drho2, bases)
-    alpha_t = np.stack([alpha.at_basis(pts, bases[:, None, j, :])
-                        for j in range(d)], axis=-1)
-    da_t = np.empty((len(pts), d, d))
-    for i in range(d):
-        da_t[:, i, i] = 0.0
-        for j in range(i + 1, d):
-            v = dalpha.at_basis(pts, np.stack([bases[:, i, :],
-                                               bases[:, j, :]], axis=1))
-            da_t[:, i, j] = v
-            da_t[:, j, i] = -v
+    alpha_t = alpha.restrict(pts, bases)
+    da_t = dalpha.restrict(pts, bases)
     # page basis: orthonormal kernel of mu_t
     norm = np.linalg.norm(mu_t, axis=-1, keepdims=True)
     w = mu_t / norm
@@ -327,12 +319,8 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     eigval, eigvec = np.linalg.eigh(proj)
     page = np.einsum("nqj,njm->nqm", np.swapaxes(eigvec[:, :, 1:], -1, -2),
                      bases)
-    worst = 0.0
-    for i in range(page.shape[1]):
-        for j in range(i + 1, page.shape[1]):
-            pair = np.stack([page[:, i, :], page[:, j, :]], axis=1)
-            worst = max(worst, float(np.max(np.abs(
-                lie_two_form.at_basis(far, pair)))))
+    worst = float(np.max(np.abs(lie_two_form.restrict(far, page)),
+                         initial=0.0))
     details.append(make_report(
         "page_structure_preserved", n_samples=len(far),
         max_residual=worst, tolerance=1e-5, seed=seed,
@@ -555,8 +543,7 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     jac = phi.jacobian(pts)
     pushed = np.einsum("ntm,njm->njt", jac, bases)
     q_img = phi(pts)
-    lhs = np.stack([lam.at_basis(q_img, pushed[:, None, j, :])
-                    for j in range(bases.shape[1])], axis=-1)
+    lhs = lam.restrict(q_img, pushed)
 
     r = np.linalg.norm(pts[..., n:], axis=-1)
     h = 1e-6
@@ -567,8 +554,7 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     drho = np.stack([(rho_of_point(pts + h * np.eye(2 * n)[i])
                       - rho_of_point(pts - h * np.eye(2 * n)[i])) / (2 * h)
                      for i in range(2 * n)], axis=-1)
-    lam_vals = np.stack([lam.at_basis(pts, bases[:, None, j, :])
-                         for j in range(bases.shape[1])], axis=-1)
+    lam_vals = lam.restrict(pts, bases)
     drho_t = np.einsum("nm,njm->nj", drho, bases)
     rhs = lam_vals - r[:, None] * drho_t
     gap = float(np.max(np.abs(lhs - rhs)))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .bourgeois import bourgeois_form
+from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DomainError, OffManifold
 from .forms import KForm, VecField, ext_deriv, scale_form
@@ -92,11 +92,6 @@ class Loop:
 
 # ---------------------------------------------------------------------------
 # constructions on the product of the standard 3-sphere with the torus
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
 def _bump(d, inner=0.1, outer=0.3):
@@ -222,14 +217,8 @@ def verify_prelagrangian(pl: PreLagrangian, samples, tol=1e-7,
     dim_p = pl.submanifold.dim
     dim_ok = (2 * dim_p == dim_v + 1)
     bases = tangent_bases(pl.submanifold, pts)
-    d_alpha = ext_deriv(pl.alpha_hat)
-    worst = 0.0
-    d = bases.shape[1]
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair = np.stack([bases[:, i, :], bases[:, j, :]], axis=1)
-            worst = max(worst, float(np.max(np.abs(
-                d_alpha.at_basis(pts, pair)))))
+    worst = float(np.max(np.abs(ext_deriv(pl.alpha_hat).restrict(pts, bases)),
+                         initial=0.0))
     return make_report(
         f"prelagrangian[{pl.name}]", n_samples=len(pts),
         max_residual=worst, tolerance=tol, seed=seed,
@@ -244,9 +233,7 @@ def restricted_form_values(pl: PreLagrangian, samples):
     used to compare the restriction against coordinate forms."""
     pts = np.asarray(samples, float)
     bases = tangent_bases(pl.submanifold, pts)
-    vals = np.stack([pl.alpha_hat.at_basis(pts, bases[:, None, j, :])
-                     for j in range(bases.shape[1])], axis=-1)
-    return bases, vals
+    return bases, pl.alpha_hat.restrict(pts, bases)
 
 
 def legendrian_check(l_sub: Submanifold, rep: Representation, samples,
@@ -256,9 +243,7 @@ def legendrian_check(l_sub: Submanifold, rep: Representation, samples,
     t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     bases = tangent_bases(l_sub, pts)
-    alpha = rep.contact.alpha
-    vals = np.stack([alpha.at_basis(pts, bases[:, None, j, :])
-                     for j in range(bases.shape[1])], axis=-1)
+    vals = rep.contact.alpha.restrict(pts, bases)
     details = [make_report(
         "alpha_vanishing", n_samples=len(pts),
         max_residual=float(np.max(np.abs(vals))), tolerance=alpha_tol,
@@ -327,8 +312,7 @@ def loop_integral(pl: PreLagrangian, loop: Loop):
     """Integral of alpha_hat over the loop by composite Simpson."""
     vals = loop.values[:-1]
     der = loop.derivatives()
-    g = np.array([pl.alpha_hat.at_basis(vals[i], der[i][None, :])
-                  for i in range(vals.shape[0])])
+    g = pl.alpha_hat.restrict(vals, der[:, None, :])[:, 0]
     g = np.append(g, g[0])
     t = np.linspace(0.0, 2 * np.pi, loop.n_grid + 1)
     return float(simpson(g, x=t)), g, t
@@ -363,8 +347,7 @@ def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
 
     # Y must be tangent to P with alpha_hat(Y) = 1 along the loop
     yv = y_field(vals)
-    pairing = np.array([pl.alpha_hat.at_basis(vals[i], yv[i][None, :])
-                        for i in range(vals.shape[0])])
+    pairing = pl.alpha_hat.restrict(vals, yv[:, None, :])[:, 0]
     if np.max(np.abs(pairing - 1.0)) > y_tol:
         raise DomainError("alpha_hat(Y) != 1 along the loop: gap "
                           f"{np.max(np.abs(pairing - 1.0)):.2e}")

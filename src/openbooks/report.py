@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -53,18 +54,6 @@ class CheckReport:
         return d
 
 
-class ReportTimer:
-    """Context helper measuring wall time for a report."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
-        return False
-
-
 def make_report(name, *, n_samples, tolerance, seed, note="",
                 min_margin=None, max_residual=None, residual_tolerance=None,
                 wall_time_ms=0.0, rows=None, details=None, passed=None):
@@ -96,14 +85,15 @@ def make_report(name, *, n_samples, tolerance, seed, note="",
 
 
 def merge_reports(name, reports, seed=0, note=""):
-    """Reduce sub-reports: margins by min, residuals by max, pass by all."""
+    """Reduce sub-reports: margins by min, residuals by max, pass by all.
+    A NaN margin or residual in any sub-report makes the merged one NaN."""
     margins = [r.min_margin for r in reports if r.min_margin is not None]
     residuals = [r.max_residual for r in reports if r.max_residual is not None]
     return CheckReport(
         name=name,
         n_samples=sum(r.n_samples for r in reports),
-        min_margin=min(margins) if margins else None,
-        max_residual=max(residuals) if residuals else None,
+        min_margin=float(np.min(margins)) if margins else None,
+        max_residual=float(np.max(residuals)) if residuals else None,
         tolerance=min(r.tolerance for r in reports),
         passed=all(r.passed for r in reports),
         seed=seed,

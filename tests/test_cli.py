@@ -72,15 +72,6 @@ def test_nonpositive_tolerance_rejected():
     assert main(["--suite", "g2_s5", "--tolerance", "-1.0"]) == EXIT_USAGE
 
 
-def test_thread_count_env_does_not_change_reports(monkeypatch):
-    cfg = SuiteConfig(suite="subcritical", seed=11, samples=300)
-    serial = [r.to_dict() for r in run_suite(cfg)]
-    monkeypatch.setenv("OPENBOOKS_THREADS", "3")
-    threaded = [r.to_dict() for r in run_suite(cfg)]
-    assert json.dumps(_strip_timing(serial)) == json.dumps(
-        _strip_timing(threaded))
-
-
 def test_unknown_suite_exits_two(capsys):
     assert main(["--suite", "not_a_suite"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

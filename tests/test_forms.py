@@ -39,6 +39,56 @@ def _random_two_form(m, seed=1):
 
 
 # ---------------------------------------------------------------------------
+# restriction to frames
+
+
+def _points_and_frame(m, d, n=40, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, m)), rng.normal(size=(n, d, m))
+
+
+def test_restrict_one_form_matches_vector_loop():
+    eta = _random_one_form(5, seed=6)
+    pts, frame = _points_and_frame(5, 3)
+    loop = np.stack([eta.at_basis(pts, frame[:, None, j, :])
+                     for j in range(3)], axis=-1)
+    assert np.array_equal(eta.restrict(pts, frame), loop)
+
+
+def test_restrict_two_form_matches_pair_loop_and_is_antisymmetric():
+    omega = _random_two_form(5, seed=7)
+    pts, frame = _points_and_frame(5, 4)
+    out = omega.restrict(pts, frame)
+    assert out.shape == (40, 4, 4)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pair = np.stack([frame[:, i, :], frame[:, j, :]], axis=1)
+                assert np.array_equal(out[:, i, j], omega.at_basis(pts, pair))
+    assert np.array_equal(out, -np.swapaxes(out, -1, -2))
+    assert np.all(np.diagonal(out, axis1=-2, axis2=-1) == 0.0)
+
+
+def test_restrict_evaluates_coefficients_once():
+    calls = []
+    omega = _random_two_form(4, seed=8)
+    counted = KForm(2, 4, lambda p: calls.append(1) or omega.coeffs(p))
+    pts, frame = _points_and_frame(4, 3)
+    counted.restrict(pts, frame)
+    assert len(calls) == 1
+
+
+def test_restrict_rejects_other_degrees_and_frame_widths():
+    pts, frame = _points_and_frame(4, 3)
+    three_form = wedge(_random_two_form(4), _random_one_form(4))
+    for form in (constant_form(4, 0, [1.0]), three_form):
+        with pytest.raises(DimensionMismatch):
+            form.restrict(pts, frame)
+    with pytest.raises(DimensionMismatch):
+        _random_one_form(4).restrict(pts, frame[..., :3])
+
+
+# ---------------------------------------------------------------------------
 # wedge
 
 

@@ -1,5 +1,7 @@
 """CheckReport semantics: the pass rule and reductions."""
 
+import math
+
 from openbooks.report import make_report, merge_reports
 
 
@@ -29,6 +31,21 @@ def test_merge_takes_worst_case():
     assert merged.min_margin == 1e-5
     assert not merged.passed
     assert [d.name for d in merged.details] == ["a", "b"]
+
+
+def test_merge_propagates_nan_in_either_order():
+    nan = make_report("n", n_samples=1, tolerance=1e-3, seed=0,
+                      min_margin=float("nan"), max_residual=float("nan"))
+    fine = make_report("f", n_samples=1, tolerance=1e-3, seed=0,
+                       min_margin=1.0, max_residual=1e-9)
+    for pair in ([nan, fine], [fine, nan]):
+        merged = merge_reports("all", pair)
+        assert math.isnan(merged.min_margin)
+        assert math.isnan(merged.max_residual)
+        assert not merged.passed
+    merged = merge_reports("all", [fine, fine])
+    assert (merged.min_margin, merged.max_residual) == (1.0, 1e-9)
+    assert type(merged.min_margin) is float
 
 
 def test_report_dict_has_stable_schema():
