@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -145,7 +146,6 @@ def _suite_g1_s3():
             rep, monodromy.coordinate_spinning_field(rep), pts, seed=seed)
 
     def trivial_monodromy(cfg, seed):
-        t0 = time.perf_counter()
         rep = contact.coordinate_open_book(2)
         pts = sample(rep.manifold, 4 * cfg.flow_starts, seed)
         pts = pts[rep.f.modulus(pts) > 1e-2][: cfg.flow_starts]
@@ -155,8 +155,7 @@ def _suite_g1_s3():
             "trivial_monodromy", n_samples=len(pts),
             max_residual=float(np.max(np.abs(end - pts))), tolerance=1e-7,
             seed=seed,
-            note="time-1 flow of the spinning field returns every start",
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+            note="time-1 flow of the spinning field returns every start")
 
     checks += [("spinning_definition", spinning_check),
                ("trivial_monodromy", trivial_monodromy)]
@@ -168,7 +167,6 @@ def _suite_g2_s3():
     checks += _product_checks(contact.quadric_open_book, 2)
 
     def spinning_solve(cfg, seed):
-        t0 = time.perf_counter()
         rep = contact.quadric_open_book(2)
         pts = sample(rep.manifold, 400, seed)
         pts = pts[rep.f.modulus(pts) > 1e-3][:200]
@@ -178,8 +176,7 @@ def _suite_g2_s3():
             "spinning_solve", n_samples=len(pts),
             max_residual=float(np.max(np.abs(solved - analytic))),
             tolerance=1e-7, seed=seed,
-            note="linear-solve spinning field matches the closed form",
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+            note="linear-solve spinning field matches the closed form")
 
     def contraction(cfg, seed):
         rep = contact.quadric_open_book(2)
@@ -188,7 +185,6 @@ def _suite_g2_s3():
             rep, monodromy.quadric_spinning_field(rep), pts, seed=seed)
 
     def closed_form_check(cfg, seed):
-        t0 = time.perf_counter()
         rep = contact.quadric_open_book(2)
         pts = sample(rep.manifold, 8 * cfg.flow_starts, seed)
         g0 = rep.f.modulus(pts)
@@ -205,8 +201,7 @@ def _suite_g2_s3():
                 monodromy.real_to_complex(end_rk) - end_cf))),
             tolerance=1e-6, seed=seed,
             note=f"RK4 matches the closed-form trajectory; |f| drift "
-                 f"{float(np.max(drift)):.2e}",
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+                 f"{float(np.max(drift)):.2e}")
         return report
 
     def twist_compare(cfg, seed):
@@ -223,7 +218,6 @@ def _suite_g2_s3():
                                                  seed=seed)
 
     def twist_identities(cfg, seed):
-        t0 = time.perf_counter()
         rng = rng_for(seed)
         n = 3
         twist = monodromy.standard_twist()
@@ -247,8 +241,7 @@ def _suite_g2_s3():
             tolerance=1e-7, seed=seed,
             note=f"|p| preserved ({norm_gap:.1e}), boundary fixed "
                  f"({boundary_gap:.1e}), pullback identity "
-                 f"({pull.max_residual:.1e})",
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+                 f"({pull.max_residual:.1e})")
         return report
 
     def inverse_check(cfg, seed):
@@ -297,7 +290,6 @@ def _suite_g2_s5():
     checks = _sphere_book_checks(contact.quadric_open_book, 3)
 
     def assembly(cfg, seed):
-        t0 = time.perf_counter()
         rep = contact.quadric_open_book(3)
         bf = bourgeois.bourgeois_form(rep)
         pts = sample(bf.manifold, 200, seed)
@@ -309,8 +301,7 @@ def _suite_g2_s5():
         return make_report(
             "product_assembly", n_samples=len(pts), max_residual=gap,
             tolerance=1e-12, seed=seed,
-            note="alpha(d/dphi1) reads off Re f on the dim-7 product",
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+            note="alpha(d/dphi1) reads off Re f on the dim-7 product")
 
     checks.append(("product_assembly", assembly))
     return checks
@@ -350,7 +341,6 @@ def _suite_disk_hypersurface():
         return liouville.page_volume_identity(ld, pts, seed=seed)
 
     def hypersurface(cfg, seed):
-        t0 = time.perf_counter()
         hs = liouville.hypersurface_build(liouville.weinstein_disk_domain())
         pts = sample(hs.manifold, cfg.samples, seed)
         bind = sample(hs.rep.binding, cfg.binding_samples, seed + 1)
@@ -376,7 +366,6 @@ def _suite_disk_hypersurface():
             seed=seed,
             note=f"hypersurface in F x C; transversality margin "
                  f"{hs.transversality_margin:.3f}")
-        out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
         return out
 
     return [("completion_disk", completion_disk),
@@ -457,10 +446,12 @@ SUITES = {
 
 def run_suite(cfg: SuiteConfig) -> list[CheckReport]:
     """Execute the configured suite; every check gets its own derived
-    seed, so reports are independent of execution order."""
+    seed, so reports are independent of execution order.  Each report's
+    wall_time_ms is the time run_suite spent in its check."""
     reports = []
     for index, (name, fn) in enumerate(SUITES[cfg.suite]()):
         seed = cfg.seed + 1000 * index
+        t0 = time.perf_counter()
         try:
             report = fn(cfg, seed)
         except Exception as exc:      # checks report, they do not abort
@@ -468,13 +459,27 @@ def run_suite(cfg: SuiteConfig) -> list[CheckReport]:
                 name, n_samples=0, tolerance=0.0, seed=seed, passed=False,
                 max_residual=float("inf"),
                 note=f"check raised {type(exc).__name__}: {exc}")
+        report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
         report.name = f"{cfg.suite}/{name}"
         reports.append(report)
     return reports
 
 
+def _strict_json(value):
+    """value with every non-finite float replaced by None, so that it
+    serialises as strict JSON (null, not Infinity or NaN)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def emit_report(reports, fmt: str, out_dir) -> list[str]:
-    """Write reports to out_dir; JSON is an array of report objects, CSV
+    """Write reports to out_dir; JSON is an array of report objects, in
+    strict JSON (a non-finite margin or residual is written as null), CSV
     has one row per (check, grid point)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -482,7 +487,8 @@ def emit_report(reports, fmt: str, out_dir) -> list[str]:
     if fmt == "json":
         path = out_dir / "reports.json"
         with open(path, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=1)
+            json.dump([_strict_json(r.to_dict()) for r in reports], fh,
+                      indent=1, allow_nan=False)
         written.append(str(path))
     elif fmt == "csv":
         path = out_dir / "reports.csv"

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
 from .forms import (KForm, VecField, ext_deriv, scale_form, wedge,
                     wedge_all, wedge_power)
-from .manifolds import (Submanifold, project_to_constraints,
-                        tangent_bases, unit_sphere)
+from .manifolds import (Submanifold, _orientation_signs,
+                        project_to_constraints, tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -317,25 +317,24 @@ def binding_orientation(rep: Representation):
 
     a basis W of T_p K is positive when (u1, u2, W) is positively oriented
     in T_p V, where (u1, u2) spans the normal of K inside T_p V with
-    positive (df_x, df_y)-frame determinant."""
+    positive (df_x, df_y)-frame determinant.  Batched: points (N, m) and
+    bases (N, dim K, m) give signs (N,)."""
     manifold = rep.manifold
     f = rep.f
 
-    def orientation(p, basis):
-        frame = tangent_bases(manifold, p[None, :])[0]
-        # complement of span(basis) inside the tangent space
-        coords = basis @ frame.T                       # (dimK, dimV)
-        proj = np.eye(frame.shape[0]) - coords.T @ coords
-        eigval, eigvec = np.linalg.eigh(proj)
-        comp = (eigvec[:, eigval > 0.5].T @ frame)     # (2, m)
-        g = f.grad(p)
-        det2 = (g[0] @ comp[0]) * (g[1] @ comp[1]) \
-            - (g[0] @ comp[1]) * (g[1] @ comp[0])
-        if det2 < 0:
-            comp = comp[::-1]
-        full = np.vstack([comp, basis])
-        from .manifolds import _orientation_sign
-        return _orientation_sign(manifold, p, full)
+    def orientation(points, bases):
+        frames = tangent_bases(manifold, points)              # (N, dimV, m)
+        # complement of span(basis) inside the tangent space: the two
+        # eigenvalue-1 eigenvectors of the projector, last in eigh's order
+        coords = bases @ np.swapaxes(frames, -1, -2)          # (N, dimK, dimV)
+        proj = np.eye(frames.shape[1]) - np.swapaxes(coords, -1, -2) @ coords
+        _, eigvec = np.linalg.eigh(proj)
+        comp = np.swapaxes(eigvec[..., -2:], -1, -2) @ frames  # (N, 2, m)
+        pairing = f.grad(points) @ np.swapaxes(comp, -1, -2)   # (N, 2, 2)
+        swap = np.linalg.det(pairing) < 0
+        comp[swap] = comp[swap, ::-1]
+        full = np.concatenate([comp, bases], axis=-2)
+        return _orientation_signs(manifold, points, full)
 
     return orientation
 

@@ -11,6 +11,12 @@ A k-form with coefficients ``c_I`` relative to the increasing multi-indices
 
     sum_I  c_I * det( [v_b[i_a]]_{a,b} ) .
 
+The minors det(...) are the Pluecker coordinates of the vectors, computed
+as the iterated wedge v_1 ^ v_2 ^ ... ^ v_k of 1-forms with the same
+shuffle table as :func:`wedge`.  No LAPACK determinant is taken, so the
+values carry this expansion's rounding, not that of an LU factorisation;
+the two agree to about 1e-15 relative to the product of the vector norms.
+
 Evaluation sorts the argument vectors lexicographically first and applies
 the permutation sign, which makes the alternation property exact: swapping
 two arguments flips the sign bit-for-bit.  :meth:`KForm.restrict` is the
@@ -133,6 +139,19 @@ def _interior_table(m: int, k: int):
     return comp, pos, sign
 
 
+def _minors(vectors):
+    """All k x k minors of vectors (..., k, m): the Pluecker coordinates
+    (..., C(m, k)) in the order of :func:`increasing_indices`, entry I
+    being det([v_b[i_a]]_{a,b}).  Built as v_1 ^ ... ^ v_k, one wedge with
+    a 1-form per step."""
+    k, m = vectors.shape[-2:]
+    w = vectors[..., 0, :]
+    for j in range(1, k):
+        ia, ib, scatter = _wedge_table(m, j, 1)
+        w = (w[..., ia] * vectors[..., j, ib]) @ scatter
+    return w
+
+
 def _lex_order_sign(vectors):
     """Lexicographic ordering of argument vectors and its permutation sign.
 
@@ -227,13 +246,11 @@ class KForm:
 
     def _on_vectors(self, c, v):
         """Evaluate given coefficients c (..., n_idx) on vectors (..., k, m)."""
+        if self.degree == 1:                       # sorting one vector is a no-op
+            return np.einsum("...i,...i->...", c, v[..., 0, :])
         order, sign = _lex_order_sign(v)
         vs = np.take_along_axis(v, order[..., None], axis=-2)
-        idx = np.asarray(increasing_indices(self.ambient_dim, self.degree))
-        sub = vs[..., :, idx]                      # (..., k, n_idx, k)
-        sub = np.moveaxis(sub, -2, -3)             # (..., n_idx, k, k)
-        dets = np.linalg.det(sub)
-        return sign * np.einsum("...i,...i->...", c, dets)
+        return sign * np.einsum("...i,...i->...", c, _minors(vs))
 
     def __add__(self, other):
         if not isinstance(other, KForm):
@@ -479,7 +496,6 @@ def pullback(phi: SmoothMap, a: KForm) -> KForm:
         raise DimensionMismatch("pullback degree exceeds source dimension")
     if k == 0:
         return KForm(0, phi.source_dim, lambda p: a.coeffs(phi(p)))
-    rows = np.asarray(increasing_indices(phi.target_dim, k))
     cols = np.asarray(increasing_indices(phi.source_dim, k))
     fa = a.coeffs
 
@@ -487,9 +503,9 @@ def pullback(phi: SmoothMap, a: KForm) -> KForm:
         q = phi(p)
         c = fa(q)
         jac = phi.jacobian(p)
-        sub = jac[..., rows[:, None, :, None], cols[None, :, None, :]]
-        minors = np.linalg.det(sub)             # (..., n_tgt, n_src)
-        return np.einsum("...t,...ts->...s", c, minors)
+        # the Jacobian columns of each source multi-index, as vectors
+        vecs = np.moveaxis(jac[..., :, cols], -3, -1)   # (..., n_src, k, m_tgt)
+        return np.einsum("...t,...st->...s", c, _minors(vecs))
 
     return KForm(k, phi.source_dim, coeffs)
 

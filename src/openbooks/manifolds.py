@@ -38,7 +38,8 @@ class Submanifold:
       - "ambient": full-dimensional pieces of R^m, oriented by the ambient
         coordinate order;
       - None: unoriented (all bases accepted with sign +1);
-      - a callable (point, basis (d, m)) -> +-1.
+      - a callable (points (N, m), bases (N, d, m)) -> signs (N,) of +-1,
+        called once per batch.
     """
 
     ambient_dim: int
@@ -85,19 +86,21 @@ class OrientedBasis:
     sign: int
 
 
-def _orientation_sign(manifold: Submanifold, p, basis):
+def _orientation_signs(manifold: Submanifold, points, bases):
+    """Orientation signs (N,) of bases (N, d, m) at points (N, m)."""
     conv = manifold.orientation
     if conv is None:
-        return 1
+        return np.ones(len(bases))
     if callable(conv):
-        return conv(p, basis)
+        return np.asarray(conv(points, bases))
     if conv == "ambient":
-        return np.sign(np.linalg.det(basis))
+        return np.sign(np.linalg.det(bases))
     if conv == "normal_first":
-        jac = manifold.jacobian(p)
-        normal = jac[0] / np.linalg.norm(jac[0])
-        frame = np.vstack([normal[None, :], basis])
-        return np.sign(np.linalg.det(frame))
+        jac = manifold.jacobian(points)
+        normal = jac[:, 0, :] / np.linalg.norm(jac[:, 0, :], axis=-1,
+                                               keepdims=True)
+        frames = np.concatenate([normal[:, None, :], bases], axis=1)
+        return np.sign(np.linalg.det(frames))
     raise ValueError(f"unknown orientation convention {conv!r}")
 
 
@@ -117,7 +120,7 @@ def tangent_basis(manifold: Submanifold, p, tol=ON_MANIFOLD_TOL) -> OrientedBasi
             raise DegenerateSystem(
                 "constraint Jacobian is rank deficient", singular_values=s)
         basis = vh[manifold.n_constraints:]
-    sign = _orientation_sign(manifold, p, basis)
+    sign = _orientation_signs(manifold, p[None, :], basis[None])[0]
     if sign < 0:
         basis = basis.copy()
         basis[-1] = -basis[-1]
@@ -148,19 +151,7 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
             raise DegenerateSystem("rank-deficient constraint Jacobian in batch",
                                    singular_values=s)
         bases = vh[:, manifold.n_constraints:, :].copy()
-    conv = manifold.orientation
-    if conv is None:
-        return bases
-    if conv == "normal_first":
-        jac = manifold.jacobian(pts)
-        normal = jac[:, 0, :] / np.linalg.norm(jac[:, 0, :], axis=-1, keepdims=True)
-        frames = np.concatenate([normal[:, None, :], bases], axis=1)
-        signs = np.sign(np.linalg.det(frames))
-    elif conv == "ambient":
-        signs = np.sign(np.linalg.det(bases))
-    else:
-        signs = np.array([conv(pts[i], bases[i]) for i in range(n)])
-    flip = signs < 0
+    flip = _orientation_signs(manifold, pts, bases) < 0
     bases[flip, -1, :] = -bases[flip, -1, :]
     return bases
 

@@ -2,12 +2,14 @@
 
 import copy
 import json
+import time
 
 import pytest
 
+from openbooks import cli
 from openbooks.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                            SuiteConfig, emit_report, main, run_suite)
-from openbooks.report import SCHEMA_VERSION
+from openbooks.report import SCHEMA_VERSION, make_report, merge_reports
 
 
 def _strip_timing(payload):
@@ -132,3 +134,44 @@ def test_unwritable_out_path_exits_two(tmp_path):
     code = main(["--suite", "subcritical", "--samples", "300",
                  "--out", str(blocker / "sub")])
     assert code == EXIT_USAGE
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_raised_check_and_nan_margin_emit_strict_json(tmp_path, monkeypatch):
+    def raising(cfg, seed):
+        raise RuntimeError("boom")
+
+    def nan_margin(cfg, seed):
+        return make_report("nan_margin", n_samples=3, tolerance=0.0,
+                           seed=seed, min_margin=float("nan"))
+
+    monkeypatch.setitem(cli.SUITES, "subcritical", lambda: [
+        ("raising", raising), ("nan_margin", nan_margin)])
+    reports = run_suite(SuiteConfig(suite="subcritical", seed=3))
+    path, = emit_report(reports, "json", tmp_path)
+    payload = json.loads(open(path).read(), parse_constant=_reject_constant)
+    raised, nan = payload
+    assert raised["name"] == "subcritical/raising"
+    assert raised["passed"] is False and raised["max_residual"] is None
+    assert "check raised RuntimeError: boom" in raised["note"]
+    assert nan["min_margin"] is None and nan["passed"] is False
+    # the in-memory reports keep their non-finite values
+    assert reports[0].max_residual == float("inf")
+
+
+def test_run_suite_times_each_check_itself(monkeypatch):
+    def merged(cfg, seed):
+        time.sleep(0.02)
+        children = [make_report(f"child{i}", n_samples=1, tolerance=0.0,
+                                seed=seed, wall_time_ms=1e6)
+                    for i in range(2)]
+        return merge_reports("merged", children, seed=seed)
+
+    monkeypatch.setitem(cli.SUITES, "subcritical",
+                        lambda: [("merged", merged)])
+    report, = run_suite(SuiteConfig(suite="subcritical", seed=3))
+    assert 20.0 <= report.wall_time_ms < 1e5
+    assert [d.wall_time_ms for d in report.details] == [1e6, 1e6]

@@ -254,3 +254,48 @@ def test_binding_manifold_orientation_value():
     from openbooks.contact import binding_contact_values
     vals = binding_contact_values(rep, bind)
     np.testing.assert_allclose(vals, 0.5, atol=1e-9)
+
+
+def _per_point_binding_signs(rep, points, bases):
+    """Reference: the binding orientation one point at a time (tangent
+    frame, projector eigenvectors, (df_x, df_y) pairing, normal-first
+    determinant)."""
+    from openbooks.manifolds import tangent_bases
+    signs = []
+    for p, basis in zip(points, bases):
+        frame = tangent_bases(rep.manifold, p[None, :])[0]
+        coords = basis @ frame.T
+        eigval, eigvec = np.linalg.eigh(np.eye(len(frame)) - coords.T @ coords)
+        comp = eigvec[:, eigval > 0.5].T @ frame
+        g = rep.f.grad(p)
+        if (g[0] @ comp[0]) * (g[1] @ comp[1]) \
+                - (g[0] @ comp[1]) * (g[1] @ comp[0]) < 0:
+            comp = comp[::-1]
+        normal = rep.manifold.jacobian(p)[0]
+        frame_v = np.vstack([normal / np.linalg.norm(normal), comp, basis])
+        signs.append(np.sign(np.linalg.det(frame_v)))
+    return np.array(signs)
+
+
+@pytest.mark.parametrize("maker,n", [(coordinate_open_book, 2),
+                                     (coordinate_open_book, 3),
+                                     (quadric_open_book, 2),
+                                     (quadric_open_book, 3)])
+def test_batched_binding_orientation_matches_per_point(maker, n):
+    from dataclasses import replace
+
+    from openbooks.contact import binding_manifold
+    from openbooks.manifolds import tangent_bases
+    rep = maker(n)
+    bind = binding_manifold(rep)
+    pts = sample(rep.binding, 60, seed=23)
+    bases = tangent_bases(replace(bind, orientation=None), pts)
+    flip = np.arange(len(pts)) % 2 == 1
+    bases[flip, -1] = -bases[flip, -1]
+    signs = bind.orientation(pts, bases)
+    want = _per_point_binding_signs(rep, pts, bases)
+    assert signs.shape == (len(pts),)
+    np.testing.assert_array_equal(signs, want)
+    assert set(signs) == {-1.0, 1.0}
+    # the oriented bases tangent_bases returns are all positive
+    assert np.all(bind.orientation(pts, tangent_bases(bind, pts)) > 0)
