@@ -303,14 +303,17 @@ def inverse_form(rep: Representation, c: float) -> ContactForm:
     return ContactForm(alpha_minus, rep.manifold)
 
 
-def inverse_form_margins(rep: Representation, c: float, samples):
+def inverse_form_margins(rep: Representation, c: float, samples,
+                         bases=None):
     """Reversed-orientation contact margin of alpha_minus at the samples
-    (positive margin = contact with orientation opposite the reference)."""
+    (positive margin = contact with orientation opposite the reference).
+    ``bases`` may pass in tangent_bases(rep.manifold, samples)."""
     cf = inverse_form(rep, c)
     n = cf.n
     top = wedge(cf.alpha, wedge_power(ext_deriv(cf.alpha), n))
-    vals = top.at_basis(samples, tangent_bases(rep.manifold, samples))
-    return -vals
+    if bases is None:
+        bases = tangent_bases(rep.manifold, samples)
+    return -top.at_basis(samples, bases)
 
 
 def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
@@ -319,10 +322,11 @@ def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
     reversed-orientation margin beats the tolerance, then re-verify at 2C
     (the construction guarantees all sufficiently large C work)."""
     cs = c_grid if c_grid is not None else [2.0 ** k for k in range(11)]
+    bases = tangent_bases(rep.manifold, samples)
     for c in cs:
-        margins = inverse_form_margins(rep, c, samples)
+        margins = inverse_form_margins(rep, c, samples, bases)
         if np.min(margins) > tolerance:
-            recheck = inverse_form_margins(rep, 2 * c, samples)
+            recheck = inverse_form_margins(rep, 2 * c, samples, bases)
             if np.min(recheck) > tolerance:
                 return c, float(np.min(margins)), float(np.min(recheck))
     raise DegenerateSystem(
@@ -338,8 +342,9 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     pages and binding with alpha."""
     t0 = time.perf_counter()
     details = []
-    margins = inverse_form_margins(rep, c, samples)
-    margins2 = inverse_form_margins(rep, 2 * c, samples)
+    bases = tangent_bases(rep.manifold, samples)
+    margins = inverse_form_margins(rep, c, samples, bases)
+    margins2 = inverse_form_margins(rep, 2 * c, samples, bases)
     details.append(make_report(
         "reversed_contact", n_samples=2 * len(samples),
         min_margin=float(min(np.min(margins), np.min(margins2))),
@@ -350,7 +355,6 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     # restriction to pages: the correction is C * rho^2 d(theta), which
     # annihilates page-tangent vectors
     mu = rep.f.mu_form()
-    bases = tangent_bases(rep.manifold, samples)
     w = mu.restrict(samples, bases)
     norm = np.linalg.norm(w, axis=-1)
     on_binding = norm < 1e-14

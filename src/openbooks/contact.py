@@ -567,8 +567,8 @@ def quadric_defining_function(n: int) -> DefiningFunction:
         # cancellations along the binding survive in floating point
         x = p[..., 0::2]
         y = p[..., 1::2]
-        fx = np.sum(x * x - y * y, axis=-1)
-        fy = 2.0 * np.sum(x * y, axis=-1)
+        fx = np.add.reduce(x * x - y * y, axis=-1)
+        fy = 2.0 * np.add.reduce(x * y, axis=-1)
         return fx + 1j * fy
 
     def gradient(p):

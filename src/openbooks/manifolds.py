@@ -30,6 +30,9 @@ def rng_for(seed) -> np.random.Generator:
 class Submanifold:
     """Zero set of `constraints` inside R^m, with orientation convention.
 
+    constraints maps points (..., m) to values (..., n_constraints), and
+    constraint_jac, when given, to the Jacobian (..., n_constraints, m).
+
     orientation is one of
       - "normal_first": hypersurface-type; a tangent basis is positive when
         prepending the outward constraint gradient gives a positively
@@ -169,6 +172,21 @@ def sample(manifold: Submanifold, n: int, seed, tol=1e-10):
     return pts
 
 
+def gauss_newton_step(manifold: Submanifold, p, c):
+    """One Gauss-Newton step p - J^T (J J^T)^-1 c towards the constraint
+    set, for points p (N, m) with constraint values c (N, k).
+
+    With one constraint the Gram matrix J J^T is the scalar |J|^2, and the
+    step p - J (c / |J|^2) needs no LAPACK solve.
+    """
+    jac = manifold.jacobian(p)
+    gram = jac @ np.swapaxes(jac, -1, -2)
+    if manifold.n_constraints == 1:
+        return p - jac[..., 0, :] * (c / gram[..., 0])
+    lam = np.linalg.solve(gram, c[..., None])[..., 0]
+    return p - np.einsum("...cm,...c->...m", jac, lam)
+
+
 def project_to_constraints(manifold: Submanifold, points, tol=1e-12,
                            max_iter=60):
     """Gauss-Newton projection of points onto the constraint set (batched)."""
@@ -178,15 +196,10 @@ def project_to_constraints(manifold: Submanifold, points, tol=1e-12,
         p = p[None, :]
     for _ in range(max_iter):
         c = np.atleast_2d(np.asarray(manifold.constraints(p)))
-        if c.ndim == 1:
-            c = c[:, None]
         res = np.linalg.norm(c, axis=-1)
         if np.all(res <= tol):
             break
-        jac = manifold.jacobian(p)
-        gram = jac @ np.swapaxes(jac, -1, -2)
-        lam = np.linalg.solve(gram, c[..., None])[..., 0]
-        p = p - np.einsum("...cm,...c->...m", jac, lam)
+        p = gauss_newton_step(manifold, p, c)
     else:
         raise OffManifold(
             f"projection to {manifold.name!r} did not converge: residual "
@@ -242,7 +255,7 @@ def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
     """Unit sphere in R^m; constraint |x|^2 - 1 so the gradient is outward."""
 
     def constraints(p):
-        return (np.sum(p * p, axis=-1) - 1.0)[..., None]
+        return (np.add.reduce(p * p, axis=-1) - 1.0)[..., None]
 
     def jac(p):
         return 2.0 * p[..., None, :]

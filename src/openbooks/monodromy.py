@@ -27,7 +27,8 @@ from .contact import Representation, openbook_volume_form
 from .errors import (BindingPoint, DegenerateSystem, DomainError,
                      FlowAborted, NonConvergence)
 from .forms import KForm, VecField, ext_deriv, interior, wedge_power
-from .manifolds import Submanifold, project_to_constraints, tangent_bases
+from .manifolds import (gauss_newton_step, project_to_constraints,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports
 
 FLOW_BINDING_BAND = 1e-6
@@ -172,13 +173,11 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """
     def eval(p):
-        z = p[..., 0::2] + 1j * p[..., 1::2]
-        fval = np.sum(z * z, axis=-1)
+        # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
+        z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
+        fval = np.add.reduce(z * z, axis=-1)
         vel = np.pi * 1j * fval[..., None] * np.conj(z)
-        out = np.empty_like(p)
-        out[..., 0::2] = np.real(vel)
-        out[..., 1::2] = np.imag(vel)
-        return out
+        return vel.view(np.float64)
 
     return SpinningField(rep, eval, source="analytic")
 
@@ -341,8 +340,10 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
          min_abs_f: float = FLOW_BINDING_BAND, check_halving: bool = False,
          halving_tol: float = 1e-5, project_every: int = 1):
     """Classical RK4 flow of a spinning field with per-step projection back
-    to the manifold (one Gauss-Newton step).  Trajectories are monitored
-    and the flow aborts if |f| drops below the binding band.
+    to the manifold (one `manifolds.gauss_newton_step`, every
+    ``project_every`` steps).  Trajectories are monitored and the flow
+    aborts if |f| drops below the binding band; a final residual above
+    1e-10 triggers a full `project_to_constraints`.
 
     Accepts a single point (m,) or a batch (N, m); time may be negative.
     ``check_halving`` re-runs with half the step and raises NonConvergence
@@ -354,20 +355,23 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
         if single:
             pts = pts[None, :]
         manifold = y.rep.manifold
+        constrained = manifold.constraints is not None
         f = y.rep.f
         n_steps = int(round(abs(t_end) / step_size))
         h = np.sign(t_end) * abs(step_size)
+        half, sixth = 0.5 * h, h / 6.0
         for i in range(n_steps):
-            if np.any(f.modulus(pts) < min_abs_f):
+            if (f.modulus(pts) < min_abs_f).any():
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
             k1 = y.eval(pts)
-            k2 = y.eval(pts + 0.5 * h * k1)
-            k3 = y.eval(pts + 0.5 * h * k2)
+            k2 = y.eval(pts + half * k1)
+            k3 = y.eval(pts + half * k2)
             k4 = y.eval(pts + h * k3)
-            pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (i + 1) % project_every == 0:
-                pts = _newton_project_once(manifold, pts)
+            pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            if constrained and (i + 1) % project_every == 0:
+                pts = gauss_newton_step(manifold, pts,
+                                        manifold.constraints(pts))
         res = manifold.residual(pts)
         if np.any(res > 1e-10):
             pts = project_to_constraints(manifold, pts, tol=1e-12)
@@ -381,18 +385,6 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
             raise NonConvergence(
                 f"step halving changed the endpoint by {gap:.3e}")
     return end
-
-
-def _newton_project_once(manifold: Submanifold, pts):
-    if manifold.constraints is None:
-        return pts
-    c = np.atleast_1d(np.asarray(manifold.constraints(pts)))
-    if c.ndim == pts.ndim - 1:
-        c = c[..., None]
-    jac = manifold.jacobian(pts)
-    gram = jac @ np.swapaxes(jac, -1, -2)
-    lam = np.linalg.solve(gram, c[..., None])[..., 0]
-    return pts - np.einsum("...cm,...c->...m", jac, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +611,22 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     twist = standard_twist()
     y = flow_field if flow_field is not None else quadric_spinning_field(rep)
 
-    # pin the convention at the zero section
+    # the zero-section anchor (q, 0) flows as row 0 of the sample batch
     anchor_q = np.zeros(n)
     anchor_q[0] = 1.0
     z_anchor = complex_to_real(embed(anchor_q[None], np.zeros((1, n))))
-    z_end = flow(y, z_anchor, 1.0, step)
-    qa, pa = invert(real_to_complex(z_end))
+    z0 = complex_to_real(embed(q, p))
+    z_end = flow(y, np.concatenate([z_anchor, z0]), 1.0, step)
+    z1 = z_end[1:]
+
+    # pin the convention at the zero section
+    qa, pa = invert(real_to_complex(z_end[:1]))
     tq, tp = twist(anchor_q[None], np.zeros((1, n)))
     gap_id = np.max(np.abs(np.concatenate([qa - tq, pa - tp], axis=-1)))
     gap_neg = np.max(np.abs(np.concatenate([qa + tq, pa + tp], axis=-1)))
     sign_convention = 1.0 if gap_id <= gap_neg else -1.0
     anchor_gap = min(gap_id, gap_neg)
 
-    z0 = complex_to_real(embed(q, p))
-    z1 = flow(y, z0, 1.0, step)
     q_flow, p_flow = invert(real_to_complex(z1))
     q_tw, p_tw = twist(q, p)
     gap = np.max(np.abs(np.concatenate(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
@@ -308,6 +307,40 @@ def hopf_circle_submanifold() -> Submanifold:
 # loop straightening
 
 
+def simpson(y, dx: float) -> float:
+    """Composite Simpson rule for samples y (n + 1,) on a uniform grid of
+    spacing dx.  For an odd number n of intervals the last interval takes
+    the quadratic through the last three samples."""
+    y = np.asarray(y, float)
+    n = len(y) - 1
+    if n < 2:
+        raise ValueError("Simpson's rule needs at least two intervals")
+    even = y[: n - n % 2 + 1]
+    total = dx / 3.0 * (even[0] + 4.0 * np.sum(even[1:-1:2])
+                        + 2.0 * np.sum(even[2:-1:2]) + even[-1])
+    if n % 2:
+        total += dx / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
+    return float(total)
+
+
+def cumulative_simpson(y, dx: float):
+    """Running Simpson integral (n + 1,) of samples y (n + 1,) on a uniform
+    grid, 0 at the first sample.  Interval [i, i+1] integrates the quadratic
+    through samples i, i+1, i+2 when i is even and through i-1, i, i+1 when
+    i is odd or last, so every even-indexed value is the composite rule."""
+    y = np.asarray(y, float)
+    if len(y) < 3:
+        raise ValueError("Simpson's rule needs at least two intervals")
+    f0, f1, f2 = y[:-2], y[1:-1], y[2:]
+    ahead = dx / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)      # interval [i, i+1]
+    behind = dx / 12.0 * (-f0 + 8.0 * f1 + 5.0 * f2)    # interval [i+1, i+2]
+    parts = np.empty(len(y) - 1)
+    parts[:-1:2] = ahead[::2]
+    parts[1::2] = behind[::2]
+    parts[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(parts)])
+
+
 def loop_integral(pl: PreLagrangian, loop: Loop):
     """Integral of alpha_hat over the loop by composite Simpson."""
     vals = loop.values[:-1]
@@ -315,7 +348,7 @@ def loop_integral(pl: PreLagrangian, loop: Loop):
     g = pl.alpha_hat.restrict(vals, der[:, None, :])[:, 0]
     g = np.append(g, g[0])
     t = np.linspace(0.0, 2 * np.pi, loop.n_grid + 1)
-    return float(simpson(g, x=t)), g, t
+    return simpson(g, 2 * np.pi / loop.n_grid), g, t
 
 
 def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
@@ -352,7 +385,8 @@ def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
         raise DomainError("alpha_hat(Y) != 1 along the loop: gap "
                           f"{np.max(np.abs(pairing - 1.0)):.2e}")
 
-    f_t = c_val * t / (2 * np.pi) - cumulative_simpson(g, x=t, initial=0.0)
+    f_t = (c_val * t / (2 * np.pi)
+           - cumulative_simpson(g, 2 * np.pi / loop.n_grid))
 
     # flow each sample for its own time f(t_i): scale the field per point
     # and integrate unit time

@@ -195,6 +195,29 @@ def test_constant_search_then_doubling():
     assert margin > 1e-3 and margin2 > 1e-3
 
 
+def test_inverse_form_checks_build_each_frame_once(monkeypatch):
+    import openbooks.bourgeois as bg
+
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 300, seed=15)
+    bind = sample(rep.binding, 50, seed=16)
+    seen = []
+
+    def counting_bases(manifold, points, *args, **kwargs):
+        seen.append(len(points))
+        return tangent_bases(manifold, points, *args, **kwargs)
+
+    monkeypatch.setattr(bg, "tangent_bases", counting_bases)
+    c, margin, margin2 = find_inverse_constant(rep, pts)
+    assert seen == [300]
+    assert margin == np.min(inverse_form_margins(rep, c, pts))
+    assert margin2 == np.min(inverse_form_margins(rep, 2 * c, pts))
+    seen.clear()
+    report = verify_inverse_form(rep, c, pts[:200], bind)
+    assert report.passed
+    assert seen == [200, 50]
+
+
 def test_interpolation_with_second_profile():
     rep = profiled_representation(quadric_open_book(2))
     other = profiled_representation(quadric_open_book(2), r0=0.15, r1=0.5)

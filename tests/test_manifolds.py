@@ -5,9 +5,11 @@ import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import BindingPoint, DegenerateSystem, OffManifold
+from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import (Submanifold, disk_cotangent_bundle,
-                                 flat_torus, orient_page_basis,
-                                 product_with_torus, rng_for, sample,
+                                 flat_torus, gauss_newton_step,
+                                 orient_page_basis, product_with_torus,
+                                 project_to_constraints, rng_for, sample,
                                  tangent_bases, tangent_basis, unit_sphere)
 
 
@@ -122,6 +124,55 @@ def test_projection_converges():
     target = rep.binding
     pts = sample(target, 50, seed=11)
     assert np.max(np.abs(rep.f.value(pts))) < 1e-10
+
+
+def _solve_step(manifold, p):
+    # the Gauss-Newton step through the Gram-matrix solve, for any number
+    # of constraints
+    c = manifold.constraints(p)
+    jac = manifold.jacobian(p)
+    gram = jac @ np.swapaxes(jac, -1, -2)
+    lam = np.linalg.solve(gram, c[..., None])[..., 0]
+    return p - np.einsum("...cm,...c->...m", jac, lam)
+
+
+@pytest.mark.parametrize("manifold", [
+    unit_sphere(4), unit_sphere(6),
+    hypersurface_build(weinstein_disk_domain()).manifold],
+    ids=["S^3", "S^5", "hypersurface"])
+def test_one_constraint_step_matches_the_solve(manifold):
+    pts = sample(manifold, 200, seed=21)
+    for scale in (1e-9, 1e-3, 1e-1):
+        off = pts + scale * rng_for(22).normal(size=pts.shape)
+        got = gauss_newton_step(manifold, off, manifold.constraints(off))
+        want = _solve_step(manifold, off)
+        rel = np.abs(got - want) / np.max(np.abs(want), axis=-1,
+                                          keepdims=True)
+        assert np.max(rel) <= 1e-15
+        assert np.max(manifold.residual(got)) < np.max(
+            manifold.residual(off))
+
+
+def test_projection_onto_three_constraint_quadric_binding():
+    f = quadric_open_book(2).f
+
+    def constraints(p):
+        fx, fy = f.parts(p)
+        return np.stack([np.sum(p * p, axis=-1) - 1.0, fx, fy], axis=-1)
+
+    def jac(p):
+        return np.concatenate([2.0 * p[..., None, :], f.grad(p)], axis=-2)
+
+    binding = Submanifold(4, constraints, 3, name="quadric binding",
+                          constraint_jac=jac)
+    start = sample(unit_sphere(4), 50, seed=23)
+    pts = project_to_constraints(binding, start, tol=1e-12)
+    assert np.max(binding.residual(pts)) <= 1e-12
+    assert np.max(np.abs(pts - start)) < 1.0
+    # one step of the shared helper is the Gram-matrix solve
+    np.testing.assert_allclose(
+        gauss_newton_step(binding, start, constraints(start)),
+        _solve_step(binding, start), rtol=0, atol=1e-15)
 
 
 def test_tangent_basis_after_sample_never_errors():

@@ -77,6 +77,40 @@ def test_theta_pairing_row():
                                rtol=1e-8)
 
 
+def _strided_quadric_field(p):
+    # the quadric field written with strided real/imaginary slices, kept as
+    # the reference for the complex-view evaluation
+    z = p[..., 0::2] + 1j * p[..., 1::2]
+    fval = np.sum(z * z, axis=-1)
+    vel = np.pi * 1j * fval[..., None] * np.conj(z)
+    out = np.empty_like(p)
+    out[..., 0::2] = np.real(vel)
+    out[..., 1::2] = np.imag(vel)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("layout", ["contiguous", "every_other_row",
+                                    "column_slice", "single_point"])
+def test_view_quadric_field_equals_strided_formula(n, layout):
+    rep = quadric_open_book(n)
+    pts = sample(rep.manifold, 40, seed=40 + n)
+    m = 2 * n
+    if layout == "every_other_row":
+        pts = pts[::2]
+    elif layout == "column_slice":
+        wide = rng_for(3).normal(size=(len(pts), m + 3))
+        wide[:, 1:m + 1] = pts
+        pts = wide[:, 1:m + 1]
+    elif layout == "single_point":
+        pts = pts[7]
+    assert layout == "contiguous" or layout == "single_point" \
+        or not pts.flags.c_contiguous
+    got = quadric_spinning_field(rep).eval(pts)
+    assert got.shape == pts.shape and got.dtype == np.float64
+    assert np.array_equal(got, _strided_quadric_field(pts))
+
+
 def test_spinning_field_rejects_binding_band():
     bind = sample(QUADRIC.binding, 5, seed=4)
     with pytest.raises(BindingPoint):
@@ -334,6 +368,69 @@ def test_monodromy_is_standard_twist():
     assert named["page_monodromy_vs_twist"].max_residual < 1e-5
     assert named["inverse_flow"].max_residual < 1e-5
     assert "+1" in named["zero_section_anchor"].note
+
+
+def test_inverse_twist_fails_the_monodromy_comparison():
+    # negative control: -Y flows the inverse twist, which agrees with the
+    # positive twist on the zero section only
+    q, p = _bundle_samples(2, 100, seed=27, r_max=0.99)
+    y = quadric_spinning_field(QUADRIC)
+    inverse = SpinningField(QUADRIC, lambda pt: -y.eval(pt), "analytic")
+    report = monodromy_vs_dehn_twist(QUADRIC,
+                                     np.concatenate([q, p], axis=-1),
+                                     flow_field=inverse)
+    named = {d.name: d for d in report.details}
+    assert not report.passed
+    assert not named["page_monodromy_vs_twist"].passed
+    assert named["page_monodromy_vs_twist"].max_residual > 1.0
+    assert named["zero_section_anchor"].passed
+
+
+def _scrubbed(report):
+    out = {k: v for k, v in report.to_dict().items() if k != "wall_time_ms"}
+    out["details"] = [_scrubbed(d) for d in report.details]
+    return out
+
+
+@pytest.mark.parametrize("seed", [27, 32])
+def test_anchor_in_the_batch_matches_a_separate_anchor_flow(monkeypatch,
+                                                            seed):
+    # reference: the zero-section anchor in a flow call of its own, then
+    # the samples, then the inverse flow (three calls)
+    import openbooks.monodromy as mono
+
+    q, p = _bundle_samples(2, 100, seed=seed, r_max=0.99)
+    qp = np.concatenate([q, p], axis=-1)
+    calls = []
+
+    def counting_flow(y, p0, *args, **kwargs):
+        calls.append(len(p0))
+        return flow(y, p0, *args, **kwargs)
+
+    def anchor_apart_flow(y, p0, *args, **kwargs):
+        if calls:
+            return counting_flow(y, p0, *args, **kwargs)
+        return np.concatenate([counting_flow(y, p0[:1], *args, **kwargs),
+                               counting_flow(y, p0[1:], *args, **kwargs)])
+
+    monkeypatch.setattr(mono, "flow", counting_flow)
+    folded = monodromy_vs_dehn_twist(QUADRIC, qp, seed=seed)
+    assert calls == [101, 100]
+    calls.clear()
+    monkeypatch.setattr(mono, "flow", anchor_apart_flow)
+    reference = monodromy_vs_dehn_twist(QUADRIC, qp, seed=seed)
+    assert calls == [1, 100, 100]
+    assert _scrubbed(folded) == _scrubbed(reference)
+
+
+def test_flow_on_one_constraint_manifolds_never_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    pts = _off_binding(QUADRIC, 10, seed=33, band=0.1)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    end = flow(quadric_spinning_field(QUADRIC), pts, 0.1, 1e-3)
+    assert np.max(QUADRIC.manifold.residual(end)) < 1e-12
 
 
 def test_monodromy_compare_rejects_near_boundary_fibers():

@@ -8,12 +8,13 @@ from openbooks.errors import DomainError, OffManifold
 from openbooks.forms import constant_field
 from openbooks.manifolds import Submanifold, sample
 from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
+                                     cumulative_simpson,
                                      hopf_circle_submanifold,
                                      legendrian_check, loop_integral,
                                      real_circle_submanifold,
                                      real_circle_torus_prelagrangian,
-                                     restricted_form_values, straighten_loop,
-                                     verify_prelagrangian)
+                                     restricted_form_values, simpson,
+                                     straighten_loop, verify_prelagrangian)
 
 PHI1_FIELD = constant_field(6, [0, 0, 0, 0, 1, 0])
 
@@ -224,3 +225,63 @@ def test_loop_derivative_stencil_accuracy():
                       np.zeros_like(t), 1 + 0.5 * np.cos(t),
                       np.zeros_like(t)], axis=-1)
     assert np.max(np.abs(der - exact)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Simpson rules
+
+
+def _cubic(t):
+    return 2.0 - 3.0 * t + 0.5 * t ** 2 + 1.25 * t ** 3
+
+
+def _cubic_integral(t):
+    return 2.0 * t - 1.5 * t ** 2 + t ** 3 / 6.0 + 0.3125 * t ** 4
+
+
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_simpson_rules_are_exact_for_cubics(n):
+    t = np.linspace(0.0, 3.0, n + 1)
+    dx = 3.0 / n
+    assert simpson(_cubic(t), dx) == pytest.approx(_cubic_integral(3.0),
+                                                   rel=1e-14)
+    # every even-indexed running value is a composite Simpson sum
+    running = cumulative_simpson(_cubic(t), dx)
+    np.testing.assert_allclose(running[::2], _cubic_integral(t[::2]),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 7, 65])
+def test_single_interval_rules_are_exact_for_quadratics(n):
+    # an odd interval count closes with a one-interval quadratic rule, and
+    # the running integral takes one at every interval
+    t = np.linspace(0.0, 3.0, n + 1)
+    dx = 3.0 / n
+    y = 2.0 - 3.0 * t + 0.5 * t ** 2
+    exact = 2.0 * t - 1.5 * t ** 2 + t ** 3 / 6.0
+    assert simpson(y, dx) == pytest.approx(exact[-1], rel=1e-14)
+    np.testing.assert_allclose(cumulative_simpson(y, dx), exact, rtol=0,
+                               atol=1e-13)
+
+
+def test_simpson_closed_form_integrals():
+    n = 2048
+    t = np.linspace(0.0, 2 * np.pi, n + 1)
+    dx = 2 * np.pi / n
+    assert abs(simpson(np.sin(t) ** 2, dx) - np.pi) < 1e-13
+    running = cumulative_simpson(np.cos(t), dx)
+    assert running[0] == 0.0
+    assert np.max(np.abs(running - np.sin(t))) < 1e-11
+    # the rule is fourth order: halving the grid cuts the error ~16x
+    coarse = np.abs(cumulative_simpson(np.cos(t[::64]), 64 * dx)
+                    - np.sin(t[::64]))
+    finer = np.abs(cumulative_simpson(np.cos(t[::32]), 32 * dx)
+                   - np.sin(t[::32]))
+    assert 10.0 < np.max(coarse) / np.max(finer) < 20.0
+
+
+def test_simpson_rejects_a_single_interval():
+    with pytest.raises(ValueError):
+        simpson([1.0, 2.0], 0.5)
+    with pytest.raises(ValueError):
+        cumulative_simpson([1.0, 2.0], 0.5)
