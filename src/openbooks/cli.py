@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -54,10 +55,29 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from "
                              f"{', '.join(SUITE_NAMES)}")
-        if self.samples < 1 or self.binding_samples < 1:
+        for key in ("seed", "samples", "binding_samples", "flow_starts"):
+            value = getattr(self, key)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if min(self.samples, self.binding_samples, self.flow_starts) < 1:
             raise ValueError("sample counts must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        for key in ("tolerance", "flow_step"):
+            value = getattr(self, key)
+            if not (_is_finite_number(value) and value > 0):
+                raise ValueError(
+                    f"{key} must be a finite number > 0, got {value!r}")
+        for key in ("eps_grid", "t_grid", "tau_grid"):
+            grid = getattr(self, key)
+            if not (isinstance(grid, (list, tuple))
+                    and all(map(_is_finite_number, grid))):
+                raise ValueError(
+                    f"{key} must be a list of finite numbers, got {grid!r}")
+            setattr(self, key, tuple(grid))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path, got {self.out!r}")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
         if not self.t_grid:
@@ -67,6 +87,8 @@ class SuiteConfig:
     def from_file(path, overrides=None):
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {k: v for k, v in data.items()
                  if k in SuiteConfig.__dataclass_fields__}
         unknown = set(data) - set(known)
@@ -76,10 +98,12 @@ class SuiteConfig:
             known.update(overrides)
         if "suite" not in known:
             raise ValueError("config must specify a suite")
-        for key in ("eps_grid", "t_grid", "tau_grid"):
-            if key in known:
-                known[key] = tuple(known[key])
         return SuiteConfig(**known)
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------

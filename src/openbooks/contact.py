@@ -17,15 +17,15 @@ used only as independent cross-check oracles away from the binding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
-from .forms import (KForm, VecField, ext_deriv, scale_form, wedge,
-                    wedge_all, wedge_power)
-from .manifolds import (Submanifold, _orientation_signs,
+from .forms import (KForm, VecField, central_difference, ext_deriv,
+                    scale_form, wedge, wedge_all, wedge_power)
+from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
                         project_to_constraints, tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports
 
@@ -44,8 +44,8 @@ class ContactForm:
     def n(self) -> int:
         return (self.manifold.dim - 1) // 2
 
-    def d_alpha(self, h=1e-5) -> KForm:
-        return ext_deriv(self.alpha, h)
+    def d_alpha(self) -> KForm:
+        return ext_deriv(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class DefiningFunction:
     ambient_dim: int
     value: Callable
     gradient: Callable | None = None
-    fd_step: float = 1e-6
 
     def __call__(self, p):
         return self.value(np.asarray(p, float))
@@ -78,13 +77,7 @@ class DefiningFunction:
         p = np.asarray(p, float)
         if self.gradient is not None:
             return self.gradient(p)
-        cols = []
-        for i in range(self.ambient_dim):
-            dp = np.zeros(self.ambient_dim)
-            dp[i] = self.fd_step
-            cols.append((self.value(p + dp) - self.value(p - dp))
-                        / (2 * self.fd_step))
-        g = np.stack(cols, axis=-1)
+        g = central_difference(self.value, p, FD_STEP)
         return np.stack([np.real(g), np.imag(g)], axis=-2)
 
     def conjugate(self) -> "DefiningFunction":
@@ -98,8 +91,7 @@ class DefiningFunction:
         return DefiningFunction(
             self.ambient_dim,
             lambda p: np.conj(val(p)),
-            gradient=None if grad is None else conj_grad,
-            fd_step=self.fd_step)
+            gradient=None if grad is None else conj_grad)
 
     def dfx_form(self) -> KForm:
         return KForm(1, self.ambient_dim, lambda p: self.grad(p)[..., 0, :])
@@ -279,7 +271,7 @@ def openbook_volume_form(rep: Representation) -> KForm:
     return float(n) * first + second
 
 
-def quotient_volume_values(rep: Representation, points, h0=1e-5):
+def quotient_volume_values(rep: Representation, points):
     """Independent oracle |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n, evaluated
     with quotient forms and finite differences only; valid off the binding.
 
@@ -290,18 +282,13 @@ def quotient_volume_values(rep: Representation, points, h0=1e-5):
     n = rep.n
     m = rep.manifold.ambient_dim
     lam = rep.quotient_form()
+    h0 = 1e-5
 
     def dtheta_coeffs(p):
         # angle derivative via arg(f(p+h)/f(p-h)) to dodge the branch cut
-        h = h0 * np.maximum(f.modulus(p), 1e-12)
-        cols = []
-        for i in range(m):
-            dp = np.zeros(m)
-            dp[i] = 1.0
-            ratio = f.value(p + h[..., None] * dp) * np.conj(
-                f.value(p - h[..., None] * dp))
-            cols.append(np.angle(ratio) / (2 * h))
-        return np.stack(cols, axis=-1)
+        return central_difference(
+            f.value, p, h0 * np.maximum(f.modulus(p), 1e-12),
+            diff=lambda a, b: np.angle(a * np.conj(b)))
 
     dtheta = KForm(1, m, dtheta_coeffs)
     dlam = ext_deriv(lam, h0, step_scale=lambda p: np.maximum(

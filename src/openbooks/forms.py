@@ -23,6 +23,9 @@ two arguments flips the sign bit-for-bit.  :meth:`KForm.restrict` is the
 batched restriction of a 1- or 2-form to a frame: the row ``(N, d)`` or
 antisymmetric matrix ``(N, d, d)`` that the checks build their identities
 from.
+
+Every derivative of an ambient coefficient, map, constraint or defining
+function is taken by one stencil, :func:`central_difference`.
 """
 
 from __future__ import annotations
@@ -168,6 +171,29 @@ def _lex_order_sign(vectors):
     inversions = np.count_nonzero(gt & upper, axis=(-2, -1))
     sign = 1.0 - 2.0 * (inversions % 2)
     return order, sign
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference stencil
+
+
+def central_difference(fn: Callable, p, step, diff: Callable = np.subtract):
+    """Central differences of fn at points p (..., m).
+
+    Returns (..., *out, m) for fn mapping (..., m) to (..., *out); entry
+    [..., i] is diff(fn(p + h e_i), fn(p - h e_i)) / 2h.  step is a scalar
+    or a per-point array (...,).  diff replaces the subtraction where the
+    values live on a circle, e.g. the angle of a ratio of complex values.
+    """
+    p = np.asarray(p, float)
+    h = np.asarray(step, float)
+    cols = []
+    for e in np.eye(p.shape[-1]):
+        hp = h[..., None] * e
+        d = diff(fn(p + hp), fn(p - hp))
+        two_h = (2 * h).reshape(h.shape + (1,) * (np.ndim(d) - h.ndim))
+        cols.append(d / two_h)
+    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +377,17 @@ class SmoothMap:
     target_dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def __call__(self, p):
         return self.eval(np.asarray(p, float))
 
-    def jacobian(self, p, step=None):
+    def jacobian(self, p):
         """Jacobian (..., target_dim, source_dim), by central differences
         unless an analytic one was supplied."""
         p = np.asarray(p, float)
         if self.jac is not None:
             return self.jac(p)
-        h = self.fd_step if step is None else step
-        cols = []
-        for i in range(self.source_dim):
-            dp = np.zeros(self.source_dim)
-            dp[i] = h
-            cols.append((self.eval(p + dp) - self.eval(p - dp)) / (2 * h))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.eval, p, DEFAULT_FD_STEP)
 
 
 def identity_map(m: int) -> SmoothMap:
@@ -429,14 +448,12 @@ def wedge_power(a: KForm, n: int) -> KForm:
 
 
 def ext_deriv(a: KForm, h: float = DEFAULT_FD_STEP,
-              step_scale: Callable | None = None,
-              richardson: bool = False) -> KForm:
+              step_scale: Callable | None = None) -> KForm:
     """Exterior derivative via central differences of the coefficients.
 
     d(sum c_I dx_I) = sum_i d_i c_I dx_i ^ dx_I.  ``step_scale`` gives a
     per-point multiplier for the step, used to differentiate quotient forms
-    whose derivatives blow up near a singular locus.  ``richardson``
-    combines steps h and h/2 for an O(h^4) truncation error.
+    whose derivatives blow up near a singular locus.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
@@ -444,25 +461,13 @@ def ext_deriv(a: KForm, h: float = DEFAULT_FD_STEP,
     axes, pos, sign = _ext_deriv_table(m, a.degree)
     fa = a.coeffs
 
-    def derivative_stack(p, step):
-        cols = []
-        for i in range(m):
-            dp = np.zeros(m)
-            dp[i] = 1.0
-            hp = step[..., None] * dp
-            cols.append((fa(p + hp) - fa(p - hp)) / (2 * step[..., None]))
-        return np.stack(cols, axis=-2)        # (..., m, n_src)
-
     def coeffs(p):
         p = np.asarray(p, float)
         step = np.full(p.shape[:-1], h)
         if step_scale is not None:
             step = step * np.asarray(step_scale(p), float)
-        d = derivative_stack(p, step)
-        if richardson:
-            d2 = derivative_stack(p, step / 2)
-            d = (4.0 * d2 - d) / 3.0
-        terms = d[..., axes, pos]              # (..., n_out, k+1)
+        d = central_difference(fa, p, step)    # (..., n_src, m)
+        terms = d[..., pos, axes]              # (..., n_out, k+1)
         return np.einsum("...oa,oa->...o", terms, sign)
 
     return KForm(a.degree + 1, m, coeffs)
@@ -508,14 +513,3 @@ def pullback(phi: SmoothMap, a: KForm) -> KForm:
         return np.einsum("...t,...st->...s", c, _minors(vecs))
 
     return KForm(k, phi.source_dim, coeffs)
-
-
-def lie_derivative_field(x: VecField, fn: Callable) -> Callable:
-    """Directional derivative of a scalar function along a field (FD)."""
-    h = DEFAULT_FD_STEP
-
-    def out(p):
-        v = x(p)
-        return (fn(p + h * v) - fn(p - h * v)) / (2 * h)
-
-    return out

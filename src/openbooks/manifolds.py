@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BindingPoint, DegenerateSystem, OffManifold
-from .forms import KForm
+from .forms import KForm, central_difference
 
 ON_MANIFOLD_TOL = 1e-8
 RANK_RATIO = 1e-6
@@ -70,13 +70,7 @@ class Submanifold:
         p = np.asarray(p, float)
         if self.constraint_jac is not None:
             return self.constraint_jac(p)
-        cols = []
-        for i in range(self.ambient_dim):
-            dp = np.zeros(self.ambient_dim)
-            dp[i] = FD_STEP
-            cols.append((np.asarray(self.constraints(p + dp))
-                         - np.asarray(self.constraints(p - dp))) / (2 * FD_STEP))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.constraints, p, FD_STEP)
 
     def with_sampler(self, sampler):
         return replace(self, sampler=sampler)
@@ -217,7 +211,7 @@ def orient_page_basis(manifold: Submanifold, p, theta_form: KForm,
     tangent space equals the page tangent space off the binding.
     """
     frame = tangent_basis(manifold, p)
-    w = np.array([theta_form(p, v) for v in frame.vectors])
+    w = theta_form.restrict(p, frame.vectors)
     norm_w = np.linalg.norm(w)
     if norm_w <= binding_tol:
         raise BindingPoint(

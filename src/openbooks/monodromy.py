@@ -26,8 +26,9 @@ import numpy as np
 from .contact import Representation, openbook_volume_form
 from .errors import (BindingPoint, DegenerateSystem, DomainError,
                      FlowAborted, NonConvergence)
-from .forms import KForm, VecField, ext_deriv, interior, wedge_power
-from .manifolds import (gauss_newton_step, project_to_constraints,
+from .forms import (KForm, VecField, central_difference, ext_deriv, interior,
+                    wedge_power)
+from .manifolds import (FD_STEP, gauss_newton_step, project_to_constraints,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports
 
@@ -538,14 +539,11 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     lhs = lam.restrict(q_img, pushed)
 
     r = np.linalg.norm(pts[..., n:], axis=-1)
-    h = 1e-6
 
     def rho_of_point(x):
         return twist.angle(np.linalg.norm(x[..., n:], axis=-1))
 
-    drho = np.stack([(rho_of_point(pts + h * np.eye(2 * n)[i])
-                      - rho_of_point(pts - h * np.eye(2 * n)[i])) / (2 * h)
-                     for i in range(2 * n)], axis=-1)
+    drho = central_difference(rho_of_point, pts, FD_STEP)
     lam_vals = lam.restrict(pts, bases)
     drho_t = np.einsum("nm,njm->nj", drho, bases)
     rhs = lam_vals - r[:, None] * drho_t

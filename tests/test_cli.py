@@ -38,6 +38,13 @@ def test_invalid_counts_rejected():
         SuiteConfig(suite="g1_s3", samples=0)
 
 
+def test_negative_seed_and_non_path_out_rejected():
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="g1_s3", seed=-1)
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="g1_s3", out=5)
+
+
 def test_config_file_with_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"suite": "subcritical", "seed": 3,
@@ -72,6 +79,22 @@ def test_absurd_tolerance_fails_with_exit_one():
 
 def test_nonpositive_tolerance_rejected():
     assert main(["--suite", "g2_s5", "--tolerance", "-1.0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"suite": "g1_s3", "samples": "10"}, []),
+    (["g1_s3"], []),
+    ({"suite": "g2_s3", "eps_grid": 5}, []),
+    ({"suite": "g2_s5"}, ["--tolerance", "nan"]),
+    ({"suite": "g1_s3", "flow_step": 0}, []),
+], ids=["string_count", "top_level_array", "scalar_grid", "nan_tolerance",
+        "zero_flow_step"])
+def test_bad_config_exits_two_with_error_line(tmp_path, capsys, config, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_suite_exits_two(capsys):

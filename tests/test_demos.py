@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script, and the README's API example, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,24 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "True"]

@@ -1,17 +1,22 @@
-"""Exterior-calculus kernel: wedge, d, interior product, pullback."""
+"""Exterior-calculus kernel: wedge, d, interior product, pullback, and
+the central-difference stencil."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbooks.contact import standard_contact_form, standard_sphere
+from openbooks.contact import (DefiningFunction, quadric_open_book,
+                               standard_contact_form, standard_sphere)
 from openbooks.errors import DimensionMismatch
-from openbooks.forms import (KForm, SmoothMap, VecField, _minors,
-                             constant_form, coordinate_differential,
-                             ext_deriv, form_from_components,
-                             increasing_indices, interior, pullback, wedge)
-from openbooks.manifolds import sample, tangent_bases
+from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
+                             _minors, central_difference, constant_form,
+                             coordinate_differential, ext_deriv,
+                             form_from_components, increasing_indices,
+                             interior, pullback, wedge)
+from openbooks.manifolds import FD_STEP, sample, tangent_bases, unit_sphere
 
 RNG = np.random.default_rng(20240211)
 
@@ -514,8 +519,8 @@ def test_fd_jacobian_converges_quadratically():
     m = 3
     phi = SmoothMap(m, m, lambda p: np.sin(p) + 0.5 * p ** 2)
     p = np.array([0.3, -0.2, 0.7])
-    j1 = phi.jacobian(p, step=1e-4)
-    j2 = phi.jacobian(p, step=5e-5)
+    j1 = central_difference(phi, p, 1e-4)
+    j2 = central_difference(phi, p, 5e-5)
     exact = np.diag(np.cos(p) + p)
     e1 = np.max(np.abs(j1 - exact))
     e2 = np.max(np.abs(j2 - exact))
@@ -523,17 +528,110 @@ def test_fd_jacobian_converges_quadratically():
     assert e2 < e1 / 2.5
 
 
-def test_richardson_extrapolation_improves_truncation():
-    # quartic coefficient: plain central differences carry an O(h^2)
-    # truncation error, the Richardson combination cancels it
-    m = 2
-    quartic = form_from_components(m, 1, {(1,): lambda p: p[..., 0] ** 4})
-    p = np.array([1.3, 0.2])
-    e = np.eye(m)
-    exact = 4 * 1.3 ** 3
-    plain = ext_deriv(quartic, h=1e-3)(p, e[0], e[1])
-    better = ext_deriv(quartic, h=1e-3, richardson=True)(p, e[0], e[1])
-    assert abs(better - exact) < abs(plain - exact) / 50
+# ---------------------------------------------------------------------------
+# central_difference against the hand-written loops it replaced; each
+# reference below is the loop as it stood at its call site
+
+
+def _loop_columns(fn, p, h):
+    m = p.shape[-1]
+    cols = []
+    for i in range(m):
+        dp = np.zeros(m)
+        dp[i] = h
+        cols.append((fn(p + dp) - fn(p - dp)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def test_stencil_matches_smooth_map_loop():
+    phi = SmoothMap(4, 3, lambda p: np.stack(
+        [np.sin(p[..., 0] * p[..., 1]), np.exp(0.3 * p[..., 2]),
+         p[..., 3] ** 3 - p[..., 0]], axis=-1))
+    pts = RNG.normal(size=(40, 4))
+    assert np.array_equal(phi.jacobian(pts),
+                          _loop_columns(phi.eval, pts, 1e-5))
+
+
+def test_stencil_matches_constraint_jacobian_loop():
+    sphere = replace(unit_sphere(4), constraint_jac=None)
+    pts = sample(sphere, 50, seed=3)
+    ref = _loop_columns(lambda x: np.asarray(sphere.constraints(x)),
+                        pts, FD_STEP)
+    assert ref.shape == (50, 1, 4)
+    assert np.array_equal(sphere.jacobian(pts), ref)
+
+
+def test_stencil_matches_defining_function_grad_loop():
+    rep = quadric_open_book(2)
+    f = DefiningFunction(4, rep.f.value)
+    pts = sample(rep.manifold, 50, seed=4)
+    g = _loop_columns(f.value, pts, 1e-6)
+    ref = np.stack([np.real(g), np.imag(g)], axis=-2)
+    assert np.array_equal(f.grad(pts), ref)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_stencil_matches_ext_deriv_loop(scaled):
+    m = 5
+    a = _random_two_form(m, seed=21)
+    scale = (lambda p: 0.5 + np.abs(p[..., 0])) if scaled else None
+    pts = RNG.normal(size=(30, m))
+    axes, pos, sign = _ext_deriv_table(m, a.degree)
+    step = np.full(pts.shape[:-1], 1e-5)
+    if scaled:
+        step = step * scale(pts)
+    cols = []
+    for i in range(m):
+        dp = np.zeros(m)
+        dp[i] = 1.0
+        hp = step[..., None] * dp
+        cols.append((a.coeffs(pts + hp) - a.coeffs(pts - hp))
+                    / (2 * step[..., None]))
+    d = np.stack(cols, axis=-2)
+    ref = np.einsum("...oa,oa->...o", d[..., axes, pos], sign)
+    assert np.array_equal(ext_deriv(a, step_scale=scale).coeffs(pts), ref)
+
+
+def test_stencil_matches_angle_ratio_loop():
+    rep = quadric_open_book(2)
+    f = rep.f
+    pts = sample(rep.manifold, 60, seed=5)
+    h = 1e-5 * np.maximum(f.modulus(pts), 1e-12)
+    cols = []
+    for i in range(4):
+        dp = np.zeros(4)
+        dp[i] = 1.0
+        ratio = f.value(pts + h[..., None] * dp) * np.conj(
+            f.value(pts - h[..., None] * dp))
+        cols.append(np.angle(ratio) / (2 * h))
+    ref = np.stack(cols, axis=-1)
+    got = central_difference(f.value, pts, h,
+                             diff=lambda a, b: np.angle(a * np.conj(b)))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("out", [(), (3,), (2, 3)])
+def test_stencil_shapes_for_scalar_and_per_point_steps(out):
+    m = 4
+    w = RNG.normal(size=(int(np.prod(out)), m))
+
+    def fn(p):
+        # elementwise, so a batch and its rows round the same way
+        lin = sum(p[..., j, None] * w[:, j] for j in range(m))
+        return np.sin(lin).reshape(p.shape[:-1] + out)
+
+    pts = RNG.normal(size=(7, m))
+    steps = 1e-5 * (1.0 + RNG.random(7))
+    assert central_difference(fn, pts, 1e-5).shape == (7,) + out + (m,)
+    assert central_difference(fn, pts[0], 1e-5).shape == out + (m,)
+    per_point = central_difference(fn, pts, steps)
+    assert per_point.shape == (7,) + out + (m,)
+    # a per-point step is the scalar stencil at each point with its own step
+    for k in range(7):
+        assert np.array_equal(per_point[k],
+                              central_difference(fn, pts[k], steps[k]))
+    exact = (np.cos(pts @ w.T)[..., None] * w).reshape(per_point.shape)
+    np.testing.assert_allclose(per_point, exact, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
