@@ -10,9 +10,8 @@ pre-Lagrangian loop straightening.
 
 from .forms import (KForm, Point, SmoothMap, VecField,
                     constant_field, constant_form, coordinate_differential,
-                    ext_deriv, form_from_components, function_form,
-                    interior, points_close, pullback, scale_form, wedge,
-                    wedge_all, wedge_power, zero_form)
+                    ext_deriv, form_from_components, interior, points_close,
+                    pullback, scale_form, wedge, wedge_all, wedge_power)
 from .manifolds import (OrientedBasis, Submanifold, disk_cotangent_bundle,
                         flat_torus, orient_page_basis, product_with_torus,
                         project_to_constraints, rng_for, sample,
@@ -51,6 +50,5 @@ from .prelagrangian import (Loop, PreLagrangian,
                             real_circle_torus_prelagrangian,
                             straighten_loop, verify_prelagrangian)
 from .report import CheckReport, make_report, merge_reports
-from .cli import SuiteConfig, emit_report, run_suite
 
 __version__ = "0.1.0"

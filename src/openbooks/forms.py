@@ -305,11 +305,6 @@ def scale_form(fn: Callable, form: KForm) -> KForm:
                  lambda p: fn(p)[..., None] * form.coeffs(p))
 
 
-def zero_form(m: int, k: int) -> KForm:
-    n = math.comb(m, k)
-    return KForm(k, m, lambda p: np.zeros(np.shape(p)[:-1] + (n,)))
-
-
 def constant_form(m: int, k: int, values) -> KForm:
     values = np.asarray(values, float)
     return KForm(k, m, lambda p: np.broadcast_to(
@@ -345,11 +340,6 @@ def form_from_components(m: int, k: int, components: dict) -> KForm:
         return out
 
     return KForm(k, m, coeffs)
-
-
-def function_form(m: int, fn: Callable) -> KForm:
-    """A 0-form wrapping a scalar function."""
-    return KForm(0, m, lambda p: np.asarray(fn(p))[..., None])
 
 
 @dataclass(frozen=True)
@@ -388,12 +378,6 @@ class SmoothMap:
         if self.jac is not None:
             return self.jac(p)
         return central_difference(self.eval, p, DEFAULT_FD_STEP)
-
-
-def identity_map(m: int) -> SmoothMap:
-    eye = np.eye(m)
-    return SmoothMap(m, m, lambda p: p.copy(),
-                     jac=lambda p: np.broadcast_to(eye, np.shape(p)[:-1] + (m, m)).copy())
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:

@@ -10,7 +10,6 @@ u * (lambda_c / u) extends to a contact form on the boundary.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +21,7 @@ from .forms import (KForm, SmoothMap, VecField, coordinate_differential,
                     ext_deriv, form_from_components, interior, scale_form,
                     wedge_power)
 from .manifolds import Submanifold, tangent_bases
-from .report import CheckReport, make_report, merge_reports
+from .report import CheckReport, make_report, merge_reports, timed
 
 
 def canonical_one_form(n: int) -> KForm:
@@ -147,6 +146,7 @@ def liouville_relation_residual(ld: LiouvilleDomain, samples):
                          - ld.lambda_c.restrict(pts, bases)))
 
 
+@timed
 def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
                      tolerance=1e-9, rel_tol=1e-8, interior_band=0.05,
                      seed=0) -> CheckReport:
@@ -156,26 +156,24 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
 
         iota_X omega^n = u^(-n) (1 - X(ln u)) iota_X omega_c^n .
     """
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     details = []
 
     details.append(make_report(
         "liouville_relation", n_samples=len(pts),
-        max_residual=float(liouville_relation_residual(ld, pts)),
+        max_residual=liouville_relation_residual(ld, pts),
         tolerance=1e-8, seed=seed,
         note="iota_X d(lambda_c) = lambda_c"))
 
-    margin_interior = ld.u(pts) - ld.du_along_field(pts)
     details.append(make_report(
         "interior_inequality", n_samples=len(pts),
-        min_margin=float(np.min(margin_interior)), tolerance=tolerance,
+        min_margin=ld.u(pts) - ld.du_along_field(pts), tolerance=tolerance,
         seed=seed, note="du(X) < u on the interior"))
 
     bpts = np.asarray(boundary_samples, float)
     details.append(make_report(
         "boundary_inequality", n_samples=len(bpts),
-        min_margin=float(np.min(-ld.du_along_field(bpts))),
+        min_margin=-ld.du_along_field(bpts),
         tolerance=tolerance, seed=seed,
         note="du(X) < 0 where u = 0"))
 
@@ -197,17 +195,14 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
     scale = np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     details.append(make_report(
         "rescaled_nondegeneracy", n_samples=len(inner),
-        max_residual=float(np.max(np.abs(lhs - rhs)) / scale),
-        min_margin=float(np.min(1.0 - ld.du_along_field(inner)
-                                / ld.u(inner))),
+        max_residual=np.abs(lhs - rhs) / scale,
+        min_margin=1.0 - ld.du_along_field(inner) / ld.u(inner),
         tolerance=tolerance, residual_tolerance=rel_tol, seed=seed,
         note="iota_X omega^n = u^-n (1 - X(ln u)) iota_X omega_c^n, "
              "with 1 - X(ln u) > 0"))
 
-    out = merge_reports(f"completion[{ld.name}]", details, seed=seed,
-                        note="u admissible for the ideal completion")
-    out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    return merge_reports(f"completion[{ld.name}]", details, seed=seed,
+                         note="u admissible for the ideal completion")
 
 
 def averaged_domain(ld1: LiouvilleDomain, ld2: LiouvilleDomain
@@ -252,12 +247,12 @@ def interior_identification(example_id: str, p):
     raise DomainError(f"unknown identification {example_id!r}")
 
 
+@timed
 def identification_check(example_id: str, ld: LiouvilleDomain, samples,
                          tol=1e-8, seed=0) -> CheckReport:
     """The identification pulls the model Liouville form back to
     lambda_c / u (the completed interior is exact-symplectomorphic to the
     model)."""
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     m = ld.manifold.ambient_dim
     if example_id == "disk":
@@ -293,13 +288,12 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
     pulled = pullback(phi, target)
     expected = scale_form(lambda x: 1.0 / ld.u(x), ld.lambda_c)
     bases = tangent_bases(ld.manifold, pts)
-    gap = float(np.max(np.abs(pulled.restrict(pts, bases)
-                              - expected.restrict(pts, bases))))
     return make_report(
         f"interior_identification[{example_id}]", n_samples=len(pts),
-        max_residual=gap, tolerance=tol, seed=seed,
-        note="pullback of the model Liouville form equals lambda_c / u",
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+        max_residual=np.abs(pulled.restrict(pts, bases)
+                            - expected.restrict(pts, bases)),
+        tolerance=tol, seed=seed,
+        note="pullback of the model Liouville form equals lambda_c / u")
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +457,7 @@ def angle_spinning_field(rep: Representation):
     return SpinningField(rep, eval, source="analytic")
 
 
+@timed
 def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
                          interior_band=0.05, seed=0) -> CheckReport:
     """Two-sided check of the page-volume identity on F:
@@ -471,7 +466,6 @@ def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
 
     with r = sqrt(u) and 2n = dim F; both sides are positive volume forms
     on the interior."""
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     pts = pts[ld.u(pts) >= interior_band]
     n = ld.manifold.dim // 2
@@ -492,12 +486,10 @@ def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
     scale = np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     return make_report(
         f"page_volume[{ld.name}]", n_samples=len(pts),
-        max_residual=float(np.max(np.abs(lhs - rhs)) / scale),
-        min_margin=float(np.min(rhs)),
+        max_residual=np.abs(lhs - rhs) / scale, min_margin=rhs,
         tolerance=1e-12, residual_tolerance=rel_tol, seed=seed,
         note="r^(n+2) [d(lambda/r)]^n = 1/2 (2u - du(X)) (d lambda)^n, "
-             "positive on the interior",
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+             "positive on the interior")
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +554,13 @@ def torus_cotangent_weinstein() -> WeinsteinStructure:
         canonical_one_form(2), name="T*T^2")
 
 
+@timed
 def weinstein_check(w: WeinsteinStructure, samples, delta,
                     liouville_tol=1e-8, slack=1e-12, seed=0) -> CheckReport:
     """Lyapunov inequality df(X) >= delta (|X|^2 + |df|^2) in the ambient
     Euclidean metric, and closure of the Liouville relation
     iota_X omega = lambda.  The inequality is non-strict, so the margin is
     allowed to touch zero up to the numerical slack."""
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     x_vals = w.field(pts)
     df = w.dlyapunov(pts)
@@ -576,15 +568,13 @@ def weinstein_check(w: WeinsteinStructure, samples, delta,
         np.sum(x_vals ** 2, axis=-1) + np.sum(df ** 2, axis=-1))
     contracted = interior(w.field, w.omega)
     bases = tangent_bases(w.manifold, pts)
-    residual = float(np.max(np.abs(contracted.restrict(pts, bases)
-                                   - w.lam.restrict(pts, bases))))
     return make_report(
         f"weinstein[{w.name}]", n_samples=len(pts),
-        min_margin=float(np.min(lyap_margin)),
-        max_residual=residual,
+        min_margin=lyap_margin,
+        max_residual=np.abs(contracted.restrict(pts, bases)
+                            - w.lam.restrict(pts, bases)),
         tolerance=-slack, residual_tolerance=liouville_tol, seed=seed,
-        note=f"df(X) >= {delta} (|X|^2 + |df|^2); iota_X omega = lambda",
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+        note=f"df(X) >= {delta} (|X|^2 + |df|^2); iota_X omega = lambda")
 
 
 def lyapunov_ratio(w: WeinsteinStructure, samples):
@@ -639,6 +629,7 @@ def subcritical_map(mw: int) -> SmoothMap:
     return SmoothMap(m, m, subcritical_coordinates, jac=jac)
 
 
+@timed
 def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
     """Certify the coordinate change with W = C:
 
@@ -650,7 +641,6 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
       - the minus cotangent convention lambda_can = -sum p dq is asserted
         by testing both signs and recording the winner.
     """
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     mw = 2
     m = mw + 4
@@ -682,8 +672,8 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
     gaps = {}
     for sign, label in ((1.0, "minus"), (-1.0, "plus")):
         pulled = pullback(phi, lam_w + lam_can_target(sign))
-        gaps[label] = float(np.max(np.abs(pulled.coeffs(pts)
-                                          - expected.coeffs(pts))))
+        gaps[label] = np.max(np.abs(pulled.coeffs(pts)
+                                    - expected.coeffs(pts)))
     winner = "minus" if gaps["minus"] <= gaps["plus"] else "plus"
     details.append(make_report(
         "one_form_pullback", n_samples=len(pts),
@@ -699,7 +689,7 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
         pts[..., 2:4] ** 2, axis=-1)
     details.append(make_report(
         "lyapunov_pullback", n_samples=len(pts),
-        max_residual=float(np.max(np.abs(f_target - f_source))),
+        max_residual=np.abs(f_target - f_source),
         tolerance=0.0, seed=seed,
         note="f + f_T2 pulls back to f + f_0 exactly"))
 
@@ -710,7 +700,5 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
         max_residual=abs(abs(det_block) - 1.0), tolerance=0.0, seed=seed,
         note=f"(x, y, phi) slice Jacobian determinant = {det_block:+.0f}"))
 
-    out = merge_reports("subcritical_coordinates", details, seed=seed,
-                        note="explicit filling coordinate change")
-    out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    return merge_reports("subcritical_coordinates", details, seed=seed,
+                         note="explicit filling coordinate change")

@@ -17,7 +17,6 @@ rho^3 d(alpha/rho) evaluated on page vectors).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +29,7 @@ from .forms import (KForm, VecField, central_difference, ext_deriv, interior,
                     wedge_power)
 from .manifolds import (FD_STEP, gauss_newton_step, project_to_constraints,
                         tangent_bases)
-from .report import CheckReport, make_report, merge_reports
+from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
 COMPARE_BINDING_BAND = 1e-3
@@ -116,11 +115,6 @@ def spinning_field(rep: Representation, p, residual_tol=1e-8):
     return vec[0] if single else vec
 
 
-def solved_spinning_field(rep: Representation) -> SpinningField:
-    return SpinningField(rep, lambda p: spinning_field(rep, p),
-                         source="linear_solve")
-
-
 # -- analytic spinning fields for the stock open books ----------------------
 
 
@@ -183,6 +177,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
     return SpinningField(rep, eval, source="analytic")
 
 
+@timed
 def contraction_identity_check(rep: Representation, y: SpinningField,
                                samples, rel_tol=1e-7, seed=0) -> CheckReport:
     """Independent certificate for a spinning field: contraction into the
@@ -192,7 +187,6 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
                          - pi n d(|f|^2) ^ alpha ^ (d alpha)^(n-1)
 
     which is smooth across the binding and pins Y uniquely."""
-    t0 = time.perf_counter()
     n = rep.n
     pts = np.asarray(samples, float)
     omega = openbook_volume_form(rep)
@@ -218,14 +212,12 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
     lhs = lhs_form.at_basis(pts, args)
     rhs = rhs_form.at_basis(pts, args)
     scale = np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    rel = np.max(np.abs(lhs - rhs)) / scale
     return make_report(
         f"spinning_contraction[{rep.name}]", n_samples=len(pts),
-        max_residual=float(rel), tolerance=1e-12, residual_tolerance=rel_tol,
-        seed=seed,
+        max_residual=np.abs(lhs - rhs) / scale, tolerance=1e-12,
+        residual_tolerance=rel_tol, seed=seed,
         note="iota_Y Omega_V = 2 pi |f|^2 (d alpha)^n - pi n d|f|^2 ^ alpha "
-             "^ (d alpha)^(n-1)",
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+             "^ (d alpha)^(n-1)")
 
 
 def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
@@ -263,6 +255,7 @@ def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
     return KForm(1, m, coeffs)
 
 
+@timed
 def spinning_definition_check(rep: Representation, y: SpinningField, samples,
                               near_binding_samples=None, tol=1e-8,
                               seed=0) -> CheckReport:
@@ -276,7 +269,6 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
       - the flow preserves the page structures: the 2-form
         d(iota_Y d(alpha/|f|)) vanishes on page-tangent pairs.
     """
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     f = rep.f
     details = []
@@ -288,17 +280,17 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     vals = np.einsum("nm,nm->n", mu, y(pts))
     details.append(make_report(
         "theta_pairing", n_samples=len(pts),
-        max_residual=float(np.max(np.abs(vals / rho2 - 2 * np.pi))),
+        max_residual=np.abs(vals / rho2 - 2 * np.pi),
         tolerance=tol, seed=seed, note="d(theta)(Y) = 2 pi"))
 
     if near_binding_samples is not None and len(near_binding_samples):
         nb = np.asarray(near_binding_samples, float)
         speed = np.linalg.norm(y(nb), axis=-1)
         rho = f.modulus(nb)
-        ratio = speed / np.maximum(rho, 1e-300)
         details.append(make_report(
             "binding_vanishing", n_samples=len(nb),
-            max_residual=float(np.max(ratio)), tolerance=1e3, seed=seed,
+            max_residual=speed / np.maximum(rho, 1e-300), tolerance=1e3,
+            seed=seed,
             note="|Y| <= K |f| approaching the binding (K recorded as the "
                  "residual)"))
 
@@ -319,18 +311,16 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     eigval, eigvec = np.linalg.eigh(proj)
     page = np.einsum("nqj,njm->nqm", np.swapaxes(eigvec[:, :, 1:], -1, -2),
                      bases)
-    worst = float(np.max(np.abs(lie_two_form.restrict(far, page)),
-                         initial=0.0))
     details.append(make_report(
         "page_structure_preserved", n_samples=len(far),
-        max_residual=worst, tolerance=1e-5, seed=seed,
+        max_residual=np.max(np.abs(lie_two_form.restrict(far, page)),
+                            initial=0.0),
+        tolerance=1e-5, seed=seed,
         note="Lie derivative of the page symplectic structure vanishes: "
              "d(iota_Y d(lambda)) = 0 on page pairs"))
 
-    out = merge_reports(f"spinning_definition[{rep.name}]", details,
-                        seed=seed, note="definition-level spinning checks")
-    out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    return merge_reports(f"spinning_definition[{rep.name}]", details,
+                         seed=seed, note="definition-level spinning checks")
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +501,12 @@ def standard_twist() -> DehnTwist:
     return DehnTwist(lambda r: 2 * np.pi / (1.0 + r))
 
 
+@timed
 def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
                               tol=1e-7, seed=0) -> CheckReport:
     """Pullback identity Phi^* lambda_can = lambda_can - |p| d(rho) with
     lambda_can = -sum p_j dq_j, evaluated on tangent vectors of the
     bundle; certifies that the twist is an exact symplectomorphism."""
-    t0 = time.perf_counter()
     from .forms import SmoothMap
     from .liouville import canonical_one_form
     from .manifolds import disk_cotangent_bundle
@@ -547,12 +537,10 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     lam_vals = lam.restrict(pts, bases)
     drho_t = np.einsum("nm,njm->nj", drho, bases)
     rhs = lam_vals - r[:, None] * drho_t
-    gap = float(np.max(np.abs(lhs - rhs)))
     return make_report(
         "dehn_twist_pullback", n_samples=len(pts),
-        max_residual=gap, tolerance=tol, seed=seed,
-        note="Phi^* lambda_can = lambda_can - |p| d(rho)",
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+        max_residual=np.abs(lhs - rhs), tolerance=tol, seed=seed,
+        note="Phi^* lambda_can = lambda_can - |p| d(rho)")
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +576,7 @@ def page_embedding_inverse(n: int, page_angle: float = 0.0):
     return invert
 
 
+@timed
 def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
                             tol=1e-5, seed=0, flow_field=None) -> CheckReport:
     """Conjugate the time-1 spinning flow by the zero-page embedding and
@@ -597,7 +586,6 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     pinned empirically at the zero section (where both sides must send
     (q, 0) to (-q, 0)) before the global comparison, and recorded.
     """
-    t0 = time.perf_counter()
     n = rep.manifold.ambient_dim // 2
     qp = np.asarray(samples_qp, float)
     q, p = qp[..., :n], qp[..., n:]
@@ -632,13 +620,13 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
         axis=-1)), axis=-1)
 
     details = [make_report(
-        "zero_section_anchor", n_samples=1, max_residual=float(anchor_gap),
+        "zero_section_anchor", n_samples=1, max_residual=anchor_gap,
         tolerance=tol, seed=seed,
         note=f"(q, 0) -> (-q, 0) on both sides; recorded sign convention "
              f"{sign_convention:+.0f}")]
     details.append(make_report(
         "page_monodromy_vs_twist", n_samples=len(qp),
-        max_residual=float(np.max(gap)), tolerance=tol, seed=seed,
+        max_residual=gap, tolerance=tol, seed=seed,
         note="embedded time-1 flow equals the Dehn twist with "
              "g(r) = 2 pi/(1+r)",
         rows=[{"sample": int(i),
@@ -648,15 +636,12 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     # inverse flow: -Y for time 1 undoes the monodromy
     z_back = flow(SpinningField(rep, lambda pt: -y.eval(pt), y.source),
                   z1, 1.0, step)
-    inv_gap = float(np.max(np.abs(z_back - z0)))
     details.append(make_report(
-        "inverse_flow", n_samples=len(qp), max_residual=inv_gap,
+        "inverse_flow", n_samples=len(qp), max_residual=np.abs(z_back - z0),
         tolerance=tol, seed=seed,
         note="flowing -Y for time 1 inverts the monodromy"))
 
-    out = merge_reports(f"monodromy_vs_twist[{rep.name}]", details,
-                        seed=seed,
-                        note="time-1 spinning flow conjugated to the page "
-                             "is the standard twist")
-    out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    return merge_reports(f"monodromy_vs_twist[{rep.name}]", details,
+                         seed=seed,
+                         note="time-1 spinning flow conjugated to the page "
+                              "is the standard twist")

@@ -8,7 +8,6 @@ dim P = N + 1 and some contact form for the structure has d(alpha)|TP = 0.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +18,7 @@ from .contact import Representation, quadric_open_book
 from .errors import DomainError, OffManifold
 from .forms import KForm, VecField, ext_deriv, scale_form
 from .manifolds import Submanifold, tangent_bases
-from .report import CheckReport, make_report, merge_reports
+from .report import CheckReport, make_report, merge_reports, timed
 
 
 @dataclass(frozen=True)
@@ -207,24 +206,23 @@ def binding_torus_prelagrangian() -> PreLagrangian:
 # checks
 
 
+@timed
 def verify_prelagrangian(pl: PreLagrangian, samples, tol=1e-7,
                          seed=0) -> CheckReport:
     """Dimension identity and vanishing of d(alpha_hat) on TP."""
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     dim_v = pl.ambient_contact.dim
     dim_p = pl.submanifold.dim
     dim_ok = (2 * dim_p == dim_v + 1)
     bases = tangent_bases(pl.submanifold, pts)
-    worst = float(np.max(np.abs(ext_deriv(pl.alpha_hat).restrict(pts, bases)),
-                         initial=0.0))
+    worst = np.max(np.abs(ext_deriv(pl.alpha_hat).restrict(pts, bases)),
+                   initial=0.0)
     return make_report(
         f"prelagrangian[{pl.name}]", n_samples=len(pts),
         max_residual=worst, tolerance=tol, seed=seed,
         passed=dim_ok and worst <= tol,
         note=(f"dim P = (dim V + 1)/2 ({'ok' if dim_ok else 'VIOLATED'}); "
-              "d(alpha_hat) = 0 on TP"),
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+              "d(alpha_hat) = 0 on TP"))
 
 
 def restricted_form_values(pl: PreLagrangian, samples):
@@ -235,34 +233,30 @@ def restricted_form_values(pl: PreLagrangian, samples):
     return bases, pl.alpha_hat.restrict(pts, bases)
 
 
+@timed
 def legendrian_check(l_sub: Submanifold, rep: Representation, samples,
                      alpha_tol=1e-9, seed=0) -> CheckReport:
     """L is Legendrian (alpha vanishes on TL) and contained in the
     interior of a single page (theta constant, |f| > 0)."""
-    t0 = time.perf_counter()
     pts = np.asarray(samples, float)
     bases = tangent_bases(l_sub, pts)
     vals = rep.contact.alpha.restrict(pts, bases)
     details = [make_report(
         "alpha_vanishing", n_samples=len(pts),
-        max_residual=float(np.max(np.abs(vals))), tolerance=alpha_tol,
+        max_residual=np.abs(vals), tolerance=alpha_tol,
         seed=seed, note="alpha = 0 on TL")]
     rho = rep.f.modulus(pts)
-    off_binding = float(np.min(rho))
-    theta = rep.f.theta(pts)
     spread = 0.0
-    if off_binding > 0:
-        ref = np.exp(1j * theta)
-        spread = float(np.max(np.abs(np.angle(ref / ref[0]))))
+    if np.min(rho) > 0:
+        ref = np.exp(1j * rep.f.theta(pts))
+        spread = np.abs(np.angle(ref / ref[0]))
     details.append(make_report(
         "page_containment", n_samples=len(pts),
-        min_margin=off_binding, max_residual=spread,
+        min_margin=rho, max_residual=spread,
         tolerance=1e-6, residual_tolerance=1e-9, seed=seed,
         note="|f| > 0 and theta constant: L sits inside one page"))
-    out = merge_reports(f"legendrian[{l_sub.name}]", details, seed=seed,
-                        note="closed Legendrian contained in one page")
-    out.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    return merge_reports(f"legendrian[{l_sub.name}]", details, seed=seed,
+                         note="closed Legendrian contained in one page")
 
 
 def real_circle_submanifold() -> Submanifold:
@@ -351,6 +345,7 @@ def loop_integral(pl: PreLagrangian, loop: Loop):
     return simpson(g, 2 * np.pi / loop.n_grid), g, t
 
 
+@timed
 def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
                     steps: int = 32, transverse_tol=1e-5,
                     closure_tol=1e-10, on_p_tol=1e-8,
@@ -366,7 +361,6 @@ def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
     alpha_hat(gamma'(t)) = C / (2 pi) and closes up since f(0) = f(2 pi)
     = 0.  Returns (straightened Loop, CheckReport).
     """
-    t0 = time.perf_counter()
     vals = loop.values[:-1]
     if loop.closure_gap() > closure_tol:
         raise DomainError(f"loop endpoint gap {loop.closure_gap():.2e}")
@@ -410,17 +404,15 @@ def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
     out = Loop(np.vstack([new_vals, closing[None, :]]), loop.periodic_mask)
 
     c_out, g_out, _ = loop_integral(pl, out)
-    uniform_gap = float(np.max(np.abs(g_out - c_val / (2 * np.pi))))
     report = merge_reports(
         f"straighten[{pl.name}]",
         [make_report("transverse_speed", n_samples=loop.n_grid,
-                     max_residual=uniform_gap, tolerance=transverse_tol,
-                     seed=seed,
+                     max_residual=np.abs(g_out - c_val / (2 * np.pi)),
+                     tolerance=transverse_tol, seed=seed,
                      note="alpha_hat(gamma') = C / (2 pi) uniformly"),
          make_report("integral_conserved", n_samples=loop.n_grid,
                      max_residual=abs(c_out - c_val), tolerance=1e-6,
                      seed=seed,
                      note="loop integral of alpha_hat is flow invariant")],
         seed=seed, note=f"straightening with C = {c_val:.6f}")
-    report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return out, report

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,8 @@ class CheckReport:
     ``note`` records the identity or condition the check certifies, so a
     report is interpretable on its own.  ``rows`` holds per-grid-point
     results (used for polynomial sweeps and endpoint comparisons).
+    ``wall_time_ms`` is the time span of the check function that returned
+    the report (see :func:`timed`); leaves built inside a check read 0.
     """
 
     name: str
@@ -54,11 +58,28 @@ class CheckReport:
         return d
 
 
+def _reduce(values, reduction):
+    """One float from pointwise values: a scalar, an array, or a list of
+    arrays.  np.min and np.max propagate NaN, so a NaN anywhere is the
+    result and fails the pass rule."""
+    if isinstance(values, list):
+        values = [reduction(v) for v in values]
+    return float(reduction(values))
+
+
 def make_report(name, *, n_samples, tolerance, seed, note="",
                 min_margin=None, max_residual=None, residual_tolerance=None,
                 wall_time_ms=0.0, rows=None, details=None, passed=None):
-    """Assemble a report, deriving the pass flag from the margins unless
-    explicitly overridden."""
+    """Assemble a leaf report from its pointwise values.
+
+    ``min_margin`` and ``max_residual`` take a scalar, an array, or a list
+    of arrays, reduced here by np.min and np.max over every value.  The
+    pass flag follows the pass rule on the reduced values unless
+    ``passed`` overrides it."""
+    if min_margin is not None:
+        min_margin = _reduce(min_margin, np.min)
+    if max_residual is not None:
+        max_residual = _reduce(max_residual, np.max)
     if passed is None:
         passed = True
         if min_margin is not None:
@@ -66,11 +87,11 @@ def make_report(name, *, n_samples, tolerance, seed, note="",
         if max_residual is not None:
             rtol = tolerance if residual_tolerance is None else residual_tolerance
             passed = passed and (max_residual <= rtol)
-    report = CheckReport(
+    return CheckReport(
         name=name,
         n_samples=int(n_samples),
-        min_margin=None if min_margin is None else float(min_margin),
-        max_residual=None if max_residual is None else float(max_residual),
+        min_margin=min_margin,
+        max_residual=max_residual,
         tolerance=float(tolerance),
         passed=bool(passed),
         seed=int(seed),
@@ -81,12 +102,12 @@ def make_report(name, *, n_samples, tolerance, seed, note="",
         rows=rows or [],
         details=details or [],
     )
-    return report
 
 
 def merge_reports(name, reports, seed=0, note=""):
     """Reduce sub-reports: margins by min, residuals by max, pass by all.
-    A NaN margin or residual in any sub-report makes the merged one NaN."""
+    A NaN margin or residual in any sub-report makes the merged one NaN.
+    wall_time_ms is left 0 for :func:`timed` or run_suite to stamp."""
     margins = [r.min_margin for r in reports if r.min_margin is not None]
     residuals = [r.max_residual for r in reports if r.max_residual is not None]
     return CheckReport(
@@ -97,7 +118,21 @@ def merge_reports(name, reports, seed=0, note=""):
         tolerance=min(r.tolerance for r in reports),
         passed=all(r.passed for r in reports),
         seed=seed,
-        wall_time_ms=sum(r.wall_time_ms for r in reports),
+        wall_time_ms=0.0,
         note=note,
         details=list(reports),
     )
+
+
+def timed(check):
+    """Decorate a check: stamp ``wall_time_ms`` on the CheckReport it
+    returns, alone or as the last element of a tuple, with the time span
+    of the call."""
+    @functools.wraps(check)
+    def timed_check(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = check(*args, **kwargs)
+        report = out[-1] if isinstance(out, tuple) else out
+        report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
+        return out
+    return timed_check

@@ -312,3 +312,38 @@ def test_filling_leading_coefficients_certified():
     report = filling_polynomial(fam, pts)
     assert report.passed
     assert "T^n[eps=0]" in report.note and "T^(n+1)[eps=" in report.note
+
+
+# ---------------------------------------------------------------------------
+# a NaN anywhere on a grid fails the leaf
+
+
+def test_filling_nan_eps_fails():
+    fam = _ball_filling_family(eps_grid=(0.0, float("nan")))
+    bf = bourgeois_form(fam.rep)
+    report = filling_polynomial(fam, sample(bf.manifold, 100, seed=23))
+    assert not report.passed
+    assert np.isnan(report.min_margin)
+
+
+def test_isotopy_nan_tau_fails_every_tau_leaf():
+    rep = profiled_representation(quadric_open_book(2))
+    bf = bourgeois_form(rep)
+    pts = sample(bf.manifold, 100, seed=24)
+    report = isotopy_check(rep, 10.0, (0.0, float("nan"), 1.0), pts)
+    assert not report.passed
+    named = {d.name: d for d in report.details}
+    for leaf in ("shear_pullback", "family_contact", "volume_invariance"):
+        assert not named[leaf].passed
+    assert np.isnan(named["family_contact"].min_margin)
+    assert np.isnan(named["volume_invariance"].max_residual)
+
+
+def test_product_contact_nan_eps_fails_scaling():
+    bf = bourgeois_form(quadric_open_book(2))
+    pts = sample(bf.manifold, 100, seed=25)
+    report = verify_product_contact(bf, pts, eps_values=(0.5, float("nan")))
+    named = {d.name: d for d in report.details}
+    assert not named["eps_scaling"].passed
+    assert np.isnan(named["eps_scaling"].max_residual)
+    assert not report.passed
