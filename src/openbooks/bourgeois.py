@@ -18,8 +18,9 @@ from .contact import (ContactForm, DefiningFunction, Representation,
                       openbook_volume_form, representation_conditions,
                       verify_representation)
 from .errors import DegenerateSystem
-from .forms import (KForm, SmoothMap, coordinate_differential, ext_deriv,
-                    increasing_indices, wedge, wedge_all, wedge_power)
+from .forms import (KForm, SmoothMap, contact_volume, coordinate_differential,
+                    ext_deriv, increasing_indices, on_batch, pluecker, wedge,
+                    wedge_all, wedge_power)
 from .manifolds import (Submanifold, product_with_torus, sample,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -135,9 +136,9 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     n = bf.n
     pts = np.asarray(samples, float)
     bases = tangent_bases(bf.manifold, pts)
-    direct_form = wedge(bf.alpha, wedge_power(ext_deriv(bf.alpha), n + 1))
-    direct = direct_form.at_basis(pts, bases)
-    expanded = _cartesian_expansion(bf.rep).at_basis(pts, bases)
+    coords = pluecker(bases)
+    direct = contact_volume(bf.alpha, n + 1).on_pluecker(pts, coords)
+    expanded = _cartesian_expansion(bf.rep).on_pluecker(pts, coords)
     rel = np.abs(direct - expanded) / np.maximum(np.abs(direct),
                                                  np.abs(expanded))
     details = [make_report(
@@ -170,14 +171,11 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     base_vals = direct if bf.eps == 1.0 else None
     if base_vals is None:
         unit = bourgeois_form(bf.rep, 1.0)
-        base_form = wedge(unit.alpha, wedge_power(ext_deriv(unit.alpha), n + 1))
-        base_vals = base_form.at_basis(pts, bases)
+        base_vals = contact_volume(unit.alpha, n + 1).on_pluecker(pts, coords)
     rel_eps = []
     for eps in eps_values:
         scaled = bourgeois_form(bf.rep, eps)
-        form_eps = wedge(scaled.alpha,
-                         wedge_power(ext_deriv(scaled.alpha), n + 1))
-        vals = form_eps.at_basis(pts, bases)
+        vals = contact_volume(scaled.alpha, n + 1).on_pluecker(pts, coords)
         rel_eps.append(np.abs(vals - eps ** 2 * base_vals) / np.maximum(
             np.abs(vals), eps ** 2 * np.abs(base_vals)))
     details.append(make_report(
@@ -300,16 +298,14 @@ def inverse_form(rep: Representation, c: float) -> ContactForm:
 
 
 def inverse_form_margins(rep: Representation, c: float, samples,
-                         bases=None):
+                         coords=None):
     """Reversed-orientation contact margin of alpha_minus at the samples
     (positive margin = contact with orientation opposite the reference).
-    ``bases`` may pass in tangent_bases(rep.manifold, samples)."""
+    ``coords`` may pass in pluecker(tangent_bases(rep.manifold, samples))."""
     cf = inverse_form(rep, c)
-    n = cf.n
-    top = wedge(cf.alpha, wedge_power(ext_deriv(cf.alpha), n))
-    if bases is None:
-        bases = tangent_bases(rep.manifold, samples)
-    return -top.at_basis(samples, bases)
+    if coords is None:
+        coords = pluecker(tangent_bases(rep.manifold, samples))
+    return -contact_volume(cf.alpha, cf.n).on_pluecker(samples, coords)
 
 
 def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
@@ -318,11 +314,11 @@ def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
     reversed-orientation margin beats the tolerance, then re-verify at 2C
     (the construction guarantees all sufficiently large C work)."""
     cs = c_grid if c_grid is not None else [2.0 ** k for k in range(11)]
-    bases = tangent_bases(rep.manifold, samples)
+    coords = pluecker(tangent_bases(rep.manifold, samples))
     for c in cs:
-        margins = inverse_form_margins(rep, c, samples, bases)
+        margins = inverse_form_margins(rep, c, samples, coords)
         if np.min(margins) > tolerance:
-            recheck = inverse_form_margins(rep, 2 * c, samples, bases)
+            recheck = inverse_form_margins(rep, 2 * c, samples, coords)
             if np.min(recheck) > tolerance:
                 return c, float(np.min(margins)), float(np.min(recheck))
     raise DegenerateSystem(
@@ -339,8 +335,9 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     pages and binding with alpha."""
     details = []
     bases = tangent_bases(rep.manifold, samples)
-    margins = inverse_form_margins(rep, c, samples, bases)
-    margins2 = inverse_form_margins(rep, 2 * c, samples, bases)
+    coords = pluecker(bases)
+    margins = inverse_form_margins(rep, c, samples, coords)
+    margins2 = inverse_form_margins(rep, 2 * c, samples, coords)
     details.append(make_report(
         "reversed_contact", n_samples=2 * len(samples),
         min_margin=[margins, margins2],
@@ -381,14 +378,13 @@ def interpolation_check(rep: Representation, other: Representation, c: float,
     """Contact property of the convex interpolation between the corrected
     forms built from two admissible defining functions (spot check of the
     convexity of the construction)."""
-    bases = tangent_bases(rep.manifold, samples)
-    n = rep.n
+    coords = pluecker(tangent_bases(rep.manifold, samples))
     margins = []
     for s in s_values:
         mu_s = (1 - s) * rep.f.mu_form() + s * other.f.mu_form()
         alpha_s = rep.contact.alpha - c * mu_s
-        top = wedge(alpha_s, wedge_power(ext_deriv(alpha_s), n))
-        margins.append(-top.at_basis(samples, bases))
+        margins.append(-contact_volume(alpha_s, rep.n).on_pluecker(samples,
+                                                                  coords))
     return make_report(
         f"interpolation[{rep.name}]", n_samples=len(samples) * len(s_values),
         min_margin=margins, tolerance=tolerance, seed=seed,
@@ -457,10 +453,10 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     product = bf.manifold
     pts = np.asarray(samples, float)
     bases = tangent_bases(product, pts)
+    coords = pluecker(bases)
     n = rep.n
     alpha0 = bf.alpha
-    vol0 = wedge(alpha0, wedge_power(ext_deriv(alpha0), n + 1)
-                 ).at_basis(pts, bases)
+    vol0 = contact_volume(alpha0, n + 1).on_pluecker(pts, coords)
     details = []
 
     pull_gaps, vols, vol_gaps = [], [], []
@@ -468,8 +464,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
         alpha_tau = family_form(rep, tau, c)
         pulled = _pullback_on_bases(shear_map(rep, tau, c), alpha0, pts, bases)
         pull_gaps.append(np.abs(pulled - alpha_tau.restrict(pts, bases)))
-        vol_tau = wedge(alpha_tau, wedge_power(ext_deriv(alpha_tau), n + 1)
-                        ).at_basis(pts, bases)
+        vol_tau = contact_volume(alpha_tau, n + 1).on_pluecker(pts, coords)
         vols.append(vol_tau)
         vol_gaps.append(np.abs(vol_tau - vol0) / np.abs(vol0))
     details.append(make_report(
@@ -557,50 +552,49 @@ def filling_polynomial(family: FillingFamily, samples, tolerance=1e-9,
     n = rep.n
     m = rep.manifold.ambient_dim
     pts = np.asarray(samples, float)
-    bf1 = bourgeois_form(rep)
-    product = bf1.manifold
-    bases = tangent_bases(product, pts)
-    omega_ext = extend_form(family.omega)
+    product = bourgeois_form(rep).manifold
+    coords = pluecker(tangent_bases(product, pts))
+    # every coefficient below is evaluated once on the batch; the sweep
+    # combines the bound values, so no stencil runs per eps power or per T
+    omega = on_batch(extend_form(family.omega), pts)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)
-    vol_t2 = wedge(dphi1, dphi2)
+    vol_t2 = on_batch(wedge(dphi1, dphi2), pts)
+
+    # the eps-independent factor of the T^a coefficient in the
+    # multinomial expansion
+    tails = []
+    for a in range(n + 2):
+        b0 = n + 1 - a
+        tail = float(math.comb(n + 1, a)) * wedge_power(omega, b0)
+        if b0 - 1 >= 0:
+            tail = tail + float(math.comb(n + 1, a) * (n + 1 - a)) * wedge(
+                wedge_power(omega, b0 - 1), vol_t2)
+        tails.append(on_batch(tail, pts))
 
     rows = []
     margins, rel_gaps = [], []
     lead_margins = {}
     for eps in family.eps_grid:
         bf = bourgeois_form(rep, eps)
-        dalpha = ext_deriv(bf.alpha)
-        # coefficient of T^a in the multinomial expansion
-        coef_vals = []
-        for a in range(n + 2):
-            pieces = []
-            b0 = n + 1 - a
-            if b0 >= 0:
-                pieces.append(float(math.comb(n + 1, a))
-                              * wedge_power(omega_ext, b0))
-            if b0 - 1 >= 0:
-                pieces.append(
-                    float(math.comb(n + 1, a) * (n + 1 - a))
-                    * wedge(wedge_power(omega_ext, b0 - 1), vol_t2))
-            tail = pieces[0]
-            for extra in pieces[1:]:
-                tail = tail + extra
-            coef = wedge_all(bf.alpha, wedge_power(dalpha, a), tail)
-            coef_vals.append(coef.at_basis(pts, bases))
-        coef_vals = np.stack(coef_vals, axis=0)       # (n+2, N)
+        alpha = on_batch(bf.alpha, pts)
+        dalpha = on_batch(ext_deriv(bf.alpha), pts)
+        coef_vals = np.stack([
+            wedge_all(alpha, wedge_power(dalpha, a), tails[a]).on_pluecker(
+                pts, coords) for a in range(n + 2)])  # (n+2, N)
 
         if eps == 0.0:
             lead = coef_vals[n]
             margins.append(lead)
             lead_margins["T^n[eps=0]"] = float(np.min(lead))
             # independent route for P_0(T)
-            dalpha_v = extend_form(ext_deriv(rep.contact.alpha))
+            dalpha_v = on_batch(extend_form(ext_deriv(rep.contact.alpha)),
+                                pts)
             for t_val in family.t_grid:
-                two_form = t_val * dalpha_v + omega_ext
+                two_form = t_val * dalpha_v + omega
                 p0 = float(n + 1) * wedge_all(
-                    bf.alpha, wedge_power(two_form, n), vol_t2)
-                direct = p0.at_basis(pts, bases)
+                    alpha, wedge_power(two_form, n), vol_t2)
+                direct = p0.on_pluecker(pts, coords)
                 powers = np.array([t_val ** a for a in range(n + 2)])
                 summed = np.einsum("a,an->n", powers, coef_vals)
                 scale = np.maximum(np.abs(direct), np.abs(summed))

@@ -80,6 +80,10 @@ class SuiteConfig:
                     and all(map(_is_finite_number, grid))):
                 raise ValueError(
                     f"{key} must be a list of finite numbers, got {grid!r}")
+            # an empty t_grid means the default grid; the other two grids
+            # have no default, and a sweep over nothing certifies nothing
+            if not grid and key != "t_grid":
+                raise ValueError(f"{key} must not be empty")
             setattr(self, key, tuple(grid))
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path, got {self.out!r}")

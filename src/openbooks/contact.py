@@ -22,8 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
-from .forms import (KForm, VecField, central_difference, ext_deriv,
-                    scale_form, wedge, wedge_all, wedge_power)
+from .forms import (KForm, VecField, central_difference, contact_volume,
+                    ext_deriv, pluecker, scale_form, wedge, wedge_all,
+                    wedge_power)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
                         project_to_constraints, tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -161,9 +162,15 @@ def reeb_fields(cf: ContactForm, points, tol=1e-8):
     mat = np.concatenate([arow[:, None, :], pair], axis=1)   # (N, d+1, d)
     rhs = np.zeros((pts.shape[0], d + 1))
     rhs[:, 0] = 1.0
-    sol = np.linalg.pinv(mat) @ rhs[..., None]
+    # one SVD: the pseudo-inverse in np.linalg.pinv's own order (values
+    # below 1e-15 of the largest dropped), and its values for the rank test
+    u, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    large = svals > 1e-15 * svals[:, :1]
+    inv_s = np.divide(1.0, svals, out=np.zeros_like(svals), where=large)
+    pinv = np.swapaxes(vt, -1, -2) @ (inv_s[..., None]
+                                      * np.swapaxes(u, -1, -2))
+    sol = pinv @ rhs[..., None]
     residual = np.linalg.norm(mat @ sol - rhs[..., None], axis=(-2, -1))
-    svals = np.linalg.svd(mat, compute_uv=False)
     bad_rank = svals[:, -1] < 1e-6 * svals[:, 0]
     if np.any(bad_rank) or np.any(residual > tol):
         worst = int(np.argmax(residual + bad_rank))
@@ -186,10 +193,8 @@ def reeb_field(cf: ContactForm, p, tol=1e-8):
 
 def contact_volume_values(cf: ContactForm, points):
     """alpha ^ (d alpha)^n evaluated on oriented orthonormal bases."""
-    n = cf.n
-    top = wedge(cf.alpha, wedge_power(cf.d_alpha(), n)) if n > 0 else cf.alpha
     bases = tangent_bases(cf.manifold, points)
-    return top.at_basis(points, bases)
+    return contact_volume(cf.alpha, cf.n).at_basis(points, bases)
 
 
 @timed
@@ -263,12 +268,14 @@ def openbook_volume_form(rep: Representation) -> KForm:
     return float(n) * first + second
 
 
-def quotient_volume_values(rep: Representation, points):
+def quotient_volume_values(rep: Representation, points, coords=None):
     """Independent oracle |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n, evaluated
     with quotient forms and finite differences only; valid off the binding.
 
     The differentiation step is scaled by |f| so the truncation error stays
     relative to the blowing-up coefficients of the quotient form.
+    ``coords`` may pass in the Pluecker coordinates of the oriented frames
+    at the points (:func:`forms.pluecker` of :func:`tangent_bases`).
     """
     f = rep.f
     n = rep.n
@@ -286,8 +293,9 @@ def quotient_volume_values(rep: Representation, points):
     dlam = ext_deriv(lam, h0, step_scale=lambda p: np.maximum(
         f.modulus(p), 1e-12))
     top = wedge(dtheta, wedge_power(dlam, n))
-    bases = tangent_bases(rep.manifold, points)
-    vals = top.at_basis(points, bases)
+    if coords is None:
+        coords = pluecker(tangent_bases(rep.manifold, points))
+    vals = top.on_pluecker(points, coords)
     return f.modulus(points) ** (n + 2) * vals
 
 
@@ -354,10 +362,9 @@ def binding_contact_values(rep: Representation, binding_samples):
     """alpha restricted to the binding, evaluated on oriented bases of K."""
     bind = binding_manifold(rep)
     nk = (bind.dim - 1) // 2
-    alpha = rep.contact.alpha
-    top = wedge(alpha, wedge_power(ext_deriv(alpha), nk)) if nk > 0 else alpha
     bases = tangent_bases(bind, binding_samples)
-    return top.at_basis(binding_samples, bases)
+    return contact_volume(rep.contact.alpha, nk).at_basis(binding_samples,
+                                                          bases)
 
 
 def representation_conditions(rep: Representation, samples, binding_samples,
@@ -369,12 +376,16 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     reports = []
     manifold = rep.manifold
     f = rep.f
+    n_bind = 0 if binding_samples is None else len(binding_samples)
+    # each frame is built once; a batch's frames are computed row by row,
+    # so the concatenation for (4) equals the frames of the stacked points
+    bases = tangent_bases(manifold, samples)
+    bind_bases = tangent_bases(manifold, binding_samples) if n_bind else None
 
     # (1) 0 is a regular value: (df_x, df_y) restricted to TV has rank 2
-    if binding_samples is not None and len(binding_samples) > 0:
-        bases = tangent_bases(manifold, binding_samples)
+    if n_bind > 0:
         g = f.grad(binding_samples)                    # (N, 2, m)
-        restricted = np.einsum("ncm,ndm->ncd", g, bases)
+        restricted = np.einsum("ncm,ndm->ncd", g, bind_bases)
         margins = np.linalg.svd(restricted, compute_uv=False)[:, -1]
     else:
         margins = -1.0
@@ -385,7 +396,6 @@ def representation_conditions(rep: Representation, samples, binding_samples,
         note="rank of (df_x, df_y) on TV equals 2 along f = 0"))
 
     # (2) binding non-empty
-    n_bind = 0 if binding_samples is None else len(binding_samples)
     reports.append(make_report(
         "binding_nonempty", n_samples=n_bind,
         min_margin=n_bind, tolerance=0.5, seed=seed,
@@ -393,7 +403,6 @@ def representation_conditions(rep: Representation, samples, binding_samples,
 
     # (3) theta submersion: off the binding the restricted
     # rho^2 d(theta) is nonzero; near it, (df_x, df_y) has rank 2.
-    bases = tangent_bases(manifold, samples)
     mu = rep.f.mu_form()
     mu_restricted = mu.restrict(samples, bases)
     mu_norm = np.linalg.norm(mu_restricted, axis=-1)
@@ -412,10 +421,14 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     # (4) ideal Liouville structure on pages: positivity of the smooth
     # volume form (the regularized rho^(n+2) d(theta)^(d(alpha/rho))^n).
     omega = openbook_volume_form(rep)
-    pts = samples if n_bind == 0 else np.vstack([samples, binding_samples])
+    if n_bind:
+        pts = np.vstack([samples, binding_samples])
+        frames = np.concatenate([bases, bind_bases])
+    else:
+        pts, frames = samples, bases
     reports.append(make_report(
         "page_liouville", n_samples=len(pts),
-        min_margin=omega.at_basis(pts, tangent_bases(manifold, pts)),
+        min_margin=omega.at_basis(pts, frames),
         tolerance=tolerance, seed=seed,
         note=("n rho drho^dtheta^alpha^(d alpha)^(n-1) + "
               "rho^2 dtheta^(d alpha)^n positive incl. binding")))
@@ -452,9 +465,9 @@ def volume_form_cross_check(rep: Representation, samples, rel_tol=1e-8,
     expression against |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n computed from
     raw quotient forms, at points with |f| >= the binding band."""
     pts = samples[rep.f.modulus(samples) >= BINDING_BAND]
-    omega = openbook_volume_form(rep)
-    lhs = omega.at_basis(pts, tangent_bases(rep.manifold, pts))
-    rhs = quotient_volume_values(rep, pts)
+    coords = pluecker(tangent_bases(rep.manifold, pts))
+    lhs = openbook_volume_form(rep).on_pluecker(pts, coords)
+    rhs = quotient_volume_values(rep, pts, coords)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
     return make_report(
         name or f"volume_identity[{rep.name or rep.manifold.name}]",

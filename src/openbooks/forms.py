@@ -17,12 +17,23 @@ shuffle table as :func:`wedge`.  No LAPACK determinant is taken, so the
 values carry this expansion's rounding, not that of an LU factorisation;
 the two agree to about 1e-15 relative to the product of the vector norms.
 
-Evaluation sorts the argument vectors lexicographically first and applies
-the permutation sign, which makes the alternation property exact: swapping
-two arguments flips the sign bit-for-bit.  :meth:`KForm.restrict` is the
-batched restriction of a 1- or 2-form to a frame: the row ``(N, d)`` or
-antisymmetric matrix ``(N, d, d)`` that the checks build their identities
-from.
+:func:`pluecker` sorts the argument vectors lexicographically first and
+folds the permutation sign into the minors, which makes the alternation
+property exact: swapping two arguments flips the sign bit-for-bit.  There
+is one evaluation path: :meth:`KForm.at_basis` is the dot product of the
+coefficients with ``pluecker(vectors)``, and :meth:`KForm.on_pluecker`
+takes the coordinates directly, so that a check evaluating several top
+forms on one frame sorts it and takes its minors once.
+:meth:`KForm.restrict` is the batched restriction of a 1- or 2-form to a
+frame: the row ``(N, d)`` or antisymmetric matrix ``(N, d, d)`` that the
+checks build their identities from.
+
+Forms are lazy coefficient closures, so an expression evaluates each
+sub-form once per occurrence.  :func:`wedge_power` evaluates its base once
+and chains the shuffle tables on the array, :func:`contact_volume` builds
+alpha ^ (d alpha)^n from one alpha and one d alpha evaluation, and
+:func:`on_batch` binds a form's coefficients to one sample batch, for
+expressions that reuse a sub-form many times on the same points.
 
 Every derivative of an ambient coefficient, map, constraint or defining
 function is taken by one stencil, :func:`central_difference`.
@@ -173,6 +184,23 @@ def _lex_order_sign(vectors):
     return order, sign
 
 
+def pluecker(vectors):
+    """Signed Pluecker coordinates of vectors (..., k, m): (..., C(m, k)).
+
+    The vectors are sorted lexicographically, their minors taken by
+    :func:`_minors`, and the sort's permutation sign multiplied in, which
+    is exact.  A k-form evaluates on the vectors as the dot product of its
+    coefficients with these coordinates (:meth:`KForm.on_pluecker`), so a
+    frame shared by several forms needs its coordinates only once.
+    """
+    v = np.asarray(vectors, float)
+    if v.shape[-2] == 1:                        # sorting one vector is a no-op
+        return v[..., 0, :]
+    order, sign = _lex_order_sign(v)
+    vs = np.take_along_axis(v, order[..., None], axis=-2)
+    return sign[..., None] * _minors(vs)
+
+
 # ---------------------------------------------------------------------------
 # the finite-difference stencil
 
@@ -239,7 +267,18 @@ class KForm:
             raise DimensionMismatch("vector dimension does not match form")
         if self.degree == 0:
             return self.coeffs(p)[..., 0]
-        return self._on_vectors(self.coeffs(p), v)
+        return self.on_pluecker(p, pluecker(v))
+
+    def on_pluecker(self, p, coords):
+        """Evaluate on vectors given by their :func:`pluecker` coordinates
+        coords (..., C(m, k)); bit-identical to :meth:`at_basis`."""
+        coords = np.asarray(coords, float)
+        if coords.shape[-1] != self.n_indices:
+            raise DimensionMismatch(
+                f"{self.degree}-form on R^{self.ambient_dim} needs "
+                f"{self.n_indices} Pluecker coordinates, got {coords.shape[-1]}")
+        return np.einsum("...i,...i->...", self.coeffs(np.asarray(p, float)),
+                         coords)
 
     def restrict(self, p, frame):
         """Restriction to a frame: p (..., m), frame (..., d, m).
@@ -259,24 +298,16 @@ class KForm:
         c = self.coeffs(p)
         d = e.shape[-2]
         if self.degree == 1:
-            return np.stack([self._on_vectors(c, e[..., None, j, :])
+            return np.stack([np.einsum("...i,...i->...", c, e[..., j, :])
                              for j in range(d)], axis=-1)
         out = np.zeros(e.shape[:-2] + (d, d))
         for i in range(d):
             for j in range(i + 1, d):
-                val = self._on_vectors(
-                    c, np.stack([e[..., i, :], e[..., j, :]], axis=-2))
+                pair = np.stack([e[..., i, :], e[..., j, :]], axis=-2)
+                val = np.einsum("...i,...i->...", c, pluecker(pair))
                 out[..., i, j] = val
                 out[..., j, i] = -val
         return out
-
-    def _on_vectors(self, c, v):
-        """Evaluate given coefficients c (..., n_idx) on vectors (..., k, m)."""
-        if self.degree == 1:                       # sorting one vector is a no-op
-            return np.einsum("...i,...i->...", c, v[..., 0, :])
-        order, sign = _lex_order_sign(v)
-        vs = np.take_along_axis(v, order[..., None], axis=-2)
-        return sign * np.einsum("...i,...i->...", c, _minors(vs))
 
     def __add__(self, other):
         if not isinstance(other, KForm):
@@ -423,12 +454,60 @@ def wedge_all(*forms: KForm) -> KForm:
 
 
 def wedge_power(a: KForm, n: int) -> KForm:
+    """n-th wedge power a ^ ... ^ a (n = 0 gives the constant 0-form 1).
+
+    The coefficients of a are evaluated once per call; the power is the
+    chain ((a ^ a) ^ a) ^ ..., bit-identical to repeated :func:`wedge`.
+    """
+    m, k = a.ambient_dim, a.degree
     if n == 0:
-        return constant_form(a.ambient_dim, 0, [1.0])
-    out = a
-    for _ in range(n - 1):
-        out = wedge(out, a)
-    return out
+        return constant_form(m, 0, [1.0])
+    if n == 1:
+        return a
+    if n * k > m:
+        raise DimensionMismatch(
+            f"wedge degree {n * k} exceeds ambient dimension {m}")
+    tables = [_wedge_table(m, j * k, k) for j in range(1, n)]
+    fa = a.coeffs
+
+    def coeffs(p):
+        c = fa(p)
+        out = c
+        for ia, ib, scatter in tables:
+            out = (out[..., ia] * c[..., ib]) @ scatter
+        return out
+
+    return KForm(n * k, m, coeffs)
+
+
+def contact_volume(alpha: KForm, n: int) -> KForm:
+    """The top form alpha ^ (d alpha)^n of a contact condition (alpha
+    itself when n = 0); alpha and d alpha are each evaluated once."""
+    if n == 0:
+        return alpha
+    return wedge(alpha, wedge_power(ext_deriv(alpha), n))
+
+
+def on_batch(form: KForm, points) -> KForm:
+    """form with its coefficients evaluated once, at the batch points.
+
+    The result is bound to that array: it returns the stored, read-only
+    coefficients when evaluated at the very same array object and raises
+    ValueError at any other argument, so that a derivative or a shifted
+    stencil can never read the batch's values.  Pass the float array that
+    the later evaluations receive.
+    """
+    pts = points
+    c = form.coeffs(pts)
+    c.flags.writeable = False
+
+    def coeffs(p):
+        if p is not pts:
+            raise ValueError("form bound to a sample batch was evaluated "
+                             "at other points")
+        return c
+
+    return KForm(form.degree, form.ambient_dim, coeffs)
 
 
 def ext_deriv(a: KForm, h: float = DEFAULT_FD_STEP,

@@ -347,3 +347,50 @@ def test_product_contact_nan_eps_fails_scaling():
     assert not named["eps_scaling"].passed
     assert np.isnan(named["eps_scaling"].max_residual)
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# evaluation counts: each form once per batch, each frame once per check
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap the openbooks function `name` in every module that binds it."""
+    import sys
+
+    original = getattr(sys.modules["openbooks.forms"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("openbooks") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_filling_stencil_calls_do_not_grow_with_the_t_grid(monkeypatch):
+    rep = quadric_open_book(2)
+    pts = sample(bourgeois_form(rep).manifold, 40, seed=22)
+    calls = _count_calls(monkeypatch, "central_difference")
+    counts = []
+    for t_grid in [(0.0, 1.0, 10.0), tuple(np.linspace(0.0, 45.0, 46))]:
+        fam = FillingFamily(rep, ext_deriv(rep.contact.alpha), (0.0, 0.1),
+                            t_grid)
+        calls.clear()
+        assert filling_polynomial(fam, pts).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_isotopy_takes_the_pluecker_coordinates_once(monkeypatch):
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 300, seed=23)
+    c, _, _ = find_inverse_constant(rep, pts)
+    product_pts = sample(bourgeois_form(rep).manifold, 100, seed=24)
+    calls = _count_calls(monkeypatch, "pluecker")
+    report = isotopy_check(rep, c, (0.0, 0.5, 1.0), product_pts)
+    assert report.passed
+    assert len(calls) == 1

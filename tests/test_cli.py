@@ -99,14 +99,23 @@ def test_tolerance_flag_exits_two(capsys):
     ({"suite": "g2_s3", "eps_grid": 5}, []),
     ({"suite": "g2_s5", "tolerance": 1e-3}, []),
     ({"suite": "g1_s3", "flow_step": 0}, []),
+    ({"suite": "g2_s3", "eps_grid": []}, []),
+    ({"suite": "g2_s3", "tau_grid": []}, []),
 ], ids=["string_count", "top_level_array", "scalar_grid", "tolerance_field",
-        "zero_flow_step"])
+        "zero_flow_step", "empty_eps_grid", "empty_tau_grid"])
 def test_bad_config_exits_two_with_error_line(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_empty_t_grid_means_the_default_grid():
+    from openbooks.bourgeois import FillingFamily
+
+    cfg = SuiteConfig(suite="g2_s3", t_grid=[])
+    assert cfg.t_grid == FillingFamily.default_t_grid()
 
 
 def test_unknown_suite_exits_two(capsys):

@@ -13,9 +13,10 @@ from openbooks.contact import (DefiningFunction, quadric_open_book,
 from openbooks.errors import DimensionMismatch
 from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
                              _minors, central_difference, constant_form,
-                             coordinate_differential, ext_deriv,
-                             form_from_components, increasing_indices,
-                             interior, pullback, wedge)
+                             contact_volume, coordinate_differential,
+                             ext_deriv, form_from_components,
+                             increasing_indices, interior, on_batch,
+                             pluecker, pullback, wedge, wedge_power)
 from openbooks.manifolds import FD_STEP, sample, tangent_bases, unit_sphere
 
 RNG = np.random.default_rng(20240211)
@@ -124,6 +125,90 @@ def test_restrict_evaluates_coefficients_once():
     pts, frame = _points_and_frame(4, 3)
     counted.restrict(pts, frame)
     assert len(calls) == 1
+
+
+def _counted(form, calls):
+    return KForm(form.degree, form.ambient_dim,
+                 lambda p: calls.append(1) or form.coeffs(p))
+
+
+@pytest.mark.parametrize("m, k, n", [(4, 2, 2), (6, 2, 3), (7, 2, 3),
+                                     (6, 3, 2), (5, 1, 3), (6, 2, 1)])
+def test_wedge_power_evaluates_once_and_equals_chained_wedge(m, k, n):
+    base = _random_form(m, k, seed=m + k + n)
+    pts = RNG.normal(size=(30, m))
+    calls = []
+    got = wedge_power(_counted(base, calls), n).coeffs(pts)
+    assert len(calls) == 1
+    chained = base
+    for _ in range(n - 1):
+        chained = wedge(chained, base)
+    assert np.array_equal(got, chained.coeffs(pts))
+
+
+def test_wedge_power_degree_bounds():
+    two = _random_two_form(4)
+    assert wedge_power(two, 0).degree == 0
+    with pytest.raises(DimensionMismatch):
+        wedge_power(two, 3)
+
+
+def test_contact_volume_evaluates_alpha_and_d_alpha_once():
+    alpha = standard_contact_form(2)
+    pts = RNG.normal(size=(20, 4))
+    calls = []
+    top = contact_volume(_counted(alpha, calls), 1)
+    expected = wedge(alpha, ext_deriv(alpha)).coeffs(pts)
+    assert np.array_equal(top.coeffs(pts), expected)
+    # one evaluation at the points, two per coordinate for the stencil
+    assert len(calls) == 1 + 2 * 4
+    assert contact_volume(alpha, 0) is alpha
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_at_basis_is_the_dot_product_with_pluecker(k):
+    form = _random_form(6, k, seed=20 + k)
+    pts, vecs = _points_and_frame(6, k)
+    coords = pluecker(vecs)
+    assert coords.shape == (40, len(increasing_indices(6, k)))
+    got = form.at_basis(pts, vecs)
+    assert np.array_equal(got, form.on_pluecker(pts, coords))
+    assert np.array_equal(got, np.einsum("ni,ni->n", form.coeffs(pts),
+                                         coords))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_pluecker_swap_flips_the_sign_exactly(k):
+    _, vecs = _points_and_frame(6, k)
+    for a in range(k):
+        for b in range(a + 1, k):
+            swapped = vecs.copy()
+            swapped[:, [a, b]] = swapped[:, [b, a]]
+            assert np.array_equal(pluecker(swapped), -pluecker(vecs))
+
+
+def test_on_pluecker_rejects_wrong_coordinate_count():
+    form = _random_two_form(5)
+    pts, vecs = _points_and_frame(5, 4)
+    with pytest.raises(DimensionMismatch):
+        form.on_pluecker(pts, pluecker(vecs))
+
+
+def test_on_batch_evaluates_once_and_is_bound_to_its_batch():
+    base = _random_two_form(5, seed=9)
+    pts = RNG.normal(size=(25, 5))
+    calls = []
+    bound = on_batch(_counted(base, calls), pts)
+    square = wedge_power(bound, 2)
+    assert np.array_equal(square.coeffs(pts), wedge_power(base, 2).coeffs(pts))
+    assert np.array_equal(bound.coeffs(pts), base.coeffs(pts))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="bound to a sample batch"):
+        bound.coeffs(pts.copy())
+    with pytest.raises(ValueError, match="bound to a sample batch"):
+        ext_deriv(bound).coeffs(pts)
+    with pytest.raises(ValueError):
+        bound.coeffs(pts)[0, 0] = 1.0     # the stored values are read-only
 
 
 def test_restrict_rejects_other_degrees_and_frame_widths():
