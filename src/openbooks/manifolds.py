@@ -4,6 +4,13 @@ A submanifold of R^m is given by c constraint functions whose joint zero
 set it is.  Tangent spaces are kernels of the constraint Jacobian, sampled
 points are produced by registered samplers driven by a counter-based
 (Philox) generator so that runs are reproducible given a seed.
+
+:func:`tangent_bases` takes the kernel from an SVD of the Jacobian, except
+on hypersurfaces (one constraint, which includes every sphere and sphere x
+torus): there the frame is the tangent block of the Householder reflection
+that maps the unit normal to a coordinate axis, and the rank test is
+|grad| > 0.  Every batched frame is computed point by point, so a point's
+frame does not depend on the batch it came in.
 """
 
 from __future__ import annotations
@@ -125,6 +132,27 @@ def tangent_basis(manifold: Submanifold, p, tol=ON_MANIFOLD_TOL) -> OrientedBasi
     return OrientedBasis(p, basis, int(sign) if sign != 0 else 0)
 
 
+def _hypersurface_frames(grad):
+    """Orthonormal bases (N, m-1, m) of the complements of gradients (N, m).
+
+    Rows 1..m-1 of the Householder reflection H = I - w w^T / (1 + |u_0|),
+    w = u + sign(u_0) e_0, which maps the unit normal u to -sign(u_0) e_0:
+    no SVD, and the rows are computed point by point.  On a product with a
+    torus the angle coordinates of u vanish, so the torus directions come
+    out exactly as coordinate vectors, after the base's tangent vectors.
+    """
+    norm = np.linalg.norm(grad, axis=-1)
+    if not np.all((norm > 0) & np.isfinite(norm)):
+        raise DegenerateSystem("vanishing constraint gradient in batch",
+                               singular_values=norm[:, None])
+    u = grad / norm[:, None]
+    w = u.copy()
+    w[:, 0] += np.where(u[:, 0] >= 0, 1.0, -1.0)
+    scale = 1.0 + np.abs(u[:, 0])
+    return np.eye(grad.shape[-1])[1:] - w[:, 1:, None] * (
+        w[:, None, :] / scale[:, None, None])
+
+
 def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
     """Batched oriented bases: points (N, m) -> vectors (N, d, m).
 
@@ -141,6 +169,8 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
     if manifold.constraints is None:
         bases = np.broadcast_to(np.eye(manifold.ambient_dim),
                                 (n, manifold.ambient_dim, manifold.ambient_dim)).copy()
+    elif manifold.n_constraints == 1:
+        bases = _hypersurface_frames(manifold.jacobian(pts)[:, 0, :])
     else:
         jac = manifold.jacobian(pts)
         _, s, vh = np.linalg.svd(jac)

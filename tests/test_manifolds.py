@@ -72,6 +72,63 @@ def test_rank_deficient_jacobian_rejected():
     assert err.value.singular_values is not None
 
 
+@pytest.mark.parametrize("manifold, base_dim", [
+    (unit_sphere(4), 4), (unit_sphere(6), 6),
+    (product_with_torus(unit_sphere(4), 2), 4)],
+    ids=["S^3", "S^5", "S^3xT^2"])
+def test_householder_frames_are_oriented_orthonormal_tangent_frames(
+        manifold, base_dim, monkeypatch):
+    pts = sample(manifold, 300, seed=31)
+    # about half the normals have a negative first coordinate; make one zero
+    pts[0, 0] = 0.0
+    pts[0, :base_dim] /= np.linalg.norm(pts[0, :base_dim])
+    jac = manifold.jacobian(pts)
+    with monkeypatch.context() as patch:
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called on a one-constraint manifold")
+        patch.setattr(np.linalg, "svd", no_svd)
+        bases = tangent_bases(manifold, pts)
+    d = manifold.dim
+    unit = jac[:, 0, :] / np.linalg.norm(jac[:, 0, :], axis=-1, keepdims=True)
+    gram = bases @ np.swapaxes(bases, -1, -2)
+    assert np.max(np.abs(gram - np.eye(d))) <= 1e-15
+    assert np.max(np.abs(np.einsum("njm,nm->nj", bases, unit))) <= 1e-15
+    frames = np.concatenate([unit[:, None, :], bases], axis=1)
+    assert np.all(np.linalg.det(frames) > 0)
+    _, _, vh = np.linalg.svd(jac)
+    svd_bases = vh[:, 1:, :]
+    gap = (np.swapaxes(bases, -1, -2) @ bases
+           - np.swapaxes(svd_bases, -1, -2) @ svd_bases)
+    assert np.max(np.abs(gap)) <= 1e-14
+
+
+def test_householder_frames_keep_torus_directions_exact():
+    product = product_with_torus(unit_sphere(4), 2)
+    bases = tangent_bases(product, sample(product, 200, seed=32))
+    assert np.all(bases[:, :3, 4:] == 0.0)
+    assert np.array_equal(bases[:, 3], np.broadcast_to(np.eye(6)[4],
+                                                       (200, 6)))
+    assert np.array_equal(np.abs(bases[:, 4]),
+                          np.broadcast_to(np.eye(6)[5], (200, 6)))
+
+
+@pytest.mark.parametrize("bad_point", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]],
+                         ids=["zero_gradient", "nan_gradient"])
+def test_vanishing_gradient_in_a_batch_rejected(bad_point):
+    # cusp-like constraint: the gradient vanishes at the origin
+    def constraints(p):
+        return (np.sum(p * p, axis=-1) ** 2)[..., None]
+
+    def jac(p):
+        return 4.0 * np.sum(p * p, axis=-1)[..., None, None] * p[..., None, :]
+
+    bad = Submanifold(3, constraints, 1, name="cusp", constraint_jac=jac)
+    pts = np.array([[0.1, 0.0, 0.0], bad_point])
+    with pytest.raises(DegenerateSystem) as err:
+        tangent_bases(bad, pts, tol=1.0)
+    assert err.value.singular_values.shape == (2, 1)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
