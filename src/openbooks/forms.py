@@ -497,12 +497,11 @@ def on_batch(form: KForm, points) -> KForm:
     stencil can never read the batch's values.  Pass the float array that
     the later evaluations receive.
     """
-    pts = points
-    c = form.coeffs(pts)
+    c = form.coeffs(points)
     c.flags.writeable = False
 
     def coeffs(p):
-        if p is not pts:
+        if p is not points:
             raise ValueError("form bound to a sample batch was evaluated "
                              "at other points")
         return c

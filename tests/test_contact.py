@@ -13,7 +13,8 @@ from openbooks.contact import (ContactForm, DefiningFunction,
                                volume_form_cross_check)
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.forms import form_from_components
-from openbooks.manifolds import Submanifold, flat_torus, sample
+from openbooks.manifolds import (Submanifold, flat_torus, sample,
+                                 tangent_bases)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,25 @@ def test_reeb_field_on_sphere_is_doubled_rotation(n):
                         pts[:, [1, 0, 3, 2, 5, 4][: 2 * n]]
                         * np.tile([-1.0, 1.0], n))
     np.testing.assert_allclose(pairing, 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reeb_solution_equals_the_pinv_solve(n):
+    # reference: the pseudo-inverse route, with np.linalg.pinv
+    sphere = standard_sphere(n)
+    cf = ContactForm(standard_contact_form(n), sphere)
+    pts = sample(sphere, 500, seed=3)
+    bases = tangent_bases(sphere, pts)
+    mat = np.concatenate([cf.alpha.restrict(pts, bases)[:, None, :],
+                          -cf.d_alpha().restrict(pts, bases)], axis=1)
+    rhs = np.zeros((len(pts), mat.shape[1], 1))
+    rhs[:, 0] = 1.0
+    sol = np.linalg.pinv(mat) @ rhs
+    want = np.einsum("nd,ndm->nm", sol[..., 0], bases)
+    got, residual = reeb_fields(cf, pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(residual, np.linalg.norm(mat @ sol - rhs,
+                                                   axis=(-2, -1)))
 
 
 def test_degenerate_form_rejected():
