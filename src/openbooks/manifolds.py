@@ -133,24 +133,28 @@ def tangent_basis(manifold: Submanifold, p, tol=ON_MANIFOLD_TOL) -> OrientedBasi
 
 
 def _hypersurface_frames(grad):
-    """Orthonormal bases (N, m-1, m) of the complements of gradients (N, m).
+    """Orthonormal bases (N, m-1, m) of the complements of gradients (N, m),
+    and their "normal_first" orientation signs (N,).
 
     Rows 1..m-1 of the Householder reflection H = I - w w^T / (1 + |u_0|),
-    w = u + sign(u_0) e_0, which maps the unit normal u to -sign(u_0) e_0:
-    no SVD, and the rows are computed point by point.  On a product with a
-    torus the angle coordinates of u vanish, so the torus directions come
-    out exactly as coordinate vectors, after the base's tangent vectors.
+    w = u + s e_0 with s = sign(u_0) (u_0 = 0 counting as +), which maps
+    the unit normal u to -s e_0: no SVD, and the rows are computed point by
+    point.  Row 0 of H is -s u and det H = -1, so det[u; H[1:]] = s is the
+    orientation sign.  On a product with a torus the angle coordinates of u
+    vanish, so the torus directions come out exactly as coordinate vectors,
+    after the base's tangent vectors.
     """
     norm = np.linalg.norm(grad, axis=-1)
     if not np.all((norm > 0) & np.isfinite(norm)):
         raise DegenerateSystem("vanishing constraint gradient in batch",
                                singular_values=norm[:, None])
     u = grad / norm[:, None]
+    s = np.where(u[:, 0] >= 0, 1.0, -1.0)
     w = u.copy()
-    w[:, 0] += np.where(u[:, 0] >= 0, 1.0, -1.0)
+    w[:, 0] += s
     scale = 1.0 + np.abs(u[:, 0])
     return np.eye(grad.shape[-1])[1:] - w[:, 1:, None] * (
-        w[:, None, :] / scale[:, None, None])
+        w[:, None, :] / scale[:, None, None]), s
 
 
 def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
@@ -166,11 +170,15 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
             f"{manifold.name or 'manifold'}: worst residual {res.max():.3e} "
             f"at sample {bad}")
     n = pts.shape[0]
+    signs = None
     if manifold.constraints is None:
         bases = np.broadcast_to(np.eye(manifold.ambient_dim),
                                 (n, manifold.ambient_dim, manifold.ambient_dim)).copy()
     elif manifold.n_constraints == 1:
-        bases = _hypersurface_frames(manifold.jacobian(pts)[:, 0, :])
+        bases, normal_signs = _hypersurface_frames(
+            manifold.jacobian(pts)[:, 0, :])
+        if manifold.orientation == "normal_first":
+            signs = normal_signs
     else:
         jac = manifold.jacobian(pts)
         _, s, vh = np.linalg.svd(jac)
@@ -178,7 +186,9 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
             raise DegenerateSystem("rank-deficient constraint Jacobian in batch",
                                    singular_values=s)
         bases = vh[:, manifold.n_constraints:, :].copy()
-    flip = _orientation_signs(manifold, pts, bases) < 0
+    if signs is None:
+        signs = _orientation_signs(manifold, pts, bases)
+    flip = signs < 0
     bases[flip, -1, :] = -bases[flip, -1, :]
     return bases
 

@@ -37,14 +37,28 @@ COMPARE_BINDING_BAND = 1e-3
 
 @dataclass(frozen=True)
 class SpinningField:
-    """Vector field whose time-1 flow realizes the monodromy."""
+    """Vector field whose time-1 flow realizes the monodromy.
+
+    `eval_with_f` is the entry point for the first RK4 stage of `flow`: it
+    returns Y(p) together with the defining function f(p), which feeds the
+    binding-band test.  A field that computes f on its way to Y passes that
+    computation as ``fused`` (p -> (Y(p), f(p))); otherwise f is evaluated
+    separately by ``rep.f.value``.
+    """
 
     rep: Representation
     eval: Callable[[np.ndarray], np.ndarray]
     source: str = "linear_solve"
+    fused: Callable | None = None
 
     def __call__(self, p):
         return self.eval(np.asarray(p, float))
+
+    def eval_with_f(self, p):
+        """(Y(p), f(p)) for points p (N, m)."""
+        if self.fused is not None:
+            return self.fused(p)
+        return self.eval(p), self.rep.f.value(p)
 
 
 def _spinning_solve_batch(rep: Representation, pts, residual_tol=1e-8):
@@ -167,14 +181,24 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
 
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """
-    def eval(p):
+    def fused(p):
         # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
         z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
-        fval = np.add.reduce(z * z, axis=-1)
+        zz = z * z
+        # f = sum z_j^2 column by column, left to right: a reduction over a
+        # short complex axis costs several times more.  For n <= 3 this is
+        # bit for bit np.add.reduce(zz, axis=-1); from n = 4 on the two sum
+        # in different orders.
+        fval = zz[..., 0]
+        for j in range(1, zz.shape[-1]):
+            fval = fval + zz[..., j]
         vel = np.pi * 1j * fval[..., None] * np.conj(z)
-        return vel.view(np.float64)
+        return vel.view(np.float64), fval
 
-    return SpinningField(rep, eval, source="analytic")
+    def eval(p):
+        return fused(p)[0]
+
+    return SpinningField(rep, eval, source="analytic", fused=fused)
 
 
 @timed
@@ -332,9 +356,11 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
          halving_tol: float = 1e-5, project_every: int = 1):
     """Classical RK4 flow of a spinning field with per-step projection back
     to the manifold (one `manifolds.gauss_newton_step`, every
-    ``project_every`` steps).  Trajectories are monitored and the flow
-    aborts if |f| drops below the binding band; a final residual above
-    1e-10 triggers a full `project_to_constraints`.
+    ``project_every`` steps).  The first stage of each step calls
+    `SpinningField.eval_with_f`, whose f(p) is the binding-band test: the
+    flow aborts if |f| drops below ``min_abs_f``.  Stages 2-4 call
+    `SpinningField.eval`.  A final residual above 1e-10 triggers a full
+    `project_to_constraints`.
 
     Accepts a single point (m,) or a batch (N, m); time may be negative.
     ``check_halving`` re-runs with half the step and raises NonConvergence
@@ -347,15 +373,14 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
             pts = pts[None, :]
         manifold = y.rep.manifold
         constrained = manifold.constraints is not None
-        f = y.rep.f
         n_steps = int(round(abs(t_end) / step_size))
         h = np.sign(t_end) * abs(step_size)
         half, sixth = 0.5 * h, h / 6.0
         for i in range(n_steps):
-            if (f.modulus(pts) < min_abs_f).any():
+            k1, fval = y.eval_with_f(pts)
+            if (np.abs(fval) < min_abs_f).any():
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
-            k1 = y.eval(pts)
             k2 = y.eval(pts + half * k1)
             k3 = y.eval(pts + half * k2)
             k4 = y.eval(pts + h * k3)
@@ -633,9 +658,8 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
                "fiber_radius": float(np.linalg.norm(p[i])),
                "endpoint_gap": float(gap[i])} for i in range(len(qp))]))
 
-    # inverse flow: -Y for time 1 undoes the monodromy
-    z_back = flow(SpinningField(rep, lambda pt: -y.eval(pt), y.source),
-                  z1, 1.0, step)
+    # inverse flow: -Y for time 1, i.e. Y for time -1, undoes the monodromy
+    z_back = flow(y, z1, -1.0, step)
     details.append(make_report(
         "inverse_flow", n_samples=len(qp), max_residual=np.abs(z_back - z0),
         tolerance=tol, seed=seed,

@@ -102,6 +102,39 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
     assert np.max(np.abs(gap)) <= 1e-14
 
 
+@pytest.mark.parametrize("manifold", [
+    unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4), 2),
+    hypersurface_build(weinstein_disk_domain()).manifold],
+    ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
+def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
+    from openbooks.manifolds import _hypersurface_frames, _orientation_signs
+    assert manifold.orientation == "normal_first"
+    pts = sample(manifold, 300, seed=33)
+    # u_0 = 0 at the first point: the first gradient coordinate of each of
+    # these manifolds vanishes with the first coordinate
+    pts[0, 0] = 0.0
+    pts = project_to_constraints(manifold, pts)
+    grad = manifold.jacobian(pts)[:, 0, :]
+    assert grad[0, 0] == 0.0
+    assert 0 < np.count_nonzero(grad[:, 0] < 0) < len(pts) - 1
+    frames, signs = _hypersurface_frames(grad)
+    assert np.array_equal(signs, _orientation_signs(manifold, pts, frames))
+    want = frames.copy()
+    want[signs < 0, -1] = -want[signs < 0, -1]
+
+    calls = []
+    jacobian = Submanifold.jacobian
+
+    def counting(self, p):
+        if self is manifold:
+            calls.append(len(p))
+        return jacobian(self, p)
+
+    monkeypatch.setattr(Submanifold, "jacobian", counting)
+    assert np.array_equal(tangent_bases(manifold, pts), want)
+    assert calls == [len(pts)]
+
+
 def test_householder_frames_keep_torus_directions_exact():
     product = product_with_torus(unit_sphere(4), 2)
     bases = tangent_bases(product, sample(product, 200, seed=32))

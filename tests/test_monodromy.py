@@ -204,6 +204,82 @@ def test_flow_aborts_inside_binding_band():
         flow(quadric_spinning_field(QUADRIC), nudged, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_fused_stage_one_matches_eval_and_modulus(n):
+    rep = quadric_open_book(n)
+    y = quadric_spinning_field(rep)
+    near = sample(rep.binding, 20, seed=50 + n)
+    near = near + 1e-4 * rng_for(52).normal(size=near.shape)
+    near /= np.linalg.norm(near, axis=-1, keepdims=True)
+    pts = np.concatenate([sample(rep.manifold, 200, seed=50), near])
+    vel, fval = y.eval_with_f(pts)
+    assert np.array_equal(vel, y.eval(pts))
+    assert np.max(np.abs(np.abs(fval) - rep.f.modulus(pts))) <= 1e-15
+
+
+def test_unfused_stage_one_is_eval_and_f_value():
+    y = coordinate_spinning_field(COORDINATE)
+    pts = sample(COORDINATE.manifold, 50, seed=53)
+    vel, fval = y.eval_with_f(pts)
+    assert np.array_equal(vel, y.eval(pts))
+    assert np.array_equal(fval, COORDINATE.f.value(pts))
+
+
+def _modulus_band_flow(y, p0, t_end, step, min_abs_f):
+    # the RK4 loop with its band test on rep.f.modulus ahead of stage 1,
+    # kept as the reference for the fused stage-1 test; returns the step
+    # that aborts (or None) and the endpoint
+    from openbooks.manifolds import gauss_newton_step
+    pts = np.array(p0, float)
+    manifold = y.rep.manifold
+    h = np.sign(t_end) * step
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(int(round(abs(t_end) / step))):
+        if (y.rep.f.modulus(pts) < min_abs_f).any():
+            return i, pts
+        k1 = y.eval(pts)
+        k2 = y.eval(pts + half * k1)
+        k3 = y.eval(pts + half * k2)
+        k4 = y.eval(pts + h * k3)
+        pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        pts = gauss_newton_step(manifold, pts, manifold.constraints(pts))
+    return None, pts
+
+
+def test_fused_band_test_aborts_at_the_reference_step():
+    # nudged binding points, on the sphere (abort at step 0) and pushed
+    # off it by 5%: the projection then shrinks |f| over the first steps,
+    # so the abort comes later and depends on the threshold
+    y = quadric_spinning_field(QUADRIC)
+    bind = sample(QUADRIC.binding, 5, seed=14)
+    nudged = bind + 1e-8 * rng_for(15).normal(size=bind.shape)
+    nudged /= np.linalg.norm(nudged, axis=-1, keepdims=True)
+    low = np.min(QUADRIC.f.modulus(nudged))
+    far = _off_binding(QUADRIC, 5, seed=54, band=0.1)
+    cases = [(nudged, 1e-6), (1.05 * nudged, 1.0001 * low),
+             (1.05 * nudged, 1.01 * low)]
+    steps = []
+    for start, band in cases:
+        pts = np.concatenate([far, start])
+        want, _ = _modulus_band_flow(y, pts, 1.0, 1e-3, band)
+        with pytest.raises(FlowAborted, match=f"at step {want}$"):
+            flow(y, pts, 1.0, 1e-3, min_abs_f=band)
+        steps.append(want)
+    assert steps == [0, 2, 1]
+    want, end = _modulus_band_flow(y, far, 0.05, 1e-3, 1e-6)
+    assert want is None
+    assert np.array_equal(flow(y, far, 0.05, 1e-3), end)
+
+
+@pytest.mark.parametrize("seed", [55, 56])
+def test_negative_time_flow_equals_flowing_minus_y(seed):
+    y = quadric_spinning_field(QUADRIC)
+    minus_y = SpinningField(QUADRIC, lambda p: -y.eval(p), "analytic")
+    pts = _off_binding(QUADRIC, 50, seed=seed, band=0.05)
+    assert np.array_equal(flow(y, pts, -1.0, 1e-3),
+                          flow(minus_y, pts, 1.0, 1e-3))
+
+
 def test_flow_nonconvergence_error():
     # a deliberately coarse step: the truncation error (~1e-4) exceeds the
     # step-halving budget by orders of magnitude
