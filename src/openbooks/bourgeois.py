@@ -30,17 +30,15 @@ def extend_form(a: KForm, extra: int = 2) -> KForm:
     """Reinterpret a form on R^m as a form on R^(m+extra) whose
     coefficients do not involve the new trailing coordinates."""
     m = a.ambient_dim
-    src = {idx: i for i, idx in enumerate(increasing_indices(m, a.degree))}
-    tgt = increasing_indices(m + extra, a.degree)
-    scatter = np.zeros((len(src), len(tgt)))
-    for j, idx in enumerate(tgt):
-        if idx and idx[-1] >= m:
-            continue
-        scatter[src[idx], j] = 1.0
+    src, tgt = (increasing_indices(n, a.degree) for n in (m, m + extra))
+    cols = np.asarray([tgt.index(idx) for idx in src])
     fa = a.coeffs
 
     def coeffs(p):
-        return fa(p[..., :m]) @ scatter
+        c = fa(p[..., :m])
+        out = np.zeros(c.shape[:-1] + (len(tgt),))
+        out[..., cols] = c
+        return out
 
     return KForm(a.degree, m + extra, coeffs)
 

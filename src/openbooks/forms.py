@@ -11,14 +11,21 @@ A k-form with coefficients ``c_I`` relative to the increasing multi-indices
 
     sum_I  c_I * det( [v_b[i_a]]_{a,b} ) .
 
-The minors det(...) are the Pluecker coordinates of the vectors, computed
-as the iterated wedge v_1 ^ v_2 ^ ... ^ v_k of 1-forms with the same
-shuffle table as :func:`wedge`.  No LAPACK determinant is taken, so the
-values carry this expansion's rounding, not that of an LU factorisation;
-the two agree to about 1e-15 relative to the product of the vector norms.
+Every wedge is one kernel, :func:`_shuffle`.  Each output index of a
+ka ^ kb wedge has s = C(ka+kb, ka) splits into a left and a right index,
+so its :func:`_wedge_table` is three (C(m, ka+kb), s) arrays: left
+positions, right positions and merge signs.  The kernel sums the s signed
+products column by column; a +-1 sign multiplies exactly, there is no
+dense scatter matrix and no BLAS call, and a NaN coefficient reaches only
+the outputs whose splits use it.  The minors det(...) are the Pluecker
+coordinates of the vectors, the iterated wedge v_1 ^ ... ^ v_k of 1-forms.
+No LAPACK determinant is taken, so the values carry this expansion's
+rounding, not that of an LU factorisation; the two agree to about 1e-15
+relative to the product of the vector norms.
 
-:func:`pluecker` sorts the argument vectors lexicographically first and
-folds the permutation sign into the minors, which makes the alternation
+:func:`pluecker` sorts three or more argument vectors lexicographically
+and folds the permutation sign into the minors (two need no sort, as
+a_i b_j - a_j b_i is exactly antisymmetric), which makes the alternation
 property exact: swapping two arguments flips the sign bit-for-bit.  There
 is one evaluation path: :meth:`KForm.at_basis` is the dot product of the
 coefficients with ``pluecker(vectors)``, and :meth:`KForm.on_pluecker`
@@ -97,24 +104,24 @@ def _merge_sign(left: tuple, right: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _wedge_table(m: int, ka: int, kb: int):
-    pos_out = _index_positions(m, ka + kb)
+    pos_a, pos_b = _index_positions(m, ka), _index_positions(m, kb)
     ia, ib, sg = [], [], []
-    n_out = len(pos_out)
-    scatter = np.zeros((0, n_out))
-    rows = []
-    for a_i, left in enumerate(increasing_indices(m, ka)):
-        left_set = set(left)
-        for b_i, right in enumerate(increasing_indices(m, kb)):
-            if left_set & set(right):
-                continue
-            merged = tuple(sorted(left + right))
-            ia.append(a_i)
-            ib.append(b_i)
-            sg.append(_merge_sign(left, right))
-            rows.append(pos_out[merged])
-    scatter = np.zeros((len(rows), n_out))
-    scatter[np.arange(len(rows)), rows] = np.asarray(sg, float)
-    return np.asarray(ia), np.asarray(ib), scatter
+    for idx in increasing_indices(m, ka + kb):
+        splits = [(left, tuple(j for j in idx if j not in left))
+                  for left in combinations(idx, ka)]
+        ia.append([pos_a[left] for left, _ in splits])
+        ib.append([pos_b[right] for _, right in splits])
+        sg.append([_merge_sign(left, right) for left, right in splits])
+    return np.asarray(ia), np.asarray(ib), np.asarray(sg, float)
+
+
+def _shuffle(ca, cb, table):
+    """Wedge coefficients: per output, sum of sign * ca[left] * cb[right]."""
+    ia, ib, sg = table
+    out = sg[:, 0] * ca[..., ia[:, 0]] * cb[..., ib[:, 0]]
+    for j in range(1, sg.shape[1]):
+        out += sg[:, j] * ca[..., ia[:, j]] * cb[..., ib[:, j]]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +168,7 @@ def _minors(vectors):
     k, m = vectors.shape[-2:]
     w = vectors[..., 0, :]
     for j in range(1, k):
-        ia, ib, scatter = _wedge_table(m, j, 1)
-        w = (w[..., ia] * vectors[..., j, ib]) @ scatter
+        w = _shuffle(w, vectors[..., j, :], _wedge_table(m, j, 1))
     return w
 
 
@@ -187,15 +193,15 @@ def _lex_order_sign(vectors):
 def pluecker(vectors):
     """Signed Pluecker coordinates of vectors (..., k, m): (..., C(m, k)).
 
-    The vectors are sorted lexicographically, their minors taken by
-    :func:`_minors`, and the sort's permutation sign multiplied in, which
-    is exact.  A k-form evaluates on the vectors as the dot product of its
-    coefficients with these coordinates (:meth:`KForm.on_pluecker`), so a
-    frame shared by several forms needs its coordinates only once.
+    Three or more vectors are sorted lexicographically, their minors taken
+    by :func:`_minors`, and the sort's permutation sign multiplied in,
+    which is exact.  A k-form evaluates on the vectors as the dot product
+    of its coefficients with these coordinates (:meth:`KForm.on_pluecker`),
+    so a frame shared by several forms needs its coordinates only once.
     """
     v = np.asarray(vectors, float)
-    if v.shape[-2] == 1:                        # sorting one vector is a no-op
-        return v[..., 0, :]
+    if v.shape[-2] <= 2:        # a_i b_j - a_j b_i is exactly antisymmetric
+        return _minors(v)
     order, sign = _lex_order_sign(v)
     vs = np.take_along_axis(v, order[..., None], axis=-2)
     return sign[..., None] * _minors(vs)
@@ -301,12 +307,11 @@ class KForm:
             return np.stack([np.einsum("...i,...i->...", c, e[..., j, :])
                              for j in range(d)], axis=-1)
         out = np.zeros(e.shape[:-2] + (d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                pair = np.stack([e[..., i, :], e[..., j, :]], axis=-2)
-                val = np.einsum("...i,...i->...", c, pluecker(pair))
-                out[..., i, j] = val
-                out[..., j, i] = -val
+        # pair by pair: stacking all P pairs made P-fold temporaries, slower
+        for i, j in zip(*np.triu_indices(d, 1)):
+            val = np.einsum("...i,...i->...", c, pluecker(e[..., [i, j], :]))
+            out[..., i, j] = val
+            out[..., j, i] = -val
         return out
 
     def __add__(self, other):
@@ -435,13 +440,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k > m:
         raise DimensionMismatch(
             f"wedge degree {k} exceeds ambient dimension {m}")
-    ia, ib, scatter = _wedge_table(m, a.degree, b.degree)
+    table = _wedge_table(m, a.degree, b.degree)
     fa, fb = a.coeffs, b.coeffs
 
     def coeffs(p):
-        ca = fa(p)
-        cb = fb(p)
-        return (ca[..., ia] * cb[..., ib]) @ scatter
+        return _shuffle(fa(p), fb(p), table)
 
     return KForm(k, m, coeffs)
 
@@ -471,10 +474,9 @@ def wedge_power(a: KForm, n: int) -> KForm:
     fa = a.coeffs
 
     def coeffs(p):
-        c = fa(p)
-        out = c
-        for ia, ib, scatter in tables:
-            out = (out[..., ia] * c[..., ib]) @ scatter
+        out = c = fa(p)
+        for table in tables:
+            out = _shuffle(out, c, table)
         return out
 
     return KForm(n * k, m, coeffs)

@@ -353,14 +353,13 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
 
 def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
          min_abs_f: float = FLOW_BINDING_BAND, check_halving: bool = False,
-         halving_tol: float = 1e-5, project_every: int = 1):
-    """Classical RK4 flow of a spinning field with per-step projection back
-    to the manifold (one `manifolds.gauss_newton_step`, every
-    ``project_every`` steps).  The first stage of each step calls
-    `SpinningField.eval_with_f`, whose f(p) is the binding-band test: the
-    flow aborts if |f| drops below ``min_abs_f``.  Stages 2-4 call
-    `SpinningField.eval`.  A final residual above 1e-10 triggers a full
-    `project_to_constraints`.
+         halving_tol: float = 1e-5):
+    """Classical RK4 flow of a spinning field, projected back to the
+    manifold after every step by one `manifolds.gauss_newton_step`.  The
+    first stage of each step calls `SpinningField.eval_with_f`, whose f(p)
+    is the binding-band test: the flow aborts if |f| drops below
+    ``min_abs_f``.  Stages 2-4 call `SpinningField.eval`.  A final
+    residual above 1e-10 triggers a full `project_to_constraints`.
 
     Accepts a single point (m,) or a batch (N, m); time may be negative.
     ``check_halving`` re-runs with half the step and raises NonConvergence
@@ -385,7 +384,7 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
             k3 = y.eval(pts + half * k2)
             k4 = y.eval(pts + h * k3)
             pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            if constrained and (i + 1) % project_every == 0:
+            if constrained:
                 pts = gauss_newton_step(manifold, pts,
                                         manifold.constraints(pts))
         res = manifold.residual(pts)

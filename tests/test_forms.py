@@ -1,18 +1,22 @@
 """Exterior-calculus kernel: wedge, d, interior product, pullback, and
 the central-difference stencil."""
 
+import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openbooks.bourgeois import extend_form
 from openbooks.contact import (DefiningFunction, quadric_open_book,
                                standard_contact_form, standard_sphere)
 from openbooks.errors import DimensionMismatch
 from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
-                             _minors, central_difference, constant_form,
+                             _lex_order_sign, _merge_sign, _minors,
+                             _wedge_table, central_difference, constant_form,
                              contact_volume, coordinate_differential,
                              ext_deriv, form_from_components,
                              increasing_indices, interior, on_batch,
@@ -287,6 +291,170 @@ def test_alpha0_wedge_dalpha0_matches_expanded_polynomial():
     expected = KForm(3, 4, _alpha0_dalpha0_oracle).at_basis(pts, bases)
     np.testing.assert_allclose(top.at_basis(pts, bases), expected,
                                atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# shuffle tables
+
+
+def _wedge_grid(m):
+    return [(ka, kb) for ka in range(1, m) for kb in range(1, m - ka + 1)]
+
+
+def _dense_scatter(m, ka, kb):
+    """Reference: every disjoint (left, right) pair as a row of a dense
+    0/+-1 matrix onto the output indices, the wedge being
+    (ca[..., ia] * cb[..., ib]) @ scatter."""
+    out = {idx: i for i, idx in enumerate(increasing_indices(m, ka + kb))}
+    ia, ib, rows, signs = [], [], [], []
+    for a_i, left in enumerate(increasing_indices(m, ka)):
+        for b_i, right in enumerate(increasing_indices(m, kb)):
+            if set(left) & set(right):
+                continue
+            ia.append(a_i)
+            ib.append(b_i)
+            rows.append(out[tuple(sorted(left + right))])
+            signs.append(_merge_sign(left, right))
+    scatter = np.zeros((len(rows), len(out)))
+    scatter[np.arange(len(rows)), rows] = signs
+    return np.asarray(ia), np.asarray(ib), scatter
+
+
+def _dense_wedge(ca, cb, m, ka, kb):
+    ia, ib, scatter = _dense_scatter(m, ka, kb)
+    return (ca[..., ia] * cb[..., ib]) @ scatter
+
+
+def _dense_scale(ca, cb, m, ka, kb):
+    """Sum of |terms| per output: the scale the rounding is relative to."""
+    ia, ib, scatter = _dense_scatter(m, ka, kb)
+    return np.abs(ca[..., ia] * cb[..., ib]) @ np.abs(scatter)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_wedge_table_is_index_and_sign_arrays(m):
+    for ka, kb in _wedge_grid(m):
+        table = _wedge_table(m, ka, kb)
+        shape = (math.comb(m, ka + kb), math.comb(ka + kb, ka))
+        assert len(table) == 3
+        assert all(t.shape == shape for t in table)
+        ia, ib, sg = table
+        assert ia.dtype.kind == ib.dtype.kind == "i"
+        assert set(np.unique(sg)) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_wedge_table_rows_list_each_split_once_with_merge_sign(m):
+    for ka, kb in _wedge_grid(m):
+        ia, ib, sg = _wedge_table(m, ka, kb)
+        lefts = increasing_indices(m, ka)
+        rights = increasing_indices(m, kb)
+        for r, idx in enumerate(increasing_indices(m, ka + kb)):
+            splits = [(lefts[a], rights[b]) for a, b in zip(ia[r], ib[r])]
+            expected = [(left, tuple(j for j in idx if j not in left))
+                        for left in combinations(idx, ka)]
+            assert sorted(splits) == sorted(expected)
+            assert len(set(splits)) == len(splits)
+            for (left, right), sign in zip(splits, sg[r]):
+                assert sign == _merge_sign(left, right)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_wedge_matches_the_dense_scatter_reference(m):
+    rng = np.random.default_rng(300 + m)
+    for ka, kb in _wedge_grid(m):
+        a, b = _random_form(m, ka, seed=m + ka), _random_form(m, kb, seed=kb)
+        pts = rng.normal(size=(50, m))
+        ca, cb = a.coeffs(pts), b.coeffs(pts)
+        got = wedge(a, b).coeffs(pts)
+        ref = _dense_wedge(ca, cb, m, ka, kb)
+        scale = _dense_scale(ca, cb, m, ka, kb)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("m, k, n", [(4, 1, 3), (6, 2, 3), (7, 2, 3),
+                                     (8, 2, 4), (8, 3, 2), (8, 1, 5)])
+def test_wedge_power_matches_the_dense_scatter_reference(m, k, n):
+    base = _random_form(m, k, seed=40 + m + k)
+    pts = RNG.normal(size=(50, m))
+    c = base.coeffs(pts)
+    ref, scale = c, np.abs(c)
+    for j in range(1, n):
+        ref = _dense_wedge(ref, c, m, j * k, k)
+        scale = _dense_scale(scale, c, m, j * k, k)
+    got = wedge_power(base, n).coeffs(pts)
+    assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+
+def test_nan_in_one_coefficient_stays_in_its_outputs():
+    m, ka, kb = 6, 2, 2
+    a, b = _random_form(m, ka, seed=1), _random_form(m, kb, seed=2)
+    pts = RNG.normal(size=(10, m))
+    q = 4                                  # the coefficient of dx_0 ^ dx_5
+    ca = a.coeffs(pts)
+    ca[:, q] = np.nan
+    poisoned = wedge(KForm(ka, m, lambda p: ca), b).coeffs(pts)
+    ia, _, _ = _wedge_table(m, ka, kb)
+    uses_q = np.any(ia == q, axis=1)
+    assert 0 < np.count_nonzero(uses_q) < len(uses_q)
+    assert np.all(np.isnan(poisoned[:, uses_q]))
+    clean = wedge(a, b).coeffs(pts)
+    assert np.array_equal(poisoned[:, ~uses_q], clean[:, ~uses_q])
+
+
+@pytest.mark.parametrize("m, k", [(4, 0), (4, 1), (4, 2), (6, 3), (6, 4)])
+def test_extend_form_equals_the_zero_one_product(m, k):
+    form = _random_form(m, k, seed=m + k) if k else constant_form(m, 0, [2.5])
+    src = increasing_indices(m, k)
+    tgt = increasing_indices(m + 2, k)
+    scatter = np.zeros((len(src), len(tgt)))
+    for j, idx in enumerate(tgt):
+        if not idx or idx[-1] < m:
+            scatter[src.index(idx), j] = 1.0
+    pts = RNG.normal(size=(30, m + 2))
+    got = extend_form(form).coeffs(pts)
+    assert np.array_equal(got, form.coeffs(pts[:, :m]) @ scatter)
+
+
+def _sorted_pluecker(vectors):
+    """Reference: lex-sort the vectors, take their minors, fold in the
+    sort's sign."""
+    order, sign = _lex_order_sign(vectors)
+    vs = np.take_along_axis(vectors, order[..., None], axis=-2)
+    return sign[..., None] * _minors(vs)
+
+
+def test_pluecker_of_two_vectors_needs_no_sort():
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(500, 2, 6))
+    v[:50, 1] = v[:50, 0]                   # equal vectors
+    v[50:100, 1, :3] = v[50:100, 0, :3]     # ties in the leading entries
+    assert np.array_equal(pluecker(v), _sorted_pluecker(v))
+
+
+def _pair_loop(omega, pts, frame):
+    """Reference: the restriction built one pair at a time, each pair's
+    coordinates taken with the lex sort."""
+    c = omega.coeffs(pts)
+    d = frame.shape[-2]
+    out = np.zeros(frame.shape[:-2] + (d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            pair = np.stack([frame[..., i, :], frame[..., j, :]], axis=-2)
+            val = np.einsum("...i,...i->...", c, _sorted_pluecker(pair))
+            out[..., i, j] = val
+            out[..., j, i] = -val
+    return out
+
+
+@pytest.mark.parametrize("m, d", [(4, 3), (6, 5), (8, 7)])
+@pytest.mark.parametrize("n", [2000, 1])
+def test_restrict_two_form_equals_the_per_pair_loop(m, d, n):
+    omega = _random_two_form(m, seed=m + d)
+    pts, frame = _points_and_frame(m, d, n=n, seed=m)
+    assert np.array_equal(omega.restrict(pts, frame),
+                          _pair_loop(omega, pts, frame))
 
 
 # ---------------------------------------------------------------------------
