@@ -377,10 +377,9 @@ def _suite_disk_hypersurface():
         contact_report = contact.verify_contact(
             hs.rep.contact, pts, tolerance=CONTACT_MARGIN_TOL, seed=seed)
         off = pts[hs.rep.f.modulus(pts) > 1e-2][:200]
-        spin = monodromy.spinning_definition_check(
-            hs.rep, liouville.angle_spinning_field(hs.rep), off, seed=seed)
-        end = monodromy.flow(liouville.angle_spinning_field(hs.rep),
-                             off[:50], 1.0, cfg.flow_step)
+        y = liouville.angle_spinning_field(hs.rep)
+        spin = monodromy.spinning_definition_check(hs.rep, y, off, seed=seed)
+        end = monodromy.flow(y, off[:50], 1.0, cfg.flow_step)
         identity = make_report(
             "identity_monodromy", n_samples=50,
             max_residual=np.abs(end - off[:50]), tolerance=1e-7, seed=seed,

@@ -454,7 +454,7 @@ def angle_spinning_field(rep: Representation):
         out[..., m - 1] = 2 * np.pi * p[..., m - 2]
         return out
 
-    return SpinningField(rep, eval, source="analytic")
+    return SpinningField(rep, eval, source="analytic", linear=True)
 
 
 @timed
