@@ -445,16 +445,9 @@ def angle_spinning_field(rep: Representation):
     """2 pi d/d(theta) in the normal-disk coordinates of the hypersurface
     open book: 2 pi (x d/dy - y d/dx) on the last two coordinates; a
     binding form makes this a spinning field with identity monodromy."""
-    from .monodromy import SpinningField
+    from .monodromy import plane_rotation_field
     m = rep.manifold.ambient_dim
-
-    def eval(p):
-        out = np.zeros_like(p)
-        out[..., m - 2] = -2 * np.pi * p[..., m - 1]
-        out[..., m - 1] = 2 * np.pi * p[..., m - 2]
-        return out
-
-    return SpinningField(rep, eval, source="analytic", linear=True)
+    return plane_rotation_field(rep, m - 2, m - 1)
 
 
 @timed

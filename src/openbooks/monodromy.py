@@ -44,18 +44,12 @@ class SpinningField:
     binding-band test.  A field that computes f on its way to Y passes that
     computation as ``fused`` (p -> (Y(p), f(p))); otherwise f is evaluated
     separately by ``rep.f.value``.
-
-    ``linear`` declares Y(p) = A p for a fixed matrix A.  `flow` then builds
-    the RK4 step once as a matrix (`rk4_propagator`) and takes each step as
-    one product; it refuses a field whose values at the start points are
-    not that product.
     """
 
     rep: Representation
     eval: Callable[[np.ndarray], np.ndarray]
     source: str = "linear_solve"
     fused: Callable | None = None
-    linear: bool = False
 
     def __call__(self, p):
         return self.eval(np.asarray(p, float))
@@ -149,13 +143,24 @@ def coordinate_spinning_field(rep: Representation) -> SpinningField:
     preserves d(lambda) because the correction is exact.  The solve's
     field for this book is :func:`coordinate_kernel_field`.
     """
-    def eval(p):
-        out = np.zeros_like(p)
-        out[..., 0] = -2 * np.pi * p[..., 1]
-        out[..., 1] = 2 * np.pi * p[..., 0]
-        return out
+    return plane_rotation_field(rep, 0, 1)
 
-    return SpinningField(rep, eval, source="analytic", linear=True)
+
+def plane_rotation_field(rep: Representation, i: int, j: int
+                         ) -> SpinningField:
+    """The analytic field 2 pi (x_i d/dx_j - x_j d/dx_i), which turns the
+    (x_i, x_j) plane once per unit time.  It is linear: each evaluation is
+    the single product p @ G with the (m, m) generator G, whose only
+    entries are G[i, j] = 2 pi and G[j, i] = -2 pi."""
+    m = rep.manifold.ambient_dim
+    gen = np.zeros((m, m))
+    gen[i, j] = 2 * np.pi
+    gen[j, i] = -2 * np.pi
+
+    def eval(p):
+        return p @ gen
+
+    return SpinningField(rep, eval, source="analytic")
 
 
 def coordinate_kernel_field(rep: Representation) -> SpinningField:
@@ -357,64 +362,20 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
 # flows
 
 
-LINEAR_FIELD_TOL = 1e-12
-
-
-def _rk4_step(y: SpinningField, pts, k1, h):
-    """One classical RK4 step of size h from pts, given the first stage
-    k1 = Y(pts)."""
-    half, sixth = 0.5 * h, h / 6.0
-    k2 = y.eval(pts + half * k1)
-    k3 = y.eval(pts + half * k2)
-    k4 = y.eval(pts + h * k3)
-    return pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def rk4_propagator(y: SpinningField, h: float) -> np.ndarray:
-    """The RK4 step of a linear field Y(p) = A p as an (m, m) matrix R, so
-    that the step maps a batch of row points to pts @ R.  R is the RK4
-    step applied to the rows of the identity, i.e. the polynomial
-    I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24 in B = A^T = Y(I)."""
-    eye = np.eye(y.rep.manifold.ambient_dim)
-    return _rk4_step(y, eye, y.eval(eye), h)
-
-
-def _check_linear(y: SpinningField, p0):
-    """Raise ValueError unless Y(p0) = p0 @ Y(I) to LINEAR_FIELD_TOL
-    relative to the larger side."""
-    pts = np.atleast_2d(np.asarray(p0, float))
-    direct = y.eval(pts)
-    product = pts @ y.eval(np.eye(y.rep.manifold.ambient_dim))
-    scale = max(np.max(np.abs(direct), initial=0.0),
-                np.max(np.abs(product), initial=0.0))
-    gap = np.max(np.abs(direct - product), initial=0.0)
-    if not gap <= LINEAR_FIELD_TOL * scale:
-        raise ValueError(f"field marked linear is not: |Y(p) - p Y(I)| = "
-                         f"{gap:.3e} at scale {scale:.3e}")
-
-
 def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
          min_abs_f: float = FLOW_BINDING_BAND, check_halving: bool = False,
          halving_tol: float = 1e-5):
     """Classical RK4 flow of a spinning field, projected back to the
-    manifold after every step by one `manifolds.gauss_newton_step`.  Each
-    step first tests the binding band on f(p), before the step: the flow
-    aborts if |f| drops below ``min_abs_f``.  For a general field the
-    first stage calls `SpinningField.eval_with_f`, which supplies that f,
-    and stages 2-4 call `SpinningField.eval`.  A field marked ``linear``
-    is checked against its matrix at the start points (ValueError if it
-    is not linear there); its step is built once by `rk4_propagator` from
-    the same stages, each step is one product pts @ R, and the band test
-    reads ``rep.f.value``.  A final residual above 1e-10 triggers a full
-    `project_to_constraints`.
+    manifold after every step by one `manifolds.gauss_newton_step`.  The
+    first stage of each step calls `SpinningField.eval_with_f`, whose f(p)
+    is the binding-band test: the flow aborts if |f| drops below
+    ``min_abs_f``.  Stages 2-4 call `SpinningField.eval`.  A final
+    residual above 1e-10 triggers a full `project_to_constraints`.
 
     Accepts a single point (m,) or a batch (N, m); time may be negative.
     ``check_halving`` re-runs with half the step and raises NonConvergence
     if the endpoints differ by more than halving_tol.
     """
-    if y.linear:
-        _check_linear(y, p0)
-
     def run(step_size):
         pts = np.array(p0, float, copy=True)
         single = pts.ndim == 1
@@ -424,18 +385,16 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
         constrained = manifold.constraints is not None
         n_steps = int(round(abs(t_end) / step_size))
         h = np.sign(t_end) * abs(step_size)
-        if y.linear:
-            prop = rk4_propagator(y, h)
-            f_value = y.rep.f.value
+        half, sixth = 0.5 * h, h / 6.0
         for i in range(n_steps):
-            if y.linear:
-                fval = f_value(pts)
-            else:
-                k1, fval = y.eval_with_f(pts)
+            k1, fval = y.eval_with_f(pts)
             if (np.abs(fval) < min_abs_f).any():
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
-            pts = pts @ prop if y.linear else _rk4_step(y, pts, k1, h)
+            k2 = y.eval(pts + half * k1)
+            k3 = y.eval(pts + half * k2)
+            k4 = y.eval(pts + h * k3)
+            pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             if constrained:
                 pts = gauss_newton_step(manifold, pts,
                                         manifold.constraints(pts))

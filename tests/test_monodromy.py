@@ -18,8 +18,8 @@ from openbooks.monodromy import (SpinningField, closed_form_quadric_flow,
                                  monodromy_vs_dehn_twist, page_embedding,
                                  page_embedding_inverse,
                                  quadric_spinning_field, real_to_complex,
-                                 rk4_propagator, spinning_definition_check,
-                                 spinning_field, standard_twist)
+                                 spinning_definition_check, spinning_field,
+                                 standard_twist)
 
 QUADRIC = quadric_open_book(2)
 COORDINATE = coordinate_open_book(2)
@@ -228,8 +228,8 @@ def test_unfused_stage_one_is_eval_and_f_value():
 def _modulus_band_flow(y, p0, t_end, step, min_abs_f):
     # the RK4 loop with its band test on rep.f.modulus ahead of stage 1,
     # kept as the reference for the fused stage-1 test and for the
-    # propagator step of linear fields; returns the step that aborts (or
-    # None) and the endpoint
+    # rotation fields; returns the step that aborts (or None) and the
+    # endpoint
     from openbooks.manifolds import gauss_newton_step
     pts = np.array(p0, float)
     manifold = y.rep.manifold
@@ -277,40 +277,41 @@ def _hypersurface_rep():
     return hypersurface_build(weinstein_disk_domain()).rep
 
 
-def _linear_field(kind):
+def _rotation_field(kind):
     from openbooks.liouville import angle_spinning_field
     if kind == "coordinate":
-        return coordinate_spinning_field(COORDINATE)
-    return angle_spinning_field(_hypersurface_rep())
+        return coordinate_spinning_field(COORDINATE), (0, 1)
+    rep = _hypersurface_rep()
+    m = rep.manifold.ambient_dim
+    return angle_spinning_field(rep), (m - 2, m - 1)
 
 
 @pytest.mark.parametrize("kind", ["coordinate", "angle"])
-@pytest.mark.parametrize("h", [1e-3, -1e-3, 0.05])
-def test_propagator_is_the_rk4_polynomial(kind, h):
-    y = _linear_field(kind)
-    assert y.linear
-    m = y.rep.manifold.ambient_dim
-    hb = h * y.eval(np.eye(m))
-    poly, term = np.eye(m), np.eye(m)
-    for k in range(1, 5):
-        term = term @ hb / k
-        poly = poly + term
-    assert np.max(np.abs(rk4_propagator(y, h) - poly)) <= 1e-15
+def test_rotation_fields_equal_their_column_formula(kind):
+    # the generator product gives the same numbers as writing the two
+    # rotated columns, 2 pi (-x_j, x_i), into zeros
+    y, (i, j) = _rotation_field(kind)
+    pts = sample(y.rep.manifold, 50, seed=57)
+    want = np.zeros_like(pts)
+    want[:, i] = -2 * np.pi * pts[:, j]
+    want[:, j] = 2 * np.pi * pts[:, i]
+    assert np.array_equal(y.eval(pts), want)
+    assert np.array_equal(y(pts[0]), want[0])
 
 
 @pytest.mark.parametrize("kind", ["coordinate", "angle"])
 @pytest.mark.parametrize("t_end", [1.0, -1.0])
-def test_linear_flow_matches_the_stage_loop(kind, t_end):
-    y = _linear_field(kind)
+def test_rotation_flow_matches_the_reference_loop(kind, t_end):
+    y, _ = _rotation_field(kind)
     pts = _off_binding(y.rep, 40, seed=57)
     want, end = _modulus_band_flow(y, pts, t_end, 1e-3, 1e-6)
     assert want is None
     got = flow(y, pts, t_end, 1e-3)
-    assert np.max(np.abs(got - end)) <= 1e-13
+    assert np.array_equal(got, end)
     assert np.max(np.abs(got - pts)) < 1e-7
 
 
-def test_linear_band_test_aborts_at_the_reference_step():
+def test_rotation_band_test_aborts_at_the_reference_step():
     # coordinate-field points nudged toward z_1 = 0, on the sphere and
     # pushed off it by 5%, as in the fused-stage test above
     y = coordinate_spinning_field(COORDINATE)
@@ -329,32 +330,6 @@ def test_linear_band_test_aborts_at_the_reference_step():
             flow(y, pts, 1.0, 1e-3, min_abs_f=band)
         steps.append(want)
     assert steps == [0, 2, 1]
-
-
-def test_linear_flow_evaluates_the_field_a_fixed_number_of_times():
-    # two evaluations for the linearity guard, four for the propagator;
-    # none per step
-    base = coordinate_spinning_field(COORDINATE)
-    calls = []
-
-    def counted(p):
-        calls.append(len(p))
-        return base.eval(p)
-
-    y = SpinningField(COORDINATE, counted, "analytic", linear=True)
-    pts = _off_binding(COORDINATE, 10, seed=61)
-    flow(y, pts, 0.5, 1e-3)
-    assert len(calls) == 6
-
-
-def test_quadric_field_marked_linear_raises():
-    y = quadric_spinning_field(QUADRIC)
-    wrong = SpinningField(QUADRIC, y.eval, "analytic", linear=True)
-    pts = _off_binding(QUADRIC, 10, seed=62, band=0.1)
-    with pytest.raises(ValueError, match="not"):
-        flow(wrong, pts, 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        flow(wrong, pts[0], 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("seed", [55, 56])
