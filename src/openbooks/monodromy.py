@@ -158,7 +158,7 @@ def plane_rotation_field(rep: Representation, i: int, j: int
     gen[j, i] = -2 * np.pi
 
     def eval(p):
-        return p @ gen
+        return np.dot(p, gen)
 
     return SpinningField(rep, eval, source="analytic")
 
