@@ -227,8 +227,8 @@ def test_unfused_stage_one_is_eval_and_f_value():
 
 def _modulus_band_flow(y, p0, t_end, step, min_abs_f):
     # the RK4 loop with its band test on rep.f.modulus ahead of stage 1,
-    # kept as the reference for the fused stage-1 test and for the
-    # rotation fields; returns the step that aborts (or None) and the
+    # kept as the reference for the band tests of the fused and the
+    # unfused stage 1; returns the step that aborts (or None) and the
     # endpoint
     from openbooks.manifolds import gauss_newton_step
     pts = np.array(p0, float)
@@ -299,21 +299,10 @@ def test_rotation_fields_equal_their_column_formula(kind):
     assert np.array_equal(y(pts[0]), want[0])
 
 
-@pytest.mark.parametrize("kind", ["coordinate", "angle"])
-@pytest.mark.parametrize("t_end", [1.0, -1.0])
-def test_rotation_flow_matches_the_reference_loop(kind, t_end):
-    y, _ = _rotation_field(kind)
-    pts = _off_binding(y.rep, 40, seed=57)
-    want, end = _modulus_band_flow(y, pts, t_end, 1e-3, 1e-6)
-    assert want is None
-    got = flow(y, pts, t_end, 1e-3)
-    assert np.array_equal(got, end)
-    assert np.max(np.abs(got - pts)) < 1e-7
-
-
-def test_rotation_band_test_aborts_at_the_reference_step():
-    # coordinate-field points nudged toward z_1 = 0, on the sphere and
-    # pushed off it by 5%, as in the fused-stage test above
+def test_unfused_band_test_aborts_at_the_reference_step():
+    # the unfused stage 1 (band test on rep.f.value): coordinate-field
+    # points nudged toward z_1 = 0, on the sphere and pushed off it by 5%,
+    # as in the fused-stage test above
     y = coordinate_spinning_field(COORDINATE)
     bind = sample(COORDINATE.binding, 5, seed=58)
     nudged = bind + 1e-8 * rng_for(59).normal(size=bind.shape)
