@@ -18,9 +18,9 @@ from .contact import (ContactForm, DefiningFunction, Representation,
                       openbook_volume_form, representation_conditions,
                       verify_representation)
 from .errors import DegenerateSystem
-from .forms import (KForm, SmoothMap, contact_volume, coordinate_differential,
-                    ext_deriv, increasing_indices, on_batch, pluecker, wedge,
-                    wedge_all, wedge_power)
+from .forms import (KForm, SmoothMap, bind_line, contact_volume,
+                    coordinate_differential, ext_deriv, increasing_indices,
+                    on_batch, pluecker, wedge, wedge_all, wedge_power)
 from .manifolds import (Submanifold, product_with_torus, sample,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -100,6 +100,13 @@ def bourgeois_form(rep: Representation, eps: float = 1.0,
                          eps=eps)
 
 
+def _line_volume(line, t, n, pts, coords):
+    """alpha_t ^ (d alpha_t)^n on the frames with Pluecker coordinates
+    coords, for the member alpha_t of a :func:`bind_line` family."""
+    alpha, d_alpha = line(t)
+    return contact_volume(alpha, n, d_alpha).on_pluecker(pts, coords)
+
+
 def _cartesian_expansion(rep: Representation) -> KForm:
     """First line of the product volume expansion:
 
@@ -129,13 +136,16 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     Additionally certifies the structural conditions (beta kills vectors
     tangent to the V-fibers; its coefficients are torus-independent) and
     the eps-scaling identity alpha_eps ^ (d alpha_eps)^(n+1)
-    = eps^2 * alpha ^ (d alpha)^(n+1).
+    = eps^2 * alpha ^ (d alpha)^(n+1).  Both take the form's own alpha and
+    beta: alpha_eps = alpha + (eps - bf.eps) beta is one line through
+    alpha, so alpha, beta and their derivatives are evaluated once.
     """
     n = bf.n
     pts = np.asarray(samples, float)
     bases = tangent_bases(bf.manifold, pts)
     coords = pluecker(bases)
-    direct = contact_volume(bf.alpha, n + 1).on_pluecker(pts, coords)
+    line = bind_line(bf.alpha, bf.beta, pts)
+    direct = _line_volume(line, 0.0, n + 1, pts, coords)
     expanded = _cartesian_expansion(bf.rep).on_pluecker(pts, coords)
     rel = np.abs(direct - expanded) / np.maximum(np.abs(direct),
                                                  np.abs(expanded))
@@ -166,14 +176,11 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
              "of beta is closed"))
 
     # eps-family scaling
-    base_vals = direct if bf.eps == 1.0 else None
-    if base_vals is None:
-        unit = bourgeois_form(bf.rep, 1.0)
-        base_vals = contact_volume(unit.alpha, n + 1).on_pluecker(pts, coords)
+    base_vals = direct if bf.eps == 1.0 else _line_volume(
+        line, 1.0 - bf.eps, n + 1, pts, coords)
     rel_eps = []
     for eps in eps_values:
-        scaled = bourgeois_form(bf.rep, eps)
-        vals = contact_volume(scaled.alpha, n + 1).on_pluecker(pts, coords)
+        vals = _line_volume(line, eps - bf.eps, n + 1, pts, coords)
         rel_eps.append(np.abs(vals - eps ** 2 * base_vals) / np.maximum(
             np.abs(vals), eps ** 2 * np.abs(base_vals)))
     details.append(make_report(
@@ -295,15 +302,24 @@ def inverse_form(rep: Representation, c: float) -> ContactForm:
     return ContactForm(alpha_minus, rep.manifold)
 
 
+def inverse_line(rep: Representation, samples):
+    """The forms alpha - C mu of every C, bound to the samples (a float
+    array): :func:`bind_line` of (alpha, mu), taken at t = -C."""
+    return bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
+
+
 def inverse_form_margins(rep: Representation, c: float, samples,
-                         coords=None):
+                         coords=None, line=None):
     """Reversed-orientation contact margin of alpha_minus at the samples
     (positive margin = contact with orientation opposite the reference).
-    ``coords`` may pass in pluecker(tangent_bases(rep.manifold, samples))."""
-    cf = inverse_form(rep, c)
+    ``coords`` may pass in pluecker(tangent_bases(rep.manifold, samples))
+    and ``line`` inverse_line(rep, samples), each built once for all C."""
+    samples = np.asarray(samples, float)
     if coords is None:
         coords = pluecker(tangent_bases(rep.manifold, samples))
-    return -contact_volume(cf.alpha, cf.n).on_pluecker(samples, coords)
+    if line is None:
+        line = inverse_line(rep, samples)
+    return -_line_volume(line, -c, rep.n, samples, coords)
 
 
 def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
@@ -312,11 +328,13 @@ def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
     reversed-orientation margin beats the tolerance, then re-verify at 2C
     (the construction guarantees all sufficiently large C work)."""
     cs = c_grid if c_grid is not None else [2.0 ** k for k in range(11)]
+    samples = np.asarray(samples, float)
     coords = pluecker(tangent_bases(rep.manifold, samples))
+    line = inverse_line(rep, samples)
     for c in cs:
-        margins = inverse_form_margins(rep, c, samples, coords)
+        margins = inverse_form_margins(rep, c, samples, coords, line)
         if np.min(margins) > tolerance:
-            recheck = inverse_form_margins(rep, 2 * c, samples, coords)
+            recheck = inverse_form_margins(rep, 2 * c, samples, coords, line)
             if np.min(recheck) > tolerance:
                 return c, float(np.min(margins)), float(np.min(recheck))
     raise DegenerateSystem(
@@ -332,10 +350,12 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     contact margin, re-verified at 2C, and agreement of the restriction to
     pages and binding with alpha."""
     details = []
+    samples = np.asarray(samples, float)
     bases = tangent_bases(rep.manifold, samples)
     coords = pluecker(bases)
-    margins = inverse_form_margins(rep, c, samples, coords)
-    margins2 = inverse_form_margins(rep, 2 * c, samples, coords)
+    line = inverse_line(rep, samples)
+    margins = inverse_form_margins(rep, c, samples, coords, line)
+    margins2 = inverse_form_margins(rep, 2 * c, samples, coords, line)
     details.append(make_report(
         "reversed_contact", n_samples=2 * len(samples),
         min_margin=[margins, margins2],
@@ -454,15 +474,18 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     coords = pluecker(bases)
     n = rep.n
     alpha0 = bf.alpha
-    vol0 = contact_volume(alpha0, n + 1).on_pluecker(pts, coords)
+    # alpha_tau = alpha_0 - tau C mu: one line, two stencil calls for all tau
+    line = bind_line(alpha0, extend_form(rep.f.mu_form()), pts)
+    vol0 = _line_volume(line, 0.0, n + 1, pts, coords)
     details = []
 
     pull_gaps, vols, vol_gaps = [], [], []
     for tau in tau_grid:
-        alpha_tau = family_form(rep, tau, c)
+        alpha_tau, d_alpha_tau = line(-tau * c)
         pulled = _pullback_on_bases(shear_map(rep, tau, c), alpha0, pts, bases)
         pull_gaps.append(np.abs(pulled - alpha_tau.restrict(pts, bases)))
-        vol_tau = contact_volume(alpha_tau, n + 1).on_pluecker(pts, coords)
+        vol_tau = contact_volume(alpha_tau, n + 1, d_alpha_tau).on_pluecker(
+            pts, coords)
         vols.append(vol_tau)
         vol_gaps.append(np.abs(vol_tau - vol0) / np.abs(vol0))
     details.append(make_report(
@@ -553,7 +576,7 @@ def filling_polynomial(family: FillingFamily, samples, tolerance=1e-9,
     product = bourgeois_form(rep).manifold
     coords = pluecker(tangent_bases(product, pts))
     # every coefficient below is evaluated once on the batch; the sweep
-    # combines the bound values, so no stencil runs per eps power or per T
+    # combines the bound values, so no stencil runs per eps, eps power or T
     omega = on_batch(extend_form(family.omega), pts)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)
@@ -570,13 +593,13 @@ def filling_polynomial(family: FillingFamily, samples, tolerance=1e-9,
                 wedge_power(omega, b0 - 1), vol_t2)
         tails.append(on_batch(tail, pts))
 
+    # alpha_eps = alpha_V + eps beta and d alpha_eps, bound for every eps
+    line = bind_line(extend_form(rep.contact.alpha), _beta_form(rep), pts)
     rows = []
     margins, rel_gaps = [], []
     lead_margins = {}
     for eps in family.eps_grid:
-        bf = bourgeois_form(rep, eps)
-        alpha = on_batch(bf.alpha, pts)
-        dalpha = on_batch(ext_deriv(bf.alpha), pts)
+        alpha, dalpha = line(eps)
         coef_vals = np.stack([
             wedge_all(alpha, wedge_power(dalpha, a), tails[a]).on_pluecker(
                 pts, coords) for a in range(n + 2)])  # (n+2, N)

@@ -41,6 +41,10 @@ and chains the shuffle tables on the array, :func:`contact_volume` builds
 alpha ^ (d alpha)^n from one alpha and one d alpha evaluation, and
 :func:`on_batch` binds a form's coefficients to one sample batch, for
 expressions that reuse a sub-form many times on the same points.
+:func:`bind_line` binds a family a + t b that is linear in a constant:
+since d(a + t b) = da + t db, it binds a, b, da and db once, and each
+member and its derivative is a combination of those bound values, so a
+sweep over t runs the stencil twice in all, not once per t.
 
 Every derivative of an ambient coefficient, map, constraint or defining
 function is taken by one stencil, :func:`central_difference`.
@@ -249,12 +253,6 @@ class KForm:
     @property
     def n_indices(self) -> int:
         return math.comb(self.ambient_dim, self.degree)
-
-    def coeff(self, p, index):
-        """Single coefficient c_index(p) for a strictly increasing index."""
-        index = tuple(index)
-        pos = _index_positions(self.ambient_dim, self.degree)[index]
-        return np.asarray(self.coeffs(np.asarray(p, float)))[..., pos]
 
     def __call__(self, p, *vectors):
         if len(vectors) != self.degree:
@@ -482,12 +480,17 @@ def wedge_power(a: KForm, n: int) -> KForm:
     return KForm(n * k, m, coeffs)
 
 
-def contact_volume(alpha: KForm, n: int) -> KForm:
+def contact_volume(alpha: KForm, n: int, d_alpha: KForm | None = None
+                   ) -> KForm:
     """The top form alpha ^ (d alpha)^n of a contact condition (alpha
-    itself when n = 0); alpha and d alpha are each evaluated once."""
+    itself when n = 0); alpha and d alpha are each evaluated once.  A
+    d_alpha computed beforehand, e.g. from :func:`bind_line`, is used as
+    given; otherwise it is ext_deriv(alpha)."""
     if n == 0:
         return alpha
-    return wedge(alpha, wedge_power(ext_deriv(alpha), n))
+    if d_alpha is None:
+        d_alpha = ext_deriv(alpha)
+    return wedge(alpha, wedge_power(d_alpha, n))
 
 
 def on_batch(form: KForm, points) -> KForm:
@@ -509,6 +512,27 @@ def on_batch(form: KForm, points) -> KForm:
         return c
 
     return KForm(form.degree, form.ambient_dim, coeffs)
+
+
+def bind_line(a: KForm, b: KForm, points) -> Callable:
+    """The family a + t b and its exterior derivatives, bound to a batch.
+
+    d(a + t b) = da + t db, so a, da, b and db are each evaluated once, by
+    :func:`on_batch`, and every member of the family is a combination of
+    the four bound arrays: two stencil calls however many t are taken.
+    Returns line with line(t) = (a + t b, da + t db), each combined once
+    and bound to points like :func:`on_batch` (they raise ValueError at
+    any other argument), so pass the float array that the evaluations
+    receive.  A bound form has no derivative; pass line(t)[1] on, e.g. to
+    :func:`contact_volume`.
+    """
+    a0, b0, da, db = (on_batch(f, points) for f in
+                      (a, b, ext_deriv(a), ext_deriv(b)))
+
+    def line(t):
+        return on_batch(a0 + t * b0, points), on_batch(da + t * db, points)
+
+    return line
 
 
 def ext_deriv(a: KForm, h: float = DEFAULT_FD_STEP,

@@ -623,34 +623,36 @@ def subcritical_map(mw: int) -> SmoothMap:
 
 
 @timed
-def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
+def subcritical_check(samples, tol=1e-10, seed=0,
+                      lam_can: KForm | None = None) -> CheckReport:
     """Certify the coordinate change with W = C:
 
-      - the pullback of lambda_W + lambda_can equals
+      - the pullback of lambda_W + lambda_can, with the paper's
+        cotangent convention lambda_can = -sum p dq, equals
         lambda_W + x dy - y dx + x dphi1 - y dphi2;
       - it pulls f + f_T2 = f + p1^2 + p2^2 back to f + x^2 + y^2 exactly;
       - the Jacobian on the (x, y, phi1, phi2) block has determinant -1
-        (the map is measure preserving on those slices);
-      - the minus cotangent convention lambda_can = -sum p dq is asserted
-        by testing both signs and recording the winner.
+        (the map is orientation reversing and measure preserving on those
+        slices).
+
+    ``lam_can`` replaces canonical_one_form(2) on the T*T^2 factor, whose
+    coordinates (q1, q2, p1, p2) follow (w1, w2) on the target; the
+    opposite convention -canonical_one_form(2) = +p dq must fail.
     """
     pts = np.asarray(samples, float)
     mw = 2
     m = mw + 4
     phi = subcritical_map(mw)
     details = []
+    can = canonical_one_form(2) if lam_can is None else lam_can
+
+    def lam_can_target(p):
+        out = np.zeros_like(p)
+        out[..., mw:] = can.coeffs(p[..., mw:])
+        return out
 
     lam_w = form_from_components(m, 1, {(0,): lambda p: -0.5 * p[..., 1],
                                         (1,): lambda p: 0.5 * p[..., 0]})
-
-    def lam_can_target(sign):
-        # on the target, coordinates are (w1, w2, q1, q2, p1, p2)
-        def coeffs(p):
-            out = np.zeros_like(p)
-            out[..., 2] = sign * (-p[..., 4])
-            out[..., 3] = sign * (-p[..., 5])
-            return out
-        return KForm(1, m, coeffs)
 
     expected = form_from_components(
         m, 1,
@@ -662,18 +664,13 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
          (5,): lambda p: -p[..., 3]})
 
     from .forms import pullback
-    gaps = {}
-    for sign, label in ((1.0, "minus"), (-1.0, "plus")):
-        pulled = pullback(phi, lam_w + lam_can_target(sign))
-        gaps[label] = np.max(np.abs(pulled.coeffs(pts)
-                                    - expected.coeffs(pts)))
-    winner = "minus" if gaps["minus"] <= gaps["plus"] else "plus"
+    pulled = pullback(phi, lam_w + KForm(1, m, lam_can_target))
     details.append(make_report(
         "one_form_pullback", n_samples=len(pts),
-        max_residual=gaps[winner], tolerance=tol, seed=seed,
-        note=f"pullback of lambda_W + lambda_can matches the product form; "
-             f"cotangent convention winner: {winner} "
-             f"(gaps minus={gaps['minus']:.2e}, plus={gaps['plus']:.2e})"))
+        max_residual=np.abs(pulled.coeffs(pts) - expected.coeffs(pts)),
+        tolerance=tol, seed=seed,
+        note="pullback of lambda_W + lambda_can matches the product form "
+             "(lambda_can = -p dq unless replaced)"))
 
     img = phi(pts)
     f_target = np.sum(pts[..., :2] ** 2, axis=-1) + np.sum(
@@ -690,7 +687,7 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
     det_block = float(np.linalg.det(jac[mw:, mw:]))
     details.append(make_report(
         "slice_measure", n_samples=1,
-        max_residual=abs(abs(det_block) - 1.0), tolerance=0.0, seed=seed,
+        max_residual=abs(det_block + 1.0), tolerance=0.0, seed=seed,
         note=f"(x, y, phi) slice Jacobian determinant = {det_block:+.0f}"))
 
     return merge_reports("subcritical_coordinates", details, seed=seed,

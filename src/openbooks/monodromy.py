@@ -652,8 +652,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     details = [make_report(
         "zero_section_anchor", n_samples=1, max_residual=anchor_gap,
         tolerance=tol, seed=seed,
-        note="(q, 0) -> (-q, 0) on both sides; sign convention +1 (the "
-             "positive twist)")]
+        note="(q, 0) -> (-q, 0) on both sides")]
     details.append(make_report(
         "page_monodromy_vs_twist", n_samples=len(qp),
         max_residual=gap, tolerance=tol, seed=seed,

@@ -4,7 +4,8 @@ the shear isotopy, and the filling positivity sweep."""
 import numpy as np
 import pytest
 
-from openbooks.bourgeois import (FillingFamily, bourgeois_form,
+from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
+                                 bourgeois_form, extend_form,
                                  extract_slice_representation,
                                  family_form, filling_polynomial,
                                  find_inverse_constant, interpolation_check,
@@ -14,7 +15,7 @@ from openbooks.bourgeois import (FillingFamily, bourgeois_form,
                                  verify_product_contact, verify_inverse_form)
 from openbooks.contact import (DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book)
-from openbooks.forms import ext_deriv
+from openbooks.forms import contact_volume, ext_deriv, scale_form
 from openbooks.manifolds import sample, tangent_bases
 
 
@@ -83,6 +84,34 @@ def test_product_contact_two_routes(maker):
     assert named["eps_scaling"].max_residual < 1e-8
     assert named["beta_fiber_vanishing"].max_residual == 0.0
     assert named["torus_invariance"].max_residual == 0.0
+
+
+def test_torus_dependent_beta_fails_eps_scaling():
+    # negative control: with beta scaled by a factor depending on phi1,
+    # alpha_V + eps beta is no longer eps^2-homogeneous in its volume
+    rep = quadric_open_book(2)
+    bf = bourgeois_form(rep)
+    beta = scale_form(lambda p: 1.0 + 0.5 * np.sin(p[..., 4]), bf.beta)
+    bent = BourgeoisForm(rep=rep, manifold=bf.manifold,
+                         alpha=extend_form(rep.contact.alpha) + beta,
+                         beta=beta)
+    pts = sample(bf.manifold, 500, seed=3)
+    report = verify_product_contact(bent, pts)
+    named = {d.name: d for d in report.details}
+    assert not named["eps_scaling"].passed
+    assert named["eps_scaling"].max_residual > 0.1
+    assert not report.passed
+
+
+def test_eps_scaling_reads_the_forms_own_eps():
+    # a form built at eps = 0.5 scales from its own alpha and beta
+    rep = coordinate_open_book(2)
+    bf = bourgeois_form(rep, 0.5)
+    pts = sample(bf.manifold, 300, seed=3)
+    report = verify_product_contact(bf, pts)
+    named = {d.name: d for d in report.details}
+    assert named["eps_scaling"].passed
+    assert named["eps_scaling"].max_residual < 1e-12
 
 
 def test_product_value_equals_volume_factor():
@@ -185,6 +214,18 @@ def test_inverse_form_c_zero_is_original():
     np.testing.assert_allclose(margins, 0.5, atol=1e-10)
     gap = cf.alpha.coeffs(pts) - rep.contact.alpha.coeffs(pts)
     assert np.max(np.abs(gap)) == 0.0
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 16.0, 1024.0])
+def test_inverse_margins_on_the_line_match_the_assembled_form(c):
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 200, seed=13)
+    bases = tangent_bases(rep.manifold, pts)
+    assembled = -contact_volume(inverse_form(rep, c).alpha, rep.n).at_basis(
+        pts, bases)
+    on_line = inverse_form_margins(rep, c, pts)
+    scale = max(1.0, c)
+    np.testing.assert_allclose(on_line, assembled, rtol=0, atol=1e-9 * scale)
 
 
 def test_constant_search_then_doubling():
@@ -383,6 +424,38 @@ def test_filling_stencil_calls_do_not_grow_with_the_t_grid(monkeypatch):
         assert filling_polynomial(fam, pts).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 100, seed=26)
+    bf = bourgeois_form(rep)
+    product_pts = sample(bf.manifold, 60, seed=27)
+    calls = _count_calls(monkeypatch, "central_difference")
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    # C = 2^-20 .. 2^-1 all fail before the search reaches the default grid
+    small = [2.0 ** k for k in range(-20, 0)]
+    grids = [None, small + [2.0 ** k for k in range(11)]]
+    searches = [count(lambda: find_inverse_constant(rep, pts, c_grid=g))
+                for g in grids]
+    taus = [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 21))]
+    isotopies = [count(lambda: isotopy_check(rep, 8.0, t, product_pts))
+                 for t in taus]
+    epss = [(1.0,), tuple(np.linspace(0.05, 2.0, 20))]
+    products = [count(lambda: verify_product_contact(bf, product_pts,
+                                                     eps_values=e))
+                for e in epss]
+    fillings = [count(lambda: filling_polynomial(
+        FillingFamily(rep, ext_deriv(rep.contact.alpha), e, (0.0, 1.0)),
+        product_pts)) for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
+    for counts in (searches, isotopies, products, fillings):
+        assert counts[0] == counts[1] > 0, (searches, isotopies, products,
+                                            fillings)
 
 
 def test_isotopy_takes_the_pluecker_coordinates_once(monkeypatch):

@@ -16,7 +16,8 @@ from openbooks.contact import (DefiningFunction, quadric_open_book,
 from openbooks.errors import DimensionMismatch
 from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
                              _lex_order_sign, _merge_sign, _minors,
-                             _wedge_table, central_difference, constant_form,
+                             _wedge_table, bind_line, central_difference,
+                             constant_form,
                              contact_volume, coordinate_differential,
                              ext_deriv, form_from_components,
                              increasing_indices, interior, on_batch,
@@ -213,6 +214,44 @@ def test_on_batch_evaluates_once_and_is_bound_to_its_batch():
         ext_deriv(bound).coeffs(pts)
     with pytest.raises(ValueError):
         bound.coeffs(pts)[0, 0] = 1.0     # the stored values are read-only
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bind_line_matches_the_derivative_of_each_member(k):
+    a, b = _random_form(6, k, seed=40 + k), _random_form(6, k, seed=50 + k)
+    pts = RNG.normal(size=(30, 6))
+    calls = []
+    line = bind_line(_counted(a, calls), b, pts)
+    for t in (-1024.0, -16.0, -0.5, 0.0, 0.3, 1.0, 7.0):
+        member, d_member = line(t)
+        assembled = a + t * b
+        assert np.array_equal(member.coeffs(pts), assembled.coeffs(pts))
+        fd = ext_deriv(assembled).coeffs(pts)
+        scale = np.max(np.abs(fd))
+        assert np.max(np.abs(d_member.coeffs(pts) - fd)) <= 1e-9 * scale
+    # a once at the points and twice per coordinate for its stencil, for
+    # all seven t together
+    assert len(calls) == 1 + 2 * 6
+
+
+def test_bind_line_is_bound_to_its_batch():
+    pts = RNG.normal(size=(20, 4))
+    alpha = standard_contact_form(2)
+    line = bind_line(alpha, _random_one_form(4, seed=3), pts)
+    member, d_member = line(2.0)
+    for form in (member, d_member):
+        with pytest.raises(ValueError, match="bound to a sample batch"):
+            form.coeffs(pts.copy())
+    with pytest.raises(ValueError, match="bound to a sample batch"):
+        ext_deriv(member).coeffs(pts)
+    # the precomputed derivative is what contact_volume then takes
+    top = contact_volume(member, 1, d_member)
+    moving = alpha + 2.0 * _random_one_form(4, seed=3)
+    np.testing.assert_allclose(top.coeffs(pts),
+                               contact_volume(moving, 1).coeffs(pts),
+                               rtol=1e-9, atol=1e-9)
+    with pytest.raises(ValueError, match="bound to a sample batch"):
+        contact_volume(member, 1).coeffs(pts)
 
 
 def test_restrict_rejects_other_degrees_and_frame_widths():

@@ -8,7 +8,7 @@ from openbooks.contact import verify_adapted, verify_contact, \
     verify_representation
 from openbooks.errors import DomainError
 from openbooks.liouville import (angle_spinning_field, averaged_domain,
-                                 completion_check,
+                                 canonical_one_form, completion_check,
                                  complex_plane_weinstein,
                                  disk_bundle_domain, hypersurface_build,
                                  identification_check,
@@ -267,8 +267,22 @@ def test_subcritical_identities():
     named = {d.name: d for d in report.details}
     assert named["one_form_pullback"].max_residual <= 1e-10
     assert named["lyapunov_pullback"].max_residual == 0.0
-    assert "winner: minus" in named["one_form_pullback"].note
+    assert named["slice_measure"].max_residual == 0.0
     assert "-1" in named["slice_measure"].note
+
+
+def test_plus_p_dq_fails_the_subcritical_pullback():
+    # negative control: the opposite cotangent convention +p dq
+    rng = rng_for(20)
+    pts = np.concatenate([rng.normal(size=(200, 4)),
+                          rng.uniform(0, 2 * np.pi, size=(200, 2))],
+                         axis=-1)
+    report = subcritical_check(pts, lam_can=-canonical_one_form(2))
+    named = {d.name: d for d in report.details}
+    assert not named["one_form_pullback"].passed
+    assert named["one_form_pullback"].max_residual > 1.0
+    assert named["lyapunov_pullback"].passed
+    assert not report.passed
 
 
 def test_subcritical_jacobian_determinant():

@@ -493,7 +493,6 @@ def test_monodromy_is_standard_twist():
     named = {d.name: d for d in report.details}
     assert named["page_monodromy_vs_twist"].max_residual < 1e-5
     assert named["inverse_flow"].max_residual < 1e-5
-    assert "+1" in named["zero_section_anchor"].note
 
 
 def test_inverse_twist_fails_the_monodromy_comparison():
