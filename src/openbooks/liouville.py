@@ -623,8 +623,7 @@ def subcritical_map(mw: int) -> SmoothMap:
 
 
 @timed
-def subcritical_check(samples, tol=1e-10, seed=0,
-                      lam_can: KForm | None = None) -> CheckReport:
+def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
     """Certify the coordinate change with W = C:
 
       - the pullback of lambda_W + lambda_can, with the paper's
@@ -635,16 +634,14 @@ def subcritical_check(samples, tol=1e-10, seed=0,
         (the map is orientation reversing and measure preserving on those
         slices).
 
-    ``lam_can`` replaces canonical_one_form(2) on the T*T^2 factor, whose
-    coordinates (q1, q2, p1, p2) follow (w1, w2) on the target; the
-    opposite convention -canonical_one_form(2) = +p dq must fail.
+    The T*T^2 coordinates (q1, q2, p1, p2) follow (w1, w2) on the target.
     """
     pts = np.asarray(samples, float)
     mw = 2
     m = mw + 4
     phi = subcritical_map(mw)
     details = []
-    can = canonical_one_form(2) if lam_can is None else lam_can
+    can = canonical_one_form(2)
 
     def lam_can_target(p):
         out = np.zeros_like(p)
@@ -670,7 +667,7 @@ def subcritical_check(samples, tol=1e-10, seed=0,
         max_residual=np.abs(pulled.coeffs(pts) - expected.coeffs(pts)),
         tolerance=tol, seed=seed,
         note="pullback of lambda_W + lambda_can matches the product form "
-             "(lambda_can = -p dq unless replaced)"))
+             "(lambda_can = -p dq)"))
 
     img = phi(pts)
     f_target = np.sum(pts[..., :2] ** 2, axis=-1) + np.sum(

@@ -4,11 +4,12 @@ hypersurface, Weinstein checks and the subcritical coordinate change."""
 import numpy as np
 import pytest
 
+from openbooks import liouville
 from openbooks.contact import verify_adapted, verify_contact, \
     verify_representation
 from openbooks.errors import DomainError
 from openbooks.liouville import (angle_spinning_field, averaged_domain,
-                                 canonical_one_form, completion_check,
+                                 completion_check,
                                  complex_plane_weinstein,
                                  disk_bundle_domain, hypersurface_build,
                                  identification_check,
@@ -271,13 +272,15 @@ def test_subcritical_identities():
     assert "-1" in named["slice_measure"].note
 
 
-def test_plus_p_dq_fails_the_subcritical_pullback():
+def test_plus_p_dq_fails_the_subcritical_pullback(monkeypatch):
     # negative control: the opposite cotangent convention +p dq
+    orig = liouville.canonical_one_form
+    monkeypatch.setattr(liouville, "canonical_one_form", lambda n: -orig(n))
     rng = rng_for(20)
     pts = np.concatenate([rng.normal(size=(200, 4)),
                           rng.uniform(0, 2 * np.pi, size=(200, 2))],
                          axis=-1)
-    report = subcritical_check(pts, lam_can=-canonical_one_form(2))
+    report = subcritical_check(pts)
     named = {d.name: d for d in report.details}
     assert not named["one_form_pullback"].passed
     assert named["one_form_pullback"].max_residual > 1.0
