@@ -10,16 +10,15 @@ pre-Lagrangian loop straightening.
 
 from .forms import (KForm, Point, SmoothMap, VecField,
                     constant_field, constant_form, coordinate_differential,
-                    ext_deriv, form_from_components, interior, points_close,
-                    pullback, scale_form, wedge, wedge_all, wedge_power)
-from .manifolds import (OrientedBasis, Submanifold, disk_cotangent_bundle,
-                        flat_torus, orient_page_basis, product_with_torus,
-                        project_to_constraints, rng_for, sample,
-                        tangent_bases, tangent_basis, unit_sphere)
+                    ext_deriv, form_from_components, interior, pullback,
+                    scale_form, wedge, wedge_all, wedge_power)
+from .manifolds import (Submanifold, disk_cotangent_bundle, flat_torus,
+                        product_with_torus, project_to_constraints, rng_for,
+                        sample, tangent_bases, unit_sphere)
 from .contact import (ContactForm, DefiningFunction, Representation,
                       binding_manifold, coordinate_open_book,
-                      openbook_volume_form, quadric_open_book, reeb_field,
-                      reeb_fields, standard_contact_form, standard_sphere,
+                      openbook_volume_form, quadric_open_book, reeb_fields,
+                      standard_contact_form, standard_sphere,
                       verify_adapted, verify_contact, verify_representation,
                       volume_form_cross_check)
 from .bourgeois import (BourgeoisForm, FillingFamily, bourgeois_form,
@@ -40,8 +39,7 @@ from .liouville import (HypersurfaceData, LiouvilleDomain,
                         complex_plane_weinstein, disk_bundle_domain,
                         hypersurface_build, identification_check,
                         interior_identification, page_volume_identity,
-                        quartic_disk_domain, smooth_page_embedding,
-                        subcritical_check,
+                        quartic_disk_domain, subcritical_check,
                         subcritical_coordinates, torus_cotangent_weinstein,
                         weinstein_check, weinstein_disk_domain)
 from .prelagrangian import (Loop, PreLagrangian,

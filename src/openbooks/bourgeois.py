@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contact import (ContactForm, DefiningFunction, Representation,
-                      openbook_volume_form, representation_conditions,
-                      verify_representation)
+                      openbook_volume_form, representation_conditions)
 from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     coordinate_differential, ext_deriv, increasing_indices,
@@ -57,11 +56,6 @@ class BourgeoisForm:
     def n(self) -> int:
         return self.rep.n
 
-    def slice_f(self, torus_point=None) -> DefiningFunction:
-        """Defining function of the V-slice at a torus point (the
-        coefficients are torus-independent for these forms)."""
-        return self.rep.f
-
 
 def _beta_form(rep: Representation) -> KForm:
     m = rep.manifold.ambient_dim
@@ -77,24 +71,10 @@ def _beta_form(rep: Representation) -> KForm:
     return KForm(1, m + 2, coeffs)
 
 
-def bourgeois_form(rep: Representation, eps: float = 1.0,
-                   require_valid=False) -> BourgeoisForm:
-    """Assemble the product contact form from a representation.
-
-    With ``require_valid`` the representation is re-verified first and a
-    failure propagates.
-    """
-    if require_valid:
-        pts = sample(rep.manifold, 200, 0)
-        bind = sample(rep.binding, 50, 1)
-        rep_check = verify_representation(rep, pts, bind)
-        if not rep_check.passed:
-            failed = [d.name for d in rep_check.details if not d.passed]
-            raise DegenerateSystem(
-                f"representation invalid; failed conditions: {failed}")
+def bourgeois_form(rep: Representation, eps: float = 1.0) -> BourgeoisForm:
+    """Assemble the product contact form from a representation."""
     beta = _beta_form(rep)
-    alpha_v = extend_form(rep.contact.alpha)
-    alpha = alpha_v + eps * beta if eps != 1.0 else alpha_v + beta
+    alpha = extend_form(rep.contact.alpha) + eps * beta
     product = product_with_torus(rep.manifold, 2)
     return BourgeoisForm(rep=rep, manifold=product, alpha=alpha, beta=beta,
                          eps=eps)
@@ -131,7 +111,10 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     routes that must agree:
 
       - direct exterior algebra: alpha ^ (d alpha)^(n+1);
-      - the expanded product formula (see :func:`_cartesian_expansion`).
+      - the expanded product formula (see :func:`_cartesian_expansion`),
+        times eps^2: every term of the top power takes two factors from
+        {beta, d beta}, one for each angle, so the form alpha_V + eps beta
+        has eps^2 times the volume of alpha_V + beta.
 
     Additionally certifies the structural conditions (beta kills vectors
     tangent to the V-fibers; its coefficients are torus-independent) and
@@ -146,7 +129,8 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     coords = pluecker(bases)
     line = bind_line(bf.alpha, bf.beta, pts)
     direct = _line_volume(line, 0.0, n + 1, pts, coords)
-    expanded = _cartesian_expansion(bf.rep).on_pluecker(pts, coords)
+    expanded = bf.eps ** 2 * _cartesian_expansion(bf.rep).on_pluecker(
+        pts, coords)
     rel = np.abs(direct - expanded) / np.maximum(np.abs(direct),
                                                  np.abs(expanded))
     details = [make_report(
@@ -195,15 +179,17 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
 
 
 @timed
-def extract_slice_representation(bf: BourgeoisForm, torus_point=None,
-                                 samples=None, binding_samples=None,
-                                 tolerance=1e-9, seed=0) -> CheckReport:
-    """Slice the product form at a torus point and verify that the pair
-    (alpha_V, f(. , z)) is a representation of a contact open book; a
-    failure reports which of the four conditions broke (regular value,
-    non-empty binding, theta submersion, page Liouville structure)."""
-    f_slice = bf.slice_f(torus_point)
-    rep = replace(bf.rep, f=f_slice)
+def extract_slice_representation(bf: BourgeoisForm, samples=None,
+                                 binding_samples=None, tolerance=1e-9,
+                                 seed=0) -> CheckReport:
+    """Slice the product form and verify that the pair (alpha_V, f) is a
+    representation of a contact open book; a failure reports which of the
+    four conditions broke (regular value, non-empty binding, theta
+    submersion, page Liouville structure).  The slice is the same at every
+    torus point, since the coefficients of the product form do not depend
+    on the angles, as the ``torus_invariance`` leaf of
+    :func:`verify_product_contact` certifies."""
+    rep = bf.rep
     if samples is None:
         samples = sample(rep.manifold, 500, seed)
     if binding_samples is None and rep.binding is not None:
@@ -387,26 +373,6 @@ def verify_inverse_form(rep: Representation, c: float, samples,
 
     return merge_reports(f"inverse_form[{rep.name}]", details, seed=seed,
                          note=f"inverse-monodromy form at C={c}")
-
-
-@timed
-def interpolation_check(rep: Representation, other: Representation, c: float,
-                        samples, s_values=(1/6, 2/6, 3/6, 4/6, 5/6),
-                        tolerance=1e-3, seed=0) -> CheckReport:
-    """Contact property of the convex interpolation between the corrected
-    forms built from two admissible defining functions (spot check of the
-    convexity of the construction)."""
-    coords = pluecker(tangent_bases(rep.manifold, samples))
-    margins = []
-    for s in s_values:
-        mu_s = (1 - s) * rep.f.mu_form() + s * other.f.mu_form()
-        alpha_s = rep.contact.alpha - c * mu_s
-        margins.append(-contact_volume(alpha_s, rep.n).on_pluecker(samples,
-                                                                  coords))
-    return make_report(
-        f"interpolation[{rep.name}]", n_samples=len(samples) * len(s_values),
-        min_margin=margins, tolerance=tolerance, seed=seed,
-        note="interpolated corrected forms stay contact for s in (0,1)")
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class Representation:
         f = self.f
         return scale_form(lambda p: 1.0 / f.modulus(p), alpha)
 
-    def split_samples(self, points, band=BINDING_BAND):
-        rho = self.f.modulus(points)
-        return points[rho >= band], points[rho < band]
-
 
 # ---------------------------------------------------------------------------
 # Reeb field
@@ -147,7 +143,9 @@ class Representation:
 def reeb_fields(cf: ContactForm, points, tol=1e-8):
     """Batched Reeb vectors: unique R with alpha(R) = 1, d(alpha)(R, .) = 0.
 
-    Solved as an overdetermined linear system on each tangent space; raises
+    points (N, m) give (vectors (N, m), residuals (N,)); a single point
+    (m,) gives its vector (m,) and its residual.  Solved as an
+    overdetermined linear system on each tangent space; raises
     DegenerateSystem with the singular values when the system drops rank
     (the form is not contact there).
     """
@@ -179,12 +177,6 @@ def reeb_fields(cf: ContactForm, points, tol=1e-8):
             singular_values=svals[worst])
     vectors = np.einsum("nd,ndm->nm", sol[..., 0], bases)
     return (vectors[0], residual[0]) if single else (vectors, residual)
-
-
-def reeb_field(cf: ContactForm, p, tol=1e-8):
-    """Reeb vector at a single point (see :func:`reeb_fields`)."""
-    vec, _ = reeb_fields(cf, p, tol)
-    return vec
 
 
 # ---------------------------------------------------------------------------

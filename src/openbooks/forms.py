@@ -64,24 +64,10 @@ from .errors import DimensionMismatch
 
 # Points are plain float arrays of shape (..., m).  Coordinates flagged as
 # periodic by a manifold are ordinary reals during evaluation and
-# differentiation; periodicity only matters when comparing points, see
-# :func:`points_close`.
+# differentiation.
 Point = np.ndarray
 
 DEFAULT_FD_STEP = 1e-5
-
-
-def points_close(a, b, periodic_mask=None, tol=1e-10):
-    """Compare points, reducing periodic coordinates mod 2*pi."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    d = a - b
-    if periodic_mask is not None:
-        mask = np.asarray(periodic_mask, bool)
-        wrapped = (d[..., mask] + np.pi) % (2 * np.pi) - np.pi
-        d = d.copy()
-        d[..., mask] = wrapped
-    return np.all(np.abs(d) <= tol, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +398,6 @@ class SmoothMap:
         if self.jac is not None:
             return self.jac(p)
         return central_difference(self.eval, p, DEFAULT_FD_STEP)
-
-
-def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    if inner.target_dim != outer.source_dim:
-        raise DimensionMismatch("map composition dimension mismatch")
-
-    def jac(p):
-        return outer.jacobian(inner(p)) @ inner.jacobian(p)
-
-    return SmoothMap(inner.source_dim, outer.target_dim,
-                     lambda p: outer(inner(p)), jac=jac)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,10 @@ class LiouvilleDomain:
                          self.liouville_field(p))
 
 
-def _full_ambient(m, name, sampler=None, boundary=None):
+def _full_ambient(m, name, sampler=None):
     return Submanifold(ambient_dim=m, constraints=None, n_constraints=0,
                        name=name, periodic_mask=np.zeros(m, bool),
-                       orientation="ambient", sampler=sampler,
-                       boundary=boundary)
+                       orientation="ambient", sampler=sampler)
 
 
 def quartic_disk_domain(n: int) -> LiouvilleDomain:
@@ -75,8 +74,7 @@ def quartic_disk_domain(n: int) -> LiouvilleDomain:
         r = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / m)
         return r * g
 
-    manifold = _full_ambient(m, f"D^{m}", sampler,
-                             boundary=lambda p: 1.0 - np.sum(p * p, axis=-1))
+    manifold = _full_ambient(m, f"D^{m}", sampler)
 
     def u(p):
         return 1.0 - np.sum(p * p, axis=-1) ** 2
@@ -121,8 +119,7 @@ def weinstein_disk_domain() -> LiouvilleDomain:
         r = np.sqrt(rng.uniform(0.0, 1.0, size=count))
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
 
-    manifold = _full_ambient(2, "D^2", sampler,
-                             boundary=lambda p: 1.0 - np.sum(p * p, axis=-1))
+    manifold = _full_ambient(2, "D^2", sampler)
     lam = form_from_components(2, 1, {(0,): lambda p: -0.5 * p[..., 1],
                                       (1,): lambda p: 0.5 * p[..., 0]})
 
@@ -203,17 +200,6 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
 
     return merge_reports(f"completion[{ld.name}]", details, seed=seed,
                          note="u admissible for the ideal completion")
-
-
-def averaged_domain(ld1: LiouvilleDomain, ld2: LiouvilleDomain
-                    ) -> LiouvilleDomain:
-    """Convex combination (u1 + u2)/2 of two completion functions on the
-    same domain (admissible functions form a convex set)."""
-    u1, u2, d1, d2 = ld1.u, ld2.u, ld1.du, ld2.du
-    return LiouvilleDomain(ld1.manifold, ld1.lambda_c, ld1.liouville_field,
-                           lambda p: 0.5 * (u1(p) + u2(p)),
-                           lambda p: 0.5 * (d1(p) + d2(p)),
-                           name=f"average[{ld1.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -389,56 +375,6 @@ def hypersurface_build(ld: LiouvilleDomain, tolerance=1e-9,
                          name=f"hypersurface[{ld.name}]")
     return HypersurfaceData(ld, manifold, rep,
                             float(np.min(margin)))
-
-
-def _collar_blend(t, width):
-    # quintic smoothstep weight between the squared collar profile and
-    # the identity
-    s = np.clip(t / width, 0.0, 1.0)
-    return s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def radial_collar_reparametrization(r, width=0.2):
-    """Radial reparametrization of the unit disk fixing the interior and
-    flattening quadratically at the boundary: with t = 1 - r,
-
-        1 - h(r) = t^2 (1 - w) + t w,     w = blend(t / width),
-
-    so that sqrt(u(h(r))) is smooth up to r = 1 for u vanishing linearly
-    at the boundary (the obvious embedding through sqrt(u) is not)."""
-    t = 1.0 - np.asarray(r, float)
-    w = _collar_blend(t, width)
-    h_gap = t * t * (1.0 - w) + t * w
-    return 1.0 - np.where(t >= width, t, h_gap)
-
-
-def smooth_page_embedding(ld: LiouvilleDomain, theta: float, width=0.2):
-    """Embedding of the radial 2-disk domain onto the closure of the page
-    {arg z = theta} of its hypersurface, smooth up to the boundary:
-
-        p -> (phi(p), u_tilde(p) e^{i theta}),  u_tilde = sqrt(u(phi(p)))
-
-    where phi rescales the collar by :func:`radial_collar_reparametrization`.
-    Returns the map together with u_tilde."""
-    m = ld.manifold.ambient_dim
-
-    def reparametrize(p):
-        r = np.linalg.norm(p, axis=-1)
-        h = radial_collar_reparametrization(r, width)
-        scale = np.where(r > 0, h / np.maximum(r, 1e-300), 1.0)
-        return scale[..., None] * p
-
-    def u_tilde(p):
-        return np.sqrt(np.maximum(ld.u(reparametrize(p)), 0.0))
-
-    def embed(p):
-        base = reparametrize(np.asarray(p, float))
-        radius = u_tilde(p)
-        z = np.stack([radius * np.cos(theta), radius * np.sin(theta)],
-                     axis=-1)
-        return np.concatenate([base, z], axis=-1)
-
-    return SmoothMap(m, m + 2, embed), u_tilde, reparametrize
 
 
 def angle_spinning_field(rep: Representation):

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BindingPoint, DegenerateSystem, OffManifold
-from .forms import KForm, central_difference
+from .errors import DegenerateSystem, OffManifold
+from .forms import central_difference
 
 ON_MANIFOLD_TOL = 1e-8
 RANK_RATIO = 1e-6
@@ -60,7 +60,6 @@ class Submanifold:
     orientation: object = "normal_first"
     sampler: Callable | None = None
     constraint_jac: Callable | None = None
-    boundary: Callable | None = None   # >= 0 inside, 0 on the boundary
 
     @property
     def dim(self) -> int:
@@ -83,13 +82,6 @@ class Submanifold:
         return replace(self, sampler=sampler)
 
 
-@dataclass(frozen=True)
-class OrientedBasis:
-    point: np.ndarray
-    vectors: np.ndarray        # (dim, m), orthonormal rows
-    sign: int
-
-
 def _orientation_signs(manifold: Submanifold, points, bases):
     """Orientation signs (N,) of bases (N, d, m) at points (N, m)."""
     conv = manifold.orientation
@@ -106,30 +98,6 @@ def _orientation_signs(manifold: Submanifold, points, bases):
         frames = np.concatenate([normal[:, None, :], bases], axis=1)
         return np.sign(np.linalg.det(frames))
     raise ValueError(f"unknown orientation convention {conv!r}")
-
-
-def tangent_basis(manifold: Submanifold, p, tol=ON_MANIFOLD_TOL) -> OrientedBasis:
-    """Oriented orthonormal basis of the tangent space at p."""
-    p = np.asarray(p, float)
-    if manifold.residual(p) > tol:
-        raise OffManifold(
-            f"point not on {manifold.name or 'manifold'}: residual "
-            f"{manifold.residual(p):.3e}")
-    if manifold.constraints is None:
-        basis = np.eye(manifold.ambient_dim)
-    else:
-        jac = np.atleast_2d(manifold.jacobian(p))
-        _, s, vh = np.linalg.svd(jac)
-        if not (s[0] > 0 and s[-1] > RANK_RATIO * s[0]):
-            raise DegenerateSystem(
-                "constraint Jacobian is rank deficient", singular_values=s)
-        basis = vh[manifold.n_constraints:]
-    sign = _orientation_signs(manifold, p[None, :], basis[None])[0]
-    if sign < 0:
-        basis = basis.copy()
-        basis[-1] = -basis[-1]
-        sign = 1
-    return OrientedBasis(p, basis, int(sign) if sign != 0 else 0)
 
 
 def _hypersurface_frames(grad):
@@ -241,39 +209,6 @@ def project_to_constraints(manifold: Submanifold, points, tol=1e-12,
     return p[0] if single else p
 
 
-def orient_page_basis(manifold: Submanifold, p, theta_form: KForm,
-                      volume: KForm, binding_tol=1e-8) -> OrientedBasis:
-    """Basis of the page tangent space ker d(theta) inside T_p M, oriented
-    so that prepending any R with positive theta pairing gives a positively
-    oriented basis of M (the contraction-of-volume convention).
-
-    theta_form is the regularized 1-form rho^2 d(theta); its kernel on the
-    tangent space equals the page tangent space off the binding.
-    """
-    frame = tangent_basis(manifold, p)
-    w = theta_form.restrict(p, frame.vectors)
-    norm_w = np.linalg.norm(w)
-    if norm_w <= binding_tol:
-        raise BindingPoint(
-            "d(theta) vanishes on the tangent space; point is on the binding")
-    w = w / norm_w
-    # orthonormal page basis = tangent vectors annihilated by w
-    d = frame.vectors.shape[0]
-    proj = np.eye(d) - np.outer(w, w)
-    eigval, eigvec = np.linalg.eigh(proj)
-    page_coords = eigvec[:, eigval > 0.5].T          # (d-1, d)
-    page = page_coords @ frame.vectors
-    r_vec = w @ frame.vectors                         # positive theta pairing
-    value = volume.at_basis(p, np.vstack([r_vec[None, :], page]))
-    sign = 1
-    if value < 0:
-        page = page.copy()
-        page[-1] = -page[-1]
-    elif value == 0:
-        raise DegenerateSystem("volume form vanished on assembled basis")
-    return OrientedBasis(np.asarray(p, float), page, sign)
-
-
 # ---------------------------------------------------------------------------
 # stock manifolds and samplers
 
@@ -351,7 +286,7 @@ def product_with_torus(base: Submanifold, k: int = 2, name=None) -> Submanifold:
         n_constraints=base.n_constraints,
         name=name or f"{base.name} x T^{k}",
         periodic_mask=mask,
-        orientation=base.orientation if base.orientation != "ambient" else "ambient",
+        orientation=base.orientation,
         sampler=sampler if base.sampler is not None else None,
         constraint_jac=jac if base.constraint_jac is not None else None,
     )
@@ -381,10 +316,6 @@ def disk_cotangent_bundle(n: int, p_max=1.0, name=None) -> Submanifold:
         r = rng.uniform(0.0, p_max, size=(count, 1))
         return np.concatenate([q, r * g], axis=-1)
 
-    def boundary(x):
-        p = x[..., n:]
-        return p_max**2 - np.sum(p * p, axis=-1)
-
     return Submanifold(
         ambient_dim=2 * n,
         constraints=constraints,
@@ -394,5 +325,4 @@ def disk_cotangent_bundle(n: int, p_max=1.0, name=None) -> Submanifold:
         orientation=None,
         sampler=sampler,
         constraint_jac=jac,
-        boundary=boundary,
     )

@@ -48,7 +48,6 @@ class SpinningField:
 
     rep: Representation
     eval: Callable[[np.ndarray], np.ndarray]
-    source: str = "linear_solve"
     fused: Callable | None = None
 
     def __call__(self, p):
@@ -160,7 +159,7 @@ def plane_rotation_field(rep: Representation, i: int, j: int
     def eval(p):
         return np.dot(p, gen)
 
-    return SpinningField(rep, eval, source="analytic")
+    return SpinningField(rep, eval)
 
 
 def coordinate_kernel_field(rep: Representation) -> SpinningField:
@@ -182,7 +181,7 @@ def coordinate_kernel_field(rep: Representation) -> SpinningField:
         out[..., 1] *= 2 * np.pi
         return out
 
-    return SpinningField(rep, eval, source="analytic")
+    return SpinningField(rep, eval)
 
 
 def quadric_spinning_field(rep: Representation) -> SpinningField:
@@ -209,7 +208,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
     def eval(p):
         return fused(p)[0]
 
-    return SpinningField(rep, eval, source="analytic", fused=fused)
+    return SpinningField(rep, eval, fused=fused)
 
 
 @timed

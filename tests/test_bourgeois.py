@@ -8,13 +8,14 @@ from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
                                  bourgeois_form, extend_form,
                                  extract_slice_representation,
                                  family_form, filling_polynomial,
-                                 find_inverse_constant, interpolation_check,
+                                 find_inverse_constant,
                                  inverse_form, inverse_form_margins,
                                  isotopy_check, profiled_representation,
                                  radial_profile, radial_profile_slope,
                                  verify_product_contact, verify_inverse_form)
 from openbooks.contact import (DefiningFunction, Representation,
-                               coordinate_open_book, quadric_open_book)
+                               coordinate_open_book, quadric_open_book,
+                               verify_representation)
 from openbooks.forms import contact_volume, ext_deriv, scale_form
 from openbooks.manifolds import sample, tangent_bases
 
@@ -54,8 +55,8 @@ def test_product_assembly_on_s5():
 
 
 def test_invalid_representation_propagates():
-    from openbooks.errors import DegenerateSystem
-
+    # negative control: f = z_1^2 vanishes to second order along its zero
+    # set, so 0 is not a regular value and the pair is no representation
     def value(p):
         z1 = p[..., 0] + 1j * p[..., 1]
         return z1 * z1
@@ -64,8 +65,11 @@ def test_invalid_representation_propagates():
     rep = Representation(contact=base.contact,
                          f=DefiningFunction(4, value),
                          binding=base.binding, name="bad fixture")
-    with pytest.raises(DegenerateSystem):
-        bourgeois_form(rep, require_valid=True)
+    report = verify_representation(rep, sample(rep.manifold, 200, seed=0),
+                                   sample(rep.binding, 50, seed=1))
+    assert not report.passed
+    failed = [d.name for d in report.details if not d.passed]
+    assert "regular_value" in failed
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,20 @@ def test_eps_scaling_reads_the_forms_own_eps():
     assert named["eps_scaling"].max_residual < 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.5, 2.0])
+@pytest.mark.parametrize("maker", [coordinate_open_book, quadric_open_book])
+def test_two_routes_agree_off_unit_eps(maker, eps):
+    # alpha_V + eps beta has eps^2 times the product volume of
+    # alpha_V + beta, and the expanded route scales with it
+    rep = maker(2)
+    bf = bourgeois_form(rep, eps)
+    pts = sample(bf.manifold, 300, seed=3)
+    report = verify_product_contact(bf, pts)
+    named = {d.name: d for d in report.details}
+    assert named["two_route_agreement"].max_residual < 1e-10
+    assert report.passed
+
+
 def test_product_value_equals_volume_factor():
     # the top power equals (n+1) Omega_V ^ dphi1 ^ dphi2; for the quadric
     # book on S^3 the volume form evaluates to 2, so the product value on
@@ -132,8 +150,7 @@ def test_slice_extraction_passes(maker):
     rep = maker(2)
     bf = bourgeois_form(rep)
     report = extract_slice_representation(
-        bf, torus_point=np.array([0.3, 1.2]),
-        samples=sample(rep.manifold, 400, seed=5),
+        bf, samples=sample(rep.manifold, 400, seed=5),
         binding_samples=sample(rep.binding, 80, seed=6))
     assert report.passed
 
@@ -257,16 +274,6 @@ def test_inverse_form_checks_build_each_frame_once(monkeypatch):
     report = verify_inverse_form(rep, c, pts[:200], bind)
     assert report.passed
     assert seen == [200, 50]
-
-
-def test_interpolation_with_second_profile():
-    rep = profiled_representation(quadric_open_book(2))
-    other = profiled_representation(quadric_open_book(2), r0=0.15, r1=0.5)
-    pts = sample(rep.manifold, 400, seed=15)
-    c, _, _ = find_inverse_constant(rep, pts)
-    c2, _, _ = find_inverse_constant(other, pts)
-    report = interpolation_check(rep, other, max(c, c2), pts)
-    assert report.passed
 
 
 # ---------------------------------------------------------------------------

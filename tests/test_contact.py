@@ -6,7 +6,7 @@ import pytest
 from openbooks.contact import (ContactForm, DefiningFunction,
                                Representation,
                                coordinate_open_book, openbook_volume_form,
-                               quadric_open_book, reeb_field, reeb_fields,
+                               quadric_open_book, reeb_fields,
                                standard_contact_form, standard_reeb_field,
                                standard_sphere, verify_adapted,
                                verify_contact, verify_representation,
@@ -28,8 +28,9 @@ def test_reeb_field_of_standard_r3():
     ambient = Submanifold(3, None, 0, name="R^3", orientation="ambient",
                           sampler=lambda rng, n: rng.normal(size=(n, 3)))
     cf = ContactForm(alpha, ambient)
-    r = reeb_field(cf, np.array([0.3, -0.2, 0.9]))
+    r, residual = reeb_fields(cf, np.array([0.3, -0.2, 0.9]))
     np.testing.assert_allclose(r, [0.0, 0.0, 1.0], atol=1e-9)
+    assert residual < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -74,7 +75,7 @@ def test_degenerate_form_rejected():
     ambient = Submanifold(3, None, 0, name="R^3", orientation="ambient")
     cf = ContactForm(alpha, ambient)
     with pytest.raises(DegenerateSystem) as err:
-        reeb_field(cf, np.zeros(3))
+        reeb_fields(cf, np.zeros(3))
     assert err.value.singular_values is not None
 
 

@@ -798,8 +798,8 @@ def test_pullback_functoriality():
     a = _random_two_form(m, seed=15)
     inner = SmoothMap(m, m, lambda p: np.tanh(p) + 0.2 * p)
     outer = SmoothMap(m, m, lambda p: p + 0.1 * np.sin(p))
-    from openbooks.forms import compose
-    lhs = pullback(compose(outer, inner), a)
+    # the composite's Jacobian is taken by the stencil, not by the chain rule
+    lhs = pullback(SmoothMap(m, m, lambda p: outer(inner(p))), a)
     rhs = pullback(inner, pullback(outer, a))
     pts = RNG.normal(size=(50, m))
     vecs = RNG.normal(size=(50, 2, m))
@@ -941,14 +941,3 @@ def test_interior_is_an_antiderivation(seed):
     vecs = rng.normal(size=(2, m))
     np.testing.assert_allclose(lhs.at_basis(p, vecs),
                                rhs.at_basis(p, vecs), atol=1e-10)
-
-
-def test_points_close_reduces_periodic_coordinates():
-    from openbooks.forms import points_close
-    mask = np.array([False, True])
-    a = np.array([0.5, 0.1])
-    b = np.array([0.5, 0.1 + 2 * np.pi])
-    c = np.array([0.5, 0.1 + np.pi])
-    assert points_close(a, b, mask)
-    assert not points_close(a, c, mask)
-    assert not points_close(a, b, None)

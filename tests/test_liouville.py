@@ -8,8 +8,7 @@ from openbooks import liouville
 from openbooks.contact import verify_adapted, verify_contact, \
     verify_representation
 from openbooks.errors import DomainError
-from openbooks.liouville import (angle_spinning_field, averaged_domain,
-                                 completion_check,
+from openbooks.liouville import (angle_spinning_field, completion_check,
                                  complex_plane_weinstein,
                                  disk_bundle_domain, hypersurface_build,
                                  identification_check,
@@ -74,7 +73,11 @@ def test_completion_convexity():
         lambda p: -2.0 * p, name="quadratic disk")
     pts = sample(quartic.manifold, 300, seed=4)
     boundary = _disk_boundary(4, 80, seed=5)
-    for ld in (quartic, quadratic, averaged_domain(quartic, quadratic)):
+    average = LiouvilleDomain(
+        quartic.manifold, quartic.lambda_c, quartic.liouville_field,
+        lambda p: 0.5 * (quartic.u(p) + quadratic.u(p)),
+        lambda p: 0.5 * (quartic.du(p) + quadratic.du(p)), name="average")
+    for ld in (quartic, quadratic, average):
         assert completion_check(ld, pts, boundary).passed
 
 
@@ -304,46 +307,3 @@ def test_lyapunov_pullback_componentwise():
     out = subcritical_coordinates(pts)
     assert np.array_equal(out[:, 4], pts[:, 2])
     assert np.array_equal(out[:, 5], pts[:, 3])
-
-
-def test_smooth_page_embedding(hypersurface):
-    # the collar-reparametrized embedding lands on V, is smooth up to the
-    # boundary (bounded radial derivative of the fiber radius, unlike the
-    # naive sqrt(u) embedding), and pulls alpha/|z| back to the
-    # reparametrized page Liouville form
-    from openbooks.forms import pullback, scale_form
-    from openbooks.liouville import smooth_page_embedding
-    ld = weinstein_disk_domain()
-    phi, u_tilde, reparam = smooth_page_embedding(ld, theta=0.0)
-
-    rng = rng_for(22)
-    ang = rng.uniform(0, 2 * np.pi, 200)
-    r = np.sqrt(rng.uniform(0, 1, 200))
-    pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    image = phi(pts)
-    assert np.max(hypersurface.manifold.residual(image)) < 1e-12
-
-    # one-sided radial derivative of the fiber radius stays bounded at
-    # the boundary; for sqrt(u) itself it blows up like 1/sqrt(1-r)
-    t = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-    edge = np.stack([1.0 - t, np.zeros_like(t)], axis=-1)
-    closer = np.stack([1.0 - t / 2, np.zeros_like(t)], axis=-1)
-    slope = (u_tilde(edge) - u_tilde(closer)) / (t / 2)
-    assert np.all(np.abs(slope) < 2.0)
-    naive = (np.sqrt(ld.u(edge)) - np.sqrt(ld.u(closer))) / (t / 2)
-    assert np.abs(naive[-1]) > 50.0
-
-    # pullback of alpha/|z| equals (reparametrization pullback of
-    # lambda_c) / u_tilde on the open page
-    rep = hypersurface.rep
-    quotient = scale_form(lambda x: 1.0 / rep.f.modulus(x),
-                          rep.contact.alpha)
-    pulled = pullback(phi, quotient)
-    from openbooks.forms import SmoothMap
-    reparam_map = SmoothMap(2, 2, reparam)
-    lam_back = pullback(reparam_map, ld.lambda_c)
-    inner = pts[ld.u(reparam(pts)) > 0.05]
-    vecs = rng.normal(size=(len(inner), 1, 2))
-    np.testing.assert_allclose(
-        pulled.at_basis(inner, vecs),
-        lam_back.at_basis(inner, vecs) / u_tilde(inner), atol=1e-6)

@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from openbooks.contact import coordinate_open_book, quadric_open_book
-from openbooks.errors import BindingPoint, DegenerateSystem, OffManifold
+from openbooks.contact import quadric_open_book
+from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import (Submanifold, disk_cotangent_bundle,
                                  flat_torus, gauss_newton_step,
-                                 orient_page_basis, product_with_torus,
-                                 project_to_constraints, rng_for, sample,
-                                 tangent_bases, tangent_basis, unit_sphere)
+                                 product_with_torus, project_to_constraints,
+                                 rng_for, sample, tangent_bases, unit_sphere)
 
 
 def test_circle_basis_at_east_pole():
     circle = unit_sphere(2)
-    basis = tangent_basis(circle, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(basis.vectors, [[0.0, 1.0]], atol=1e-12)
-    assert basis.sign == 1
+    basis = tangent_bases(circle, np.array([[1.0, 0.0]]))
+    np.testing.assert_allclose(basis, [[[0.0, 1.0]]], atol=1e-12)
 
 
 def test_sphere_bases_orthogonal_to_position():
@@ -51,14 +49,14 @@ def test_quadric_binding_rank():
     from openbooks.contact import binding_manifold
     k_sub = binding_manifold(rep)
     assert k_sub.dim == 1
-    basis = tangent_basis(k_sub, bind[0])
-    assert basis.vectors.shape == (1, 4)
+    basis = tangent_bases(k_sub, bind[:1])
+    assert basis.shape == (1, 1, 4)
 
 
 def test_off_manifold_rejected():
     sphere = unit_sphere(4)
     with pytest.raises(OffManifold):
-        tangent_basis(sphere, np.array([1.1, 0.0, 0.0, 0.0]))
+        tangent_bases(sphere, np.array([[1.1, 0.0, 0.0, 0.0]]))
 
 
 def test_rank_deficient_jacobian_rejected():
@@ -68,8 +66,21 @@ def test_rank_deficient_jacobian_rejected():
 
     bad = Submanifold(3, constraints, 1, name="cusp")
     with pytest.raises(DegenerateSystem) as err:
-        tangent_basis(bad, np.zeros(3), tol=1.0)
+        tangent_bases(bad, np.zeros((1, 3)), tol=1.0)
     assert err.value.singular_values is not None
+
+
+def test_rank_deficient_svd_jacobian_rejected():
+    # two constraints, the second with a gradient that vanishes at the
+    # origin: the SVD path's rank test rejects the batch
+    def constraints(p):
+        return np.stack([p[..., 0], np.sum(p * p, axis=-1) ** 2], axis=-1)
+
+    bad = Submanifold(3, constraints, 2, name="cusp line")
+    with pytest.raises(DegenerateSystem) as err:
+        tangent_bases(bad, np.zeros((1, 3)))
+    assert err.value.singular_values is not None
+    assert err.value.singular_values.shape == (1, 2)
 
 
 @pytest.mark.parametrize("manifold, base_dim", [
@@ -206,7 +217,7 @@ def test_disk_bundle_sampler():
     bundle = disk_cotangent_bundle(3)
     pts = sample(bundle, 300, seed=9)
     assert np.max(bundle.residual(pts)) < 1e-12
-    assert np.all(bundle.boundary(pts) >= -1e-12)
+    assert np.all(np.linalg.norm(pts[:, 3:], axis=-1) <= 1.0)
 
 
 def test_projection_converges():
@@ -275,66 +286,6 @@ def test_tangent_basis_after_sample_never_errors():
         pts = sample(mf, 200, seed=13)
         bases = tangent_bases(mf, pts)
         assert bases.shape == (200, mf.dim, mf.ambient_dim)
-
-
-# ---------------------------------------------------------------------------
-# page bases
-
-
-def _page_setup():
-    rep = coordinate_open_book(2)
-    mu = rep.f.mu_form()
-    alpha = rep.contact.alpha
-    from openbooks.contact import openbook_volume_form
-    volume = openbook_volume_form(rep)
-    return rep, mu, volume
-
-
-def test_page_basis_oriented_against_reeb():
-    rep, mu, volume = _page_setup()
-    pts = sample(rep.manifold, 50, seed=15)
-    pts = pts[rep.f.modulus(pts) > 0.2]
-    from openbooks.contact import standard_reeb_field
-    reeb = standard_reeb_field(2)
-    for p in pts[:10]:
-        page = orient_page_basis(rep.manifold, p, mu, volume)
-        assert page.vectors.shape == (2, 4)
-        # oracle: the volume form on (Reeb, page basis) is positive
-        frame = np.vstack([reeb(p)[None, :], page.vectors])
-        assert volume.at_basis(p, frame) > 0
-        assert np.max(np.abs([mu(p, v) for v in page.vectors])) < 1e-12
-
-
-def test_page_orientation_continuity():
-    rep, mu, volume = _page_setup()
-    p = np.array([0.8, 0.0, 0.6, 0.0])
-    page = orient_page_basis(rep.manifold, p, mu, volume)
-    # walk a short path and check transported bases stay positive
-    step = 0.02 * page.vectors[0]
-    current = p
-    basis = page.vectors
-    for _ in range(10):
-        nxt = current + step
-        nxt /= np.linalg.norm(nxt)
-        frame_next = tangent_bases(rep.manifold, nxt[None])[0]
-        coords = basis @ frame_next.T
-        # orthogonal projection preserves orientation for short steps
-        transported = coords @ frame_next
-        w = np.array([mu(nxt, v) for v in frame_next])
-        r_vec = (w / np.linalg.norm(w)) @ frame_next
-        value = volume.at_basis(nxt, np.vstack([r_vec[None], transported]))
-        ref = orient_page_basis(rep.manifold, nxt, mu, volume)
-        ref_value = volume.at_basis(nxt, np.vstack([r_vec[None],
-                                                    ref.vectors]))
-        assert np.sign(value) == np.sign(ref_value)
-        current, basis = nxt, ref.vectors
-
-
-def test_page_basis_rejects_binding_point():
-    rep, mu, volume = _page_setup()
-    binding_point = np.array([0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(BindingPoint):
-        orient_page_basis(rep.manifold, binding_point, mu, volume)
 
 
 def test_philox_generator_is_splittable():

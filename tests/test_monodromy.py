@@ -170,7 +170,7 @@ def test_negated_field_spins_the_conjugate_book():
     rep_bar = replace(QUADRIC, f=QUADRIC.f.conjugate(),
                       name="conjugate quadric")
     y = quadric_spinning_field(QUADRIC)
-    y_minus = SpinningField(rep_bar, lambda p: -y.eval(p), "analytic")
+    y_minus = SpinningField(rep_bar, lambda p: -y.eval(p))
     pts = _off_binding(QUADRIC, 100, seed=11)
     mu_bar = rep_bar.f.mu_form()
     vals = np.array([mu_bar(pts[i], y_minus(pts[i]))
@@ -324,7 +324,7 @@ def test_unfused_band_test_aborts_at_the_reference_step():
 @pytest.mark.parametrize("seed", [55, 56])
 def test_negative_time_flow_equals_flowing_minus_y(seed):
     y = quadric_spinning_field(QUADRIC)
-    minus_y = SpinningField(QUADRIC, lambda p: -y.eval(p), "analytic")
+    minus_y = SpinningField(QUADRIC, lambda p: -y.eval(p))
     pts = _off_binding(QUADRIC, 50, seed=seed, band=0.05)
     assert np.array_equal(flow(y, pts, -1.0, 1e-3),
                           flow(minus_y, pts, 1.0, 1e-3))
@@ -500,7 +500,7 @@ def test_inverse_twist_fails_the_monodromy_comparison():
     # positive twist on the zero section only
     q, p = _bundle_samples(2, 100, seed=27, r_max=0.99)
     y = quadric_spinning_field(QUADRIC)
-    inverse = SpinningField(QUADRIC, lambda pt: -y.eval(pt), "analytic")
+    inverse = SpinningField(QUADRIC, lambda pt: -y.eval(pt))
     report = monodromy_vs_dehn_twist(QUADRIC,
                                      np.concatenate([q, p], axis=-1),
                                      flow_field=inverse)
