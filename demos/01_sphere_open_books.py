@@ -29,7 +29,7 @@ from openbooks import (ContactForm, coordinate_open_book,
 sphere = standard_sphere(2)
 cf = ContactForm(standard_contact_form(2), sphere)
 pts = sample(sphere, 2000, seed=7)
-report = verify_contact(cf, pts, tolerance=1e-3)
+report = verify_contact(cf, pts)
 print(f"contact condition on S^3: margin {report.min_margin:.6f} "
       f"(pass={report.passed})")
 
@@ -51,8 +51,7 @@ print(f"least-squares residual: {residual.max():.2e}")
 for rep in (coordinate_open_book(2), quadric_open_book(2)):
     samples = sample(rep.manifold, 1500, seed=11)
     binding = sample(rep.binding, 150, seed=13)
-    adapted = verify_adapted(rep.contact, rep.f, samples, binding,
-                             tolerance=1e-3)
+    adapted = verify_adapted(rep.contact, rep.f, samples, binding)
     print(f"{rep.name}: adapted margin {adapted.min_margin:.3f} "
           f"(pass={adapted.passed})")
 

@@ -60,7 +60,7 @@ disk2 = weinstein_disk_domain()
 hs = hypersurface_build(disk2)
 pts_v = sample(hs.manifold, 1000, seed=9)
 print(f"hypersurface V (dim {hs.manifold.dim}): contact pass = "
-      f"{verify_contact(hs.rep.contact, pts_v, tolerance=1e-3).passed}, "
+      f"{verify_contact(hs.rep.contact, pts_v).passed}, "
       f"transversality margin {hs.transversality_margin:.2f}")
 binding = sample(hs.rep.binding, 100, seed=11)
 print(f"representation suite on (alpha, z): "

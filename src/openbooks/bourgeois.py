@@ -24,6 +24,15 @@ from .manifolds import (Submanifold, product_with_torus, sample,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
+# the eps values of the scaling identity in verify_product_contact
+EPS_VALUES = (0.1, 0.5, 1.0)
+# the constants C that find_inverse_constant tries, in order
+C_GRID = tuple(2.0 ** k for k in range(11))
+# reversed-orientation margin that alpha - C mu must beat at C and 2C
+INVERSE_MARGIN_TOL = 1e-3
+# the radial profile is the identity below R0 and constant above R1
+R0, R1 = 0.2, 0.4
+
 
 def extend_form(a: KForm, extra: int = 2) -> KForm:
     """Reinterpret a form on R^m as a form on R^(m+extra) whose
@@ -104,9 +113,8 @@ def _cartesian_expansion(rep: Representation) -> KForm:
 
 
 @timed
-def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
-                      tolerance=1e-9, seed=0, eps_values=(0.1, 0.5, 1.0),
-                      name=None) -> CheckReport:
+def verify_product_contact(bf: BourgeoisForm, samples, seed=0
+                           ) -> CheckReport:
     """Contact condition on V x T^2, evaluated along two independent
     routes that must agree:
 
@@ -119,9 +127,10 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     Additionally certifies the structural conditions (beta kills vectors
     tangent to the V-fibers; its coefficients are torus-independent) and
     the eps-scaling identity alpha_eps ^ (d alpha_eps)^(n+1)
-    = eps^2 * alpha ^ (d alpha)^(n+1).  Both take the form's own alpha and
-    beta: alpha_eps = alpha + (eps - bf.eps) beta is one line through
-    alpha, so alpha, beta and their derivatives are evaluated once.
+    = eps^2 * alpha ^ (d alpha)^(n+1) for eps in EPS_VALUES.  Both take
+    the form's own alpha and beta: alpha_eps = alpha + (eps - bf.eps) beta
+    is one line through alpha, so alpha, beta and their derivatives are
+    evaluated once.
     """
     n = bf.n
     pts = np.asarray(samples, float)
@@ -135,8 +144,8 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
                                                  np.abs(expanded))
     details = [make_report(
         "two_route_agreement", n_samples=len(pts),
-        min_margin=[direct, expanded], max_residual=rel, tolerance=tolerance,
-        residual_tolerance=rel_tol, seed=seed,
+        min_margin=[direct, expanded], max_residual=rel, tolerance=1e-9,
+        residual_tolerance=1e-8, seed=seed,
         note="direct alpha^(d alpha)^(n+1) vs expanded product formula")]
 
     # beta vanishes on fiber-tangent vectors (exactly: the V-tangent
@@ -163,25 +172,25 @@ def verify_product_contact(bf: BourgeoisForm, samples, rel_tol=1e-8,
     base_vals = direct if bf.eps == 1.0 else _line_volume(
         line, 1.0 - bf.eps, n + 1, pts, coords)
     rel_eps = []
-    for eps in eps_values:
+    for eps in EPS_VALUES:
         vals = _line_volume(line, eps - bf.eps, n + 1, pts, coords)
         rel_eps.append(np.abs(vals - eps ** 2 * base_vals) / np.maximum(
             np.abs(vals), eps ** 2 * np.abs(base_vals)))
     details.append(make_report(
-        "eps_scaling", n_samples=len(pts) * len(eps_values),
-        max_residual=rel_eps, tolerance=1e-12, residual_tolerance=rel_tol,
+        "eps_scaling", n_samples=len(pts) * len(EPS_VALUES),
+        max_residual=rel_eps, tolerance=1e-12, residual_tolerance=1e-8,
         seed=seed,
         note="alpha_eps ^ (d alpha_eps)^(n+1) = eps^2 alpha ^ (d alpha)^(n+1)"))
 
     return merge_reports(
-        name or f"product_contact[{bf.rep.name}]", details, seed=seed,
+        f"product_contact[{bf.rep.name}]", details, seed=seed,
         note="product form is contact; expansion and scaling identities hold")
 
 
 @timed
 def extract_slice_representation(bf: BourgeoisForm, samples=None,
-                                 binding_samples=None, tolerance=1e-9,
-                                 seed=0) -> CheckReport:
+                                 binding_samples=None, seed=0
+                                 ) -> CheckReport:
     """Slice the product form and verify that the pair (alpha_V, f) is a
     representation of a contact open book; a failure reports which of the
     four conditions broke (regular value, non-empty binding, theta
@@ -195,7 +204,7 @@ def extract_slice_representation(bf: BourgeoisForm, samples=None,
     if binding_samples is None and rep.binding is not None:
         binding_samples = sample(rep.binding, 100, seed + 1)
     reports = representation_conditions(rep, samples, binding_samples,
-                                        tolerance=tolerance, seed=seed)
+                                        seed=seed)
     out = merge_reports(f"slice_representation[{rep.name}]", reports,
                         seed=seed,
                         note="V-slice of the product form represents a "
@@ -220,25 +229,24 @@ def _smoothstep_integral(t):
     return t ** 4 * (2.5 + t * (-3.0 + t))
 
 
-def radial_profile(s, r0=0.2, r1=0.4):
-    """Monotone C^2 profile: identity (slope 1) below r0, constant above
-    r1, quintic blend between; the plateau value is r0 + (r1 - r0)/2."""
+def radial_profile(s):
+    """Monotone C^2 profile: identity (slope 1) below R0, constant above
+    R1, quintic blend between; the plateau value is R0 + (R1 - R0)/2."""
     s = np.asarray(s, float)
-    t = (s - r0) / (r1 - r0)
-    blended = r0 + (s - r0) - (r1 - r0) * _smoothstep_integral(t)
-    out = np.where(s <= r0, s, blended)
-    return np.where(s >= r1, r0 + (r1 - r0) / 2.0, out)
+    t = (s - R0) / (R1 - R0)
+    blended = R0 + (s - R0) - (R1 - R0) * _smoothstep_integral(t)
+    out = np.where(s <= R0, s, blended)
+    return np.where(s >= R1, R0 + (R1 - R0) / 2.0, out)
 
 
-def radial_profile_slope(s, r0=0.2, r1=0.4):
+def radial_profile_slope(s):
     s = np.asarray(s, float)
-    t = (s - r0) / (r1 - r0)
-    out = np.where(s <= r0, 1.0, 1.0 - _smoothstep(t))
-    return np.where(s >= r1, 0.0, out)
+    t = (s - R0) / (R1 - R0)
+    out = np.where(s <= R0, 1.0, 1.0 - _smoothstep(t))
+    return np.where(s >= R1, 0.0, out)
 
 
-def profiled_representation(rep: Representation, r0=0.2, r1=0.4
-                            ) -> Representation:
+def profiled_representation(rep: Representation) -> Representation:
     """Replace f by a version whose modulus increases with slope one near
     the binding and is constant far from it, keeping theta unchanged:
     f_new = w(|f|) f with w = profile(|f|)/|f| (w = 1 near the binding).
@@ -250,28 +258,27 @@ def profiled_representation(rep: Representation, r0=0.2, r1=0.4
     m = f.ambient_dim
 
     def weight(s):
-        return np.where(s <= r0, 1.0,
-                        radial_profile(s, r0, r1) / np.maximum(s, 1e-300))
+        return np.where(s <= R0, 1.0,
+                        radial_profile(s) / np.maximum(s, 1e-300))
 
     def weight_slope(s):
-        safe = np.maximum(s, r0 / 2)
+        safe = np.maximum(s, R0 / 2)
         return np.where(
-            s <= r0, 0.0,
-            (radial_profile_slope(safe, r0, r1) * safe
-             - radial_profile(safe, r0, r1)) / safe ** 2)
+            s <= R0, 0.0,
+            (radial_profile_slope(safe) * safe
+             - radial_profile(safe)) / safe ** 2)
 
     def value(p):
         v = f.value(np.asarray(p, float))
         return weight(np.abs(v)) * v
 
     def gradient(p):
-        g = f.grad(p)
-        fx, fy = f.parts(p)
+        reg = f.regularized(p)
+        fx, fy, g = reg
         s = np.hypot(fx, fy)
         w = weight(s)
         dw = weight_slope(s)
-        ds = (fx[..., None] * g[..., 0, :] + fy[..., None] * g[..., 1, :]) \
-            / np.maximum(s, 1e-300)[..., None]
+        ds = reg.rho_drho / np.maximum(s, 1e-300)[..., None]
         gx = dw[..., None] * fx[..., None] * ds + w[..., None] * g[..., 0, :]
         gy = dw[..., None] * fy[..., None] * ds + w[..., None] * g[..., 1, :]
         return np.stack([gx, gy], axis=-2)
@@ -308,20 +315,19 @@ def inverse_form_margins(rep: Representation, c: float, samples,
     return -_line_volume(line, -c, rep.n, samples, coords)
 
 
-def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
-                          c_grid=None):
-    """Search C in {1, 2, 4, ..., 2^10}, accept the first value whose
-    reversed-orientation margin beats the tolerance, then re-verify at 2C
-    (the construction guarantees all sufficiently large C work)."""
-    cs = c_grid if c_grid is not None else [2.0 ** k for k in range(11)]
+def find_inverse_constant(rep: Representation, samples):
+    """Search C in C_GRID = {1, 2, 4, ..., 2^10}, accept the first value
+    whose reversed-orientation margin beats INVERSE_MARGIN_TOL, then
+    re-verify at 2C (the construction guarantees all sufficiently large C
+    work)."""
     samples = np.asarray(samples, float)
     coords = pluecker(tangent_bases(rep.manifold, samples))
     line = inverse_line(rep, samples)
-    for c in cs:
+    for c in C_GRID:
         margins = inverse_form_margins(rep, c, samples, coords, line)
-        if np.min(margins) > tolerance:
+        if np.min(margins) > INVERSE_MARGIN_TOL:
             recheck = inverse_form_margins(rep, 2 * c, samples, coords, line)
-            if np.min(recheck) > tolerance:
+            if np.min(recheck) > INVERSE_MARGIN_TOL:
                 return c, float(np.min(margins)), float(np.min(recheck))
     raise DegenerateSystem(
         "no constant in the search grid produced a reversed-orientation "
@@ -330,8 +336,7 @@ def find_inverse_constant(rep: Representation, samples, tolerance=1e-3,
 
 @timed
 def verify_inverse_form(rep: Representation, c: float, samples,
-                        binding_samples, restriction_tol=1e-10,
-                        margin_tol=1e-3, seed=0) -> CheckReport:
+                        binding_samples, seed=0) -> CheckReport:
     """Certify alpha_minus at a given constant: reversed-orientation
     contact margin, re-verified at 2C, and agreement of the restriction to
     pages and binding with alpha."""
@@ -345,7 +350,7 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     details.append(make_report(
         "reversed_contact", n_samples=2 * len(samples),
         min_margin=[margins, margins2],
-        tolerance=margin_tol, seed=seed,
+        tolerance=INVERSE_MARGIN_TOL, seed=seed,
         note=f"alpha_minus contact with reversed orientation at C={c} "
              f"and 2C"))
 
@@ -368,7 +373,7 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     details.append(make_report(
         "restriction_agreement", n_samples=len(samples) + len(binding_samples),
         max_residual=[page_gap, bind_gap],
-        tolerance=restriction_tol, seed=seed,
+        tolerance=1e-10, seed=seed,
         note="alpha_minus = alpha on page and binding tangent vectors"))
 
     return merge_reports(f"inverse_form[{rep.name}]", details, seed=seed,
@@ -427,8 +432,7 @@ def family_form(rep: Representation, tau: float, c: float) -> KForm:
 
 @timed
 def isotopy_check(rep: Representation, c: float, tau_grid, samples,
-                  pullback_tol=1e-6, volume_rel_tol=1e-6,
-                  endpoint_tol=1e-10, seed=0) -> CheckReport:
+                  seed=0) -> CheckReport:
     """For each tau: alpha_tau is contact, equals the pullback of alpha_0
     under the shear map, and has the same volume form as alpha_0; at
     tau = 1, composing with the angle flip reproduces the product form of
@@ -456,7 +460,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
         vol_gaps.append(np.abs(vol_tau - vol0) / np.abs(vol0))
     details.append(make_report(
         "shear_pullback", n_samples=len(pts) * len(tau_grid),
-        max_residual=pull_gaps, tolerance=pullback_tol, seed=seed,
+        max_residual=pull_gaps, tolerance=1e-6, seed=seed,
         note="alpha_tau equals the shear-map pullback of alpha_0"))
     details.append(make_report(
         "family_contact", n_samples=len(pts) * len(tau_grid),
@@ -465,7 +469,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     details.append(make_report(
         "volume_invariance", n_samples=len(pts) * len(tau_grid),
         max_residual=vol_gaps, tolerance=1e-12,
-        residual_tolerance=volume_rel_tol, seed=seed,
+        residual_tolerance=1e-6, seed=seed,
         note="alpha_tau ^ (d alpha_tau)^(n+1) = alpha_0 ^ (d alpha_0)^(n+1)"))
 
     # tau = 1 endpoint: flip phi2 and compare with the product form of
@@ -480,7 +484,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     details.append(make_report(
         "endpoint_flip", n_samples=len(pts),
         max_residual=np.abs(flipped - target.restrict(pts, bases)),
-        tolerance=endpoint_tol, seed=seed,
+        tolerance=1e-10, seed=seed,
         note="angle flip of alpha_1 is the product form of "
              "(alpha_minus, conj f) with reversed torus orientation"))
 
@@ -519,8 +523,8 @@ class FillingFamily:
 
 
 @timed
-def filling_polynomial(family: FillingFamily, samples, tolerance=1e-9,
-                       rel_tol=1e-8, seed=0) -> CheckReport:
+def filling_polynomial(family: FillingFamily, samples, seed=0
+                       ) -> CheckReport:
     """Positivity of P_eps(T) = alpha_eps ^ (T d alpha_eps + omega +
     vol_T2)^(n+1) over the (eps, T) grid, plus the leading-coefficient
     certificates that control T -> infinity:
@@ -603,7 +607,7 @@ def filling_polynomial(family: FillingFamily, samples, tolerance=1e-9,
         f"filling_polynomial[{rep.name}]",
         n_samples=len(pts) * len(family.eps_grid) * len(family.t_grid),
         min_margin=margins, max_residual=rel_gaps or 0.0,
-        tolerance=tolerance, residual_tolerance=rel_tol, seed=seed,
+        tolerance=1e-9, residual_tolerance=1e-8, seed=seed,
         note=("P_eps(T) positive on the grid; leading coefficients "
               f"{lead_margins} certify large T"),
         rows=rows)

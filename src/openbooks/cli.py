@@ -34,15 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SUITE_NAMES = ("g1_s3", "g2_s3", "g2_s5", "disk_hypersurface",
-               "subcritical", "prelag")
-
-# Margin bound of the contact and adapted checks.  On these books the
-# margins are constants of order one (1/2 on S^3, 1 on S^5) and their
-# finite-difference error is below 1e-11, so a margin above 1e-3 cannot
-# come from rounding or stencil error.
-CONTACT_MARGIN_TOL = 1e-3
-
 
 @dataclass
 class SuiteConfig:
@@ -123,15 +114,14 @@ def _sphere_book_checks(maker, n):
     def contact_check(cfg, seed):
         rep = maker(n)
         pts = sample(rep.manifold, cfg.samples, seed)
-        return contact.verify_contact(rep.contact, pts,
-                                      tolerance=CONTACT_MARGIN_TOL, seed=seed)
+        return contact.verify_contact(rep.contact, pts, seed=seed)
 
     def adapted_check(cfg, seed):
         rep = maker(n)
         pts = sample(rep.manifold, cfg.samples, seed)
         bind = sample(rep.binding, cfg.binding_samples, seed + 1)
         return contact.verify_adapted(rep.contact, rep.f, pts, bind,
-                                      tolerance=CONTACT_MARGIN_TOL, seed=seed)
+                                      seed=seed)
 
     def representation_check(cfg, seed):
         rep = maker(n)
@@ -374,8 +364,8 @@ def _suite_disk_hypersurface():
         bind = sample(hs.rep.binding, cfg.binding_samples, seed + 1)
         rep_report = contact.verify_representation(hs.rep, pts[:500], bind,
                                                    seed=seed)
-        contact_report = contact.verify_contact(
-            hs.rep.contact, pts, tolerance=CONTACT_MARGIN_TOL, seed=seed)
+        contact_report = contact.verify_contact(hs.rep.contact, pts,
+                                                seed=seed)
         off = pts[hs.rep.f.modulus(pts) > 1e-2][:200]
         y = liouville.angle_spinning_field(hs.rep)
         spin = monodromy.spinning_definition_check(hs.rep, y, off, seed=seed)
@@ -464,6 +454,7 @@ SUITES = {
     "subcritical": _suite_subcritical,
     "prelag": _suite_prelag,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(cfg: SuiteConfig) -> list[CheckReport]:

@@ -17,7 +17,7 @@ used only as independent cross-check oracles away from the binding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
+
+# Margin bound of the contact and adapted checks.  On the stock books the
+# margins are constants of order one (1/2 on S^3, 1 on S^5) and their
+# finite-difference error is below 1e-11, so a margin above 1e-3 cannot
+# come from rounding or stencil error.
+CONTACT_MARGIN_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,29 @@ class ContactForm:
 
     def d_alpha(self) -> KForm:
         return ext_deriv(self.alpha)
+
+
+class Regularized(NamedTuple):
+    """f_x, f_y and the gradient (..., 2, m) of f at a batch of points,
+    and the regularized quantities built from them when they are read."""
+
+    fx: np.ndarray
+    fy: np.ndarray
+    grad: np.ndarray
+
+    @property
+    def rho2(self):                 # f_x^2 + f_y^2
+        return self.fx * self.fx + self.fy * self.fy
+
+    @property
+    def mu(self):                   # f_x df_y - f_y df_x = rho^2 d(theta)
+        return (self.fx[..., None] * self.grad[..., 1, :]
+                - self.fy[..., None] * self.grad[..., 0, :])
+
+    @property
+    def rho_drho(self):             # f_x df_x + f_y df_y = rho d(rho)
+        return (self.fx[..., None] * self.grad[..., 0, :]
+                + self.fy[..., None] * self.grad[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -99,13 +128,14 @@ class DefiningFunction:
     def dfy_form(self) -> KForm:
         return KForm(1, self.ambient_dim, lambda p: self.grad(p)[..., 1, :])
 
+    def regularized(self, p) -> Regularized:
+        """rho^2, mu and rho d(rho) at p (see :class:`Regularized`), from
+        one evaluation of f and one of its gradient."""
+        return Regularized(*self.parts(p), self.grad(p))
+
     def mu_form(self) -> KForm:
         """The regularized 1-form rho^2 d(theta) = f_x df_y - f_y df_x."""
-        def coeffs(p):
-            fx, fy = self.parts(p)
-            g = self.grad(p)
-            return fx[..., None] * g[..., 1, :] - fy[..., None] * g[..., 0, :]
-        return KForm(1, self.ambient_dim, coeffs)
+        return KForm(1, self.ambient_dim, lambda p: self.regularized(p).mu)
 
     def area_form(self) -> KForm:
         """The regularized 2-form rho d(rho) ^ d(theta) = df_x ^ df_y."""
@@ -140,7 +170,7 @@ class Representation:
 # Reeb field
 
 
-def reeb_fields(cf: ContactForm, points, tol=1e-8):
+def reeb_fields(cf: ContactForm, points):
     """Batched Reeb vectors: unique R with alpha(R) = 1, d(alpha)(R, .) = 0.
 
     points (N, m) give (vectors (N, m), residuals (N,)); a single point
@@ -170,7 +200,7 @@ def reeb_fields(cf: ContactForm, points, tol=1e-8):
     sol = pinv @ rhs[..., None]
     residual = np.linalg.norm(mat @ sol - rhs[..., None], axis=(-2, -1))
     bad_rank = svals[:, -1] < 1e-6 * svals[:, 0]
-    if np.any(bad_rank) or np.any(residual > tol):
+    if np.any(bad_rank) or np.any(residual > 1e-8):
         worst = int(np.argmax(residual + bad_rank))
         raise DegenerateSystem(
             f"Reeb solve degenerate: residual {residual[worst]:.3e}",
@@ -190,22 +220,20 @@ def contact_volume_values(cf: ContactForm, points):
 
 
 @timed
-def verify_contact(cf: ContactForm, samples, tolerance=1e-9,
-                   seed=0, name=None) -> CheckReport:
+def verify_contact(cf: ContactForm, samples, seed=0) -> CheckReport:
     """Contact condition alpha ^ (d alpha)^n > 0 at the sampled points."""
     return make_report(
-        name or f"contact[{cf.manifold.name}]",
+        f"contact[{cf.manifold.name}]",
         n_samples=len(samples),
         min_margin=contact_volume_values(cf, samples),
-        tolerance=tolerance,
+        tolerance=CONTACT_MARGIN_TOL,
         seed=seed,
         note="alpha ^ (d alpha)^n positive on oriented orthonormal bases")
 
 
 @timed
 def verify_adapted(cf: ContactForm, h: DefiningFunction, samples,
-                   binding_samples, tolerance=1e-9, seed=0,
-                   name=None) -> CheckReport:
+                   binding_samples, seed=0) -> CheckReport:
     """Sufficient conditions for a contact form to be adapted to the open
     book cut out by h:
 
@@ -223,19 +251,18 @@ def verify_adapted(cf: ContactForm, h: DefiningFunction, samples,
 
     off = samples[h.modulus(samples) >= BINDING_BAND]
     reeb, _ = reeb_fields(cf, off)
-    hx, hy = h.parts(off)
-    g = h.grad(off)
-    d_on_reeb = np.einsum("ncm,nm->nc", g, reeb)
-    vals_ii = hx * d_on_reeb[:, 1] - hy * d_on_reeb[:, 0]
+    reg = h.regularized(off)
+    d_on_reeb = np.einsum("ncm,nm->nc", reg.grad, reeb)
+    vals_ii = reg.fx * d_on_reeb[:, 1] - reg.fy * d_on_reeb[:, 0]
     # the raw value of (ii) is |h|^2 d(theta)(R) and degenerates toward the
     # binding; normalizing by |h|^2 (> 0 off the band) gives a
     # scale-invariant margin of the same sign
-    scaled_ii = vals_ii / (hx * hx + hy * hy)
+    scaled_ii = vals_ii / reg.rho2
     return make_report(
-        name or f"adapted[{cf.manifold.name}]",
+        f"adapted[{cf.manifold.name}]",
         n_samples=len(binding_samples) + len(off),
         min_margin=[vals_i, scaled_ii],
-        tolerance=tolerance,
+        tolerance=CONTACT_MARGIN_TOL,
         seed=seed,
         note=("(i) alpha^(d alpha)^(n-1)^dh_x^dh_y > 0 on the binding; "
               "(ii) h_x dh_y(R) - h_y dh_x(R) > 0 off it, margin recorded "
@@ -360,7 +387,7 @@ def binding_contact_values(rep: Representation, binding_samples):
 
 
 def representation_conditions(rep: Representation, samples, binding_samples,
-                              tolerance=1e-9, seed=0):
+                              seed=0):
     """The four conditions making (alpha, f) a representation, each as its
     own report: regular value, non-empty binding, theta submersion, and
     ideal Liouville structure on the pages (volume-form positivity),
@@ -421,7 +448,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     reports.append(make_report(
         "page_liouville", n_samples=len(pts),
         min_margin=omega.at_basis(pts, frames),
-        tolerance=tolerance, seed=seed,
+        tolerance=1e-9, seed=seed,
         note=("n rho drho^dtheta^alpha^(d alpha)^(n-1) + "
               "rho^2 dtheta^(d alpha)^n positive incl. binding")))
 
@@ -432,7 +459,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
         margins = -1.0
     reports.append(make_report(
         "binding_contact", n_samples=n_bind,
-        min_margin=margins, tolerance=tolerance, seed=seed,
+        min_margin=margins, tolerance=1e-9, seed=seed,
         note="alpha positive contact form on the binding"))
 
     return reports
@@ -440,19 +467,19 @@ def representation_conditions(rep: Representation, samples, binding_samples,
 
 @timed
 def verify_representation(rep: Representation, samples, binding_samples,
-                          tolerance=1e-9, seed=0, name=None) -> CheckReport:
+                          seed=0) -> CheckReport:
     """Full representation check; failures are reported per condition."""
     reports = representation_conditions(rep, samples, binding_samples,
-                                        tolerance=tolerance, seed=seed)
+                                        seed=seed)
     return merge_reports(
-        name or f"representation[{rep.name or rep.manifold.name}]",
+        f"representation[{rep.name or rep.manifold.name}]",
         reports, seed=seed,
         note="(alpha, f) represents a contact open book")
 
 
 @timed
-def volume_form_cross_check(rep: Representation, samples, rel_tol=1e-8,
-                            seed=0, name=None) -> CheckReport:
+def volume_form_cross_check(rep: Representation, samples,
+                            seed=0) -> CheckReport:
     """Two-sided check of the volume-form identity: the regularized
     expression against |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n computed from
     raw quotient forms, at points with |f| >= the binding band."""
@@ -462,10 +489,10 @@ def volume_form_cross_check(rep: Representation, samples, rel_tol=1e-8,
     rhs = quotient_volume_values(rep, pts, coords)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
     return make_report(
-        name or f"volume_identity[{rep.name or rep.manifold.name}]",
+        f"volume_identity[{rep.name or rep.manifold.name}]",
         n_samples=len(pts),
         max_residual=rel, min_margin=lhs,
-        tolerance=1e-12, residual_tolerance=rel_tol, seed=seed,
+        tolerance=1e-12, residual_tolerance=1e-8, seed=seed,
         note=("regularized volume form agrees with "
               "|f|^(n+2) dtheta ^ (d(alpha/|f|))^n off the binding"))
 

@@ -15,13 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import ContactForm, DefiningFunction, Representation
+from .bourgeois import extend_form
+from .contact import (ContactForm, DefiningFunction, Representation,
+                      standard_contact_form)
 from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, coordinate_differential,
-                    ext_deriv, form_from_components, interior, scale_form,
-                    wedge_power)
-from .manifolds import Submanifold, tangent_bases
+                    ext_deriv, form_from_components, interior, pullback,
+                    scale_form, wedge_power)
+from .manifolds import Submanifold, disk_cotangent_bundle, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
+
+# the interior checks use the points with u >= INTERIOR_BAND
+INTERIOR_BAND = 0.05
 
 
 def canonical_one_form(n: int) -> KForm:
@@ -32,12 +37,6 @@ def canonical_one_form(n: int) -> KForm:
         return out
 
     return KForm(1, 2 * n, coeffs)
-
-
-def radial_liouville_form(n: int) -> KForm:
-    """lambda_0 = 1/2 sum (x_j dy_j - y_j dx_j), interleaved coordinates."""
-    from .contact import standard_contact_form
-    return standard_contact_form(n)
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,12 @@ def quartic_disk_domain(n: int) -> LiouvilleDomain:
         return -4.0 * np.sum(p * p, axis=-1)[..., None] * p
 
     field = VecField(m, lambda p: 0.5 * p)
-    return LiouvilleDomain(manifold, radial_liouville_form(n), field, u, du,
+    return LiouvilleDomain(manifold, standard_contact_form(n), field, u, du,
                            name=f"quartic disk D^{m}")
 
 
 def disk_bundle_domain(n: int) -> LiouvilleDomain:
     """Unit-disk cotangent bundle of S^(n-1) with u = 1 - |p|^2."""
-    from .manifolds import disk_cotangent_bundle
     manifold = disk_cotangent_bundle(n)
     m = 2 * n
 
@@ -145,7 +143,6 @@ def liouville_relation_residual(ld: LiouvilleDomain, samples):
 
 @timed
 def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
-                     tolerance=1e-9, rel_tol=1e-8, interior_band=0.05,
                      seed=0) -> CheckReport:
     """Admissibility of u for the completion: du(X) < u strictly in the
     interior and du(X) < 0 on the boundary, plus nondegeneracy of
@@ -164,18 +161,18 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
 
     details.append(make_report(
         "interior_inequality", n_samples=len(pts),
-        min_margin=ld.u(pts) - ld.du_along_field(pts), tolerance=tolerance,
+        min_margin=ld.u(pts) - ld.du_along_field(pts), tolerance=1e-9,
         seed=seed, note="du(X) < u on the interior"))
 
     bpts = np.asarray(boundary_samples, float)
     details.append(make_report(
         "boundary_inequality", n_samples=len(bpts),
         min_margin=-ld.du_along_field(bpts),
-        tolerance=tolerance, seed=seed,
+        tolerance=1e-9, seed=seed,
         note="du(X) < 0 where u = 0"))
 
     # nondegeneracy identity at interior points away from the boundary
-    inner = pts[ld.u(pts) >= interior_band]
+    inner = pts[ld.u(pts) >= INTERIOR_BAND]
     n = ld.manifold.dim // 2
     lam_over_u = scale_form(lambda p: 1.0 / ld.u(p), ld.lambda_c)
     omega = ext_deriv(lam_over_u, step_scale=lambda p: np.maximum(
@@ -194,7 +191,7 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
         "rescaled_nondegeneracy", n_samples=len(inner),
         max_residual=np.abs(lhs - rhs) / scale,
         min_margin=1.0 - ld.du_along_field(inner) / ld.u(inner),
-        tolerance=tolerance, residual_tolerance=rel_tol, seed=seed,
+        tolerance=1e-9, residual_tolerance=1e-8, seed=seed,
         note="iota_X omega^n = u^-n (1 - X(ln u)) iota_X omega_c^n, "
              "with 1 - X(ln u) > 0"))
 
@@ -235,14 +232,14 @@ def interior_identification(example_id: str, p):
 
 @timed
 def identification_check(example_id: str, ld: LiouvilleDomain, samples,
-                         tol=1e-8, seed=0) -> CheckReport:
+                         seed=0) -> CheckReport:
     """The identification pulls the model Liouville form back to
     lambda_c / u (the completed interior is exact-symplectomorphic to the
     model)."""
     pts = np.asarray(samples, float)
     m = ld.manifold.ambient_dim
     if example_id == "disk":
-        target = radial_liouville_form(m // 2)
+        target = standard_contact_form(m // 2)
 
         def jac(x):
             r4 = np.sum(x * x, axis=-1) ** 2
@@ -270,7 +267,6 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
 
     phi = SmoothMap(m, m, lambda x: interior_identification(example_id, x),
                     jac=jac)
-    from .forms import pullback
     pulled = pullback(phi, target)
     expected = scale_form(lambda x: 1.0 / ld.u(x), ld.lambda_c)
     bases = tangent_bases(ld.manifold, pts)
@@ -278,7 +274,7 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
         f"interior_identification[{example_id}]", n_samples=len(pts),
         max_residual=np.abs(pulled.restrict(pts, bases)
                             - expected.restrict(pts, bases)),
-        tolerance=tol, seed=seed,
+        tolerance=1e-8, seed=seed,
         note="pullback of the model Liouville form equals lambda_c / u")
 
 
@@ -297,8 +293,7 @@ class HypersurfaceData:
     transversality_margin: float
 
 
-def hypersurface_build(ld: LiouvilleDomain, tolerance=1e-9,
-                       binding_seed=0) -> HypersurfaceData:
+def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     """Build the hypersurface V in F x C carrying an open book with page F
     and trivial monodromy; certifies the Liouville-field transversality
     du(X) - u < 0 that makes V contact."""
@@ -337,14 +332,13 @@ def hypersurface_build(ld: LiouvilleDomain, tolerance=1e-9,
 
     # transversality of the ambient Liouville field X_L + (x dx + y dy)/2
     probe = sampler(np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(binding_seed))), 400)
+        np.random.Philox(np.random.SeedSequence(0))), 400)
     margin = ld.u(probe[..., :mf]) - ld.du_along_field(probe[..., :mf])
-    if np.min(margin) <= tolerance:
+    if np.min(margin) <= 1e-9:
         raise DomainError("ambient Liouville field is not transverse to V: "
                           f"margin {np.min(margin):.3e}")
 
     # contact form: restriction of lambda_c + 1/2 (x dy - y dx)
-    from .bourgeois import extend_form
     dx = coordinate_differential(m, mf)
     dy = coordinate_differential(m, mf + 1)
     half_rot = form_from_components(
@@ -381,14 +375,15 @@ def angle_spinning_field(rep: Representation):
     """2 pi d/d(theta) in the normal-disk coordinates of the hypersurface
     open book: 2 pi (x d/dy - y d/dx) on the last two coordinates; a
     binding form makes this a spinning field with identity monodromy."""
+    # a local import: monodromy imports this module
     from .monodromy import plane_rotation_field
     m = rep.manifold.ambient_dim
     return plane_rotation_field(rep, m - 2, m - 1)
 
 
 @timed
-def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
-                         interior_band=0.05, seed=0) -> CheckReport:
+def page_volume_identity(ld: LiouvilleDomain, samples, seed=0
+                         ) -> CheckReport:
     """Two-sided check of the page-volume identity on F:
 
         r^(n+2) [d(lambda_c / r)]^n = 1/2 (2u - du(X)) (d lambda_c)^n
@@ -396,7 +391,7 @@ def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
     with r = sqrt(u) and 2n = dim F; both sides are positive volume forms
     on the interior."""
     pts = np.asarray(samples, float)
-    pts = pts[ld.u(pts) >= interior_band]
+    pts = pts[ld.u(pts) >= INTERIOR_BAND]
     n = ld.manifold.dim // 2
 
     def r_fn(p):
@@ -416,7 +411,7 @@ def page_volume_identity(ld: LiouvilleDomain, samples, rel_tol=1e-8,
     return make_report(
         f"page_volume[{ld.name}]", n_samples=len(pts),
         max_residual=np.abs(lhs - rhs) / scale, min_margin=rhs,
-        tolerance=1e-12, residual_tolerance=rel_tol, seed=seed,
+        tolerance=1e-12, residual_tolerance=1e-8, seed=seed,
         note="r^(n+2) [d(lambda/r)]^n = 1/2 (2u - du(X)) (d lambda)^n, "
              "positive on the interior")
 
@@ -485,11 +480,11 @@ def torus_cotangent_weinstein() -> WeinsteinStructure:
 
 @timed
 def weinstein_check(w: WeinsteinStructure, samples, delta,
-                    liouville_tol=1e-8, slack=1e-12, seed=0) -> CheckReport:
+                    seed=0) -> CheckReport:
     """Lyapunov inequality df(X) >= delta (|X|^2 + |df|^2) in the ambient
     Euclidean metric, and closure of the Liouville relation
     iota_X omega = lambda.  The inequality is non-strict, so the margin is
-    allowed to touch zero up to the numerical slack."""
+    allowed to touch zero, up to a rounding slack of 1e-12."""
     pts = np.asarray(samples, float)
     x_vals = w.field(pts)
     df = w.dlyapunov(pts)
@@ -502,7 +497,7 @@ def weinstein_check(w: WeinsteinStructure, samples, delta,
         min_margin=lyap_margin,
         max_residual=np.abs(contracted.restrict(pts, bases)
                             - w.lam.restrict(pts, bases)),
-        tolerance=-slack, residual_tolerance=liouville_tol, seed=seed,
+        tolerance=-1e-12, residual_tolerance=1e-8, seed=seed,
         note=f"df(X) >= {delta} (|X|^2 + |df|^2); iota_X omega = lambda")
 
 
@@ -559,7 +554,7 @@ def subcritical_map(mw: int) -> SmoothMap:
 
 
 @timed
-def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
+def subcritical_check(samples, seed=0) -> CheckReport:
     """Certify the coordinate change with W = C:
 
       - the pullback of lambda_W + lambda_can, with the paper's
@@ -596,12 +591,11 @@ def subcritical_check(samples, tol=1e-10, seed=0) -> CheckReport:
          (4,): lambda p: p[..., 2],
          (5,): lambda p: -p[..., 3]})
 
-    from .forms import pullback
     pulled = pullback(phi, lam_w + KForm(1, m, lam_can_target))
     details.append(make_report(
         "one_form_pullback", n_samples=len(pts),
         max_residual=np.abs(pulled.coeffs(pts) - expected.coeffs(pts)),
-        tolerance=tol, seed=seed,
+        tolerance=1e-10, seed=seed,
         note="pullback of lambda_W + lambda_can matches the product form "
              "(lambda_can = -p dq)"))
 

@@ -25,14 +25,19 @@ import numpy as np
 from .contact import Representation, openbook_volume_form
 from .errors import (BindingPoint, DegenerateSystem, DomainError,
                      FlowAborted, NonConvergence)
-from .forms import (KForm, VecField, central_difference, ext_deriv, interior,
-                    wedge_power)
-from .manifolds import (FD_STEP, gauss_newton_step, project_to_constraints,
-                        tangent_bases)
+from .forms import (KForm, SmoothMap, VecField, central_difference,
+                    ext_deriv, interior, scale_form, wedge_all, wedge_power)
+from .liouville import canonical_one_form
+from .manifolds import (FD_STEP, disk_cotangent_bundle, gauss_newton_step,
+                        project_to_constraints, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
 COMPARE_BINDING_BAND = 1e-3
+# bound on every residual of the monodromy-vs-twist comparison
+TWIST_TOL = 1e-5
+# slack of |q| = 1, q . p = 0 and |p| <= 1 when a twist checks its input
+TWIST_DOMAIN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,23 +65,19 @@ class SpinningField:
         return self.eval(p), self.rep.f.value(p)
 
 
-def _spinning_solve_batch(rep: Representation, pts, residual_tol=1e-8):
+def _spinning_solve_batch(rep: Representation, pts):
     """Solve the square regularized system for Y at each point."""
-    f = rep.f
     alpha = rep.contact.alpha
     dalpha = rep.contact.d_alpha()
     bases = tangent_bases(rep.manifold, pts)
     d = bases.shape[1]
-    fx, fy = f.parts(pts)
-    rho2 = fx * fx + fy * fy
+    reg = rep.f.regularized(pts)
+    rho2 = reg.rho2
     if np.any(rho2 < FLOW_BINDING_BAND ** 2):
         raise BindingPoint("spinning field requested inside the binding band")
-    g = f.grad(pts)
-    mu = fx[..., None] * g[..., 1, :] - fy[..., None] * g[..., 0, :]
-    half_drho2 = fx[..., None] * g[..., 0, :] + fy[..., None] * g[..., 1, :]
     # tangent-space components
-    mu_t = np.einsum("nm,njm->nj", mu, bases)
-    drho2_t = np.einsum("nm,njm->nj", half_drho2, bases)
+    mu_t = np.einsum("nm,njm->nj", reg.mu, bases)
+    drho2_t = np.einsum("nm,njm->nj", reg.rho_drho, bases)
     alpha_t = alpha.restrict(pts, bases)
     da_t = dalpha.restrict(pts, bases)
     # page basis: orthonormal kernel of mu_t
@@ -112,19 +113,18 @@ def _spinning_solve_batch(rep: Representation, pts, residual_tol=1e-8):
                               axis=(-2, -1))
     scale = np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(
         sol, axis=-1) + 1.0
-    if np.any(residual / scale > residual_tol):
+    if np.any(residual / scale > 1e-8):
         raise DegenerateSystem(
             f"spinning solve residual {np.max(residual / scale):.3e}",
             singular_values=svals[int(np.argmax(residual / scale))])
     return np.einsum("nj,njm->nm", sol, bases), residual / scale
 
 
-def spinning_field(rep: Representation, p, residual_tol=1e-8):
+def spinning_field(rep: Representation, p):
     """Spinning vector at one point (or a batch) by the linear solve."""
     pts = np.asarray(p, float)
     single = pts.ndim == 1
-    vec, _ = _spinning_solve_batch(rep, pts[None] if single else pts,
-                                   residual_tol)
+    vec, _ = _spinning_solve_batch(rep, pts[None] if single else pts)
     return vec[0] if single else vec
 
 
@@ -213,7 +213,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
 
 @timed
 def contraction_identity_check(rep: Representation, y: SpinningField,
-                               samples, rel_tol=1e-7, seed=0) -> CheckReport:
+                               samples, seed=0) -> CheckReport:
     """Independent certificate for a spinning field: contraction into the
     open-book volume form must satisfy
 
@@ -229,14 +229,9 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
     f = rep.f
     dalpha = rep.contact.d_alpha()
 
-    def drho2_coeffs(p):
-        fx, fy = f.parts(p)
-        g = f.grad(p)
-        return 2 * (fx[..., None] * g[..., 0, :] + fy[..., None] * g[..., 1, :])
-
-    drho2 = KForm(1, rep.manifold.ambient_dim, drho2_coeffs)
+    drho2 = KForm(1, rep.manifold.ambient_dim,
+                  lambda p: 2 * f.regularized(p).rho_drho)
     rho2_fn = lambda p: np.abs(f.value(p)) ** 2
-    from .forms import scale_form, wedge_all
     rhs_form = (2 * np.pi) * scale_form(rho2_fn, wedge_power(dalpha, n)) \
         - (np.pi * n) * wedge_all(drho2, rep.contact.alpha,
                                   wedge_power(dalpha, n - 1))
@@ -249,7 +244,7 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
     return make_report(
         f"spinning_contraction[{rep.name}]", n_samples=len(pts),
         max_residual=np.abs(lhs - rhs) / scale, tolerance=1e-12,
-        residual_tolerance=rel_tol, seed=seed,
+        residual_tolerance=1e-7, seed=seed,
         note="iota_Y Omega_V = 2 pi |f|^2 (d alpha)^n - pi n d|f|^2 ^ alpha "
              "^ (d alpha)^(n-1)")
 
@@ -273,10 +268,8 @@ def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
     contracted = interior(field, dalpha)
 
     def coeffs(p):
-        fx, fy = f.parts(p)
-        rho2 = fx * fx + fy * fy
-        g = f.grad(p)
-        rho_drho = fx[..., None] * g[..., 0, :] + fy[..., None] * g[..., 1, :]
+        reg = f.regularized(p)
+        rho2, rho_drho = reg.rho2, reg.rho_drho
         yv = y.eval(np.asarray(p, float))
         alpha_c = alpha.coeffs(p)
         alpha_of_y = np.einsum("...m,...m->...", alpha_c, yv)
@@ -291,8 +284,8 @@ def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
 
 @timed
 def spinning_definition_check(rep: Representation, y: SpinningField, samples,
-                              near_binding_samples=None, tol=1e-8,
-                              seed=0) -> CheckReport:
+                              near_binding_samples=None, seed=0
+                              ) -> CheckReport:
     """Definition-level certificate valid for any spinning field (not just
     the kernel-normalized one):
 
@@ -307,15 +300,12 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     f = rep.f
     details = []
 
-    fx, fy = f.parts(pts)
-    rho2 = fx * fx + fy * fy
-    g = f.grad(pts)
-    mu = fx[..., None] * g[..., 1, :] - fy[..., None] * g[..., 0, :]
-    vals = np.einsum("nm,nm->n", mu, y(pts))
+    reg = f.regularized(pts)
+    vals = np.einsum("nm,nm->n", reg.mu, y(pts))
     details.append(make_report(
         "theta_pairing", n_samples=len(pts),
-        max_residual=np.abs(vals / rho2 - 2 * np.pi),
-        tolerance=tol, seed=seed, note="d(theta)(Y) = 2 pi"))
+        max_residual=np.abs(vals / reg.rho2 - 2 * np.pi),
+        tolerance=1e-8, seed=seed, note="d(theta)(Y) = 2 pi"))
 
     if near_binding_samples is not None and len(near_binding_samples):
         nb = np.asarray(near_binding_samples, float)
@@ -335,10 +325,7 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
                                  f.modulus(p), 1e-12))
     far = pts[f.modulus(pts) >= 0.1]
     bases = tangent_bases(rep.manifold, far)
-    gfar = f.grad(far)
-    fxh, fyh = f.parts(far)
-    mu_far = fxh[..., None] * gfar[..., 1, :] - fyh[..., None] * gfar[..., 0, :]
-    mu_t = np.einsum("nm,njm->nj", mu_far, bases)
+    mu_t = np.einsum("nm,njm->nj", f.regularized(far).mu, bases)
     mu_t /= np.linalg.norm(mu_t, axis=-1, keepdims=True)
     d = bases.shape[1]
     proj = np.eye(d)[None] - mu_t[:, :, None] * mu_t[:, None, :]
@@ -416,7 +403,7 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
 # closed-form flow for the quadric open book
 
 
-def closed_form_quadric_flow(z0, t, cancellation_band=1e-6):
+def closed_form_quadric_flow(z0, t):
     """Exact trajectory of the quadric book's spinning field on the unit
     sphere, as complex vectors: with g0 = |f(z0)| and c = sqrt(1 - g0^2),
 
@@ -451,7 +438,7 @@ def closed_form_quadric_flow(z0, t, cancellation_band=1e-6):
     x0, y0 = np.real(w0), np.imag(w0)
 
     one_minus = 1.0 - g0
-    flagged = one_minus < cancellation_band
+    flagged = one_minus < 1e-6
     degenerate = one_minus < 1e-12
     safe = np.where(degenerate, 0.5, one_minus)
 
@@ -512,14 +499,15 @@ class DehnTwist:
                               / np.maximum(r, 0.5), 0.0)
         return np.where(r > 0.5, direct, smooth)
 
-    def __call__(self, q, p, tol=1e-10, validate=True):
+    def __call__(self, q, p, validate=True):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
         r = np.linalg.norm(p, axis=-1)
         if validate and (
-                np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > tol)
-                or np.any(np.abs(np.sum(q * p, axis=-1)) > tol)
-                or np.any(r > 1.0 + tol)):
+                np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0)
+                       > TWIST_DOMAIN_TOL)
+                or np.any(np.abs(np.sum(q * p, axis=-1)) > TWIST_DOMAIN_TOL)
+                or np.any(r > 1.0 + TWIST_DOMAIN_TOL)):
             raise DomainError("(q, p) violates |q| = 1, q . p = 0, |p| <= 1")
         rho = self.angle(r)
         cos_r = np.cos(rho)[..., None]
@@ -537,14 +525,10 @@ def standard_twist() -> DehnTwist:
 
 @timed
 def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
-                              tol=1e-7, seed=0) -> CheckReport:
+                              seed=0) -> CheckReport:
     """Pullback identity Phi^* lambda_can = lambda_can - |p| d(rho) with
     lambda_can = -sum p_j dq_j, evaluated on tangent vectors of the
     bundle; certifies that the twist is an exact symplectomorphism."""
-    from .forms import SmoothMap
-    from .liouville import canonical_one_form
-    from .manifolds import disk_cotangent_bundle
-
     bundle = disk_cotangent_bundle(n)
     lam = canonical_one_form(n)
 
@@ -573,7 +557,7 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     rhs = lam_vals - r[:, None] * drho_t
     return make_report(
         "dehn_twist_pullback", n_samples=len(pts),
-        max_residual=np.abs(lhs - rhs), tolerance=tol, seed=seed,
+        max_residual=np.abs(lhs - rhs), tolerance=1e-7, seed=seed,
         note="Phi^* lambda_can = lambda_can - |p| d(rho)")
 
 
@@ -581,27 +565,22 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
 # page embedding for the quadric book and the monodromy comparison
 
 
-def page_embedding(n: int, page_angle: float = 0.0):
+def page_embedding(n: int):
     """Embedding of the disk cotangent bundle of S^(n-1) onto the closure
-    of the page {theta = page_angle} of the quadric book:
+    of the zero page {theta = 0} of the quadric book:
 
-        (q, p) -> (q + i p) e^{i page_angle / 2} / sqrt(1 + |p|^2).
+        (q, p) -> (q + i p) / sqrt(1 + |p|^2).
     """
-    phase = np.exp(0.5j * page_angle)
-
     def embed(q, p):
-        w = (q + 1j * p) * phase
-        return w / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
+        return (q + 1j * p) / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
 
     return embed
 
 
-def page_embedding_inverse(n: int, page_angle: float = 0.0):
+def page_embedding_inverse(n: int):
     """Inverse of :func:`page_embedding` on the open page."""
-    phase = np.exp(-0.5j * page_angle)
-
     def invert(z):
-        w = np.asarray(z, complex) * phase
+        w = np.asarray(z, complex)
         g0 = np.abs(np.sum(w * w, axis=-1))
         p_norm_sq = (1.0 - g0) / (1.0 + g0)
         gamma = 1.0 / np.sqrt(1.0 + p_norm_sq)
@@ -612,7 +591,7 @@ def page_embedding_inverse(n: int, page_angle: float = 0.0):
 
 @timed
 def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
-                            tol=1e-5, seed=0, flow_field=None) -> CheckReport:
+                            seed=0) -> CheckReport:
     """Conjugate the time-1 spinning flow by the zero-page embedding and
     compare it with the positive Dehn twist for g(r) = 2 pi/(1 + r).
 
@@ -629,7 +608,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     embed = page_embedding(n)
     invert = page_embedding_inverse(n)
     twist = standard_twist()
-    y = flow_field if flow_field is not None else quadric_spinning_field(rep)
+    y = quadric_spinning_field(rep)
 
     # the zero-section anchor (q, 0) flows as row 0 of the sample batch
     anchor_q = np.zeros(n)
@@ -650,11 +629,11 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
 
     details = [make_report(
         "zero_section_anchor", n_samples=1, max_residual=anchor_gap,
-        tolerance=tol, seed=seed,
+        tolerance=TWIST_TOL, seed=seed,
         note="(q, 0) -> (-q, 0) on both sides")]
     details.append(make_report(
         "page_monodromy_vs_twist", n_samples=len(qp),
-        max_residual=gap, tolerance=tol, seed=seed,
+        max_residual=gap, tolerance=TWIST_TOL, seed=seed,
         note="embedded time-1 flow equals the Dehn twist with "
              "g(r) = 2 pi/(1+r)",
         rows=[{"sample": int(i),
@@ -665,7 +644,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     z_back = flow(y, z1, -1.0, step)
     details.append(make_report(
         "inverse_flow", n_samples=len(qp), max_residual=np.abs(z_back - z0),
-        tolerance=tol, seed=seed,
+        tolerance=TWIST_TOL, seed=seed,
         note="flowing -Y for time 1 inverts the monodromy"))
 
     return merge_reports(f"monodromy_vs_twist[{rep.name}]", details,

@@ -75,16 +75,14 @@ def test_criterion_02_contact_verification():
         sphere = contact.standard_sphere(n)
         cf = contact.ContactForm(contact.standard_contact_form(n), sphere)
         pts = sample(sphere, 2000, seed=201 + n)
-        r = contact.verify_contact(cf, pts, tolerance=1e-3)
+        r = contact.verify_contact(cf, pts)
         results.append(("contact", n, r.passed, r.min_margin))
         for maker in (contact.coordinate_open_book,
                       contact.quadric_open_book):
             rep = maker(n)
             bind = sample(rep.binding, 100, seed=211 + n)
-            adapted = contact.verify_adapted(rep.contact, rep.f, pts, bind,
-                                             tolerance=1e-3)
-            volume = contact.volume_form_cross_check(
-                rep, pts[:500], rel_tol=1e-8)
+            adapted = contact.verify_adapted(rep.contact, rep.f, pts, bind)
+            volume = contact.volume_form_cross_check(rep, pts[:500])
             omega = contact.openbook_volume_form(rep)
             with_binding = np.vstack([pts[:400], bind])
             vol_vals = omega.at_basis(
@@ -111,8 +109,7 @@ def test_criterion_03_bourgeois_characterization():
         rep = maker(2)
         bf = bourgeois.bourgeois_form(rep)
         pts = sample(bf.manifold, 1000, seed=301)
-        r = bourgeois.verify_product_contact(bf, pts, rel_tol=1e-8,
-                                        eps_values=(0.1, 0.5, 1.0))
+        r = bourgeois.verify_product_contact(bf, pts)
         named = {d.name: d for d in r.details}
         worst_route = max(worst_route,
                           named["two_route_agreement"].max_residual)
@@ -129,16 +126,12 @@ def test_criterion_04_inverse_monodromy():
     the product form of (alpha_minus, conj f) to 1e-10."""
     rep = bourgeois.profiled_representation(contact.quadric_open_book(2))
     pts_v = sample(rep.manifold, 800, seed=401)
-    c, margin, margin_2c = bourgeois.find_inverse_constant(rep, pts_v,
-                                                           tolerance=1e-3)
+    c, margin, margin_2c = bourgeois.find_inverse_constant(rep, pts_v)
     bind = sample(rep.binding, 100, seed=402)
-    inv = bourgeois.verify_inverse_form(rep, c, pts_v[:200], bind,
-                                        restriction_tol=1e-10)
+    inv = bourgeois.verify_inverse_form(rep, c, pts_v[:200], bind)
     bf = bourgeois.bourgeois_form(rep)
     pts = sample(bf.manifold, 300, seed=403)
-    iso = bourgeois.isotopy_check(rep, c, (0.0, 0.25, 0.5, 0.75, 1.0), pts,
-                                  pullback_tol=1e-6, volume_rel_tol=1e-6,
-                                  endpoint_tol=1e-10)
+    iso = bourgeois.isotopy_check(rep, c, (0.0, 0.25, 0.5, 0.75, 1.0), pts)
     named = {d.name: d for d in iso.details}
     ok = inv.passed and iso.passed
     _line(4, ok, f"C={c} (margins {margin:.2f}/{margin_2c:.2f}), pullback "
@@ -185,7 +178,7 @@ def test_criterion_05_monodromy_flows():
     g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
     r = rng.uniform(0.0, 1.0 - 2e-3, size=(100, 1))
     compare = monodromy.monodromy_vs_dehn_twist(
-        rep2, np.concatenate([q, r * g], axis=-1), step=1e-3, tol=1e-5)
+        rep2, np.concatenate([q, r * g], axis=-1), step=1e-3)
     named = {d.name: d for d in compare.details}
     elapsed = time.perf_counter() - t0
     ok = (return_gap <= 1e-7 and closed_gap <= 1e-6 and drift <= 1e-9
@@ -215,7 +208,7 @@ def test_criterion_06_dehn_twist_identities():
     qb, pb = twist(q, g)
     boundary_exact = np.array_equal(qb, q) and np.array_equal(pb, g)
     pull = monodromy.dehn_twist_pullback_check(
-        twist, n, np.concatenate([q, p], axis=-1), tol=1e-7)
+        twist, n, np.concatenate([q, p], axis=-1))
     ok = norm_gap <= 1e-12 and boundary_exact and pull.passed
     _line(6, ok, f"|p| gap={norm_gap:.2e} (<= 1e-12), boundary exact="
                  f"{boundary_exact}, pullback={pull.max_residual:.2e} "
@@ -241,13 +234,13 @@ def test_criterion_07_ideal_liouville():
     comp_b = liouville.completion_check(bundle, pts_b, bdry_b)
 
     ident_d = liouville.identification_check(
-        "disk", quartic, pts_d[quartic.u(pts_d) > 0.05], tol=1e-8)
+        "disk", quartic, pts_d[quartic.u(pts_d) > 0.05])
     ident_b = liouville.identification_check(
-        "disk_bundle", bundle, pts_b[bundle.u(pts_b) > 0.05], tol=1e-8)
+        "disk_bundle", bundle, pts_b[bundle.u(pts_b) > 0.05])
 
     disk2 = liouville.weinstein_disk_domain()
     page_vol = liouville.page_volume_identity(
-        disk2, sample(disk2.manifold, 500, seed=704), rel_tol=1e-8)
+        disk2, sample(disk2.manifold, 500, seed=704))
 
     hs = liouville.hypersurface_build(disk2)
     pts_v = sample(hs.manifold, 600, seed=705)
@@ -276,7 +269,7 @@ def test_criterion_08_subcritical_filling():
     pts = np.concatenate([rng.normal(size=(1000, 4)),
                           rng.uniform(0, 2 * np.pi, size=(1000, 2))],
                          axis=-1)
-    coords = liouville.subcritical_check(pts, tol=1e-10)
+    coords = liouville.subcritical_check(pts)
     named = {d.name: d for d in coords.details}
     w_c = liouville.weinstein_check(
         liouville.complex_plane_weinstein(),
@@ -318,7 +311,7 @@ def test_criterion_10_prelagrangian():
     the loop integral to 1e-6."""
     pl = prelagrangian.real_circle_torus_prelagrangian()
     pts = sample(pl.submanifold, 400, seed=1001)
-    flat = prelagrangian.verify_prelagrangian(pl, pts, tol=1e-7)
+    flat = prelagrangian.verify_prelagrangian(pl, pts)
 
     def gamma(t):
         return np.array([np.cos(t), 0.0, np.sin(t), 0.0,
@@ -327,8 +320,7 @@ def test_criterion_10_prelagrangian():
     loop = prelagrangian.Loop.from_function(gamma, 2048,
                                             pl.submanifold.periodic_mask)
     _, straight = prelagrangian.straighten_loop(
-        loop, pl, constant_field(6, [0, 0, 0, 0, 1, 0]),
-        transverse_tol=1e-5)
+        loop, pl, constant_field(6, [0, 0, 0, 0, 1, 0]))
     named = {d.name: d for d in straight.details}
     ok = flat.passed and straight.passed
     _line(10, ok, f"d(alpha_hat)|TP = {flat.max_residual:.2e} (<= 1e-7), "

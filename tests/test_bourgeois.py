@@ -4,6 +4,7 @@ the shear isotopy, and the filling positivity sweep."""
 import numpy as np
 import pytest
 
+from openbooks import bourgeois
 from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
                                  bourgeois_form, extend_form,
                                  extract_slice_representation,
@@ -218,8 +219,7 @@ def test_inverse_form_at_c_ten():
     margins = inverse_form_margins(rep, 10.0, pts)
     assert np.min(margins) > 1e-3       # contact with reversed orientation
     bind = sample(rep.binding, 100, seed=12)
-    report = verify_inverse_form(rep, 10.0, pts[:200], bind,
-                                 restriction_tol=1e-10)
+    report = verify_inverse_form(rep, 10.0, pts[:200], bind)
     assert report.passed
 
 
@@ -387,10 +387,11 @@ def test_isotopy_nan_tau_fails_every_tau_leaf():
     assert np.isnan(named["volume_invariance"].max_residual)
 
 
-def test_product_contact_nan_eps_fails_scaling():
+def test_product_contact_nan_eps_fails_scaling(monkeypatch):
     bf = bourgeois_form(quadric_open_book(2))
     pts = sample(bf.manifold, 100, seed=25)
-    report = verify_product_contact(bf, pts, eps_values=(0.5, float("nan")))
+    monkeypatch.setattr(bourgeois, "EPS_VALUES", (0.5, float("nan")))
+    report = verify_product_contact(bf, pts)
     named = {d.name: d for d in report.details}
     assert not named["eps_scaling"].passed
     assert np.isnan(named["eps_scaling"].max_residual)
@@ -445,17 +446,22 @@ def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
         fn()
         return len(calls)
 
+    def with_constant(name, value, fn):
+        monkeypatch.setattr(bourgeois, name, value)
+        return count(fn)
+
     # C = 2^-20 .. 2^-1 all fail before the search reaches the default grid
-    small = [2.0 ** k for k in range(-20, 0)]
-    grids = [None, small + [2.0 ** k for k in range(11)]]
-    searches = [count(lambda: find_inverse_constant(rep, pts, c_grid=g))
+    small = tuple(2.0 ** k for k in range(-20, 0))
+    grids = [bourgeois.C_GRID, small + bourgeois.C_GRID]
+    searches = [with_constant("C_GRID", g,
+                              lambda: find_inverse_constant(rep, pts))
                 for g in grids]
     taus = [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 21))]
     isotopies = [count(lambda: isotopy_check(rep, 8.0, t, product_pts))
                  for t in taus]
     epss = [(1.0,), tuple(np.linspace(0.05, 2.0, 20))]
-    products = [count(lambda: verify_product_contact(bf, product_pts,
-                                                     eps_values=e))
+    products = [with_constant("EPS_VALUES", e,
+                              lambda: verify_product_contact(bf, product_pts))
                 for e in epss]
     fillings = [count(lambda: filling_polynomial(
         FillingFamily(rep, ext_deriv(rep.contact.alpha), e, (0.0, 1.0)),

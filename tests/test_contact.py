@@ -90,7 +90,7 @@ def test_alpha0_contact_on_s3_value_is_half():
     sphere = standard_sphere(2)
     cf = ContactForm(standard_contact_form(2), sphere)
     pts = sample(sphere, 2000, seed=3)
-    report = verify_contact(cf, pts, tolerance=1e-3)
+    report = verify_contact(cf, pts)
     assert report.passed
     np.testing.assert_allclose(report.min_margin, 0.5, atol=1e-10)
 
@@ -98,8 +98,7 @@ def test_alpha0_contact_on_s3_value_is_half():
 def test_alpha0_contact_on_s5():
     sphere = standard_sphere(3)
     cf = ContactForm(standard_contact_form(3), sphere)
-    report = verify_contact(cf, sample(sphere, 2000, seed=4),
-                            tolerance=1e-3)
+    report = verify_contact(cf, sample(sphere, 2000, seed=4))
     assert report.passed
     np.testing.assert_allclose(report.min_margin, 1.0, atol=1e-9)
 
@@ -121,7 +120,7 @@ def test_adapted_coordinate_book():
     rep = coordinate_open_book(2)
     pts = sample(rep.manifold, 500, seed=6)
     bind = sample(rep.binding, 100, seed=7)
-    report = verify_adapted(rep.contact, rep.f, pts, bind, tolerance=1e-3)
+    report = verify_adapted(rep.contact, rep.f, pts, bind)
     assert report.passed
     # oracle for condition (ii): with R = 2 i z the chain rule gives
     # h_x dh_y(R) - h_y dh_x(R) = 2 |z_1|^2
@@ -140,7 +139,7 @@ def test_adapted_quadric_book(n):
     rep = quadric_open_book(n)
     pts = sample(rep.manifold, 500, seed=8)
     bind = sample(rep.binding, 100, seed=9)
-    report = verify_adapted(rep.contact, rep.f, pts, bind, tolerance=1e-3)
+    report = verify_adapted(rep.contact, rep.f, pts, bind)
     assert report.passed
     # oracle: the Reeb flow z -> e^{2it} z multiplies f by e^{4it}, so
     # condition (ii) equals 4 |f|^2
@@ -189,7 +188,7 @@ def test_volume_form_two_sided_identity(maker, n):
     # quotient forms and finite differences, off the binding
     rep = maker(n)
     pts = sample(rep.manifold, 500, seed=13)
-    report = volume_form_cross_check(rep, pts, rel_tol=1e-8)
+    report = volume_form_cross_check(rep, pts)
     assert report.passed
     assert report.max_residual < 1e-8
 

@@ -130,7 +130,7 @@ def test_hypersurface_is_three_manifold(hypersurface):
     assert hypersurface.manifold.dim == 3
     assert hypersurface.transversality_margin > 1e-3
     pts = sample(hypersurface.manifold, 2000, seed=9)
-    report = verify_contact(hypersurface.rep.contact, pts, tolerance=1e-3)
+    report = verify_contact(hypersurface.rep.contact, pts)
     assert report.passed
 
 
@@ -140,8 +140,7 @@ def test_hypersurface_representation_suite(hypersurface):
     bind = sample(rep.binding, 100, seed=11)
     report = verify_representation(rep, pts, bind)
     assert report.passed, [(d.name, d.min_margin) for d in report.details]
-    assert verify_adapted(rep.contact, rep.f, pts, bind,
-                          tolerance=1e-3).passed
+    assert verify_adapted(rep.contact, rep.f, pts, bind).passed
 
 
 def test_hypersurface_binding_is_boundary_circle(hypersurface):
@@ -207,7 +206,7 @@ def test_page_volume_near_boundary_margin():
     ang = rng.uniform(0, 2 * np.pi, 100)
     r = np.sqrt(1.0 - 0.06)
     pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    report = page_volume_identity(ld, pts, interior_band=0.05)
+    report = page_volume_identity(ld, pts)
     # near the boundary the margin approaches |du(X)|/2 = r^2 > 0
     assert report.passed
     np.testing.assert_allclose(report.min_margin,

@@ -495,15 +495,17 @@ def test_monodromy_is_standard_twist():
     assert named["inverse_flow"].max_residual < 1e-5
 
 
-def test_inverse_twist_fails_the_monodromy_comparison():
+def test_inverse_twist_fails_the_monodromy_comparison(monkeypatch):
     # negative control: -Y flows the inverse twist, which agrees with the
     # positive twist on the zero section only
+    import openbooks.monodromy as mono
+
     q, p = _bundle_samples(2, 100, seed=27, r_max=0.99)
     y = quadric_spinning_field(QUADRIC)
     inverse = SpinningField(QUADRIC, lambda pt: -y.eval(pt))
+    monkeypatch.setattr(mono, "quadric_spinning_field", lambda rep: inverse)
     report = monodromy_vs_dehn_twist(QUADRIC,
-                                     np.concatenate([q, p], axis=-1),
-                                     flow_field=inverse)
+                                     np.concatenate([q, p], axis=-1))
     named = {d.name: d for d in report.details}
     assert not report.passed
     assert not named["page_monodromy_vs_twist"].passed

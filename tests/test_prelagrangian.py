@@ -34,7 +34,7 @@ def _desk_loop(wobble=0.5):
 def test_circle_torus_is_prelagrangian():
     pl = real_circle_torus_prelagrangian()
     pts = sample(pl.submanifold, 400, seed=1)
-    report = verify_prelagrangian(pl, pts, tol=1e-7)
+    report = verify_prelagrangian(pl, pts)
     assert report.passed
     assert report.max_residual < 1e-7
 
@@ -51,7 +51,7 @@ def test_circle_torus_restriction_is_dphi1():
 def test_binding_torus_is_prelagrangian():
     pl = binding_torus_prelagrangian()
     pts = sample(pl.submanifold, 400, seed=3)
-    report = verify_prelagrangian(pl, pts, tol=1e-7)
+    report = verify_prelagrangian(pl, pts)
     assert report.passed
 
 
