@@ -24,7 +24,8 @@ from openbooks import (Loop, binding_torus_prelagrangian, constant_field,
                        real_circle_submanifold,
                        real_circle_torus_prelagrangian, sample,
                        straighten_loop, verify_prelagrangian)
-from openbooks.prelagrangian import loop_integral, restricted_form_values
+from openbooks.prelagrangian import (desk_loop, loop_integral,
+                                     restricted_form_values)
 
 # --- the Legendrian x torus construction -------------------------------------
 rep = quadric_open_book(2)
@@ -55,15 +56,9 @@ print(f"K x T^2: d(alpha)|TP = "
 
 # --- straightening a wobbling loop -------------------------------------------
 # gamma winds once through phi1 with alpha_hat(gamma') = 1 + cos(t)/2;
-# the straightened loop has constant speed C/(2 pi) = 1.
-
-
-def gamma(t):
-    return np.array([np.cos(t), 0.0, np.sin(t), 0.0,
-                     t + 0.5 * np.sin(t), 0.0])
-
-
-loop = Loop.from_function(gamma, 2048, pl.submanifold.periodic_mask)
+# the straightened loop has constant speed C/(2 pi) = 1.  gamma takes the
+# whole grid t (n + 1,) and returns the samples (n + 1, 6) in one call.
+loop = Loop.from_function(desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
 c_in, g_in, _ = loop_integral(pl, loop)
 print(f"input loop: C = {c_in:.6f}, speed range "
       f"[{g_in.min():.3f}, {g_in.max():.3f}]")

@@ -430,13 +430,8 @@ def _suite_prelag():
 
     def straighten(cfg, seed):
         pl = prelagrangian.real_circle_torus_prelagrangian()
-
-        def gamma(t):
-            return np.array([np.cos(t), 0.0, np.sin(t), 0.0,
-                             t + 0.5 * np.sin(t), 0.0])
-
         loop = prelagrangian.Loop.from_function(
-            gamma, 2048, pl.submanifold.periodic_mask)
+            prelagrangian.desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
         y = constant_field(6, [0, 0, 0, 0, 1, 0])
         _, report = prelagrangian.straighten_loop(loop, pl, y, seed=seed)
         return report

@@ -26,7 +26,8 @@ from .forms import (KForm, VecField, central_difference, contact_volume,
                     ext_deriv, pluecker, scale_form, wedge, wedge_all,
                     wedge_power)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
-                        project_to_constraints, tangent_bases, unit_sphere)
+                        project_to_constraints, singular_values,
+                        tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -174,34 +175,50 @@ def reeb_fields(cf: ContactForm, points):
     """Batched Reeb vectors: unique R with alpha(R) = 1, d(alpha)(R, .) = 0.
 
     points (N, m) give (vectors (N, m), residuals (N,)); a single point
-    (m,) gives its vector (m,) and its residual.  Solved as an
-    overdetermined linear system on each tangent space; raises
-    DegenerateSystem with the singular values when the system drops rank
-    (the form is not contact there).
+    (m,) gives its vector (m,) and its residual.  On each tangent space R
+    solves the bordered square system
+
+        [[pair, a^T], [a, 0]] (R, lam) = (0, 1)
+
+    with a = alpha and pair = d(alpha)(., e_i).  pair is skew, so
+    R^T pair R = 0 and lam = 0 exactly; unlike the normal equations, the
+    solve does not square the condition number.  The residual is that of
+    the overdetermined (d+1) x d system [a; pair] R = e_0.  Raises
+    DegenerateSystem with the singular values of that system when it
+    drops rank (the form is not contact there).
     """
     pts = np.asarray(points, float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     bases = tangent_bases(cf.manifold, pts)
-    d = bases.shape[1]
+    n_pts, d = bases.shape[:2]
     arow = cf.alpha.restrict(pts, bases)                     # (N, d)
     pair = -cf.d_alpha().restrict(pts, bases)   # [i, j] = d(alpha)(e_j, e_i)
     mat = np.concatenate([arow[:, None, :], pair], axis=1)   # (N, d+1, d)
-    rhs = np.zeros((pts.shape[0], d + 1))
-    rhs[:, 0] = 1.0
-    # one SVD: the pseudo-inverse in np.linalg.pinv's own order (values
-    # below 1e-15 of the largest dropped), and its values for the rank test
-    u, svals, vt = np.linalg.svd(mat, full_matrices=False)
-    large = svals > 1e-15 * svals[:, :1]
-    inv_s = np.divide(1.0, svals, out=np.zeros_like(svals), where=large)
-    pinv = np.swapaxes(vt, -1, -2) @ (inv_s[..., None]
-                                      * np.swapaxes(u, -1, -2))
-    sol = pinv @ rhs[..., None]
-    residual = np.linalg.norm(mat @ sol - rhs[..., None], axis=(-2, -1))
+    svals = singular_values(np.swapaxes(mat, -1, -2))
     bad_rank = svals[:, -1] < 1e-6 * svals[:, 0]
-    if np.any(bad_rank) or np.any(residual > 1e-8):
-        worst = int(np.argmax(residual + bad_rank))
+    if np.any(bad_rank):
+        worst = int(np.argmax(bad_rank))
+        raise DegenerateSystem("Reeb system drops rank",
+                               singular_values=svals[worst])
+    bordered = np.zeros((n_pts, d + 1, d + 1))
+    bordered[:, :d, :d] = pair
+    bordered[:, :d, d] = arow
+    bordered[:, d, :d] = arow
+    unit = np.zeros((n_pts, d + 1, 1))
+    unit[:, d] = 1.0
+    try:
+        sol = np.linalg.solve(bordered, unit)[:, :d]           # (N, d, 1)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystem("Reeb bordered system is singular",
+                               singular_values=svals[0]) from exc
+    # [a; pair] R - e_0: only the first row has a right-hand side
+    gap = mat @ sol
+    gap[:, 0] -= 1.0
+    residual = np.linalg.norm(gap, axis=(-2, -1))
+    if np.any(residual > 1e-8):
+        worst = int(np.argmax(residual))
         raise DegenerateSystem(
             f"Reeb solve degenerate: residual {residual[worst]:.3e}",
             singular_values=svals[worst])
@@ -405,7 +422,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     if n_bind > 0:
         g = f.grad(binding_samples)                    # (N, 2, m)
         restricted = np.einsum("ncm,ndm->ncd", g, bind_bases)
-        margins = np.linalg.svd(restricted, compute_uv=False)[:, -1]
+        margins = singular_values(restricted)[:, -1]
     else:
         margins = -1.0
     reports.append(make_report(
@@ -428,7 +445,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     rho = f.modulus(samples)
     g = f.grad(samples)
     restricted = np.einsum("ncm,ndm->ncd", g, bases)
-    rank2 = np.linalg.svd(restricted, compute_uv=False)[:, -1]
+    rank2 = singular_values(restricted)[:, -1]
     off = rho >= BINDING_BAND
     margins = np.where(off, mu_norm / np.maximum(rho, BINDING_BAND) ** 2,
                        rank2)

@@ -5,12 +5,15 @@ set it is.  Tangent spaces are kernels of the constraint Jacobian, sampled
 points are produced by registered samplers driven by a counter-based
 (Philox) generator so that runs are reproducible given a seed.
 
-:func:`tangent_bases` takes the kernel from an SVD of the Jacobian, except
-on hypersurfaces (one constraint, which includes every sphere and sphere x
-torus): there the frame is the tangent block of the Householder reflection
-that maps the unit normal to a coordinate axis, and the rank test is
-|grad| > 0.  Every batched frame is computed point by point, so a point's
-frame does not depend on the batch it came in.
+:func:`tangent_bases` takes no SVD.  On hypersurfaces (one constraint,
+which includes every sphere and sphere x torus) the frame is the tangent
+block of the Householder reflection that maps the unit normal to a
+coordinate axis, and the rank test is |grad| > 0.  With k >= 2
+constraints the frame is the last m - k columns of the complete QR
+factor of J^T, and the rank test reads the singular values of J as the
+square roots of the eigenvalues of J J^T.  Every batched frame is
+computed point by point, so a point's frame does not depend on the batch
+it came in.
 """
 
 from __future__ import annotations
@@ -100,6 +103,15 @@ def _orientation_signs(manifold: Submanifold, points, bases):
     raise ValueError(f"unknown orientation convention {conv!r}")
 
 
+def singular_values(mat):
+    """Singular values (..., k) of matrices (..., k, m) with k <= m, in
+    descending order, as the square roots of the eigenvalues of the Gram
+    matrix mat mat^T (rounding below zero is clipped to 0).  Squaring
+    limits the resolution to about 1e-8 of the largest value."""
+    gram = mat @ np.swapaxes(mat, -1, -2)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0))
+
+
 def _hypersurface_frames(grad):
     """Orthonormal bases (N, m-1, m) of the complements of gradients (N, m),
     and their "normal_first" orientation signs (N,).
@@ -149,11 +161,12 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
             signs = normal_signs
     else:
         jac = manifold.jacobian(pts)
-        _, s, vh = np.linalg.svd(jac)
+        s = singular_values(jac)
         if not np.all((s[..., 0] > 0) & (s[..., -1] > RANK_RATIO * s[..., 0])):
             raise DegenerateSystem("rank-deficient constraint Jacobian in batch",
                                    singular_values=s)
-        bases = vh[:, manifold.n_constraints:, :].copy()
+        q, _ = np.linalg.qr(np.swapaxes(jac, -1, -2), mode="complete")
+        bases = np.swapaxes(q[..., manifold.n_constraints:], -1, -2).copy()
     if signs is None:
         signs = _orientation_signs(manifold, pts, bases)
     flip = signs < 0

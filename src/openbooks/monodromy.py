@@ -29,7 +29,8 @@ from .forms import (KForm, SmoothMap, VecField, central_difference,
                     ext_deriv, interior, scale_form, wedge_all, wedge_power)
 from .liouville import canonical_one_form
 from .manifolds import (FD_STEP, disk_cotangent_bundle, gauss_newton_step,
-                        project_to_constraints, tangent_bases)
+                        project_to_constraints, singular_values,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
@@ -102,8 +103,10 @@ def _spinning_solve_batch(rep: Representation, pts):
     rhs.append(np.zeros((len(pts), d - 1)))
     mat = np.concatenate(rows, axis=1)
     b = np.concatenate(rhs, axis=1)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    bad = svals[:, -1] < 1e-9 * svals[:, 0]
+    svals = singular_values(mat)
+    # 1e-6, not the 1e-9 an SVD could resolve: the Gram route reads a
+    # rank-deficient system as s_min up to ~3e-8 s_max
+    bad = svals[:, -1] < 1e-6 * svals[:, 0]
     if np.any(bad):
         worst = int(np.argmax(bad))
         raise DegenerateSystem("spinning-field system is rank deficient",
@@ -187,7 +190,7 @@ def coordinate_kernel_field(rep: Representation) -> SpinningField:
 def quadric_spinning_field(rep: Representation) -> SpinningField:
     """The quadric book's spinning field: with f = sum z_j^2,
 
-        Y = pi i f zbar - pi i conj(f) z      (as complex velocity)
+        Y = pi i f zbar      (as complex velocity)
 
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
-from .errors import DomainError, OffManifold
+from .errors import DimensionMismatch, DomainError, OffManifold
 from .forms import KForm, VecField, ext_deriv, scale_form
 from .manifolds import Submanifold, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
@@ -37,12 +37,10 @@ class PreLagrangian:
 @dataclass(frozen=True)
 class Loop:
     """Closed curve [0, 2 pi] -> P, sampled on a uniform grid; values are
-    stored unwrapped (angle coordinates may wind).  A supplied derivative
-    takes precedence over the finite-difference stencil."""
+    stored unwrapped (angle coordinates may wind)."""
 
     values: np.ndarray                 # (n_grid + 1, m), endpoint included
     periodic_mask: np.ndarray | None = None
-    derivative_values: np.ndarray | None = None    # (n_grid, m), optional
 
     @property
     def n_grid(self):
@@ -50,15 +48,22 @@ class Loop:
 
     @staticmethod
     def from_function(gamma: Callable, n_grid: int = 2048,
-                      periodic_mask=None, derivative: Callable | None = None
-                      ) -> "Loop":
+                      periodic_mask=None) -> "Loop":
+        """Sample gamma in one call: gamma maps the grid t of shape
+        (n_grid + 1,) to values of shape (n_grid + 1, m)."""
         t = np.linspace(0.0, 2 * np.pi, n_grid + 1)
-        values = np.stack([np.asarray(gamma(s), float) for s in t])
-        deriv = None
-        if derivative is not None:
-            deriv = np.stack([np.asarray(derivative(s), float)
-                              for s in t[:-1]])
-        return Loop(values, periodic_mask, deriv)
+        raw = gamma(t)
+        try:
+            values = np.asarray(raw, float)
+        except ValueError as exc:
+            raise DimensionMismatch(
+                "gamma must map t (n_grid + 1,) to one array "
+                "(n_grid + 1, m)") from exc
+        if values.ndim != 2 or values.shape[0] != n_grid + 1:
+            raise DimensionMismatch(
+                f"gamma maps t ({n_grid + 1},) to values "
+                f"({n_grid + 1}, m); got {values.shape}")
+        return Loop(values, periodic_mask)
 
     def closure_gap(self):
         gap = self.values[-1] - self.values[0]
@@ -69,11 +74,8 @@ class Loop:
         return float(np.max(np.abs(gap)))
 
     def derivatives(self):
-        """dgamma/dt on the open grid t_0..t_{n-1}: the supplied samples
-        when present, else the periodic fourth-order stencil (the stored
-        endpoint supplies the winding)."""
-        if self.derivative_values is not None:
-            return self.derivative_values
+        """dgamma/dt on the open grid t_0..t_{n-1} by the periodic
+        fourth-order stencil (the stored endpoint supplies the winding)."""
         vals = self.values[:-1]
         n = vals.shape[0]
         h = 2 * np.pi / n
@@ -304,6 +306,18 @@ def hopf_circle_submanifold() -> Submanifold:
 # loop straightening
 
 
+def desk_loop(wobble):
+    """The loop gamma(t) = (cos t, 0, sin t, 0, t + wobble sin t, 0) on
+    the real circle x T^2, array-valued: t (n,) -> values (n, 6).  It winds
+    once through phi1 with alpha_hat(gamma') = 1 + wobble cos t."""
+    def gamma(t):
+        zero = np.zeros_like(t)
+        return np.stack([np.cos(t), zero, np.sin(t), zero,
+                         t + wobble * np.sin(t), zero], axis=-1)
+
+    return gamma
+
+
 def simpson(y, dx: float) -> float:
     """Composite Simpson rule for samples y (n + 1,) on a uniform grid of
     spacing dx.  For an odd number n of intervals the last interval takes
@@ -386,14 +400,15 @@ def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
 
     # flow each sample for its own time f(t_i): scale the field per point
     # and integrate unit time
-    factors = f_t[:-1]
+    factors = f_t[:-1, None]
+
+    def scaled(p):
+        return factors * y_field(p)
 
     new_vals = vals.copy()
     steps = 32
     h = 1.0 / steps
     for _ in range(steps):
-        def scaled(p):
-            return factors[:, None] * y_field(p)
         k1 = scaled(new_vals)
         k2 = scaled(new_vals + 0.5 * h * k1)
         k3 = scaled(new_vals + 0.5 * h * k2)

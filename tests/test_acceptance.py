@@ -312,12 +312,8 @@ def test_criterion_10_prelagrangian():
     pl = prelagrangian.real_circle_torus_prelagrangian()
     pts = sample(pl.submanifold, 400, seed=1001)
     flat = prelagrangian.verify_prelagrangian(pl, pts)
-
-    def gamma(t):
-        return np.array([np.cos(t), 0.0, np.sin(t), 0.0,
-                         t + 0.5 * np.sin(t), 0.0])
-
-    loop = prelagrangian.Loop.from_function(gamma, 2048,
+    loop = prelagrangian.Loop.from_function(prelagrangian.desk_loop(0.5),
+                                            2048,
                                             pl.submanifold.periodic_mask)
     _, straight = prelagrangian.straighten_loop(
         loop, pl, constant_field(6, [0, 0, 0, 0, 1, 0]))

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from openbooks import cli
@@ -160,6 +161,19 @@ def test_rerun_with_same_seed_is_bit_identical():
     second = [r.to_dict() for r in run_suite(cfg)]
     assert json.dumps(_strip_timing(first)) == json.dumps(
         _strip_timing(second))
+
+
+def test_all_suites_pass_without_svd(monkeypatch):
+    # frames, the Reeb solve and the rank tests take no SVD: every check
+    # of the six suites still runs and passes at the default seed
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    reports = [r for suite in cli.SUITE_NAMES
+               for r in run_suite(SuiteConfig(suite=suite, seed=7))]
+    assert len(reports) == 40
+    assert [r.name for r in reports if not r.passed] == []
 
 
 def test_seed_recorded_allows_rerun():

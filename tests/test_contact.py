@@ -51,8 +51,9 @@ def test_reeb_field_on_sphere_is_doubled_rotation(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_reeb_solution_equals_the_pinv_solve(n):
-    # reference: the pseudo-inverse route, with np.linalg.pinv
+def test_reeb_solution_matches_the_pinv_solve(n):
+    # reference: the pseudo-inverse of the overdetermined system [a; pair],
+    # with np.linalg.pinv; the bordered solve agrees to rounding
     sphere = standard_sphere(n)
     cf = ContactForm(standard_contact_form(n), sphere)
     pts = sample(sphere, 500, seed=3)
@@ -64,9 +65,21 @@ def test_reeb_solution_equals_the_pinv_solve(n):
     sol = np.linalg.pinv(mat) @ rhs
     want = np.einsum("nd,ndm->nm", sol[..., 0], bases)
     got, residual = reeb_fields(cf, pts)
-    assert np.array_equal(got, want)
-    assert np.array_equal(residual, np.linalg.norm(mat @ sol - rhs,
-                                                   axis=(-2, -1)))
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(residual) <= 1e-14
+    # the analytic field; the gap is the stencil error of d(alpha)
+    assert np.max(np.abs(got - standard_reeb_field(n)(pts))) <= 1e-10
+
+
+def test_even_dimensional_form_rejected():
+    # alpha = x dy on R^2: [alpha; d(alpha)] has full rank, but no R has
+    # d(alpha)(R, .) = 0 and alpha(R) = 1, and the bordered system is
+    # singular
+    alpha = form_from_components(2, 1, {(1,): lambda p: p[..., 0]})
+    ambient = Submanifold(2, None, 0, name="R^2", orientation="ambient")
+    with pytest.raises(DegenerateSystem) as err:
+        reeb_fields(ContactForm(alpha, ambient), np.array([0.3, -0.2]))
+    assert err.value.singular_values.shape == (2,)
 
 
 def test_degenerate_form_rejected():

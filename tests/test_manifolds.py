@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from openbooks.contact import quadric_open_book
+from openbooks.contact import binding_manifold, quadric_open_book
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.liouville import hypersurface_build, weinstein_disk_domain
-from openbooks.manifolds import (Submanifold, disk_cotangent_bundle,
-                                 flat_torus, gauss_newton_step,
-                                 product_with_torus, project_to_constraints,
-                                 rng_for, sample, tangent_bases, unit_sphere)
+from openbooks.manifolds import (RANK_RATIO, Submanifold,
+                                 disk_cotangent_bundle, flat_torus,
+                                 gauss_newton_step, product_with_torus,
+                                 project_to_constraints, rng_for, sample,
+                                 singular_values, tangent_bases, unit_sphere)
+from openbooks.prelagrangian import (binding_torus_prelagrangian,
+                                     real_circle_torus_prelagrangian)
 
 
 def test_circle_basis_at_east_pole():
@@ -46,7 +49,6 @@ def test_quadric_binding_rank():
     svals = np.linalg.svd(jac, compute_uv=False)
     assert np.min(svals[:, -1]) > 1e-6 * np.max(svals[:, 0])
     # the binding of the quadric book in S^3 is one dimensional
-    from openbooks.contact import binding_manifold
     k_sub = binding_manifold(rep)
     assert k_sub.dim == 1
     basis = tangent_bases(k_sub, bind[:1])
@@ -70,9 +72,9 @@ def test_rank_deficient_jacobian_rejected():
     assert err.value.singular_values is not None
 
 
-def test_rank_deficient_svd_jacobian_rejected():
+def test_rank_deficient_multi_constraint_jacobian_rejected():
     # two constraints, the second with a gradient that vanishes at the
-    # origin: the SVD path's rank test rejects the batch
+    # origin: the QR path's rank test rejects the batch
     def constraints(p):
         return np.stack([p[..., 0], np.sum(p * p, axis=-1) ** 2], axis=-1)
 
@@ -81,6 +83,49 @@ def test_rank_deficient_svd_jacobian_rejected():
         tangent_bases(bad, np.zeros((1, 3)))
     assert err.value.singular_values is not None
     assert err.value.singular_values.shape == (1, 2)
+
+
+def test_singular_values_match_the_svd():
+    rng = rng_for(43)
+    mats = rng.normal(size=(500, 3, 6))
+    s = singular_values(mats)
+    want = np.linalg.svd(mats, compute_uv=False)
+    assert np.max(np.abs(s - want) / want[:, :1]) <= 1e-14
+    # rank 2 in exact arithmetic: the smallest value reads below the
+    # rank ratio, never as NaN
+    low = rng.normal(size=(2000, 3, 2)) @ rng.normal(size=(2000, 2, 6))
+    s = singular_values(low)
+    assert np.all(s[:, -1] < RANK_RATIO * s[:, 0])
+
+
+@pytest.mark.parametrize("manifold", [
+    binding_manifold(quadric_open_book(2)),
+    binding_manifold(quadric_open_book(3)),
+    real_circle_torus_prelagrangian().submanifold,
+    binding_torus_prelagrangian().submanifold,
+    disk_cotangent_bundle(3)],
+    ids=["K in S^3", "K in S^5", "L x T^2", "K x T^2", "D(T*S^2)"])
+def test_qr_frames_are_orthonormal_kernel_frames(manifold, monkeypatch):
+    assert manifold.n_constraints >= 2
+    pts = sample(manifold, 300, seed=41)
+    jac = manifold.jacobian(pts)
+    with monkeypatch.context() as patch:
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called for a tangent frame")
+        patch.setattr(np.linalg, "svd", no_svd)
+        bases = tangent_bases(manifold, pts)
+    d = manifold.dim
+    assert bases.shape == (len(pts), d, manifold.ambient_dim)
+    gram = bases @ np.swapaxes(bases, -1, -2)
+    assert np.max(np.abs(gram - np.eye(d))) <= 1e-15
+    # unit Jacobian rows, so that the bound does not scale with |grad c|
+    rows = jac / np.linalg.norm(jac, axis=-1, keepdims=True)
+    assert np.max(np.abs(rows @ np.swapaxes(bases, -1, -2))) <= 1e-15
+    _, _, vh = np.linalg.svd(jac)
+    svd_bases = vh[:, manifold.n_constraints:, :]
+    gap = (np.swapaxes(bases, -1, -2) @ bases
+           - np.swapaxes(svd_bases, -1, -2) @ svd_bases)
+    assert np.max(np.abs(gap)) <= 1e-14
 
 
 @pytest.mark.parametrize("manifold, base_dim", [

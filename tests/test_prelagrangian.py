@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
-from openbooks.errors import DomainError, OffManifold
+from openbooks.errors import DimensionMismatch, DomainError, OffManifold
 from openbooks.forms import constant_field
 from openbooks.manifolds import Submanifold, sample
 from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
-                                     cumulative_simpson,
+                                     cumulative_simpson, desk_loop,
                                      hopf_circle_submanifold,
                                      legendrian_check, loop_integral,
                                      real_circle_submanifold,
@@ -17,14 +17,6 @@ from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
                                      straighten_loop, verify_prelagrangian)
 
 PHI1_FIELD = constant_field(6, [0, 0, 0, 0, 1, 0])
-
-
-def _desk_loop(wobble=0.5):
-    def gamma(t):
-        return np.array([np.cos(t), 0.0, np.sin(t), 0.0,
-                         t + wobble * np.sin(t), 0.0])
-
-    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +138,7 @@ def test_binding_circle_fails_page_containment():
 
 def test_straighten_desk_loop():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(_desk_loop(), 2048,
+    loop = Loop.from_function(desk_loop(0.5), 2048,
                               pl.submanifold.periodic_mask)
     out, report = straighten_loop(loop, pl, PHI1_FIELD)
     assert report.passed
@@ -165,7 +157,7 @@ def test_straighten_desk_loop():
 
 def test_already_transverse_loop_is_fixed():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(_desk_loop(wobble=0.0), 2048,
+    loop = Loop.from_function(desk_loop(0.0), 2048,
                               pl.submanifold.periodic_mask)
     out, report = straighten_loop(loop, pl, PHI1_FIELD)
     assert report.passed
@@ -176,7 +168,9 @@ def test_negative_integral_rejected():
     pl = real_circle_torus_prelagrangian()
 
     def backwards(t):
-        return np.array([np.cos(t), 0.0, np.sin(t), 0.0, -t, 0.0])
+        zero = np.zeros_like(t)
+        return np.stack([np.cos(t), zero, np.sin(t), zero, -t, zero],
+                        axis=-1)
 
     loop = Loop.from_function(backwards, 1024,
                               pl.submanifold.periodic_mask)
@@ -186,7 +180,7 @@ def test_negative_integral_rejected():
 
 def test_bad_field_rejected():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(_desk_loop(), 1024,
+    loop = Loop.from_function(desk_loop(0.5), 1024,
                               pl.submanifold.periodic_mask)
     # not alpha_hat(Y) = 1
     with pytest.raises(DomainError):
@@ -208,7 +202,9 @@ def test_open_loop_rejected():
     pl = real_circle_torus_prelagrangian()
 
     def arc(t):
-        return np.array([np.cos(t / 2), 0.0, np.sin(t / 2), 0.0, t, 0.0])
+        zero = np.zeros_like(t)
+        return np.stack([np.cos(t / 2), zero, np.sin(t / 2), zero, t, zero],
+                        axis=-1)
 
     loop = Loop.from_function(arc, 512, pl.submanifold.periodic_mask)
     with pytest.raises(DomainError):
@@ -217,7 +213,7 @@ def test_open_loop_rejected():
 
 def test_loop_derivative_stencil_accuracy():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(_desk_loop(), 2048,
+    loop = Loop.from_function(desk_loop(0.5), 2048,
                               pl.submanifold.periodic_mask)
     der = loop.derivatives()
     t = np.linspace(0, 2 * np.pi, 2049)[:-1]
@@ -225,6 +221,30 @@ def test_loop_derivative_stencil_accuracy():
                       np.zeros_like(t), 1 + 0.5 * np.cos(t),
                       np.zeros_like(t)], axis=-1)
     assert np.max(np.abs(der - exact)) < 1e-10
+
+
+def test_loop_samples_gamma_in_one_call():
+    calls = []
+    gamma = desk_loop(0.5)
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return gamma(t)
+
+    loop = Loop.from_function(counted, 2048)
+    assert calls == [(2049,)]
+    t = np.linspace(0.0, 2 * np.pi, 2049)
+    assert np.array_equal(loop.values, gamma(t))
+
+
+@pytest.mark.parametrize("gamma", [
+    lambda t: desk_loop(0.5)(t).T,                       # (m, n + 1)
+    lambda t: np.cos(t),                                 # (n + 1,)
+    lambda t: [np.cos(t), 0.0, np.sin(t), 0.0, t, 0.0],  # scalar-style
+], ids=["transposed", "one_column", "ragged"])
+def test_loop_of_the_wrong_shape_rejected(gamma):
+    with pytest.raises(DimensionMismatch):
+        Loop.from_function(gamma, 64)
 
 
 # ---------------------------------------------------------------------------
