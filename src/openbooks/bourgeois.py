@@ -19,9 +19,10 @@ from .contact import (ContactForm, DefiningFunction, Representation,
 from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     coordinate_differential, ext_deriv, increasing_indices,
-                    on_batch, pluecker, wedge, wedge_all, wedge_power)
-from .manifolds import (Submanifold, product_with_torus, sample,
-                        tangent_bases)
+                    on_batch, pluecker, pullback, wedge, wedge_all,
+                    wedge_power)
+from .manifolds import (Submanifold, complement_frames, product_with_torus,
+                        sample, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the eps values of the scaling identity in verify_product_contact
@@ -355,19 +356,12 @@ def verify_inverse_form(rep: Representation, c: float, samples,
              f"and 2C"))
 
     # restriction to pages: the correction is C * rho^2 d(theta), which
-    # annihilates page-tangent vectors
+    # annihilates page-tangent vectors.  The page frame is the orthonormal
+    # complement of mu in the tangent frame; a sample where mu vanishes on
+    # TV (the binding) has none and raises DegenerateSystem
     mu = rep.f.mu_form()
-    w = mu.restrict(samples, bases)
-    norm = np.linalg.norm(w, axis=-1)
-    on_binding = norm < 1e-14
-    norm2 = np.where(on_binding, 1.0, norm ** 2)[:, None, None]
-    # orthonormal basis of ker(w) inside the tangent space: the eigenvectors
-    # of the projector with eigenvalue 1
-    proj = np.eye(w.shape[1]) - w[:, :, None] * w[:, None, :] / norm2
-    _, eigvec = np.linalg.eigh(proj)
-    page = np.swapaxes(eigvec[:, :, 1:], -1, -2) @ bases
-    page_gap = np.where(on_binding, 0.0, c * np.max(np.abs(
-        mu.restrict(samples, page)), axis=-1))
+    page = complement_frames(mu.restrict(samples, bases))[0] @ bases
+    page_gap = c * np.max(np.abs(mu.restrict(samples, page)), axis=-1)
     bind_bases = tangent_bases(rep.manifold, binding_samples)
     bind_gap = c * np.abs(mu.restrict(binding_samples, bind_bases))
     details.append(make_report(
@@ -452,7 +446,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     pull_gaps, vols, vol_gaps = [], [], []
     for tau in tau_grid:
         alpha_tau, d_alpha_tau = line(-tau * c)
-        pulled = _pullback_on_bases(shear_map(rep, tau, c), alpha0, pts, bases)
+        pulled = pullback(shear_map(rep, tau, c), alpha0).restrict(pts, bases)
         pull_gaps.append(np.abs(pulled - alpha_tau.restrict(pts, bases)))
         vol_tau = contact_volume(alpha_tau, n + 1, d_alpha_tau).on_pluecker(
             pts, coords)
@@ -476,7 +470,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     # (alpha_minus, conj f)
     alpha1 = family_form(rep, 1.0, c)
     flip = angle_flip_map(rep.manifold.ambient_dim)
-    flipped = _pullback_on_bases(flip, alpha1, pts, bases)
+    flipped = pullback(flip, alpha1).restrict(pts, bases)
     rep_minus = replace(rep, contact=inverse_form(rep, c),
                         f=rep.f.conjugate(),
                         name=f"{rep.name} (inverse)")
@@ -491,14 +485,6 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     return merge_reports(f"isotopy[{rep.name}]", details, seed=seed,
                          note=f"isotopy family at C={c} over tau grid "
                               f"{list(tau_grid)}")
-
-
-def _pullback_on_bases(phi: SmoothMap, form1: KForm, pts, bases):
-    """Values of (phi^* form1) on each basis vector (1-forms only)."""
-    q = phi(pts)
-    jac = phi.jacobian(pts)
-    pushed = np.einsum("ntm,njm->njt", jac, bases)
-    return form1.restrict(q, pushed)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _suite_g2_s3():
         g -= np.sum(g * q, axis=-1, keepdims=True) * q
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
         p = rng.uniform(0.0, 1.0, size=(200, 1)) * g
-        q2, p2 = twist(q, p)
+        _, p2 = twist(q, p)
         norm_gap = np.abs(np.linalg.norm(p2, axis=-1)
                           - np.linalg.norm(p, axis=-1))
         qb, pb = twist(q, g)

@@ -341,22 +341,23 @@ def binding_orientation(rep: Representation):
     a basis W of T_p K is positive when (u1, u2, W) is positively oriented
     in T_p V, where (u1, u2) spans the normal of K inside T_p V with
     positive (df_x, df_y)-frame determinant.  Batched: points (N, m) and
-    bases (N, dim K, m) give signs (N,)."""
+    bases (N, dim K, m) give signs (N,).
+
+    No frame of T_p V is built: the sign is V's own orientation rule
+    applied to (grad f_x, grad f_y, W).  For "normal_first" V that is
+    sign det[n, grad f_x, grad f_y, W], n the unit normal.  Each grad f_i
+    is a_i n + P_i1 u1 + P_i2 u2 + (a vector in span W), with
+    P_ij = <grad f_i, u_j>; the n and W parts drop out of the determinant,
+    which is therefore det P * det[n, u1, u2, W], and det P > 0 by the
+    choice of (u1, u2).  The same holds without n for "ambient" V, and
+    for an unoriented V (None) every sign is +1.  These three are the
+    rules the argument covers; a callable orientation of V is not one.
+    """
     manifold = rep.manifold
     f = rep.f
 
     def orientation(points, bases):
-        frames = tangent_bases(manifold, points)              # (N, dimV, m)
-        # complement of span(basis) inside the tangent space: the two
-        # eigenvalue-1 eigenvectors of the projector, last in eigh's order
-        coords = bases @ np.swapaxes(frames, -1, -2)          # (N, dimK, dimV)
-        proj = np.eye(frames.shape[1]) - np.swapaxes(coords, -1, -2) @ coords
-        _, eigvec = np.linalg.eigh(proj)
-        comp = np.swapaxes(eigvec[..., -2:], -1, -2) @ frames  # (N, 2, m)
-        pairing = f.grad(points) @ np.swapaxes(comp, -1, -2)   # (N, 2, 2)
-        swap = np.linalg.det(pairing) < 0
-        comp[swap] = comp[swap, ::-1]
-        full = np.concatenate([comp, bases], axis=-2)
+        full = np.concatenate([f.grad(points), bases], axis=-2)
         return _orientation_signs(manifold, points, full)
 
     return orientation

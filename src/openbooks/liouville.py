@@ -19,9 +19,9 @@ from .bourgeois import extend_form
 from .contact import (ContactForm, DefiningFunction, Representation,
                       standard_contact_form)
 from .errors import DomainError
-from .forms import (KForm, SmoothMap, VecField, coordinate_differential,
-                    ext_deriv, form_from_components, interior, pullback,
-                    scale_form, wedge_power)
+from .forms import (KForm, SmoothMap, VecField, ext_deriv,
+                    form_from_components, interior, pullback, scale_form,
+                    wedge_power)
 from .manifolds import Submanifold, disk_cotangent_bundle, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
 
@@ -339,8 +339,6 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
                           f"margin {np.min(margin):.3e}")
 
     # contact form: restriction of lambda_c + 1/2 (x dy - y dx)
-    dx = coordinate_differential(m, mf)
-    dy = coordinate_differential(m, mf + 1)
     half_rot = form_from_components(
         m, 1, {(mf,): lambda x: -0.5 * x[..., mf + 1],
                (mf + 1,): lambda x: 0.5 * x[..., mf]})

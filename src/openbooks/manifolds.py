@@ -14,6 +14,11 @@ factor of J^T, and the rank test reads the singular values of J as the
 square roots of the eigenvalues of J J^T.  Every batched frame is
 computed point by point, so a point's frame does not depend on the batch
 it came in.
+
+The Householder kernel, :func:`complement_frames`, is the one place that
+takes the orthonormal complement of a vector.  Besides hypersurface frames
+it gives the page frames of an open book: the complement, inside T_p V, of
+the covector (f_x df_y - f_y df_x) restricted to a frame of T_p V.
 """
 
 from __future__ import annotations
@@ -112,28 +117,30 @@ def singular_values(mat):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0))
 
 
-def _hypersurface_frames(grad):
-    """Orthonormal bases (N, m-1, m) of the complements of gradients (N, m),
+def complement_frames(vectors):
+    """Orthonormal bases (N, m-1, m) of the complements of vectors (N, m),
     and their "normal_first" orientation signs (N,).
 
     Rows 1..m-1 of the Householder reflection H = I - w w^T / (1 + |u_0|),
     w = u + s e_0 with s = sign(u_0) (u_0 = 0 counting as +), which maps
-    the unit normal u to -s e_0: no SVD, and the rows are computed point by
-    point.  Row 0 of H is -s u and det H = -1, so det[u; H[1:]] = s is the
-    orientation sign.  On a product with a torus the angle coordinates of u
-    vanish, so the torus directions come out exactly as coordinate vectors,
-    after the base's tangent vectors.
+    the unit vector u = v / |v| to -s e_0: no SVD or eigh, and the rows are
+    computed point by point.  Row 0 of H is -s u and det H = -1, so
+    det[u; H[1:]] = s is the orientation sign.  On a product with a torus
+    the angle coordinates of a constraint gradient vanish, so the torus
+    directions come out exactly as coordinate vectors, after the base's
+    tangent vectors.  A zero or non-finite vector has no complement frame
+    and raises DegenerateSystem.
     """
-    norm = np.linalg.norm(grad, axis=-1)
+    norm = np.linalg.norm(vectors, axis=-1)
     if not np.all((norm > 0) & np.isfinite(norm)):
-        raise DegenerateSystem("vanishing constraint gradient in batch",
+        raise DegenerateSystem("vanishing or non-finite vector in batch",
                                singular_values=norm[:, None])
-    u = grad / norm[:, None]
+    u = vectors / norm[:, None]
     s = np.where(u[:, 0] >= 0, 1.0, -1.0)
     w = u.copy()
     w[:, 0] += s
     scale = 1.0 + np.abs(u[:, 0])
-    return np.eye(grad.shape[-1])[1:] - w[:, 1:, None] * (
+    return np.eye(vectors.shape[-1])[1:] - w[:, 1:, None] * (
         w[:, None, :] / scale[:, None, None]), s
 
 
@@ -155,7 +162,7 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
         bases = np.broadcast_to(np.eye(manifold.ambient_dim),
                                 (n, manifold.ambient_dim, manifold.ambient_dim)).copy()
     elif manifold.n_constraints == 1:
-        bases, normal_signs = _hypersurface_frames(
+        bases, normal_signs = complement_frames(
             manifold.jacobian(pts)[:, 0, :])
         if manifold.orientation == "normal_first":
             signs = normal_signs

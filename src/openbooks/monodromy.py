@@ -26,11 +26,12 @@ from .contact import Representation, openbook_volume_form
 from .errors import (BindingPoint, DegenerateSystem, DomainError,
                      FlowAborted, NonConvergence)
 from .forms import (KForm, SmoothMap, VecField, central_difference,
-                    ext_deriv, interior, scale_form, wedge_all, wedge_power)
+                    ext_deriv, interior, pullback, scale_form, wedge_all,
+                    wedge_power)
 from .liouville import canonical_one_form
-from .manifolds import (FD_STEP, disk_cotangent_bundle, gauss_newton_step,
-                        project_to_constraints, singular_values,
-                        tangent_bases)
+from .manifolds import (FD_STEP, complement_frames, disk_cotangent_bundle,
+                        gauss_newton_step, project_to_constraints,
+                        singular_values, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
@@ -82,11 +83,7 @@ def _spinning_solve_batch(rep: Representation, pts):
     alpha_t = alpha.restrict(pts, bases)
     da_t = dalpha.restrict(pts, bases)
     # page basis: orthonormal kernel of mu_t
-    norm = np.linalg.norm(mu_t, axis=-1, keepdims=True)
-    w = mu_t / norm
-    proj = np.eye(d)[None] - w[:, :, None] * w[:, None, :]
-    eigval, eigvec = np.linalg.eigh(proj)
-    page = np.swapaxes(eigvec[:, :, 1:], -1, -2)       # (N, d-1, d)
+    page = complement_frames(mu_t)[0]                  # (N, d-1, d)
     # rows: mu(Y) = 2 pi rho^2 ; for each page vector e:
     #   rho^2 da(e, Y)... careful with slot order: iota_Y dlam(e) = dlam(Y, e)
     rows = [mu_t[:, None, :]]
@@ -329,12 +326,7 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     far = pts[f.modulus(pts) >= 0.1]
     bases = tangent_bases(rep.manifold, far)
     mu_t = np.einsum("nm,njm->nj", f.regularized(far).mu, bases)
-    mu_t /= np.linalg.norm(mu_t, axis=-1, keepdims=True)
-    d = bases.shape[1]
-    proj = np.eye(d)[None] - mu_t[:, :, None] * mu_t[:, None, :]
-    eigval, eigvec = np.linalg.eigh(proj)
-    page = np.einsum("nqj,njm->nqm", np.swapaxes(eigvec[:, :, 1:], -1, -2),
-                     bases)
+    page = complement_frames(mu_t)[0] @ bases
     details.append(make_report(
         "page_structure_preserved", n_samples=len(far),
         max_residual=np.max(np.abs(lie_two_form.restrict(far, page)),
@@ -544,10 +536,7 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     phi = SmoothMap(2 * n, 2 * n, eval_map)
     pts = np.asarray(samples_qp, float)
     bases = tangent_bases(bundle, pts)
-    jac = phi.jacobian(pts)
-    pushed = np.einsum("ntm,njm->njt", jac, bases)
-    q_img = phi(pts)
-    lhs = lam.restrict(q_img, pushed)
+    lhs = pullback(phi, lam).restrict(pts, bases)
 
     r = np.linalg.norm(pts[..., n:], axis=-1)
 

@@ -286,7 +286,6 @@ def hopf_circle_submanifold() -> Submanifold:
     """A Hopf fiber fixture {(e^{ia}, e^{ia})/sqrt 2}: transverse to the
     contact structure, so the Legendrian check must fail."""
     def constraints(p):
-        inv = 1.0 / np.sqrt(2.0)
         return np.stack([p[..., 0] - p[..., 2], p[..., 1] - p[..., 3],
                          np.sum(p * p, axis=-1) - 1.0], axis=-1)
 

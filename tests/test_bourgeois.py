@@ -17,6 +17,7 @@ from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
 from openbooks.contact import (DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book,
                                verify_representation)
+from openbooks.errors import DegenerateSystem
 from openbooks.forms import contact_volume, ext_deriv, scale_form
 from openbooks.manifolds import sample, tangent_bases
 
@@ -221,6 +222,18 @@ def test_inverse_form_at_c_ten():
     bind = sample(rep.binding, 100, seed=12)
     report = verify_inverse_form(rep, 10.0, pts[:200], bind)
     assert report.passed
+
+
+def test_inverse_form_with_a_binding_sample_raises():
+    # mu vanishes on T_p V at a binding point, so the point has no page
+    # frame; the check raises instead of reading a page gap of 0
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 200, seed=11)
+    bind = sample(rep.binding, 100, seed=12)
+    assert verify_inverse_form(rep, 10.0, pts, bind).passed
+    pts[17] = bind[0]
+    with pytest.raises(DegenerateSystem):
+        verify_inverse_form(rep, 10.0, pts, bind)
 
 
 def test_inverse_form_c_zero_is_original():

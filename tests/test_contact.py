@@ -244,6 +244,34 @@ def test_representation_passes(maker, n):
     assert report.passed, [(d.name, d.min_margin) for d in report.details]
 
 
+def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
+    # negative control: with the binding oriented the other way, alpha
+    # restricted to the binding circle of the quadric S^3 book pairs to
+    # -1/2 with the oriented unit tangent, and no other condition moves
+    import openbooks.contact as contact_module
+    rep = quadric_open_book(2)
+    pts = sample(rep.manifold, 500, seed=16)
+    bind = sample(rep.binding, 100, seed=17)
+    reference = verify_representation(rep, pts, bind)
+    assert reference.passed
+    orient = contact_module.binding_orientation
+
+    def negated(rep):
+        signs = orient(rep)
+        return lambda points, bases: -signs(points, bases)
+
+    monkeypatch.setattr(contact_module, "binding_orientation", negated)
+    report = verify_representation(rep, pts, bind)
+    assert not report.passed
+    failed = [d.name for d in report.details if not d.passed]
+    assert failed == ["binding_contact"]
+    margin = report.details[-1].min_margin
+    assert abs(margin + 0.5) <= 1e-9, margin
+    for got, want in zip(report.details[:-1], reference.details[:-1]):
+        assert (got.min_margin, got.max_residual) == (want.min_margin,
+                                                      want.max_residual)
+
+
 def test_squared_coordinate_fails_regular_value():
     # fixture: f = z_1^2 has vanishing gradient along its zero set, so the
     # regular-value condition must reject it; oracle: the explicit

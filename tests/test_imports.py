@@ -1,9 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+local a function binds is read.
 
 No linter ships with the project, so this walks the syntax tree instead:
 an imported name counts as used when it appears as a name anywhere in the
 module (attribute chains such as ``np.zeros`` start at a name).  The
-package root is skipped, since its imports are its exports.
+package root is skipped, since its imports are its exports.  A function's
+locals are the names bound in its own scope, not in nested defs; a local
+counts as read when it is loaded anywhere in the function, nested defs
+included (closures read their enclosing locals).  Names starting with
+``_`` are exempt, so ``_, b = pair`` is how a value is dropped on purpose.
 """
 
 import ast
@@ -29,6 +34,41 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _own_scope(fn):
+    """The nodes of a function's body, without descending into nested
+    functions, classes or lambdas."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """``function.name`` for each local that its function binds and never
+    reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, declared = set(), set()
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        found += [f"{fn.name}.{name}"
+                  for name in sorted(bound - read - declared)
+                  if not name.startswith("_")]
+    return found
+
+
 def test_checker_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\n"
@@ -40,3 +80,25 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_an_unused_local():
+    source = ("def f(x):\n"
+              "    a, b = x\n"                  # b is never read
+              "    _, c = x\n"                  # _ is exempt
+              "    d = 1\n"
+              "    def g():\n"
+              "        e = 2\n"                 # g's own local
+              "        return c + d\n"          # closure reads c and d
+              "    for i in range(3):\n"        # loop target never read
+              "        pass\n"
+              "    return a + g()\n"
+              "def h():\n"
+              "    global z\n"
+              "    z = 1\n")
+    assert unused_locals(source) == ["f.b", "f.i", "g.e"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_has_no_unused_local(path):
+    assert unused_locals(path.read_text()) == []

@@ -163,7 +163,7 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
     hypersurface_build(weinstein_disk_domain()).manifold],
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
-    from openbooks.manifolds import _hypersurface_frames, _orientation_signs
+    from openbooks.manifolds import _orientation_signs, complement_frames
     assert manifold.orientation == "normal_first"
     pts = sample(manifold, 300, seed=33)
     # u_0 = 0 at the first point: the first gradient coordinate of each of
@@ -173,7 +173,7 @@ def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
     grad = manifold.jacobian(pts)[:, 0, :]
     assert grad[0, 0] == 0.0
     assert 0 < np.count_nonzero(grad[:, 0] < 0) < len(pts) - 1
-    frames, signs = _hypersurface_frames(grad)
+    frames, signs = complement_frames(grad)
     assert np.array_equal(signs, _orientation_signs(manifold, pts, frames))
     want = frames.copy()
     want[signs < 0, -1] = -want[signs < 0, -1]
@@ -216,6 +216,66 @@ def test_vanishing_gradient_in_a_batch_rejected(bad_point):
     with pytest.raises(DegenerateSystem) as err:
         tangent_bases(bad, pts, tol=1.0)
     assert err.value.singular_values.shape == (2, 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+def test_complement_frames_are_orthonormal_complements(m):
+    from openbooks.manifolds import complement_frames
+    rng = rng_for(40 + m)
+    vectors = rng.normal(size=(500, m)) * 10.0 ** rng.uniform(
+        -3, 3, size=(500, 1))
+    vectors[0, 0] = 0.0                                  # u_0 = 0
+    assert 100 < np.count_nonzero(vectors[:, 0] < 0) < 400
+    frames, signs = complement_frames(vectors)
+    assert frames.shape == (500, m - 1, m)
+    unit = vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    assert np.max(np.abs(gram - np.eye(m - 1))) <= 1e-15
+    assert np.max(np.abs(np.einsum("njm,nm->nj", frames, unit))) <= 1e-15
+    assert np.array_equal(signs, np.where(unit[:, 0] >= 0, 1.0, -1.0))
+    full = np.concatenate([unit[:, None, :], frames], axis=1)
+    np.testing.assert_allclose(np.linalg.det(full), signs, rtol=0,
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("site", ["spinning_solve", "spinning_definition",
+                                  "inverse_form"])
+def test_page_frames_of_each_site_are_annihilated_by_mu(site, monkeypatch):
+    """Each page frame is the complement of mu inside T_p V: mu, taken in
+    ambient space, vanishes on the frame's rows mapped through the
+    tangent frame."""
+    from openbooks import bourgeois, manifolds, monodromy
+    rep = quadric_open_book(2)
+    pts = sample(rep.manifold, 600, seed=41)
+    # every point is at |f| >= 0.1, so no site drops any of them
+    pts = pts[rep.f.modulus(pts) >= 0.1][:200]
+    seen = []
+
+    def recording(vectors):
+        out = manifolds.complement_frames(vectors)
+        seen.append(out[0])
+        return out
+
+    if site == "inverse_form":
+        rep = bourgeois.profiled_representation(rep)
+        monkeypatch.setattr(bourgeois, "complement_frames", recording)
+        bind = sample(rep.binding, 20, seed=42)
+        assert bourgeois.verify_inverse_form(rep, 10.0, pts, bind).passed
+    else:
+        monkeypatch.setattr(monodromy, "complement_frames", recording)
+        if site == "spinning_solve":
+            monodromy.spinning_field(rep, pts)
+        else:
+            y = monodromy.quadric_spinning_field(rep)
+            monodromy.spinning_definition_check(rep, y, pts)
+    assert len(seen) == 1
+    bases = tangent_bases(rep.manifold, pts)
+    mu = rep.f.mu_form().coeffs(pts)
+    page = seen[0] @ bases                               # (N, d-1, m)
+    assert page.shape == (len(pts), rep.manifold.dim - 1, 4)
+    scale = np.linalg.norm(np.einsum("nm,njm->nj", mu, bases), axis=-1)
+    assert np.max(np.abs(np.einsum("nm,npm->np", mu, page))
+                  / scale[:, None]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
