@@ -10,8 +10,8 @@ vanishing on TP.  Two constructions live in V x T^2:
     both components of f vanish along the binding).
 
 Loops on P with positive contact integral can be straightened to loops
-positively transverse to the Legendrian foliation by flowing along any
-field Y with alpha(Y) = 1 for the time function
+positively transverse to the Legendrian foliation by flowing along a
+constant field Y with alpha(Y) = 1 for the time function
 f(t) = C t/(2 pi) - int_0^t alpha(gamma').
 
 Run:  python demos/05_prelagrangians_and_loops.py
@@ -19,9 +19,8 @@ Run:  python demos/05_prelagrangians_and_loops.py
 
 import numpy as np
 
-from openbooks import (Loop, binding_torus_prelagrangian, constant_field,
-                       legendrian_check, quadric_open_book,
-                       real_circle_submanifold,
+from openbooks import (Loop, binding_torus_prelagrangian, legendrian_check,
+                       quadric_open_book, real_circle_submanifold,
                        real_circle_torus_prelagrangian, sample,
                        straighten_loop, verify_prelagrangian)
 from openbooks.prelagrangian import (desk_loop, loop_integral,
@@ -63,8 +62,8 @@ c_in, g_in, _ = loop_integral(pl, loop)
 print(f"input loop: C = {c_in:.6f}, speed range "
       f"[{g_in.min():.3f}, {g_in.max():.3f}]")
 
-y_field = constant_field(6, [0, 0, 0, 0, 1, 0])      # alpha_hat(Y) = 1 on P
-straight, report = straighten_loop(loop, pl, y_field)
+y = np.array([0, 0, 0, 0, 1, 0])          # d/d(phi1): alpha_hat(Y) = 1 on P
+straight, report = straighten_loop(loop, pl, y)
 c_out, g_out, _ = loop_integral(pl, straight)
 print(f"straightened: C = {c_out:.6f}, speed range "
       f"[{g_out.min():.9f}, {g_out.max():.9f}]")

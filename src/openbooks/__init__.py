@@ -8,10 +8,10 @@ ideal Liouville completions, Dehn twists, filling positivity sweeps and
 pre-Lagrangian loop straightening.
 """
 
-from .forms import (KForm, Point, SmoothMap, VecField,
-                    constant_field, constant_form, coordinate_differential,
-                    ext_deriv, form_from_components, interior, pullback,
-                    scale_form, wedge, wedge_all, wedge_power)
+from .forms import (KForm, Point, SmoothMap, VecField, constant_form,
+                    coordinate_differential, ext_deriv, form_from_components,
+                    interior, pullback, scale_form, wedge, wedge_all,
+                    wedge_power)
 from .manifolds import (Submanifold, disk_cotangent_bundle, flat_torus,
                         product_with_torus, project_to_constraints, rng_for,
                         sample, tangent_bases, unit_sphere)

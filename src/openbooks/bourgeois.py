@@ -355,15 +355,17 @@ def verify_inverse_form(rep: Representation, c: float, samples,
         note=f"alpha_minus contact with reversed orientation at C={c} "
              f"and 2C"))
 
-    # restriction to pages: the correction is C * rho^2 d(theta), which
-    # annihilates page-tangent vectors.  The page frame is the orthonormal
-    # complement of mu in the tangent frame; a sample where mu vanishes on
-    # TV (the binding) has none and raises DegenerateSystem
+    # restriction to pages and binding: alpha_minus - alpha, read from
+    # inverse_form itself, vanishes on their tangent vectors.  The page
+    # frame is the orthonormal complement of mu in the tangent frame; a
+    # sample where mu vanishes on TV (the binding) has none and raises
+    # DegenerateSystem
+    correction = inverse_form(rep, c).alpha - rep.contact.alpha
     mu = rep.f.mu_form()
     page = complement_frames(mu.restrict(samples, bases))[0] @ bases
-    page_gap = c * np.max(np.abs(mu.restrict(samples, page)), axis=-1)
+    page_gap = np.max(np.abs(correction.restrict(samples, page)), axis=-1)
     bind_bases = tangent_bases(rep.manifold, binding_samples)
-    bind_gap = c * np.abs(mu.restrict(binding_samples, bind_bases))
+    bind_gap = np.abs(correction.restrict(binding_samples, bind_bases))
     details.append(make_report(
         "restriction_agreement", n_samples=len(samples) + len(binding_samples),
         max_residual=[page_gap, bind_gap],

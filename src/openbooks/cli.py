@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bourgeois, contact, liouville, monodromy, prelagrangian
-from .forms import constant_field, ext_deriv
+from .forms import ext_deriv
 from .manifolds import rng_for, sample
 from .report import CheckReport, make_report, merge_reports
 
@@ -432,7 +432,7 @@ def _suite_prelag():
         pl = prelagrangian.real_circle_torus_prelagrangian()
         loop = prelagrangian.Loop.from_function(
             prelagrangian.desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
-        y = constant_field(6, [0, 0, 0, 0, 1, 0])
+        y = np.array([0, 0, 0, 0, 1, 0])
         _, report = prelagrangian.straighten_loop(loop, pl, y, seed=seed)
         return report
 

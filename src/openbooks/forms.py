@@ -373,12 +373,6 @@ class VecField:
         return self.eval(np.asarray(p, float))
 
 
-def constant_field(m: int, components) -> VecField:
-    components = np.asarray(components, float)
-    return VecField(m, lambda p: np.broadcast_to(
-        components, np.shape(p)[:-1] + (m,)).copy())
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """Map between ambient spaces with an optional analytic Jacobian."""

@@ -16,7 +16,7 @@ import numpy as np
 from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DimensionMismatch, DomainError, OffManifold
-from .forms import KForm, VecField, ext_deriv, scale_form
+from .forms import KForm, ext_deriv, scale_form
 from .manifolds import Submanifold, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
 
@@ -362,60 +362,53 @@ def loop_integral(pl: PreLagrangian, loop: Loop):
 
 
 @timed
-def straighten_loop(loop: Loop, pl: PreLagrangian, y_field: VecField,
-                    seed=0):
-    """Flow-reparametrize a loop with positive contact integral into one
+def straighten_loop(loop: Loop, pl: PreLagrangian, direction, seed=0):
+    """Reparametrize a loop with positive contact integral into one
     positively transverse to the Legendrian foliation of P:
 
         g(t) = alpha_hat(gamma'(t)),  C = integral of g,
         f(t) = C t / (2 pi) - int_0^t g,
-        straightened(t) = Phi^Y_{f(t)}(gamma(t))
+        straightened(t) = gamma(t) + f(t) Y
 
-    for any Y on P with alpha_hat(Y) = 1.  The output satisfies
+    for a constant direction Y, a finite array (m,) tangent to P with
+    alpha_hat(Y) = 1 along the loop.  The output satisfies
     alpha_hat(gamma'(t)) = C / (2 pi) and closes up since f(0) = f(2 pi)
-    = 0.  The flow takes 32 RK4 steps.  Returns (straightened Loop,
-    CheckReport).
+    = 0.  Y is constant because the time-s flow of a constant field is the
+    translation x -> x + s Y, so no integrator is needed, and the paper's
+    Y = d/d(phi_1) is one: alpha_hat does not depend on the torus angles,
+    so its flow preserves alpha_hat.  A direction that leaves P raises
+    OffManifold.  Returns (straightened Loop, CheckReport).
     """
     vals = loop.values[:-1]
-    if loop.closure_gap() > 1e-10:
+    direction = np.asarray(direction, float)
+    if direction.shape != vals.shape[1:]:
+        raise DimensionMismatch(
+            f"direction must have shape {vals.shape[1:]}; "
+            f"got {direction.shape}")
+    if not loop.closure_gap() <= 1e-10:
         raise DomainError(f"loop endpoint gap {loop.closure_gap():.2e}")
-    res = pl.submanifold.residual(vals)
-    if np.max(res) > ON_P_TOL:
-        raise OffManifold(f"loop leaves P: residual {np.max(res):.2e}")
+    res = np.max(pl.submanifold.residual(vals))
+    if not res <= ON_P_TOL:
+        raise OffManifold(f"loop leaves P: residual {res:.2e}")
 
     c_val, g, t = loop_integral(pl, loop)
-    if c_val <= 0:
+    if not c_val > 0:
         raise DomainError(f"loop integral C = {c_val:.3e} is not positive")
 
-    # Y must be tangent to P with alpha_hat(Y) = 1 along the loop
-    yv = y_field(vals)
-    pairing = pl.alpha_hat.restrict(vals, yv[:, None, :])[:, 0]
-    if np.max(np.abs(pairing - 1.0)) > 1e-8:
-        raise DomainError("alpha_hat(Y) != 1 along the loop: gap "
-                          f"{np.max(np.abs(pairing - 1.0)):.2e}")
+    # Y must be tangent to P with alpha_hat(Y) = 1 along the loop; the
+    # negated comparisons send NaN to the error branch
+    pairing = pl.alpha_hat.restrict(
+        vals, np.broadcast_to(direction, vals.shape)[:, None, :])[:, 0]
+    gap = np.max(np.abs(pairing - 1.0))
+    if not gap <= 1e-8:
+        raise DomainError(f"alpha_hat(Y) != 1 along the loop: gap {gap:.2e}")
 
     f_t = (c_val * t / (2 * np.pi)
            - cumulative_simpson(g, 2 * np.pi / loop.n_grid))
-
-    # flow each sample for its own time f(t_i): scale the field per point
-    # and integrate unit time
-    factors = f_t[:-1, None]
-
-    def scaled(p):
-        return factors * y_field(p)
-
-    new_vals = vals.copy()
-    steps = 32
-    h = 1.0 / steps
-    for _ in range(steps):
-        k1 = scaled(new_vals)
-        k2 = scaled(new_vals + 0.5 * h * k1)
-        k3 = scaled(new_vals + 0.5 * h * k2)
-        k4 = scaled(new_vals + h * k3)
-        new_vals = new_vals + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    new_vals = vals + f_t[:-1, None] * direction
     drift = float(np.max(pl.submanifold.residual(new_vals)))
-    if drift > ON_P_TOL:
-        raise OffManifold(f"the Y flow left P: drift {drift:.2e}")
+    if not drift <= ON_P_TOL:
+        raise OffManifold(f"translating along Y left P: drift {drift:.2e}")
 
     closing = new_vals[0] + (loop.values[-1] - loop.values[0])
     out = Loop(np.vstack([new_vals, closing[None, :]]), loop.periodic_mask)

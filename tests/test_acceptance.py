@@ -12,8 +12,7 @@ import pytest
 
 from openbooks import bourgeois, contact, liouville, monodromy, prelagrangian
 from openbooks.cli import SuiteConfig, run_suite
-from openbooks.forms import (KForm, SmoothMap, constant_field, ext_deriv,
-                             pullback, wedge)
+from openbooks.forms import KForm, SmoothMap, ext_deriv, pullback, wedge
 from openbooks.manifolds import rng_for, sample, tangent_bases
 
 
@@ -316,7 +315,7 @@ def test_criterion_10_prelagrangian():
                                             2048,
                                             pl.submanifold.periodic_mask)
     _, straight = prelagrangian.straighten_loop(
-        loop, pl, constant_field(6, [0, 0, 0, 0, 1, 0]))
+        loop, pl, np.array([0, 0, 0, 0, 1, 0]))
     named = {d.name: d for d in straight.details}
     ok = flat.passed and straight.passed
     _line(10, ok, f"d(alpha_hat)|TP = {flat.max_residual:.2e} (<= 1e-7), "

@@ -14,11 +14,11 @@ from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
                                  isotopy_check, profiled_representation,
                                  radial_profile, radial_profile_slope,
                                  verify_product_contact, verify_inverse_form)
-from openbooks.contact import (DefiningFunction, Representation,
+from openbooks.contact import (ContactForm, DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book,
                                verify_representation)
 from openbooks.errors import DegenerateSystem
-from openbooks.forms import contact_volume, ext_deriv, scale_form
+from openbooks.forms import KForm, contact_volume, ext_deriv, scale_form
 from openbooks.manifolds import sample, tangent_bases
 
 
@@ -234,6 +234,33 @@ def test_inverse_form_with_a_binding_sample_raises():
     pts[17] = bind[0]
     with pytest.raises(DegenerateSystem):
         verify_inverse_form(rep, 10.0, pts, bind)
+
+
+def test_restriction_agreement_reads_alpha_minus(monkeypatch):
+    # control: alpha_minus + 1e-6 |f|^2 dx_0 vanishes on the binding but
+    # not on pages, so only the page half of restriction_agreement can see
+    # it; reversed_contact reads alpha - C mu and is unchanged
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 800, seed=11)
+    bind = sample(rep.binding, 100, seed=12)
+    c, _, _ = find_inverse_constant(rep, pts)
+    honest = verify_inverse_form(rep, c, pts[:200], bind)
+    assert honest.passed
+
+    def perturbed(rep, c):
+        bump = KForm(1, 4, lambda p: 1e-6 * rep.f.modulus(p)[..., None] ** 2
+                     * np.eye(4)[0])
+        return ContactForm(inverse_form(rep, c).alpha + bump, rep.manifold)
+
+    monkeypatch.setattr(bourgeois, "inverse_form", perturbed)
+    report = verify_inverse_form(rep, c, pts[:200], bind)
+    named = {d.name: d for d in report.details}
+    assert not report.passed
+    assert not named["restriction_agreement"].passed
+    assert named["restriction_agreement"].max_residual > 1e-8
+    assert named["reversed_contact"].passed
+    assert named["reversed_contact"] == {
+        d.name: d for d in honest.details}["reversed_contact"]
 
 
 def test_inverse_form_c_zero_is_original():

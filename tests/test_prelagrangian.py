@@ -5,7 +5,6 @@ import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import DimensionMismatch, DomainError, OffManifold
-from openbooks.forms import constant_field
 from openbooks.manifolds import Submanifold, sample
 from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
                                      cumulative_simpson, desk_loop,
@@ -16,7 +15,7 @@ from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
                                      restricted_form_values, simpson,
                                      straighten_loop, verify_prelagrangian)
 
-PHI1_FIELD = constant_field(6, [0, 0, 0, 0, 1, 0])
+PHI1 = np.array([0, 0, 0, 0, 1, 0])       # Y = d/d(phi1) on L x T^2
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_straighten_desk_loop():
     pl = real_circle_torus_prelagrangian()
     loop = Loop.from_function(desk_loop(0.5), 2048,
                               pl.submanifold.periodic_mask)
-    out, report = straighten_loop(loop, pl, PHI1_FIELD)
+    out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     named = {d.name: d for d in report.details}
     assert named["transverse_speed"].max_residual < 1e-5
@@ -159,7 +158,7 @@ def test_already_transverse_loop_is_fixed():
     pl = real_circle_torus_prelagrangian()
     loop = Loop.from_function(desk_loop(0.0), 2048,
                               pl.submanifold.periodic_mask)
-    out, report = straighten_loop(loop, pl, PHI1_FIELD)
+    out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     assert np.max(np.abs(out.values - loop.values)) < 1e-12
 
@@ -175,7 +174,7 @@ def test_negative_integral_rejected():
     loop = Loop.from_function(backwards, 1024,
                               pl.submanifold.periodic_mask)
     with pytest.raises(DomainError):
-        straighten_loop(loop, pl, PHI1_FIELD)
+        straighten_loop(loop, pl, PHI1)
 
 
 def test_bad_field_rejected():
@@ -184,18 +183,53 @@ def test_bad_field_rejected():
                               pl.submanifold.periodic_mask)
     # not alpha_hat(Y) = 1
     with pytest.raises(DomainError):
-        straighten_loop(loop, pl, constant_field(6, [1, 0, 0, 0, 0, 0]))
+        straighten_loop(loop, pl, np.array([1, 0, 0, 0, 0, 0]))
     # alpha_hat(Y) = 1 along the loop (the radial direction pairs to zero
-    # with alpha_0 at real points) but the flow leaves P
-    def off_p(p):
-        out = np.zeros_like(p)
-        out[..., 4] = 1.0
-        out[..., 0] = 0.5
-        return out
-
-    from openbooks.forms import VecField
+    # with alpha_0 at real points) but the translation leaves P
     with pytest.raises(OffManifold):
-        straighten_loop(loop, pl, VecField(6, off_p))
+        straighten_loop(loop, pl, np.array([0.5, 0, 0, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("component", [0, 4, 5])
+def test_nan_direction_rejected(component):
+    # NaN fails every comparison, so a guard written `x > bound` lets it
+    # through to a report with NaN residuals
+    pl = real_circle_torus_prelagrangian()
+    loop = Loop.from_function(desk_loop(0.5), 1024,
+                              pl.submanifold.periodic_mask)
+    direction = PHI1.astype(float)
+    direction[component] = np.nan
+    with pytest.raises(DomainError):
+        straighten_loop(loop, pl, direction)
+
+
+@pytest.mark.parametrize("direction", [
+    np.array([0, 0, 0, 0, 1]),
+    np.array([[0, 0, 0, 0, 1, 0]]),
+    np.zeros((1024, 6)),
+], ids=["five", "row", "per_sample"])
+def test_direction_of_the_wrong_shape_rejected(direction):
+    pl = real_circle_torus_prelagrangian()
+    loop = Loop.from_function(desk_loop(0.5), 1024,
+                              pl.submanifold.periodic_mask)
+    with pytest.raises(DimensionMismatch):
+        straighten_loop(loop, pl, direction)
+
+
+@pytest.mark.parametrize("wobble", [0.5, 0.0, -0.3])
+def test_straightening_is_the_exact_translation(wobble):
+    pl = real_circle_torus_prelagrangian()
+    loop = Loop.from_function(desk_loop(wobble), 2048,
+                              pl.submanifold.periodic_mask)
+    out, report = straighten_loop(loop, pl, PHI1)
+    assert report.passed
+    c_val, g, t = loop_integral(pl, loop)
+    f_t = c_val * t / (2 * np.pi) - cumulative_simpson(g, 2 * np.pi / 2048)
+    vals = loop.values[:-1]
+    assert np.array_equal(out.values[:-1], vals + f_t[:-1, None] * PHI1)
+    # the columns where Y is 0 are untouched
+    still = PHI1 == 0
+    assert np.array_equal(out.values[:, still], loop.values[:, still])
 
 
 def test_open_loop_rejected():
@@ -208,7 +242,7 @@ def test_open_loop_rejected():
 
     loop = Loop.from_function(arc, 512, pl.submanifold.periodic_mask)
     with pytest.raises(DomainError):
-        straighten_loop(loop, pl, PHI1_FIELD)
+        straighten_loop(loop, pl, PHI1)
 
 
 def test_loop_derivative_stencil_accuracy():
