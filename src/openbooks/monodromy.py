@@ -357,10 +357,10 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
     ``check_halving`` re-runs with half the step and raises NonConvergence
     if the endpoints differ by more than halving_tol.  No suite flow sets
     it, since each has an exact oracle (the identity, the closed form or
-    the twist); it stays as tested API because the benchmark tracer
-    (`benchmarks/tracer.py`) binds both arguments by name to count the
-    point steps, and the step-halving tests of `tests/test_monodromy.py`
-    set them.
+    the twist).  It stays as tested API: the benchmark tracer
+    (`benchmarks/tracer.py`) reads ``check_halving`` by name to count the
+    point steps, and two tests of `tests/test_monodromy.py` set both
+    arguments.
     """
     def run(step_size):
         pts = np.array(p0, float, copy=True)

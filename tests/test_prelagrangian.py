@@ -203,6 +203,16 @@ def test_nan_direction_rejected(component):
         straighten_loop(loop, pl, direction)
 
 
+def test_nan_loop_rejected():
+    pl = real_circle_torus_prelagrangian()
+    loop = Loop.from_function(desk_loop(0.5), 1024,
+                              pl.submanifold.periodic_mask)
+    values = loop.values.copy()
+    values[10, 1] = np.nan
+    with pytest.raises(OffManifold):
+        straighten_loop(Loop(values, loop.periodic_mask), pl, PHI1)
+
+
 @pytest.mark.parametrize("direction", [
     np.array([0, 0, 0, 0, 1]),
     np.array([[0, 0, 0, 0, 1, 0]]),
