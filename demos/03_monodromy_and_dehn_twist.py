@@ -75,7 +75,6 @@ print(f"pullback identity lambda_can - |p| d(rho): "
 # Conjugating the time-1 flow by the page embedding
 #   (q, p) -> (q + i p) / sqrt(1 + |p|^2)
 # reproduces the twist pointwise:
-compare = monodromy_vs_dehn_twist(rep2, np.concatenate([qs, ps], -1),
-                                  step=1e-3)
+compare = monodromy_vs_dehn_twist(rep2, np.concatenate([qs, ps], -1))
 for d in compare.details:
     print(f"  {d.name}: {d.max_residual:.2e}")

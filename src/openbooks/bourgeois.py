@@ -31,6 +31,10 @@ EPS_VALUES = (0.1, 0.5, 1.0)
 C_GRID = tuple(2.0 ** k for k in range(11))
 # reversed-orientation margin that alpha - C mu must beat at C and 2C
 INVERSE_MARGIN_TOL = 1e-3
+# the tau values of the suite's isotopy check
+TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+# the eps values of the suite's filling sweep (its T grid is the default)
+FILLING_EPS_GRID = (0.0, 0.01, 0.05, 0.1, 1.0)
 # the radial profile is the identity below R0 and constant above R1
 R0, R1 = 0.2, 0.4
 
@@ -186,6 +190,24 @@ def verify_product_contact(bf: BourgeoisForm, samples, seed=0
     return merge_reports(
         f"product_contact[{bf.rep.name}]", details, seed=seed,
         note="product form is contact; expansion and scaling identities hold")
+
+
+@timed
+def product_assembly_check(bf: BourgeoisForm, samples, seed=0
+                           ) -> CheckReport:
+    """The product form evaluated on d/d(phi1) is f_x = Re f, the
+    coefficient that beta gives to d(phi1)."""
+    pts = np.asarray(samples, float)
+    m = bf.rep.manifold.ambient_dim
+    phi1 = np.zeros((len(pts), m + 2))
+    phi1[:, m] = 1.0
+    vals = bf.alpha.restrict(pts, phi1[:, None, :])[:, 0]
+    return make_report(
+        "product_assembly", n_samples=len(pts),
+        max_residual=np.abs(vals - np.real(bf.rep.f.value(pts[:, :m]))),
+        tolerance=1e-12, seed=seed,
+        note=f"alpha(d/dphi1) reads off Re f on the dim-{bf.manifold.dim} "
+             "product")
 
 
 @timed

@@ -1,14 +1,17 @@
-"""Command-line driver: configure, run and report the verification
-suites.
+"""The `verify` driver and the suite table.
 
     verify --suite g2_s3 [--config cfg.json] [--seed N] [--samples N]
            [--out DIR] [--format json|csv]
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error.  Reports are deterministic given the seed (bit
-identical JSON apart from the wall_time_ms fields).  A report's
-wall_time_ms is the time span of the check function that returned it;
-sub-reports built inside a check read 0.
+A config file holds suite, seed, samples, out and format.  Each suite is
+a list of rows in TABLE: a check name, the inputs it runs on and the
+check, a function of a package module.  Grids and flow steps are fixed
+in the checks and the table.  Exit codes: 0 all checks passed, 1 at
+least one check failed, 2 usage or configuration error.
+Reports are deterministic given the seed (bit identical JSON apart from
+the wall_time_ms fields).  A report's wall_time_ms is the time span of
+the check function that returned it; sub-reports built inside a check
+read 0.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import bourgeois, contact, liouville, monodromy, prelagrangian
 from .forms import ext_deriv
 from .manifolds import rng_for, sample
-from .report import CheckReport, make_report, merge_reports
+from .report import CheckReport, make_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,12 +45,6 @@ class SuiteConfig:
     suite: str
     seed: int = 7
     samples: int = 2000
-    binding_samples: int = 100
-    flow_starts: int = 100
-    flow_step: float = 1e-3
-    eps_grid: tuple = (0.0, 0.01, 0.05, 0.1, 1.0)
-    t_grid: tuple = ()
-    tau_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
     out: str | None = None
     format: str = "json"
 
@@ -53,35 +52,17 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from "
                              f"{', '.join(SUITE_NAMES)}")
-        for key in ("seed", "samples", "binding_samples", "flow_starts"):
+        for key, least in (("seed", 0), ("samples", 1)):
             value = getattr(self, key)
             if (not isinstance(value, numbers.Integral)
                     or isinstance(value, bool)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if min(self.samples, self.binding_samples, self.flow_starts) < 1:
-            raise ValueError("sample counts must be >= 1")
-        if not (_is_finite_number(self.flow_step) and self.flow_step > 0):
-            raise ValueError("flow_step must be a finite number > 0, got "
-                             f"{self.flow_step!r}")
-        for key in ("eps_grid", "t_grid", "tau_grid"):
-            grid = getattr(self, key)
-            if not (isinstance(grid, (list, tuple))
-                    and all(map(_is_finite_number, grid))):
-                raise ValueError(
-                    f"{key} must be a list of finite numbers, got {grid!r}")
-            # an empty t_grid means the default grid; the other two grids
-            # have no default, and a sweep over nothing certifies nothing
-            if not grid and key != "t_grid":
-                raise ValueError(f"{key} must not be empty")
-            setattr(self, key, tuple(grid))
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path, got {self.out!r}")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-        if not self.t_grid:
-            self.t_grid = bourgeois.FillingFamily.default_t_grid()
 
     @staticmethod
     def from_file(path, overrides=None):
@@ -101,354 +82,254 @@ class SuiteConfig:
         return SuiteConfig(**known)
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # ---------------------------------------------------------------------------
-# suite definitions: each entry is (check name, callable(cfg, seed))
+# the suite table
+
+BINDING_SAMPLES = 100
 
 
-def _sphere_book_checks(maker, n):
-    def contact_check(cfg, seed):
-        rep = maker(n)
-        pts = sample(rep.manifold, cfg.samples, seed)
-        return contact.verify_contact(rep.contact, pts, seed=seed)
+@dataclass(frozen=True)
+class Row:
+    """One check of a suite.  Run at a seed, ``inputs(cfg, seed)`` builds
+    the check's representation and samples, and ``check``, a
+    "module.function" of this package, runs on them.  The function is
+    looked up at call time, so a traced or patched one is what runs."""
 
-    def adapted_check(cfg, seed):
-        rep = maker(n)
-        pts = sample(rep.manifold, cfg.samples, seed)
-        bind = sample(rep.binding, cfg.binding_samples, seed + 1)
-        return contact.verify_adapted(rep.contact, rep.f, pts, bind,
-                                      seed=seed)
+    name: str
+    inputs: Callable
+    check: str
 
-    def representation_check(cfg, seed):
-        rep = maker(n)
-        pts = sample(rep.manifold, cfg.samples, seed)
-        bind = sample(rep.binding, cfg.binding_samples, seed + 1)
-        return contact.verify_representation(rep, pts, bind, seed=seed)
-
-    def volume_check(cfg, seed):
-        rep = maker(n)
-        pts = sample(rep.manifold, min(cfg.samples, 500), seed)
-        return contact.volume_form_cross_check(rep, pts, seed=seed)
-
-    return [("contact", contact_check), ("adapted", adapted_check),
-            ("representation", representation_check),
-            ("volume_identity", volume_check)]
+    def __call__(self, cfg, seed):
+        module, function = self.check.split(".")
+        out = getattr(globals()[module], function)(*self.inputs(cfg, seed),
+                                                    seed=seed)
+        return out[-1] if isinstance(out, tuple) else out
 
 
-def _product_checks(maker, n):
-    def product_check(cfg, seed):
-        rep = maker(n)
-        bf = bourgeois.bourgeois_form(rep)
-        pts = sample(bf.manifold, min(cfg.samples, 1000), seed)
-        return bourgeois.verify_product_contact(bf, pts, seed=seed)
-
-    def slice_check(cfg, seed):
-        rep = maker(n)
-        bf = bourgeois.bourgeois_form(rep)
-        pts = sample(rep.manifold, min(cfg.samples, 500), seed)
-        bind = sample(rep.binding, cfg.binding_samples, seed + 1)
-        return bourgeois.extract_slice_representation(
-            bf, samples=pts, binding_samples=bind, seed=seed)
-
-    return [("product_contact", product_check), ("slice_representation", slice_check)]
+def _draw(obj, cfg, seed, k=None, binding=False):
+    """obj and cfg.samples points of obj.manifold at seed, at most k of
+    them; with `binding`, also BINDING_SAMPLES of obj.binding at seed + 1."""
+    pts = sample(obj.manifold, cfg.samples if k is None
+                 else min(cfg.samples, k), seed)
+    if not binding:
+        return obj, pts
+    return obj, pts, sample(obj.binding, BINDING_SAMPLES, seed + 1)
 
 
-def _suite_g1_s3():
-    checks = _sphere_book_checks(contact.coordinate_open_book, 2)
-    checks += _product_checks(contact.coordinate_open_book, 2)
-
-    def spinning_check(cfg, seed):
-        rep = contact.coordinate_open_book(2)
-        pts = sample(rep.manifold, 400, seed)
-        pts = pts[rep.f.modulus(pts) > 1e-2]
-        return monodromy.spinning_definition_check(
-            rep, monodromy.coordinate_spinning_field(rep), pts, seed=seed)
-
-    def trivial_monodromy(cfg, seed):
-        rep = contact.coordinate_open_book(2)
-        pts = sample(rep.manifold, 4 * cfg.flow_starts, seed)
-        pts = pts[rep.f.modulus(pts) > 1e-2][: cfg.flow_starts]
-        end = monodromy.flow(monodromy.coordinate_spinning_field(rep), pts,
-                             1.0, cfg.flow_step)
-        return make_report(
-            "trivial_monodromy", n_samples=len(pts),
-            max_residual=np.abs(end - pts), tolerance=1e-7,
-            seed=seed,
-            note="time-1 flow of the spinning field returns every start")
-
-    checks += [("spinning_definition", spinning_check),
-               ("trivial_monodromy", trivial_monodromy)]
-    return checks
+def _fixed(obj, count, seed):
+    """obj and `count` points of obj.manifold, independent of cfg.samples."""
+    return obj, sample(obj.manifold, count, seed)
 
 
-def _suite_g2_s3():
-    checks = _sphere_book_checks(contact.quadric_open_book, 2)
-    checks += _product_checks(contact.quadric_open_book, 2)
-
-    def spinning_solve(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        pts = sample(rep.manifold, 400, seed)
-        pts = pts[rep.f.modulus(pts) > 1e-3][:200]
-        solved = monodromy.spinning_field(rep, pts)
-        analytic = monodromy.quadric_spinning_field(rep)(pts)
-        return make_report(
-            "spinning_solve", n_samples=len(pts),
-            max_residual=np.abs(solved - analytic),
-            tolerance=1e-7, seed=seed,
-            note="linear-solve spinning field matches the closed form")
-
-    def contraction(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        pts = sample(rep.manifold, 400, seed)
-        return monodromy.contraction_identity_check(
-            rep, monodromy.quadric_spinning_field(rep), pts, seed=seed)
-
-    def closed_form_check(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        pts = sample(rep.manifold, 8 * cfg.flow_starts, seed)
-        g0 = rep.f.modulus(pts)
-        pts = pts[(g0 > 0.05) & (g0 < 0.95)][: cfg.flow_starts]
-        end_rk = monodromy.flow(monodromy.quadric_spinning_field(rep), pts,
-                                1.0, cfg.flow_step)
-        end_cf, _ = monodromy.closed_form_quadric_flow(
-            monodromy.real_to_complex(pts), 1.0)
-        drift = np.abs(np.abs(np.sum(end_cf * end_cf, axis=-1))
-                       - rep.f.modulus(pts))
-        return make_report(
-            "closed_form_flow", n_samples=len(pts),
-            max_residual=np.abs(monodromy.real_to_complex(end_rk) - end_cf),
-            tolerance=1e-6, seed=seed,
-            note=f"RK4 matches the closed-form trajectory; |f| drift "
-                 f"{np.max(drift):.2e}")
-
-    def twist_compare(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        rng = rng_for(seed)
-        count = max(cfg.flow_starts, 100)
-        q = rng.normal(size=(count, 2))
-        q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
-        r = rng.uniform(0.0, 1.0 - 2e-3, size=(count, 1))
-        qp = np.concatenate([q, r * g], axis=-1)
-        return monodromy.monodromy_vs_dehn_twist(rep, qp,
-                                                 step=cfg.flow_step,
-                                                 seed=seed)
-
-    def twist_identities(cfg, seed):
-        rng = rng_for(seed)
-        n = 3
-        twist = monodromy.standard_twist()
-        q = rng.normal(size=(200, n))
-        q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        g = rng.normal(size=(200, n))
-        g -= np.sum(g * q, axis=-1, keepdims=True) * q
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        p = rng.uniform(0.0, 1.0, size=(200, 1)) * g
-        _, p2 = twist(q, p)
-        norm_gap = np.abs(np.linalg.norm(p2, axis=-1)
-                          - np.linalg.norm(p, axis=-1))
-        qb, pb = twist(q, g)
-        boundary_gap = np.abs(np.concatenate([qb - q, pb - g], axis=-1))
-        pull = monodromy.dehn_twist_pullback_check(
-            twist, n, np.concatenate([q, p], axis=-1), seed=seed)
-        return make_report(
-            "dehn_twist_identities", n_samples=600,
-            max_residual=[norm_gap, boundary_gap, pull.max_residual],
-            tolerance=1e-7, seed=seed,
-            note=f"|p| preserved ({np.max(norm_gap):.1e}), boundary fixed "
-                 f"({np.max(boundary_gap):.1e}), pullback identity "
-                 f"({pull.max_residual:.1e})")
-
-    def inverse_check(cfg, seed):
-        rep = _profiled_quadric()
-        pts = sample(rep.manifold, min(cfg.samples, 800), seed)
-        bind = sample(rep.binding, cfg.binding_samples, seed + 1)
-        c, _, _ = bourgeois.find_inverse_constant(rep, pts)
-        return bourgeois.verify_inverse_form(rep, c, pts[:200], bind,
-                                             seed=seed)
-
-    def isotopy(cfg, seed):
-        rep = _profiled_quadric()
-        pts = sample(rep.manifold, 600, seed)
-        c, _, _ = bourgeois.find_inverse_constant(rep, pts)
-        bf = bourgeois.bourgeois_form(rep)
-        product_pts = sample(bf.manifold, 300, seed + 1)
-        return bourgeois.isotopy_check(rep, c, cfg.tau_grid, product_pts,
-                                       seed=seed)
-
-    def filling(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        omega = ext_deriv(rep.contact.alpha)
-        fam = bourgeois.FillingFamily(rep, omega, cfg.eps_grid, cfg.t_grid)
-        bf = bourgeois.bourgeois_form(rep)
-        pts = sample(bf.manifold, 400, seed)
-        return bourgeois.filling_polynomial(fam, pts, seed=seed)
-
-    checks += [("spinning_solve", spinning_solve),
-               ("spinning_contraction", contraction),
-               ("closed_form_flow", closed_form_check),
-               ("monodromy_vs_twist", twist_compare),
-               ("dehn_twist_identities", twist_identities),
-               ("inverse_form", inverse_check),
-               ("isotopy", isotopy),
-               ("filling_polynomial", filling)]
-    return checks
+def _adapted_inputs(rep, cfg, seed):
+    _, pts, bind = _draw(rep, cfg, seed, binding=True)
+    return rep.contact, rep.f, pts, bind
 
 
-def _profiled_quadric():
-    """Quadric book with the radial-profile modulus (slope one near the
-    binding, constant outside) used by the inverse-monodromy checks."""
-    return bourgeois.profiled_representation(contact.quadric_open_book(2))
+def _slice_inputs(rep, cfg, seed):
+    _, pts, bind = _draw(rep, cfg, seed, 500, binding=True)
+    return bourgeois.bourgeois_form(rep), pts, bind
 
 
-def _suite_g2_s5():
-    checks = _sphere_book_checks(contact.quadric_open_book, 3)
-
-    def assembly(cfg, seed):
-        rep = contact.quadric_open_book(3)
-        bf = bourgeois.bourgeois_form(rep)
-        pts = sample(bf.manifold, 200, seed)
-        phi1 = np.zeros((len(pts), 8))
-        phi1[:, 6] = 1.0
-        vals = bf.alpha.restrict(pts, phi1[:, None, :])[:, 0]
-        return make_report(
-            "product_assembly", n_samples=len(pts),
-            max_residual=np.abs(vals - np.real(rep.f.value(pts[:, :6]))),
-            tolerance=1e-12, seed=seed,
-            note="alpha(d/dphi1) reads off Re f on the dim-7 product")
-
-    checks.append(("product_assembly", assembly))
-    return checks
+def _spinning_inputs(cfg, seed):
+    rep, pts = _fixed(contact.coordinate_open_book(2), 400, seed)
+    return (rep, monodromy.coordinate_spinning_field(rep),
+            pts[rep.f.modulus(pts) > 1e-2])
 
 
-def _suite_disk_hypersurface():
-    def completion_disk(cfg, seed):
-        ld = liouville.quartic_disk_domain(2)
-        pts = sample(ld.manifold, min(cfg.samples, 500), seed)
-        rng = rng_for(seed + 1)
-        b = rng.normal(size=(cfg.binding_samples, 4))
-        b /= np.linalg.norm(b, axis=-1, keepdims=True)
-        return liouville.completion_check(ld, pts, b, seed=seed)
-
-    def completion_bundle(cfg, seed):
-        ld = liouville.disk_bundle_domain(2)
-        pts = sample(ld.manifold, min(cfg.samples, 500), seed)
-        b = pts[: cfg.binding_samples].copy()
-        b[:, 2:] /= np.linalg.norm(b[:, 2:], axis=-1, keepdims=True)
-        return liouville.completion_check(ld, pts, b, seed=seed)
-
-    def ident_disk(cfg, seed):
-        ld = liouville.quartic_disk_domain(2)
-        pts = sample(ld.manifold, min(cfg.samples, 500), seed)
-        return liouville.identification_check(
-            "disk", ld, pts[ld.u(pts) > 0.05], seed=seed)
-
-    def ident_bundle(cfg, seed):
-        ld = liouville.disk_bundle_domain(2)
-        pts = sample(ld.manifold, min(cfg.samples, 500), seed)
-        return liouville.identification_check(
-            "disk_bundle", ld, pts[ld.u(pts) > 0.05], seed=seed)
-
-    def page_volume(cfg, seed):
-        ld = liouville.weinstein_disk_domain()
-        pts = sample(ld.manifold, min(cfg.samples, 500), seed)
-        return liouville.page_volume_identity(ld, pts, seed=seed)
-
-    def hypersurface(cfg, seed):
-        hs = liouville.hypersurface_build(liouville.weinstein_disk_domain())
-        pts = sample(hs.manifold, cfg.samples, seed)
-        bind = sample(hs.rep.binding, cfg.binding_samples, seed + 1)
-        rep_report = contact.verify_representation(hs.rep, pts[:500], bind,
-                                                   seed=seed)
-        contact_report = contact.verify_contact(hs.rep.contact, pts,
-                                                seed=seed)
-        off = pts[hs.rep.f.modulus(pts) > 1e-2][:200]
-        y = liouville.angle_spinning_field(hs.rep)
-        spin = monodromy.spinning_definition_check(hs.rep, y, off, seed=seed)
-        end = monodromy.flow(y, off[:50], 1.0, cfg.flow_step)
-        identity = make_report(
-            "identity_monodromy", n_samples=50,
-            max_residual=np.abs(end - off[:50]), tolerance=1e-7, seed=seed,
-            note="time-1 flow of 2 pi d/d(theta) is the identity")
-        return merge_reports(
-            "hypersurface", [contact_report, rep_report, spin, identity],
-            seed=seed,
-            note=f"hypersurface in F x C; transversality margin "
-                 f"{hs.transversality_margin:.3f}")
-
-    return [("completion_disk", completion_disk),
-            ("completion_bundle", completion_bundle),
-            ("identification_disk", ident_disk),
-            ("identification_bundle", ident_bundle),
-            ("page_volume_identity", page_volume),
-            ("hypersurface", hypersurface)]
+def _contraction_inputs(cfg, seed):
+    rep, pts = _fixed(contact.quadric_open_book(2), 400, seed)
+    return rep, monodromy.quadric_spinning_field(rep), pts
 
 
-def _suite_subcritical():
-    def coordinates(cfg, seed):
-        rng = rng_for(seed)
-        count = max(cfg.samples, 1000)
-        pts = np.concatenate(
-            [rng.normal(size=(count, 4)),
-             rng.uniform(0.0, 2 * np.pi, size=(count, 2))], axis=-1)
-        return liouville.subcritical_check(pts, seed=seed)
-
-    def weinstein_c(cfg, seed):
-        w = liouville.complex_plane_weinstein()
-        pts = sample(w.manifold, min(cfg.samples, 500), seed)
-        return liouville.weinstein_check(w, pts, delta=0.2, seed=seed)
-
-    def weinstein_torus(cfg, seed):
-        w = liouville.torus_cotangent_weinstein()
-        pts = sample(w.manifold, min(cfg.samples, 500), seed)
-        return liouville.weinstein_check(w, pts, delta=0.4, seed=seed)
-
-    return [("coordinates", coordinates), ("weinstein_C", weinstein_c),
-            ("weinstein_TstarT2", weinstein_torus)]
+def _twist_inputs(cfg, seed):
+    """FLOW_STARTS points (q, p) of the cotangent bundle of S^1, with p a
+    quarter turn from q and |p| < 1 - 2e-3."""
+    rng = rng_for(seed)
+    count = monodromy.FLOW_STARTS
+    q = rng.normal(size=(count, 2))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
+    r = rng.uniform(0.0, 1.0 - 2e-3, size=(count, 1))
+    return contact.quadric_open_book(2), np.concatenate([q, r * g], axis=-1)
 
 
-def _suite_prelag():
-    def circle_torus(cfg, seed):
-        pl = prelagrangian.real_circle_torus_prelagrangian()
-        pts = sample(pl.submanifold, min(cfg.samples, 500), seed)
-        return prelagrangian.verify_prelagrangian(pl, pts, seed=seed)
-
-    def binding_torus(cfg, seed):
-        pl = prelagrangian.binding_torus_prelagrangian()
-        pts = sample(pl.submanifold, min(cfg.samples, 500), seed)
-        return prelagrangian.verify_prelagrangian(pl, pts, seed=seed)
-
-    def legendrian(cfg, seed):
-        rep = contact.quadric_open_book(2)
-        l_sub = prelagrangian.real_circle_submanifold()
-        pts = sample(l_sub, 200, seed)
-        return prelagrangian.legendrian_check(l_sub, rep, pts, seed=seed)
-
-    def straighten(cfg, seed):
-        pl = prelagrangian.real_circle_torus_prelagrangian()
-        loop = prelagrangian.Loop.from_function(
-            prelagrangian.desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
-        y = np.array([0, 0, 0, 0, 1, 0])
-        _, report = prelagrangian.straighten_loop(loop, pl, y, seed=seed)
-        return report
-
-    return [("circle_torus", circle_torus),
-            ("binding_torus", binding_torus),
-            ("legendrian", legendrian), ("straighten", straighten)]
+def _twist_frame_inputs(cfg, seed):
+    """200 unit vectors q of R^3, unit covectors g at q, radii in [0, 1)."""
+    rng = rng_for(seed)
+    q = rng.normal(size=(200, 3))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    g = rng.normal(size=(200, 3))
+    g -= np.sum(g * q, axis=-1, keepdims=True) * q
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    return q, g, rng.uniform(0.0, 1.0, size=(200, 1))
 
 
-SUITES = {
-    "g1_s3": _suite_g1_s3,
-    "g2_s3": _suite_g2_s3,
-    "g2_s5": _suite_g2_s5,
-    "disk_hypersurface": _suite_disk_hypersurface,
-    "subcritical": _suite_subcritical,
-    "prelag": _suite_prelag,
+def _inverse_inputs(cfg, seed):
+    rep, pts, bind = _draw(bourgeois.profiled_representation(
+        contact.quadric_open_book(2)), cfg, seed, 800, binding=True)
+    c, _, _ = bourgeois.find_inverse_constant(rep, pts)
+    return rep, c, pts[:200], bind
+
+
+def _isotopy_inputs(cfg, seed):
+    rep, pts = _fixed(bourgeois.profiled_representation(
+        contact.quadric_open_book(2)), 600, seed)
+    c, _, _ = bourgeois.find_inverse_constant(rep, pts)
+    product = bourgeois.bourgeois_form(rep).manifold
+    return rep, c, bourgeois.TAU_GRID, sample(product, 300, seed + 1)
+
+
+def _filling_inputs(cfg, seed):
+    rep = contact.quadric_open_book(2)
+    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha),
+                                  bourgeois.FILLING_EPS_GRID,
+                                  bourgeois.FillingFamily.default_t_grid())
+    return fam, sample(bourgeois.bourgeois_form(rep).manifold, 400, seed)
+
+
+def _completion_disk_inputs(cfg, seed):
+    ld, pts = _draw(liouville.quartic_disk_domain(2), cfg, seed, 500)
+    b = rng_for(seed + 1).normal(size=(BINDING_SAMPLES, 4))
+    b /= np.linalg.norm(b, axis=-1, keepdims=True)
+    return ld, pts, b
+
+
+def _completion_bundle_inputs(cfg, seed):
+    ld, pts = _draw(liouville.disk_bundle_domain(2), cfg, seed, 500)
+    b = pts[:BINDING_SAMPLES].copy()
+    b[:, 2:] /= np.linalg.norm(b[:, 2:], axis=-1, keepdims=True)
+    return ld, pts, b
+
+
+def _identification_inputs(example, ld, cfg, seed):
+    _, pts = _draw(ld, cfg, seed, 500)
+    return example, ld, pts[ld.u(pts) > 0.05]
+
+
+def _hypersurface_inputs(cfg, seed):
+    hs = liouville.hypersurface_build(liouville.weinstein_disk_domain())
+    return (hs, *_draw(hs.rep, cfg, seed, binding=True)[1:])
+
+
+def _coordinate_inputs(cfg, seed):
+    rng = rng_for(seed)
+    count = max(cfg.samples, 1000)
+    return (np.concatenate([rng.normal(size=(count, 4)),
+                            rng.uniform(0.0, 2 * np.pi, size=(count, 2))],
+                           axis=-1),)
+
+
+def _prelagrangian_inputs(pl, cfg, seed):
+    return pl, sample(pl.submanifold, min(cfg.samples, 500), seed)
+
+
+def _legendrian_inputs(cfg, seed):
+    l_sub = prelagrangian.real_circle_submanifold()
+    return l_sub, contact.quadric_open_book(2), sample(l_sub, 200, seed)
+
+
+def _straighten_inputs(cfg, seed):
+    pl = prelagrangian.real_circle_torus_prelagrangian()
+    loop = prelagrangian.Loop.from_function(
+        prelagrangian.desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
+    return loop, pl, np.array([0, 0, 0, 0, 1, 0])
+
+
+def _book_rows(book, product=True):
+    """The rows of the sphere open book that book() builds, and with
+    `product` those of its product with T^2."""
+    rows = [
+        Row("contact", lambda cfg, seed: _draw(book().contact, cfg, seed),
+            "contact.verify_contact"),
+        Row("adapted", lambda cfg, seed: _adapted_inputs(book(), cfg, seed),
+            "contact.verify_adapted"),
+        Row("representation",
+            lambda cfg, seed: _draw(book(), cfg, seed, binding=True),
+            "contact.verify_representation"),
+        Row("volume_identity", lambda cfg, seed: _draw(book(), cfg, seed, 500),
+            "contact.volume_form_cross_check")]
+    if product:
+        rows += [
+            Row("product_contact", lambda cfg, seed: _draw(
+                bourgeois.bourgeois_form(book()), cfg, seed, 1000),
+                "bourgeois.verify_product_contact"),
+            Row("slice_representation",
+                lambda cfg, seed: _slice_inputs(book(), cfg, seed),
+                "bourgeois.extract_slice_representation")]
+    return rows
+
+
+# each suite's rows, in the order from which run_suite derives their seeds
+TABLE = {
+    "g1_s3": _book_rows(lambda: contact.coordinate_open_book(2)) + [
+        Row("spinning_definition", _spinning_inputs,
+            "monodromy.spinning_definition_check"),
+        Row("trivial_monodromy", lambda cfg, seed: _fixed(
+            contact.coordinate_open_book(2), 400, seed),
+            "monodromy.trivial_monodromy_check")],
+    "g2_s3": _book_rows(lambda: contact.quadric_open_book(2)) + [
+        Row("spinning_solve", lambda cfg, seed: _fixed(
+            contact.quadric_open_book(2), 400, seed),
+            "monodromy.spinning_solve_check"),
+        Row("spinning_contraction", _contraction_inputs,
+            "monodromy.contraction_identity_check"),
+        Row("closed_form_flow", lambda cfg, seed: _fixed(
+            contact.quadric_open_book(2), 800, seed),
+            "monodromy.closed_form_flow_check"),
+        Row("monodromy_vs_twist", _twist_inputs,
+            "monodromy.monodromy_vs_dehn_twist"),
+        Row("dehn_twist_identities", _twist_frame_inputs,
+            "monodromy.dehn_twist_identities_check"),
+        Row("inverse_form", _inverse_inputs, "bourgeois.verify_inverse_form"),
+        Row("isotopy", _isotopy_inputs, "bourgeois.isotopy_check"),
+        Row("filling_polynomial", _filling_inputs,
+            "bourgeois.filling_polynomial")],
+    "g2_s5": _book_rows(lambda: contact.quadric_open_book(3),
+                        product=False) + [
+        Row("product_assembly", lambda cfg, seed: _fixed(
+            bourgeois.bourgeois_form(contact.quadric_open_book(3)), 200,
+            seed), "bourgeois.product_assembly_check")],
+    "disk_hypersurface": [
+        Row("completion_disk", _completion_disk_inputs,
+            "liouville.completion_check"),
+        Row("completion_bundle", _completion_bundle_inputs,
+            "liouville.completion_check"),
+        Row("identification_disk", lambda cfg, seed: _identification_inputs(
+            "disk", liouville.quartic_disk_domain(2), cfg, seed),
+            "liouville.identification_check"),
+        Row("identification_bundle",
+            lambda cfg, seed: _identification_inputs(
+                "disk_bundle", liouville.disk_bundle_domain(2), cfg, seed),
+            "liouville.identification_check"),
+        Row("page_volume_identity", lambda cfg, seed: _draw(
+            liouville.weinstein_disk_domain(), cfg, seed, 500),
+            "liouville.page_volume_identity"),
+        Row("hypersurface", _hypersurface_inputs,
+            "monodromy.hypersurface_check")],
+    "subcritical": [
+        Row("coordinates", _coordinate_inputs, "liouville.subcritical_check"),
+        Row("weinstein_C", lambda cfg, seed: (*_draw(
+            liouville.complex_plane_weinstein(), cfg, seed, 500), 0.2),
+            "liouville.weinstein_check"),
+        Row("weinstein_TstarT2", lambda cfg, seed: (*_draw(
+            liouville.torus_cotangent_weinstein(), cfg, seed, 500), 0.4),
+            "liouville.weinstein_check")],
+    "prelag": [
+        Row("circle_torus", lambda cfg, seed: _prelagrangian_inputs(
+            prelagrangian.real_circle_torus_prelagrangian(), cfg, seed),
+            "prelagrangian.verify_prelagrangian"),
+        Row("binding_torus", lambda cfg, seed: _prelagrangian_inputs(
+            prelagrangian.binding_torus_prelagrangian(), cfg, seed),
+            "prelagrangian.verify_prelagrangian"),
+        Row("legendrian", _legendrian_inputs,
+            "prelagrangian.legendrian_check"),
+        Row("straighten", _straighten_inputs,
+            "prelagrangian.straighten_loop")],
 }
+# suite -> () -> [(check name, callable(cfg, seed) -> report)]
+SUITES = {suite: partial(list, [(row.name, row) for row in rows])
+          for suite, rows in TABLE.items()}
 SUITE_NAMES = tuple(SUITES)
 
 
@@ -505,35 +386,23 @@ def emit_report(reports, fmt: str, out_dir) -> list[str]:
         # polynomial, sample/endpoint_gap for monodromy comparisons)
         scalar_fields = ["n_samples", "min_margin", "max_residual",
                          "tolerance", "passed", "seed"]
+        grid_rows = [r.rows + [row for d in r.details for row in d.rows]
+                     for r in reports]
         grid_keys = []
-        for r in reports:
-            for row in r.rows + [r for d in r.details for r in d.rows]:
-                for key in row:
-                    if key not in grid_keys and key not in scalar_fields:
-                        grid_keys.append(key)
-        fields = ["name"] + grid_keys + scalar_fields
+        for row in (row for rows in grid_rows for row in rows):
+            grid_keys += [k for k in row
+                          if k not in grid_keys and k not in scalar_fields]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, ["name"] + grid_keys + scalar_fields)
             writer.writeheader()
-            for r in reports:
-                rows = r.rows + [row for d in r.details for row in d.rows]
+            for r, rows in zip(reports, grid_rows):
                 scalar = {"name": r.name, "n_samples": r.n_samples,
                           "min_margin": r.min_margin,
                           "max_residual": r.max_residual,
                           "tolerance": r.tolerance, "passed": r.passed,
                           "seed": r.seed}
-                if rows:
-                    for row in rows:
-                        record = dict.fromkeys(fields, "")
-                        record.update(scalar)
-                        record.update(row)
-                        if "min_margin" in row:
-                            record["min_margin"] = row["min_margin"]
-                        writer.writerow(record)
-                else:
-                    record = dict.fromkeys(fields, "")
-                    record.update(scalar)
-                    writer.writerow(record)
+                # a grid row's own min_margin replaces the report's
+                writer.writerows({**scalar, **row} for row in rows or [{}])
         written.append(str(path))
     else:
         raise ValueError(f"unknown format {fmt!r}")

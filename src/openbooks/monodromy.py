@@ -22,19 +22,24 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import Representation, openbook_volume_form
+from .contact import (Representation, openbook_volume_form, verify_contact,
+                      verify_representation)
 from .errors import (BindingPoint, DegenerateSystem, DomainError,
                      FlowAborted, NonConvergence)
 from .forms import (KForm, SmoothMap, VecField, central_difference,
                     ext_deriv, interior, pullback, scale_form, wedge_all,
                     wedge_power)
-from .liouville import canonical_one_form
+from .liouville import (HypersurfaceData, angle_spinning_field,
+                        canonical_one_form)
 from .manifolds import (FD_STEP, complement_frames, disk_cotangent_bundle,
                         gauss_newton_step, project_to_constraints,
                         singular_values, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
+# step of every RK4 flow the checks run, and the starts each flow check takes
+FLOW_STEP = 1e-3
+FLOW_STARTS = 100
 COMPARE_BINDING_BAND = 1e-3
 # bound on every residual of the monodromy-vs-twist comparison
 TWIST_TOL = 1e-5
@@ -126,6 +131,21 @@ def spinning_field(rep: Representation, p):
     single = pts.ndim == 1
     vec, _ = _spinning_solve_batch(rep, pts[None] if single else pts)
     return vec[0] if single else vec
+
+
+@timed
+def spinning_solve_check(rep: Representation, samples, seed=0
+                         ) -> CheckReport:
+    """The quadric book's spinning field by the linear solve equals
+    :func:`quadric_spinning_field` at the first 200 samples off |f| <= 1e-3."""
+    pts = np.asarray(samples, float)
+    pts = pts[rep.f.modulus(pts) > 1e-3][:200]
+    solved = spinning_field(rep, pts)
+    analytic = quadric_spinning_field(rep)(pts)
+    return make_report(
+        "spinning_solve", n_samples=len(pts),
+        max_residual=np.abs(solved - analytic), tolerance=1e-7, seed=seed,
+        note="linear-solve spinning field matches the closed form")
 
 
 # -- analytic spinning fields for the stock open books ----------------------
@@ -343,7 +363,7 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
 # flows
 
 
-def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
+def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
          min_abs_f: float = FLOW_BINDING_BAND, check_halving: bool = False,
          halving_tol: float = 1e-5):
     """Classical RK4 flow of a spinning field, projected back to the
@@ -360,10 +380,14 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
     the twist).  It stays as tested API: the benchmark tracer
     (`benchmarks/tracer.py`) reads ``check_halving`` by name to count the
     point steps, and two tests of `tests/test_monodromy.py` set both
-    arguments.
+    arguments.  A start point that is not finite raises DomainError.
     """
+    start = np.asarray(p0, float)
+    if not np.isfinite(start).all():
+        raise DomainError("flow start point is not finite", point=start)
+
     def run(step_size):
-        pts = np.array(p0, float, copy=True)
+        pts = start.copy()
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
@@ -397,6 +421,20 @@ def flow(y: SpinningField, p0, t_end: float, step: float = 1e-3,
             raise NonConvergence(
                 f"step halving changed the endpoint by {gap:.3e}")
     return end
+
+
+@timed
+def trivial_monodromy_check(rep: Representation, samples, seed=0
+                            ) -> CheckReport:
+    """The z_1 book's monodromy is trivial: the time-1 flow of its spinning
+    field returns the first FLOW_STARTS samples off |f| <= 1e-2."""
+    pts = np.asarray(samples, float)
+    pts = pts[rep.f.modulus(pts) > 1e-2][:FLOW_STARTS]
+    end = flow(coordinate_spinning_field(rep), pts, 1.0, FLOW_STEP)
+    return make_report(
+        "trivial_monodromy", n_samples=len(pts),
+        max_residual=np.abs(end - pts), tolerance=1e-7, seed=seed,
+        note="time-1 flow of the spinning field returns every start")
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +495,26 @@ def closed_form_quadric_flow(z0, t):
     if single:
         return out[0], bool(flagged[0])
     return out, flagged
+
+
+@timed
+def closed_form_flow_check(rep: Representation, samples, seed=0
+                           ) -> CheckReport:
+    """RK4 and :func:`closed_form_quadric_flow` end at the same points, from
+    the first FLOW_STARTS samples with 0.05 < |f| < 0.95."""
+    pts = np.asarray(samples, float)
+    g0 = rep.f.modulus(pts)
+    pts = pts[(g0 > 0.05) & (g0 < 0.95)][:FLOW_STARTS]
+    end_rk = flow(quadric_spinning_field(rep), pts, 1.0, FLOW_STEP)
+    end_cf, _ = closed_form_quadric_flow(real_to_complex(pts), 1.0)
+    drift = np.abs(np.abs(np.sum(end_cf * end_cf, axis=-1))
+                   - rep.f.modulus(pts))
+    return make_report(
+        "closed_form_flow", n_samples=len(pts),
+        max_residual=np.abs(real_to_complex(end_rk) - end_cf),
+        tolerance=1e-6, seed=seed,
+        note=f"RK4 matches the closed-form trajectory; |f| drift "
+             f"{np.max(drift):.2e}")
 
 
 def complex_to_real(z):
@@ -558,6 +616,30 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
         note="Phi^* lambda_can = lambda_can - |p| d(rho)")
 
 
+@timed
+def dehn_twist_identities_check(q, g, radii, seed=0) -> CheckReport:
+    """:func:`standard_twist` at unit q, unit covectors g at q and p =
+    radii g: it preserves |p|, fixes (q, g) on the boundary and passes
+    :func:`dehn_twist_pullback_check` at (q, p)."""
+    q, g = np.asarray(q, float), np.asarray(g, float)
+    p = radii * g
+    twist = standard_twist()
+    _, p2 = twist(q, p)
+    norm_gap = np.abs(np.linalg.norm(p2, axis=-1)
+                      - np.linalg.norm(p, axis=-1))
+    qb, pb = twist(q, g)
+    boundary_gap = np.abs(np.concatenate([qb - q, pb - g], axis=-1))
+    pull = dehn_twist_pullback_check(
+        twist, q.shape[-1], np.concatenate([q, p], axis=-1), seed=seed)
+    return make_report(
+        "dehn_twist_identities", n_samples=3 * len(q),
+        max_residual=[norm_gap, boundary_gap, pull.max_residual],
+        tolerance=1e-7, seed=seed,
+        note=f"|p| preserved ({np.max(norm_gap):.1e}), boundary fixed "
+             f"({np.max(boundary_gap):.1e}), pullback identity "
+             f"({pull.max_residual:.1e})")
+
+
 # ---------------------------------------------------------------------------
 # page embedding for the quadric book and the monodromy comparison
 
@@ -587,8 +669,8 @@ def page_embedding_inverse(n: int):
 
 
 @timed
-def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
-                            seed=0) -> CheckReport:
+def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
+                            ) -> CheckReport:
     """Conjugate the time-1 spinning flow by the zero-page embedding and
     compare it with the positive Dehn twist for g(r) = 2 pi/(1 + r).
 
@@ -612,7 +694,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
     anchor_q[0] = 1.0
     z_anchor = complex_to_real(embed(anchor_q[None], np.zeros((1, n))))
     z0 = complex_to_real(embed(q, p))
-    z_end = flow(y, np.concatenate([z_anchor, z0]), 1.0, step)
+    z_end = flow(y, np.concatenate([z_anchor, z0]), 1.0, FLOW_STEP)
     z1 = z_end[1:]
 
     qa, pa = invert(real_to_complex(z_end[:1]))
@@ -638,7 +720,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
                "endpoint_gap": float(gap[i])} for i in range(len(qp))]))
 
     # inverse flow: -Y for time 1, i.e. Y for time -1, undoes the monodromy
-    z_back = flow(y, z1, -1.0, step)
+    z_back = flow(y, z1, -1.0, FLOW_STEP)
     details.append(make_report(
         "inverse_flow", n_samples=len(qp), max_residual=np.abs(z_back - z0),
         tolerance=TWIST_TOL, seed=seed,
@@ -648,3 +730,29 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, step=1e-3,
                          seed=seed,
                          note="time-1 spinning flow conjugated to the page "
                               "is the standard twist")
+
+
+@timed
+def hypersurface_check(hs: HypersurfaceData, samples, binding_samples,
+                       seed=0) -> CheckReport:
+    """The book of :func:`liouville.hypersurface_build` is contact, is
+    represented (first 500 samples), and its angle field is a spinning
+    field whose time-1 flow is the identity (samples off |f| <= 1e-2)."""
+    pts = np.asarray(samples, float)
+    rep = hs.rep
+    rep_report = verify_representation(rep, pts[:500], binding_samples,
+                                       seed=seed)
+    contact_report = verify_contact(rep.contact, pts, seed=seed)
+    off = pts[rep.f.modulus(pts) > 1e-2][:200]
+    y = angle_spinning_field(rep)
+    spin = spinning_definition_check(rep, y, off, seed=seed)
+    end = flow(y, off[:50], 1.0, FLOW_STEP)
+    identity = make_report(
+        "identity_monodromy", n_samples=len(end),
+        max_residual=np.abs(end - off[:50]), tolerance=1e-7, seed=seed,
+        note="time-1 flow of 2 pi d/d(theta) is the identity")
+    return merge_reports(
+        "hypersurface", [contact_report, rep_report, spin, identity],
+        seed=seed,
+        note=f"hypersurface in F x C; transversality margin "
+             f"{hs.transversality_margin:.3f}")

@@ -177,7 +177,7 @@ def test_criterion_05_monodromy_flows():
     g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
     r = rng.uniform(0.0, 1.0 - 2e-3, size=(100, 1))
     compare = monodromy.monodromy_vs_dehn_twist(
-        rep2, np.concatenate([q, r * g], axis=-1), step=1e-3)
+        rep2, np.concatenate([q, r * g], axis=-1))
     named = {d.name: d for d in compare.details}
     elapsed = time.perf_counter() - t0
     ok = (return_gap <= 1e-7 and closed_gap <= 1e-6 and drift <= 1e-9
@@ -333,8 +333,7 @@ def test_criterion_11_determinism_and_runtime():
         payload = []
         for suite in ("g1_s3", "g2_s3", "g2_s5", "disk_hypersurface",
                       "subcritical", "prelag"):
-            cfg = SuiteConfig(suite=suite, seed=7, samples=800,
-                              flow_starts=50)
+            cfg = SuiteConfig(suite=suite, seed=7, samples=800)
             for report in run_suite(cfg):
                 d = report.to_dict()
                 payload.append(d)

@@ -11,7 +11,8 @@ from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
                                  family_form, filling_polynomial,
                                  find_inverse_constant,
                                  inverse_form, inverse_form_margins,
-                                 isotopy_check, profiled_representation,
+                                 isotopy_check, product_assembly_check,
+                                 profiled_representation,
                                  radial_profile, radial_profile_slope,
                                  verify_product_contact, verify_inverse_form)
 from openbooks.contact import (ContactForm, DefiningFunction, Representation,
@@ -54,6 +55,21 @@ def test_product_assembly_on_s5():
     bf = bourgeois_form(rep)
     assert bf.manifold.ambient_dim == 8
     assert bf.manifold.dim == 7
+
+
+def test_product_assembly_check_reads_off_re_f():
+    bf = bourgeois_form(quadric_open_book(3))
+    report = product_assembly_check(bf, sample(bf.manifold, 200, seed=4))
+    assert report.passed and report.n_samples == 200
+    assert report.note.endswith("on the dim-7 product")
+
+
+def test_half_beta_fails_product_assembly():
+    # control: at eps = 1/2, alpha(d/dphi1) is Re f / 2
+    bf = bourgeois_form(quadric_open_book(3), eps=0.5)
+    report = product_assembly_check(bf, sample(bf.manifold, 200, seed=4))
+    assert not report.passed
+    assert report.max_residual > 0.1
 
 
 def test_invalid_representation_propagates():

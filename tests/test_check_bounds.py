@@ -1,7 +1,7 @@
 """No check takes its bound from the caller.
 
-Every ``@timed`` check states its tolerances, grids and report names in
-its own body, and its reports record them (``tolerance``,
+Every ``@timed`` check states its tolerances, grids, flow steps and report
+names in its own body, and its reports record them (``tolerance``,
 ``residual_tolerance``), so a pass cannot come from a caller loosening a
 bound.  No linter ships with the project, so this walks the syntax tree of
 each package module and lists the parameters of its ``@timed`` functions
@@ -17,7 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "openbooks"
 MODULES = sorted(SRC.glob("*.py"))
 BOUND_NAME = re.compile(
-    r"tol|tolerance|.+_tol|slack|.+_band|name|c_grid|eps_values|flow_field")
+    r"tol|tolerance|.+_tol|slack|.+_band|name|c_grid|eps_values|flow_field"
+    r"|step|.+_step")
 
 
 def _is_timed(decorator) -> bool:
@@ -49,10 +50,14 @@ def test_checker_finds_a_bound_parameter():
               "@report.timed\n"
               "def other(samples, binding_band=1e-3, delta=0.2, tol=1):\n"
               "    pass\n"
-              "def helper(samples, tol=1e-8):\n"
+              "@timed\n"
+              "def flows(samples, step=1e-3, flow_step=1e-3, steps=10):\n"
+              "    pass\n"
+              "def helper(samples, tol=1e-8, step=1e-3):\n"
               "    pass\n")
     assert bound_parameters(source) == [
-        "check.rel_tol", "check.name", "other.binding_band", "other.tol"]
+        "check.rel_tol", "check.name", "other.binding_band", "other.tol",
+        "flows.step", "flows.flow_step"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

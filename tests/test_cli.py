@@ -94,16 +94,22 @@ def test_tolerance_flag_exits_two(capsys):
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
+# the removed_* cases name a field that the config no longer has; each
+# value would coarsen a check that still passed with it
 @pytest.mark.parametrize("config, argv", [
     ({"suite": "g1_s3", "samples": "10"}, []),
     (["g1_s3"], []),
-    ({"suite": "g2_s3", "eps_grid": 5}, []),
     ({"suite": "g2_s5", "tolerance": 1e-3}, []),
-    ({"suite": "g1_s3", "flow_step": 0}, []),
-    ({"suite": "g2_s3", "eps_grid": []}, []),
-    ({"suite": "g2_s3", "tau_grid": []}, []),
-], ids=["string_count", "top_level_array", "scalar_grid", "tolerance_field",
-        "zero_flow_step", "empty_eps_grid", "empty_tau_grid"])
+    ({"suite": "g2_s3", "eps_grid": [0.0]}, []),
+    ({"suite": "g2_s3", "t_grid": [0.0]}, []),
+    ({"suite": "g2_s3", "tau_grid": [0.0]}, []),
+    ({"suite": "g2_s3", "flow_starts": 1}, []),
+    ({"suite": "g1_s3", "flow_step": 0.5}, []),
+    ({"suite": "g2_s3", "binding_samples": 1}, []),
+], ids=["string_count", "top_level_array", "tolerance_field",
+        "removed_eps_grid", "removed_t_grid", "removed_tau_grid",
+        "removed_flow_starts", "removed_flow_step",
+        "removed_binding_samples"])
 def test_bad_config_exits_two_with_error_line(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -112,11 +118,9 @@ def test_bad_config_exits_two_with_error_line(tmp_path, capsys, config, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_empty_t_grid_means_the_default_grid():
-    from openbooks.bourgeois import FillingFamily
-
-    cfg = SuiteConfig(suite="g2_s3", t_grid=[])
-    assert cfg.t_grid == FillingFamily.default_t_grid()
+def test_config_has_five_fields():
+    assert list(SuiteConfig.__dataclass_fields__) == [
+        "suite", "seed", "samples", "out", "format"]
 
 
 def test_unknown_suite_exits_two(capsys):
@@ -139,9 +143,10 @@ def test_json_round_trip(tmp_path):
 
 
 def test_csv_columns_for_filling_sweep(tmp_path):
-    cfg = SuiteConfig(suite="g2_s3", seed=7, samples=300,
-                      eps_grid=(0.0, 0.05), t_grid=(0.0, 1.0, 10.0),
-                      flow_starts=20)
+    from openbooks.bourgeois import FILLING_EPS_GRID, FillingFamily
+    from openbooks.monodromy import FLOW_STARTS
+
+    cfg = SuiteConfig(suite="g2_s3", seed=7, samples=300)
     reports = run_suite(cfg)
     paths = emit_report(reports, "csv", tmp_path)
     lines = open(paths[0]).read().splitlines()
@@ -149,10 +154,12 @@ def test_csv_columns_for_filling_sweep(tmp_path):
     assert {"name", "eps", "T", "min_margin"} <= set(header)
     assert len(header) == len(set(header))
     sweep_rows = [ln for ln in lines if "filling_polynomial" in ln]
-    assert len(sweep_rows) == 2 * 3          # one per (eps, T) pair
+    # one per (eps, T) pair
+    assert len(sweep_rows) == len(FILLING_EPS_GRID) * len(
+        FillingFamily.default_t_grid())
     # monodromy endpoint comparisons also land one row per sample
     mono_rows = [ln for ln in lines if "monodromy_vs_twist" in ln]
-    assert len(mono_rows) == max(cfg.flow_starts, 100)
+    assert len(mono_rows) == FLOW_STARTS
 
 
 def test_rerun_with_same_seed_is_bit_identical():

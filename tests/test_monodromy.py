@@ -7,19 +7,23 @@ import pytest
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import (BindingPoint, DomainError, FlowAborted,
                               NonConvergence)
+from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import rng_for, sample
-from openbooks.monodromy import (SpinningField, closed_form_quadric_flow,
-                                 complex_to_real,
+from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
+                                 closed_form_flow_check,
+                                 closed_form_quadric_flow, complex_to_real,
                                  contraction_identity_check,
                                  coordinate_kernel_field,
                                  coordinate_spinning_field,
+                                 dehn_twist_identities_check,
                                  dehn_twist_pullback_check, flow,
-                                 kernel_defect_form,
+                                 hypersurface_check, kernel_defect_form,
                                  monodromy_vs_dehn_twist, page_embedding,
                                  page_embedding_inverse,
                                  quadric_spinning_field, real_to_complex,
                                  spinning_definition_check, spinning_field,
-                                 standard_twist)
+                                 spinning_solve_check, standard_twist,
+                                 trivial_monodromy_check)
 
 QUADRIC = quadric_open_book(2)
 COORDINATE = coordinate_open_book(2)
@@ -56,6 +60,12 @@ def test_quadric_solve_matches_wirtinger_expression():
     solved = spinning_field(QUADRIC, pts)
     analytic = quadric_spinning_field(QUADRIC)(pts)
     np.testing.assert_allclose(solved, analytic, atol=1e-7)
+
+
+def test_spinning_solve_check_matches_the_closed_form():
+    report = spinning_solve_check(QUADRIC, sample(QUADRIC.manifold, 400, 1))
+    assert report.passed and report.n_samples == 200
+    assert report.max_residual <= 1e-7
 
 
 def test_coordinate_solve_matches_kernel_field():
@@ -187,6 +197,38 @@ def test_trivial_monodromy_of_coordinate_book():
     pts = _off_binding(COORDINATE, 200, seed=12)
     end = flow(coordinate_spinning_field(COORDINATE), pts, 1.0, 1e-3)
     assert np.max(np.abs(end - pts)) < 1e-7
+
+
+def test_trivial_monodromy_check_returns_every_start():
+    report = trivial_monodromy_check(COORDINATE,
+                                     sample(COORDINATE.manifold, 400, 12))
+    assert report.passed and report.n_samples == FLOW_STARTS
+    assert report.max_residual <= 1e-7
+
+
+def test_half_speed_field_fails_trivial_monodromy(monkeypatch):
+    # control: half the field turns the z_1 plane by pi in unit time, so
+    # the time-1 flow sends z_1 to -z_1
+    import openbooks.monodromy as mono
+
+    def half(rep):
+        y = coordinate_spinning_field(rep)
+        return SpinningField(rep, lambda p: 0.5 * y.eval(p))
+
+    monkeypatch.setattr(mono, "coordinate_spinning_field", half)
+    report = trivial_monodromy_check(COORDINATE,
+                                     sample(COORDINATE.manifold, 400, 12))
+    assert not report.passed
+    assert report.max_residual > 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flow_rejects_a_start_that_is_not_finite(bad):
+    pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
+    pts[1, 0] = bad
+    with pytest.raises(DomainError):
+        flow(quadric_spinning_field(QUADRIC), pts, 0.1, 1e-2,
+             check_halving=True)
 
 
 def test_flow_step_halving_agreement():
@@ -386,6 +428,13 @@ def test_modulus_conserved_along_trajectory():
         assert np.max(drift) < 1e-9
 
 
+def test_closed_form_flow_check():
+    report = closed_form_flow_check(QUADRIC,
+                                    sample(QUADRIC.manifold, 800, 15))
+    assert report.passed and report.n_samples == FLOW_STARTS
+    assert report.max_residual <= 1e-6
+
+
 def test_closed_form_flags_cancellation():
     q = np.array([[1.0, 0.0]])
     y = np.array([[0.0, 1e-4]])
@@ -459,6 +508,35 @@ def test_twist_pullback_identity():
 # monodromy against the twist
 
 
+def _twist_frames(seed):
+    q, p = _bundle_samples(3, 200, seed)
+    radii = np.linalg.norm(p, axis=-1, keepdims=True)
+    return q, p / radii, radii
+
+
+def test_dehn_twist_identities_check():
+    report = dehn_twist_identities_check(*_twist_frames(30))
+    assert report.passed and report.n_samples == 600
+    assert report.max_residual <= 1e-7
+
+
+def test_negated_twist_fails_the_identities(monkeypatch):
+    # control: composed with (q, p) -> (-q, -p), the twist still preserves
+    # |p| and lambda_can, but sends each boundary point (q, g) to (-q, -g)
+    import openbooks.monodromy as mono
+
+    class Negated(DehnTwist):
+        def __call__(self, q, p, validate=True):
+            q_out, p_out = super().__call__(q, p, validate)
+            return -q_out, -p_out
+
+    monkeypatch.setattr(mono, "standard_twist",
+                        lambda: Negated(standard_twist().g))
+    report = dehn_twist_identities_check(*_twist_frames(30))
+    assert not report.passed
+    assert 1.5 < report.max_residual <= 2.0 + 1e-12
+
+
 def test_page_embedding_round_trip():
     embed = page_embedding(2)
     invert = page_embedding_inverse(2)
@@ -487,8 +565,7 @@ def test_zero_section_maps_to_antipode():
 def test_monodromy_is_standard_twist():
     q, p = _bundle_samples(2, 100, seed=27, r_max=0.99)
     report = monodromy_vs_dehn_twist(QUADRIC,
-                                     np.concatenate([q, p], axis=-1),
-                                     step=1e-3)
+                                     np.concatenate([q, p], axis=-1))
     assert report.passed
     named = {d.name: d for d in report.details}
     assert named["page_monodromy_vs_twist"].max_residual < 1e-5
@@ -624,3 +701,13 @@ def test_closed_form_coefficients_reconstruct_start():
     z0 = real_to_complex(pts)
     z_at_zero, _ = closed_form_quadric_flow(z0, 0.0)
     np.testing.assert_allclose(z_at_zero, z0, atol=1e-12)
+
+
+def test_hypersurface_check_has_identity_monodromy():
+    hs = hypersurface_build(weinstein_disk_domain())
+    report = hypersurface_check(hs, sample(hs.manifold, 2000, 9),
+                                sample(hs.rep.binding, 100, 10))
+    assert report.passed
+    identity = report.details[-1]
+    assert identity.name == "identity_monodromy"
+    assert identity.n_samples == 50 and identity.max_residual <= 1e-7
