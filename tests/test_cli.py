@@ -94,8 +94,7 @@ def test_tolerance_flag_exits_two(capsys):
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
-# the removed_* cases name a field that the config no longer has; each
-# value would coarsen a check that still passed with it
+# the removed_* cases name a field that the config no longer has
 @pytest.mark.parametrize("config, argv", [
     ({"suite": "g1_s3", "samples": "10"}, []),
     (["g1_s3"], []),
