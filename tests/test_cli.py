@@ -94,19 +94,20 @@ def test_tolerance_flag_exits_two(capsys):
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
-# the removed_* cases name a field that the config no longer has
+# the *_grid and removed_* cases name a field that the config no longer has
 @pytest.mark.parametrize("config, argv", [
     ({"suite": "g1_s3", "samples": "10"}, []),
     (["g1_s3"], []),
+    ({"suite": "g2_s3", "eps_grid": 5}, []),
     ({"suite": "g2_s5", "tolerance": 1e-3}, []),
-    ({"suite": "g2_s3", "eps_grid": [0.0]}, []),
+    ({"suite": "g2_s3", "eps_grid": []}, []),
     ({"suite": "g2_s3", "t_grid": [0.0]}, []),
     ({"suite": "g2_s3", "tau_grid": [0.0]}, []),
     ({"suite": "g2_s3", "flow_starts": 1}, []),
     ({"suite": "g1_s3", "flow_step": 0.5}, []),
     ({"suite": "g2_s3", "binding_samples": 1}, []),
-], ids=["string_count", "top_level_array", "tolerance_field",
-        "removed_eps_grid", "removed_t_grid", "removed_tau_grid",
+], ids=["string_count", "top_level_array", "scalar_grid", "tolerance_field",
+        "empty_eps_grid", "removed_t_grid", "removed_tau_grid",
         "removed_flow_starts", "removed_flow_step",
         "removed_binding_samples"])
 def test_bad_config_exits_two_with_error_line(tmp_path, capsys, config, argv):
