@@ -56,20 +56,19 @@ print(f"restriction to pages/binding unchanged: "
 # torus orientation) are joined by an explicit family alpha_tau pulled
 # back from tau = 0 by the angle shear
 #   (p; phi1, phi2) -> (p; phi1 - tau C f_y, phi2 - tau C f_x).
-iso = isotopy_check(prof, c, (0.0, 0.25, 0.5, 0.75, 1.0),
-                    sample(bourgeois_form(prof).manifold, 300, seed=17))
+iso = isotopy_check(prof, c, sample(bourgeois_form(prof).manifold, 300,
+                                    seed=17))
 for d in iso.details:
     print(f"  {d.name}: residual={d.max_residual} margin={d.min_margin}")
 
 # --- filling positivity ----------------------------------------------------
 # With the ball filling of S^3 (omega = d alpha_0) the polynomial
 #   P_eps(T) = alpha_eps ^ (T d alpha_eps + omega + vol_T2)^(n+1)
-# must stay positive for all T >= 0.  The sweep certifies a finite grid
-# plus both leading coefficients, which control T -> infinity.
+# must stay positive for all T >= 0.  The sweep certifies the grid of
+# bourgeois.FILLING_EPS_GRID x FillingFamily.default_t_grid() plus both
+# leading coefficients, which control T -> infinity.
 
-family = FillingFamily(rep, ext_deriv(rep.contact.alpha),
-                       (0.0, 0.01, 0.05, 0.1, 1.0),
-                       FillingFamily.default_t_grid())
+family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
 sweep = filling_polynomial(family, sample(bf.manifold, 400, seed=19))
 print(f"filling sweep: min margin {sweep.min_margin:.4f} over "
       f"{len(sweep.rows)} grid pairs  (pass={sweep.passed})")

@@ -31,9 +31,10 @@ EPS_VALUES = (0.1, 0.5, 1.0)
 C_GRID = tuple(2.0 ** k for k in range(11))
 # reversed-orientation margin that alpha - C mu must beat at C and 2C
 INVERSE_MARGIN_TOL = 1e-3
-# the tau values of the suite's isotopy check
+# the tau values isotopy_check runs
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-# the eps values of the suite's filling sweep (its T grid is the default)
+# the eps values of filling_polynomial's sweep (its T grid is
+# FillingFamily.default_t_grid())
 FILLING_EPS_GRID = (0.0, 0.01, 0.05, 0.1, 1.0)
 # the radial profile is the identity below R0 and constant above R1
 R0, R1 = 0.2, 0.4
@@ -449,12 +450,13 @@ def family_form(rep: Representation, tau: float, c: float) -> KForm:
 
 
 @timed
-def isotopy_check(rep: Representation, c: float, tau_grid, samples,
-                  seed=0) -> CheckReport:
-    """For each tau: alpha_tau is contact, equals the pullback of alpha_0
-    under the shear map, and has the same volume form as alpha_0; at
-    tau = 1, composing with the angle flip reproduces the product form of
-    (alpha_minus, conj f) for the reversed torus orientation."""
+def isotopy_check(rep: Representation, c: float, samples, seed=0
+                  ) -> CheckReport:
+    """For each tau in TAU_GRID: alpha_tau is contact, equals the pullback
+    of alpha_0 under the shear map, and has the same volume form as
+    alpha_0; at tau = 1, composing with the angle flip reproduces the
+    product form of (alpha_minus, conj f) for the reversed torus
+    orientation."""
     bf = bourgeois_form(rep)
     product = bf.manifold
     pts = np.asarray(samples, float)
@@ -468,7 +470,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
     details = []
 
     pull_gaps, vols, vol_gaps = [], [], []
-    for tau in tau_grid:
+    for tau in TAU_GRID:
         alpha_tau, d_alpha_tau = line(-tau * c)
         pulled = pullback(shear_map(rep, tau, c), alpha0).restrict(pts, bases)
         pull_gaps.append(np.abs(pulled - alpha_tau.restrict(pts, bases)))
@@ -477,15 +479,15 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
         vols.append(vol_tau)
         vol_gaps.append(np.abs(vol_tau - vol0) / np.abs(vol0))
     details.append(make_report(
-        "shear_pullback", n_samples=len(pts) * len(tau_grid),
+        "shear_pullback", n_samples=len(pts) * len(TAU_GRID),
         max_residual=pull_gaps, tolerance=1e-6, seed=seed,
         note="alpha_tau equals the shear-map pullback of alpha_0"))
     details.append(make_report(
-        "family_contact", n_samples=len(pts) * len(tau_grid),
+        "family_contact", n_samples=len(pts) * len(TAU_GRID),
         min_margin=vols, tolerance=1e-9, seed=seed,
         note="every alpha_tau is a positive contact form on the product"))
     details.append(make_report(
-        "volume_invariance", n_samples=len(pts) * len(tau_grid),
+        "volume_invariance", n_samples=len(pts) * len(TAU_GRID),
         max_residual=vol_gaps, tolerance=1e-12,
         residual_tolerance=1e-6, seed=seed,
         note="alpha_tau ^ (d alpha_tau)^(n+1) = alpha_0 ^ (d alpha_0)^(n+1)"))
@@ -508,7 +510,7 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
 
     return merge_reports(f"isotopy[{rep.name}]", details, seed=seed,
                          note=f"isotopy family at C={c} over tau grid "
-                              f"{list(tau_grid)}")
+                              f"{list(TAU_GRID)}")
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +519,12 @@ def isotopy_check(rep: Representation, c: float, tau_grid, samples,
 
 @dataclass(frozen=True)
 class FillingFamily:
-    """Data for the filling positivity sweep: the representation, the
-    restriction to V of the filling's symplectic form, and the grids."""
+    """Data for the filling positivity sweep: the representation and the
+    restriction to V of the filling's symplectic form.  The sweep's grids
+    are FILLING_EPS_GRID and :meth:`default_t_grid`."""
 
     rep: Representation
     omega: KForm                  # on the V ambient space
-    eps_grid: tuple
-    t_grid: tuple
 
     @staticmethod
     def default_t_grid():
@@ -536,7 +537,8 @@ class FillingFamily:
 def filling_polynomial(family: FillingFamily, samples, seed=0
                        ) -> CheckReport:
     """Positivity of P_eps(T) = alpha_eps ^ (T d alpha_eps + omega +
-    vol_T2)^(n+1) over the (eps, T) grid, plus the leading-coefficient
+    vol_T2)^(n+1) over the grid of eps in FILLING_EPS_GRID and T in
+    FillingFamily.default_t_grid(), plus the leading-coefficient
     certificates that control T -> infinity:
 
       - eps = 0: the T^n coefficient (n+1) alpha_V ^ (d alpha_V)^n ^ vol_T2
@@ -552,6 +554,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     rep = family.rep
     n = rep.n
     m = rep.manifold.ambient_dim
+    eps_grid, t_grid = FILLING_EPS_GRID, FillingFamily.default_t_grid()
     pts = np.asarray(samples, float)
     product = bourgeois_form(rep).manifold
     coords = pluecker(tangent_bases(product, pts))
@@ -578,7 +581,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     rows = []
     margins, rel_gaps = [], []
     lead_margins = {}
-    for eps in family.eps_grid:
+    for eps in eps_grid:
         alpha, dalpha = line(eps)
         coef_vals = np.stack([
             wedge_all(alpha, wedge_power(dalpha, a), tails[a]).on_pluecker(
@@ -591,7 +594,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
             # independent route for P_0(T)
             dalpha_v = on_batch(extend_form(ext_deriv(rep.contact.alpha)),
                                 pts)
-            for t_val in family.t_grid:
+            for t_val in t_grid:
                 two_form = t_val * dalpha_v + omega
                 p0 = float(n + 1) * wedge_all(
                     alpha, wedge_power(two_form, n), vol_t2)
@@ -605,7 +608,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
             margins.append(coef_vals[n + 1])
             lead_margins[f"T^(n+1)[eps={eps}]"] = float(np.min(coef_vals[n + 1]))
 
-        for t_val in family.t_grid:
+        for t_val in t_grid:
             powers = np.array([t_val ** a for a in range(n + 2)])
             vals = np.einsum("a,an->n", powers, coef_vals)
             margins.append(vals)
@@ -615,7 +618,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     # without an eps = 0 row there is no second route to compare
     return make_report(
         f"filling_polynomial[{rep.name}]",
-        n_samples=len(pts) * len(family.eps_grid) * len(family.t_grid),
+        n_samples=len(pts) * len(eps_grid) * len(t_grid),
         min_margin=margins, max_residual=rel_gaps or 0.0,
         tolerance=1e-9, residual_tolerance=1e-8, seed=seed,
         note=("P_eps(T) positive on the grid; leading coefficients "

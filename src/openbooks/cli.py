@@ -177,14 +177,12 @@ def _isotopy_inputs(cfg, seed):
         contact.quadric_open_book(2)), 600, seed)
     c, _, _ = bourgeois.find_inverse_constant(rep, pts)
     product = bourgeois.bourgeois_form(rep).manifold
-    return rep, c, bourgeois.TAU_GRID, sample(product, 300, seed + 1)
+    return rep, c, sample(product, 300, seed + 1)
 
 
 def _filling_inputs(cfg, seed):
     rep = contact.quadric_open_book(2)
-    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha),
-                                  bourgeois.FILLING_EPS_GRID,
-                                  bourgeois.FillingFamily.default_t_grid())
+    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha))
     return fam, sample(bourgeois.bourgeois_form(rep).manifold, 400, seed)
 
 

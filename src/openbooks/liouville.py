@@ -300,18 +300,14 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     mf = ld.manifold.ambient_dim
     m = mf + 2
 
-    def g_fn(x):
-        z2 = x[..., mf] ** 2 + x[..., mf + 1] ** 2
-        return z2 - ld.u(x[..., :mf])
-
     def constraints(x):
-        return g_fn(x)[..., None]
+        z = x[..., mf:]
+        return (np.vecdot(z, z) - ld.u(x[..., :mf]))[..., None]
 
     def jac(x):
         out = np.empty(np.shape(x)[:-1] + (1, m))
         out[..., 0, :mf] = -ld.du(x[..., :mf])
-        out[..., 0, mf] = 2.0 * x[..., mf]
-        out[..., 0, mf + 1] = 2.0 * x[..., mf + 1]
+        out[..., 0, mf:] = 2.0 * x[..., mf:]
         return out
 
     base_sampler = ld.manifold.sampler

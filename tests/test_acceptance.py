@@ -130,7 +130,7 @@ def test_criterion_04_inverse_monodromy():
     inv = bourgeois.verify_inverse_form(rep, c, pts_v[:200], bind)
     bf = bourgeois.bourgeois_form(rep)
     pts = sample(bf.manifold, 300, seed=403)
-    iso = bourgeois.isotopy_check(rep, c, (0.0, 0.25, 0.5, 0.75, 1.0), pts)
+    iso = bourgeois.isotopy_check(rep, c, pts)
     named = {d.name: d for d in iso.details}
     ok = inv.passed and iso.passed
     _line(4, ok, f"C={c} (margins {margin:.2f}/{margin_2c:.2f}), pullback "
@@ -287,13 +287,11 @@ def test_criterion_08_subcritical_filling():
 
 
 def test_criterion_09_filling_polynomial():
-    """P_0(T) and P_eps(T) for eps in {0.01, 0.05, 0.1} positive on the
+    """P_0(T) and P_eps(T) for eps in {0.01, 0.05, 0.1, 1} positive on the
     full T grid for the sphere filled by the ball, with both leading
     coefficients certified."""
     rep = contact.quadric_open_book(2)
-    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha),
-                                  (0.0, 0.01, 0.05, 0.1),
-                                  bourgeois.FillingFamily.default_t_grid())
+    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha))
     bf = bourgeois.bourgeois_form(rep)
     pts = sample(bf.manifold, 400, seed=901)
     report = bourgeois.filling_polynomial(fam, pts)

@@ -351,7 +351,7 @@ def test_isotopy_family():
     c, _, _ = find_inverse_constant(rep, pts_v)
     bf = bourgeois_form(rep)
     pts = sample(bf.manifold, 300, seed=18)
-    report = isotopy_check(rep, c, (0.0, 0.25, 0.5, 0.75, 1.0), pts)
+    report = isotopy_check(rep, c, pts)
     assert report.passed, [(d.name, d.max_residual) for d in report.details]
     named = {d.name: d for d in report.details}
     assert named["shear_pullback"].max_residual < 1e-6
@@ -377,11 +377,14 @@ def test_endpoint_is_product_form_of_inverse_data():
 # filling polynomial
 
 
-def _ball_filling_family(eps_grid=(0.0, 0.01, 0.05, 0.1, 1.0)):
+def _ball_filling_family():
     rep = quadric_open_book(2)
-    omega = ext_deriv(rep.contact.alpha)
-    return FillingFamily(rep, omega, eps_grid,
-                         FillingFamily.default_t_grid())
+    return FillingFamily(rep, ext_deriv(rep.contact.alpha))
+
+
+def _with_t_grid(monkeypatch, t_grid):
+    monkeypatch.setattr(FillingFamily, "default_t_grid",
+                        staticmethod(lambda: t_grid))
 
 
 def test_filling_polynomial_positive():
@@ -395,10 +398,11 @@ def test_filling_polynomial_positive():
     assert {"eps", "T", "min_margin"} <= set(report.rows[0])
 
 
-def test_filling_zero_eps_proportional_to_one_plus_t():
+def test_filling_zero_eps_proportional_to_one_plus_t(monkeypatch):
     # oracle: with omega = d(alpha_V) the eps = 0 polynomial is
     # (n+1) alpha ^ ((1+T) d alpha)^n ^ vol, i.e. proportional to (1+T)
-    fam = _ball_filling_family(eps_grid=(0.0,))
+    monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0,))
+    fam = _ball_filling_family()
     bf = bourgeois_form(fam.rep)
     pts = sample(bf.manifold, 200, seed=21)
     report = filling_polynomial(fam, pts)
@@ -410,7 +414,7 @@ def test_filling_zero_eps_proportional_to_one_plus_t():
 
 
 def test_filling_leading_coefficients_certified():
-    fam = _ball_filling_family(eps_grid=(0.0, 0.05, 1.0))
+    fam = _ball_filling_family()
     bf = bourgeois_form(fam.rep)
     pts = sample(bf.manifold, 200, seed=22)
     report = filling_polynomial(fam, pts)
@@ -422,19 +426,21 @@ def test_filling_leading_coefficients_certified():
 # a NaN anywhere on a grid fails the leaf
 
 
-def test_filling_nan_eps_fails():
-    fam = _ball_filling_family(eps_grid=(0.0, float("nan")))
+def test_filling_nan_eps_fails(monkeypatch):
+    monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0, float("nan")))
+    fam = _ball_filling_family()
     bf = bourgeois_form(fam.rep)
     report = filling_polynomial(fam, sample(bf.manifold, 100, seed=23))
     assert not report.passed
     assert np.isnan(report.min_margin)
 
 
-def test_isotopy_nan_tau_fails_every_tau_leaf():
+def test_isotopy_nan_tau_fails_every_tau_leaf(monkeypatch):
     rep = profiled_representation(quadric_open_book(2))
     bf = bourgeois_form(rep)
     pts = sample(bf.manifold, 100, seed=24)
-    report = isotopy_check(rep, 10.0, (0.0, float("nan"), 1.0), pts)
+    monkeypatch.setattr(bourgeois, "TAU_GRID", (0.0, float("nan"), 1.0))
+    report = isotopy_check(rep, 10.0, pts)
     assert not report.passed
     named = {d.name: d for d in report.details}
     for leaf in ("shear_pullback", "family_contact", "volume_invariance"):
@@ -481,9 +487,10 @@ def test_filling_stencil_calls_do_not_grow_with_the_t_grid(monkeypatch):
     pts = sample(bourgeois_form(rep).manifold, 40, seed=22)
     calls = _count_calls(monkeypatch, "central_difference")
     counts = []
+    monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0, 0.1))
+    fam = FillingFamily(rep, ext_deriv(rep.contact.alpha))
     for t_grid in [(0.0, 1.0, 10.0), tuple(np.linspace(0.0, 45.0, 46))]:
-        fam = FillingFamily(rep, ext_deriv(rep.contact.alpha), (0.0, 0.1),
-                            t_grid)
+        _with_t_grid(monkeypatch, t_grid)
         calls.clear()
         assert filling_polynomial(fam, pts).passed
         counts.append(len(calls))
@@ -513,15 +520,18 @@ def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
                               lambda: find_inverse_constant(rep, pts))
                 for g in grids]
     taus = [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 21))]
-    isotopies = [count(lambda: isotopy_check(rep, 8.0, t, product_pts))
+    isotopies = [with_constant("TAU_GRID", t,
+                               lambda: isotopy_check(rep, 8.0, product_pts))
                  for t in taus]
     epss = [(1.0,), tuple(np.linspace(0.05, 2.0, 20))]
     products = [with_constant("EPS_VALUES", e,
                               lambda: verify_product_contact(bf, product_pts))
                 for e in epss]
-    fillings = [count(lambda: filling_polynomial(
-        FillingFamily(rep, ext_deriv(rep.contact.alpha), e, (0.0, 1.0)),
-        product_pts)) for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
+    _with_t_grid(monkeypatch, (0.0, 1.0))
+    family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
+    fillings = [with_constant("FILLING_EPS_GRID", e,
+                              lambda: filling_polynomial(family, product_pts))
+                for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
     for counts in (searches, isotopies, products, fillings):
         assert counts[0] == counts[1] > 0, (searches, isotopies, products,
                                             fillings)
@@ -533,6 +543,6 @@ def test_isotopy_takes_the_pluecker_coordinates_once(monkeypatch):
     c, _, _ = find_inverse_constant(rep, pts)
     product_pts = sample(bourgeois_form(rep).manifold, 100, seed=24)
     calls = _count_calls(monkeypatch, "pluecker")
-    report = isotopy_check(rep, c, (0.0, 0.5, 1.0), product_pts)
+    report = isotopy_check(rep, c, product_pts)
     assert report.passed
     assert len(calls) == 1

@@ -17,7 +17,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "openbooks"
 MODULES = sorted(SRC.glob("*.py"))
 BOUND_NAME = re.compile(
-    r"tol|tolerance|.+_tol|slack|.+_band|name|c_grid|eps_values|flow_field"
+    r"tol|tolerance|.+_tol|slack|.+_band|name|.+_grid|eps_values|flow_field"
     r"|step|.+_step")
 
 
@@ -53,11 +53,14 @@ def test_checker_finds_a_bound_parameter():
               "@timed\n"
               "def flows(samples, step=1e-3, flow_step=1e-3, steps=10):\n"
               "    pass\n"
+              "@timed\n"
+              "def sweep(rep, c, tau_grid, samples, grid=None):\n"
+              "    pass\n"
               "def helper(samples, tol=1e-8, step=1e-3):\n"
               "    pass\n")
     assert bound_parameters(source) == [
         "check.rel_tol", "check.name", "other.binding_band", "other.tol",
-        "flows.step", "flows.flow_step"]
+        "flows.step", "flows.flow_step", "sweep.tau_grid"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -343,14 +343,19 @@ def _solve_step(manifold, p):
 
 
 @pytest.mark.parametrize("manifold", [
-    unit_sphere(4), unit_sphere(6),
+    unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4)),
     hypersurface_build(weinstein_disk_domain()).manifold],
-    ids=["S^3", "S^5", "hypersurface"])
+    ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_one_constraint_step_matches_the_solve(manifold):
     pts = sample(manifold, 200, seed=21)
     for scale in (1e-9, 1e-3, 1e-1):
         off = pts + scale * rng_for(22).normal(size=pts.shape)
-        got = gauss_newton_step(manifold, off, manifold.constraints(off))
+        c = manifold.constraints(off)
+        got = gauss_newton_step(manifold, off, c)
+        # |J|^2 by vecdot is bit for bit the 1 x 1 Gram matrix J J^T
+        jac = manifold.jacobian(off)
+        gram = jac @ np.swapaxes(jac, -1, -2)
+        assert np.array_equal(got, off - jac[..., 0, :] * (c / gram[..., 0]))
         want = _solve_step(manifold, off)
         rel = np.abs(got - want) / np.max(np.abs(want), axis=-1,
                                           keepdims=True)
