@@ -246,38 +246,6 @@ def test_flow_aborts_inside_binding_band():
         flow(quadric_spinning_field(QUADRIC), nudged, 1.0, 1e-3)
 
 
-@pytest.mark.parametrize("kind", ["quadric", "coordinate"])
-def test_flow_of_an_empty_batch_is_empty(kind):
-    # the band test reads the least |f| of the batch, which for no points
-    # must pass: through the fused stage 1 (quadric) and the unfused one
-    rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
-                  "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
-    empty = np.empty((0, rep.manifold.ambient_dim))
-    end = flow(field(rep), empty, 1.0)
-    assert end.shape == (0, rep.manifold.ambient_dim)
-
-
-@pytest.mark.parametrize("inside", [True, False])
-def test_band_test_skips_a_nan_but_not_the_points_beside_it(inside):
-    # stage 1 reports |f| = NaN at the first point and, with `inside`,
-    # 1e-9 at the last: a NaN never trips the band test, and it does not
-    # hide a point inside the band
-    def fused(p):
-        fval = np.full(len(p), 0.5 + 0j)
-        fval[0] = np.nan
-        if inside:
-            fval[-1] = 1e-9
-        return np.zeros_like(p), fval
-
-    y = SpinningField(QUADRIC, lambda p: np.zeros_like(p), fused=fused)
-    pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
-    if inside:
-        with pytest.raises(FlowAborted, match="at step 0$"):
-            flow(y, pts, 0.1, 1e-2)
-    else:
-        assert flow(y, pts, 0.1, 1e-2).shape == pts.shape
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_fused_stage_one_matches_eval_and_modulus(n):
     rep = quadric_open_book(n)
@@ -418,6 +386,38 @@ def test_monodromy_maps_page_to_itself():
     end = flow(quadric_spinning_field(QUADRIC), pts, 1.0, 1e-3)
     dtheta = np.angle(QUADRIC.f.value(end) / QUADRIC.f.value(pts))
     assert np.max(np.abs(dtheta)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["quadric", "coordinate"])
+def test_flow_of_an_empty_batch_is_empty(kind):
+    # the band test reads the least |f| of the batch, which for no points
+    # must pass: through the fused stage 1 (quadric) and the unfused one
+    rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
+                  "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
+    empty = np.empty((0, rep.manifold.ambient_dim))
+    end = flow(field(rep), empty, 1.0)
+    assert end.shape == (0, rep.manifold.ambient_dim)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_band_test_skips_a_nan_but_not_the_points_beside_it(inside):
+    # stage 1 reports |f| = NaN at the first point and, with `inside`,
+    # 1e-9 at the last: a NaN never trips the band test, and it does not
+    # hide a point inside the band
+    def fused(p):
+        fval = np.full(len(p), 0.5 + 0j)
+        fval[0] = np.nan
+        if inside:
+            fval[-1] = 1e-9
+        return np.zeros_like(p), fval
+
+    y = SpinningField(QUADRIC, lambda p: np.zeros_like(p), fused=fused)
+    pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
+    if inside:
+        with pytest.raises(FlowAborted, match="at step 0$"):
+            flow(y, pts, 0.1, 1e-2)
+    else:
+        assert flow(y, pts, 0.1, 1e-2).shape == pts.shape
 
 
 # ---------------------------------------------------------------------------
