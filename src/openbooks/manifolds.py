@@ -194,7 +194,7 @@ def sample(manifold: Submanifold, n: int, seed, tol=1e-10):
     return pts
 
 
-def gauss_newton_step(manifold: Submanifold, p, c):
+def gauss_newton_step(manifold: Submanifold, p, c, out=None):
     """One Gauss-Newton step p - J^T (J J^T)^-1 c towards the constraint
     set, for points p (N, m) with constraint values c (N, k).
 
@@ -203,14 +203,16 @@ def gauss_newton_step(manifold: Submanifold, p, c):
     ``np.vecdot`` of the Jacobian (N, 1, m) with itself, which gives the
     same bits as the batched matmul J J^T of N (1, m) x (m, 1) products
     at a fraction of its dispatch cost; `monodromy.flow` runs this branch
-    once per RK4 step.
+    once per RK4 step, with ``out=p``.  The step is written into ``out``
+    when given (which may be p itself) and returned.
     """
     jac = manifold.jacobian(p)
     if manifold.n_constraints == 1:
-        return p - jac[..., 0, :] * (c / np.vecdot(jac, jac))
+        return np.subtract(p, jac[..., 0, :] * (c / np.vecdot(jac, jac)),
+                           out=out)
     gram = jac @ np.swapaxes(jac, -1, -2)
     lam = np.linalg.solve(gram, c[..., None])[..., 0]
-    return p - np.einsum("...cm,...c->...m", jac, lam)
+    return np.subtract(p, np.einsum("...cm,...c->...m", jac, lam), out=out)
 
 
 def project_to_constraints(manifold: Submanifold, points, tol=1e-12,

@@ -56,11 +56,21 @@ class SpinningField:
     binding-band test.  A field that computes f on its way to Y passes that
     computation as ``fused`` (p -> (Y(p), f(p))); otherwise f is evaluated
     separately by ``rep.f.value``.
+
+    A field on C^n may also pass ``kernel(z, out) -> f``, its formula on
+    complex coordinates: z is a complex (N, m/2) array whose entries are
+    the interleaved pairs (x_j, y_j) of the points, and the kernel writes
+    Y, as complex velocities, into the complex (N, m/2) array ``out`` and
+    returns f (N,).  It writes every entry of ``out``, never reads what
+    ``out`` held, and never writes ``z``; ``out`` does not overlap ``z``.
+    `flow` runs the kernel on complex views of its workspace rows in place
+    of ``eval_with_f`` and ``eval``, so it must give their bits.
     """
 
     rep: Representation
     eval: Callable[[np.ndarray], np.ndarray]
     fused: Callable | None = None
+    kernel: Callable | None = None
 
     def __call__(self, p):
         return self.eval(np.asarray(p, float))
@@ -211,9 +221,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
 
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """
-    def fused(p):
-        # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
-        z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
+    def kernel(z, out):
         zz = z * z
         # f = sum z_j^2 column by column, left to right: a reduction over a
         # short complex axis costs several times more.  For n <= 3 this is
@@ -222,13 +230,21 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
         fval = zz[..., 0]
         for j in range(1, zz.shape[-1]):
             fval = fval + zz[..., j]
-        vel = np.pi * 1j * fval[..., None] * np.conj(z)
+        np.multiply(np.pi * 1j * fval[..., None], np.conj(z, out=out),
+                    out=out)
+        return fval
+
+    def fused(p):
+        # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
+        z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
+        vel = np.empty_like(z)
+        fval = kernel(z, vel)
         return vel.view(np.float64), fval
 
     def eval(p):
         return fused(p)[0]
 
-    return SpinningField(rep, eval, fused=fused)
+    return SpinningField(rep, eval, fused=fused, kernel=kernel)
 
 
 @timed
@@ -370,59 +386,102 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
     manifold after every step by one `manifolds.gauss_newton_step`.
 
     One step runs four field evaluations, the binding-band test (two
-    numpy calls), the RK4 combination and one projection; the field's
-    methods and the constraints are looked up once, before the loop.
-    The first stage calls `SpinningField.eval_with_f`, whose f(p) is the
-    binding-band test: the flow aborts if the least |f| of the batch
-    drops below ``min_abs_f``.  Stages 2-4 call `SpinningField.eval`.
-    The RK4 combination is written as the textbook
-    ``pts + sixth * (k1 + 2 k2 + 2 k3 + k4)``: any regrouping rounds
-    differently, and the tests pin these bits against a reference loop.
-    A final residual above 1e-10 triggers a full `project_to_constraints`.
+    numpy calls), the RK4 combination and one projection.  Each run
+    allocates one workspace, a (7, N, m) array whose rows are the state,
+    the stage argument, the RK4 sum and k1-k4; the stage arguments, the
+    RK4 combination and the projection write into its rows with ``out=``.
+    A field with a ``kernel`` (`SpinningField`) evaluates from and into
+    complex views of those rows, made once per run; any other field runs
+    `SpinningField.eval_with_f` at the first stage and `SpinningField.eval`
+    at stages 2-4.  The first stage's f(p) is the binding-band test: the
+    flow aborts if the least |f| of the batch drops below ``min_abs_f``.
+    The RK4 combination takes the operations of the textbook
+    ``pts + sixth * (k1 + 2 k2 + 2 k3 + k4)`` in their written order: any
+    regrouping rounds differently, and the tests pin these bits against a
+    reference loop.  A final residual above 1e-10 triggers a full
+    `project_to_constraints`.
 
-    Accepts a single point (m,) or a batch (N, m); time may be negative.
+    Accepts a single point (m,) or a batch (N, m), in any memory layout,
+    and leaves it unchanged.  Time may be negative; ``step`` must be
+    positive and ``t_end`` a whole number of steps (0 is the identity).
     ``check_halving`` re-runs with half the step and raises NonConvergence
     if the endpoints differ by more than halving_tol.  No suite flow sets
     it, since each has an exact oracle (the identity, the closed form or
     the twist).  It stays as tested API: the benchmark tracer
     (`benchmarks/tracer.py`) reads ``check_halving`` by name to count the
     point steps, and two tests of `tests/test_monodromy.py` set both
-    arguments.  A start point that is not finite raises DomainError.
+    arguments.  A start point that is not finite, a step that is not a
+    positive finite number, a time that is not finite or a time that is
+    not a whole number of steps raises DomainError.
     """
     start = np.asarray(p0, float)
     if not np.isfinite(start).all():
         raise DomainError("flow start point is not finite", point=start)
+    if not (0.0 < step < np.inf and np.isfinite(t_end)):
+        raise DomainError(f"flow needs a positive finite step and a finite "
+                          f"time, got step {step!r} and time {t_end!r}")
+    ratio = abs(t_end) / step
+    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        raise DomainError(f"flow time {t_end!r} is not a whole number of "
+                          f"steps {step!r}")
 
     manifold = y.rep.manifold
     constraints = manifold.constraints
-    stage1, stage = y.eval_with_f, y.eval
+    eval_with_f, eval, kernel = y.eval_with_f, y.eval, y.kernel
+    single = start.ndim == 1
+    batch = start[None, :] if single else start
 
     def run(step_size):
-        pts = start.copy()
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         n_steps = int(round(abs(t_end) / step_size))
-        h = np.sign(t_end) * abs(step_size)
+        h = np.sign(t_end) * step_size
         half, sixth = 0.5 * h, h / 6.0
+        work = np.empty((7,) + batch.shape)
+        pts, arg, acc, *k_rows = work
+        pts[...] = batch
+        # stage1(j) and stage(j) return k_(j+1) (and f at stage 1), from
+        # pts and from arg; a kernel writes it into k_rows[j]
+        if kernel is None:
+            def stage1(j):
+                return eval_with_f(pts)
+
+            def stage(j):
+                return eval(arg)
+        else:
+            zpts, zarg, _, *zk_rows = work.view(np.complex128)
+
+            def stage1(j):
+                return k_rows[j], kernel(zpts, zk_rows[j])
+
+            def stage(j):
+                kernel(zarg, zk_rows[j])
+                return k_rows[j]
+
         for i in range(n_steps):
-            k1, fval = stage1(pts)
+            k1, fval = stage1(0)
             # fmin skips a NaN |f|, so the band test reads the batch's
             # least finite |f|; an empty batch reads inf and passes
             if np.fmin.reduce(np.abs(fval), initial=np.inf) < min_abs_f:
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
-            k2 = stage(pts + half * k1)
-            k3 = stage(pts + half * k2)
-            k4 = stage(pts + h * k3)
-            # kept as written: a regrouped sum changes the endpoint bits
-            pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            np.add(pts, np.multiply(half, k1, out=arg), out=arg)
+            k2 = stage(1)
+            np.add(pts, np.multiply(half, k2, out=arg), out=arg)
+            k3 = stage(2)
+            np.add(pts, np.multiply(h, k3, out=arg), out=arg)
+            k4 = stage(3)
+            # pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4), one operation at
+            # a time in that order: a regrouped sum changes the endpoint bits
+            np.add(k1, np.multiply(2, k2, out=acc), out=acc)
+            np.add(acc, np.multiply(2, k3, out=arg), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(pts, np.multiply(sixth, acc, out=acc), out=pts)
             if constraints is not None:
-                pts = gauss_newton_step(manifold, pts, constraints(pts))
-        res = manifold.residual(pts)
-        if np.any(res > 1e-10):
-            pts = project_to_constraints(manifold, pts, tol=1e-12)
-        return pts[0] if single else pts
+                gauss_newton_step(manifold, pts, constraints(pts), out=pts)
+        if np.any(manifold.residual(pts) > 1e-10):
+            end = project_to_constraints(manifold, pts, tol=1e-12)
+        else:
+            end = pts.copy()
+        return end[0] if single else end
 
     end = run(step)
     if check_halving:

@@ -386,6 +386,25 @@ def test_projection_onto_three_constraint_quadric_binding():
         _solve_step(binding, start), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("manifold", [
+    unit_sphere(4), hypersurface_build(weinstein_disk_domain()).manifold,
+    quadric_open_book(2).binding, quadric_open_book(3).binding],
+    ids=["S^3", "hypersurface", "quadric_binding_n2", "quadric_binding_n3"])
+def test_step_written_into_out_has_the_same_bits(manifold):
+    # the one-constraint branch (flow writes its step into the state, out=p)
+    # and the three-constraint branch of the binding sampler
+    start = sample(unit_sphere(manifold.ambient_dim), 60, seed=24)
+    off = start + 1e-3 * rng_for(25).normal(size=start.shape)
+    c = manifold.constraints(off)
+    want = gauss_newton_step(manifold, off, c)
+    into = np.full_like(off, np.nan)
+    assert gauss_newton_step(manifold, off, c, out=into) is into
+    assert np.array_equal(into, want)
+    same = off.copy()
+    assert gauss_newton_step(manifold, same, c, out=same) is same
+    assert np.array_equal(same, want)
+
+
 def test_tangent_basis_after_sample_never_errors():
     # rank safety margin across every registered manifold used in checks
     manifolds = [unit_sphere(4), unit_sphere(6),

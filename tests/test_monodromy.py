@@ -420,6 +420,112 @@ def test_band_test_skips_a_nan_but_not_the_points_beside_it(inside):
         assert flow(y, pts, 0.1, 1e-2).shape == pts.shape
 
 
+@pytest.mark.parametrize("t_end, step", [
+    (1.0, -1e-3), (-1.0, -1e-3), (1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
+    (np.nan, 1e-3), (np.inf, 1e-3), (-np.inf, 1e-3), (1e-4, 1e-3),
+    (1.0005, 1e-3)],
+    ids=["negative_step", "negative_step_and_time", "zero_step", "nan_step",
+         "inf_step", "nan_time", "inf_time", "minus_inf_time",
+         "time_below_one_step", "time_between_steps"])
+def test_flow_rejects_a_step_or_time_it_cannot_integrate(t_end, step):
+    # each of these used to return the start unflowed, round the time to
+    # another number of steps or raise an arithmetic error
+    pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
+    with pytest.raises(DomainError):
+        flow(quadric_spinning_field(QUADRIC), pts, t_end, step)
+
+
+@pytest.mark.parametrize("kind", ["quadric", "coordinate"])
+def test_zero_time_flow_is_the_identity(kind):
+    rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
+                  "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
+    pts = _off_binding(rep, 5, seed=57, band=0.1)
+    assert np.array_equal(flow(field(rep), pts, 0.0), pts)
+
+
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_flow_has_the_bits_of_the_flow_without_kernel(n, t_end):
+    # the kernel path writes every stage into the workspace; the fused and
+    # eval path, and the textbook loop of _modulus_band_flow, allocate
+    import dataclasses
+    rep = quadric_open_book(n)
+    y = quadric_spinning_field(rep)
+    pts = _off_binding(rep, 12, seed=60 + n, band=0.1)
+    end = flow(y, pts, t_end, 1e-3, check_halving=True)
+    plain = dataclasses.replace(y, kernel=None)
+    assert np.array_equal(end, flow(plain, pts, t_end, 1e-3,
+                                    check_halving=True))
+    want, reference = _modulus_band_flow(y, pts, t_end, 1e-3, 0.0)
+    assert want is None
+    assert np.array_equal(end, reference)
+
+
+@pytest.mark.parametrize("layout", ["batch", "single_point"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadric_kernel_on_a_complex_view_equals_eval(n, layout):
+    rep = quadric_open_book(n)
+    y = quadric_spinning_field(rep)
+    pts = sample(rep.manifold, 40, seed=62 + n)
+    if layout == "single_point":
+        pts = pts[5]
+    held = pts.copy()
+    z = pts.view(np.complex128)
+    # NaN in out: the kernel writes every entry and reads none
+    out = np.full_like(z, np.nan)
+    fval = y.kernel(z, out)
+    assert np.array_equal(out.view(np.float64), y.eval(pts))
+    assert np.array_equal(fval, y.eval_with_f(pts)[1])
+    assert np.array_equal(pts, held)
+
+
+def test_flow_runs_the_kernel_four_times_a_step_and_never_eval():
+    import dataclasses
+    calls = {"kernel": 0, "eval": 0, "fused": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    y = quadric_spinning_field(QUADRIC)
+    traced = dataclasses.replace(
+        y, **{name: counted(name, getattr(y, name)) for name in calls})
+    pts = _off_binding(QUADRIC, 6, seed=58, band=0.1)
+    held = pts.copy()
+    end = flow(traced, pts, 0.007, 1e-3)
+    assert calls == {"kernel": 4 * 7, "eval": 0, "fused": 0}
+    assert np.array_equal(end, flow(y, pts, 0.007, 1e-3))
+    assert np.array_equal(pts, held)
+
+
+@pytest.mark.parametrize("kind", ["quadric", "coordinate"])
+@pytest.mark.parametrize("layout", ["column_slice", "fortran", "single_point"])
+def test_flow_of_a_strided_start_equals_its_contiguous_copy(kind, layout):
+    rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
+                  "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
+    y = field(rep)
+    pts = _off_binding(rep, 8, seed=59, band=0.1)
+    m = rep.manifold.ambient_dim
+    if layout == "column_slice":
+        wide = rng_for(61).normal(size=(len(pts), m + 3))
+        wide[:, 2:m + 2] = pts
+        start = wide[:, 2:m + 2]
+    elif layout == "fortran":
+        start = np.asfortranarray(pts)
+    else:
+        start = pts[::-1][3]
+        wide = np.stack([start, start], axis=-1)
+        start = wide[:, 0]
+    assert not start.flags.c_contiguous
+    held = start.copy()
+    end = flow(y, start, 0.05, 1e-3)
+    assert np.array_equal(end, flow(y, np.ascontiguousarray(start), 0.05,
+                                    1e-3))
+    assert np.array_equal(start, held)
+
+
 # ---------------------------------------------------------------------------
 # closed-form flow
 
