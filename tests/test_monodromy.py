@@ -448,12 +448,12 @@ def test_zero_time_flow_is_the_identity(kind):
 def test_kernel_flow_has_the_bits_of_the_flow_without_kernel(n, t_end):
     # the kernel path writes every stage into the workspace; the fused and
     # eval path, and the textbook loop of _modulus_band_flow, allocate
-    import dataclasses
+    from dataclasses import replace
     rep = quadric_open_book(n)
     y = quadric_spinning_field(rep)
     pts = _off_binding(rep, 12, seed=60 + n, band=0.1)
     end = flow(y, pts, t_end, 1e-3, check_halving=True)
-    plain = dataclasses.replace(y, kernel=None)
+    plain = replace(y, kernel=None)
     assert np.array_equal(end, flow(plain, pts, t_end, 1e-3,
                                     check_halving=True))
     want, reference = _modulus_band_flow(y, pts, t_end, 1e-3, 0.0)
@@ -480,7 +480,7 @@ def test_quadric_kernel_on_a_complex_view_equals_eval(n, layout):
 
 
 def test_flow_runs_the_kernel_four_times_a_step_and_never_eval():
-    import dataclasses
+    from dataclasses import replace
     calls = {"kernel": 0, "eval": 0, "fused": 0}
 
     def counted(name, fn):
@@ -490,7 +490,7 @@ def test_flow_runs_the_kernel_four_times_a_step_and_never_eval():
         return wrapped
 
     y = quadric_spinning_field(QUADRIC)
-    traced = dataclasses.replace(
+    traced = replace(
         y, **{name: counted(name, getattr(y, name)) for name in calls})
     pts = _off_binding(QUADRIC, 6, seed=58, band=0.1)
     held = pts.copy()
@@ -515,9 +515,7 @@ def test_flow_of_a_strided_start_equals_its_contiguous_copy(kind, layout):
     elif layout == "fortran":
         start = np.asfortranarray(pts)
     else:
-        start = pts[::-1][3]
-        wide = np.stack([start, start], axis=-1)
-        start = wide[:, 0]
+        start = np.stack([pts[3], pts[3]], axis=-1)[:, 0]
     assert not start.flags.c_contiguous
     held = start.copy()
     end = flow(y, start, 0.05, 1e-3)
