@@ -575,7 +575,7 @@ def quadric_defining_function(n: int) -> DefiningFunction:
     m = 2 * n
 
     def value(p):
-        # separate real ufuncs (no fused multiply-add) so the exact
+        # separate real ufuncs (no single-rounding multiply-add) so the exact
         # cancellations along the binding survive in floating point
         x = p[..., 0::2]
         y = p[..., 1::2]

@@ -367,12 +367,12 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
 
 def angle_spinning_field(rep: Representation):
     """2 pi d/d(theta) in the normal-disk coordinates of the hypersurface
-    open book: 2 pi (x d/dy - y d/dx) on the last two coordinates; a
-    binding form makes this a spinning field with identity monodromy."""
+    open book: 2 pi (x d/dy - y d/dx) on the last two coordinates, whose
+    complex coordinate x + i y is the book's f; a binding form makes this
+    a spinning field with identity monodromy."""
     # a local import: monodromy imports this module
     from .monodromy import plane_rotation_field
-    m = rep.manifold.ambient_dim
-    return plane_rotation_field(rep, m - 2, m - 1)
+    return plane_rotation_field(rep, rep.manifold.ambient_dim // 2 - 1)
 
 
 @timed

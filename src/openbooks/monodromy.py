@@ -49,37 +49,28 @@ TWIST_DOMAIN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpinningField:
-    """Vector field whose time-1 flow realizes the monodromy.
+    """Vector field whose time-1 flow realizes the monodromy, given by its
+    formula on complex coordinates.
 
-    `eval_with_f` is the entry point for the first RK4 stage of `flow`: it
-    returns Y(p) together with the defining function f(p), which feeds the
-    binding-band test.  A field that computes f on its way to Y passes that
-    computation as ``fused`` (p -> (Y(p), f(p))); otherwise f is evaluated
-    separately by ``rep.f.value``.
-
-    A field on C^n may also pass ``kernel(z, out) -> f``, its formula on
-    complex coordinates: z is a complex (N, m/2) array whose entries are
-    the interleaved pairs (x_j, y_j) of the points, and the kernel writes
-    Y, as complex velocities, into the complex (N, m/2) array ``out`` and
-    returns f (N,).  It writes every entry of ``out``, never reads what
-    ``out`` held, and never writes ``z``; ``out`` does not overlap ``z``.
-    `flow` runs the kernel on complex views of its workspace rows in place
-    of ``eval_with_f`` and ``eval``, so it must give their bits.
+    ``eval(z, out) -> f`` reads z, a complex (N, m/2) array whose entries
+    are the interleaved pairs (x_j, y_j) of the points, writes Y, as
+    complex velocities, into the complex (N, m/2) array ``out``, and returns
+    the book's f (N,), which `flow` reads for its binding-band test.  It
+    writes every entry of ``out``, never reads what ``out`` held, and never
+    writes ``z``; ``out`` does not overlap ``z``.  `flow` runs it on complex
+    views of its workspace rows.  Calling the field on real points p, (N, m)
+    or (m,), returns Y(p) as a real array of the same shape.
     """
 
     rep: Representation
-    eval: Callable[[np.ndarray], np.ndarray]
-    fused: Callable | None = None
-    kernel: Callable | None = None
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, p):
-        return self.eval(np.asarray(p, float))
-
-    def eval_with_f(self, p):
-        """(Y(p), f(p)) for points p (N, m)."""
-        if self.fused is not None:
-            return self.fused(p)
-        return self.eval(p), self.rep.f.value(p)
+        # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
+        z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
+        out = np.empty_like(z)
+        self.eval(z, out)
+        return out.view(np.float64)
 
 
 def _spinning_solve_batch(rep: Representation, pts):
@@ -172,22 +163,18 @@ def coordinate_spinning_field(rep: Representation) -> SpinningField:
     preserves d(lambda) because the correction is exact.  The solve's
     field for this book is :func:`coordinate_kernel_field`.
     """
-    return plane_rotation_field(rep, 0, 1)
+    return plane_rotation_field(rep, 0)
 
 
-def plane_rotation_field(rep: Representation, i: int, j: int
-                         ) -> SpinningField:
-    """The analytic field 2 pi (x_i d/dx_j - x_j d/dx_i), which turns the
-    (x_i, x_j) plane once per unit time.  It is linear: each evaluation is
-    the single product p @ G with the (m, m) generator G, whose only
-    entries are G[i, j] = 2 pi and G[j, i] = -2 pi."""
-    m = rep.manifold.ambient_dim
-    gen = np.zeros((m, m))
-    gen[i, j] = 2 * np.pi
-    gen[j, i] = -2 * np.pi
-
-    def eval(p):
-        return np.dot(p, gen)
+def plane_rotation_field(rep: Representation, k: int) -> SpinningField:
+    """The analytic field 2 pi (x_k d/dy_k - y_k d/dx_k), which turns the
+    complex coordinate z_k once per unit time: its complex velocity is
+    2 pi i z_k in coordinate k and 0 in every other.  It returns z_k as f,
+    so it serves only books whose f is z_k."""
+    def eval(z, out):
+        out[...] = 0
+        np.multiply(2j * np.pi, z[..., k], out=out[..., k])
+        return z[..., k]
 
     return SpinningField(rep, eval)
 
@@ -200,16 +187,13 @@ def coordinate_kernel_field(rep: Representation) -> SpinningField:
             + 2 pi |z_1|^2 / (1 + |z_1|^2) *
               sum_{j >= 2} (x_j d/dy_j - y_j d/dx_j) .
     """
-    def eval(p):
-        rho2 = p[..., 0] ** 2 + p[..., 1] ** 2
-        out = np.empty_like(p)
-        out[..., 0::2] = -p[..., 1::2]
-        out[..., 1::2] = p[..., 0::2]
+    def eval(z, out):
+        z1 = z[..., 0]
+        rho2 = z1.real ** 2 + z1.imag ** 2
         factor = 2 * np.pi * rho2 / (1.0 + rho2)
-        out[..., 2:] *= factor[..., None]
-        out[..., 0] *= 2 * np.pi
-        out[..., 1] *= 2 * np.pi
-        return out
+        np.multiply(1j * factor[..., None], z, out=out)
+        np.multiply(2j * np.pi, z1, out=out[..., 0])
+        return z1
 
     return SpinningField(rep, eval)
 
@@ -221,7 +205,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
 
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """
-    def kernel(z, out):
+    def eval(z, out):
         zz = z * z
         # f = sum z_j^2 column by column, left to right: a reduction over a
         # short complex axis costs several times more.  For n <= 3 this is
@@ -234,17 +218,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
                     out=out)
         return fval
 
-    def fused(p):
-        # interleaved (x_j, y_j) pairs are the complex z_j: a zero-copy view
-        z = np.ascontiguousarray(p, dtype=np.float64).view(np.complex128)
-        vel = np.empty_like(z)
-        fval = kernel(z, vel)
-        return vel.view(np.float64), fval
-
-    def eval(p):
-        return fused(p)[0]
-
-    return SpinningField(rep, eval, fused=fused, kernel=kernel)
+    return SpinningField(rep, eval)
 
 
 @timed
@@ -260,7 +234,7 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
     n = rep.n
     pts = np.asarray(samples, float)
     omega = openbook_volume_form(rep)
-    field = VecField(rep.manifold.ambient_dim, y.eval)
+    field = VecField(rep.manifold.ambient_dim, y)
     lhs_form = interior(field, omega)
     f = rep.f
     dalpha = rep.contact.d_alpha()
@@ -300,13 +274,13 @@ def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
     alpha = rep.contact.alpha
     dalpha = rep.contact.d_alpha()
     m = rep.manifold.ambient_dim
-    field = VecField(m, y.eval)
+    field = VecField(m, y)
     contracted = interior(field, dalpha)
 
     def coeffs(p):
         reg = f.regularized(p)
         rho2, rho_drho = reg.rho2, reg.rho_drho
-        yv = y.eval(np.asarray(p, float))
+        yv = y(p)
         alpha_c = alpha.coeffs(p)
         alpha_of_y = np.einsum("...m,...m->...", alpha_c, yv)
         drho_of_y = np.einsum("...m,...m->...", rho_drho, yv)
@@ -320,15 +294,12 @@ def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
 
 @timed
 def spinning_definition_check(rep: Representation, y: SpinningField, samples,
-                              near_binding_samples=None, seed=0
-                              ) -> CheckReport:
+                              seed=0) -> CheckReport:
     """Definition-level certificate valid for any spinning field (not just
     the kernel-normalized one):
 
       - d(theta)(Y) = 2 pi off the binding (via the regularized pairing
         rho^2 d(theta)(Y) = 2 pi rho^2);
-      - Y vanishes along the binding: |Y| <= K |f| on binding-approaching
-        samples;
       - the flow preserves the page structures: the 2-form
         d(iota_Y d(alpha/|f|)) vanishes on page-tangent pairs.
     """
@@ -342,17 +313,6 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
         "theta_pairing", n_samples=len(pts),
         max_residual=np.abs(vals / reg.rho2 - 2 * np.pi),
         tolerance=1e-8, seed=seed, note="d(theta)(Y) = 2 pi"))
-
-    if near_binding_samples is not None and len(near_binding_samples):
-        nb = np.asarray(near_binding_samples, float)
-        speed = np.linalg.norm(y(nb), axis=-1)
-        rho = f.modulus(nb)
-        details.append(make_report(
-            "binding_vanishing", n_samples=len(nb),
-            max_residual=speed / np.maximum(rho, 1e-300), tolerance=1e3,
-            seed=seed,
-            note="|Y| <= K |f| approaching the binding (K recorded as the "
-                 "residual)"))
 
     # page-structure preservation: d(iota_Y d(lambda)) restricted to pages,
     # with iota_Y d(lambda) assembled from the regularized contraction
@@ -380,22 +340,20 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
 
 
 def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
-         min_abs_f: float = FLOW_BINDING_BAND, check_halving: bool = False,
-         halving_tol: float = 1e-5):
+         check_halving: bool = False, halving_tol: float = 1e-5):
     """Classical RK4 flow of a spinning field, projected back to the
     manifold after every step by one `manifolds.gauss_newton_step`.
 
-    One step runs four field evaluations, the binding-band test (two
-    numpy calls), the RK4 combination and one projection.  Each run
-    allocates one workspace, a (7, N, m) array whose rows are the state,
-    the stage argument, the RK4 sum and k1-k4; the stage arguments, the
-    RK4 combination and the projection write into its rows with ``out=``.
-    A field with a ``kernel`` (`SpinningField`) evaluates from and into
-    complex views of those rows, made once per run; any other field runs
-    `SpinningField.eval_with_f` at the first stage and `SpinningField.eval`
-    at stages 2-4.  The first stage's f(p) is the binding-band test: the
-    flow aborts if the least |f| of the batch drops below ``min_abs_f``.
-    The RK4 combination takes the operations of the textbook
+    One step runs four evaluations of the field (`SpinningField.eval`),
+    the binding-band test (two numpy calls), the RK4 combination and one
+    projection.  Each run allocates one workspace, a (7, N, m) array whose
+    rows are the state, the stage argument, the RK4 sum and k1-k4, and
+    makes complex views of them once; the field evaluates from and into
+    those views, and the stage arguments, the RK4 combination and the
+    projection write into the rows with ``out=``.  The f that the first
+    stage returns is the binding-band test: the flow aborts if the least
+    |f| of the batch drops below FLOW_BINDING_BAND, read when the flow is
+    called.  The RK4 combination takes the operations of the textbook
     ``pts + sixth * (k1 + 2 k2 + 2 k3 + k4)`` in their written order: any
     regrouping rounds differently, and the tests pin these bits against a
     reference loop.  A final residual above 1e-10 triggers a full
@@ -427,7 +385,7 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
 
     manifold = y.rep.manifold
     constraints = manifold.constraints
-    eval_with_f, eval, kernel = y.eval_with_f, y.eval, y.kernel
+    eval, band = y.eval, FLOW_BINDING_BAND
     single = start.ndim == 1
     batch = start[None, :] if single else start
 
@@ -436,39 +394,22 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
         h = np.sign(t_end) * step_size
         half, sixth = 0.5 * h, h / 6.0
         work = np.empty((7,) + batch.shape)
-        pts, arg, acc, *k_rows = work
+        pts, arg, acc, k1, k2, k3, k4 = work
+        zpts, zarg, _, zk1, zk2, zk3, zk4 = work.view(np.complex128)
         pts[...] = batch
-        # stage1(j) and stage(j) return k_(j+1) (and f at stage 1), from
-        # pts and from arg; a kernel writes it into k_rows[j]
-        if kernel is None:
-            def stage1(j):
-                return eval_with_f(pts)
-
-            def stage(j):
-                return eval(arg)
-        else:
-            zpts, zarg, _, *zk_rows = work.view(np.complex128)
-
-            def stage1(j):
-                return k_rows[j], kernel(zpts, zk_rows[j])
-
-            def stage(j):
-                kernel(zarg, zk_rows[j])
-                return k_rows[j]
-
         for i in range(n_steps):
-            k1, fval = stage1(0)
+            fval = eval(zpts, zk1)
             # fmin skips a NaN |f|, so the band test reads the batch's
             # least finite |f|; an empty batch reads inf and passes
-            if np.fmin.reduce(np.abs(fval), initial=np.inf) < min_abs_f:
+            if np.fmin.reduce(np.abs(fval), initial=np.inf) < band:
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
             np.add(pts, np.multiply(half, k1, out=arg), out=arg)
-            k2 = stage(1)
+            eval(zarg, zk2)
             np.add(pts, np.multiply(half, k2, out=arg), out=arg)
-            k3 = stage(2)
+            eval(zarg, zk3)
             np.add(pts, np.multiply(h, k3, out=arg), out=arg)
-            k4 = stage(3)
+            eval(zarg, zk4)
             # pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4), one operation at
             # a time in that order: a regrouped sum changes the endpoint bits
             np.add(k1, np.multiply(2, k2, out=acc), out=acc)

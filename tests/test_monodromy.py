@@ -116,7 +116,7 @@ def test_view_quadric_field_equals_strided_formula(n, layout):
         pts = pts[7]
     assert layout == "contiguous" or layout == "single_point" \
         or not pts.flags.c_contiguous
-    got = quadric_spinning_field(rep).eval(pts)
+    got = quadric_spinning_field(rep)(pts)
     assert got.shape == pts.shape and got.dtype == np.float64
     assert np.array_equal(got, _strided_quadric_field(pts))
 
@@ -164,13 +164,20 @@ def test_kernel_defect_vanishes_only_for_kernel_field():
 
 def test_definition_check_accepts_both_spinning_fields():
     pts = _off_binding(COORDINATE, 200, seed=8)
-    near = sample(COORDINATE.binding, 50, seed=9)
-    near = near + 1e-4 * rng_for(10).normal(size=near.shape)
-    near /= np.linalg.norm(near, axis=-1, keepdims=True)
     for field in (coordinate_spinning_field(COORDINATE),
                   coordinate_kernel_field(COORDINATE)):
-        report = spinning_definition_check(COORDINATE, field, pts, near)
+        report = spinning_definition_check(COORDINATE, field, pts)
         assert report.passed
+
+
+def _negated(y, rep=None):
+    # -Y on the book `rep` (y's own by default), through y's own formula
+    def eval(z, out):
+        fval = y.eval(z, out)
+        np.negative(out, out=out)
+        return fval
+
+    return SpinningField(y.rep if rep is None else rep, eval)
 
 
 def test_negated_field_spins_the_conjugate_book():
@@ -180,7 +187,7 @@ def test_negated_field_spins_the_conjugate_book():
     rep_bar = replace(QUADRIC, f=QUADRIC.f.conjugate(),
                       name="conjugate quadric")
     y = quadric_spinning_field(QUADRIC)
-    y_minus = SpinningField(rep_bar, lambda p: -y.eval(p))
+    y_minus = _negated(y, rep_bar)
     pts = _off_binding(QUADRIC, 100, seed=11)
     mu_bar = rep_bar.f.mu_form()
     vals = np.array([mu_bar(pts[i], y_minus(pts[i]))
@@ -213,7 +220,13 @@ def test_half_speed_field_fails_trivial_monodromy(monkeypatch):
 
     def half(rep):
         y = coordinate_spinning_field(rep)
-        return SpinningField(rep, lambda p: 0.5 * y.eval(p))
+
+        def eval(z, out):
+            fval = y.eval(z, out)
+            np.multiply(0.5, out, out=out)
+            return fval
+
+        return SpinningField(rep, eval)
 
     monkeypatch.setattr(mono, "coordinate_spinning_field", half)
     report = trivial_monodromy_check(COORDINATE,
@@ -246,32 +259,43 @@ def test_flow_aborts_inside_binding_band():
         flow(quadric_spinning_field(QUADRIC), nudged, 1.0, 1e-3)
 
 
+def _stage_one(y, pts):
+    # the first stage of a flow step: Y and f from one call of y.eval
+    z = np.ascontiguousarray(pts).view(np.complex128)
+    out = np.full_like(z, np.nan)
+    fval = y.eval(z, out)
+    return out.view(np.float64), fval
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_fused_stage_one_matches_eval_and_modulus(n):
+    # the stage-1 f of the quadric field, near the binding too, is |f| of
+    # the book to rounding, and its Y is the field's
     rep = quadric_open_book(n)
     y = quadric_spinning_field(rep)
     near = sample(rep.binding, 20, seed=50 + n)
     near = near + 1e-4 * rng_for(52).normal(size=near.shape)
     near /= np.linalg.norm(near, axis=-1, keepdims=True)
     pts = np.concatenate([sample(rep.manifold, 200, seed=50), near])
-    vel, fval = y.eval_with_f(pts)
-    assert np.array_equal(vel, y.eval(pts))
+    vel, fval = _stage_one(y, pts)
+    assert np.array_equal(vel, y(pts))
     assert np.max(np.abs(np.abs(fval) - rep.f.modulus(pts))) <= 1e-15
 
 
 def test_unfused_stage_one_is_eval_and_f_value():
+    # the rotation field's stage-1 f is the book's f.value, bit for bit
     y = coordinate_spinning_field(COORDINATE)
     pts = sample(COORDINATE.manifold, 50, seed=53)
-    vel, fval = y.eval_with_f(pts)
-    assert np.array_equal(vel, y.eval(pts))
+    vel, fval = _stage_one(y, pts)
+    assert np.array_equal(vel, y(pts))
     assert np.array_equal(fval, COORDINATE.f.value(pts))
 
 
 def _modulus_band_flow(y, p0, t_end, step, min_abs_f):
-    # the RK4 loop with its band test on rep.f.modulus ahead of stage 1,
-    # kept as the reference for the band tests of the fused and the
-    # unfused stage 1; returns the step that aborts (or None) and the
-    # endpoint
+    # the textbook RK4 loop, with its band test on rep.f.modulus ahead of
+    # stage 1 and fresh arrays at every stage: the reference for the band
+    # tests and the bits of flow; returns the step that aborts (or None)
+    # and the endpoint
     from openbooks.manifolds import gauss_newton_step
     pts = np.array(p0, float)
     manifold = y.rep.manifold
@@ -280,19 +304,20 @@ def _modulus_band_flow(y, p0, t_end, step, min_abs_f):
     for i in range(int(round(abs(t_end) / step))):
         if (y.rep.f.modulus(pts) < min_abs_f).any():
             return i, pts
-        k1 = y.eval(pts)
-        k2 = y.eval(pts + half * k1)
-        k3 = y.eval(pts + half * k2)
-        k4 = y.eval(pts + h * k3)
+        k1 = y(pts)
+        k2 = y(pts + half * k1)
+        k3 = y(pts + half * k2)
+        k4 = y(pts + h * k3)
         pts = pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         pts = gauss_newton_step(manifold, pts, manifold.constraints(pts))
     return None, pts
 
 
-def test_fused_band_test_aborts_at_the_reference_step():
+def test_fused_band_test_aborts_at_the_reference_step(monkeypatch):
     # nudged binding points, on the sphere (abort at step 0) and pushed
     # off it by 5%: the projection then shrinks |f| over the first steps,
     # so the abort comes later and depends on the threshold
+    import openbooks.monodromy as mono
     y = quadric_spinning_field(QUADRIC)
     bind = sample(QUADRIC.binding, 5, seed=14)
     nudged = bind + 1e-8 * rng_for(15).normal(size=bind.shape)
@@ -305,10 +330,12 @@ def test_fused_band_test_aborts_at_the_reference_step():
     for start, band in cases:
         pts = np.concatenate([far, start])
         want, _ = _modulus_band_flow(y, pts, 1.0, 1e-3, band)
+        monkeypatch.setattr(mono, "FLOW_BINDING_BAND", band)
         with pytest.raises(FlowAborted, match=f"at step {want}$"):
-            flow(y, pts, 1.0, 1e-3, min_abs_f=band)
+            flow(y, pts, 1.0, 1e-3)
         steps.append(want)
     assert steps == [0, 2, 1]
+    monkeypatch.undo()
     want, end = _modulus_band_flow(y, far, 0.05, 1e-3, 1e-6)
     assert want is None
     assert np.array_equal(flow(y, far, 0.05, 1e-3), end)
@@ -320,31 +347,29 @@ def _hypersurface_rep():
 
 
 def _rotation_field(kind):
-    from openbooks.liouville import angle_spinning_field
-    if kind == "coordinate":
-        return coordinate_spinning_field(COORDINATE), (0, 1)
-    rep = _hypersurface_rep()
-    m = rep.manifold.ambient_dim
-    return angle_spinning_field(rep), (m - 2, m - 1)
+    y = _package_field(kind)
+    m = y.rep.manifold.ambient_dim
+    return y, (0, 1) if kind == "coordinate" else (m - 2, m - 1)
 
 
 @pytest.mark.parametrize("kind", ["coordinate", "angle"])
 def test_rotation_fields_equal_their_column_formula(kind):
-    # the generator product gives the same numbers as writing the two
-    # rotated columns, 2 pi (-x_j, x_i), into zeros
+    # the complex product 2 pi i z_k gives the same numbers as writing the
+    # two rotated columns, 2 pi (-x_j, x_i), into zeros
     y, (i, j) = _rotation_field(kind)
     pts = sample(y.rep.manifold, 50, seed=57)
     want = np.zeros_like(pts)
     want[:, i] = -2 * np.pi * pts[:, j]
     want[:, j] = 2 * np.pi * pts[:, i]
-    assert np.array_equal(y.eval(pts), want)
+    assert np.array_equal(y(pts), want)
     assert np.array_equal(y(pts[0]), want[0])
 
 
-def test_unfused_band_test_aborts_at_the_reference_step():
-    # the unfused stage 1 (band test on rep.f.value): coordinate-field
+def test_unfused_band_test_aborts_at_the_reference_step(monkeypatch):
+    # the band test on the rotation field's f = z_1: coordinate-field
     # points nudged toward z_1 = 0, on the sphere and pushed off it by 5%,
-    # as in the fused-stage test above
+    # as in the quadric test above
+    import openbooks.monodromy as mono
     y = coordinate_spinning_field(COORDINATE)
     bind = sample(COORDINATE.binding, 5, seed=58)
     nudged = bind + 1e-8 * rng_for(59).normal(size=bind.shape)
@@ -357,8 +382,9 @@ def test_unfused_band_test_aborts_at_the_reference_step():
     for start, band in cases:
         pts = np.concatenate([far, start])
         want, _ = _modulus_band_flow(y, pts, 1.0, 1e-3, band)
+        monkeypatch.setattr(mono, "FLOW_BINDING_BAND", band)
         with pytest.raises(FlowAborted, match=f"at step {want}$"):
-            flow(y, pts, 1.0, 1e-3, min_abs_f=band)
+            flow(y, pts, 1.0, 1e-3)
         steps.append(want)
     assert steps == [0, 2, 1]
 
@@ -366,7 +392,7 @@ def test_unfused_band_test_aborts_at_the_reference_step():
 @pytest.mark.parametrize("seed", [55, 56])
 def test_negative_time_flow_equals_flowing_minus_y(seed):
     y = quadric_spinning_field(QUADRIC)
-    minus_y = SpinningField(QUADRIC, lambda p: -y.eval(p))
+    minus_y = _negated(y)
     pts = _off_binding(QUADRIC, 50, seed=seed, band=0.05)
     assert np.array_equal(flow(y, pts, -1.0, 1e-3),
                           flow(minus_y, pts, 1.0, 1e-3))
@@ -391,7 +417,7 @@ def test_monodromy_maps_page_to_itself():
 @pytest.mark.parametrize("kind", ["quadric", "coordinate"])
 def test_flow_of_an_empty_batch_is_empty(kind):
     # the band test reads the least |f| of the batch, which for no points
-    # must pass: through the fused stage 1 (quadric) and the unfused one
+    # must pass: with the quadric's f and with the rotation field's z_1
     rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
                   "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
     empty = np.empty((0, rep.manifold.ambient_dim))
@@ -404,14 +430,15 @@ def test_band_test_skips_a_nan_but_not_the_points_beside_it(inside):
     # stage 1 reports |f| = NaN at the first point and, with `inside`,
     # 1e-9 at the last: a NaN never trips the band test, and it does not
     # hide a point inside the band
-    def fused(p):
-        fval = np.full(len(p), 0.5 + 0j)
+    def eval(z, out):
+        out[...] = 0
+        fval = np.full(len(z), 0.5 + 0j)
         fval[0] = np.nan
         if inside:
             fval[-1] = 1e-9
-        return np.zeros_like(p), fval
+        return fval
 
-    y = SpinningField(QUADRIC, lambda p: np.zeros_like(p), fused=fused)
+    y = SpinningField(QUADRIC, eval)
     pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
     if inside:
         with pytest.raises(FlowAborted, match="at step 0$"):
@@ -446,14 +473,22 @@ def test_zero_time_flow_is_the_identity(kind):
 @pytest.mark.parametrize("t_end", [1.0, -1.0])
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_flow_has_the_bits_of_the_flow_without_kernel(n, t_end):
-    # the kernel path writes every stage into the workspace; the fused and
-    # eval path, and the textbook loop of _modulus_band_flow, allocate
+    # flow runs the field on views of its workspace rows; a field that
+    # evaluates from and into fresh arrays, and the textbook loop of
+    # _modulus_band_flow, allocate
     from dataclasses import replace
     rep = quadric_open_book(n)
     y = quadric_spinning_field(rep)
     pts = _off_binding(rep, 12, seed=60 + n, band=0.1)
     end = flow(y, pts, t_end, 1e-3, check_halving=True)
-    plain = replace(y, kernel=None)
+
+    def fresh(z, out):
+        vel = np.empty_like(out)
+        fval = y.eval(z.copy(), vel)
+        out[...] = vel
+        return fval.copy()
+
+    plain = replace(y, eval=fresh)
     assert np.array_equal(end, flow(plain, pts, t_end, 1e-3,
                                     check_halving=True))
     want, reference = _modulus_band_flow(y, pts, t_end, 1e-3, 0.0)
@@ -471,33 +506,86 @@ def test_quadric_kernel_on_a_complex_view_equals_eval(n, layout):
         pts = pts[5]
     held = pts.copy()
     z = pts.view(np.complex128)
-    # NaN in out: the kernel writes every entry and reads none
+    # NaN in out: eval writes every entry and reads none
     out = np.full_like(z, np.nan)
-    fval = y.kernel(z, out)
-    assert np.array_equal(out.view(np.float64), y.eval(pts))
-    assert np.array_equal(fval, y.eval_with_f(pts)[1])
+    fval = y.eval(z, out)
+    assert np.array_equal(out.view(np.float64), _strided_quadric_field(pts))
+    # for n <= 3 the column sum is np.add.reduce's order
+    assert np.array_equal(fval, np.add.reduce(z * z, axis=-1))
     assert np.array_equal(pts, held)
 
 
-def test_flow_runs_the_kernel_four_times_a_step_and_never_eval():
+def test_flow_runs_the_kernel_four_times_a_step_and_never_eval(monkeypatch):
+    # flow evaluates on its workspace views only: never through the
+    # real-array entry point SpinningField.__call__, which allocates
     from dataclasses import replace
-    calls = {"kernel": 0, "eval": 0, "fused": 0}
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
+    calls = {"eval": 0, "__call__": 0}
     y = quadric_spinning_field(QUADRIC)
-    traced = replace(
-        y, **{name: counted(name, getattr(y, name)) for name in calls})
+
+    def counted(*args):
+        calls["eval"] += 1
+        return y.eval(*args)
+
+    real_entry = SpinningField.__call__
+
+    def entry(field, p):
+        calls["__call__"] += 1
+        return real_entry(field, p)
+
+    monkeypatch.setattr(SpinningField, "__call__", entry)
     pts = _off_binding(QUADRIC, 6, seed=58, band=0.1)
     held = pts.copy()
-    end = flow(traced, pts, 0.007, 1e-3)
-    assert calls == {"kernel": 4 * 7, "eval": 0, "fused": 0}
+    end = flow(replace(y, eval=counted), pts, 0.007, 1e-3)
+    assert calls == {"eval": 4 * 7, "__call__": 0}
     assert np.array_equal(end, flow(y, pts, 0.007, 1e-3))
     assert np.array_equal(pts, held)
+
+
+def _package_field(kind):
+    # every spinning field the package builds, each on its own book
+    from openbooks.liouville import angle_spinning_field
+    if kind == "coordinate":
+        return coordinate_spinning_field(COORDINATE)
+    if kind == "coordinate_kernel":
+        return coordinate_kernel_field(COORDINATE)
+    if kind == "angle":
+        return angle_spinning_field(_hypersurface_rep())
+    return quadric_spinning_field(quadric_open_book(int(kind[-1])))
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "coordinate_kernel", "angle",
+                                  "quadric_2", "quadric_3"])
+def test_every_package_field_returns_its_books_f(kind):
+    # flow's binding-band test reads the f that eval returns
+    y = _package_field(kind)
+    pts = np.ascontiguousarray(sample(y.rep.manifold, 60, seed=63))
+    z = pts.view(np.complex128)
+    fval = y.eval(z, np.empty_like(z))
+    if kind.startswith("quadric"):
+        # the column sum of z_j^2 against the book's real formula, which
+        # keeps the cancellations along the binding
+        assert np.max(np.abs(np.abs(fval) - y.rep.f.modulus(pts))) <= 1e-15
+    else:
+        assert np.array_equal(fval, y.rep.f.value(pts))
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "coordinate_kernel",
+                                  "quadric_2", "angle"])
+def test_flow_calls_eval_four_times_a_step(kind):
+    # one call of eval per RK4 stage: the benchmark tracer counts the
+    # field evaluations of a flow by replacing eval the same way
+    from dataclasses import replace
+    y = _package_field(kind)
+    calls = []
+
+    def counted(z, out):
+        calls.append(len(z))
+        return y.eval(z, out)
+
+    pts = _off_binding(y.rep, 6, seed=64, band=0.1)
+    end = flow(replace(y, eval=counted), pts, 0.007, 1e-3)
+    assert calls == [len(pts)] * (4 * 7)
+    assert np.array_equal(end, flow(y, pts, 0.007, 1e-3))
 
 
 @pytest.mark.parametrize("kind", ["quadric", "coordinate"])
@@ -714,8 +802,7 @@ def test_inverse_twist_fails_the_monodromy_comparison(monkeypatch):
     import openbooks.monodromy as mono
 
     q, p = _bundle_samples(2, 100, seed=27, r_max=0.99)
-    y = quadric_spinning_field(QUADRIC)
-    inverse = SpinningField(QUADRIC, lambda pt: -y.eval(pt))
+    inverse = _negated(quadric_spinning_field(QUADRIC))
     monkeypatch.setattr(mono, "quadric_spinning_field", lambda rep: inverse)
     report = monodromy_vs_dehn_twist(QUADRIC,
                                      np.concatenate([q, p], axis=-1))
