@@ -76,10 +76,10 @@ def quartic_disk_domain(n: int) -> LiouvilleDomain:
     manifold = _full_ambient(m, f"D^{m}", sampler)
 
     def u(p):
-        return 1.0 - np.sum(p * p, axis=-1) ** 2
+        return 1.0 - np.add.reduce(p * p, axis=-1) ** 2
 
     def du(p):
-        return -4.0 * np.sum(p * p, axis=-1)[..., None] * p
+        return -4.0 * np.add.reduce(p * p, axis=-1)[..., None] * p
 
     field = VecField(m, lambda p: 0.5 * p)
     return LiouvilleDomain(manifold, standard_contact_form(n), field, u, du,
@@ -92,7 +92,7 @@ def disk_bundle_domain(n: int) -> LiouvilleDomain:
     m = 2 * n
 
     def u(x):
-        return 1.0 - np.sum(x[..., n:] ** 2, axis=-1)
+        return 1.0 - np.add.reduce(x[..., n:] ** 2, axis=-1)
 
     def du(x):
         out = np.zeros_like(x)
@@ -122,7 +122,7 @@ def weinstein_disk_domain() -> LiouvilleDomain:
                                       (1,): lambda p: 0.5 * p[..., 0]})
 
     def u(p):
-        return 1.0 - np.sum(p * p, axis=-1)
+        return 1.0 - np.add.reduce(p * p, axis=-1)
 
     return LiouvilleDomain(manifold, lam, VecField(2, lambda p: 0.5 * p), u,
                            lambda p: -2.0 * p, name="Weinstein 2-disk")
@@ -310,6 +310,17 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         out[..., 0, mf:] = 2.0 * x[..., mf:]
         return out
 
+    def newton_step(x, out=None):
+        # gauss_newton_step's one-constraint branch, with the gradient
+        # (-du, 2z) in one (..., m) buffer instead of a (..., 1, m) Jacobian
+        z = x[..., mf:]
+        grad = np.empty(np.shape(x))
+        np.negative(ld.du(x[..., :mf]), out=grad[..., :mf])
+        np.multiply(2.0, z, out=grad[..., mf:])
+        c = np.vecdot(z, z) - ld.u(x[..., :mf])
+        return np.subtract(x, grad * (c / np.vecdot(grad, grad))[..., None],
+                           out=out)
+
     base_sampler = ld.manifold.sampler
 
     def sampler(rng, count):
@@ -324,7 +335,8 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         ambient_dim=m, constraints=constraints, n_constraints=1,
         name=f"V[{ld.name}]",
         periodic_mask=np.zeros(m, bool),
-        orientation="normal_first", sampler=sampler, constraint_jac=jac)
+        orientation="normal_first", sampler=sampler, constraint_jac=jac,
+        newton_step=newton_step)
 
     # transversality of the ambient Liouville field X_L + (x dx + y dy)/2
     probe = sampler(np.random.Generator(

@@ -58,6 +58,16 @@ class Submanifold:
       - None: unoriented (all bases accepted with sign +1);
       - a callable (points (N, m), bases (N, d, m)) -> signs (N,) of +-1,
         called once per batch.
+
+    newton_step, when given, is the manifold's own closed form of one
+    Gauss-Newton step: newton_step(p, out) must return exactly the bits of
+    ``gauss_newton_step(self, p, self.constraints(p), out=out)``, for a
+    batch (N, m) or a single point (m,), written into ``out`` when given
+    (which may be p itself).  It builds no Jacobian: `monodromy.flow`
+    projects every RK4 step with it and falls back to the generic
+    `gauss_newton_step` without it.  `unit_sphere` and
+    `liouville.hypersurface_build` supply one.  A manifold made with
+    ``replace(..., constraints=...)`` must drop it or supply its own.
     """
 
     ambient_dim: int
@@ -68,6 +78,7 @@ class Submanifold:
     orientation: object = "normal_first"
     sampler: Callable | None = None
     constraint_jac: Callable | None = None
+    newton_step: Callable | None = None
 
     @property
     def dim(self) -> int:
@@ -198,13 +209,16 @@ def gauss_newton_step(manifold: Submanifold, p, c, out=None):
     """One Gauss-Newton step p - J^T (J J^T)^-1 c towards the constraint
     set, for points p (N, m) with constraint values c (N, k).
 
-    With one constraint the Gram matrix J J^T is the scalar |J|^2, and the
-    step p - J (c / |J|^2) needs no LAPACK solve.  |J|^2 is one
-    ``np.vecdot`` of the Jacobian (N, 1, m) with itself, which gives the
-    same bits as the batched matmul J J^T of N (1, m) x (m, 1) products
-    at a fraction of its dispatch cost; `monodromy.flow` runs this branch
-    once per RK4 step, with ``out=p``.  The step is written into ``out``
-    when given (which may be p itself) and returned.
+    This is the generic step, for any manifold with constraints, and the
+    reference that a manifold's own `Submanifold.newton_step` must equal
+    bit for bit.  With one constraint the Gram matrix J J^T is the scalar
+    |J|^2, and the step p - J (c / |J|^2) needs no LAPACK solve.  |J|^2 is
+    one ``np.vecdot`` of the Jacobian (N, 1, m) with itself, which gives
+    the same bits as the batched matmul J J^T of N (1, m) x (m, 1)
+    products at a fraction of its dispatch cost.  `monodromy.flow` runs it
+    once per RK4 step, with ``out=p``, on a manifold without a
+    ``newton_step``.  The step is written into ``out`` when given (which
+    may be p itself) and returned.
     """
     jac = manifold.jacobian(p)
     if manifold.n_constraints == 1:
@@ -247,13 +261,24 @@ def _gaussian_sphere_sampler(dim_ambient):
 
 
 def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
-    """Unit sphere in R^m; constraint |x|^2 - 1 so the gradient is outward."""
+    """Unit sphere in R^m; constraint |x|^2 - 1 so the gradient is outward.
+
+    Its Newton step is p - p (1/2 (s - 1) / s) with s = |p|^2: the
+    Jacobian is 2p, so |J|^2 = 4s exactly and 2p ((s - 1) / 4s) =
+    p (1/2 ((s - 1) / s)) exactly, since 2 and 4 are powers of two.  It
+    gives the bits of `gauss_newton_step` with one ``np.vecdot``
+    instead of two and no Jacobian."""
 
     def constraints(p):
         return (np.vecdot(p, p) - 1.0)[..., None]
 
     def jac(p):
         return 2.0 * p[..., None, :]
+
+    def newton_step(p, out=None):
+        s = np.vecdot(p, p)
+        return np.subtract(p, p * (0.5 * ((s - 1.0) / s))[..., None],
+                           out=out)
 
     return Submanifold(
         ambient_dim=dim_ambient,
@@ -264,6 +289,7 @@ def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
         orientation="normal_first",
         sampler=_gaussian_sphere_sampler(dim_ambient),
         constraint_jac=jac,
+        newton_step=newton_step,
     )
 
 

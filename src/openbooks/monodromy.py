@@ -342,18 +342,23 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
 def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
          check_halving: bool = False, halving_tol: float = 1e-5):
     """Classical RK4 flow of a spinning field, projected back to the
-    manifold after every step by one `manifolds.gauss_newton_step`.
+    manifold after every step by one Gauss-Newton step: the manifold's
+    own closed form `Submanifold.newton_step` when it has one (the unit
+    spheres and the trivial-monodromy hypersurface), else the generic
+    `manifolds.gauss_newton_step`, which gives the same bits through the
+    constraint Jacobian.  The step is picked once per call.
 
     One step runs four evaluations of the field (`SpinningField.eval`),
     the binding-band test (two numpy calls), the RK4 combination and one
-    projection.  Each run allocates one workspace, a (7, N, m) array whose
-    rows are the state, the stage argument, the RK4 sum and k1-k4, and
-    makes complex views of them once; the field evaluates from and into
-    those views, and the stage arguments, the RK4 combination and the
-    projection write into the rows with ``out=``.  The f that the first
-    stage returns is the binding-band test: the flow aborts if the least
-    |f| of the batch drops below FLOW_BINDING_BAND, read when the flow is
-    called.  The RK4 combination takes the operations of the textbook
+    projection; the loop binds its numpy ufuncs to local names.  Each run
+    allocates one workspace, a (7, N, m) array whose rows are the state,
+    the stage argument, the RK4 sum and k1-k4, and makes complex views of
+    them once; the field evaluates from and into those views, and the
+    stage arguments, the RK4 combination and the projection write into
+    the rows with ``out=``.  The f that the first stage returns is the
+    binding-band test: the flow aborts if the least |f| of the batch
+    drops below FLOW_BINDING_BAND, read when the flow is called.  The RK4
+    combination takes the operations of the textbook
     ``pts + sixth * (k1 + 2 k2 + 2 k3 + k4)`` in their written order: any
     regrouping rounds differently, and the tests pin these bits against a
     reference loop.  A final residual above 1e-10 triggers a full
@@ -385,7 +390,13 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
 
     manifold = y.rep.manifold
     constraints = manifold.constraints
+    project = manifold.newton_step
+    if project is None and constraints is not None:
+        def project(p, out):
+            return gauss_newton_step(manifold, p, constraints(p), out=out)
     eval, band = y.eval, FLOW_BINDING_BAND
+    add, multiply = np.add, np.multiply
+    fmin, absolute = np.fmin.reduce, np.abs
     single = start.ndim == 1
     batch = start[None, :] if single else start
 
@@ -401,23 +412,23 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
             fval = eval(zpts, zk1)
             # fmin skips a NaN |f|, so the band test reads the batch's
             # least finite |f|; an empty batch reads inf and passes
-            if np.fmin.reduce(np.abs(fval), initial=np.inf) < band:
+            if fmin(absolute(fval), initial=np.inf) < band:
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
-            np.add(pts, np.multiply(half, k1, out=arg), out=arg)
+            add(pts, multiply(half, k1, out=arg), out=arg)
             eval(zarg, zk2)
-            np.add(pts, np.multiply(half, k2, out=arg), out=arg)
+            add(pts, multiply(half, k2, out=arg), out=arg)
             eval(zarg, zk3)
-            np.add(pts, np.multiply(h, k3, out=arg), out=arg)
+            add(pts, multiply(h, k3, out=arg), out=arg)
             eval(zarg, zk4)
             # pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4), one operation at
             # a time in that order: a regrouped sum changes the endpoint bits
-            np.add(k1, np.multiply(2, k2, out=acc), out=acc)
-            np.add(acc, np.multiply(2, k3, out=arg), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(pts, np.multiply(sixth, acc, out=acc), out=pts)
-            if constraints is not None:
-                gauss_newton_step(manifold, pts, constraints(pts), out=pts)
+            add(k1, multiply(2.0, k2, out=acc), out=acc)
+            add(acc, multiply(2.0, k3, out=arg), out=acc)
+            add(acc, k4, out=acc)
+            add(pts, multiply(sixth, acc, out=acc), out=pts)
+            if project is not None:
+                project(pts, pts)
         if np.any(manifold.residual(pts) > 1e-10):
             end = project_to_constraints(manifold, pts, tol=1e-12)
         else:

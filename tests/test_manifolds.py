@@ -405,6 +405,30 @@ def test_step_written_into_out_has_the_same_bits(manifold):
     assert np.array_equal(same, want)
 
 
+@pytest.mark.parametrize("manifold", [
+    unit_sphere(4), unit_sphere(6), unit_sphere(8),
+    hypersurface_build(weinstein_disk_domain()).manifold],
+    ids=["S^3", "S^5", "S^7", "hypersurface"])
+def test_newton_step_has_the_bits_of_the_generic_step(manifold):
+    # the manifold's closed-form step against gauss_newton_step through its
+    # Jacobian, at points pushed 1e-6 to 1e-3 off the manifold, for a batch
+    # and a single point, returned, into a separate out and into p itself
+    pts = sample(manifold, 200, seed=26)
+    rng = rng_for(27)
+    push = 10.0 ** rng.uniform(-6.0, -3.0, size=(len(pts), 1))
+    off = pts + push * rng.normal(size=pts.shape)
+    for p in (off, off[7]):
+        want = gauss_newton_step(manifold, p, manifold.constraints(p))
+        assert not np.array_equal(want, p)
+        assert np.array_equal(manifold.newton_step(p), want)
+        into = np.full_like(p, np.nan)
+        assert manifold.newton_step(p, into) is into
+        assert np.array_equal(into, want)
+        same = p.copy()
+        assert manifold.newton_step(same, same) is same
+        assert np.array_equal(same, want)
+
+
 def test_tangent_basis_after_sample_never_errors():
     # rank safety margin across every registered manifold used in checks
     manifolds = [unit_sphere(4), unit_sphere(6),

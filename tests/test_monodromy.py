@@ -588,6 +588,44 @@ def test_flow_calls_eval_four_times_a_step(kind):
     assert np.array_equal(end, flow(y, pts, 0.007, 1e-3))
 
 
+def _without_newton_step(y):
+    # the same field on the same book, on a manifold that projects through
+    # the generic gauss_newton_step
+    from dataclasses import replace
+    rep = y.rep
+    contact = replace(rep.contact,
+                      manifold=replace(rep.manifold, newton_step=None))
+    return replace(y, rep=replace(rep, contact=contact))
+
+
+@pytest.mark.parametrize("kind", ["quadric_2", "coordinate", "angle"])
+def test_flow_with_the_newton_step_has_the_bits_of_the_generic_step(
+        kind, monkeypatch):
+    # S^3 and the hypersurface project with their own closed-form step,
+    # which builds no Jacobian; the generic step builds one per RK4 step
+    from openbooks.manifolds import Submanifold
+    y = _package_field(kind)
+    generic = _without_newton_step(y)
+    assert y.rep.manifold.newton_step is not None
+    pts = _off_binding(y.rep, 12, seed=65, band=0.1)
+    off = pts + 1e-4 * rng_for(66).normal(size=pts.shape)
+    for start, t_end in ((pts, 1.0), (off, -1.0), (off[3], 0.1)):
+        assert np.array_equal(flow(y, start, t_end),
+                              flow(generic, start, t_end))
+    calls = []
+    jacobian = Submanifold.jacobian
+
+    def counting(self, p):
+        calls.append(len(p))
+        return jacobian(self, p)
+
+    monkeypatch.setattr(Submanifold, "jacobian", counting)
+    flow(y, off, 0.007, 1e-3)
+    assert calls == []
+    flow(generic, off, 0.007, 1e-3)
+    assert calls == [len(off)] * 7
+
+
 @pytest.mark.parametrize("kind", ["quadric", "coordinate"])
 @pytest.mark.parametrize("layout", ["column_slice", "fortran", "single_point"])
 def test_flow_of_a_strided_start_equals_its_contiguous_copy(kind, layout):
