@@ -693,12 +693,29 @@ def page_embedding_inverse(n: int):
 @timed
 def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
                             ) -> CheckReport:
-    """Conjugate the time-1 spinning flow by the zero-page embedding and
-    compare it with the positive Dehn twist for g(r) = 2 pi/(1 + r).
+    """Conjugate the time-1 spinning flow by the zero-page embedding E and
+    compare it with the positive Dehn twist Phi for g(r) = 2 pi/(1 + r).
+    For n >= 3 (the books of S^5 and up) Phi is the Dehn-Seidel twist of
+    the disk cotangent bundle of S^(n-1), which is not isotopic to the
+    identity among symplectomorphisms.
 
     The sign is fixed by the paper, not chosen here: a flow that realizes
     the negated twist fails.  The zero section is kept as a residual of its
-    own, since both sides must send (q, 0) to (-q, 0).
+    own, since both sides must send (q, 0) to (-q, 0).  The third residual
+    is the time -1 flow of the twist images, which must give back the
+    samples: flow_{-1}(E(Phi(q, p))) = E(q, p).
+
+    Both directions run in one time-1 `flow` call, over the batch of the
+    anchor, the samples z0 = E(q, p) and the conjugates c E(Phi(q, p)),
+    where c is complex conjugation.  f = sum z_j^2 has real coefficients,
+    so f(c z) = conj f(z) and the spinning field is reversed by c:
+    Y(c z) = -c Y(z).  The flow of a field reversed by a linear involution
+    satisfies c phi_t c = phi_{-t}, and the discrete flow keeps this bit
+    for bit: c is linear and only flips signs, so every stage argument and
+    update of a step h from c z is c times that of a step -h from z, the
+    band test reads the same |f|, and the sphere's Newton step commutes
+    with c (|c p|^2 = |p|^2).  Conjugating the last rows back therefore
+    gives exactly ``flow(y, E(Phi(q, p)), -1.0)``.
     """
     n = rep.manifold.ambient_dim // 2
     qp = np.asarray(samples_qp, float)
@@ -710,21 +727,27 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
     invert = page_embedding_inverse(n)
     twist = standard_twist()
     y = quadric_spinning_field(rep)
+    # complex conjugation on the real coordinates (x_j, y_j) -> (x_j, -y_j)
+    conj = np.tile([1.0, -1.0], n)
 
-    # the zero-section anchor (q, 0) flows as row 0 of the sample batch
+    # one time-1 batch: the zero-section anchor (q, 0), the samples, and
+    # the conjugated twist images, whose flow is the time -1 flow
     anchor_q = np.zeros(n)
     anchor_q[0] = 1.0
     z_anchor = complex_to_real(embed(anchor_q[None], np.zeros((1, n))))
     z0 = complex_to_real(embed(q, p))
-    z_end = flow(y, np.concatenate([z_anchor, z0]), 1.0, FLOW_STEP)
-    z1 = z_end[1:]
+    q_tw, p_tw = twist(q, p)
+    z_twisted = complex_to_real(embed(q_tw, p_tw))
+    z_end = flow(y, np.concatenate([z_anchor, z0, conj * z_twisted]), 1.0,
+                 FLOW_STEP)
+    z1 = z_end[1:1 + len(qp)]
+    z_back = conj * z_end[1 + len(qp):]
 
     qa, pa = invert(real_to_complex(z_end[:1]))
     tq, tp = twist(anchor_q[None], np.zeros((1, n)))
     anchor_gap = np.max(np.abs(np.concatenate([qa - tq, pa - tp], axis=-1)))
 
     q_flow, p_flow = invert(real_to_complex(z1))
-    q_tw, p_tw = twist(q, p)
     gap = np.max(np.abs(np.concatenate([q_flow - q_tw, p_flow - p_tw],
                                        axis=-1)), axis=-1)
 
@@ -740,13 +763,11 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
         rows=[{"sample": int(i),
                "fiber_radius": float(np.linalg.norm(p[i])),
                "endpoint_gap": float(gap[i])} for i in range(len(qp))]))
-
-    # inverse flow: -Y for time 1, i.e. Y for time -1, undoes the monodromy
-    z_back = flow(y, z1, -1.0, FLOW_STEP)
     details.append(make_report(
         "inverse_flow", n_samples=len(qp), max_residual=np.abs(z_back - z0),
         tolerance=TWIST_TOL, seed=seed,
-        note="flowing -Y for time 1 inverts the monodromy"))
+        note="the time -1 flow undoes the twist: "
+             "flow_{-1}(E(Phi(q, p))) = E(q, p)"))
 
     return merge_reports(f"monodromy_vs_twist[{rep.name}]", details,
                          seed=seed,

@@ -848,6 +848,9 @@ def test_inverse_twist_fails_the_monodromy_comparison(monkeypatch):
     assert not report.passed
     assert not named["page_monodromy_vs_twist"].passed
     assert named["page_monodromy_vs_twist"].max_residual > 1.0
+    # the time -1 flow of -Y twists the twist images once more
+    assert not named["inverse_flow"].passed
+    assert named["inverse_flow"].max_residual > 1.0
     assert named["zero_section_anchor"].passed
 
 
@@ -870,7 +873,8 @@ def test_negated_twist_fails_the_monodromy_comparison(monkeypatch):
     assert not report.passed
     assert not named["zero_section_anchor"].passed
     assert not named["page_monodromy_vs_twist"].passed
-    assert named["inverse_flow"].passed
+    # the time -1 flow of -E(Phi(q, p)) is -E(q, p), not E(q, p)
+    assert not named["inverse_flow"].passed
 
 
 def _scrubbed(report):
@@ -879,35 +883,98 @@ def _scrubbed(report):
     return out
 
 
-@pytest.mark.parametrize("seed", [27, 32])
+def _suite_twist_draw(suite_seed):
+    # the samples `verify` hands g2_s3/monodromy_vs_twist at a suite seed
+    from openbooks import cli
+
+    index = [name for name, _ in cli.SUITES["g2_s3"]()].index(
+        "monodromy_vs_twist")
+    seed = suite_seed + 1000 * index
+    rep, qp = cli._twist_inputs(cli.SuiteConfig(suite="g2_s3"), seed)
+    return rep, qp, seed
+
+
+@pytest.mark.parametrize("draw", [27, 32, "suite7", "suite8"])
 def test_anchor_in_the_batch_matches_a_separate_anchor_flow(monkeypatch,
-                                                            seed):
-    # reference: the zero-section anchor in a flow call of its own, then
-    # the samples, then the inverse flow (three calls)
+                                                            draw):
+    # the check flows the anchor, the samples and the conjugated twist
+    # images in one time-1 call; the reference makes three calls: the
+    # anchor alone, the samples at time 1 and the twist images at time -1
     import openbooks.monodromy as mono
 
-    q, p = _bundle_samples(2, 100, seed=seed, r_max=0.99)
-    qp = np.concatenate([q, p], axis=-1)
+    if isinstance(draw, int):
+        q, p = _bundle_samples(2, 100, seed=draw, r_max=0.99)
+        rep, qp, seed = QUADRIC, np.concatenate([q, p], axis=-1), draw
+    else:
+        rep, qp, seed = _suite_twist_draw(int(draw[len("suite"):]))
+        q, p = qp[:, :2], qp[:, 2:]
+    embed = page_embedding(2)
+    z0 = complex_to_real(embed(q, p))
+    w = complex_to_real(embed(*standard_twist()(q, p)))
+    conj = np.array([1.0, -1.0, 1.0, -1.0])
     calls = []
 
     def counting_flow(y, p0, *args, **kwargs):
         calls.append(len(p0))
         return flow(y, p0, *args, **kwargs)
 
-    def anchor_apart_flow(y, p0, *args, **kwargs):
-        if calls:
-            return counting_flow(y, p0, *args, **kwargs)
-        return np.concatenate([counting_flow(y, p0[:1], *args, **kwargs),
-                               counting_flow(y, p0[1:], *args, **kwargs)])
+    def three_call_flow(y, p0, t_end, step):
+        assert t_end == 1.0 and len(p0) == 201
+        assert np.array_equal(p0[1:101], z0)
+        assert np.array_equal(p0[101:], conj * w)
+        # the check conjugates the last rows back
+        return np.concatenate([counting_flow(y, p0[:1], t_end, step),
+                               counting_flow(y, z0, t_end, step),
+                               conj * counting_flow(y, w, -1.0, step)])
 
     monkeypatch.setattr(mono, "flow", counting_flow)
-    folded = monodromy_vs_dehn_twist(QUADRIC, qp, seed=seed)
-    assert calls == [101, 100]
+    folded = monodromy_vs_dehn_twist(rep, qp, seed=seed)
+    assert calls == [201]
     calls.clear()
-    monkeypatch.setattr(mono, "flow", anchor_apart_flow)
-    reference = monodromy_vs_dehn_twist(QUADRIC, qp, seed=seed)
+    monkeypatch.setattr(mono, "flow", three_call_flow)
+    reference = monodromy_vs_dehn_twist(rep, qp, seed=seed)
     assert calls == [1, 100, 100]
     assert _scrubbed(folded) == _scrubbed(reference)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("single", [False, True], ids=["batch", "point"])
+def test_time_minus_one_flow_is_the_conjugate_time_one_flow(n, single):
+    # f = sum z_j^2 has real coefficients, so conjugation c reverses the
+    # quadric field, Y(c z) = -c Y(z), and c flow_1 c = flow_{-1} holds bit
+    # for bit through RK4 and the sphere step
+    rep = quadric_open_book(n)
+    y = quadric_spinning_field(rep)
+    w = _off_binding(rep, 50, seed=34, band=0.05)
+    w = w[0] if single else w
+    conj = np.tile([1.0, -1.0], n)
+    back = flow(y, w, -1.0, 1e-3)
+    assert back.shape == w.shape
+    assert np.array_equal(back.view(np.int64),
+                          (conj * flow(y, conj * w, 1.0, 1e-3)).view(np.int64))
+
+
+def test_monodromy_is_the_dehn_seidel_twist_on_s5(monkeypatch):
+    import openbooks.monodromy as mono
+
+    rep = quadric_open_book(3)
+    # q on S^2, p tangent at q, |p| < 1 - 2e-3
+    q, p = _bundle_samples(3, FLOW_STARTS, seed=35, r_max=1.0 - 2e-3)
+    qp = np.concatenate([q, p], axis=-1)
+    report = monodromy_vs_dehn_twist(rep, qp)
+    assert report.passed
+    assert [d.name for d in report.details] == [
+        "zero_section_anchor", "page_monodromy_vs_twist", "inverse_flow"]
+    assert all(d.passed and d.max_residual < 1e-9 for d in report.details)
+
+    # control: -Y flows the inverse twist
+    inverse = _negated(quadric_spinning_field(rep))
+    monkeypatch.setattr(mono, "quadric_spinning_field", lambda rep: inverse)
+    negated = monodromy_vs_dehn_twist(rep, qp)
+    named = {d.name: d for d in negated.details}
+    assert not negated.passed
+    assert named["page_monodromy_vs_twist"].max_residual > 1.0
+    assert named["inverse_flow"].max_residual > 1.0
 
 
 def test_flow_on_one_constraint_manifolds_never_solves(monkeypatch):
