@@ -22,11 +22,13 @@ from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pullback, scale_form,
                     wedge_power)
-from .manifolds import Submanifold, disk_cotangent_bundle, tangent_bases
+from .manifolds import (Submanifold, boxed, disk_cotangent_bundle,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the interior checks use the points with u >= INTERIOR_BAND
 INTERIOR_BAND = 0.05
+_TWO = boxed(2.0)
 
 
 def canonical_one_form(n: int) -> KForm:
@@ -315,11 +317,11 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         # (-du, 2z) in one (..., m) buffer instead of a (..., 1, m) Jacobian
         z = x[..., mf:]
         grad = np.empty(np.shape(x))
-        np.negative(ld.du(x[..., :mf]), out=grad[..., :mf])
-        np.multiply(2.0, z, out=grad[..., mf:])
+        np.negative(ld.du(x[..., :mf]), grad[..., :mf])
+        np.multiply(_TWO, z, grad[..., mf:])
         c = np.vecdot(z, z) - ld.u(x[..., :mf])
         return np.subtract(x, grad * (c / np.vecdot(grad, grad))[..., None],
-                           out=out)
+                           out)
 
     base_sampler = ld.manifold.sampler
 

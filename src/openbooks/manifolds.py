@@ -36,6 +36,20 @@ RANK_RATIO = 1e-6
 FD_STEP = 1e-6
 
 
+def boxed(value) -> np.ndarray:
+    """value as a read-only 0-d array, for a constant operand of a ufunc
+    called in a loop: numpy boxes a Python scalar into an array again on
+    every call, and takes a 0-d array as it is.  Read-only, because a
+    stray ``out=`` into a shared constant would change every later
+    result."""
+    box = np.array(value)
+    box.flags.writeable = False
+    return box
+
+
+_HALF, _ONE = boxed(0.5), boxed(1.0)
+
+
 def rng_for(seed) -> np.random.Generator:
     """Counter-based generator; splittable and reproducible given the seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
@@ -277,8 +291,7 @@ def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
 
     def newton_step(p, out=None):
         s = np.vecdot(p, p)
-        return np.subtract(p, p * (0.5 * ((s - 1.0) / s))[..., None],
-                           out=out)
+        return np.subtract(p, p * (_HALF * ((s - _ONE) / s))[..., None], out)
 
     return Submanifold(
         ambient_dim=dim_ambient,

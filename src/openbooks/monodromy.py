@@ -24,16 +24,17 @@ import numpy as np
 
 from .contact import (Representation, openbook_volume_form, verify_contact,
                       verify_representation)
-from .errors import (BindingPoint, DegenerateSystem, DomainError,
-                     FlowAborted, NonConvergence)
+from .errors import (BindingPoint, DegenerateSystem, DimensionMismatch,
+                     DomainError, FlowAborted, NonConvergence)
 from .forms import (KForm, SmoothMap, VecField, central_difference,
                     ext_deriv, interior, pullback, scale_form, wedge_all,
                     wedge_power)
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
-from .manifolds import (FD_STEP, complement_frames, disk_cotangent_bundle,
-                        gauss_newton_step, project_to_constraints,
-                        singular_values, tangent_bases)
+from .manifolds import (FD_STEP, boxed, complement_frames,
+                        disk_cotangent_bundle, gauss_newton_step,
+                        project_to_constraints, singular_values,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
@@ -45,6 +46,8 @@ COMPARE_BINDING_BAND = 1e-3
 TWIST_TOL = 1e-5
 # slack of |q| = 1, q . p = 0 and |p| <= 1 when a twist checks its input
 TWIST_DOMAIN_TOL = 1e-10
+# constant operands of the field evaluations and the RK4 sum
+_PI_I, _TWO_PI_I, _TWO = boxed(np.pi * 1j), boxed(2j * np.pi), boxed(2.0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ def plane_rotation_field(rep: Representation, k: int) -> SpinningField:
     so it serves only books whose f is z_k."""
     def eval(z, out):
         out[...] = 0
-        np.multiply(2j * np.pi, z[..., k], out=out[..., k])
+        np.multiply(_TWO_PI_I, z[..., k], out[..., k])
         return z[..., k]
 
     return SpinningField(rep, eval)
@@ -192,7 +195,7 @@ def coordinate_kernel_field(rep: Representation) -> SpinningField:
         rho2 = z1.real ** 2 + z1.imag ** 2
         factor = 2 * np.pi * rho2 / (1.0 + rho2)
         np.multiply(1j * factor[..., None], z, out=out)
-        np.multiply(2j * np.pi, z1, out=out[..., 0])
+        np.multiply(_TWO_PI_I, z1, out[..., 0])
         return z1
 
     return SpinningField(rep, eval)
@@ -214,8 +217,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
         fval = zz[..., 0]
         for j in range(1, zz.shape[-1]):
             fval = fval + zz[..., j]
-        np.multiply(np.pi * 1j * fval[..., None], np.conj(z, out=out),
-                    out=out)
+        np.multiply(_PI_I * fval[..., None], np.conj(z, out), out)
         return fval
 
     return SpinningField(rep, eval)
@@ -348,36 +350,59 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
     `manifolds.gauss_newton_step`, which gives the same bits through the
     constraint Jacobian.  The step is picked once per call.
 
-    One step runs four evaluations of the field (`SpinningField.eval`),
-    the binding-band test (two numpy calls), the RK4 combination and one
-    projection; the loop binds its numpy ufuncs to local names.  Each run
-    allocates one workspace, a (7, N, m) array whose rows are the state,
-    the stage argument, the RK4 sum and k1-k4, and makes complex views of
-    them once; the field evaluates from and into those views, and the
-    stage arguments, the RK4 combination and the projection write into
-    the rows with ``out=``.  The f that the first stage returns is the
-    binding-band test: the flow aborts if the least |f| of the batch
-    drops below FLOW_BINDING_BAND, read when the flow is called.  The RK4
-    combination takes the operations of the textbook
+    One step dispatches four evaluations of the field
+    (`SpinningField.eval`), the binding-band test (two numpy calls),
+    thirteen ufunc calls for the stage arguments and the RK4 combination,
+    and one projection.  The arrays on which these run hold at most a few
+    hundred numbers, so a step costs what numpy spends per call, and the
+    loop keeps that low: it binds its ufuncs to local names, passes every
+    ``out`` positionally, and takes h/2, h, 2 and h/6 as 0-d float64
+    arrays made once per run, since numpy boxes a Python float into an
+    array again on every call (the fields and the Newton steps take
+    their constants as read-only module-level 0-d arrays for the same
+    reason).  Each run allocates one workspace, a (7, N, m) array whose
+    rows are the state, the stage argument, the RK4 sum and k1-k4, and
+    makes complex views of them once; the field evaluates from and into
+    those views, and the stage arguments, the RK4 combination and the
+    projection write into the rows.  The f that the first stage returns
+    is the binding-band test: its modulus goes into an (N,) buffer of the
+    run, and the flow aborts if the least |f| of the batch drops below
+    FLOW_BINDING_BAND, read when the flow is called.  The least |f| is
+    ``np.fmin.reduce`` with no ``initial``, which only an empty batch
+    would need, and an empty batch returns before the loop; fmin skips a
+    NaN |f|, so the test reads the least finite |f|.  The RK4 combination
+    takes the operations of the textbook
     ``pts + sixth * (k1 + 2 k2 + 2 k3 + k4)`` in their written order: any
     regrouping rounds differently, and the tests pin these bits against a
-    reference loop.  A final residual above 1e-10 triggers a full
-    `project_to_constraints`.
+    reference loop with Python-float operands.  A final residual above
+    1e-10 triggers a full `project_to_constraints`.
 
-    Accepts a single point (m,) or a batch (N, m), in any memory layout,
-    and leaves it unchanged.  Time may be negative; ``step`` must be
-    positive and ``t_end`` a whole number of steps (0 is the identity).
+    Accepts a single point (m,) or a batch (N, m) of real points, m the
+    manifold's ambient dimension, in any memory layout, and leaves it
+    unchanged.  Time may be negative; ``step`` must be positive and
+    ``t_end`` a whole number of steps (0 is the identity).
     ``check_halving`` re-runs with half the step and raises NonConvergence
     if the endpoints differ by more than halving_tol.  No suite flow sets
     it, since each has an exact oracle (the identity, the closed form or
     the twist).  It stays as tested API: the benchmark tracer
     (`benchmarks/tracer.py`) reads ``check_halving`` by name to count the
     point steps, and two tests of `tests/test_monodromy.py` set both
-    arguments.  A start point that is not finite, a step that is not a
-    positive finite number, a time that is not finite or a time that is
-    not a whole number of steps raises DomainError.
+    arguments.  A start of another shape raises DimensionMismatch.  A
+    complex start point, a start point that is not finite, a step that is
+    not a positive finite number, a time that is not finite or a time
+    that is not a whole number of steps raises DomainError.  The start is
+    validated once per call, before any step.
     """
-    start = np.asarray(p0, float)
+    manifold = y.rep.manifold
+    start = np.asarray(p0)
+    if np.iscomplexobj(start):
+        raise DomainError("flow start point is complex", point=start)
+    start = np.asarray(start, float)
+    m = manifold.ambient_dim
+    if start.ndim not in (1, 2) or start.shape[-1] != m:
+        raise DimensionMismatch(
+            f"flow start has shape {start.shape}, but {manifold.name!r} "
+            f"needs a point ({m},) or a batch (N, {m})")
     if not np.isfinite(start).all():
         raise DomainError("flow start point is not finite", point=start)
     if not (0.0 < step < np.inf and np.isfinite(t_end)):
@@ -387,46 +412,45 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
     if abs(ratio - round(ratio)) > 1e-9 * ratio:
         raise DomainError(f"flow time {t_end!r} is not a whole number of "
                           f"steps {step!r}")
+    single = start.ndim == 1
+    batch = start[None, :] if single else start
+    if len(batch) == 0:
+        return batch.copy()
 
-    manifold = y.rep.manifold
     constraints = manifold.constraints
     project = manifold.newton_step
     if project is None and constraints is not None:
         def project(p, out):
             return gauss_newton_step(manifold, p, constraints(p), out=out)
-    eval, band = y.eval, FLOW_BINDING_BAND
+    eval, band, two = y.eval, FLOW_BINDING_BAND, _TWO
     add, multiply = np.add, np.multiply
     fmin, absolute = np.fmin.reduce, np.abs
-    single = start.ndim == 1
-    batch = start[None, :] if single else start
 
     def run(step_size):
         n_steps = int(round(abs(t_end) / step_size))
         h = np.sign(t_end) * step_size
-        half, sixth = 0.5 * h, h / 6.0
+        half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
         work = np.empty((7,) + batch.shape)
         pts, arg, acc, k1, k2, k3, k4 = work
         zpts, zarg, _, zk1, zk2, zk3, zk4 = work.view(np.complex128)
+        modulus = np.empty(len(batch))
         pts[...] = batch
         for i in range(n_steps):
-            fval = eval(zpts, zk1)
-            # fmin skips a NaN |f|, so the band test reads the batch's
-            # least finite |f|; an empty batch reads inf and passes
-            if fmin(absolute(fval), initial=np.inf) < band:
+            if fmin(absolute(eval(zpts, zk1), modulus)) < band:
                 raise FlowAborted(
                     f"trajectory entered the binding band at step {i}")
-            add(pts, multiply(half, k1, out=arg), out=arg)
+            add(pts, multiply(half, k1, arg), arg)
             eval(zarg, zk2)
-            add(pts, multiply(half, k2, out=arg), out=arg)
+            add(pts, multiply(half, k2, arg), arg)
             eval(zarg, zk3)
-            add(pts, multiply(h, k3, out=arg), out=arg)
+            add(pts, multiply(full, k3, arg), arg)
             eval(zarg, zk4)
             # pts + sixth * (k1 + 2 * k2 + 2 * k3 + k4), one operation at
             # a time in that order: a regrouped sum changes the endpoint bits
-            add(k1, multiply(2.0, k2, out=acc), out=acc)
-            add(acc, multiply(2.0, k3, out=arg), out=acc)
-            add(acc, k4, out=acc)
-            add(pts, multiply(sixth, acc, out=acc), out=pts)
+            add(k1, multiply(two, k2, acc), acc)
+            add(acc, multiply(two, k3, arg), acc)
+            add(acc, k4, acc)
+            add(pts, multiply(sixth, acc, acc), pts)
             if project is not None:
                 project(pts, pts)
         if np.any(manifold.residual(pts) > 1e-10):

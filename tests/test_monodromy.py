@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
-from openbooks.errors import (BindingPoint, DomainError, FlowAborted,
-                              NonConvergence)
+from openbooks.errors import (BindingPoint, DimensionMismatch, DomainError,
+                              FlowAborted, NonConvergence)
 from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import rng_for, sample
 from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
@@ -416,13 +416,23 @@ def test_monodromy_maps_page_to_itself():
 
 @pytest.mark.parametrize("kind", ["quadric", "coordinate"])
 def test_flow_of_an_empty_batch_is_empty(kind):
-    # the band test reads the least |f| of the batch, which for no points
-    # must pass: with the quadric's f and with the rotation field's z_1
+    # 0 point-steps are 0 evaluations: an empty batch returns before the
+    # loop, so the band test never reduces zero rows, forward or backward
+    from dataclasses import replace
     rep, field = {"quadric": (QUADRIC, quadric_spinning_field),
                   "coordinate": (COORDINATE, coordinate_spinning_field)}[kind]
+    y = field(rep)
+    calls = []
+
+    def counted(z, out):
+        calls.append(len(z))
+        return y.eval(z, out)
+
     empty = np.empty((0, rep.manifold.ambient_dim))
-    end = flow(field(rep), empty, 1.0)
-    assert end.shape == (0, rep.manifold.ambient_dim)
+    for t_end in (1.0, -1.0):
+        end = flow(replace(y, eval=counted), empty, t_end)
+        assert end.shape == (0, rep.manifold.ambient_dim)
+    assert calls == []
 
 
 @pytest.mark.parametrize("inside", [True, False])
@@ -445,6 +455,28 @@ def test_band_test_skips_a_nan_but_not_the_points_beside_it(inside):
             flow(y, pts, 0.1, 1e-2)
     else:
         assert flow(y, pts, 0.1, 1e-2).shape == pts.shape
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 6), (6,), (2, 3, 4), ()],
+                         ids=["narrow", "wide", "wide_point", "three_axes",
+                              "scalar"])
+def test_flow_rejects_a_start_of_another_shape(shape):
+    # on S^3 a width-6 batch used to flow silently, and a width-3 batch
+    # raised numpy's ValueError from the complex view of the workspace
+    with pytest.raises(DimensionMismatch):
+        flow(quadric_spinning_field(QUADRIC), np.full(shape, 0.5), 0.1, 1e-2)
+
+
+def test_flow_rejects_a_complex_start():
+    # a complex start used to warn (ComplexWarning) and flow its real part;
+    # it is refused before anything is converted, even with no imaginary part
+    import warnings
+    pts = _off_binding(QUADRIC, 3, seed=13, band=0.1)
+    for start in (pts + 1e-3j, pts.astype(complex), pts[0].astype(complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="complex"):
+                flow(quadric_spinning_field(QUADRIC), start, 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("t_end, step", [
@@ -648,6 +680,47 @@ def test_flow_of_a_strided_start_equals_its_contiguous_copy(kind, layout):
     assert np.array_equal(end, flow(y, np.ascontiguousarray(start), 0.05,
                                     1e-3))
     assert np.array_equal(start, held)
+
+
+@pytest.mark.parametrize("layout", ["batch", "single_point"])
+@pytest.mark.parametrize("t_end, step", [(-0.05, 5e-3), (0.05, 1e-3)])
+@pytest.mark.parametrize("kind", ["coordinate", "coordinate_kernel",
+                                  "quadric_2", "angle"])
+def test_flow_has_the_bits_of_the_python_float_loop(kind, t_end, step,
+                                                     layout):
+    # flow takes h/2, h, 2 and h/6 as 0-d arrays made once per run, and
+    # its fields and Newton steps take module-level 0-d constants; the
+    # reference loop takes Python floats and the generic Gauss-Newton step
+    y = _package_field(kind)
+    pts = _off_binding(y.rep, 12, seed=67, band=0.1)
+    start = pts[4] if layout == "single_point" else pts
+    want, reference = _modulus_band_flow(y, start, t_end, step, 0.0)
+    assert want is None
+    assert np.array_equal(flow(y, start, t_end, step), reference)
+
+
+def test_shared_constant_operands_are_read_only():
+    # every module-level 0-d array of the package is a constant operand
+    # shared by every flow: a stray out= into one must raise, not change
+    # every later flow
+    import importlib
+    import pkgutil
+    import openbooks
+    shared = {}
+    for info in pkgutil.iter_modules(openbooks.__path__):
+        module = importlib.import_module(f"openbooks.{info.name}")
+        shared.update({f"{info.name}.{name}": value
+                       for name, value in vars(module).items()
+                       if isinstance(value, np.ndarray) and value.ndim == 0})
+    assert {"manifolds._HALF", "manifolds._ONE", "liouville._TWO",
+            "monodromy._PI_I", "monodromy._TWO_PI_I",
+            "monodromy._TWO"} <= set(shared)
+    for name, value in shared.items():
+        assert not value.flags.writeable, name
+        held = value.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(value, 2.0, out=value)
+        assert value == held, name
 
 
 # ---------------------------------------------------------------------------
