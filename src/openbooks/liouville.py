@@ -22,13 +22,13 @@ from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pullback, scale_form,
                     wedge_power)
-from .manifolds import (Submanifold, boxed, disk_cotangent_bundle,
-                        tangent_bases)
+from .manifolds import (_HALF, _ONE, Submanifold, boxed,
+                        disk_cotangent_bundle, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the interior checks use the points with u >= INTERIOR_BAND
 INTERIOR_BAND = 0.05
-_TWO = boxed(2.0)
+_TWO, _MINUS_TWO = boxed(2.0), boxed(-2.0)
 
 
 def canonical_one_form(n: int) -> KForm:
@@ -111,6 +111,21 @@ def disk_bundle_domain(n: int) -> LiouvilleDomain:
                            name=f"disk bundle D(T*S^{n - 1})")
 
 
+def _disk_u(p):
+    """u = 1 - a^2 - b^2 of the Weinstein disk: the bits of
+    ``1.0 - np.add.reduce(p * p, axis=-1)``, which adds the two squares
+    in this order, without a reduce loop over rows or a boxed 1.0."""
+    a, b = p[..., 0], p[..., 1]
+    return np.subtract(_ONE, a * a + b * b)
+
+
+def _radial_du(p):
+    """du = -2p of the radial completion u = 1 - |p|^2.  -du(p) is 2p bit
+    for bit, so `hypersurface_build` gives a domain with this du the
+    round-sphere Newton step."""
+    return np.multiply(_MINUS_TWO, p)
+
+
 def weinstein_disk_domain() -> LiouvilleDomain:
     """The unit 2-disk with its radial Weinstein structure and the
     completion u = C - f = 1 - a^2 - b^2."""
@@ -123,11 +138,8 @@ def weinstein_disk_domain() -> LiouvilleDomain:
     lam = form_from_components(2, 1, {(0,): lambda p: -0.5 * p[..., 1],
                                       (1,): lambda p: 0.5 * p[..., 0]})
 
-    def u(p):
-        return 1.0 - np.add.reduce(p * p, axis=-1)
-
-    return LiouvilleDomain(manifold, lam, VecField(2, lambda p: 0.5 * p), u,
-                           lambda p: -2.0 * p, name="Weinstein 2-disk")
+    return LiouvilleDomain(manifold, lam, VecField(2, lambda p: 0.5 * p),
+                           _disk_u, _radial_du, name="Weinstein 2-disk")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,20 @@ class HypersurfaceData:
 def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     """Build the hypersurface V in F x C carrying an open book with page F
     and trivial monodromy; certifies the Liouville-field transversality
-    du(X) - u < 0 that makes V contact."""
+    du(X) - u < 0 that makes V contact.
+
+    V = {|z|^2 = u(p)} has the constraint c = |z|^2 - u(p) and the
+    Jacobian row (-du(p), 2z), and its ``newton_step`` gives the bits of
+    `manifolds.gauss_newton_step` with it.  For a domain whose du is the
+    radial ``_radial_du`` (the Weinstein disk, u = 1 - |p|^2), -du(p) is
+    2p bit for bit, so the row is 2x: V is the unit S^3, |2x|^2 = 4|x|^2
+    exactly and 2x (c / 4s) = x (1/2 (c / s)) exactly, since every factor
+    is a power of two.  Its step is therefore the round sphere's,
+    x - x (1/2 (c / s)) with s = |x|^2, but with V's own constraint value
+    c: one ``np.vecdot`` of x in place of the gradient buffer and its
+    second ``vecdot``.  Every other domain writes (-du, 2z) into one
+    (..., m) buffer and steps x - grad (c / |grad|^2).
+    """
     mf = ld.manifold.ambient_dim
     m = mf + 2
 
@@ -312,16 +337,26 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         out[..., 0, mf:] = 2.0 * x[..., mf:]
         return out
 
-    def newton_step(x, out=None):
-        # gauss_newton_step's one-constraint branch, with the gradient
-        # (-du, 2z) in one (..., m) buffer instead of a (..., 1, m) Jacobian
-        z = x[..., mf:]
-        grad = np.empty(np.shape(x))
-        np.negative(ld.du(x[..., :mf]), grad[..., :mf])
-        np.multiply(_TWO, z, grad[..., mf:])
-        c = np.vecdot(z, z) - ld.u(x[..., :mf])
-        return np.subtract(x, grad * (c / np.vecdot(grad, grad))[..., None],
-                           out)
+    if ld.du is _radial_du:
+        def newton_step(x, out=None):
+            # the Jacobian row (-du, 2z) is 2x: the round-sphere step with
+            # V's own constraint value c
+            z = x[..., mf:]
+            c = np.vecdot(z, z) - ld.u(x[..., :mf])
+            return np.subtract(
+                x, x * (_HALF * (c / np.vecdot(x, x)))[..., None], out)
+    else:
+        def newton_step(x, out=None):
+            # gauss_newton_step's one-constraint branch, with the gradient
+            # (-du, 2z) in one (..., m) buffer instead of a (..., 1, m)
+            # Jacobian
+            z = x[..., mf:]
+            grad = np.empty(np.shape(x))
+            np.negative(ld.du(x[..., :mf]), grad[..., :mf])
+            np.multiply(_TWO, z, grad[..., mf:])
+            c = np.vecdot(z, z) - ld.u(x[..., :mf])
+            return np.subtract(
+                x, grad * (c / np.vecdot(grad, grad))[..., None], out)
 
     base_sampler = ld.manifold.sampler
 

@@ -48,6 +48,29 @@ def test_quartic_disk_completion_values():
     assert report.passed
 
 
+def _bits(a):
+    return np.asarray(a, np.float64).view(np.int64)
+
+
+def test_weinstein_disk_u_and_du_have_the_bits_of_the_formulas():
+    # u adds its two squares in the order of np.add.reduce over the last
+    # axis, and du is the radial -2p, on a batch, a single point (2,) and
+    # the strided x[..., :2] slice that the hypersurface step passes
+    ld = weinstein_disk_domain()
+    rng = rng_for(5)
+    x = rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(
+        -4.0, 1.0, size=(300, 1))
+    for p in (sample(ld.manifold, 300, seed=4), x[5, :2], x[..., :2]):
+        u, du = ld.u(p), ld.du(p)
+        assert np.shape(u) == np.shape(p)[:-1]
+        assert np.array_equal(_bits(u),
+                              _bits(1.0 - np.add.reduce(p * p, axis=-1)))
+        assert np.shape(du) == np.shape(p)
+        assert np.array_equal(_bits(du), _bits(-2.0 * p))
+        # the fact the round-sphere Newton step of V relies on
+        assert np.array_equal(_bits(-du), _bits(2.0 * p))
+
+
 def test_disk_bundle_completion():
     ld = disk_bundle_domain(2)
     pts = sample(ld.manifold, 400, seed=3)

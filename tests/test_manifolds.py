@@ -1,11 +1,17 @@
 """Submanifolds: tangent bases, orientation, sampling, projection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from openbooks.contact import binding_manifold, quadric_open_book
 from openbooks.errors import DegenerateSystem, OffManifold
-from openbooks.liouville import hypersurface_build, weinstein_disk_domain
+from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
+                                 weinstein_disk_domain)
 from openbooks.manifolds import (RANK_RATIO, Submanifold,
                                  disk_cotangent_bundle, flat_torus,
                                  gauss_newton_step, product_with_torus,
@@ -405,18 +411,29 @@ def test_step_written_into_out_has_the_same_bits(manifold):
     assert np.array_equal(same, want)
 
 
-@pytest.mark.parametrize("manifold", [
-    unit_sphere(4), unit_sphere(6), unit_sphere(8),
-    hypersurface_build(weinstein_disk_domain()).manifold],
-    ids=["S^3", "S^5", "S^7", "hypersurface"])
-def test_newton_step_has_the_bits_of_the_generic_step(manifold):
-    # the manifold's closed-form step against gauss_newton_step through its
-    # Jacobian, at points pushed 1e-6 to 1e-3 off the manifold, for a batch
-    # and a single point, returned, into a separate out and into p itself
+# the manifolds that carry a newton_step: the Weinstein-disk hypersurface
+# (u = 1 - |p|^2) takes the round-sphere step, the quartic-disk one
+# (u = 1 - |p|^4) the (-du, 2z) step
+NEWTON_STEPS = {
+    "S^3": unit_sphere(4), "S^5": unit_sphere(6), "S^7": unit_sphere(8),
+    "hypersurface": hypersurface_build(weinstein_disk_domain()).manifold,
+    "quartic_hypersurface":
+        hypersurface_build(quartic_disk_domain(1)).manifold}
+
+
+def _off_manifold(manifold):
+    # points pushed 1e-6 to 1e-3 off the manifold
     pts = sample(manifold, 200, seed=26)
     rng = rng_for(27)
     push = 10.0 ** rng.uniform(-6.0, -3.0, size=(len(pts), 1))
-    off = pts + push * rng.normal(size=pts.shape)
+    return pts + push * rng.normal(size=pts.shape)
+
+
+def _check_newton_step_bits(manifold):
+    # the manifold's closed-form step against gauss_newton_step through its
+    # Jacobian, for a batch and a single point, returned, into a separate
+    # out and into p itself
+    off = _off_manifold(manifold)
     for p in (off, off[7]):
         want = gauss_newton_step(manifold, p, manifold.constraints(p))
         assert not np.array_equal(want, p)
@@ -427,6 +444,74 @@ def test_newton_step_has_the_bits_of_the_generic_step(manifold):
         same = p.copy()
         assert manifold.newton_step(same, same) is same
         assert np.array_equal(same, want)
+
+
+@pytest.mark.parametrize("manifold", list(NEWTON_STEPS.values()),
+                         ids=list(NEWTON_STEPS))
+def test_newton_step_has_the_bits_of_the_generic_step(manifold):
+    _check_newton_step_bits(manifold)
+
+
+def test_the_sphere_form_step_does_not_hold_on_the_quartic_hypersurface():
+    # the control for attaching the round-sphere step by the radial du: on
+    # u = 1 - |p|^4 the Jacobian row (-du, 2z) is not 2x, and the
+    # round-sphere form with V's own constraint value misses the generic
+    # step, where the quartic hypersurface's own step does not
+    manifold = NEWTON_STEPS["quartic_hypersurface"]
+    off = _off_manifold(manifold)
+    c = manifold.constraints(off)
+    want = gauss_newton_step(manifold, off, c)
+    sphere_form = off - off * (0.5 * (c[..., 0] / np.vecdot(off, off)))[
+        ..., None]
+    assert np.max(np.abs(sphere_form - want)) > 1e-6
+    assert np.array_equal(manifold.newton_step(off), want)
+
+
+def _dynamic_arch_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration")))
+
+
+# run in a child process: OpenBLAS reads OPENBLAS_CORETYPE once, at load
+_CORE_CHILD = """
+import ctypes, glob, os, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_manifolds import NEWTON_STEPS, _check_newton_step_bits
+
+for name in ("S^3", "S^5", "hypersurface", "quartic_hypersurface"):
+    _check_newton_step_bits(NEWTON_STEPS[name])
+core = None
+for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*")):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+print(core)
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+@pytest.mark.parametrize("core", ["Sandybridge", "Nehalem"])
+def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
+    # the closed-form steps and gauss_newton_step both take their squared
+    # norms by np.vecdot, whose bits depend on the BLAS kernel: the bit
+    # equality must hold on every core, not only on the default one
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CORE_CHILD, str(root / "tests")], cwd=root,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reported = proc.stdout.split()[-1]
+    # the core the child ran on, where this numpy build lets it be read
+    assert reported in (core, "None")
 
 
 def test_tangent_basis_after_sample_never_errors():
