@@ -22,13 +22,13 @@ from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pullback, scale_form,
                     wedge_power)
-from .manifolds import (_HALF, _ONE, Submanifold, boxed,
-                        disk_cotangent_bundle, tangent_bases)
+from .manifolds import (Submanifold, boxed, disk_cotangent_bundle,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the interior checks use the points with u >= INTERIOR_BAND
 INTERIOR_BAND = 0.05
-_TWO, _MINUS_TWO = boxed(2.0), boxed(-2.0)
+_HALF, _ONE, _MINUS_TWO = boxed(0.5), boxed(1.0), boxed(-2.0)
 
 
 def canonical_one_form(n: int) -> KForm:
@@ -313,16 +313,15 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     du(X) - u < 0 that makes V contact.
 
     V = {|z|^2 = u(p)} has the constraint c = |z|^2 - u(p) and the
-    Jacobian row (-du(p), 2z), and its ``newton_step`` gives the bits of
-    `manifolds.gauss_newton_step` with it.  For a domain whose du is the
-    radial ``_radial_du`` (the Weinstein disk, u = 1 - |p|^2), -du(p) is
-    2p bit for bit, so the row is 2x: V is the unit S^3, |2x|^2 = 4|x|^2
-    exactly and 2x (c / 4s) = x (1/2 (c / s)) exactly, since every factor
-    is a power of two.  Its step is therefore the round sphere's,
-    x - x (1/2 (c / s)) with s = |x|^2, but with V's own constraint value
-    c: one ``np.vecdot`` of x in place of the gradient buffer and its
-    second ``vecdot``.  Every other domain writes (-du, 2z) into one
-    (..., m) buffer and steps x - grad (c / |grad|^2).
+    Jacobian row (-du(p), 2z).  For a domain whose du is the radial
+    ``_radial_du`` (the Weinstein disk, u = 1 - |p|^2), -du(p) is 2p bit
+    for bit, so the row is 2x: V is the unit S^3, |2x|^2 = 4|x|^2 exactly
+    and 2x (c / 4s) = x (1/2 (c / s)) exactly, since every factor is a
+    power of two.  V then gets the round sphere's ``newton_step``,
+    x - x (1/2 (c / s)) with s = |x|^2 but with V's own constraint value
+    c, which has the bits of `manifolds.gauss_newton_step`.  Every other
+    domain gets no ``newton_step``, and `monodromy.flow` projects its V
+    through `gauss_newton_step` itself.
     """
     mf = ld.manifold.ambient_dim
     m = mf + 2
@@ -337,26 +336,13 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         out[..., 0, mf:] = 2.0 * x[..., mf:]
         return out
 
-    if ld.du is _radial_du:
-        def newton_step(x, out=None):
-            # the Jacobian row (-du, 2z) is 2x: the round-sphere step with
-            # V's own constraint value c
-            z = x[..., mf:]
-            c = np.vecdot(z, z) - ld.u(x[..., :mf])
-            return np.subtract(
-                x, x * (_HALF * (c / np.vecdot(x, x)))[..., None], out)
-    else:
-        def newton_step(x, out=None):
-            # gauss_newton_step's one-constraint branch, with the gradient
-            # (-du, 2z) in one (..., m) buffer instead of a (..., 1, m)
-            # Jacobian
-            z = x[..., mf:]
-            grad = np.empty(np.shape(x))
-            np.negative(ld.du(x[..., :mf]), grad[..., :mf])
-            np.multiply(_TWO, z, grad[..., mf:])
-            c = np.vecdot(z, z) - ld.u(x[..., :mf])
-            return np.subtract(
-                x, grad * (c / np.vecdot(grad, grad))[..., None], out)
+    def newton_step(x, out=None):
+        # the Jacobian row (-du, 2z) is 2x: the round-sphere step with V's
+        # own constraint value c
+        z = x[..., mf:]
+        c = np.vecdot(z, z) - ld.u(x[..., :mf])
+        return np.subtract(
+            x, x * (_HALF * (c / np.vecdot(x, x)))[..., None], out)
 
     base_sampler = ld.manifold.sampler
 
@@ -373,7 +359,7 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         name=f"V[{ld.name}]",
         periodic_mask=np.zeros(m, bool),
         orientation="normal_first", sampler=sampler, constraint_jac=jac,
-        newton_step=newton_step)
+        newton_step=newton_step if ld.du is _radial_du else None)
 
     # transversality of the ambient Liouville field X_L + (x dx + y dy)/2
     probe = sampler(np.random.Generator(

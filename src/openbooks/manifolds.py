@@ -79,13 +79,13 @@ class Submanifold:
     batch (N, m) or a single point (m,), written into ``out`` when given
     (which may be p itself).  It builds no Jacobian: `monodromy.flow`
     projects every RK4 step with it and falls back to the generic
-    `gauss_newton_step` without it.  The manifolds that `flow` runs on
-    supply one, each in the form that its Jacobian allows with the same
+    `gauss_newton_step` without it.  The manifolds that the checks flow
+    on supply one, each in the form that its Jacobian allows with the same
     bits: `unit_sphere` (Jacobian 2p, so every factor is a power of two)
-    and `liouville.hypersurface_build` (the gradient (-du, 2z), which is
-    2x on the Weinstein disk's hypersurface, so that one takes the
-    sphere's form).  A manifold made with ``replace(...,
-    constraints=...)`` must drop it or supply its own.
+    and `liouville.hypersurface_build` of the Weinstein disk (its
+    Jacobian row (-du, 2z) is 2x, so it takes the sphere's form); the
+    hypersurfaces of other domains have none.  A manifold made with
+    ``replace(..., constraints=...)`` must drop it or supply its own.
     """
 
     ambient_dim: int

@@ -346,10 +346,10 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
     """Classical RK4 flow of a spinning field, projected back to the
     manifold after every step by one Gauss-Newton step: the manifold's
     own closed form `Submanifold.newton_step` when it has one (the unit
-    spheres, and the trivial-monodromy hypersurfaces, where the
-    Weinstein-disk one, the unit S^3, takes the round-sphere step), else
-    the generic `manifolds.gauss_newton_step`, which gives the same bits
-    through the constraint Jacobian.  The step is picked once per call.
+    spheres, and the Weinstein-disk hypersurface, which is the unit S^3
+    and takes the round-sphere step), else the generic
+    `manifolds.gauss_newton_step`, which gives the same bits through the
+    constraint Jacobian.  The step is picked once per call.
 
     One step dispatches four evaluations of the field
     (`SpinningField.eval`), the binding-band test (two numpy calls),

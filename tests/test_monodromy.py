@@ -712,9 +712,9 @@ def test_shared_constant_operands_are_read_only():
         shared.update({f"{info.name}.{name}": value
                        for name, value in vars(module).items()
                        if isinstance(value, np.ndarray) and value.ndim == 0})
-    assert {"manifolds._HALF", "manifolds._ONE", "liouville._TWO",
-            "monodromy._PI_I", "monodromy._TWO_PI_I",
-            "monodromy._TWO"} <= set(shared)
+    assert {"manifolds._HALF", "manifolds._ONE", "liouville._HALF",
+            "liouville._ONE", "liouville._MINUS_TWO", "monodromy._PI_I",
+            "monodromy._TWO_PI_I", "monodromy._TWO"} <= set(shared)
     for name, value in shared.items():
         assert not value.flags.writeable, name
         held = value.copy()
