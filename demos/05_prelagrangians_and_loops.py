@@ -56,8 +56,9 @@ print(f"K x T^2: d(alpha)|TP = "
 # --- straightening a wobbling loop -------------------------------------------
 # gamma winds once through phi1 with alpha_hat(gamma') = 1 + cos(t)/2;
 # the straightened loop has constant speed C/(2 pi) = 1.  gamma takes the
-# whole grid t (n + 1,) and returns the samples (n + 1, 6) in one call.
-loop = Loop.from_function(desk_loop(0.5), 2048, pl.submanifold.periodic_mask)
+# whole grid t (2049,) of LOOP_GRID = 2048 intervals and returns the
+# samples (2049, 6) in one call.
+loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
 c_in, g_in, _ = loop_integral(pl, loop)
 print(f"input loop: C = {c_in:.6f}, speed range "
       f"[{g_in.min():.3f}, {g_in.max():.3f}]")

@@ -27,9 +27,9 @@ from .bourgeois import (BourgeoisForm, FillingFamily, bourgeois_form,
                         profiled_representation, verify_product_contact,
                         verify_inverse_form)
 from .monodromy import (DehnTwist, SpinningField, closed_form_quadric_flow,
-                        contraction_identity_check, coordinate_kernel_field,
-                        coordinate_spinning_field, dehn_twist_pullback_check,
-                        flow, monodromy_vs_dehn_twist, page_embedding,
+                        contraction_identity_check, coordinate_spinning_field,
+                        dehn_twist_pullback_check, flow,
+                        monodromy_vs_dehn_twist, page_embedding,
                         page_embedding_inverse, quadric_spinning_field,
                         spinning_definition_check, spinning_field,
                         standard_twist)

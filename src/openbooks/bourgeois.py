@@ -40,11 +40,11 @@ FILLING_EPS_GRID = (0.0, 0.01, 0.05, 0.1, 1.0)
 R0, R1 = 0.2, 0.4
 
 
-def extend_form(a: KForm, extra: int = 2) -> KForm:
-    """Reinterpret a form on R^m as a form on R^(m+extra) whose
-    coefficients do not involve the new trailing coordinates."""
+def extend_form(a: KForm) -> KForm:
+    """Reinterpret a form on R^m as a form on R^(m+2) whose
+    coefficients do not involve the two new trailing coordinates."""
     m = a.ambient_dim
-    src, tgt = (increasing_indices(n, a.degree) for n in (m, m + extra))
+    src, tgt = (increasing_indices(n, a.degree) for n in (m, m + 2))
     cols = np.asarray([tgt.index(idx) for idx in src])
     fa = a.coeffs
 
@@ -54,18 +54,17 @@ def extend_form(a: KForm, extra: int = 2) -> KForm:
         out[..., cols] = c
         return out
 
-    return KForm(a.degree, m + extra, coeffs)
+    return KForm(a.degree, m + 2, coeffs)
 
 
 @dataclass(frozen=True)
 class BourgeoisForm:
-    """Form alpha_V + eps * (f_x dphi1 - f_y dphi2) on V x T^2."""
+    """Form alpha_V + f_x dphi1 - f_y dphi2 on V x T^2."""
 
     rep: Representation
     manifold: Submanifold          # the product V x T^2
     alpha: KForm                   # on R^(m+2)
     beta: KForm                    # f_x dphi1 - f_y dphi2 on R^(m+2)
-    eps: float = 1.0
 
     @property
     def n(self) -> int:
@@ -86,13 +85,12 @@ def _beta_form(rep: Representation) -> KForm:
     return KForm(1, m + 2, coeffs)
 
 
-def bourgeois_form(rep: Representation, eps: float = 1.0) -> BourgeoisForm:
+def bourgeois_form(rep: Representation) -> BourgeoisForm:
     """Assemble the product contact form from a representation."""
     beta = _beta_form(rep)
-    alpha = extend_form(rep.contact.alpha) + eps * beta
-    product = product_with_torus(rep.manifold, 2)
-    return BourgeoisForm(rep=rep, manifold=product, alpha=alpha, beta=beta,
-                         eps=eps)
+    alpha = extend_form(rep.contact.alpha) + beta
+    product = product_with_torus(rep.manifold)
+    return BourgeoisForm(rep=rep, manifold=product, alpha=alpha, beta=beta)
 
 
 def _line_volume(line, t, n, pts, coords):
@@ -125,18 +123,16 @@ def verify_product_contact(bf: BourgeoisForm, samples, seed=0
     routes that must agree:
 
       - direct exterior algebra: alpha ^ (d alpha)^(n+1);
-      - the expanded product formula (see :func:`_cartesian_expansion`),
-        times eps^2: every term of the top power takes two factors from
-        {beta, d beta}, one for each angle, so the form alpha_V + eps beta
-        has eps^2 times the volume of alpha_V + beta.
+      - the expanded product formula (see :func:`_cartesian_expansion`).
 
     Additionally certifies the structural conditions (beta kills vectors
     tangent to the V-fibers; its coefficients are torus-independent) and
     the eps-scaling identity alpha_eps ^ (d alpha_eps)^(n+1)
-    = eps^2 * alpha ^ (d alpha)^(n+1) for eps in EPS_VALUES.  Both take
-    the form's own alpha and beta: alpha_eps = alpha + (eps - bf.eps) beta
-    is one line through alpha, so alpha, beta and their derivatives are
-    evaluated once.
+    = eps^2 * alpha ^ (d alpha)^(n+1) for alpha_eps = alpha_V + eps beta
+    and eps in EPS_VALUES: every term of the top power takes two factors
+    from {beta, d beta}, one for each angle.  It takes the form's own
+    alpha and beta: alpha_eps = alpha + (eps - 1) beta is one line through
+    alpha, so alpha, beta and their derivatives are evaluated once.
     """
     n = bf.n
     pts = np.asarray(samples, float)
@@ -144,8 +140,7 @@ def verify_product_contact(bf: BourgeoisForm, samples, seed=0
     coords = pluecker(bases)
     line = bind_line(bf.alpha, bf.beta, pts)
     direct = _line_volume(line, 0.0, n + 1, pts, coords)
-    expanded = bf.eps ** 2 * _cartesian_expansion(bf.rep).on_pluecker(
-        pts, coords)
+    expanded = _cartesian_expansion(bf.rep).on_pluecker(pts, coords)
     rel = np.abs(direct - expanded) / np.maximum(np.abs(direct),
                                                  np.abs(expanded))
     details = [make_report(
@@ -175,13 +170,11 @@ def verify_product_contact(bf: BourgeoisForm, samples, seed=0
              "of beta is closed"))
 
     # eps-family scaling
-    base_vals = direct if bf.eps == 1.0 else _line_volume(
-        line, 1.0 - bf.eps, n + 1, pts, coords)
     rel_eps = []
     for eps in EPS_VALUES:
-        vals = _line_volume(line, eps - bf.eps, n + 1, pts, coords)
-        rel_eps.append(np.abs(vals - eps ** 2 * base_vals) / np.maximum(
-            np.abs(vals), eps ** 2 * np.abs(base_vals)))
+        vals = _line_volume(line, eps - 1.0, n + 1, pts, coords)
+        rel_eps.append(np.abs(vals - eps ** 2 * direct) / np.maximum(
+            np.abs(vals), eps ** 2 * np.abs(direct)))
     details.append(make_report(
         "eps_scaling", n_samples=len(pts) * len(EPS_VALUES),
         max_residual=rel_eps, tolerance=1e-12, residual_tolerance=1e-8,
@@ -325,17 +318,13 @@ def inverse_line(rep: Representation, samples):
     return bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
 
 
-def inverse_form_margins(rep: Representation, c: float, samples,
-                         coords=None, line=None):
+def inverse_form_margins(rep: Representation, c: float, samples, coords,
+                         line):
     """Reversed-orientation contact margin of alpha_minus at the samples
     (positive margin = contact with orientation opposite the reference).
-    ``coords`` may pass in pluecker(tangent_bases(rep.manifold, samples))
-    and ``line`` inverse_line(rep, samples), each built once for all C."""
-    samples = np.asarray(samples, float)
-    if coords is None:
-        coords = pluecker(tangent_bases(rep.manifold, samples))
-    if line is None:
-        line = inverse_line(rep, samples)
+    ``coords`` is pluecker(tangent_bases(rep.manifold, samples)) and
+    ``line`` inverse_line(rep, samples), each built once for all C; the
+    samples are the float array that ``line`` is bound to."""
     return -_line_volume(line, -c, rep.n, samples, coords)
 
 

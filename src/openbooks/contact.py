@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
-from .forms import (KForm, VecField, central_difference, contact_volume,
-                    ext_deriv, pluecker, scale_form, wedge, wedge_all,
-                    wedge_power)
+from .forms import (DEFAULT_FD_STEP, KForm, VecField, central_difference,
+                    contact_volume, ext_deriv, pluecker, scale_form, wedge,
+                    wedge_all, wedge_power)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
                         project_to_constraints, singular_values,
                         tangent_bases, unit_sphere)
@@ -304,33 +304,31 @@ def openbook_volume_form(rep: Representation) -> KForm:
     return float(n) * first + second
 
 
-def quotient_volume_values(rep: Representation, points, coords=None):
+def quotient_volume_values(rep: Representation, points, coords):
     """Independent oracle |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n, evaluated
     with quotient forms and finite differences only; valid off the binding.
 
-    The differentiation step is scaled by |f| so the truncation error stays
-    relative to the blowing-up coefficients of the quotient form.
-    ``coords`` may pass in the Pluecker coordinates of the oriented frames
-    at the points (:func:`forms.pluecker` of :func:`tangent_bases`).
+    The differentiation step, DEFAULT_FD_STEP, is scaled by |f| so the
+    truncation error stays relative to the blowing-up coefficients of the
+    quotient form.  ``coords`` are the Pluecker coordinates of the
+    oriented frames at the points (:func:`forms.pluecker` of
+    :func:`tangent_bases`).
     """
     f = rep.f
     n = rep.n
     m = rep.manifold.ambient_dim
     lam = rep.quotient_form()
-    h0 = 1e-5
 
     def dtheta_coeffs(p):
         # angle derivative via arg(f(p+h)/f(p-h)) to dodge the branch cut
         return central_difference(
-            f.value, p, h0 * np.maximum(f.modulus(p), 1e-12),
+            f.value, p, DEFAULT_FD_STEP * np.maximum(f.modulus(p), 1e-12),
             diff=lambda a, b: np.angle(a * np.conj(b)))
 
     dtheta = KForm(1, m, dtheta_coeffs)
-    dlam = ext_deriv(lam, h0, step_scale=lambda p: np.maximum(
+    dlam = ext_deriv(lam, step_scale=lambda p: np.maximum(
         f.modulus(p), 1e-12))
     top = wedge(dtheta, wedge_power(dlam, n))
-    if coords is None:
-        coords = pluecker(tangent_bases(rep.manifold, points))
     vals = top.on_pluecker(points, coords)
     return f.modulus(points) ** (n + 2) * vals
 

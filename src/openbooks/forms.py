@@ -504,23 +504,21 @@ def bind_line(a: KForm, b: KForm, points) -> Callable:
     return line
 
 
-def ext_deriv(a: KForm, h: float = DEFAULT_FD_STEP,
-              step_scale: Callable | None = None) -> KForm:
-    """Exterior derivative via central differences of the coefficients.
+def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
+    """Exterior derivative via central differences of the coefficients,
+    with step DEFAULT_FD_STEP.
 
     d(sum c_I dx_I) = sum_i d_i c_I dx_i ^ dx_I.  ``step_scale`` gives a
     per-point multiplier for the step, used to differentiate quotient forms
     whose derivatives blow up near a singular locus.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
     m = a.ambient_dim
     axes, pos, sign = _ext_deriv_table(m, a.degree)
     fa = a.coeffs
 
     def coeffs(p):
         p = np.asarray(p, float)
-        step = np.full(p.shape[:-1], h)
+        step = np.full(p.shape[:-1], DEFAULT_FD_STEP)
         if step_scale is not None:
             step = step * np.asarray(step_scale(p), float)
         d = central_difference(fa, p, step)    # (..., n_src, m)

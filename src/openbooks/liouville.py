@@ -58,7 +58,7 @@ class LiouvilleDomain:
                          self.liouville_field(p))
 
 
-def _full_ambient(m, name, sampler=None):
+def _full_ambient(m, name, sampler):
     return Submanifold(ambient_dim=m, constraints=None, n_constraints=0,
                        name=name, periodic_mask=np.zeros(m, bool),
                        orientation="ambient", sampler=sampler)
@@ -322,7 +322,15 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     c, which has the bits of `manifolds.gauss_newton_step`.  Every other
     domain gets no ``newton_step``, and `monodromy.flow` projects its V
     through `gauss_newton_step` itself.
+
+    F must be a full-dimensional domain of its ambient space: V has
+    dimension dim F + 1 only if F has no constraints of its own, so a
+    constrained domain (such as `disk_bundle_domain`) raises DomainError.
     """
+    if ld.manifold.n_constraints > 0:
+        raise DomainError(
+            f"{ld.name}: the hypersurface needs a domain without "
+            f"constraints, this one has {ld.manifold.n_constraints}")
     mf = ld.manifold.ambient_dim
     m = mf + 2
 

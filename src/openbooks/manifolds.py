@@ -173,14 +173,16 @@ def complement_frames(vectors):
         w[:, None, :] / scale[:, None, None]), s
 
 
-def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
+def tangent_bases(manifold: Submanifold, points):
     """Batched oriented bases: points (N, m) -> vectors (N, d, m).
 
-    The returned bases are already flipped to be positively oriented.
+    The returned bases are already flipped to be positively oriented.  A
+    point whose constraint residual exceeds ON_MANIFOLD_TOL raises
+    OffManifold.
     """
     pts = np.asarray(points, float)
     res = manifold.residual(pts)
-    if np.any(res > tol):
+    if np.any(res > ON_MANIFOLD_TOL):
         bad = int(np.argmax(res))
         raise OffManifold(
             f"{manifold.name or 'manifold'}: worst residual {res.max():.3e} "
@@ -210,13 +212,15 @@ def tangent_bases(manifold: Submanifold, points, tol=ON_MANIFOLD_TOL):
     return bases
 
 
-def sample(manifold: Submanifold, n: int, seed, tol=1e-10):
-    """n points on the manifold, deterministic given the seed."""
+def sample(manifold: Submanifold, n: int, seed):
+    """n points on the manifold, deterministic given the seed; a sampler
+    whose points have a constraint residual above 1e-10 raises
+    OffManifold."""
     if manifold.sampler is None:
         raise OffManifold(f"no sampler registered for {manifold.name!r}")
     pts = manifold.sampler(rng_for(seed), n)
     res = manifold.residual(pts)
-    if np.any(res > tol):
+    if np.any(res > 1e-10):
         raise OffManifold(
             f"sampler for {manifold.name!r} violated constraints: "
             f"max residual {res.max():.3e}")
@@ -247,17 +251,18 @@ def gauss_newton_step(manifold: Submanifold, p, c, out=None):
     return np.subtract(p, np.einsum("...cm,...c->...m", jac, lam), out=out)
 
 
-def project_to_constraints(manifold: Submanifold, points, tol=1e-12,
-                           max_iter=60):
-    """Gauss-Newton projection of points onto the constraint set (batched)."""
+def project_to_constraints(manifold: Submanifold, points):
+    """Gauss-Newton projection of points onto the constraint set (batched):
+    at most 60 steps, until every residual is at most 1e-12, else
+    OffManifold."""
     p = np.array(points, float)
     single = p.ndim == 1
     if single:
         p = p[None, :]
-    for _ in range(max_iter):
+    for _ in range(60):
         c = np.atleast_2d(np.asarray(manifold.constraints(p)))
         res = np.linalg.norm(c, axis=-1)
-        if np.all(res <= tol):
+        if np.all(res <= 1e-12):
             break
         p = gauss_newton_step(manifold, p, c)
     else:
@@ -278,7 +283,7 @@ def _gaussian_sphere_sampler(dim_ambient):
     return sampler
 
 
-def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
+def unit_sphere(dim_ambient: int) -> Submanifold:
     """Unit sphere in R^m; constraint |x|^2 - 1 so the gradient is outward.
 
     Its Newton step is p - p (1/2 (s - 1) / s) with s = |p|^2: the
@@ -301,7 +306,7 @@ def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
         ambient_dim=dim_ambient,
         constraints=constraints,
         n_constraints=1,
-        name=name or f"S^{dim_ambient - 1}",
+        name=f"S^{dim_ambient - 1}",
         periodic_mask=np.zeros(dim_ambient, bool),
         orientation="normal_first",
         sampler=_gaussian_sphere_sampler(dim_ambient),
@@ -310,7 +315,7 @@ def unit_sphere(dim_ambient: int, name=None) -> Submanifold:
     )
 
 
-def flat_torus(k: int, name=None) -> Submanifold:
+def flat_torus(k: int) -> Submanifold:
     """k-torus as R^k with all coordinates periodic, oriented by coordinates."""
     def sampler(rng, n):
         return rng.uniform(0.0, 2 * np.pi, size=(n, k))
@@ -319,15 +324,15 @@ def flat_torus(k: int, name=None) -> Submanifold:
         ambient_dim=k,
         constraints=None,
         n_constraints=0,
-        name=name or f"T^{k}",
+        name=f"T^{k}",
         periodic_mask=np.ones(k, bool),
         orientation="ambient",
         sampler=sampler,
     )
 
 
-def product_with_torus(base: Submanifold, k: int = 2, name=None) -> Submanifold:
-    """base x T^k embedded in R^(m+k); last k coordinates are angles."""
+def product_with_torus(base: Submanifold) -> Submanifold:
+    """base x T^2 embedded in R^(m+2); the last 2 coordinates are angles."""
     m = base.ambient_dim
 
     def constraints(p):
@@ -335,25 +340,25 @@ def product_with_torus(base: Submanifold, k: int = 2, name=None) -> Submanifold:
 
     def jac(p):
         jb = base.jacobian(p[..., :m])
-        pad = np.zeros(jb.shape[:-1] + (k,))
+        pad = np.zeros(jb.shape[:-1] + (2,))
         return np.concatenate([jb, pad], axis=-1)
 
     def sampler(rng, n):
         base_rng, angle_rng = rng.spawn(2)
         pts = base.sampler(base_rng, n)
-        ang = angle_rng.uniform(0.0, 2 * np.pi, size=(n, k))
+        ang = angle_rng.uniform(0.0, 2 * np.pi, size=(n, 2))
         return np.concatenate([pts, ang], axis=-1)
 
     mask = np.concatenate([
         base.periodic_mask if base.periodic_mask is not None
         else np.zeros(m, bool),
-        np.ones(k, bool)])
+        np.ones(2, bool)])
 
     return Submanifold(
-        ambient_dim=m + k,
+        ambient_dim=m + 2,
         constraints=constraints,
         n_constraints=base.n_constraints,
-        name=name or f"{base.name} x T^{k}",
+        name=f"{base.name} x T^2",
         periodic_mask=mask,
         orientation=base.orientation,
         sampler=sampler if base.sampler is not None else None,
@@ -361,9 +366,9 @@ def product_with_torus(base: Submanifold, k: int = 2, name=None) -> Submanifold:
     )
 
 
-def disk_cotangent_bundle(n: int, p_max=1.0, name=None) -> Submanifold:
+def disk_cotangent_bundle(n: int) -> Submanifold:
     """Unit-disk cotangent bundle of S^(n-1) embedded in R^n x R^n:
-    |q| = 1, q . p = 0, |p| <= p_max."""
+    |q| = 1, q . p = 0, |p| <= 1."""
 
     def constraints(x):
         q, p = x[..., :n], x[..., n:]
@@ -382,14 +387,14 @@ def disk_cotangent_bundle(n: int, p_max=1.0, name=None) -> Submanifold:
         g = rng.normal(size=(count, n))
         g -= np.sum(g * q, axis=-1, keepdims=True) * q
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        r = rng.uniform(0.0, p_max, size=(count, 1))
+        r = rng.uniform(0.0, 1.0, size=(count, 1))
         return np.concatenate([q, r * g], axis=-1)
 
     return Submanifold(
         ambient_dim=2 * n,
         constraints=constraints,
         n_constraints=2,
-        name=name or f"D(T*S^{n - 1})",
+        name=f"D(T*S^{n - 1})",
         periodic_mask=np.zeros(2 * n, bool),
         orientation=None,
         sampler=sampler,

@@ -163,8 +163,9 @@ def coordinate_spinning_field(rep: Representation) -> SpinningField:
 
     Note this is not the kernel-normalized field of the linear solve: it
     satisfies iota_Y d(lambda) = -pi d|f| rather than 0, which still
-    preserves d(lambda) because the correction is exact.  The solve's
-    field for this book is :func:`coordinate_kernel_field`.
+    preserves d(lambda) because the correction is exact.  The closed form
+    of the solve's field for this book is ``coordinate_kernel_field`` in
+    ``tests/test_monodromy.py``.
     """
     return plane_rotation_field(rep, 0)
 
@@ -178,25 +179,6 @@ def plane_rotation_field(rep: Representation, k: int) -> SpinningField:
         out[...] = 0
         np.multiply(_TWO_PI_I, z[..., k], out[..., k])
         return z[..., k]
-
-    return SpinningField(rep, eval)
-
-
-def coordinate_kernel_field(rep: Representation) -> SpinningField:
-    """The kernel-normalized spinning field of the z_1 open book
-    (iota_Y d(alpha/|f|) = 0 and d(theta)(Y) = 2 pi):
-
-        Y = 2 pi (x_1 d/dy_1 - y_1 d/dx_1)
-            + 2 pi |z_1|^2 / (1 + |z_1|^2) *
-              sum_{j >= 2} (x_j d/dy_j - y_j d/dx_j) .
-    """
-    def eval(z, out):
-        z1 = z[..., 0]
-        rho2 = z1.real ** 2 + z1.imag ** 2
-        factor = 2 * np.pi * rho2 / (1.0 + rho2)
-        np.multiply(1j * factor[..., None], z, out=out)
-        np.multiply(_TWO_PI_I, z1, out[..., 0])
-        return z1
 
     return SpinningField(rep, eval)
 
@@ -455,7 +437,7 @@ def flow(y: SpinningField, p0, t_end: float, step: float = FLOW_STEP,
             if project is not None:
                 project(pts, pts)
         if np.any(manifold.residual(pts) > 1e-10):
-            end = project_to_constraints(manifold, pts, tol=1e-12)
+            end = project_to_constraints(manifold, pts)
         else:
             end = pts.copy()
         return end[0] if single else end

@@ -22,6 +22,8 @@ from .report import CheckReport, make_report, merge_reports, timed
 
 # residual of the constraints of P below which a point counts as on P
 ON_P_TOL = 1e-8
+# intervals of the uniform grid on which Loop.from_function samples a loop
+LOOP_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -47,22 +49,22 @@ class Loop:
         return self.values.shape[0] - 1
 
     @staticmethod
-    def from_function(gamma: Callable, n_grid: int = 2048,
-                      periodic_mask=None) -> "Loop":
-        """Sample gamma in one call: gamma maps the grid t of shape
-        (n_grid + 1,) to values of shape (n_grid + 1, m)."""
-        t = np.linspace(0.0, 2 * np.pi, n_grid + 1)
-        raw = gamma(t)
+    def from_function(gamma: Callable, periodic_mask=None) -> "Loop":
+        """Sample gamma in one call on LOOP_GRID intervals: gamma maps the
+        grid t of shape (LOOP_GRID + 1,) to values of shape
+        (LOOP_GRID + 1, m)."""
+        size = LOOP_GRID + 1
+        raw = gamma(np.linspace(0.0, 2 * np.pi, size))
         try:
             values = np.asarray(raw, float)
         except ValueError as exc:
             raise DimensionMismatch(
-                "gamma must map t (n_grid + 1,) to one array "
-                "(n_grid + 1, m)") from exc
-        if values.ndim != 2 or values.shape[0] != n_grid + 1:
+                f"gamma must map t ({size},) to one array ({size}, m)"
+            ) from exc
+        if values.ndim != 2 or values.shape[0] != size:
             raise DimensionMismatch(
-                f"gamma maps t ({n_grid + 1},) to values "
-                f"({n_grid + 1}, m); got {values.shape}")
+                f"gamma maps t ({size},) to values ({size}, m); got "
+                f"{values.shape}")
         return Loop(values, periodic_mask)
 
     def closure_gap(self):
@@ -97,9 +99,9 @@ class Loop:
 # constructions on the product of the standard 3-sphere with the torus
 
 
-def _bump(d, inner=0.1, outer=0.3):
-    """1 within ``inner`` of the set, 0 beyond ``outer``, quintic blend."""
-    return 1.0 - _smoothstep((d - inner) / (outer - inner))
+def _bump(d):
+    """1 within distance 0.1 of the set, 0 beyond 0.3, quintic blend."""
+    return 1.0 - _smoothstep((d - 0.1) / (0.3 - 0.1))
 
 
 def real_circle_distance(p):

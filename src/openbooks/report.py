@@ -69,13 +69,14 @@ def _reduce(values, reduction):
 
 def make_report(name, *, n_samples, tolerance, seed, note="",
                 min_margin=None, max_residual=None, residual_tolerance=None,
-                wall_time_ms=0.0, rows=None, details=None, passed=None):
+                rows=None, passed=None):
     """Assemble a leaf report from its pointwise values.
 
     ``min_margin`` and ``max_residual`` take a scalar, an array, or a list
     of arrays, reduced here by np.min and np.max over every value.  The
     pass flag follows the pass rule on the reduced values unless
-    ``passed`` overrides it."""
+    ``passed`` overrides it.  A leaf has no details, and its wall_time_ms
+    is left 0 for :func:`timed` or run_suite to stamp."""
     if min_margin is not None:
         min_margin = _reduce(min_margin, np.min)
     if max_residual is not None:
@@ -95,12 +96,11 @@ def make_report(name, *, n_samples, tolerance, seed, note="",
         tolerance=float(tolerance),
         passed=bool(passed),
         seed=int(seed),
-        wall_time_ms=float(wall_time_ms),
+        wall_time_ms=0.0,
         note=note,
         residual_tolerance=(None if residual_tolerance is None
                             else float(residual_tolerance)),
         rows=rows or [],
-        details=details or [],
     )
 
 

@@ -11,7 +11,8 @@ from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
                                  family_form, filling_polynomial,
                                  find_inverse_constant,
                                  inverse_form, inverse_form_margins,
-                                 isotopy_check, product_assembly_check,
+                                 inverse_line, isotopy_check,
+                                 product_assembly_check,
                                  profiled_representation,
                                  radial_profile, radial_profile_slope,
                                  verify_product_contact, verify_inverse_form)
@@ -19,8 +20,15 @@ from openbooks.contact import (ContactForm, DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book,
                                verify_representation)
 from openbooks.errors import DegenerateSystem
-from openbooks.forms import KForm, contact_volume, ext_deriv, scale_form
+from openbooks.forms import (KForm, contact_volume, ext_deriv, pluecker,
+                            scale_form)
 from openbooks.manifolds import sample, tangent_bases
+
+
+def _margins(rep, c, pts):
+    # inverse_form_margins with the frames and the line built for the call
+    coords = pluecker(tangent_bases(rep.manifold, pts))
+    return inverse_form_margins(rep, c, pts, coords, inverse_line(rep, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +73,13 @@ def test_product_assembly_check_reads_off_re_f():
 
 
 def test_half_beta_fails_product_assembly():
-    # control: at eps = 1/2, alpha(d/dphi1) is Re f / 2
-    bf = bourgeois_form(quadric_open_book(3), eps=0.5)
-    report = product_assembly_check(bf, sample(bf.manifold, 200, seed=4))
+    # control: with beta halved, alpha(d/dphi1) is Re f / 2
+    rep = quadric_open_book(3)
+    bf = bourgeois_form(rep)
+    half = BourgeoisForm(rep=rep, manifold=bf.manifold,
+                         alpha=extend_form(rep.contact.alpha) + 0.5 * bf.beta,
+                         beta=bf.beta)
+    report = product_assembly_check(half, sample(bf.manifold, 200, seed=4))
     assert not report.passed
     assert report.max_residual > 0.1
 
@@ -123,31 +135,6 @@ def test_torus_dependent_beta_fails_eps_scaling():
     assert not named["eps_scaling"].passed
     assert named["eps_scaling"].max_residual > 0.1
     assert not report.passed
-
-
-def test_eps_scaling_reads_the_forms_own_eps():
-    # a form built at eps = 0.5 scales from its own alpha and beta
-    rep = coordinate_open_book(2)
-    bf = bourgeois_form(rep, 0.5)
-    pts = sample(bf.manifold, 300, seed=3)
-    report = verify_product_contact(bf, pts)
-    named = {d.name: d for d in report.details}
-    assert named["eps_scaling"].passed
-    assert named["eps_scaling"].max_residual < 1e-12
-
-
-@pytest.mark.parametrize("eps", [0.5, 2.0])
-@pytest.mark.parametrize("maker", [coordinate_open_book, quadric_open_book])
-def test_two_routes_agree_off_unit_eps(maker, eps):
-    # alpha_V + eps beta has eps^2 times the product volume of
-    # alpha_V + beta, and the expanded route scales with it
-    rep = maker(2)
-    bf = bourgeois_form(rep, eps)
-    pts = sample(bf.manifold, 300, seed=3)
-    report = verify_product_contact(bf, pts)
-    named = {d.name: d for d in report.details}
-    assert named["two_route_agreement"].max_residual < 1e-10
-    assert report.passed
 
 
 def test_product_value_equals_volume_factor():
@@ -233,7 +220,7 @@ def test_profiled_representation_keeps_theta_and_binding():
 def test_inverse_form_at_c_ten():
     rep = profiled_representation(quadric_open_book(2))
     pts = sample(rep.manifold, 800, seed=11)
-    margins = inverse_form_margins(rep, 10.0, pts)
+    margins = _margins(rep, 10.0, pts)
     assert np.min(margins) > 1e-3       # contact with reversed orientation
     bind = sample(rep.binding, 100, seed=12)
     report = verify_inverse_form(rep, 10.0, pts[:200], bind)
@@ -283,7 +270,7 @@ def test_inverse_form_c_zero_is_original():
     rep = profiled_representation(quadric_open_book(2))
     cf = inverse_form(rep, 0.0)
     pts = sample(rep.manifold, 200, seed=13)
-    margins = -inverse_form_margins(rep, 0.0, pts)   # positive orientation
+    margins = -_margins(rep, 0.0, pts)   # positive orientation
     np.testing.assert_allclose(margins, 0.5, atol=1e-10)
     gap = cf.alpha.coeffs(pts) - rep.contact.alpha.coeffs(pts)
     assert np.max(np.abs(gap)) == 0.0
@@ -296,7 +283,7 @@ def test_inverse_margins_on_the_line_match_the_assembled_form(c):
     bases = tangent_bases(rep.manifold, pts)
     assembled = -contact_volume(inverse_form(rep, c).alpha, rep.n).at_basis(
         pts, bases)
-    on_line = inverse_form_margins(rep, c, pts)
+    on_line = _margins(rep, c, pts)
     scale = max(1.0, c)
     np.testing.assert_allclose(on_line, assembled, rtol=0, atol=1e-9 * scale)
 
@@ -324,8 +311,8 @@ def test_inverse_form_checks_build_each_frame_once(monkeypatch):
     monkeypatch.setattr(bg, "tangent_bases", counting_bases)
     c, margin, margin2 = find_inverse_constant(rep, pts)
     assert seen == [300]
-    assert margin == np.min(inverse_form_margins(rep, c, pts))
-    assert margin2 == np.min(inverse_form_margins(rep, 2 * c, pts))
+    assert margin == np.min(_margins(rep, c, pts))
+    assert margin2 == np.min(_margins(rep, 2 * c, pts))
     seen.clear()
     report = verify_inverse_form(rep, c, pts[:200], bind)
     assert report.passed

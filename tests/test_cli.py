@@ -231,8 +231,10 @@ def test_run_suite_times_each_check_itself(monkeypatch):
     def merged(cfg, seed):
         time.sleep(0.02)
         children = [make_report(f"child{i}", n_samples=1, tolerance=0.0,
-                                seed=seed, wall_time_ms=1e6)
+                                seed=seed)
                     for i in range(2)]
+        for child in children:
+            child.wall_time_ms = 1e6
         return merge_reports("merged", children, seed=seed)
 
     monkeypatch.setitem(cli.SUITES, "subcritical",

@@ -512,7 +512,7 @@ def test_d_of_constant_form_is_zero():
 def test_d_of_x_dy():
     m = 3
     xdy = form_from_components(m, 1, {(1,): lambda p: p[..., 0]})
-    d = ext_deriv(xdy, h=1e-5)
+    d = ext_deriv(xdy)
     e = np.eye(m)
     p = RNG.normal(size=m)
     assert abs(d(p, e[0], e[1]) - 1.0) < 1e-10
@@ -528,11 +528,6 @@ def test_d_alpha0_is_sum_of_coordinate_area_forms():
     vecs = RNG.normal(size=(100, 2, 4))
     np.testing.assert_allclose(d.at_basis(pts, vecs),
                                expected.at_basis(pts, vecs), atol=1e-9)
-
-
-def test_ext_deriv_rejects_bad_step():
-    with pytest.raises(ValueError):
-        ext_deriv(_random_one_form(3), h=0.0)
 
 
 def test_domain_error_propagates_with_offending_point():
@@ -678,8 +673,10 @@ def test_disk_bundle_page_pullback(n):
 
     phi = SmoothMap(2 * n, 2 * n, embed)
     pulled = pullback(phi, lam)
-    bundle = disk_cotangent_bundle(n, p_max=0.95)
+    bundle = disk_cotangent_bundle(n)
     pts = sample(bundle, 100, seed=9)
+    # 1 / (1 - |p|^2) grows without bound at the rim; keep |p| <= 0.95
+    pts = pts[np.sum(pts[:, n:] ** 2, axis=-1) <= 0.95 ** 2]
     bases = tangent_bases(bundle, pts)
     lam_can = canonical_one_form(n)
     denom = 1.0 - np.sum(pts[..., n:] ** 2, axis=-1)

@@ -157,6 +157,22 @@ def test_hypersurface_is_three_manifold(hypersurface):
     assert report.passed
 
 
+@pytest.mark.parametrize("domain", [weinstein_disk_domain,
+                                    lambda: quartic_disk_domain(1)],
+                         ids=["weinstein_disk", "quartic_disk"])
+def test_hypersurface_of_a_full_domain_has_one_more_dimension(domain):
+    ld = domain()
+    hs = hypersurface_build(ld)
+    assert hs.manifold.dim == ld.manifold.dim + 1 == 3
+
+
+def test_hypersurface_of_a_constrained_domain_is_rejected():
+    # the disk bundle of T*S^1 is 2-dimensional inside R^4; the hypersurface
+    # {|z|^2 = u(p)} of R^4 x C would be 5-dimensional, not 3
+    with pytest.raises(DomainError):
+        hypersurface_build(disk_bundle_domain(2))
+
+
 def test_hypersurface_representation_suite(hypersurface):
     rep = hypersurface.rep
     pts = sample(rep.manifold, 500, seed=10)

@@ -13,7 +13,7 @@ from openbooks.contact import binding_manifold, quadric_open_book
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
                                  weinstein_disk_domain)
-from openbooks.manifolds import (RANK_RATIO, Submanifold,
+from openbooks.manifolds import (ON_MANIFOLD_TOL, RANK_RATIO, Submanifold,
                                  disk_cotangent_bundle, flat_torus,
                                  gauss_newton_step, product_with_torus,
                                  project_to_constraints, rng_for, sample,
@@ -75,7 +75,7 @@ def test_rank_deficient_jacobian_rejected():
 
     bad = Submanifold(3, constraints, 1, name="cusp")
     with pytest.raises(DegenerateSystem) as err:
-        tangent_bases(bad, np.zeros((1, 3)), tol=1.0)
+        tangent_bases(bad, np.zeros((1, 3)))
     assert err.value.singular_values is not None
 
 
@@ -137,7 +137,7 @@ def test_qr_frames_are_orthonormal_kernel_frames(manifold, monkeypatch):
 
 @pytest.mark.parametrize("manifold, base_dim", [
     (unit_sphere(4), 4), (unit_sphere(6), 6),
-    (product_with_torus(unit_sphere(4), 2), 4)],
+    (product_with_torus(unit_sphere(4)), 4)],
     ids=["S^3", "S^5", "S^3xT^2"])
 def test_householder_frames_are_oriented_orthonormal_tangent_frames(
         manifold, base_dim, monkeypatch):
@@ -166,7 +166,7 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
 
 
 @pytest.mark.parametrize("manifold", [
-    unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4), 2),
+    unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4)),
     hypersurface_build(weinstein_disk_domain()).manifold],
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
@@ -199,7 +199,7 @@ def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
 
 
 def test_householder_frames_keep_torus_directions_exact():
-    product = product_with_torus(unit_sphere(4), 2)
+    product = product_with_torus(unit_sphere(4))
     bases = tangent_bases(product, sample(product, 200, seed=32))
     assert np.all(bases[:, :3, 4:] == 0.0)
     assert np.array_equal(bases[:, 3], np.broadcast_to(np.eye(6)[4],
@@ -211,17 +211,23 @@ def test_householder_frames_keep_torus_directions_exact():
 @pytest.mark.parametrize("bad_point", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]],
                          ids=["zero_gradient", "nan_gradient"])
 def test_vanishing_gradient_in_a_batch_rejected(bad_point):
-    # cusp-like constraint: the gradient vanishes at the origin
+    # the cusp x^3 = y^2 (times the z axis): the gradient (3x^2, -2y, 0)
+    # vanishes along the cusp line x = y = 0 and nowhere else on the set;
+    # (1, 1, 0) is a regular point, and every point of the batch has
+    # residual 0 (a NaN residual is no residual above the bound)
     def constraints(p):
-        return (np.sum(p * p, axis=-1) ** 2)[..., None]
+        return (p[..., 0] ** 3 - p[..., 1] ** 2)[..., None]
 
     def jac(p):
-        return 4.0 * np.sum(p * p, axis=-1)[..., None, None] * p[..., None, :]
+        zero = np.zeros_like(p[..., 0])
+        return np.stack([3.0 * p[..., 0] ** 2, -2.0 * p[..., 1], zero],
+                        axis=-1)[..., None, :]
 
     bad = Submanifold(3, constraints, 1, name="cusp", constraint_jac=jac)
-    pts = np.array([[0.1, 0.0, 0.0], bad_point])
+    pts = np.array([[1.0, 1.0, 0.0], bad_point])
+    assert not np.any(bad.residual(pts) > 0.0)
     with pytest.raises(DegenerateSystem) as err:
-        tangent_bases(bad, pts, tol=1.0)
+        tangent_bases(bad, pts)
     assert err.value.singular_values.shape == (2, 1)
 
 
@@ -301,7 +307,7 @@ def test_sphere_sampler_residual_and_determinism():
 
 def test_product_sampler():
     sphere = unit_sphere(4)
-    product = product_with_torus(sphere, 2)
+    product = product_with_torus(sphere)
     pts = sample(product, 1000, seed=7)
     assert product.dim == 5
     assert np.max(product.residual(pts)) < 1e-12
@@ -317,6 +323,49 @@ def test_hypersurface_sampler():
     u = 1.0 - np.sum(base * base, axis=-1)
     direct = u - (pts[:, 2] ** 2 + pts[:, 3] ** 2)
     assert np.max(np.abs(direct)) < 1e-10
+
+
+def _scaled_sphere_points(scale, count=20):
+    # points of S^3 scaled by `scale`: the residual of |x|^2 - 1 is
+    # about 2 (scale - 1)
+    return scale * sample(unit_sphere(4), count, seed=3)
+
+
+def test_tangent_bases_reads_residuals_against_on_manifold_tol():
+    sphere = unit_sphere(4)
+    near = _scaled_sphere_points(1.0 + 0.25 * ON_MANIFOLD_TOL)
+    assert tangent_bases(sphere, near).shape == (20, 3, 4)
+    with pytest.raises(OffManifold):
+        tangent_bases(sphere, _scaled_sphere_points(1.0 + ON_MANIFOLD_TOL))
+
+
+def test_sampler_off_its_manifold_by_more_than_1e_10_rejected():
+    def sampler(scale):
+        return unit_sphere(4).with_sampler(
+            lambda rng, n: _scaled_sphere_points(scale, n))
+
+    assert sample(sampler(1.0 + 0.25e-10), 20, seed=0).shape == (20, 4)
+    with pytest.raises(OffManifold):
+        sample(sampler(1.0 + 1e-10), 20, seed=0)
+
+
+def test_projection_that_needs_more_than_60_steps_raises():
+    # c = 1e20 x_0^50: each Gauss-Newton step is x_0 -> 0.98 x_0, so the
+    # residual falls by e^(-1.01) a step and reaches 1e-12 after about 73
+    # steps from x_0 = 1, and after about 53 from x_0 = 0.98^20
+    def constraints(p):
+        return 1e20 * p[..., :1] ** 50
+
+    def jac(p):
+        out = np.zeros(p.shape[:-1] + (1, 2))
+        out[..., 0, 0] = 5e21 * p[..., 0] ** 49
+        return out
+
+    slow = Submanifold(2, constraints, 1, name="slow", constraint_jac=jac)
+    with pytest.raises(OffManifold):
+        project_to_constraints(slow, np.array([[1.0, 0.0]]))
+    assert np.all(slow.residual(project_to_constraints(
+        slow, np.array([[0.98 ** 20, 0.0]]))) <= 1e-12)
 
 
 def test_no_sampler_registered():
@@ -384,7 +433,7 @@ def test_projection_onto_three_constraint_quadric_binding():
     binding = Submanifold(4, constraints, 3, name="quadric binding",
                           constraint_jac=jac)
     start = sample(unit_sphere(4), 50, seed=23)
-    pts = project_to_constraints(binding, start, tol=1e-12)
+    pts = project_to_constraints(binding, start)
     assert np.max(binding.residual(pts)) <= 1e-12
     assert np.max(np.abs(pts - start)) < 1.0
     # one step of the shared helper is the Gram-matrix solve
@@ -507,7 +556,7 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
 def test_tangent_basis_after_sample_never_errors():
     # rank safety margin across every registered manifold used in checks
     manifolds = [unit_sphere(4), unit_sphere(6),
-                 product_with_torus(unit_sphere(4), 2),
+                 product_with_torus(unit_sphere(4)),
                  disk_cotangent_bundle(2), disk_cotangent_bundle(3),
                  flat_torus(3)]
     for mf in manifolds:

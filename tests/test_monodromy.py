@@ -13,7 +13,6 @@ from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
                                  closed_form_flow_check,
                                  closed_form_quadric_flow, complex_to_real,
                                  contraction_identity_check,
-                                 coordinate_kernel_field,
                                  coordinate_spinning_field,
                                  dehn_twist_identities_check,
                                  dehn_twist_pullback_check, flow,
@@ -27,6 +26,26 @@ from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
 
 QUADRIC = quadric_open_book(2)
 COORDINATE = coordinate_open_book(2)
+
+
+def coordinate_kernel_field(rep):
+    """The kernel-normalized spinning field of the z_1 open book
+    (iota_Y d(alpha/|f|) = 0 and d(theta)(Y) = 2 pi), derived in polar
+    coordinates: the closed-form oracle of the linear solve,
+
+        Y = 2 pi (x_1 d/dy_1 - y_1 d/dx_1)
+            + 2 pi |z_1|^2 / (1 + |z_1|^2) *
+              sum_{j >= 2} (x_j d/dy_j - y_j d/dx_j) .
+    """
+    def eval(z, out):
+        z1 = z[..., 0]
+        rho2 = z1.real ** 2 + z1.imag ** 2
+        factor = 2 * np.pi * rho2 / (1.0 + rho2)
+        np.multiply(1j * factor[..., None], z, out=out)
+        np.multiply(2j * np.pi, z1, out[..., 0])
+        return z1
+
+    return SpinningField(rep, eval)
 
 
 def _off_binding(rep, count, seed, band=1e-2, lo=None, hi=None):
@@ -70,8 +89,7 @@ def test_spinning_solve_check_matches_the_closed_form():
 
 def test_coordinate_solve_matches_kernel_field():
     # the kernel-normalized field of the z_1 book carries an extra
-    # rotation of the remaining coordinates; closed form derived in polar
-    # coordinates and frozen in coordinate_kernel_field
+    # rotation of the remaining coordinates (coordinate_kernel_field)
     pts = _off_binding(COORDINATE, 200, seed=2, band=1e-3)
     solved = spinning_field(COORDINATE, pts)
     np.testing.assert_allclose(solved, coordinate_kernel_field(COORDINATE)(pts),
@@ -574,7 +592,8 @@ def test_flow_runs_the_kernel_four_times_a_step_and_never_eval(monkeypatch):
 
 
 def _package_field(kind):
-    # every spinning field the package builds, each on its own book
+    # every spinning field the package builds, each on its own book, and
+    # the kernel-normalized oracle of the z_1 book
     from openbooks.liouville import angle_spinning_field
     if kind == "coordinate":
         return coordinate_spinning_field(COORDINATE)

@@ -137,8 +137,7 @@ def test_binding_circle_fails_page_containment():
 
 def test_straighten_desk_loop():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 2048,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     named = {d.name: d for d in report.details}
@@ -156,8 +155,7 @@ def test_straighten_desk_loop():
 
 def test_already_transverse_loop_is_fixed():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.0), 2048,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.0), pl.submanifold.periodic_mask)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     assert np.max(np.abs(out.values - loop.values)) < 1e-12
@@ -171,16 +169,14 @@ def test_negative_integral_rejected():
         return np.stack([np.cos(t), zero, np.sin(t), zero, -t, zero],
                         axis=-1)
 
-    loop = Loop.from_function(backwards, 1024,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(backwards, pl.submanifold.periodic_mask)
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, PHI1)
 
 
 def test_bad_field_rejected():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 1024,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     # not alpha_hat(Y) = 1
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, np.array([1, 0, 0, 0, 0, 0]))
@@ -195,8 +191,7 @@ def test_nan_direction_rejected(component):
     # NaN fails every comparison, so a guard written `x > bound` lets it
     # through to a report with NaN residuals
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 1024,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     direction = PHI1.astype(float)
     direction[component] = np.nan
     with pytest.raises(DomainError):
@@ -205,8 +200,7 @@ def test_nan_direction_rejected(component):
 
 def test_nan_loop_rejected():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 1024,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     values = loop.values.copy()
     values[10, 1] = np.nan
     with pytest.raises(OffManifold):
@@ -216,12 +210,11 @@ def test_nan_loop_rejected():
 @pytest.mark.parametrize("direction", [
     np.array([0, 0, 0, 0, 1]),
     np.array([[0, 0, 0, 0, 1, 0]]),
-    np.zeros((1024, 6)),
+    np.zeros((2048, 6)),
 ], ids=["five", "row", "per_sample"])
 def test_direction_of_the_wrong_shape_rejected(direction):
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 1024,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     with pytest.raises(DimensionMismatch):
         straighten_loop(loop, pl, direction)
 
@@ -229,8 +222,7 @@ def test_direction_of_the_wrong_shape_rejected(direction):
 @pytest.mark.parametrize("wobble", [0.5, 0.0, -0.3])
 def test_straightening_is_the_exact_translation(wobble):
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(wobble), 2048,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(wobble), pl.submanifold.periodic_mask)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     c_val, g, t = loop_integral(pl, loop)
@@ -250,15 +242,14 @@ def test_open_loop_rejected():
         return np.stack([np.cos(t / 2), zero, np.sin(t / 2), zero, t, zero],
                         axis=-1)
 
-    loop = Loop.from_function(arc, 512, pl.submanifold.periodic_mask)
+    loop = Loop.from_function(arc, pl.submanifold.periodic_mask)
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, PHI1)
 
 
 def test_loop_derivative_stencil_accuracy():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), 2048,
-                              pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
     der = loop.derivatives()
     t = np.linspace(0, 2 * np.pi, 2049)[:-1]
     exact = np.stack([-np.sin(t), np.zeros_like(t), np.cos(t),
@@ -275,7 +266,7 @@ def test_loop_samples_gamma_in_one_call():
         calls.append(np.shape(t))
         return gamma(t)
 
-    loop = Loop.from_function(counted, 2048)
+    loop = Loop.from_function(counted)
     assert calls == [(2049,)]
     # reference: gamma called point by point, as the loop was sampled
     # before; the samples are bit for bit the same
@@ -290,7 +281,7 @@ def test_loop_samples_gamma_in_one_call():
 ], ids=["transposed", "one_column", "ragged"])
 def test_loop_of_the_wrong_shape_rejected(gamma):
     with pytest.raises(DimensionMismatch):
-        Loop.from_function(gamma, 64)
+        Loop.from_function(gamma)
 
 
 # ---------------------------------------------------------------------------
