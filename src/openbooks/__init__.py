@@ -14,7 +14,8 @@ from .forms import (KForm, Point, SmoothMap, VecField, constant_form,
                     wedge_power)
 from .manifolds import (Submanifold, disk_cotangent_bundle, flat_torus,
                         product_with_torus, project_to_constraints, rng_for,
-                        sample, tangent_bases, unit_sphere)
+                        sample, tangent_bases, tangent_pluecker,
+                        unit_sphere)
 from .contact import (ContactForm, DefiningFunction, Representation,
                       binding_manifold, coordinate_open_book,
                       openbook_volume_form, quadric_open_book, reeb_fields,

@@ -19,10 +19,9 @@ from .contact import (ContactForm, DefiningFunction, Representation,
 from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     coordinate_differential, ext_deriv, increasing_indices,
-                    on_batch, pluecker, pullback, wedge, wedge_all,
-                    wedge_power)
+                    on_batch, pullback, wedge, wedge_all, wedge_power)
 from .manifolds import (Submanifold, complement_frames, product_with_torus,
-                        sample, tangent_bases)
+                        sample, tangent_bases, tangent_pluecker)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the eps values of the scaling identity in verify_product_contact
@@ -137,7 +136,7 @@ def verify_product_contact(bf: BourgeoisForm, samples, seed=0
     n = bf.n
     pts = np.asarray(samples, float)
     bases = tangent_bases(bf.manifold, pts)
-    coords = pluecker(bases)
+    coords = tangent_pluecker(bf.manifold, pts)
     line = bind_line(bf.alpha, bf.beta, pts)
     direct = _line_volume(line, 0.0, n + 1, pts, coords)
     expanded = _cartesian_expansion(bf.rep).on_pluecker(pts, coords)
@@ -322,7 +321,7 @@ def inverse_form_margins(rep: Representation, c: float, samples, coords,
                          line):
     """Reversed-orientation contact margin of alpha_minus at the samples
     (positive margin = contact with orientation opposite the reference).
-    ``coords`` is pluecker(tangent_bases(rep.manifold, samples)) and
+    ``coords`` is tangent_pluecker(rep.manifold, samples) and
     ``line`` inverse_line(rep, samples), each built once for all C; the
     samples are the float array that ``line`` is bound to."""
     return -_line_volume(line, -c, rep.n, samples, coords)
@@ -334,7 +333,7 @@ def find_inverse_constant(rep: Representation, samples):
     re-verify at 2C (the construction guarantees all sufficiently large C
     work)."""
     samples = np.asarray(samples, float)
-    coords = pluecker(tangent_bases(rep.manifold, samples))
+    coords = tangent_pluecker(rep.manifold, samples)
     line = inverse_line(rep, samples)
     for c in C_GRID:
         margins = inverse_form_margins(rep, c, samples, coords, line)
@@ -355,8 +354,7 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     pages and binding with alpha."""
     details = []
     samples = np.asarray(samples, float)
-    bases = tangent_bases(rep.manifold, samples)
-    coords = pluecker(bases)
+    coords = tangent_pluecker(rep.manifold, samples)
     line = inverse_line(rep, samples)
     margins = inverse_form_margins(rep, c, samples, coords, line)
     margins2 = inverse_form_margins(rep, 2 * c, samples, coords, line)
@@ -374,6 +372,7 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     # DegenerateSystem
     correction = inverse_form(rep, c).alpha - rep.contact.alpha
     mu = rep.f.mu_form()
+    bases = tangent_bases(rep.manifold, samples)
     page = complement_frames(mu.restrict(samples, bases))[0] @ bases
     page_gap = np.max(np.abs(correction.restrict(samples, page)), axis=-1)
     bind_bases = tangent_bases(rep.manifold, binding_samples)
@@ -450,7 +449,7 @@ def isotopy_check(rep: Representation, c: float, samples, seed=0
     product = bf.manifold
     pts = np.asarray(samples, float)
     bases = tangent_bases(product, pts)
-    coords = pluecker(bases)
+    coords = tangent_pluecker(product, pts)
     n = rep.n
     alpha0 = bf.alpha
     # alpha_tau = alpha_0 - tau C mu: one line, two stencil calls for all tau
@@ -546,7 +545,7 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     eps_grid, t_grid = FILLING_EPS_GRID, FillingFamily.default_t_grid()
     pts = np.asarray(samples, float)
     product = bourgeois_form(rep).manifold
-    coords = pluecker(tangent_bases(product, pts))
+    coords = tangent_pluecker(product, pts)
     # every coefficient below is evaluated once on the batch; the sweep
     # combines the bound values, so no stencil runs per eps, eps power or T
     omega = on_batch(extend_form(family.omega), pts)

@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
 from .forms import (DEFAULT_FD_STEP, KForm, VecField, central_difference,
-                    contact_volume, ext_deriv, pluecker, scale_form, wedge,
-                    wedge_all, wedge_power)
+                    contact_volume, ext_deriv, scale_form, wedge, wedge_all,
+                    wedge_power)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
                         project_to_constraints, singular_values,
-                        tangent_bases, unit_sphere)
+                        tangent_bases, tangent_pluecker, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -231,9 +231,10 @@ def reeb_fields(cf: ContactForm, points):
 
 
 def contact_volume_values(cf: ContactForm, points):
-    """alpha ^ (d alpha)^n evaluated on oriented orthonormal bases."""
-    bases = tangent_bases(cf.manifold, points)
-    return contact_volume(cf.alpha, cf.n).at_basis(points, bases)
+    """alpha ^ (d alpha)^n evaluated on oriented orthonormal bases, from
+    their :func:`tangent_pluecker` coordinates."""
+    return contact_volume(cf.alpha, cf.n).on_pluecker(
+        points, tangent_pluecker(cf.manifold, points))
 
 
 @timed
@@ -263,8 +264,8 @@ def verify_adapted(cf: ContactForm, h: DefiningFunction, samples,
     n = cf.n
     form_i = wedge_all(cf.alpha, wedge_power(cf.d_alpha(), n - 1),
                        h.dfx_form(), h.dfy_form())
-    bases = tangent_bases(cf.manifold, binding_samples)
-    vals_i = form_i.at_basis(binding_samples, bases)
+    vals_i = form_i.on_pluecker(
+        binding_samples, tangent_pluecker(cf.manifold, binding_samples))
 
     off = samples[h.modulus(samples) >= BINDING_BAND]
     reeb, _ = reeb_fields(cf, off)
@@ -311,8 +312,7 @@ def quotient_volume_values(rep: Representation, points, coords):
     The differentiation step, DEFAULT_FD_STEP, is scaled by |f| so the
     truncation error stays relative to the blowing-up coefficients of the
     quotient form.  ``coords`` are the Pluecker coordinates of the
-    oriented frames at the points (:func:`forms.pluecker` of
-    :func:`tangent_bases`).
+    oriented frames at the points (:func:`tangent_pluecker`).
     """
     f = rep.f
     n = rep.n
@@ -397,9 +397,8 @@ def binding_contact_values(rep: Representation, binding_samples):
     """alpha restricted to the binding, evaluated on oriented bases of K."""
     bind = binding_manifold(rep)
     nk = (bind.dim - 1) // 2
-    bases = tangent_bases(bind, binding_samples)
-    return contact_volume(rep.contact.alpha, nk).at_basis(binding_samples,
-                                                          bases)
+    return contact_volume(rep.contact.alpha, nk).on_pluecker(
+        binding_samples, tangent_pluecker(bind, binding_samples))
 
 
 def representation_conditions(rep: Representation, samples, binding_samples,
@@ -412,8 +411,8 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     manifold = rep.manifold
     f = rep.f
     n_bind = 0 if binding_samples is None else len(binding_samples)
-    # each frame is built once; a batch's frames are computed row by row,
-    # so the concatenation for (4) equals the frames of the stacked points
+    # each frame is built once, for (1) and (3); (4) needs only the
+    # Pluecker coordinates
     bases = tangent_bases(manifold, samples)
     bind_bases = tangent_bases(manifold, binding_samples) if n_bind else None
 
@@ -456,14 +455,10 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     # (4) ideal Liouville structure on pages: positivity of the smooth
     # volume form (the regularized rho^(n+2) d(theta)^(d(alpha/rho))^n).
     omega = openbook_volume_form(rep)
-    if n_bind:
-        pts = np.vstack([samples, binding_samples])
-        frames = np.concatenate([bases, bind_bases])
-    else:
-        pts, frames = samples, bases
+    pts = np.vstack([samples, binding_samples]) if n_bind else samples
     reports.append(make_report(
         "page_liouville", n_samples=len(pts),
-        min_margin=omega.at_basis(pts, frames),
+        min_margin=omega.on_pluecker(pts, tangent_pluecker(manifold, pts)),
         tolerance=1e-9, seed=seed,
         note=("n rho drho^dtheta^alpha^(d alpha)^(n-1) + "
               "rho^2 dtheta^(d alpha)^n positive incl. binding")))
@@ -500,7 +495,7 @@ def volume_form_cross_check(rep: Representation, samples,
     expression against |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n computed from
     raw quotient forms, at points with |f| >= the binding band."""
     pts = samples[rep.f.modulus(samples) >= BINDING_BAND]
-    coords = pluecker(tangent_bases(rep.manifold, pts))
+    coords = tangent_pluecker(rep.manifold, pts)
     lhs = openbook_volume_form(rep).on_pluecker(pts, coords)
     rhs = quotient_volume_values(rep, pts, coords)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))

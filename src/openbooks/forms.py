@@ -30,7 +30,10 @@ property exact: swapping two arguments flips the sign bit-for-bit.  There
 is one evaluation path: :meth:`KForm.at_basis` is the dot product of the
 coefficients with ``pluecker(vectors)``, and :meth:`KForm.on_pluecker`
 takes the coordinates directly, so that a check evaluating several top
-forms on one frame sorts it and takes its minors once.
+forms on one frame sorts it and takes its minors once.  Callers that
+evaluate a top form on a hypersurface pass the coordinates of
+:func:`manifolds.tangent_pluecker`, which there come from the unit normal
+(the Hodge dual of the tangent frame), with no frame, sort or minor.
 :meth:`KForm.restrict` is the batched restriction of a 1- or 2-form to a
 frame: the row ``(N, d)`` or antisymmetric matrix ``(N, d, d)`` that the
 checks build their identities from.

@@ -19,6 +19,15 @@ The Householder kernel, :func:`complement_frames`, is the one place that
 takes the orthonormal complement of a vector.  Besides hypersurface frames
 it gives the page frames of an open book: the complement, inside T_p V, of
 the covector (f_x df_y - f_y df_x) restricted to a frame of T_p V.
+
+A top form needs only the Pluecker coordinates of a frame, and
+:func:`tangent_pluecker` returns them.  On a "normal_first" hypersurface
+the oriented tangent (m-1)-vector e_1 ^ ... ^ e_(m-1) of a frame with
+det[u; e_1; ...; e_(m-1)] = +1 is the Hodge dual of the unit normal
+u = grad / |grad|: expanding that determinant along u, the cofactor of
+u_j is u_j, so the minor that leaves out index j is (-1)^j u_j.  No frame,
+sort or minor is computed there.  Every other manifold gets
+``pluecker(tangent_bases(...))``.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSystem, OffManifold
-from .forms import central_difference
+from .forms import central_difference, pluecker
 
 ON_MANIFOLD_TOL = 1e-8
 RANK_RATIO = 1e-6
@@ -146,6 +155,16 @@ def singular_values(mat):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0))
 
 
+def _unit_vectors(vectors):
+    """vectors (N, m) / their norms; a zero or non-finite vector raises
+    DegenerateSystem."""
+    norm = np.linalg.norm(vectors, axis=-1)
+    if not np.all((norm > 0) & np.isfinite(norm)):
+        raise DegenerateSystem("vanishing or non-finite vector in batch",
+                               singular_values=norm[:, None])
+    return vectors / norm[:, None]
+
+
 def complement_frames(vectors):
     """Orthonormal bases (N, m-1, m) of the complements of vectors (N, m),
     and their "normal_first" orientation signs (N,).
@@ -160,11 +179,7 @@ def complement_frames(vectors):
     tangent vectors.  A zero or non-finite vector has no complement frame
     and raises DegenerateSystem.
     """
-    norm = np.linalg.norm(vectors, axis=-1)
-    if not np.all((norm > 0) & np.isfinite(norm)):
-        raise DegenerateSystem("vanishing or non-finite vector in batch",
-                               singular_values=norm[:, None])
-    u = vectors / norm[:, None]
+    u = _unit_vectors(vectors)
     s = np.where(u[:, 0] >= 0, 1.0, -1.0)
     w = u.copy()
     w[:, 0] += s
@@ -173,20 +188,29 @@ def complement_frames(vectors):
         w[:, None, :] / scale[:, None, None]), s
 
 
+def _check_on_manifold(manifold: Submanifold, pts):
+    """OffManifold unless every residual at pts is at most ON_MANIFOLD_TOL;
+    a NaN residual is not."""
+    res = manifold.residual(pts)
+    if not np.all(res <= ON_MANIFOLD_TOL):
+        bad = int(np.argmax(res))         # the first NaN, if there is one
+        raise OffManifold(
+            f"{manifold.name or 'manifold'}: worst residual {res[bad]:.3e} "
+            f"at sample {bad}")
+
+
 def tangent_bases(manifold: Submanifold, points):
     """Batched oriented bases: points (N, m) -> vectors (N, d, m).
 
     The returned bases are already flipped to be positively oriented.  A
-    point whose constraint residual exceeds ON_MANIFOLD_TOL raises
-    OffManifold.
+    point whose constraint residual exceeds ON_MANIFOLD_TOL, or is NaN,
+    raises OffManifold.  On a "normal_first" hypersurface the frame e
+    satisfies det[u; e] = +1 for the unit normal u, so its Pluecker
+    coordinate that leaves out index j is (-1)^j u_j (the Hodge dual of
+    u), which :func:`tangent_pluecker` returns without building e.
     """
     pts = np.asarray(points, float)
-    res = manifold.residual(pts)
-    if np.any(res > ON_MANIFOLD_TOL):
-        bad = int(np.argmax(res))
-        raise OffManifold(
-            f"{manifold.name or 'manifold'}: worst residual {res.max():.3e} "
-            f"at sample {bad}")
+    _check_on_manifold(manifold, pts)
     n = pts.shape[0]
     signs = None
     if manifold.constraints is None:
@@ -212,15 +236,37 @@ def tangent_bases(manifold: Submanifold, points):
     return bases
 
 
+def tangent_pluecker(manifold: Submanifold, points):
+    """Pluecker coordinates (N, C(m, d)) of the oriented frames that
+    :func:`tangent_bases` returns at points (N, m).
+
+    On a one-constraint "normal_first" manifold (the spheres, sphere x
+    torus, the hypersurface V of a Liouville domain) coordinate r leaves
+    out index j = m-1-r and is (-1)^j u_j, u = grad / |grad| the unit
+    normal: only elementwise operations, a sum and a square root, so the
+    values do not depend on the BLAS kernel.  The gates are those of
+    :func:`tangent_bases`: a residual above ON_MANIFOLD_TOL or NaN raises
+    OffManifold, a zero or non-finite gradient DegenerateSystem.  Every
+    other manifold gets ``pluecker(tangent_bases(manifold, points))``.
+    """
+    if manifold.n_constraints != 1 or manifold.orientation != "normal_first":
+        return pluecker(tangent_bases(manifold, points))
+    pts = np.asarray(points, float)
+    _check_on_manifold(manifold, pts)
+    u = _unit_vectors(manifold.jacobian(pts)[:, 0, :])
+    m = manifold.ambient_dim
+    return u[:, ::-1] * (-1.0) ** np.arange(m - 1, -1, -1)
+
+
 def sample(manifold: Submanifold, n: int, seed):
     """n points on the manifold, deterministic given the seed; a sampler
-    whose points have a constraint residual above 1e-10 raises
+    whose points have a constraint residual above 1e-10, or NaN, raises
     OffManifold."""
     if manifold.sampler is None:
         raise OffManifold(f"no sampler registered for {manifold.name!r}")
     pts = manifold.sampler(rng_for(seed), n)
     res = manifold.residual(pts)
-    if np.any(res > 1e-10):
+    if not np.all(res <= 1e-10):
         raise OffManifold(
             f"sampler for {manifold.name!r} violated constraints: "
             f"max residual {res.max():.3e}")

@@ -20,14 +20,14 @@ from openbooks.contact import (ContactForm, DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book,
                                verify_representation)
 from openbooks.errors import DegenerateSystem
-from openbooks.forms import (KForm, contact_volume, ext_deriv, pluecker,
-                            scale_form)
-from openbooks.manifolds import sample, tangent_bases
+from openbooks.forms import KForm, contact_volume, ext_deriv, scale_form
+from openbooks.manifolds import sample, tangent_bases, tangent_pluecker
 
 
 def _margins(rep, c, pts):
-    # inverse_form_margins with the frames and the line built for the call
-    coords = pluecker(tangent_bases(rep.manifold, pts))
+    # inverse_form_margins with the coordinates and the line built for the
+    # call
+    coords = tangent_pluecker(rep.manifold, pts)
     return inverse_form_margins(rep, c, pts, coords, inverse_line(rep, pts))
 
 
@@ -297,26 +297,22 @@ def test_constant_search_then_doubling():
 
 
 def test_inverse_form_checks_build_each_frame_once(monkeypatch):
-    import openbooks.bourgeois as bg
-
+    # the Pluecker coordinates once per sample set; frames only for the
+    # restrictions to pages and binding
     rep = profiled_representation(quadric_open_book(2))
     pts = sample(rep.manifold, 300, seed=15)
     bind = sample(rep.binding, 50, seed=16)
-    seen = []
-
-    def counting_bases(manifold, points, *args, **kwargs):
-        seen.append(len(points))
-        return tangent_bases(manifold, points, *args, **kwargs)
-
-    monkeypatch.setattr(bg, "tangent_bases", counting_bases)
+    frames, coords = _count_sizes(monkeypatch, bourgeois, "tangent_bases",
+                                  "tangent_pluecker")
     c, margin, margin2 = find_inverse_constant(rep, pts)
-    assert seen == [300]
+    assert (frames, coords) == ([], [300])
     assert margin == np.min(_margins(rep, c, pts))
     assert margin2 == np.min(_margins(rep, 2 * c, pts))
-    seen.clear()
+    frames.clear()
+    coords.clear()
     report = verify_inverse_form(rep, c, pts[:200], bind)
     assert report.passed
-    assert seen == [200, 50]
+    assert (frames, coords) == ([200, 50], [200])
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +447,22 @@ def test_product_contact_nan_eps_fails_scaling(monkeypatch):
 # evaluation counts: each form once per batch, each frame once per check
 
 
+def _count_sizes(monkeypatch, module, *names):
+    """Wrap each function `names` of `module`; one list per name of the
+    number of points of each call."""
+    sizes = []
+    for name in names:
+        original, seen = getattr(module, name), []
+
+        def counting(manifold, points, original=original, seen=seen):
+            seen.append(len(points))
+            return original(manifold, points)
+
+        monkeypatch.setattr(module, name, counting)
+        sizes.append(seen)
+    return sizes
+
+
 def _count_calls(monkeypatch, name):
     """Wrap the openbooks function `name` in every module that binds it."""
     import sys
@@ -525,11 +537,16 @@ def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
 
 
 def test_isotopy_takes_the_pluecker_coordinates_once(monkeypatch):
+    # one set of coordinates for every tau, read off the normal of the
+    # hypersurface V x T^2 (no minors), and one set of frames for the
+    # restrictions
     rep = profiled_representation(quadric_open_book(2))
     pts = sample(rep.manifold, 300, seed=23)
     c, _, _ = find_inverse_constant(rep, pts)
     product_pts = sample(bourgeois_form(rep).manifold, 100, seed=24)
-    calls = _count_calls(monkeypatch, "pluecker")
+    frames, coords = _count_sizes(monkeypatch, bourgeois, "tangent_bases",
+                                  "tangent_pluecker")
+    minors = _count_calls(monkeypatch, "pluecker")
     report = isotopy_check(rep, c, product_pts)
     assert report.passed
-    assert len(calls) == 1
+    assert (frames, coords, minors) == ([100], [100], [])

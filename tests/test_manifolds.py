@@ -1,9 +1,11 @@
 """Submanifolds: tangent bases, orientation, sampling, projection."""
 
+import hashlib
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,15 @@ import pytest
 
 from openbooks.contact import binding_manifold, quadric_open_book
 from openbooks.errors import DegenerateSystem, OffManifold
+from openbooks.forms import pluecker
 from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
                                  weinstein_disk_domain)
 from openbooks.manifolds import (ON_MANIFOLD_TOL, RANK_RATIO, Submanifold,
                                  disk_cotangent_bundle, flat_torus,
                                  gauss_newton_step, product_with_torus,
                                  project_to_constraints, rng_for, sample,
-                                 singular_values, tangent_bases, unit_sphere)
+                                 singular_values, tangent_bases,
+                                 tangent_pluecker, unit_sphere)
 from openbooks.prelagrangian import (binding_torus_prelagrangian,
                                      real_circle_torus_prelagrangian)
 
@@ -208,13 +212,9 @@ def test_householder_frames_keep_torus_directions_exact():
                           np.broadcast_to(np.eye(6)[5], (200, 6)))
 
 
-@pytest.mark.parametrize("bad_point", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]],
-                         ids=["zero_gradient", "nan_gradient"])
-def test_vanishing_gradient_in_a_batch_rejected(bad_point):
+def _polynomial_cusp():
     # the cusp x^3 = y^2 (times the z axis): the gradient (3x^2, -2y, 0)
-    # vanishes along the cusp line x = y = 0 and nowhere else on the set;
-    # (1, 1, 0) is a regular point, and every point of the batch has
-    # residual 0 (a NaN residual is no residual above the bound)
+    # vanishes along the cusp line x = y = 0 and nowhere else on the set
     def constraints(p):
         return (p[..., 0] ** 3 - p[..., 1] ** 2)[..., None]
 
@@ -223,12 +223,108 @@ def test_vanishing_gradient_in_a_batch_rejected(bad_point):
         return np.stack([3.0 * p[..., 0] ** 2, -2.0 * p[..., 1], zero],
                         axis=-1)[..., None, :]
 
-    bad = Submanifold(3, constraints, 1, name="cusp", constraint_jac=jac)
-    pts = np.array([[1.0, 1.0, 0.0], bad_point])
-    assert not np.any(bad.residual(pts) > 0.0)
-    with pytest.raises(DegenerateSystem) as err:
-        tangent_bases(bad, pts)
-    assert err.value.singular_values.shape == (2, 1)
+    return Submanifold(3, constraints, 1, name="cusp", constraint_jac=jac)
+
+
+def _root_cusp():
+    # the same cusp as x = y^(2/3): the gradient (1, -2 y^(1/3) / 3 y^(2/3),
+    # 0) is 0/0 = NaN along the cusp line, where the residual is 0
+    def constraints(p):
+        return (p[..., 0] - np.cbrt(p[..., 1]) ** 2)[..., None]
+
+    def jac(p):
+        root = np.cbrt(p[..., 1])
+        with np.errstate(invalid="ignore"):
+            dy = -2.0 * root / (3.0 * root ** 2)
+        return np.stack([np.ones_like(dy), dy, np.zeros_like(dy)],
+                        axis=-1)[..., None, :]
+
+    return Submanifold(3, constraints, 1, name="cusp", constraint_jac=jac)
+
+
+@pytest.mark.parametrize("cusp", [_polynomial_cusp(), _root_cusp()],
+                         ids=["zero_gradient", "nan_gradient"])
+def test_vanishing_gradient_in_a_batch_rejected(cusp):
+    # (1, 1, 0) is a regular point and (0, 0, 0) a degenerate one; both
+    # have residual 0, so the gradient gate of either route is reached
+    pts = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.all(cusp.residual(pts) == 0.0)
+    for route in (tangent_bases, tangent_pluecker):
+        with pytest.raises(DegenerateSystem) as err:
+            route(cusp, pts)
+        assert err.value.singular_values.shape == (2, 1)
+
+
+@pytest.mark.parametrize("manifold, regular", [
+    (unit_sphere(4), [1.0, 0.0, 0.0, 0.0]),
+    (_polynomial_cusp(), [1.0, 1.0, 0.0])], ids=["S^3", "cusp"])
+def test_nan_point_is_off_the_manifold(manifold, regular):
+    # a NaN point has a NaN residual, which is not at most the bound: both
+    # routes reject it as off the manifold before any gradient is read
+    pts = np.array([regular, [np.nan] + regular[1:]])
+    for route in (tangent_bases, tangent_pluecker):
+        with pytest.raises(OffManifold, match="worst residual nan at "
+                                              "sample 1"):
+            route(manifold, pts)
+
+
+def test_sampler_returning_a_nan_row_rejected():
+    def sampler(rng, n):
+        pts = _scaled_sphere_points(1.0, n)
+        pts[n // 2] = np.nan
+        return pts
+
+    with pytest.raises(OffManifold, match="max residual nan"):
+        sample(unit_sphere(4).with_sampler(sampler), 20, seed=0)
+
+
+# the one-constraint "normal_first" manifolds whose top forms the suites
+# evaluate
+HYPERSURFACES = {
+    "S^3": unit_sphere(4), "S^5": unit_sphere(6), "S^7": unit_sphere(8),
+    "S^3 x T^2": product_with_torus(unit_sphere(4)),
+    "S^5 x T^2": product_with_torus(unit_sphere(6)),
+    "V[weinstein]": hypersurface_build(weinstein_disk_domain()).manifold,
+    "V[quartic]": hypersurface_build(quartic_disk_domain(1)).manifold}
+
+# Every coordinate of an orthonormal frame has modulus <= 1 (it is u_j, or
+# a minor of an orthonormal frame), so both routes err in ulps of 1.  The
+# normal route rounds u_j twice (the norm and the division); the frame
+# route's Householder entries carry a few ulps each and its (m-1)-minors
+# add a few more through the chain of m - 2 wedges.  8 ulps of 1 bounds
+# both for m <= 8; the largest gap seen on 2000 points of each manifold
+# was 2.5 ulps.
+ROUTE_GAP = 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("manifold", list(HYPERSURFACES.values()),
+                         ids=list(HYPERSURFACES))
+def test_tangent_pluecker_is_the_hodge_dual_of_the_normal(manifold):
+    pts = sample(manifold, 500, seed=29)
+    coords = tangent_pluecker(manifold, pts)
+    generic = pluecker(tangent_bases(manifold, pts))
+    assert coords.shape == generic.shape == (500, manifold.ambient_dim)
+    assert np.max(np.abs(coords - generic)) <= ROUTE_GAP
+    # control: the inward normal reverses the orientation, so every
+    # coordinate changes sign, on both routes
+    c, jac = manifold.constraints, manifold.jacobian
+    inward = replace(manifold, constraints=lambda p: -c(p),
+                     constraint_jac=lambda p: -jac(p), newton_step=None)
+    flipped = tangent_pluecker(inward, pts)
+    assert np.array_equal(flipped, -coords)
+    assert np.max(np.abs(flipped
+                         - pluecker(tangent_bases(inward, pts)))) <= ROUTE_GAP
+
+
+@pytest.mark.parametrize("manifold", [
+    binding_manifold(quadric_open_book(3)),
+    real_circle_torus_prelagrangian().submanifold],
+    ids=["K in S^5", "L x T^2"])
+def test_tangent_pluecker_of_higher_codimension_is_the_frames(manifold):
+    assert manifold.n_constraints >= 2
+    pts = sample(manifold, 300, seed=30)
+    assert np.array_equal(tangent_pluecker(manifold, pts),
+                          pluecker(tangent_bases(manifold, pts)))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
@@ -501,6 +597,16 @@ def test_only_the_radial_hypersurface_has_a_newton_step():
         is None
 
 
+def _tangent_pluecker_digest():
+    # SHA-256 of the normal route's coordinates on S^3, S^5 and S^3 x T^2
+    digest = hashlib.sha256()
+    for name in ("S^3", "S^5", "S^3 x T^2"):
+        manifold = HYPERSURFACES[name]
+        digest.update(tangent_pluecker(manifold,
+                                       sample(manifold, 300, seed=31)).data)
+    return digest.hexdigest()
+
+
 def _dynamic_arch_openblas():
     # Sandybridge and Nehalem are x86-64 core names; OpenBLAS on another
     # architecture ignores them
@@ -516,10 +622,12 @@ _CORE_CHILD = """
 import ctypes, glob, os, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from test_manifolds import NEWTON_STEPS, _check_newton_step_bits
+from test_manifolds import (NEWTON_STEPS, _check_newton_step_bits,
+                            _tangent_pluecker_digest)
 
 for name in ("S^3", "S^5", "hypersurface"):
     _check_newton_step_bits(NEWTON_STEPS[name])
+print(_tangent_pluecker_digest())
 core = None
 for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                   "numpy.libs", "*openblas*")):
@@ -538,7 +646,9 @@ print(core)
 def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
     # the closed-form steps and gauss_newton_step both take their squared
     # norms by np.vecdot, whose bits depend on the BLAS kernel: the bit
-    # equality must hold on every core, not only on the default one
+    # equality must hold on every core, not only on the default one.  The
+    # normal route of tangent_pluecker takes no BLAS call, so its bits on
+    # each core are those of this process
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -548,7 +658,8 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
         [sys.executable, "-c", _CORE_CHILD, str(root / "tests")], cwd=root,
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    reported = proc.stdout.split()[-1]
+    digest, reported = proc.stdout.split()[-2:]
+    assert digest == _tangent_pluecker_digest()
     # the core the child ran on, where this numpy build lets it be read
     assert reported in (core, "None")
 
