@@ -33,13 +33,15 @@ report = verify_contact(cf, pts)
 print(f"contact condition on S^3: margin {report.min_margin:.6f} "
       f"(pass={report.passed})")
 
-# The Reeb field solves alpha(R) = 1, d(alpha)(R, .) = 0 pointwise.  For
-# alpha_0 it is twice the complex rotation field z -> i z (the factor two
-# normalizes the pairing alpha_0(i z) = 1/2 on the unit sphere).
+# The Reeb field solves alpha(R) = 1, d(alpha)(R, .) = 0 pointwise: on a
+# tangent frame it is the kernel of d(alpha), given by sub-Pfaffians and
+# scaled so that alpha(R) = 1.  For alpha_0 it is twice the complex
+# rotation field z -> i z (the factor two normalizes the pairing
+# alpha_0(i z) = 1/2 on the unit sphere).
 reeb, residual = reeb_fields(cf, pts[:5])
 print("Reeb vectors at two samples (rows):")
 print(np.round(reeb[:2], 6))
-print(f"least-squares residual: {residual.max():.2e}")
+print(f"residual of alpha(R) = 1, d(alpha)(R, .) = 0: {residual.max():.2e}")
 
 # --- adaptedness -----------------------------------------------------------
 # A contact form is adapted to the open book of h when

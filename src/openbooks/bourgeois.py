@@ -37,6 +37,9 @@ TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 FILLING_EPS_GRID = (0.0, 0.01, 0.05, 0.1, 1.0)
 # the radial profile is the identity below R0 and constant above R1
 R0, R1 = 0.2, 0.4
+# |f| below which a sample of verify_inverse_form counts as a binding point,
+# which has no page frame; the value of monodromy.FLOW_BINDING_BAND
+PAGE_BINDING_BAND = 1e-6
 
 
 def extend_form(a: KForm) -> KForm:
@@ -351,9 +354,18 @@ def verify_inverse_form(rep: Representation, c: float, samples,
                         binding_samples, seed=0) -> CheckReport:
     """Certify alpha_minus at a given constant: reversed-orientation
     contact margin, re-verified at 2C, and agreement of the restriction to
-    pages and binding with alpha."""
+    pages and binding with alpha.  A sample with |f| below
+    PAGE_BINDING_BAND (or NaN) lies on or next to the binding, where mu
+    vanishes on T_p V and no page frame exists, and raises
+    DegenerateSystem."""
     details = []
     samples = np.asarray(samples, float)
+    rho = rep.f.modulus(samples)
+    if not np.all(rho >= PAGE_BINDING_BAND):
+        worst = int(np.argmin(rho))            # the first NaN, if any
+        raise DegenerateSystem(
+            f"sample {worst} has |f| = {rho[worst]:.3e}, inside the binding "
+            f"band {PAGE_BINDING_BAND:g}: it has no page frame")
     coords = tangent_pluecker(rep.manifold, samples)
     line = inverse_line(rep, samples)
     margins = inverse_form_margins(rep, c, samples, coords, line)
@@ -367,9 +379,8 @@ def verify_inverse_form(rep: Representation, c: float, samples,
 
     # restriction to pages and binding: alpha_minus - alpha, read from
     # inverse_form itself, vanishes on their tangent vectors.  The page
-    # frame is the orthonormal complement of mu in the tangent frame; a
-    # sample where mu vanishes on TV (the binding) has none and raises
-    # DegenerateSystem
+    # frame is the orthonormal complement of mu in the tangent frame, which
+    # the band test above keeps away from the binding
     correction = inverse_form(rep, c).alpha - rep.contact.alpha
     mu = rep.f.mu_form()
     bases = tangent_bases(rep.manifold, samples)
@@ -516,8 +527,10 @@ class FillingFamily:
 
     @staticmethod
     def default_t_grid():
+        # Python floats (0.25 k is exact), so that each report row's
+        # float(T) is the grid's own object, not a new one per row
         geometric = [10.0 ** k for k in range(-2, 3)]
-        linear = list(np.arange(0.0, 10.0 + 0.25, 0.25))
+        linear = [0.25 * k for k in range(41)]
         return tuple(sorted(set([0.0] + geometric + linear)))
 
 

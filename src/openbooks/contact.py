@@ -26,8 +26,8 @@ from .forms import (DEFAULT_FD_STEP, KForm, VecField, central_difference,
                     contact_volume, ext_deriv, scale_form, wedge, wedge_all,
                     wedge_power)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
-                        project_to_constraints, singular_values,
-                        tangent_bases, tangent_pluecker, unit_sphere)
+                        singular_values, tangent_bases, tangent_pluecker,
+                        unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -171,58 +171,101 @@ class Representation:
 # Reeb field
 
 
+def _pfaffian(pair, idx, memo):
+    """Pf of pair (N, d, d) restricted to the rows and columns idx (an
+    even-length tuple), expanded along its first row; memo holds the
+    Pfaffians of the index tuples met so far."""
+    if len(idx) < 3:
+        return pair[:, idx[0], idx[1]] if idx else np.ones(len(pair))
+    if idx not in memo:
+        head, rest = idx[0], idx[1:]
+        total = None
+        for r, j in enumerate(rest):
+            term = pair[:, head, j] * _pfaffian(
+                pair, rest[:r] + rest[r + 1:], memo)
+            total = term if total is None else (
+                total - term if r % 2 else total + term)
+        memo[idx] = total
+    return memo[idx]
+
+
+def _sub_pfaffians(pair):
+    """k (N, d) with k_i = (-1)^i Pf(pair without row and column i), for
+    antisymmetric pair (N, d, d) of odd d: pair k = 0, and a . k is the
+    Pfaffian of pair bordered by the row a."""
+    d = pair.shape[-1]
+    memo = {}
+    full = tuple(range(d))
+    return np.stack([_pfaffian(pair, full[:i] + full[i + 1:], memo)
+                     * (-1.0) ** i for i in range(d)], axis=-1)
+
+
 def reeb_fields(cf: ContactForm, points):
     """Batched Reeb vectors: unique R with alpha(R) = 1, d(alpha)(R, .) = 0.
 
     points (N, m) give (vectors (N, m), residuals (N,)); a single point
-    (m,) gives its vector (m,) and its residual.  On each tangent space R
-    solves the bordered square system
+    (m,) gives its vector (m,) and its residual.  On the oriented frame
+    e of each tangent space (d = 2n + 1) take a_i = alpha(e_i) and the
+    antisymmetric P_ij = d(alpha)(e_i, e_j).  The kernel of P is spanned
+    by the sub-Pfaffians
 
-        [[pair, a^T], [a, 0]] (R, lam) = (0, 1)
+        k_i = (-1)^i Pf(P without row and column i),
 
-    with a = alpha and pair = d(alpha)(., e_i).  pair is skew, so
-    R^T pair R = 0 and lam = 0 exactly; unlike the normal equations, the
-    solve does not square the condition number.  The residual is that of
-    the overdetermined (d+1) x d system [a; pair] R = e_0.  Raises
-    DegenerateSystem with the singular values of that system when it
-    drops rank (the form is not contact there).
+    and a . k = (alpha ^ (d alpha)^n)(e) / n!, so R = sum_i k_i / (a . k)
+    e_i, which does not change when k flips sign.  Past the frame, only
+    elementwise products, sums and einsum contractions are taken, no BLAS
+    or LAPACK call; a hypersurface frame takes none either, so there the
+    vectors do not depend on the BLAS kernel.
+
+    Gates, each raising DegenerateSystem that carries the singular values
+    of the (d+1) x d system [a; P] at the offending point (computed only
+    then, NaN where that system is not finite):
+      - an even d: there is no Reeb field;
+      - |a . k| <= 1e-6 |a| |P|_F^n, or NaN: alpha ^ (d alpha)^n vanishes
+        against its scale, so the form is not contact there.  Both sides
+        have degree n + 1 in alpha, so the gate does not depend on the
+        scale of alpha;
+      - a residual |[a; P] R - e_0| above 1e-8, which is what catches a
+        wrong sub-Pfaffian sign.
     """
     pts = np.asarray(points, float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     bases = tangent_bases(cf.manifold, pts)
-    n_pts, d = bases.shape[:2]
+    d = bases.shape[1]
     arow = cf.alpha.restrict(pts, bases)                     # (N, d)
-    pair = -cf.d_alpha().restrict(pts, bases)   # [i, j] = d(alpha)(e_j, e_i)
-    mat = np.concatenate([arow[:, None, :], pair], axis=1)   # (N, d+1, d)
-    svals = singular_values(np.swapaxes(mat, -1, -2))
-    bad_rank = svals[:, -1] < 1e-6 * svals[:, 0]
-    if np.any(bad_rank):
-        worst = int(np.argmax(bad_rank))
-        raise DegenerateSystem("Reeb system drops rank",
-                               singular_values=svals[worst])
-    bordered = np.zeros((n_pts, d + 1, d + 1))
-    bordered[:, :d, :d] = pair
-    bordered[:, :d, d] = arow
-    bordered[:, d, :d] = arow
-    unit = np.zeros((n_pts, d + 1, 1))
-    unit[:, d] = 1.0
-    try:
-        sol = np.linalg.solve(bordered, unit)[:, :d]           # (N, d, 1)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystem("Reeb bordered system is singular",
-                               singular_values=svals[0]) from exc
-    # [a; pair] R - e_0: only the first row has a right-hand side
-    gap = mat @ sol
-    gap[:, 0] -= 1.0
-    residual = np.linalg.norm(gap, axis=(-2, -1))
-    if np.any(residual > 1e-8):
-        worst = int(np.argmax(residual))
-        raise DegenerateSystem(
-            f"Reeb solve degenerate: residual {residual[worst]:.3e}",
-            singular_values=svals[worst])
-    vectors = np.einsum("nd,ndm->nm", sol[..., 0], bases)
+    pair = cf.d_alpha().restrict(pts, bases)    # [i, j] = d(alpha)(e_i, e_j)
+
+    def degenerate(message, worst):
+        mat = np.concatenate([arow[worst, None, :], pair[worst]], axis=0)
+        svals = (singular_values(mat.T) if np.all(np.isfinite(mat))
+                 else np.full(d, np.nan))
+        return DegenerateSystem(message, singular_values=svals)
+
+    if d % 2 == 0:
+        raise degenerate(f"no Reeb field on an even-dimensional ({d}) "
+                         f"manifold", 0)
+    kernel = _sub_pfaffians(pair)
+    volume = np.einsum("nd,nd->n", arow, kernel)      # (alpha^(dalpha)^n)/n!
+    scale = np.linalg.norm(arow, axis=-1) * np.linalg.norm(
+        pair, axis=(-2, -1)) ** (d // 2)
+    nondegenerate = np.abs(volume) > 1e-6 * scale
+    if not np.all(nondegenerate):
+        worst = int(np.argmin(nondegenerate))
+        raise degenerate("Reeb system drops rank: alpha ^ (d alpha)^n "
+                         f"= {volume[worst]:.3e} against the scale "
+                         f"{scale[worst]:.3e}", worst)
+    reeb = kernel / volume[:, None]
+    # [a; P] R - e_0: only the first row has a right-hand side
+    gap = np.concatenate([np.einsum("nd,nd->n", arow, reeb)[:, None] - 1.0,
+                          np.einsum("nij,nj->ni", pair, reeb)], axis=-1)
+    residual = np.linalg.norm(gap, axis=-1)
+    if not np.all(residual <= 1e-8):
+        worst = int(np.argmax(residual))       # the first NaN, if any
+        raise degenerate(
+            f"Reeb field degenerate: residual {residual[worst]:.3e}", worst)
+    vectors = np.einsum("nd,ndm->nm", reeb, bases)
     return (vectors[0], residual[0]) if single else (vectors, residual)
 
 
@@ -603,26 +646,31 @@ def _coordinate_binding(n: int) -> Submanifold:
 
 
 def _quadric_binding(n: int) -> Submanifold:
-    """Binding of the quadric open book, sampled by projected Newton onto
-    the joint constraints {|z| = 1, Re f = 0, Im f = 0} from random sphere
-    points (rejection sampling onto a codimension-2 set never terminates)."""
+    """Binding of the quadric open book, sampled in closed form.
+
+    With z = x + i y, |z|^2 = |x|^2 + |y|^2 and sum z_j^2 = |x|^2 - |y|^2
+    + 2i x . y, so the binding {|z| = 1, sum z_j^2 = 0} is exactly
+    {(x + i y) / sqrt 2 : x, y orthonormal in R^n}.  The sampler reads its
+    one Gaussian draw (count, 2n) as two vectors a, b of R^n, Gram-Schmidts
+    them (b is orthogonalized against a twice, so x . y stays at rounding
+    when b is nearly parallel to a) and returns (a_hat + i b_hat) / sqrt 2,
+    interleaved as (x_j, y_j).  The frame (a_hat, b_hat) is Haar on the
+    Stiefel manifold of orthonormal 2-frames, so the samples are invariant
+    under O(n) and under the phase z -> e^{i theta} z.  No Newton step or
+    linear solve is taken."""
     sphere = standard_sphere(n)
-    f = quadric_defining_function(n)
-
-    def constraints(p):
-        fx, fy = f.parts(p)
-        return np.stack([np.sum(p * p, axis=-1) - 1.0, fx, fy], axis=-1)
-
-    def jac(p):
-        return np.concatenate([2.0 * p[..., None, :], f.grad(p)], axis=-2)
-
-    target = Submanifold(2 * n, constraints, 3, name="quadric binding",
-                         constraint_jac=jac)
 
     def sampler(rng, count):
         g = rng.normal(size=(count, 2 * n))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        return project_to_constraints(target, g)
+        a = g[:, :n] / np.linalg.norm(g[:, :n], axis=-1, keepdims=True)
+        b = g[:, n:]
+        for _ in range(2):
+            b = b - np.sum(a * b, axis=-1, keepdims=True) * a
+        out = np.empty((count, 2 * n))
+        out[:, 0::2] = a * np.sqrt(0.5)
+        out[:, 1::2] = b * (np.sqrt(0.5) / np.linalg.norm(
+            b, axis=-1, keepdims=True))
+        return out
 
     return sphere.with_sampler(sampler)
 

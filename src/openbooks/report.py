@@ -11,7 +11,7 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Result of one verification run.
 
@@ -22,6 +22,8 @@ class CheckReport:
     results (used for polynomial sweeps and endpoint comparisons).
     ``wall_time_ms`` is the time span of the check function that returned
     the report (see :func:`timed`); leaves built inside a check read 0.
+    The class has slots, no per-instance dict: a sweep keeps many
+    reports, and each holds only its fields.
     """
 
     name: str

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from openbooks import bourgeois
-from openbooks.bourgeois import (BourgeoisForm, FillingFamily,
-                                 bourgeois_form, extend_form,
+from openbooks.bourgeois import (PAGE_BINDING_BAND, BourgeoisForm,
+                                 FillingFamily, bourgeois_form, extend_form,
                                  extract_slice_representation,
                                  family_form, filling_polynomial,
                                  find_inverse_constant,
@@ -229,14 +229,25 @@ def test_inverse_form_at_c_ten():
 
 def test_inverse_form_with_a_binding_sample_raises():
     # mu vanishes on T_p V at a binding point, so the point has no page
-    # frame; the check raises instead of reading a page gap of 0
+    # frame; the check raises instead of reading a page gap.  A binding
+    # sample reads |f| at rounding level, not exactly 0, so the gate is the
+    # band |f| < PAGE_BINDING_BAND, not mu == 0
     rep = profiled_representation(quadric_open_book(2))
     pts = sample(rep.manifold, 200, seed=11)
     bind = sample(rep.binding, 100, seed=12)
     assert verify_inverse_form(rep, 10.0, pts, bind).passed
-    pts[17] = bind[0]
-    with pytest.raises(DegenerateSystem):
-        verify_inverse_form(rep, 10.0, pts, bind)
+    assert np.min(rep.f.modulus(pts)) >= PAGE_BINDING_BAND
+    near = bind[rep.f.modulus(bind) > 0.0][0]
+    assert 0.0 < rep.f.modulus(near) < 1e-15
+    # a point of V a distance ~1e-7 off the binding: still inside the band
+    inside = near + 1e-7 * pts[0]
+    inside /= np.linalg.norm(inside)
+    assert 1e-9 < rep.f.modulus(inside) < PAGE_BINDING_BAND
+    for point in (near, inside):
+        moved = pts.copy()
+        moved[17] = point
+        with pytest.raises(DegenerateSystem, match="no page frame"):
+            verify_inverse_form(rep, 10.0, moved, bind)
 
 
 def test_restriction_agreement_reads_alpha_minus(monkeypatch):

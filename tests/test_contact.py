@@ -1,10 +1,12 @@
 """Contact forms, Reeb fields, adaptedness, volume forms, representations."""
 
+import math
+
 import numpy as np
 import pytest
 
 from openbooks.contact import (ContactForm, DefiningFunction,
-                               Representation,
+                               Representation, _sub_pfaffians,
                                coordinate_open_book, openbook_volume_form,
                                quadric_open_book, reeb_fields,
                                standard_contact_form, standard_reeb_field,
@@ -12,7 +14,7 @@ from openbooks.contact import (ContactForm, DefiningFunction,
                                verify_contact, verify_representation,
                                volume_form_cross_check)
 from openbooks.errors import DegenerateSystem, OffManifold
-from openbooks.forms import form_from_components
+from openbooks.forms import contact_volume, form_from_components
 from openbooks.manifolds import (Submanifold, flat_torus, sample,
                                  tangent_bases)
 
@@ -71,10 +73,32 @@ def test_reeb_solution_matches_the_pinv_solve(n):
     assert np.max(np.abs(got - standard_reeb_field(n)(pts))) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 4], ids=["S^3", "S^5", "S^7"])
+def test_sub_pfaffians_are_the_kernel_and_the_contact_volume(n):
+    # the two routes to the contact volume pin each other: on the same
+    # frames, n! (a . k) from the sub-Pfaffians of P = d(alpha)(e_i, e_j)
+    # equals alpha ^ (d alpha)^n from the wedge tables and Pluecker minors
+    # (1/2, 1 and 3 here).  Both read the same stencil coefficients, so
+    # they differ by rounding only, in sums of products of n + 1 entries
+    # of order one; 4e-15 relative is about 18 ulp.  A wrong sign or table
+    # in either route is off by order one.  P k = 0 to rounding too
+    sphere = standard_sphere(n)
+    alpha = standard_contact_form(n)
+    pts = sample(sphere, 500, seed=3)
+    bases = tangent_bases(sphere, pts)
+    a = alpha.restrict(pts, bases)
+    pair = ContactForm(alpha, sphere).d_alpha().restrict(pts, bases)
+    k = _sub_pfaffians(pair)
+    got = math.factorial(n - 1) * np.einsum("nd,nd->n", a, k)
+    want = contact_volume(alpha, n - 1).at_basis(pts, bases)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
+    assert np.max(np.abs(np.einsum("nij,nj->ni", pair, k))) <= 4e-15
+
+
 def test_even_dimensional_form_rejected():
     # alpha = x dy on R^2: [alpha; d(alpha)] has full rank, but no R has
-    # d(alpha)(R, .) = 0 and alpha(R) = 1, and the bordered system is
-    # singular
+    # d(alpha)(R, .) = 0 and alpha(R) = 1: an even-dimensional frame has
+    # no Reeb field
     alpha = form_from_components(2, 1, {(1,): lambda p: p[..., 0]})
     ambient = Submanifold(2, None, 0, name="R^2", orientation="ambient")
     with pytest.raises(DegenerateSystem) as err:
@@ -82,14 +106,45 @@ def test_even_dimensional_form_rejected():
     assert err.value.singular_values.shape == (2,)
 
 
+R3 = Submanifold(3, None, 0, name="R^3", orientation="ambient")
+
+
 def test_degenerate_form_rejected():
-    # d(dz) = 0: the Reeb system drops rank
+    # d(dz) = 0: alpha ^ d(alpha) vanishes and there is no Reeb field.  The
+    # error carries the singular values of [a; P] at the offending point
     alpha = form_from_components(3, 1, {(2,): 1.0})
-    ambient = Submanifold(3, None, 0, name="R^3", orientation="ambient")
-    cf = ContactForm(alpha, ambient)
     with pytest.raises(DegenerateSystem) as err:
-        reeb_fields(cf, np.zeros(3))
-    assert err.value.singular_values is not None
+        reeb_fields(ContactForm(alpha, R3), np.zeros(3))
+    assert err.value.singular_values.shape == (3,)
+
+
+@pytest.mark.parametrize("alpha", [
+    form_from_components(3, 1, {(1,): lambda p: p[..., 0]}),
+    form_from_components(3, 1, {(2,): lambda p: np.where(
+        p[..., 0] > 0.2, np.nan, 1.0), (1,): lambda p: p[..., 0]})],
+    ids=["x_dy", "nan"])
+def test_non_contact_form_rejected(alpha):
+    # x dy has d(alpha) = dx ^ dy != 0 but alpha ^ d(alpha) = 0 everywhere,
+    # so P has a kernel that alpha does not see.  dz + x dy is contact, but
+    # a NaN coefficient at the second point fails the same gate
+    pts = np.array([[0.1, 0.0, 0.0], [0.3, -0.2, 0.9]])
+    with pytest.raises(DegenerateSystem) as err:
+        reeb_fields(ContactForm(alpha, R3), pts)
+    assert err.value.singular_values.shape == (3,)
+
+
+def test_nearly_closed_form_has_its_reeb_field():
+    # dz + 1e-9 x dy: alpha ^ d(alpha) = 1e-9 dx^dy^dz, small but exact,
+    # and the Reeb field is d/dz.  The gate compares |a . k| with
+    # |a| |P|_F^n, both of degree n + 1, so the form passes; a rank test
+    # on the singular values of [a; P] (ratio ~1e-9) would reject it
+    alpha = form_from_components(3, 1, {(2,): 1.0,
+                                        (1,): lambda p: 1e-9 * p[..., 0]})
+    pts = np.array([[0.3, -0.2, 0.9], [-1.5, 2.0, 0.1]])
+    reeb, residual = reeb_fields(ContactForm(alpha, R3), pts)
+    np.testing.assert_allclose(reeb, [[0.0, 0.0, 1.0]] * 2, rtol=0,
+                               atol=1e-15)
+    assert np.max(residual) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openbooks.contact import binding_manifold, quadric_open_book
+from openbooks import manifolds
+from openbooks.contact import (binding_manifold, quadric_open_book,
+                               reeb_fields)
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.forms import pluecker
 from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
@@ -64,6 +66,53 @@ def test_quadric_binding_rank():
     assert k_sub.dim == 1
     basis = tangent_bases(k_sub, bind[:1])
     assert basis.shape == (1, 1, 4)
+
+
+# Every coordinate of a quadric binding sample is a Gram-Schmidt coordinate
+# of size <= 1 rounded once more by the factor sqrt(1/2), and each of
+# |z|^2 - 1, f_x = |x|^2 - |y|^2, f_y = 2 x . y, x . y and |x| - |y| sums
+# n <= 4 products of such numbers: a few ulps of 1 each.  6 ulps bounds
+# them; the largest seen over 200 seeds of 100 samples each was 3 ulps
+# (|z|^2 - 1) and 4 ulps for the residual, which is their joint norm.
+BINDING_ULPS = 6 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quadric_binding_samples_lie_on_the_binding(n, monkeypatch):
+    # the binding {|z| = 1, sum z_j^2 = 0} is {(x + i y) / sqrt 2 : x, y
+    # orthonormal}; the sampler builds such pairs directly.  sample's own
+    # gate sees only the sphere, so the binding's constraints are read
+    # from binding_manifold, with x . y and |x| - |y|.  No Newton step or
+    # linear solve is taken
+    def newton(*args, **kwargs):
+        raise AssertionError("the binding sampler took a Newton step")
+
+    monkeypatch.setattr(manifolds, "gauss_newton_step", newton)
+    monkeypatch.setattr(np.linalg, "solve", newton)
+    rep = quadric_open_book(n)
+    binding = binding_manifold(rep)
+    for seed in range(10):
+        z = sample(rep.binding, 100, seed=seed)
+        x, y = z[:, 0::2], z[:, 1::2]
+        assert np.max(binding.residual(z)) <= BINDING_ULPS
+        assert np.max(np.abs(np.sum(x * y, axis=-1))) <= BINDING_ULPS
+        assert np.max(np.abs(np.linalg.norm(x, axis=-1)
+                             - np.linalg.norm(y, axis=-1))) <= BINDING_ULPS
+
+
+def test_quadric_binding_sampler_control():
+    # control: the same sampler without the orthogonalization (x, y two
+    # independent unit vectors / sqrt 2) keeps the sphere's constraint at
+    # rounding but misses f = 0 by order one
+    rep = quadric_open_book(3)
+    z = sample(rep.binding, 100, seed=4)
+    x = z[:, 0::2]
+    y = rng_for(5).normal(size=x.shape)
+    y *= np.sqrt(0.5) / np.linalg.norm(y, axis=-1, keepdims=True)
+    loose = np.empty_like(z)
+    loose[:, 0::2], loose[:, 1::2] = x, y
+    assert np.max(rep.manifold.residual(loose)) <= BINDING_ULPS
+    assert np.max(binding_manifold(rep).residual(loose)) > 0.1
 
 
 def test_off_manifold_rejected():
@@ -540,11 +589,12 @@ def test_projection_onto_three_constraint_quadric_binding():
 
 @pytest.mark.parametrize("manifold", [
     unit_sphere(4), hypersurface_build(weinstein_disk_domain()).manifold,
-    quadric_open_book(2).binding, quadric_open_book(3).binding],
+    binding_manifold(quadric_open_book(2)),
+    binding_manifold(quadric_open_book(3))],
     ids=["S^3", "hypersurface", "quadric_binding_n2", "quadric_binding_n3"])
 def test_step_written_into_out_has_the_same_bits(manifold):
     # the one-constraint branch (flow writes its step into the state, out=p)
-    # and the three-constraint branch of the binding sampler
+    # and the three-constraint branch, on the quadric binding K
     start = sample(unit_sphere(manifold.ambient_dim), 60, seed=24)
     off = start + 1e-3 * rng_for(25).normal(size=start.shape)
     c = manifold.constraints(off)
@@ -607,6 +657,18 @@ def _tangent_pluecker_digest():
     return digest.hexdigest()
 
 
+def _closed_form_digest():
+    # SHA-256 of the quadric binding samples (n = 2, 3) and of the Reeb
+    # vectors on S^3 and S^5, both taken without a BLAS or LAPACK call
+    digest = hashlib.sha256()
+    for n in (2, 3):
+        rep = quadric_open_book(n)
+        digest.update(sample(rep.binding, 200, seed=32).data)
+        reeb, _ = reeb_fields(rep.contact, sample(rep.manifold, 300, seed=33))
+        digest.update(reeb.data)
+    return digest.hexdigest()
+
+
 def _dynamic_arch_openblas():
     # Sandybridge and Nehalem are x86-64 core names; OpenBLAS on another
     # architecture ignores them
@@ -623,11 +685,12 @@ import ctypes, glob, os, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from test_manifolds import (NEWTON_STEPS, _check_newton_step_bits,
-                            _tangent_pluecker_digest)
+                            _closed_form_digest, _tangent_pluecker_digest)
 
 for name in ("S^3", "S^5", "hypersurface"):
     _check_newton_step_bits(NEWTON_STEPS[name])
 print(_tangent_pluecker_digest())
+print(_closed_form_digest())
 core = None
 for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                   "numpy.libs", "*openblas*")):
@@ -647,8 +710,9 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
     # the closed-form steps and gauss_newton_step both take their squared
     # norms by np.vecdot, whose bits depend on the BLAS kernel: the bit
     # equality must hold on every core, not only on the default one.  The
-    # normal route of tangent_pluecker takes no BLAS call, so its bits on
-    # each core are those of this process
+    # normal route of tangent_pluecker, the quadric binding sampler and the
+    # sub-Pfaffian Reeb field take no BLAS call, so their bits on each core
+    # are those of this process
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -658,8 +722,9 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
         [sys.executable, "-c", _CORE_CHILD, str(root / "tests")], cwd=root,
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    digest, reported = proc.stdout.split()[-2:]
+    digest, closed_form, reported = proc.stdout.split()[-3:]
     assert digest == _tangent_pluecker_digest()
+    assert closed_form == _closed_form_digest()
     # the core the child ran on, where this numpy build lets it be read
     assert reported in (core, "None")
 
