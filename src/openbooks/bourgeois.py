@@ -44,7 +44,8 @@ PAGE_BINDING_BAND = 1e-6
 
 def extend_form(a: KForm) -> KForm:
     """Reinterpret a form on R^m as a form on R^(m+2) whose
-    coefficients do not involve the two new trailing coordinates."""
+    coefficients do not involve the two new trailing coordinates; its d
+    is the extension of a's, when a carries one."""
     m = a.ambient_dim
     src, tgt = (increasing_indices(n, a.degree) for n in (m, m + 2))
     cols = np.asarray([tgt.index(idx) for idx in src])
@@ -56,7 +57,9 @@ def extend_form(a: KForm) -> KForm:
         out[..., cols] = c
         return out
 
-    return KForm(a.degree, m + 2, coeffs)
+    da = a.d
+    return KForm(a.degree, m + 2, coeffs,
+                 None if da is None else (lambda: extend_form(da())))
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,16 @@ class BourgeoisForm:
 
 
 def _beta_form(rep: Representation) -> KForm:
+    """beta = f_x dphi1 - f_y dphi2, with d beta = df_x ^ dphi1 - df_y ^
+    dphi2."""
     m = rep.manifold.ambient_dim
     f = rep.f
+
+    def d():
+        dphi1 = coordinate_differential(m + 2, m)
+        dphi2 = coordinate_differential(m + 2, m + 1)
+        return (wedge(extend_form(f.dfx_form()), dphi1)
+                - wedge(extend_form(f.dfy_form()), dphi2))
 
     def coeffs(p):
         fx, fy = f.parts(p[..., :m])
@@ -84,7 +95,7 @@ def _beta_form(rep: Representation) -> KForm:
         out[..., m + 1] = -fy
         return out
 
-    return KForm(1, m + 2, coeffs)
+    return KForm(1, m + 2, coeffs, d)
 
 
 def bourgeois_form(rep: Representation) -> BourgeoisForm:
@@ -463,7 +474,7 @@ def isotopy_check(rep: Representation, c: float, samples, seed=0
     coords = tangent_pluecker(product, pts)
     n = rep.n
     alpha0 = bf.alpha
-    # alpha_tau = alpha_0 - tau C mu: one line, two stencil calls for all tau
+    # alpha_tau = alpha_0 - tau C mu: one line, two derivatives for all tau
     line = bind_line(alpha0, extend_form(rep.f.mu_form()), pts)
     vol0 = _line_volume(line, 0.0, n + 1, pts, coords)
     details = []
@@ -560,7 +571,8 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     product = bourgeois_form(rep).manifold
     coords = tangent_pluecker(product, pts)
     # every coefficient below is evaluated once on the batch; the sweep
-    # combines the bound values, so no stencil runs per eps, eps power or T
+    # combines the bound values, so no derivative is taken per eps, eps
+    # power or T
     omega = on_batch(extend_form(family.omega), pts)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)

@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
 from .forms import (DEFAULT_FD_STEP, KForm, VecField, central_difference,
-                    contact_volume, ext_deriv, scale_form, wedge, wedge_all,
-                    wedge_power)
+                    constant_form, contact_volume, ext_deriv,
+                    increasing_indices, scale_form, wedge, wedge_all,
+                    wedge_power, zero_form)
 from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
                         singular_values, tangent_bases, tangent_pluecker,
                         unit_sphere)
@@ -33,9 +34,9 @@ from .report import CheckReport, make_report, merge_reports, timed
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
 
 # Margin bound of the contact and adapted checks.  On the stock books the
-# margins are constants of order one (1/2 on S^3, 1 on S^5) and their
-# finite-difference error is below 1e-11, so a margin above 1e-3 cannot
-# come from rounding or stencil error.
+# margins are constants of order one (1/2 on S^3, 1 on S^5), d alpha_0 is
+# exact and a stencil's error on a form without d is below 1e-11, so a
+# margin above 1e-3 cannot come from rounding or stencil error.
 CONTACT_MARGIN_TOL = 1e-3
 
 
@@ -123,11 +124,18 @@ class DefiningFunction:
             lambda p: np.conj(val(p)),
             gradient=None if grad is None else conj_grad)
 
+    def _gradient_form(self, i) -> KForm:
+        m = self.ambient_dim
+        return KForm(1, m, lambda p: self.grad(p)[..., i, :],
+                     lambda: zero_form(m, 2))
+
     def dfx_form(self) -> KForm:
-        return KForm(1, self.ambient_dim, lambda p: self.grad(p)[..., 0, :])
+        """df_x, which is closed."""
+        return self._gradient_form(0)
 
     def dfy_form(self) -> KForm:
-        return KForm(1, self.ambient_dim, lambda p: self.grad(p)[..., 1, :])
+        """df_y, which is closed."""
+        return self._gradient_form(1)
 
     def regularized(self, p) -> Regularized:
         """rho^2, mu and rho d(rho) at p (see :class:`Regularized`), from
@@ -135,8 +143,10 @@ class DefiningFunction:
         return Regularized(*self.parts(p), self.grad(p))
 
     def mu_form(self) -> KForm:
-        """The regularized 1-form rho^2 d(theta) = f_x df_y - f_y df_x."""
-        return KForm(1, self.ambient_dim, lambda p: self.regularized(p).mu)
+        """The regularized 1-form rho^2 d(theta) = f_x df_y - f_y df_x,
+        whose exterior derivative is 2 df_x ^ df_y, twice the area form."""
+        return KForm(1, self.ambient_dim, lambda p: self.regularized(p).mu,
+                     lambda: 2.0 * self.area_form())
 
     def area_form(self) -> KForm:
         """The regularized 2-form rho d(rho) ^ d(theta) = df_x ^ df_y."""
@@ -557,8 +567,11 @@ def volume_form_cross_check(rep: Representation, samples,
 
 def standard_contact_form(n: int) -> KForm:
     """alpha_0 = 1/2 sum (x_j dy_j - y_j dx_j) on R^(2n), coordinates
-    interleaved as (x_1, y_1, ..., x_n, y_n)."""
+    interleaved as (x_1, y_1, ..., x_n, y_n); d alpha_0 = sum dx_j ^ dy_j."""
     m = 2 * n
+    pairs = increasing_indices(m, 2)
+    omega = np.zeros(len(pairs))
+    omega[[pairs.index((2 * j, 2 * j + 1)) for j in range(n)]] = 1.0
 
     def coeffs(p):
         out = np.empty_like(p)
@@ -566,7 +579,7 @@ def standard_contact_form(n: int) -> KForm:
         out[..., 1::2] = 0.5 * p[..., 0::2]
         return out
 
-    return KForm(1, m, coeffs)
+    return KForm(1, m, coeffs, lambda: constant_form(m, 2, omega))
 
 
 def standard_sphere(n: int) -> Submanifold:

@@ -47,10 +47,19 @@ expressions that reuse a sub-form many times on the same points.
 :func:`bind_line` binds a family a + t b that is linear in a constant:
 since d(a + t b) = da + t db, it binds a, b, da and db once, and each
 member and its derivative is a combination of those bound values, so a
-sweep over t runs the stencil twice in all, not once per t.
+sweep over t takes each derivative once in all, not once per t.
 
-Every derivative of an ambient coefficient, map, constraint or defining
-function is taken by one stencil, :func:`central_difference`.
+A form may carry its exact exterior derivative, :attr:`KForm.d`, built
+lazily from the rules of the exterior algebra: constant forms are closed,
+d is linear, and a wedge of two forms that carry d follows Leibniz.  The
+modules that build the contact, Bourgeois and open-book forms give their
+pieces d by the same rules (d alpha_0 = sum dx_j ^ dy_j, d(df) = 0,
+d(f_x df_y - f_y df_x) = 2 df_x ^ df_y).  :func:`ext_deriv` returns it
+when it is there.  Every other derivative of an ambient coefficient, map,
+constraint or defining function, e.g. of a quotient form, a scaled form,
+a pullback or an interior product, is taken by one stencil,
+:func:`central_difference`, which is thereby also an independent route
+against which the exact derivatives are checked.
 """
 
 from __future__ import annotations
@@ -232,12 +241,17 @@ class KForm:
     """Degree-k differential form on an ambient Euclidean space.
 
     coeffs maps points (..., m) to the coefficient vector (..., n_idx) in
-    the order of :func:`increasing_indices`.
+    the order of :func:`increasing_indices`.  d, when known, is the exact
+    exterior derivative: a zero-argument callable that builds it on each
+    call, so that a form is built without its chain of derivatives.
+    :func:`ext_deriv` returns d() when it is set and runs the stencil
+    otherwise.
     """
 
     degree: int
     ambient_dim: int
     coeffs: Callable[[np.ndarray], np.ndarray]
+    d: Callable[[], "KForm"] | None = None
 
     @property
     def n_indices(self) -> int:
@@ -307,7 +321,9 @@ class KForm:
         if (other.degree, other.ambient_dim) != (self.degree, self.ambient_dim):
             raise DimensionMismatch("cannot add forms of different type")
         f, g = self.coeffs, other.coeffs
-        return KForm(self.degree, self.ambient_dim, lambda p: f(p) + g(p))
+        da, db = self.d, other.d
+        d = None if da is None or db is None else (lambda: da() + db())
+        return KForm(self.degree, self.ambient_dim, lambda p: f(p) + g(p), d)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -318,8 +334,9 @@ class KForm:
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        f = self.coeffs
-        return KForm(self.degree, self.ambient_dim, lambda p: scalar * f(p))
+        f, da = self.coeffs, self.d
+        d = None if da is None else (lambda: scalar * da())
+        return KForm(self.degree, self.ambient_dim, lambda p: scalar * f(p), d)
 
 
 def scale_form(fn: Callable, form: KForm) -> KForm:
@@ -329,9 +346,16 @@ def scale_form(fn: Callable, form: KForm) -> KForm:
 
 
 def constant_form(m: int, k: int, values) -> KForm:
+    """The k-form on R^m with constant coefficients values; d = 0."""
     values = np.asarray(values, float)
     return KForm(k, m, lambda p: np.broadcast_to(
-        values, np.shape(p)[:-1] + values.shape).copy())
+        values, np.shape(p)[:-1] + values.shape).copy(),
+        lambda: zero_form(m, k + 1))
+
+
+def zero_form(m: int, k: int) -> KForm:
+    """The zero k-form on R^m (no coefficients when k > m)."""
+    return constant_form(m, k, np.zeros(math.comb(m, k)))
 
 
 def coordinate_differential(m: int, i: int) -> KForm:
@@ -416,7 +440,14 @@ def wedge(a: KForm, b: KForm) -> KForm:
     def coeffs(p):
         return _shuffle(fa(p), fb(p), table)
 
-    return KForm(k, m, coeffs)
+    def d():
+        # Leibniz: d(a ^ b) = da ^ b + (-1)^deg(a) a ^ db
+        if k == m:
+            return zero_form(m, k + 1)
+        return wedge(a.d(), b) + (-1.0) ** a.degree * wedge(a, b.d())
+
+    exact = a.d is not None and b.d is not None
+    return KForm(k, m, coeffs, d if exact else None)
 
 
 def wedge_all(*forms: KForm) -> KForm:
@@ -491,7 +522,9 @@ def bind_line(a: KForm, b: KForm, points) -> Callable:
 
     d(a + t b) = da + t db, so a, da, b and db are each evaluated once, by
     :func:`on_batch`, and every member of the family is a combination of
-    the four bound arrays: two stencil calls however many t are taken.
+    the four bound arrays: each derivative is taken once (exactly where the
+    form carries d, otherwise by one stencil call) however many t are
+    taken.
     Returns line with line(t) = (a + t b, da + t db), each combined once
     and bound to points like :func:`on_batch` (they raise ValueError at
     any other argument), so pass the float array that the evaluations
@@ -508,13 +541,18 @@ def bind_line(a: KForm, b: KForm, points) -> Callable:
 
 
 def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
-    """Exterior derivative via central differences of the coefficients,
-    with step DEFAULT_FD_STEP.
+    """Exterior derivative: a.d() when the form carries its exact one,
+    otherwise central differences of the coefficients, with step
+    DEFAULT_FD_STEP.
 
     d(sum c_I dx_I) = sum_i d_i c_I dx_i ^ dx_I.  ``step_scale`` gives a
-    per-point multiplier for the step, used to differentiate quotient forms
-    whose derivatives blow up near a singular locus.
+    per-point multiplier for the stencil's step, used to differentiate
+    quotient forms whose derivatives blow up near a singular locus.  The
+    stencil's result carries no d, so a second ext_deriv differentiates it
+    by the stencil again.
     """
+    if a.d is not None:
+        return a.d()
     m = a.ambient_dim
     axes, pos, sign = _ext_deriv_table(m, a.degree)
     fa = a.coeffs

@@ -109,6 +109,13 @@ def _spinning_solve_batch(rep: Representation, pts):
     rhs.append(np.zeros((len(pts), d - 1)))
     mat = np.concatenate(rows, axis=1)
     b = np.concatenate(rhs, axis=1)
+    # a NaN or inf would stop the rank test's eigensolver with LinAlgError
+    finite = np.isfinite(mat).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+    if not np.all(finite):
+        worst = int(np.argmin(finite))
+        raise DegenerateSystem(
+            f"spinning-field system is not finite at sample {worst}",
+            singular_values=np.full(d, np.nan))
     svals = singular_values(mat)
     # 1e-6, not the 1e-9 an SVD could resolve: the Gram route reads a
     # rank-deficient system as s_min up to ~3e-8 s_max

@@ -1,6 +1,8 @@
 """Product contact forms on V x T^2, characterization, inverse monodromy,
 the shear isotopy, and the filling positivity sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -492,26 +494,39 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _stencil_alpha(rep):
+    """rep with alpha_V stripped of its exact d, so that every derivative
+    of it, and of the product forms built on it, is taken by the stencil."""
+    return replace(rep, contact=ContactForm(replace(rep.contact.alpha, d=None),
+                                            rep.manifold))
+
+
 def test_filling_stencil_calls_do_not_grow_with_the_t_grid(monkeypatch):
-    rep = quadric_open_book(2)
-    pts = sample(bourgeois_form(rep).manifold, 40, seed=22)
+    # alpha_V and beta carry d, so the sweep takes no stencil call; with
+    # alpha_V's derivative by stencil the count is positive and the same
+    # for every T grid
+    exact = quadric_open_book(2)
+    pts = sample(bourgeois_form(exact).manifold, 40, seed=22)
     calls = _count_calls(monkeypatch, "central_difference")
-    counts = []
     monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0, 0.1))
-    fam = FillingFamily(rep, ext_deriv(rep.contact.alpha))
-    for t_grid in [(0.0, 1.0, 10.0), tuple(np.linspace(0.0, 45.0, 46))]:
-        _with_t_grid(monkeypatch, t_grid)
-        calls.clear()
-        assert filling_polynomial(fam, pts).passed
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    for rep in (exact, _stencil_alpha(exact)):
+        fam = FillingFamily(rep, ext_deriv(rep.contact.alpha))
+        counts = []
+        for t_grid in [(0.0, 1.0, 10.0), tuple(np.linspace(0.0, 45.0, 46))]:
+            _with_t_grid(monkeypatch, t_grid)
+            calls.clear()
+            assert filling_polynomial(fam, pts).passed
+            counts.append(len(calls))
+        if rep is exact:
+            assert counts == [0, 0]
+        else:
+            assert counts[0] == counts[1] > 0
 
 
 def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
-    rep = profiled_representation(quadric_open_book(2))
-    pts = sample(rep.manifold, 100, seed=26)
-    bf = bourgeois_form(rep)
-    product_pts = sample(bf.manifold, 60, seed=27)
+    exact = profiled_representation(quadric_open_book(2))
+    pts = sample(exact.manifold, 100, seed=26)
+    product_pts = sample(bourgeois_form(exact).manifold, 60, seed=27)
     calls = _count_calls(monkeypatch, "central_difference")
 
     def count(fn):
@@ -523,28 +538,38 @@ def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
         monkeypatch.setattr(bourgeois, name, value)
         return count(fn)
 
-    # C = 2^-20 .. 2^-1 all fail before the search reaches the default grid
-    small = tuple(2.0 ** k for k in range(-20, 0))
-    grids = [bourgeois.C_GRID, small + bourgeois.C_GRID]
-    searches = [with_constant("C_GRID", g,
-                              lambda: find_inverse_constant(rep, pts))
-                for g in grids]
-    taus = [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 21))]
-    isotopies = [with_constant("TAU_GRID", t,
-                               lambda: isotopy_check(rep, 8.0, product_pts))
-                 for t in taus]
-    epss = [(1.0,), tuple(np.linspace(0.05, 2.0, 20))]
-    products = [with_constant("EPS_VALUES", e,
-                              lambda: verify_product_contact(bf, product_pts))
-                for e in epss]
-    _with_t_grid(monkeypatch, (0.0, 1.0))
-    family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
-    fillings = [with_constant("FILLING_EPS_GRID", e,
-                              lambda: filling_polynomial(family, product_pts))
-                for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
-    for counts in (searches, isotopies, products, fillings):
-        assert counts[0] == counts[1] > 0, (searches, isotopies, products,
-                                            fillings)
+    # the exact forms take no stencil call at all; with alpha_V's
+    # derivative by stencil, the count does not grow with the constants
+    for rep in (exact, _stencil_alpha(exact)):
+        bf = bourgeois_form(rep)
+        # C = 2^-20 .. 2^-1 all fail before the search reaches the default
+        # grid
+        small = tuple(2.0 ** k for k in range(-20, 0))
+        grids = [bourgeois.C_GRID, small + bourgeois.C_GRID]
+        searches = [with_constant("C_GRID", g,
+                                  lambda: find_inverse_constant(rep, pts))
+                    for g in grids]
+        taus = [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 21))]
+        isotopies = [with_constant("TAU_GRID", t,
+                                   lambda: isotopy_check(rep, 8.0,
+                                                         product_pts))
+                     for t in taus]
+        epss = [(1.0,), tuple(np.linspace(0.05, 2.0, 20))]
+        products = [with_constant(
+            "EPS_VALUES", e, lambda: verify_product_contact(bf, product_pts))
+            for e in epss]
+        _with_t_grid(monkeypatch, (0.0, 1.0))
+        family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
+        fillings = [with_constant(
+            "FILLING_EPS_GRID", e,
+            lambda: filling_polynomial(family, product_pts))
+            for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
+        all_counts = (searches, isotopies, products, fillings)
+        for counts in all_counts:
+            if rep is exact:
+                assert counts == [0, 0], all_counts
+            else:
+                assert counts[0] == counts[1] > 0, all_counts
 
 
 def test_isotopy_takes_the_pluecker_coordinates_once(monkeypatch):

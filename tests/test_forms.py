@@ -133,8 +133,10 @@ def test_restrict_evaluates_coefficients_once():
 
 
 def _counted(form, calls):
+    """form, with each evaluation of its coefficients appended to calls;
+    it keeps form's exact derivative, if any."""
     return KForm(form.degree, form.ambient_dim,
-                 lambda p: calls.append(1) or form.coeffs(p))
+                 lambda p: calls.append(1) or form.coeffs(p), form.d)
 
 
 @pytest.mark.parametrize("m, k, n", [(4, 2, 2), (6, 2, 3), (7, 2, 3),
@@ -165,7 +167,15 @@ def test_contact_volume_evaluates_alpha_and_d_alpha_once():
     top = contact_volume(_counted(alpha, calls), 1)
     expected = wedge(alpha, ext_deriv(alpha)).coeffs(pts)
     assert np.array_equal(top.coeffs(pts), expected)
-    # one evaluation at the points, two per coordinate for the stencil
+    # one evaluation at the points; d alpha_0 is exact and reads no alpha
+    assert len(calls) == 1
+    # without d: one evaluation at the points, two per coordinate for the
+    # stencil
+    stencil = _counted(replace(alpha, d=None), calls)
+    top = contact_volume(stencil, 1)
+    expected = wedge(stencil, ext_deriv(stencil)).coeffs(pts)
+    calls.clear()
+    assert np.array_equal(top.coeffs(pts), expected)
     assert len(calls) == 1 + 2 * 4
     assert contact_volume(alpha, 0) is alpha
 

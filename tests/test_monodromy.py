@@ -1,12 +1,18 @@
 """Spinning fields, flows, the closed-form quadric trajectory, and the
 Dehn twist comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from openbooks.contact import coordinate_open_book, quadric_open_book
-from openbooks.errors import (BindingPoint, DimensionMismatch, DomainError,
-                              FlowAborted, NonConvergence)
+from openbooks import cli, contact
+from openbooks.contact import (ContactForm, coordinate_open_book,
+                               quadric_open_book)
+from openbooks.errors import (BindingPoint, DegenerateSystem,
+                              DimensionMismatch, DomainError, FlowAborted,
+                              NonConvergence)
+from openbooks.forms import KForm
 from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import rng_for, sample
 from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
@@ -85,6 +91,45 @@ def test_spinning_solve_check_matches_the_closed_form():
     report = spinning_solve_check(QUADRIC, sample(QUADRIC.manifold, 400, 1))
     assert report.passed and report.n_samples == 200
     assert report.max_residual <= 1e-7
+
+
+def _nan_alpha_quadric():
+    """The quadric S^3 book with alpha NaN where x_0 > 0.9."""
+    alpha = QUADRIC.contact.alpha
+
+    def coeffs(p):
+        c = alpha.coeffs(p)
+        return np.where(p[..., :1] > 0.9, np.nan, c)
+
+    return replace(QUADRIC, contact=ContactForm(KForm(1, 4, coeffs),
+                                                QUADRIC.manifold))
+
+
+def test_spinning_solve_with_a_nan_coefficient_raises_degenerate_system():
+    rep = _nan_alpha_quadric()
+    pts = sample(rep.manifold, 400, 3)
+    pts = pts[rep.f.modulus(pts) > 1e-3]
+    assert np.any(pts[:, 0] > 0.9)
+    with pytest.raises(DegenerateSystem, match="not finite") as info:
+        spinning_field(rep, pts)
+    assert np.all(np.isnan(info.value.singular_values))
+    assert info.value.singular_values.shape == (3,)
+
+
+def test_spinning_solve_nan_fails_through_run_suite_as_degenerate_system(
+        monkeypatch):
+    # the g2_s3 spinning_solve row alone, on the NaN book at seed 3: its
+    # 400 samples put NaN points among the first 200 off |f| <= 1e-3
+    row = dict(cli.SUITES["g2_s3"]())["spinning_solve"]
+    monkeypatch.setattr(contact, "quadric_open_book",
+                        lambda n: _nan_alpha_quadric())
+    monkeypatch.setitem(cli.SUITES, "g2_s3",
+                        lambda: [("spinning_solve", row)])
+    report, = cli.run_suite(cli.SuiteConfig(suite="g2_s3", seed=3))
+    assert report.name == "g2_s3/spinning_solve"
+    assert not report.passed
+    assert "check raised DegenerateSystem" in report.note
+    assert "LinAlgError" not in report.note
 
 
 def test_coordinate_solve_matches_kernel_field():
