@@ -22,7 +22,8 @@ from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     on_batch, pullback, wedge, wedge_all, wedge_power)
 from .manifolds import (Submanifold, complement_frames, product_with_torus,
                         sample, tangent_bases, tangent_pluecker)
-from .report import CheckReport, make_report, merge_reports, timed
+from .report import (CheckReport, SweepRow, make_report, merge_reports,
+                     timed)
 
 # the eps values of the scaling identity in verify_product_contact
 EPS_VALUES = (0.1, 0.5, 1.0)
@@ -625,8 +626,8 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
             powers = np.array([t_val ** a for a in range(n + 2)])
             vals = np.einsum("a,an->n", powers, coef_vals)
             margins.append(vals)
-            rows.append({"eps": float(eps), "T": float(t_val),
-                         "min_margin": float(np.min(vals))})
+            rows.append(SweepRow(float(eps), float(t_val),
+                                 float(np.min(vals))))
 
     # without an eps = 0 row there is no second route to compare
     return make_report(

@@ -39,7 +39,10 @@ frame: the row ``(N, d)`` or antisymmetric matrix ``(N, d, d)`` that the
 checks build their identities from.
 
 Forms are lazy coefficient closures, so an expression evaluates each
-sub-form once per occurrence.  :func:`wedge_power` evaluates its base once
+sub-form once per occurrence.  A constant form returns one row of
+coefficients, not one per point, and every operation broadcasts it, so a
+wedge of constants (d alpha_0 ^ d alpha_0, dphi_1 ^ dphi_2) costs the
+same at any batch size.  :func:`wedge_power` evaluates its base once
 and chains the shuffle tables on the array, :func:`contact_volume` builds
 alpha ^ (d alpha)^n from one alpha and one d alpha evaluation, and
 :func:`on_batch` binds a form's coefficients to one sample batch, for
@@ -118,8 +121,28 @@ def _wedge_table(m: int, ka: int, kb: int):
 
 
 def _shuffle(ca, cb, table):
-    """Wedge coefficients: per output, sum of sign * ca[left] * cb[right]."""
+    """Wedge coefficients: per output, sum of sign * ca[left] * cb[right].
+
+    A factor of a constant form is one row (C,).  When exactly one factor
+    is, its signed gathers w = sign * c[idx] are formed once, and each
+    split costs one gather of the other factor, one multiply and one add.
+    The bits are those of the broadcast factor: sign is +-1, so sign * x
+    is exact and (sign * a) * b = a * (sign * b), and the left factor
+    stays the left operand, so a NaN passes through as before.
+    """
     ia, ib, sg = table
+    if ca.ndim == 1 and cb.ndim > 1:
+        w = sg * ca[ia]
+        out = w[:, 0] * cb[..., ib[:, 0]]
+        for j in range(1, sg.shape[1]):
+            out += w[:, j] * cb[..., ib[:, j]]
+        return out
+    if cb.ndim == 1 and ca.ndim > 1:
+        w = sg * cb[ib]
+        out = ca[..., ia[:, 0]] * w[:, 0]
+        for j in range(1, sg.shape[1]):
+            out += ca[..., ia[:, j]] * w[:, j]
+        return out
     out = sg[:, 0] * ca[..., ia[:, 0]] * cb[..., ib[:, 0]]
     for j in range(1, sg.shape[1]):
         out += sg[:, j] * ca[..., ia[:, j]] * cb[..., ib[:, j]]
@@ -240,10 +263,16 @@ def central_difference(fn: Callable, p, step, diff: Callable = np.subtract):
 class KForm:
     """Degree-k differential form on an ambient Euclidean space.
 
-    coeffs maps points (..., m) to the coefficient vector (..., n_idx) in
-    the order of :func:`increasing_indices`.  d, when known, is the exact
-    exterior derivative: a zero-argument callable that builds it on each
-    call, so that a form is built without its chain of derivatives.
+    coeffs maps points (..., m) to coefficients in the order of
+    :func:`increasing_indices`, as an array that broadcasts to
+    (..., n_idx): a constant form returns its one row (n_idx,) at any
+    batch, and every operation broadcasts it, so a wedge of constants is
+    taken once, not once per point.  The degree-0 exits, :meth:`__call__`
+    and :meth:`at_basis`, broadcast the value to the batch shape.
+
+    d, when known, is the exact exterior derivative: a zero-argument
+    callable that builds it on each call, so that a form is built without
+    its chain of derivatives.
     :func:`ext_deriv` returns d() when it is set and runs the stencil
     otherwise.
     """
@@ -262,7 +291,7 @@ class KForm:
             raise DimensionMismatch(
                 f"{self.degree}-form applied to {len(vectors)} vectors")
         if self.degree == 0:
-            return self.coeffs(np.asarray(p, float))[..., 0]
+            return self._function_values(np.asarray(p, float))
         basis = np.stack([np.asarray(v, float) for v in vectors], axis=-2)
         return self.at_basis(p, basis)
 
@@ -273,8 +302,15 @@ class KForm:
         if v.shape[-1] != self.ambient_dim:
             raise DimensionMismatch("vector dimension does not match form")
         if self.degree == 0:
-            return self.coeffs(p)[..., 0]
+            return self._function_values(p)
         return self.on_pluecker(p, pluecker(v))
+
+    def _function_values(self, p):
+        """A 0-form's values at the points p (..., m), shape (...,)."""
+        c = self.coeffs(p)[..., 0]
+        if c.shape == p.shape[:-1]:
+            return c
+        return np.broadcast_to(c, p.shape[:-1]).copy()
 
     def on_pluecker(self, p, coords):
         """Evaluate on vectors given by their :func:`pluecker` coordinates
@@ -346,11 +382,14 @@ def scale_form(fn: Callable, form: KForm) -> KForm:
 
 
 def constant_form(m: int, k: int, values) -> KForm:
-    """The k-form on R^m with constant coefficients values; d = 0."""
-    values = np.asarray(values, float)
-    return KForm(k, m, lambda p: np.broadcast_to(
-        values, np.shape(p)[:-1] + values.shape).copy(),
-        lambda: zero_form(m, k + 1))
+    """The k-form on R^m with constant coefficients values; d = 0.
+
+    values is copied once and the copy made read-only; coeffs returns that
+    one row (C(m, k),) at every batch, which the operations broadcast.  A
+    later change to the caller's array does not reach the form."""
+    values = np.array(values, float)
+    values.flags.writeable = False
+    return KForm(k, m, lambda p: values, lambda: zero_form(m, k + 1))
 
 
 def zero_form(m: int, k: int) -> KForm:
@@ -368,7 +407,8 @@ def coordinate_differential(m: int, i: int) -> KForm:
 def form_from_components(m: int, k: int, components: dict) -> KForm:
     """Build a k-form from a dict {increasing index: coefficient}.
 
-    Coefficients may be numbers or functions of the point batch.
+    Coefficients may be numbers or functions of the point batch.  With
+    numbers only, the form is a :func:`constant_form`.
     """
     pos = _index_positions(m, k)
     items = []
@@ -378,6 +418,11 @@ def form_from_components(m: int, k: int, components: dict) -> KForm:
             raise DimensionMismatch(f"index {idx} is not strictly increasing")
         items.append((pos[idx], c))
     n = math.comb(m, k)
+    if all(not callable(c) and np.ndim(c) == 0 for _, c in items):
+        values = np.zeros(n)
+        for position, c in items:
+            values[position] = c
+        return constant_form(m, k, values)
 
     def coeffs(p):
         p = np.asarray(p, float)
@@ -555,7 +600,14 @@ def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
         return a.d()
     m = a.ambient_dim
     axes, pos, sign = _ext_deriv_table(m, a.degree)
-    fa = a.coeffs
+    n_src, fc = a.n_indices, a.coeffs
+
+    def fa(q):
+        # the stencil divides per point, so one row is spread over the batch
+        c = fc(q)
+        if c.ndim == q.ndim:
+            return c
+        return np.broadcast_to(c, q.shape[:-1] + (n_src,))
 
     def coeffs(p):
         p = np.asarray(p, float)

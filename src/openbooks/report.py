@@ -4,11 +4,48 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+
+class SweepRow(Mapping):
+    """One (eps, T) grid point of a polynomial sweep: a read-only mapping
+    with the keys eps, T and min_margin.
+
+    A sweep has hundreds of rows and a benchmark keeps every pass's
+    reports, so a row holds three slots (56 bytes) instead of a dict
+    (184).  It reads like the dict it replaces, and
+    :meth:`CheckReport.to_dict` writes it as one.
+    """
+
+    __slots__ = ("eps", "T", "min_margin")
+
+    def __init__(self, eps: float, T: float, min_margin: float):
+        set_slot = object.__setattr__
+        set_slot(self, "eps", eps)
+        set_slot(self, "T", T)
+        set_slot(self, "min_margin", min_margin)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return type(self), tuple(self.values())
+
+    def __getitem__(self, key):
+        if key not in self.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(self.__slots__)
+
+    def __len__(self):
+        return len(self.__slots__)
 
 
 @dataclass(slots=True)
@@ -19,7 +56,8 @@ class CheckReport:
     max_residual <= residual_tolerance (when a residual applies).
     ``note`` records the identity or condition the check certifies, so a
     report is interpretable on its own.  ``rows`` holds per-grid-point
-    results (used for polynomial sweeps and endpoint comparisons).
+    results (used for polynomial sweeps and endpoint comparisons): dicts,
+    or :class:`SweepRow` mappings.
     ``wall_time_ms`` is the time span of the check function that returned
     the report (see :func:`timed`); leaves built inside a check read 0.
     The class has slots, no per-instance dict: a sweep keeps many
@@ -54,7 +92,7 @@ class CheckReport:
             "note": self.note,
         }
         if self.rows:
-            d["rows"] = self.rows
+            d["rows"] = [dict(row) for row in self.rows]
         if self.details:
             d["details"] = [r.to_dict() for r in self.details]
         return d

@@ -24,6 +24,7 @@ from openbooks.contact import (ContactForm, DefiningFunction, Representation,
 from openbooks.errors import DegenerateSystem
 from openbooks.forms import KForm, contact_volume, ext_deriv, scale_form
 from openbooks.manifolds import sample, tangent_bases, tangent_pluecker
+from openbooks.report import SweepRow
 
 
 def _margins(rep, c, pts):
@@ -392,6 +393,8 @@ def test_filling_polynomial_positive():
     assert report.min_margin > 1e-9
     assert report.max_residual < 1e-8          # P_0 route agreement
     assert {"eps", "T", "min_margin"} <= set(report.rows[0])
+    # slotted rows: a benchmark keeps every pass's reports
+    assert all(type(row) is SweepRow for row in report.rows)
 
 
 def test_filling_zero_eps_proportional_to_one_plus_t(monkeypatch):

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import openbooks.forms as forms
 from openbooks.bourgeois import extend_form
 from openbooks.contact import (DefiningFunction, quadric_open_book,
                                standard_contact_form, standard_sphere)
 from openbooks.errors import DimensionMismatch
 from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
                              _lex_order_sign, _merge_sign, _minors,
-                             _wedge_table, bind_line, central_difference,
+                             _shuffle, _wedge_table, bind_line,
+                             central_difference,
                              constant_form,
                              contact_volume, coordinate_differential,
                              ext_deriv, form_from_components,
@@ -450,6 +452,149 @@ def test_nan_in_one_coefficient_stays_in_its_outputs():
     assert np.all(np.isnan(poisoned[:, uses_q]))
     clean = wedge(a, b).coeffs(pts)
     assert np.array_equal(poisoned[:, ~uses_q], clean[:, ~uses_q])
+
+
+# ---------------------------------------------------------------------------
+# constant forms: one row of coefficients at any batch
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _with_specials(c, rng):
+    """c with about one entry in twenty replaced by +-0, +-inf or NaN."""
+    c = c.copy()
+    hit = rng.random(c.shape) < 0.05
+    c[hit] = rng.choice(_SPECIALS, size=np.count_nonzero(hit))
+    return c
+
+
+def _materialised(form):
+    """form with its coefficients copied out to the batch shape."""
+    n = form.n_indices
+    return replace(form, coeffs=lambda p: np.broadcast_to(
+        form.coeffs(p), p.shape[:-1] + (n,)).copy())
+
+
+@pytest.mark.parametrize("m, ka, kb", [(4, 1, 2), (6, 2, 2), (6, 3, 2),
+                                       (8, 2, 2)])
+@pytest.mark.parametrize("row_first", [True, False])
+def test_shuffle_with_one_row_keeps_the_bits_of_the_broadcast_row(
+        m, ka, kb, row_first):
+    rng = np.random.default_rng(m * 10 + ka + kb + row_first)
+    n_rows = 300
+    k_row, k_batch = (ka, kb) if row_first else (kb, ka)
+    row = _with_specials(rng.normal(size=math.comb(m, k_row)), rng)
+    batch = _with_specials(
+        rng.normal(size=(n_rows, math.comb(m, k_batch))), rng)
+    full = np.broadcast_to(row, (n_rows, row.size)).copy()
+    table = _wedge_table(m, ka, kb)
+    args, ref_args = ((row, batch), (full, batch)) if row_first else (
+        (batch, row), (batch, full))
+    with np.errstate(invalid="ignore"):       # inf - inf, 0 * inf
+        got, ref = _shuffle(*args, table), _shuffle(*ref_args, table)
+    assert got.shape == ref.shape
+    assert np.isnan(ref).any() and np.isinf(ref).any()
+    assert np.isfinite(ref).any()
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("row_first", [True, False])
+def test_nan_in_the_batch_factor_reaches_outputs_of_zero_row_partners(
+        row_first):
+    m = 6
+    d_alpha0 = ext_deriv(standard_contact_form(3))   # 3 of 15 nonzero
+    b = _random_form(m, 2, seed=5)
+    pts = RNG.normal(size=(10, m))
+    q = 4                                  # the coefficient of dx_0 ^ dx_5
+    cb = b.coeffs(pts)
+    cb[:, q] = np.nan
+    poisoned_b = KForm(2, m, lambda p: cb)
+    pair = (d_alpha0, poisoned_b) if row_first else (poisoned_b, d_alpha0)
+    poisoned = wedge(*pair).coeffs(pts)
+    ia, ib, _ = _wedge_table(m, 2, 2)
+    uses_q = np.any((ib if row_first else ia) == q, axis=1)
+    assert 0 < np.count_nonzero(uses_q) < len(uses_q)
+    # the row coefficient paired with dx_0 ^ dx_5 is 0, and 0 * NaN = NaN
+    assert d_alpha0.coeffs(pts)[q] == 0.0
+    assert np.all(np.isnan(poisoned[:, uses_q]))
+    clean = wedge(*((d_alpha0, b) if row_first else (b, d_alpha0)))
+    assert np.array_equal(poisoned[:, ~uses_q], clean.coeffs(pts)[:, ~uses_q])
+
+
+def test_degree_zero_constants_take_the_batch_shape():
+    pts = RNG.normal(size=(40, 4))
+    for form in (constant_form(4, 0, [2.5]), wedge_power(
+            coordinate_differential(4, 1), 0)):
+        assert form.coeffs(pts).shape == (1,)
+        for vals in (form(pts), form.at_basis(pts, np.empty((40, 0, 4)))):
+            assert vals.shape == (40,)
+            assert np.all(vals == form.coeffs(pts)[0])
+            vals[0] = -1.0                  # a fresh array, not the row
+        assert form(pts[0]).shape == ()
+    assert np.all(constant_form(4, 0, [2.5])(pts) == 2.5)
+
+
+def test_constant_form_owns_a_read_only_copy_of_its_values():
+    values = np.array([1.0, 2.0, -1.0, 0.5])
+    form = constant_form(4, 1, values)
+    pts = RNG.normal(size=(20, 4))
+    values[0] = 7.0
+    c = form.coeffs(pts)
+    assert np.array_equal(c, [1.0, 2.0, -1.0, 0.5])
+    with pytest.raises(ValueError):
+        c[0] = 3.0
+    with pytest.raises(ValueError):
+        c += 1.0
+    assert np.array_equal(form.coeffs(pts), [1.0, 2.0, -1.0, 0.5])
+
+
+def test_form_from_numbers_only_is_constant():
+    pts = RNG.normal(size=(20, 4))
+    omega = form_from_components(4, 2, {(0, 2): 1.0, (1, 3): 1.0})
+    assert omega.coeffs(pts).shape == (6,)
+    assert np.array_equal(omega.coeffs(pts), [0, 1, 0, 0, 1, 0])
+    assert ext_deriv(omega).coeffs(pts).shape == (4,)
+    mixed = form_from_components(4, 2, {(0, 2): 1.0,
+                                        (1, 3): lambda p: p[..., 0]})
+    assert mixed.coeffs(pts).shape == (20, 6)
+
+
+def test_constant_wedges_pass_only_rows_to_the_shuffle(monkeypatch):
+    seen = []
+
+    def recording(ca, cb, table):
+        seen.append((ca.ndim, cb.ndim))
+        return _shuffle(ca, cb, table)
+
+    monkeypatch.setattr(forms, "_shuffle", recording)
+    pts = RNG.normal(size=(2000, 6))
+    vol = wedge_power(standard_contact_form(3).d(), 2).coeffs(pts)
+    assert vol.shape == (15,)
+    dphi = wedge(coordinate_differential(6, 4), coordinate_differential(6, 5))
+    assert dphi.coeffs(pts).shape == (15,)
+    assert len(seen) == 2 and set(seen) == {(1, 1)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contact_volume_on_pluecker_equals_the_materialised_route(n):
+    m = 2 * n
+    alpha = standard_contact_form(n)
+    pts = RNG.normal(size=(500, m))
+    coords = pluecker(RNG.normal(size=(500, m - 1, m)))
+    d_alpha = ext_deriv(alpha)
+    assert d_alpha.coeffs(pts).ndim == 1
+    got = contact_volume(alpha, n - 1).on_pluecker(pts, coords)
+    ref = contact_volume(alpha, n - 1, _materialised(d_alpha))
+    assert np.array_equal(got, ref.on_pluecker(pts, coords))
+
+
+def test_stencil_spreads_a_row_over_the_batch():
+    pts = RNG.normal(size=(20, 4))
+    row = replace(constant_form(4, 1, [1.0, 2.0, -1.0, 0.5]), d=None)
+    for form in (row, wedge_power(row, 2)):
+        d = ext_deriv(form).coeffs(pts)
+        assert d.shape == (20, math.comb(4, form.degree + 1))
+        assert np.all(d == 0.0)
 
 
 @pytest.mark.parametrize("m, k", [(4, 0), (4, 1), (4, 2), (6, 3), (6, 4)])

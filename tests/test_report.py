@@ -1,12 +1,14 @@
 """CheckReport semantics: the pass rule and reductions."""
 
+import json
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from openbooks.report import make_report, merge_reports, timed
+from openbooks.report import SweepRow, make_report, merge_reports, timed
 
 
 def test_pass_rule_margin_and_residual():
@@ -103,3 +105,25 @@ def test_report_dict_has_stable_schema():
     assert list(d) == ["schema_version", "name", "n_samples", "min_margin",
                        "max_residual", "tolerance", "residual_tolerance",
                        "passed", "seed", "wall_time_ms", "note"]
+
+
+def test_sweep_row_reads_and_writes_like_its_dict():
+    as_dict = {"eps": 0.05, "T": 2.5, "min_margin": 0.125}
+    row = SweepRow(0.05, 2.5, 0.125)
+    assert row == as_dict and dict(row) == as_dict
+    assert list(row) == list(as_dict) and set(row) == set(as_dict)
+    assert row["T"] == 2.5 and len(row) == 3
+    with pytest.raises(KeyError):
+        row["sample"]
+    with pytest.raises(AttributeError):
+        row.T = 3.0
+    with pytest.raises(TypeError):
+        row["T"] = 3.0
+    assert not hasattr(row, "__dict__")
+    assert sys.getsizeof(row) < sys.getsizeof(as_dict)
+    report = make_report("sweep", n_samples=1, tolerance=0.0, seed=0,
+                         min_margin=0.125, rows=[row])
+    twin = make_report("sweep", n_samples=1, tolerance=0.0, seed=0,
+                       min_margin=0.125, rows=[as_dict])
+    assert type(report.to_dict()["rows"][0]) is dict
+    assert json.dumps(report.to_dict()) == json.dumps(twin.to_dict())
