@@ -123,20 +123,15 @@ def _wedge_table(m: int, ka: int, kb: int):
 def _shuffle(ca, cb, table):
     """Wedge coefficients: per output, sum of sign * ca[left] * cb[right].
 
-    A factor of a constant form is one row (C,).  When exactly one factor
-    is, its signed gathers w = sign * c[idx] are formed once, and each
-    split costs one gather of the other factor, one multiply and one add.
-    The bits are those of the broadcast factor: sign is +-1, so sign * x
-    is exact and (sign * a) * b = a * (sign * b), and the left factor
-    stays the left operand, so a NaN passes through as before.
+    A factor of a constant form is one row (C,).  A row ca needs nothing
+    apart: the products run left to right, so sign * ca[left] is already
+    one small row.  A row cb has its signed gathers w = sign * cb[idx]
+    formed once, and each split costs one gather of ca, one multiply and
+    one add.  The bits are those of the broadcast row: sign is +-1, so
+    sign * x is exact and (a * sign) * b = a * (sign * b), and ca stays
+    the left operand, so a NaN passes through as before.
     """
     ia, ib, sg = table
-    if ca.ndim == 1 and cb.ndim > 1:
-        w = sg * ca[ia]
-        out = w[:, 0] * cb[..., ib[:, 0]]
-        for j in range(1, sg.shape[1]):
-            out += w[:, j] * cb[..., ib[:, j]]
-        return out
     if cb.ndim == 1 and ca.ndim > 1:
         w = sg * cb[ib]
         out = ca[..., ia[:, 0]] * w[:, 0]
@@ -308,7 +303,7 @@ class KForm:
     def _function_values(self, p):
         """A 0-form's values at the points p (..., m), shape (...,)."""
         c = self.coeffs(p)[..., 0]
-        if c.shape == p.shape[:-1]:
+        if c.shape == p.shape[:-1] and c.flags.writeable:
             return c
         return np.broadcast_to(c, p.shape[:-1]).copy()
 

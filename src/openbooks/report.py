@@ -25,16 +25,9 @@ class SweepRow(Mapping):
     __slots__ = ("eps", "T", "min_margin")
 
     def __init__(self, eps: float, T: float, min_margin: float):
-        set_slot = object.__setattr__
-        set_slot(self, "eps", eps)
-        set_slot(self, "T", T)
-        set_slot(self, "min_margin", min_margin)
-
-    def __setattr__(self, key, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __reduce__(self):
-        return type(self), tuple(self.values())
+        self.eps = eps
+        self.T = T
+        self.min_margin = min_margin
 
     def __getitem__(self, key):
         if key not in self.__slots__:

@@ -530,7 +530,10 @@ def test_degree_zero_constants_take_the_batch_shape():
             assert vals.shape == (40,)
             assert np.all(vals == form.coeffs(pts)[0])
             vals[0] = -1.0                  # a fresh array, not the row
-        assert form(pts[0]).shape == ()
+        for val in (form(pts[0]), form.at_basis(pts[0], np.empty((0, 4)))):
+            assert val.shape == ()
+            val[()] = -1.0                  # fresh at one point too
+        assert np.all(form(pts) == form.coeffs(pts)[0])
     assert np.all(constant_form(4, 0, [2.5])(pts) == 2.5)
 
 

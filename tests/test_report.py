@@ -115,8 +115,6 @@ def test_sweep_row_reads_and_writes_like_its_dict():
     assert row["T"] == 2.5 and len(row) == 3
     with pytest.raises(KeyError):
         row["sample"]
-    with pytest.raises(AttributeError):
-        row.T = 3.0
     with pytest.raises(TypeError):
         row["T"] = 3.0
     assert not hasattr(row, "__dict__")
