@@ -32,7 +32,7 @@ print(f"z_1 book: time-1 flow returns every start to "
 rep2 = quadric_open_book(2)
 off = sample(rep2.manifold, 400, seed=5)
 off = off[rep2.f.modulus(off) > 1e-3][:200]
-solved = spinning_field(rep2, off)              # pointwise linear solve
+solved = spinning_field(rep2, off)              # kernel of the page form
 analytic = quadric_spinning_field(rep2)(off)    # closed-form expression
 print(f"quadric book: solve vs closed form {np.max(np.abs(solved - analytic)):.2e}")
 

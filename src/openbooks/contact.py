@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSystem, DimensionMismatch, OffManifold
-from .forms import (DEFAULT_FD_STEP, KForm, VecField, central_difference,
+from .forms import (DEFAULT_FD_STEP, KForm, central_difference,
                     constant_form, contact_volume, ext_deriv,
                     increasing_indices, scale_form, wedge, wedge_all,
                     wedge_power, zero_form)
@@ -585,22 +585,6 @@ def standard_contact_form(n: int) -> KForm:
 def standard_sphere(n: int) -> Submanifold:
     """Unit sphere S^(2n-1) in C^n = R^(2n)."""
     return unit_sphere(2 * n)
-
-
-def standard_reeb_field(n: int) -> VecField:
-    """Reeb field of alpha_0 on the unit sphere: R(z) = 2 i z.
-
-    The normalization is fixed by alpha_0(R) = 1 on |z| = 1; the complex
-    multiplication-by-i field alone pairs with alpha_0 to 1/2."""
-    m = 2 * n
-
-    def eval(p):
-        out = np.empty_like(p)
-        out[..., 0::2] = -2.0 * p[..., 1::2]
-        out[..., 1::2] = 2.0 * p[..., 0::2]
-        return out
-
-    return VecField(m, eval)
 
 
 def coordinate_defining_function(n: int) -> DefiningFunction:

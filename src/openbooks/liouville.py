@@ -22,7 +22,7 @@ from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pullback, scale_form,
                     wedge_power)
-from .manifolds import (Submanifold, boxed, disk_cotangent_bundle,
+from .manifolds import (Submanifold, boxed, disk_cotangent_bundle, rng_for,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
@@ -370,8 +370,7 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         newton_step=newton_step if ld.du is _radial_du else None)
 
     # transversality of the ambient Liouville field X_L + (x dx + y dy)/2
-    probe = sampler(np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(0))), 400)
+    probe = sampler(rng_for(0), 400)
     margin = ld.u(probe[..., :mf]) - ld.du_along_field(probe[..., :mf])
     if np.min(margin) <= 1e-9:
         raise DomainError("ambient Liouville field is not transverse to V: "

@@ -5,14 +5,14 @@ The spinning field of a representation (alpha, f) is the unique Y with
 
     d(theta)(Y) = 2 pi      and      iota_Y d(alpha/|f|) |_page = 0 .
 
-Both equations are assembled in regularized form so the linear system has
-polynomial coefficients whenever f does:
+Both are written in regularized form, with polynomial coefficients
+whenever f has them:
 
     (f_x df_y - f_y df_x)(Y) = 2 pi rho^2
-    [rho^2 d(alpha) - (f_x df_x + f_y df_y) ^ alpha](Y, e_i) = 0
+    iota_Y [rho^2 d(alpha) - (f_x df_x + f_y df_y) ^ alpha] = 0 on T_p V
 
-over a basis {e_i} of the page tangent space (the second line is
-rho^3 d(alpha/rho) evaluated on page vectors).
+The bracket is rho^3 d(alpha/rho), :func:`page_two_form`; Y is read off
+its n-th power, :func:`spinning_kernel_form`, with no linear solve.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .contact import (Representation, openbook_volume_form, verify_contact,
 from .errors import (BindingPoint, DegenerateSystem, DimensionMismatch,
                      DomainError, FlowAborted, NonConvergence)
 from .forms import (KForm, SmoothMap, VecField, central_difference,
-                    ext_deriv, interior, pullback, scale_form, wedge_all,
-                    wedge_power)
+                    ext_deriv, interior, pluecker, pullback, scale_form,
+                    wedge, wedge_all, wedge_power)
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
 from .manifolds import (FD_STEP, boxed, complement_frames,
@@ -76,79 +76,100 @@ class SpinningField:
         return out.view(np.float64)
 
 
-def _spinning_solve_batch(rep: Representation, pts):
-    """Solve the square regularized system for Y at each point."""
-    alpha = rep.contact.alpha
+def page_two_form(rep: Representation) -> KForm:
+    """rho^3 d(alpha/rho) = rho^2 d(alpha) - rho drho ^ alpha, with
+    rho^2 = f_x^2 + f_y^2 and rho drho = f_x df_x + f_y df_y: smooth
+    across the binding.  On T_p V its kernel is the spinning direction."""
+    f = rep.f
+    rho_drho = KForm(1, rep.manifold.ambient_dim,
+                     lambda p: f.regularized(p).rho_drho)
+    return (scale_form(lambda p: f.regularized(p).rho2, rep.contact.d_alpha())
+            - wedge(rho_drho, rep.contact.alpha))
+
+
+def spinning_kernel_form(rep: Representation) -> KForm:
+    """K = 2 pi [rho^2 (d alpha)^n - n rho drho ^ alpha ^ (d alpha)^(n-1)],
+    the power 2 pi (rho^3 d lambda)^n / rho^(2n-2) expanded exactly, as
+    (rho drho ^ alpha)^2 = 0: no product of two such terms, which cancels
+    only in exact arithmetic, is formed.  iota_Y Omega_V = K for the
+    spinning field Y."""
+    n = rep.n
+    f = rep.f
     dalpha = rep.contact.d_alpha()
-    bases = tangent_bases(rep.manifold, pts)
-    d = bases.shape[1]
-    reg = rep.f.regularized(pts)
-    rho2 = reg.rho2
-    if np.any(rho2 < FLOW_BINDING_BAND ** 2):
-        raise BindingPoint("spinning field requested inside the binding band")
-    # tangent-space components
-    mu_t = np.einsum("nm,njm->nj", reg.mu, bases)
-    drho2_t = np.einsum("nm,njm->nj", reg.rho_drho, bases)
-    alpha_t = alpha.restrict(pts, bases)
-    da_t = dalpha.restrict(pts, bases)
-    # page basis: orthonormal kernel of mu_t
-    page = complement_frames(mu_t)[0]                  # (N, d-1, d)
-    # rows: mu(Y) = 2 pi rho^2 ; for each page vector e:
-    #   rho^2 da(e, Y)... careful with slot order: iota_Y dlam(e) = dlam(Y, e)
-    rows = [mu_t[:, None, :]]
-    rhs = [2 * np.pi * rho2[:, None]]
-    # lam_rows[p] applied to Y gives rho^3 d(alpha/rho)(Y, e_p)
-    #   = rho^2 d(alpha)(Y, e_p) - alpha(e_p) (rho drho)(Y)
-    #     + (rho drho)(e_p) alpha(Y)
-    lam_rows = (rho2[:, None, None] * np.einsum("npj,njk->npk", page, -da_t)
-                - np.einsum("npj,nj->np", page, alpha_t)[:, :, None]
-                * drho2_t[:, None, :]
-                + np.einsum("npj,nj->np", page, drho2_t)[:, :, None]
-                * alpha_t[:, None, :])
-    rows.append(lam_rows)
-    rhs.append(np.zeros((len(pts), d - 1)))
-    mat = np.concatenate(rows, axis=1)
-    b = np.concatenate(rhs, axis=1)
-    # a NaN or inf would stop the rank test's eigensolver with LinAlgError
-    finite = np.isfinite(mat).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
-    if not np.all(finite):
-        worst = int(np.argmin(finite))
-        raise DegenerateSystem(
-            f"spinning-field system is not finite at sample {worst}",
-            singular_values=np.full(d, np.nan))
-    svals = singular_values(mat)
-    # 1e-6, not the 1e-9 an SVD could resolve: the Gram route reads a
-    # rank-deficient system as s_min up to ~3e-8 s_max
-    bad = svals[:, -1] < 1e-6 * svals[:, 0]
-    if np.any(bad):
-        worst = int(np.argmax(bad))
-        raise DegenerateSystem("spinning-field system is rank deficient",
-                               singular_values=svals[worst])
-    sol = np.linalg.solve(mat, b[..., None])[..., 0]
-    residual = np.linalg.norm(mat @ sol[..., None] - b[..., None],
-                              axis=(-2, -1))
-    scale = np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(
-        sol, axis=-1) + 1.0
-    if np.any(residual / scale > 1e-8):
-        raise DegenerateSystem(
-            f"spinning solve residual {np.max(residual / scale):.3e}",
-            singular_values=svals[int(np.argmax(residual / scale))])
-    return np.einsum("nj,njm->nm", sol, bases), residual / scale
+    drho2 = KForm(1, rep.manifold.ambient_dim,
+                  lambda p: 2 * f.regularized(p).rho_drho)
+    rho2_fn = lambda p: np.abs(f.value(p)) ** 2
+    return (2 * np.pi) * scale_form(rho2_fn, wedge_power(dalpha, n)) \
+        - (np.pi * n) * wedge_all(drho2, rep.contact.alpha,
+                                  wedge_power(dalpha, n - 1))
 
 
 def spinning_field(rep: Representation, p):
-    """Spinning vector at one point (or a batch) by the linear solve."""
+    """Spinning vector at one point (m,) or a batch (N, m).
+
+    On the oriented frame e of T_p V (d = 2n + 1), k_i = (-1)^i K(e
+    without e_i) for K = :func:`spinning_kernel_form`, from one
+    :func:`pluecker` of the d sub-frames.  As K = iota_Y Omega_V, k is
+    Omega_V(e) Y in frame coordinates, so Y = 2 pi rho^2 k / mu(k),
+    mu = rho^2 d(theta).  Past the frame no BLAS or LAPACK call is taken.
+
+    |f| below FLOW_BINDING_BAND raises BindingPoint.  DegenerateSystem,
+    carrying the singular values of [mu; P] (P = :func:`page_two_form` on
+    the frame) at the point, NaN where a value is not finite, is raised
+    on a value that is not finite, on |mu(k)| <= 1e-6 |mu| |k|, and on a
+    residual of [mu; P] Y = (2 pi rho^2, 0) above 1e-8 of
+    |[mu; P]| |Y| + 2 pi rho^2.
+    """
     pts = np.asarray(p, float)
     single = pts.ndim == 1
-    vec, _ = _spinning_solve_batch(rep, pts[None] if single else pts)
+    if single:
+        pts = pts[None]
+    reg = rep.f.regularized(pts)
+    if np.any(reg.rho2 < FLOW_BINDING_BAND ** 2):
+        raise BindingPoint("spinning field requested inside the binding band")
+    bases = tangent_bases(rep.manifold, pts)
+    d = bases.shape[1]
+    drop = [[j for j in range(d) if j != i] for i in range(d)]
+    k = spinning_kernel_form(rep).on_pluecker(
+        pts[:, None, :], pluecker(bases[:, drop, :])) * (-1.0) ** np.arange(d)
+    mu_t = np.einsum("nm,njm->nj", reg.mu, bases)
+    mat = np.concatenate([mu_t[:, None, :],
+                          page_two_form(rep).restrict(pts, bases)], axis=1)
+    finite = np.isfinite(k).all(axis=-1) & np.isfinite(mat).all(axis=(-2, -1))
+
+    def degenerate(message, worst):
+        svals = (singular_values(mat[worst].T) if finite[worst]
+                 else np.full(d, np.nan))
+        return DegenerateSystem(f"spinning-field {message} at sample {worst}",
+                                singular_values=svals)
+
+    if not np.all(finite):
+        raise degenerate("system is not finite", int(np.argmin(finite)))
+    mu_k = np.einsum("nd,nd->n", mu_t, k)
+    pinned = np.abs(mu_k) > 1e-6 * np.linalg.norm(mu_t, axis=-1) \
+        * np.linalg.norm(k, axis=-1)
+    if not np.all(pinned):
+        raise degenerate("kernel is not pinned by mu", int(np.argmin(pinned)))
+    rhs = 2 * np.pi * reg.rho2
+    y_t = (rhs / mu_k)[:, None] * k
+    gap = np.einsum("nij,nj->ni", mat, y_t)
+    gap[:, 0] -= rhs
+    rel = np.linalg.norm(gap, axis=-1) / (
+        np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(y_t, axis=-1)
+        + rhs)
+    if not np.all(rel <= 1e-8):
+        worst = int(np.argmax(rel))
+        raise degenerate(f"residual {rel[worst]:.3e}", worst)
+    vec = np.einsum("nj,njm->nm", y_t, bases)
     return vec[0] if single else vec
 
 
 @timed
 def spinning_solve_check(rep: Representation, samples, seed=0
                          ) -> CheckReport:
-    """The quadric book's spinning field by the linear solve equals
-    :func:`quadric_spinning_field` at the first 200 samples off |f| <= 1e-3."""
+    """The quadric book's spinning field from the page form's kernel
+    (:func:`spinning_field`) equals :func:`quadric_spinning_field` at the
+    first 200 samples off |f| <= 1e-3."""
     pts = np.asarray(samples, float)
     pts = pts[rep.f.modulus(pts) > 1e-3][:200]
     solved = spinning_field(rep, pts)
@@ -156,7 +177,7 @@ def spinning_solve_check(rep: Representation, samples, seed=0
     return make_report(
         "spinning_solve", n_samples=len(pts),
         max_residual=np.abs(solved - analytic), tolerance=1e-7, seed=seed,
-        note="linear-solve spinning field matches the closed form")
+        note="page-form kernel spinning field matches the closed form")
 
 
 # -- analytic spinning fields for the stock open books ----------------------
@@ -168,10 +189,10 @@ def coordinate_spinning_field(rep: Representation) -> SpinningField:
     rescaled binding form outright) whose time-1 flow is the identity, so
     the monodromy is trivial.
 
-    Note this is not the kernel-normalized field of the linear solve: it
-    satisfies iota_Y d(lambda) = -pi d|f| rather than 0, which still
+    Note this is not the kernel-normalized field of :func:`spinning_field`:
+    it satisfies iota_Y d(lambda) = -pi d|f| rather than 0, which still
     preserves d(lambda) because the correction is exact.  The closed form
-    of the solve's field for this book is ``coordinate_kernel_field`` in
+    of the kernel field for this book is ``coordinate_kernel_field`` in
     ``tests/test_monodromy.py``.
     """
     return plane_rotation_field(rep, 0)
@@ -227,15 +248,7 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
     omega = openbook_volume_form(rep)
     field = VecField(rep.manifold.ambient_dim, y)
     lhs_form = interior(field, omega)
-    f = rep.f
-    dalpha = rep.contact.d_alpha()
-
-    drho2 = KForm(1, rep.manifold.ambient_dim,
-                  lambda p: 2 * f.regularized(p).rho_drho)
-    rho2_fn = lambda p: np.abs(f.value(p)) ** 2
-    rhs_form = (2 * np.pi) * scale_form(rho2_fn, wedge_power(dalpha, n)) \
-        - (np.pi * n) * wedge_all(drho2, rep.contact.alpha,
-                                  wedge_power(dalpha, n - 1))
+    rhs_form = spinning_kernel_form(rep)
     bases = tangent_bases(rep.manifold, pts)
     # evaluate both 2n-forms on the first 2n tangent basis vectors
     args = bases[:, : 2 * n, :]
@@ -251,34 +264,18 @@ def contraction_identity_check(rep: Representation, y: SpinningField,
 
 
 def kernel_defect_form(rep: Representation, y: SpinningField) -> KForm:
-    """The 1-form iota_Y d(alpha/|f|), assembled without differentiating
-    the quotient:
-
-        rho^3 iota_Y d(alpha/rho) = rho^2 iota_Y d(alpha)
-                                    - (rho drho)(Y) alpha
-                                    + alpha(Y) (rho drho)
-
-    with rho drho = f_x df_x + f_y df_y.  Vanishes identically for the
-    kernel-normalized spinning field; exact for any spinning field.
+    """The 1-form iota_Y d(alpha/|f|) = iota_Y (:func:`page_two_form`) /
+    rho^3, assembled without differentiating the quotient.  Vanishes
+    identically for the kernel-normalized spinning field; exact for any
+    spinning field.
     """
     f = rep.f
-    alpha = rep.contact.alpha
-    dalpha = rep.contact.d_alpha()
     m = rep.manifold.ambient_dim
-    field = VecField(m, y)
-    contracted = interior(field, dalpha)
+    contracted = interior(VecField(m, y), page_two_form(rep))
 
     def coeffs(p):
-        reg = f.regularized(p)
-        rho2, rho_drho = reg.rho2, reg.rho_drho
-        yv = y(p)
-        alpha_c = alpha.coeffs(p)
-        alpha_of_y = np.einsum("...m,...m->...", alpha_c, yv)
-        drho_of_y = np.einsum("...m,...m->...", rho_drho, yv)
-        num = (rho2[..., None] * contracted.coeffs(p)
-               - drho_of_y[..., None] * alpha_c
-               + alpha_of_y[..., None] * rho_drho)
-        return num / np.maximum(rho2, 1e-300)[..., None] ** 1.5
+        rho3 = np.maximum(f.regularized(p).rho2, 1e-300) ** 1.5
+        return contracted.coeffs(p) / rho3[..., None]
 
     return KForm(1, m, coeffs)
 

@@ -125,7 +125,8 @@ def test_product_contact_two_routes(maker):
 
 def test_torus_dependent_beta_fails_eps_scaling():
     # negative control: with beta scaled by a factor depending on phi1,
-    # alpha_V + eps beta is no longer eps^2-homogeneous in its volume
+    # alpha_V + eps beta is no longer eps^2-homogeneous in its volume, and
+    # its coefficients change under a shift of the angles
     rep = quadric_open_book(2)
     bf = bourgeois_form(rep)
     beta = scale_form(lambda p: 1.0 + 0.5 * np.sin(p[..., 4]), bf.beta)
@@ -137,6 +138,8 @@ def test_torus_dependent_beta_fails_eps_scaling():
     named = {d.name: d for d in report.details}
     assert not named["eps_scaling"].passed
     assert named["eps_scaling"].max_residual > 0.1
+    assert not named["torus_invariance"].passed
+    assert named["torus_invariance"].max_residual > 0.1
     assert not report.passed
 
 

@@ -9,18 +9,33 @@ from openbooks.contact import (ContactForm, DefiningFunction,
                                Representation, _sub_pfaffians,
                                coordinate_open_book, openbook_volume_form,
                                quadric_open_book, reeb_fields,
-                               standard_contact_form, standard_reeb_field,
-                               standard_sphere, verify_adapted,
-                               verify_contact, verify_representation,
-                               volume_form_cross_check)
+                               standard_contact_form, standard_sphere,
+                               verify_adapted, verify_contact,
+                               verify_representation, volume_form_cross_check)
 from openbooks.errors import DegenerateSystem, OffManifold
-from openbooks.forms import contact_volume, form_from_components
+from openbooks.forms import VecField, contact_volume, form_from_components
 from openbooks.manifolds import (Submanifold, flat_torus, sample,
                                  tangent_bases)
 
 
 # ---------------------------------------------------------------------------
 # Reeb fields
+
+
+def standard_reeb_field(n: int) -> VecField:
+    """Reeb field of alpha_0 on the unit sphere: R(z) = 2 i z.
+
+    The normalization is fixed by alpha_0(R) = 1 on |z| = 1; the complex
+    multiplication-by-i field alone pairs with alpha_0 to 1/2."""
+    m = 2 * n
+
+    def eval(p):
+        out = np.empty_like(p)
+        out[..., 0::2] = -2.0 * p[..., 1::2]
+        out[..., 1::2] = 2.0 * p[..., 0::2]
+        return out
+
+    return VecField(m, eval)
 
 
 def test_reeb_field_of_standard_r3():

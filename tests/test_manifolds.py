@@ -24,6 +24,7 @@ from openbooks.manifolds import (ON_MANIFOLD_TOL, RANK_RATIO, Submanifold,
                                  project_to_constraints, rng_for, sample,
                                  singular_values, tangent_bases,
                                  tangent_pluecker, unit_sphere)
+from openbooks.monodromy import spinning_field
 from openbooks.prelagrangian import (binding_torus_prelagrangian,
                                      real_circle_torus_prelagrangian)
 
@@ -396,8 +397,7 @@ def test_complement_frames_are_orthonormal_complements(m):
                                atol=1e-14)
 
 
-@pytest.mark.parametrize("site", ["spinning_solve", "spinning_definition",
-                                  "inverse_form"])
+@pytest.mark.parametrize("site", ["spinning_definition", "inverse_form"])
 def test_page_frames_of_each_site_are_annihilated_by_mu(site, monkeypatch):
     """Each page frame is the complement of mu inside T_p V: mu, taken in
     ambient space, vanishes on the frame's rows mapped through the
@@ -421,11 +421,8 @@ def test_page_frames_of_each_site_are_annihilated_by_mu(site, monkeypatch):
         assert bourgeois.verify_inverse_form(rep, 10.0, pts, bind).passed
     else:
         monkeypatch.setattr(monodromy, "complement_frames", recording)
-        if site == "spinning_solve":
-            monodromy.spinning_field(rep, pts)
-        else:
-            y = monodromy.quadric_spinning_field(rep)
-            monodromy.spinning_definition_check(rep, y, pts)
+        y = monodromy.quadric_spinning_field(rep)
+        monodromy.spinning_definition_check(rep, y, pts)
     assert len(seen) == 1
     bases = tangent_bases(rep.manifold, pts)
     mu = rep.f.mu_form().coeffs(pts)
@@ -658,14 +655,17 @@ def _tangent_pluecker_digest():
 
 
 def _closed_form_digest():
-    # SHA-256 of the quadric binding samples (n = 2, 3) and of the Reeb
-    # vectors on S^3 and S^5, both taken without a BLAS or LAPACK call
+    # SHA-256 of the quadric binding samples (n = 2, 3), of the Reeb
+    # vectors and of the spinning-field vectors on S^3 and S^5, all taken
+    # without a BLAS or LAPACK call
     digest = hashlib.sha256()
     for n in (2, 3):
         rep = quadric_open_book(n)
         digest.update(sample(rep.binding, 200, seed=32).data)
-        reeb, _ = reeb_fields(rep.contact, sample(rep.manifold, 300, seed=33))
+        pts = sample(rep.manifold, 300, seed=33)
+        reeb, _ = reeb_fields(rep.contact, pts)
         digest.update(reeb.data)
+        digest.update(spinning_field(rep, pts[rep.f.modulus(pts) > 1e-3]).data)
     return digest.hexdigest()
 
 
@@ -710,9 +710,9 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
     # the closed-form steps and gauss_newton_step both take their squared
     # norms by np.vecdot, whose bits depend on the BLAS kernel: the bit
     # equality must hold on every core, not only on the default one.  The
-    # normal route of tangent_pluecker, the quadric binding sampler and the
-    # sub-Pfaffian Reeb field take no BLAS call, so their bits on each core
-    # are those of this process
+    # normal route of tangent_pluecker, the quadric binding sampler, the
+    # sub-Pfaffian Reeb field and the kernel-form spinning field take no
+    # BLAS call, so their bits on each core are those of this process
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(

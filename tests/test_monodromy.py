@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from openbooks import cli, contact
+from openbooks.bourgeois import profiled_representation
 from openbooks.contact import (ContactForm, coordinate_open_book,
                                quadric_open_book)
 from openbooks.errors import (BindingPoint, DegenerateSystem,
                               DimensionMismatch, DomainError, FlowAborted,
                               NonConvergence)
 from openbooks.forms import KForm
-from openbooks.liouville import hypersurface_build, weinstein_disk_domain
-from openbooks.manifolds import rng_for, sample
+from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
+                                 weinstein_disk_domain)
+from openbooks.manifolds import (complement_frames, project_to_constraints,
+                                 rng_for, sample, tangent_bases)
 from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
                                  closed_form_flow_check,
                                  closed_form_quadric_flow, complex_to_real,
@@ -37,7 +40,7 @@ COORDINATE = coordinate_open_book(2)
 def coordinate_kernel_field(rep):
     """The kernel-normalized spinning field of the z_1 open book
     (iota_Y d(alpha/|f|) = 0 and d(theta)(Y) = 2 pi), derived in polar
-    coordinates: the closed-form oracle of the linear solve,
+    coordinates: the closed-form oracle of spinning_field,
 
         Y = 2 pi (x_1 d/dy_1 - y_1 d/dx_1)
             + 2 pi |z_1|^2 / (1 + |z_1|^2) *
@@ -190,6 +193,70 @@ def test_spinning_field_rejects_binding_band():
         spinning_field(QUADRIC, bind)
 
 
+def _bordered_solve(rep, pts):
+    """Y from the square system [mu; rho^3 d(alpha/rho)(., e_p)] Y =
+    (2 pi rho^2, 0) over a page frame {e_p} (the complement of mu in
+    T_p V), with the page rows written out by hand: solved by pinv and one
+    step of iterative refinement, which takes the pinv route's own ~1e-14
+    rounding off the reference."""
+    bases = tangent_bases(rep.manifold, pts)
+    reg = rep.f.regularized(pts)
+    mu_t = np.einsum("nm,njm->nj", reg.mu, bases)
+    rho_drho_t = np.einsum("nm,njm->nj", reg.rho_drho, bases)
+    alpha_t = rep.contact.alpha.restrict(pts, bases)
+    da_t = rep.contact.d_alpha().restrict(pts, bases)
+    page = complement_frames(mu_t)[0]
+    rows = (reg.rho2[:, None, None] * np.einsum("npj,njk->npk", page, -da_t)
+            - np.einsum("npj,nj->np", page, alpha_t)[:, :, None]
+            * rho_drho_t[:, None, :]
+            + np.einsum("npj,nj->np", page, rho_drho_t)[:, :, None]
+            * alpha_t[:, None, :])
+    mat = np.concatenate([mu_t[:, None, :], rows], axis=1)
+    rhs = np.zeros(mat.shape[:2])
+    rhs[:, 0] = 2 * np.pi * reg.rho2
+    inv = np.linalg.pinv(mat)
+    sol = np.einsum("nij,nj->ni", inv, rhs)
+    sol += np.einsum("nij,nj->ni", inv,
+                     rhs - np.einsum("nij,nj->ni", mat, sol))
+    return np.einsum("nj,njm->nm", sol, bases)
+
+
+@pytest.mark.parametrize("name", ["quadric S^3", "quadric S^5",
+                                  "coordinate S^5", "profiled quadric S^3",
+                                  "Weinstein-disk V", "quartic-D^4 V"])
+def test_spinning_field_equals_the_bordered_solve(name):
+    rep = {"quadric S^3": lambda: QUADRIC,
+           "quadric S^5": lambda: quadric_open_book(3),
+           "coordinate S^5": lambda: coordinate_open_book(3),
+           "profiled quadric S^3": lambda: profiled_representation(QUADRIC),
+           "Weinstein-disk V": lambda: hypersurface_build(
+               weinstein_disk_domain()).rep,
+           "quartic-D^4 V": lambda: hypersurface_build(
+               quartic_disk_domain(2)).rep}[name]()
+    pts = _off_binding(rep, 200, seed=16, band=1e-3)
+    assert len(pts) == 200
+    got = spinning_field(rep, pts)
+    assert np.max(np.abs(got - _bordered_solve(rep, pts))) <= 1e-14
+    assert np.array_equal(spinning_field(rep, pts[7]), got[7])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spinning_field_next_to_the_binding(n):
+    # binding samples pushed off by 2e-6 and projected back: |f| reaches
+    # about 1.3e-6, just outside the band, where the page form's rho drho ^
+    # alpha part outweighs its rho^2 d(alpha) part by 1/|f|
+    rep = quadric_open_book(n)
+    bind = sample(rep.binding, 200, seed=17)
+    pts = project_to_constraints(
+        rep.manifold, bind + 2e-6 * rng_for(18).normal(size=bind.shape))
+    pts = pts[rep.f.modulus(pts) > 1e-6]
+    assert len(pts) > 150 and np.min(rep.f.modulus(pts)) < 1.5e-6
+    got = spinning_field(rep, pts)
+    want = quadric_spinning_field(rep)(pts)
+    assert np.max(np.linalg.norm(got - want, axis=-1)
+                  / np.linalg.norm(want, axis=-1)) <= 1e-9
+
+
 @pytest.mark.parametrize("rep,field_maker", [
     (QUADRIC, quadric_spinning_field),
     (COORDINATE, coordinate_kernel_field)])
@@ -203,7 +270,6 @@ def test_contraction_identity(rep, field_maker):
 def test_kernel_defect_vanishes_only_for_kernel_field():
     # iota_Y d(lambda) = 0 holds on tangent vectors for the normalized
     # field; the rotation field's defect is -pi d|f| instead
-    from openbooks.manifolds import tangent_bases
     pts = _off_binding(COORDINATE, 50, seed=6, band=0.2)
     bases = tangent_bases(COORDINATE.manifold, pts)
     kernel = kernel_defect_form(COORDINATE,
