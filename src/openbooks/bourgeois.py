@@ -20,8 +20,9 @@ from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     coordinate_differential, ext_deriv, increasing_indices,
                     on_batch, pullback, wedge, wedge_all, wedge_power)
-from .manifolds import (Submanifold, complement_frames, product_with_torus,
-                        sample, tangent_bases, tangent_pluecker)
+from .manifolds import (Submanifold, complement_frames, frame_product,
+                        product_with_torus, sample, tangent_bases,
+                        tangent_pluecker)
 from .report import (CheckReport, SweepRow, make_report, merge_reports,
                      timed)
 
@@ -396,7 +397,8 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     correction = inverse_form(rep, c).alpha - rep.contact.alpha
     mu = rep.f.mu_form()
     bases = tangent_bases(rep.manifold, samples)
-    page = complement_frames(mu.restrict(samples, bases))[0] @ bases
+    page = frame_product(complement_frames(mu.restrict(samples, bases))[0],
+                         bases)
     page_gap = np.max(np.abs(correction.restrict(samples, page)), axis=-1)
     bind_bases = tangent_bases(rep.manifold, binding_samples)
     bind_gap = np.abs(correction.restrict(binding_samples, bind_bases))

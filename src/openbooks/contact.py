@@ -26,9 +26,9 @@ from .forms import (DEFAULT_FD_STEP, KForm, central_difference,
                     constant_form, contact_volume, ext_deriv,
                     increasing_indices, scale_form, wedge, wedge_all,
                     wedge_power, zero_form)
-from .manifolds import (FD_STEP, Submanifold, _orientation_signs,
-                        singular_values, tangent_bases, tangent_pluecker,
-                        unit_sphere)
+from .manifolds import (FD_STEP, Submanifold, singular_values,
+                        tangent_bases, tangent_pluecker,
+                        two_row_min_singular_value, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -387,36 +387,40 @@ def quotient_volume_values(rep: Representation, points, coords):
 
 
 def binding_orientation(rep: Representation):
-    """Orientation callable for the binding K = f^{-1}(0):
+    """Orientation convention of the binding K = f^{-1}(0):
 
     a basis W of T_p K is positive when (u1, u2, W) is positively oriented
     in T_p V, where (u1, u2) spans the normal of K inside T_p V with
-    positive (df_x, df_y)-frame determinant.  Batched: points (N, m) and
-    bases (N, dim K, m) give signs (N,).
+    positive (df_x, df_y)-frame determinant.
 
-    No frame of T_p V is built: the sign is V's own orientation rule
-    applied to (grad f_x, grad f_y, W).  For "normal_first" V that is
-    sign det[n, grad f_x, grad f_y, W], n the unit normal.  Each grad f_i
-    is a_i n + P_i1 u1 + P_i2 u2 + (a vector in span W), with
-    P_ij = <grad f_i, u_j>; the n and W parts drop out of the determinant,
-    which is therefore det P * det[n, u1, u2, W], and det P > 0 by the
-    choice of (u1, u2).  The same holds without n for "ambient" V, and
-    for an unoriented V (None) every sign is +1.  These three are the
-    rules the argument covers; a callable orientation of V is not one.
+    That is the "normal_first" rule (constraint rows first) of K's
+    constraint rows [J_V; grad f_x; grad f_y], which
+    :func:`binding_manifold` lists in this order, so no frame of T_p V
+    and no determinant is needed.  For "normal_first" V, with n the unit
+    normal, each grad f_i is a_i n + P_i1 u1 + P_i2 u2 + (a vector in
+    span W), P_ij = <grad f_i, u_j>; the n and W parts drop out of
+    det[J_V; grad f_x; grad f_y; W], which is therefore
+    |J_V| det P det[n, u1, u2, W], and det P > 0 by the choice of
+    (u1, u2).  The same holds without J_V for "ambient" V (no
+    constraints), and an unoriented V (None) leaves K unoriented.  A
+    callable orientation of V is not covered by the argument and raises
+    ValueError.
     """
-    manifold = rep.manifold
-    f = rep.f
-
-    def orientation(points, bases):
-        full = np.concatenate([f.grad(points), bases], axis=-2)
-        return _orientation_signs(manifold, points, full)
-
-    return orientation
+    conv = rep.manifold.orientation
+    if conv is None:
+        return None
+    if conv in ("normal_first", "ambient"):
+        return "normal_first"
+    raise ValueError(f"no binding orientation for a V oriented by {conv!r}")
 
 
 def binding_manifold(rep: Representation) -> Submanifold:
     """The binding K as a submanifold of ambient space, inheriting the
-    sampler registered on the representation."""
+    sampler registered on the representation.  Its constraint rows are
+    V's, then f_x and f_y, and it is oriented by
+    :func:`binding_orientation`: constraint rows first, so its frames
+    from :func:`tangent_bases` are oriented by the signs of their
+    Householder chain."""
     base = rep.manifold
     f = rep.f
 
@@ -454,6 +458,14 @@ def binding_contact_values(rep: Representation, binding_samples):
         binding_samples, tangent_pluecker(bind, binding_samples))
 
 
+def _rank_two_margins(f: DefiningFunction, points, bases):
+    """The smaller singular value (N,) of (df_x, df_y) restricted to the
+    frames bases (N, d, m) of T_p V at points (N, m): how far the pair is
+    from dropping rank."""
+    return two_row_min_singular_value(
+        np.einsum("ncm,ndm->ncd", f.grad(points), bases))
+
+
 def representation_conditions(rep: Representation, samples, binding_samples,
                               seed=0):
     """The four conditions making (alpha, f) a representation, each as its
@@ -471,9 +483,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
 
     # (1) 0 is a regular value: (df_x, df_y) restricted to TV has rank 2
     if n_bind > 0:
-        g = f.grad(binding_samples)                    # (N, 2, m)
-        restricted = np.einsum("ncm,ndm->ncd", g, bind_bases)
-        margins = singular_values(restricted)[:, -1]
+        margins = _rank_two_margins(f, binding_samples, bind_bases)
     else:
         margins = -1.0
     reports.append(make_report(
@@ -494,12 +504,9 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     mu_restricted = mu.restrict(samples, bases)
     mu_norm = np.linalg.norm(mu_restricted, axis=-1)
     rho = f.modulus(samples)
-    g = f.grad(samples)
-    restricted = np.einsum("ncm,ndm->ncd", g, bases)
-    rank2 = singular_values(restricted)[:, -1]
-    off = rho >= BINDING_BAND
-    margins = np.where(off, mu_norm / np.maximum(rho, BINDING_BAND) ** 2,
-                       rank2)
+    margins = mu_norm / np.maximum(rho, BINDING_BAND) ** 2
+    near = ~(rho >= BINDING_BAND)                  # a NaN modulus is near
+    margins[near] = _rank_two_margins(f, samples[near], bases[near])
     reports.append(make_report(
         "theta_submersion", n_samples=len(samples),
         min_margin=margins, tolerance=1e-6, seed=seed,

@@ -11,6 +11,7 @@ u * (lambda_c / u) extends to a contact form on the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,8 @@ from .contact import (ContactForm, DefiningFunction, Representation,
                       standard_contact_form)
 from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
-                    form_from_components, interior, pullback, scale_form,
-                    wedge_power)
+                    form_from_components, interior, pluecker, pullback,
+                    scale_form, wedge_power)
 from .manifolds import (Submanifold, boxed, disk_cotangent_bundle, rng_for,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -146,6 +147,21 @@ def weinstein_disk_domain() -> LiouvilleDomain:
 # completion checks
 
 
+def _leading_pluecker(manifold: Submanifold, pts, k):
+    """Pluecker coordinates of the first k vectors of the oriented tangent
+    frames at pts (N, m).  A constraint-free domain oriented by the
+    ambient order has the identity frame, whose first k vectors have the
+    one-hot row of the index set (0, ..., k-1), index 0 in lexicographic
+    order, broadcast to (N, C): a form takes its coefficient c_I on it
+    exactly, which is the value its minors gave, and no frame is built.  Other domains get the
+    minors of their :func:`tangent_bases` frames."""
+    if manifold.constraints is None and manifold.orientation == "ambient":
+        row = np.zeros(comb(manifold.ambient_dim, k))
+        row[0] = 1.0
+        return np.broadcast_to(row, (len(pts), row.size))
+    return pluecker(tangent_bases(manifold, pts)[:, :k, :])
+
+
 def liouville_relation_residual(ld: LiouvilleDomain, samples):
     """Residual of iota_X d(lambda_c) = lambda_c on tangent vectors."""
     pts = np.asarray(samples, float)
@@ -194,12 +210,11 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
     lhs_form = interior(ld.liouville_field, wedge_power(omega, n))
     omega_c = ext_deriv(ld.lambda_c)
     rhs_form = interior(ld.liouville_field, wedge_power(omega_c, n))
-    bases = tangent_bases(ld.manifold, inner)
-    args = bases[:, : 2 * n - 1, :]
-    lhs = lhs_form.at_basis(inner, args)
+    coords = _leading_pluecker(ld.manifold, inner, 2 * n - 1)
+    lhs = lhs_form.on_pluecker(inner, coords)
     factor = (1.0 - ld.du_along_field(inner) / ld.u(inner)) \
         / ld.u(inner) ** n
-    rhs = factor * rhs_form.at_basis(inner, args)
+    rhs = factor * rhs_form.on_pluecker(inner, coords)
     scale = np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     details.append(make_report(
         "rescaled_nondegeneracy", n_samples=len(inner),
@@ -438,11 +453,10 @@ def page_volume_identity(ld: LiouvilleDomain, samples, seed=0
         ld.u(p), 1e-6))
     lhs_form = wedge_power(d_quot, n)
     rhs_form = wedge_power(ext_deriv(ld.lambda_c), n)
-    bases = tangent_bases(ld.manifold, pts)
-    args = bases[:, : 2 * n, :]
-    lhs = r_fn(pts) ** (n + 2) * lhs_form.at_basis(pts, args)
+    coords = _leading_pluecker(ld.manifold, pts, 2 * n)
+    lhs = r_fn(pts) ** (n + 2) * lhs_form.on_pluecker(pts, coords)
     rhs = 0.5 * (2.0 * ld.u(pts) - ld.du_along_field(pts)) \
-        * rhs_form.at_basis(pts, args)
+        * rhs_form.on_pluecker(pts, coords)
     scale = np.maximum(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     return make_report(
         f"page_volume[{ld.name}]", n_samples=len(pts),

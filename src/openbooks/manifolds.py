@@ -5,20 +5,27 @@ set it is.  Tangent spaces are kernels of the constraint Jacobian, sampled
 points are produced by registered samplers driven by a counter-based
 (Philox) generator so that runs are reproducible given a seed.
 
-:func:`tangent_bases` takes no SVD.  On hypersurfaces (one constraint,
-which includes every sphere and sphere x torus) the frame is the tangent
-block of the Householder reflection that maps the unit normal to a
-coordinate axis, and the rank test is |grad| > 0.  With k >= 2
-constraints the frame is the last m - k columns of the complete QR
-factor of J^T, and the rank test reads the singular values of J as the
-square roots of the eigenvalues of J J^T.  Every batched frame is
-computed point by point, so a point's frame does not depend on the batch
-it came in.
+:func:`tangent_bases` takes no SVD, QR, eigenvalue or determinant.  Its
+frame is a chain of Householder reflections over the constraint rows:
+the first row's unit vector is reflected to a coordinate axis and the
+other rows of the reflection span its complement; each further row is
+written in the frame built so far, and the complement of that vector
+inside the frame is composed into it.  With one constraint (every
+sphere and sphere x torus) the chain is the single reflection.  The
+lengths of the projected rows are the pivots |r_ii| of a QR factor of
+J^T, so the rank test reads their product, and the orientation sign
+is the product of the reflections' signs.  Every contraction is a sum
+in a fixed order of elementwise products (:func:`frame_product` for
+frames), so a point's frame does not depend on the batch it came in or
+on the BLAS kernel.
 
-The Householder kernel, :func:`complement_frames`, is the one place that
-takes the orthonormal complement of a vector.  Besides hypersurface frames
-it gives the page frames of an open book: the complement, inside T_p V, of
-the covector (f_x df_y - f_y df_x) restricted to a frame of T_p V.
+The Householder reflector, built as a frame by :func:`complement_frames`,
+is the one place that takes the orthonormal complement of a vector.
+Besides the chain's links it gives the page frames of an open book: the complement, inside T_p V,
+of the covector (f_x df_y - f_y df_x) restricted to a frame of T_p V.
+:func:`two_row_min_singular_value` takes the same reduction of a pair of
+rows to a 2 x 2 triangle and reads its smaller singular value in closed
+form.
 
 A top form needs only the Pluecker coordinates of a frame, and
 :func:`tangent_pluecker` returns them.  On a "normal_first" hypersurface
@@ -72,12 +79,13 @@ class Submanifold:
     constraint_jac, when given, to the Jacobian (..., n_constraints, m).
 
     orientation is one of
-      - "normal_first": hypersurface-type; a tangent basis is positive when
-        prepending the outward constraint gradient gives a positively
-        oriented ambient frame (also correct for hypersurface x torus
-        products, where the gradient has zero angle components);
+      - "normal_first": constraint rows first; a tangent basis e is
+        positive when det[J; e] > 0, J the constraint Jacobian with its
+        rows in order.  With one constraint that is the outward gradient
+        first (also correct for hypersurface x torus products, where the
+        gradient has zero angle components);
       - "ambient": full-dimensional pieces of R^m, oriented by the ambient
-        coordinate order;
+        coordinate order (the same rule with no constraint rows);
       - None: unoriented (all bases accepted with sign +1);
       - a callable (points (N, m), bases (N, d, m)) -> signs (N,) of +-1,
         called once per batch.
@@ -128,31 +136,33 @@ class Submanifold:
         return replace(self, sampler=sampler)
 
 
-def _orientation_signs(manifold: Submanifold, points, bases):
-    """Orientation signs (N,) of bases (N, d, m) at points (N, m)."""
-    conv = manifold.orientation
-    if conv is None:
-        return np.ones(len(bases))
-    if callable(conv):
-        return np.asarray(conv(points, bases))
-    if conv == "ambient":
-        return np.sign(np.linalg.det(bases))
-    if conv == "normal_first":
-        jac = manifold.jacobian(points)
-        normal = jac[:, 0, :] / np.linalg.norm(jac[:, 0, :], axis=-1,
-                                               keepdims=True)
-        frames = np.concatenate([normal[:, None, :], bases], axis=1)
-        return np.sign(np.linalg.det(frames))
-    raise ValueError(f"unknown orientation convention {conv!r}")
-
-
 def singular_values(mat):
     """Singular values (..., k) of matrices (..., k, m) with k <= m, in
     descending order, as the square roots of the eigenvalues of the Gram
     matrix mat mat^T (rounding below zero is clipped to 0).  Squaring
-    limits the resolution to about 1e-8 of the largest value."""
+    limits the resolution to about 1e-8 of the largest value, and the
+    bits follow the BLAS kernel; the package computes them only for the
+    diagnostics of a DegenerateSystem."""
     gram = mat @ np.swapaxes(mat, -1, -2)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0))
+
+
+def _contract(a, b):
+    """sum_j a[..., j] b[..., j], added in the order j = 0, 1, ...: only
+    elementwise products and sums, so the bits of a row depend neither on
+    the batch it came in nor on the BLAS kernel."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
+def frame_product(a, b):
+    """Batched matrix product (..., p, q) x (..., q, m) -> (..., p, m),
+    summed over q in a fixed order (:func:`_contract`) instead of by
+    ``@``: a frame expressed in a tangent frame, mapped to ambient space."""
+    return _contract(a[..., :, None, :],
+                     np.swapaxes(b, -1, -2)[..., None, :, :])
 
 
 def _unit_vectors(vectors):
@@ -163,6 +173,23 @@ def _unit_vectors(vectors):
         raise DegenerateSystem("vanishing or non-finite vector in batch",
                                singular_values=norm[:, None])
     return vectors / norm[:, None]
+
+
+def _reflector(u):
+    """The Householder vectors w = u + s e_0, scales 1 + |u_0| and signs s
+    of unit vectors u (N, m); see :func:`complement_frames`."""
+    s = np.where(u[:, 0] >= 0, 1.0, -1.0)
+    w = u.copy()
+    w[:, 0] += s
+    return w, 1.0 + np.abs(u[:, 0]), s
+
+
+def _householder(u):
+    """Rows 1.. of the reflection that maps unit vectors u (N, m) to a
+    coordinate axis, and their signs (N,); see :func:`complement_frames`."""
+    w, scale, s = _reflector(u)
+    return np.eye(u.shape[-1])[1:] - w[:, 1:, None] * (
+        w[:, None, :] / scale[:, None, None]), s
 
 
 def complement_frames(vectors):
@@ -179,13 +206,41 @@ def complement_frames(vectors):
     tangent vectors.  A zero or non-finite vector has no complement frame
     and raises DegenerateSystem.
     """
-    u = _unit_vectors(vectors)
-    s = np.where(u[:, 0] >= 0, 1.0, -1.0)
-    w = u.copy()
-    w[:, 0] += s
-    scale = 1.0 + np.abs(u[:, 0])
-    return np.eye(vectors.shape[-1])[1:] - w[:, 1:, None] * (
-        w[:, None, :] / scale[:, None, None]), s
+    return _householder(_unit_vectors(vectors))
+
+
+def _kernel_frames(jac):
+    """Frames (N, m-k, m) of the kernels of Jacobians (N, k, m), their
+    "constraint rows first" signs (N,) and the pivots (N, k).
+
+    Link i writes row i in the frame F built so far, v = F J_i, takes the
+    complement H of v inside it and composes F <- H F, applying the
+    reflection to F without forming H; the first link is
+    :func:`complement_frames` of row 0, bit for bit.  |v| is the pivot
+    |r_ii| of a QR factor of J^T.  With q_i = v F / |v| the orthonormal
+    rows that the links reflect away, J_i = sum_(j <= i) r_ij q_j with
+    r_ii > 0, and det[q_i; H] = s_i inside the frame of link i, so
+    det[J; F] = prod r_ii prod s_i: the sign is the product of the links'
+    signs.  A zero or non-finite pivot makes the rest NaN (without a
+    warning); the caller's rank test rejects it.
+    """
+    frame = sign = None
+    pivots = np.empty(jac.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(jac.shape[-2]):
+            row = jac[:, i, :]
+            v = row if frame is None else _contract(frame, row[:, None, :])
+            pivots[:, i] = np.linalg.norm(v, axis=-1)
+            u = v / pivots[:, i, None]
+            if frame is None:
+                frame, sign = _householder(u)
+                continue
+            w, scale, s = _reflector(u)
+            wf = _contract(w[:, None, :], np.swapaxes(frame, -1, -2))
+            frame = frame[:, 1:, :] - w[:, 1:, None] * (
+                wf / scale[:, None])[:, None, :]
+            sign = sign * s
+    return frame, sign, pivots
 
 
 def _check_on_manifold(manifold: Submanifold, pts):
@@ -202,38 +257,88 @@ def _check_on_manifold(manifold: Submanifold, pts):
 def tangent_bases(manifold: Submanifold, points):
     """Batched oriented bases: points (N, m) -> vectors (N, d, m).
 
-    The returned bases are already flipped to be positively oriented.  A
-    point whose constraint residual exceeds ON_MANIFOLD_TOL, or is NaN,
-    raises OffManifold.  On a "normal_first" hypersurface the frame e
-    satisfies det[u; e] = +1 for the unit normal u, so its Pluecker
+    The frame is the Householder chain of :func:`_kernel_frames` over the
+    k constraint rows, for every k >= 1, and the identity frame without
+    constraints.  A point whose constraint residual exceeds
+    ON_MANIFOLD_TOL, or is NaN, raises OffManifold.  The rank test is
+    prod |r_ii| > RANK_RATIO |J|_F^k on the chain's pivots; since
+    sigma_min / sigma_max >= prod |r_ii| / |J|_F^k, it never passes a
+    Jacobian that sigma_min > RANK_RATIO sigma_max would reject.  A
+    Jacobian that fails it, or is not finite, raises DegenerateSystem
+    with its singular values (N, k), computed only then.
+
+    The bases are flipped to be positively oriented: under "normal_first"
+    (or "ambient") by the chain's sign, so det[J; e] > 0 and no
+    determinant is taken; under a callable by its signs; not at all when
+    the orientation is None.  On a "normal_first" hypersurface the frame
+    e satisfies det[u; e] = +1 for the unit normal u, so its Pluecker
     coordinate that leaves out index j is (-1)^j u_j (the Hodge dual of
     u), which :func:`tangent_pluecker` returns without building e.
     """
     pts = np.asarray(points, float)
     _check_on_manifold(manifold, pts)
-    n = pts.shape[0]
-    signs = None
+    conv = manifold.orientation
+    if not (conv is None or callable(conv)
+            or conv in ("normal_first", "ambient")):
+        raise ValueError(f"unknown orientation convention {conv!r}")
+    n, m = pts.shape[0], manifold.ambient_dim
     if manifold.constraints is None:
-        bases = np.broadcast_to(np.eye(manifold.ambient_dim),
-                                (n, manifold.ambient_dim, manifold.ambient_dim)).copy()
-    elif manifold.n_constraints == 1:
-        bases, normal_signs = complement_frames(
-            manifold.jacobian(pts)[:, 0, :])
-        if manifold.orientation == "normal_first":
-            signs = normal_signs
+        bases, signs = np.broadcast_to(np.eye(m), (n, m, m)).copy(), np.ones(n)
     else:
         jac = manifold.jacobian(pts)
-        s = singular_values(jac)
-        if not np.all((s[..., 0] > 0) & (s[..., -1] > RANK_RATIO * s[..., 0])):
-            raise DegenerateSystem("rank-deficient constraint Jacobian in batch",
-                                   singular_values=s)
-        q, _ = np.linalg.qr(np.swapaxes(jac, -1, -2), mode="complete")
-        bases = np.swapaxes(q[..., manifold.n_constraints:], -1, -2).copy()
-    if signs is None:
-        signs = _orientation_signs(manifold, pts, bases)
-    flip = signs < 0
-    bases[flip, -1, :] = -bases[flip, -1, :]
+        bases, signs, pivots = _kernel_frames(jac)
+        scale = np.linalg.norm(jac, axis=(-2, -1)) ** jac.shape[-2]
+        if not np.all(np.prod(pivots, axis=-1) > RANK_RATIO * scale):
+            svals = (singular_values(jac) if np.all(np.isfinite(jac))
+                     else np.full(jac.shape[:-1], np.nan))
+            raise DegenerateSystem(
+                "rank-deficient constraint Jacobian in batch",
+                singular_values=svals)
+    if callable(conv):
+        signs = np.asarray(conv(pts, bases))
+    if conv is not None:
+        flip = signs < 0
+        bases[flip, -1, :] = -bases[flip, -1, :]
     return bases
+
+
+def two_row_min_singular_value(rows):
+    """The smaller singular value (N,) of each pair of rows (N, 2, d).
+
+    One Householder reduction: with a = row 0, u = a / |a| and H the
+    complement frame of u, the pair is, in the orthonormal frame [u; H],
+    the triangle R = [[|a|, u . b], [0, |H b|]], which has its singular
+    values.  Those come from the closed form of LAPACK's DLAS2 (Demmel &
+    Kahan, SIAM J. Sci. Stat. Comput. 11, 1990), accurate to a few ulps
+    relative to the larger value also when the two are equal, where a
+    formula in |a|^2 + |b|^2 and |a ^ b| loses half the digits.  Only
+    elementwise operations and fixed-order sums: a point gives the bits
+    of its row in a batch, on every BLAS kernel.  A zero first row gives
+    0; a non-finite pair gives NaN.
+    """
+    a, b = rows[..., 0, :], rows[..., 1, :]
+    f = np.linalg.norm(a, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w, scale, _ = _reflector(a / f[..., None])
+        # the reflection of b: -s (u . b), then H b
+        y = b - w * (_contract(w, b) / scale)[..., None]
+        g = np.abs(y[..., 0])
+        h = np.linalg.norm(y[..., 1:], axis=-1)
+        lo, hi = np.minimum(f, h), np.maximum(f, h)
+        big_as = 1.0 + lo / hi
+        big_at = (hi - lo) / hi
+        # |g| < max(|f|, |h|)
+        au = (g / hi) ** 2
+        small_g = lo * (2.0 / (np.sqrt(big_as * big_as + au)
+                               + np.sqrt(big_at * big_at + au)))
+        # |g| >= max(|f|, |h|)
+        au = hi / g
+        c = 1.0 / (np.sqrt(1.0 + (big_as * au) ** 2)
+                   + np.sqrt(1.0 + (big_at * au) ** 2))
+        large_g = (lo * c) * au
+        large_g = np.where(au == 0, (lo * hi) / g, large_g + large_g)
+    smin = np.where(g < hi, small_g, large_g)
+    return np.where((f == 0) | (lo == 0), 0.0, smin)
 
 
 def tangent_pluecker(manifold: Submanifold, points):

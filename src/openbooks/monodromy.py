@@ -32,9 +32,9 @@ from .forms import (KForm, SmoothMap, VecField, central_difference,
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
 from .manifolds import (FD_STEP, boxed, complement_frames,
-                        disk_cotangent_bundle, gauss_newton_step,
-                        project_to_constraints, singular_values,
-                        tangent_bases)
+                        disk_cotangent_bundle, frame_product,
+                        gauss_newton_step, project_to_constraints,
+                        singular_values, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 FLOW_BINDING_BAND = 1e-6
@@ -310,7 +310,7 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     far = pts[f.modulus(pts) >= 0.1]
     bases = tangent_bases(rep.manifold, far)
     mu_t = np.einsum("nm,njm->nj", f.regularized(far).mu, bases)
-    page = complement_frames(mu_t)[0] @ bases
+    page = frame_product(complement_frames(mu_t)[0], bases)
     details.append(make_report(
         "page_structure_preserved", n_samples=len(far),
         max_residual=np.max(np.abs(lie_two_form.restrict(far, page)),

@@ -16,15 +16,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "openbooks"
 
 ALLOWED = Counter({
-    ("manifolds", "_orientation_signs", "det"): 2,
     ("manifolds", "singular_values", "eigvalsh"): 1,
     ("manifolds", "singular_values", "@"): 1,
-    ("manifolds", "tangent_bases", "qr"): 1,
     ("manifolds", "gauss_newton_step", "solve"): 1,
     ("manifolds", "gauss_newton_step", "@"): 1,
     ("liouville", "subcritical_check", "det"): 1,
-    ("bourgeois", "verify_inverse_form", "@"): 1,
-    ("monodromy", "spinning_definition_check", "@"): 1,
 })
 
 

@@ -324,11 +324,15 @@ def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
     bind = sample(rep.binding, 100, seed=17)
     reference = verify_representation(rep, pts, bind)
     assert reference.passed
-    orient = contact_module.binding_orientation
 
     def negated(rep):
-        signs = orient(rep)
-        return lambda points, bases: -signs(points, bases)
+        # the binding's rule is constraint rows first, the sign of
+        # det[J_V; grad f_x; grad f_y; W]; this orientation is its opposite
+        def orientation(points, bases):
+            rows = np.concatenate([rep.manifold.jacobian(points),
+                                   rep.f.grad(points), bases], axis=-2)
+            return -np.sign(np.linalg.det(rows))
+        return orientation
 
     monkeypatch.setattr(contact_module, "binding_orientation", negated)
     report = verify_representation(rep, pts, bind)
@@ -340,6 +344,37 @@ def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
     for got, want in zip(report.details[:-1], reference.details[:-1]):
         assert (got.min_margin, got.max_residual) == (want.min_margin,
                                                       want.max_residual)
+
+
+def test_negated_grad_fy_row_fails_binding_contact(monkeypatch):
+    # negative control: the binding is oriented by the signs of its
+    # constraint rows [J_V; grad f_x; grad f_y], so negating the last row
+    # reverses it, and alpha pairs to -1/2 with the oriented unit tangent
+    # of the quadric S^3 binding circle
+    from dataclasses import replace
+
+    import openbooks.contact as contact_module
+    rep = quadric_open_book(2)
+    pts = sample(rep.manifold, 500, seed=16)
+    bind = sample(rep.binding, 100, seed=17)
+    made = contact_module.binding_manifold
+
+    def negated_fy(rep):
+        manifold = made(rep)
+
+        def jac(p):
+            rows = manifold.constraint_jac(p).copy()
+            rows[..., -1, :] = -rows[..., -1, :]
+            return rows
+        return replace(manifold, constraint_jac=jac)
+
+    monkeypatch.setattr(contact_module, "binding_manifold", negated_fy)
+    report = verify_representation(rep, pts, bind)
+    assert not report.passed
+    assert [d.name for d in report.details if not d.passed] \
+        == ["binding_contact"]
+    margin = report.details[-1].min_margin
+    assert abs(margin + 0.5) <= 1e-9, margin
 
 
 def test_squared_coordinate_fails_regular_value():
@@ -374,6 +409,39 @@ def test_squared_coordinate_fails_regular_value():
     assert not report.passed
     failed = {d.name for d in report.details if not d.passed}
     assert "regular_value" in failed
+
+
+@pytest.mark.parametrize("maker,n", [(coordinate_open_book, 2),
+                                     (quadric_open_book, 3)])
+def test_theta_submersion_reads_the_rank_margin_at_the_binding(maker, n):
+    # at samples inside the binding band, theta_submersion reads the
+    # smaller singular value of (df_x, df_y) on TV, the number
+    # regular_value reads at the binding samples; rho^2 d(theta) vanishes
+    # there, and would read 0
+    from openbooks.contact import representation_conditions
+    rep = maker(n)
+    bind = sample(rep.binding, 50, seed=24)
+    regular, _, theta = representation_conditions(rep, bind, bind)[:3]
+    assert theta.passed and theta.min_margin == regular.min_margin >= 1.0
+
+
+def test_binding_orientation_follows_the_orientation_of_v():
+    # "normal_first" and "ambient" V give K the constraint-rows-first
+    # rule, an unoriented V leaves K unoriented, and a callable
+    # orientation of V, which the rule does not cover, is rejected
+    from dataclasses import replace
+
+    from openbooks.contact import binding_manifold, binding_orientation
+    rep = quadric_open_book(2)
+    assert binding_manifold(rep).orientation == "normal_first"
+    for conv, want in (("ambient", "normal_first"), (None, None)):
+        moved = replace(rep, contact=replace(
+            rep.contact, manifold=replace(rep.manifold, orientation=conv)))
+        assert binding_orientation(moved) == want
+    moved = replace(rep, contact=replace(rep.contact, manifold=replace(
+        rep.manifold, orientation=lambda points, bases: np.ones(len(bases)))))
+    with pytest.raises(ValueError, match="no binding orientation"):
+        binding_manifold(moved)
 
 
 def test_binding_manifold_orientation_value():
@@ -423,10 +491,14 @@ def test_batched_binding_orientation_matches_per_point(maker, n):
     bases = tangent_bases(replace(bind, orientation=None), pts)
     flip = np.arange(len(pts)) % 2 == 1
     bases[flip, -1] = -bases[flip, -1]
-    signs = bind.orientation(pts, bases)
+    # the sign the binding's rule gives these bases: + where they have the
+    # orientation of the frames tangent_bases returns, which its
+    # Householder chain orients
+    oriented = tangent_bases(bind, pts)
+    signs = np.sign(np.linalg.det(bases @ np.swapaxes(oriented, -1, -2)))
     want = _per_point_binding_signs(rep, pts, bases)
     assert signs.shape == (len(pts),)
     np.testing.assert_array_equal(signs, want)
     assert set(signs) == {-1.0, 1.0}
     # the oriented bases tangent_bases returns are all positive
-    assert np.all(bind.orientation(pts, tangent_bases(bind, pts)) > 0)
+    assert np.all(_per_point_binding_signs(rep, pts, oriented) > 0)

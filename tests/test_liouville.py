@@ -345,3 +345,26 @@ def test_lyapunov_pullback_componentwise():
     out = subcritical_coordinates(pts)
     assert np.array_equal(out[:, 4], pts[:, 2])
     assert np.array_equal(out[:, 5], pts[:, 3])
+
+
+@pytest.mark.parametrize("make, n", [
+    (liouville.weinstein_disk_domain, 1),
+    (lambda: liouville.quartic_disk_domain(2), 2),
+    (lambda: liouville.disk_bundle_domain(2), 1)],
+    ids=["D^2", "D^4", "D(T*S^1)"])
+def test_leading_pluecker_forms_equal_at_basis_on_the_frames(make, n):
+    # the one-hot row of a constraint-free domain gives each form its
+    # coefficient c_I, the value at_basis takes from the minors of the
+    # identity frame, bit for bit; a domain with constraints takes the
+    # minors of its tangent frames
+    from openbooks.forms import ext_deriv, wedge_power
+    from openbooks.manifolds import tangent_bases
+    ld = make()
+    pts = sample(ld.manifold, 300, seed=47)
+    form = wedge_power(ext_deriv(ld.lambda_c), n)
+    bases = tangent_bases(ld.manifold, pts)
+    for k, top in ((2 * n - 1, liouville.interior(ld.liouville_field, form)),
+                   (2 * n, form)):
+        coords = liouville._leading_pluecker(ld.manifold, pts, k)
+        assert np.array_equal(top.on_pluecker(pts, coords),
+                              top.at_basis(pts, bases[:, :k, :]))

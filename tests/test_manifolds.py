@@ -8,12 +8,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from openbooks import manifolds
-from openbooks.contact import (binding_manifold, quadric_open_book,
-                               reeb_fields)
+from openbooks.contact import (binding_manifold, coordinate_open_book,
+                               quadric_open_book, reeb_fields)
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.forms import pluecker
 from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
@@ -23,7 +24,8 @@ from openbooks.manifolds import (ON_MANIFOLD_TOL, RANK_RATIO, Submanifold,
                                  gauss_newton_step, product_with_torus,
                                  project_to_constraints, rng_for, sample,
                                  singular_values, tangent_bases,
-                                 tangent_pluecker, unit_sphere)
+                                 tangent_pluecker, two_row_min_singular_value,
+                                 unit_sphere)
 from openbooks.monodromy import spinning_field
 from openbooks.prelagrangian import (binding_torus_prelagrangian,
                                      real_circle_torus_prelagrangian)
@@ -135,7 +137,7 @@ def test_rank_deficient_jacobian_rejected():
 
 def test_rank_deficient_multi_constraint_jacobian_rejected():
     # two constraints, the second with a gradient that vanishes at the
-    # origin: the QR path's rank test rejects the batch
+    # origin: the chain's pivot test rejects the batch
     def constraints(p):
         return np.stack([p[..., 0], np.sum(p * p, axis=-1) ** 2], axis=-1)
 
@@ -144,6 +146,26 @@ def test_rank_deficient_multi_constraint_jacobian_rejected():
         tangent_bases(bad, np.zeros((1, 3)))
     assert err.value.singular_values is not None
     assert err.value.singular_values.shape == (1, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_rank_gate_reads_the_pivots_at_every_scale(scale):
+    # two constraint rows at angle t: prod |r_ii| / |J|_F^2 = sin t / 2,
+    # whatever their common length, so t = 1e-3 passes the gate and
+    # t = 1e-8 (sigma_min / sigma_max = 5e-9) does not
+    def line(t):
+        rows = scale * np.array([[1.0, 0.0, 0.0],
+                                 [np.cos(t), np.sin(t), 0.0]])
+        return Submanifold(
+            3, lambda p: np.zeros(p.shape[:-1] + (2,)), 2, name="line",
+            constraint_jac=lambda p: np.broadcast_to(rows, p.shape[:-1]
+                                                     + (2, 3)))
+
+    pts = np.zeros((4, 3))
+    assert tangent_bases(line(1e-3), pts).shape == (4, 1, 3)
+    with pytest.raises(DegenerateSystem) as err:
+        tangent_bases(line(1e-8), pts)
+    assert err.value.singular_values.shape == (4, 2)
 
 
 def test_singular_values_match_the_svd():
@@ -157,6 +179,78 @@ def test_singular_values_match_the_svd():
     low = rng.normal(size=(2000, 3, 2)) @ rng.normal(size=(2000, 2, 6))
     s = singular_values(low)
     assert np.all(s[:, -1] < RANK_RATIO * s[:, 0])
+
+
+def _mp_min_singular_value(rows):
+    # the smaller singular value of each exact double pair, at 50 digits
+    with mpmath.workdps(50):
+        return np.array([float(min(mpmath.svd_r(mpmath.matrix(pair.tolist()),
+                                                compute_uv=False)))
+                         for pair in rows])
+
+
+def _orthonormal_pairs(rng, count, d):
+    q, _ = np.linalg.qr(rng.normal(size=(count, d, 2)))
+    return np.swapaxes(q, -1, -2)
+
+
+# sigma_min / sigma_max of each regime
+RATIOS = {"equal": (1.0, 1.0), "well_conditioned": (0.1, 1.0),
+          "ratio_1e-7": (1e-7, 1e-7)}
+
+
+@pytest.mark.parametrize("regime", list(RATIOS))
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_two_row_min_singular_value_against_mpmath(regime, d):
+    # pairs R(phi) diag(s, s r) Q: Q two orthonormal rows, R(phi) a plane
+    # rotation, s spread over six decades and r the regime's ratio
+    rng = rng_for(44 + d)
+    count = 200
+    s = 10.0 ** rng.uniform(-3, 3, size=count)
+    r = rng.uniform(*RATIOS[regime], size=count)
+    phi = rng.uniform(0.0, 2 * np.pi, size=count)
+    rot = np.stack([np.stack([np.cos(phi), -np.sin(phi)], -1),
+                    np.stack([np.sin(phi), np.cos(phi)], -1)], -2)
+    rows = (rot * np.stack([s, s * r], -1)[:, None, :]) \
+        @ _orthonormal_pairs(rng, count, d)
+    got = two_row_min_singular_value(rows)
+    want = _mp_min_singular_value(rows)
+    assert np.all(np.abs(want / s - r) <= 1e-6 * r)
+    # the Householder step is backward stable and DLAS2 accurate to ulps:
+    # the error is a few ulps of the larger singular value, so a few ulps
+    # of sigma_min itself where the two are equal.  sigma from
+    # |a|^2 + |b|^2 and |a ^ b| is off by about 1e-8 there
+    assert np.max(np.abs(got - want) / s) <= 1e-15
+    if regime == "equal":
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+    # a point alone has the bits of its row in the batch
+    for i in (0, 1, 57, count - 1):
+        assert two_row_min_singular_value(rows[i:i + 1])[0] == got[i]
+
+
+def test_two_row_min_singular_value_of_degenerate_pairs():
+    # a zero first row gives 0 exactly; parallel rows give 0 up to the
+    # rounding of the reflection; a NaN gives NaN
+    rows = np.array([[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                     [[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]],
+                     [[3.0, 0.0, 0.0], [0.0, 0.0, 4.0]],
+                     [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    got = two_row_min_singular_value(rows)
+    assert got[0] == 0.0 and got[2] == 3.0
+    assert 0.0 <= got[1] <= 1e-15 * np.linalg.norm(rows[1])
+    assert np.isnan(got[3])
+
+
+@pytest.mark.parametrize("manifold", [
+    binding_manifold(quadric_open_book(3)),
+    binding_torus_prelagrangian().submanifold, disk_cotangent_bundle(2)],
+    ids=["K in S^5", "K x T^2", "D(T*S^1)"])
+def test_chain_frame_of_a_point_is_its_row_of_the_batch(manifold):
+    pts = sample(manifold, 100, seed=45)
+    bases = tangent_bases(manifold, pts)
+    for i in (0, 1, 63, 99):
+        assert np.array_equal(tangent_bases(manifold, pts[i:i + 1])[0],
+                              bases[i])
 
 
 @pytest.mark.parametrize("manifold", [
@@ -224,7 +318,7 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
     hypersurface_build(weinstein_disk_domain()).manifold],
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
-    from openbooks.manifolds import _orientation_signs, complement_frames
+    from openbooks.manifolds import complement_frames
     assert manifold.orientation == "normal_first"
     pts = sample(manifold, 300, seed=33)
     # u_0 = 0 at the first point: the first gradient coordinate of each of
@@ -235,7 +329,9 @@ def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
     assert grad[0, 0] == 0.0
     assert 0 < np.count_nonzero(grad[:, 0] < 0) < len(pts) - 1
     frames, signs = complement_frames(grad)
-    assert np.array_equal(signs, _orientation_signs(manifold, pts, frames))
+    unit = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+    full = np.concatenate([unit[:, None, :], frames], axis=1)
+    assert np.array_equal(signs, np.sign(np.linalg.det(full)))
     want = frames.copy()
     want[signs < 0, -1] = -want[signs < 0, -1]
 
@@ -656,8 +752,12 @@ def _tangent_pluecker_digest():
 
 def _closed_form_digest():
     # SHA-256 of the quadric binding samples (n = 2, 3), of the Reeb
-    # vectors and of the spinning-field vectors on S^3 and S^5, all taken
-    # without a BLAS or LAPACK call
+    # vectors and of the spinning-field vectors on S^3 and S^5, of the
+    # Householder-chain frames of the quadric and coordinate bindings
+    # (n = 2, 3) and of D(T*S^1), and of the two-row margins of
+    # representation_conditions (regular_value at the binding samples,
+    # theta_submersion's rank-2 margin at samples of V), all taken without
+    # a BLAS or LAPACK call
     digest = hashlib.sha256()
     for n in (2, 3):
         rep = quadric_open_book(n)
@@ -666,6 +766,16 @@ def _closed_form_digest():
         reeb, _ = reeb_fields(rep.contact, pts)
         digest.update(reeb.data)
         digest.update(spinning_field(rep, pts[rep.f.modulus(pts) > 1e-3]).data)
+    for rep in (quadric_open_book(2), quadric_open_book(3),
+                coordinate_open_book(2), coordinate_open_book(3)):
+        bind = sample(rep.binding, 200, seed=34)
+        digest.update(tangent_bases(binding_manifold(rep), bind).data)
+        for pts in (bind, sample(rep.manifold, 300, seed=35)):
+            rows = np.einsum("ncm,ndm->ncd", rep.f.grad(pts),
+                             tangent_bases(rep.manifold, pts))
+            digest.update(two_row_min_singular_value(rows).data)
+    bundle = disk_cotangent_bundle(2)
+    digest.update(tangent_bases(bundle, sample(bundle, 300, seed=36)).data)
     return digest.hexdigest()
 
 
@@ -711,8 +821,9 @@ def test_newton_step_has_the_bits_of_the_generic_step_on_each_core(core):
     # norms by np.vecdot, whose bits depend on the BLAS kernel: the bit
     # equality must hold on every core, not only on the default one.  The
     # normal route of tangent_pluecker, the quadric binding sampler, the
-    # sub-Pfaffian Reeb field and the kernel-form spinning field take no
-    # BLAS call, so their bits on each core are those of this process
+    # sub-Pfaffian Reeb field, the kernel-form spinning field, the
+    # Householder-chain frames and the two-row margins take no BLAS call,
+    # so their bits on each core are those of this process
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(
