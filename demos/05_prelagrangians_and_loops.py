@@ -23,8 +23,8 @@ from openbooks import (Loop, binding_torus_prelagrangian, legendrian_check,
                        quadric_open_book, real_circle_submanifold,
                        real_circle_torus_prelagrangian, sample,
                        straighten_loop, verify_prelagrangian)
-from openbooks.prelagrangian import (desk_loop, loop_integral,
-                                     restricted_form_values)
+from openbooks.prelagrangian import (TORUS_ANGLES, desk_loop,
+                                     loop_integral, restricted_form_values)
 
 # --- the Legendrian x torus construction -------------------------------------
 rep = quadric_open_book(2)
@@ -58,7 +58,7 @@ print(f"K x T^2: d(alpha)|TP = "
 # the straightened loop has constant speed C/(2 pi) = 1.  gamma takes the
 # whole grid t (2049,) of LOOP_GRID = 2048 intervals and returns the
 # samples (2049, 6) in one call.
-loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
 c_in, g_in, _ = loop_integral(pl, loop)
 print(f"input loop: C = {c_in:.6f}, speed range "
       f"[{g_in.min():.3f}, {g_in.max():.3f}]")

@@ -233,7 +233,7 @@ def extract_slice_representation(bf: BourgeoisForm, samples=None,
     rep = bf.rep
     if samples is None:
         samples = sample(rep.manifold, 500, seed)
-    if binding_samples is None and rep.binding is not None:
+    if binding_samples is None and rep.binding_sampler is not None:
         binding_samples = sample(rep.binding, 100, seed + 1)
     reports = representation_conditions(rep, samples, binding_samples,
                                         seed=seed)

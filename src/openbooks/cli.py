@@ -13,8 +13,10 @@ core type, re-runs give bit-identical JSON apart from the wall_time_ms
 fields.  OpenBLAS picks its kernels by core type, so on another core
 type the last bits of some numbers can differ (by up to 2.3e-15 at
 suite seeds 7-9).  A report's wall_time_ms is the time span of
-the check function that returned it; sub-reports built inside a check
-read 0.
+the check function that returned it.  A sub-report that a timed check
+returned inside another check keeps its own time (the contact,
+representation and spinning_definition details of
+disk_hypersurface/hypersurface); the other sub-reports read 0.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def _legendrian_inputs(cfg, seed):
 def _straighten_inputs(cfg, seed):
     pl = prelagrangian.real_circle_torus_prelagrangian()
     loop = prelagrangian.Loop.from_function(
-        prelagrangian.desk_loop(0.5), pl.submanifold.periodic_mask)
+        prelagrangian.desk_loop(0.5), prelagrangian.TORUS_ANGLES)
     return loop, pl, np.array([0, 0, 0, 0, 1, 0])
 
 

@@ -155,12 +155,18 @@ class DefiningFunction:
 
 @dataclass(frozen=True)
 class Representation:
-    """Pair (contact form, defining function) encoding a contact open book."""
+    """Pair (contact form, defining function) encoding a contact open book;
+    binding_sampler(rng, count) draws points of its :attr:`binding`."""
 
     contact: ContactForm
     f: DefiningFunction
-    binding: Submanifold | None = None
+    binding_sampler: Callable | None = None
     name: str = ""
+
+    @property
+    def binding(self) -> Submanifold:
+        """K = f^{-1}(0) inside V, by :func:`binding_manifold`."""
+        return binding_manifold(self)
 
     @property
     def manifold(self) -> Submanifold:
@@ -386,73 +392,48 @@ def quotient_volume_values(rep: Representation, points, coords):
     return f.modulus(points) ** (n + 2) * vals
 
 
-def binding_orientation(rep: Representation):
-    """Orientation convention of the binding K = f^{-1}(0):
+def binding_manifold(rep: Representation) -> Submanifold:
+    """The binding K = f^{-1}(0) of V as a submanifold of ambient space,
+    with the representation's binding sampler.  Its constraint rows are
+    V's, then f_x and f_y, and it is oriented when V is, by the rule
+    "constraint rows first" of :func:`tangent_bases`.
 
-    a basis W of T_p K is positive when (u1, u2, W) is positively oriented
-    in T_p V, where (u1, u2) spans the normal of K inside T_p V with
-    positive (df_x, df_y)-frame determinant.
-
-    That is the "normal_first" rule (constraint rows first) of K's
-    constraint rows [J_V; grad f_x; grad f_y], which
-    :func:`binding_manifold` lists in this order, so no frame of T_p V
-    and no determinant is needed.  For "normal_first" V, with n the unit
-    normal, each grad f_i is a_i n + P_i1 u1 + P_i2 u2 + (a vector in
-    span W), P_ij = <grad f_i, u_j>; the n and W parts drop out of
+    That rule is K's orientation from V and (df_x, df_y): a basis W of
+    T_p K is positive when (u1, u2, W) is positively oriented in T_p V,
+    where (u1, u2) spans the normal of K inside T_p V with positive
+    (df_x, df_y)-frame determinant.  With n the unit normal of V, each
+    grad f_i is a_i n + P_i1 u1 + P_i2 u2 + (a vector in span W),
+    P_ij = <grad f_i, u_j>; the n and W parts drop out of
     det[J_V; grad f_x; grad f_y; W], which is therefore
     |J_V| det P det[n, u1, u2, W], and det P > 0 by the choice of
-    (u1, u2).  The same holds without J_V for "ambient" V (no
-    constraints), and an unoriented V (None) leaves K unoriented.  A
-    callable orientation of V is not covered by the argument and raises
-    ValueError.
+    (u1, u2).  Without constraints on V the same holds without J_V, and
+    no frame of T_p V or determinant is needed.
     """
-    conv = rep.manifold.orientation
-    if conv is None:
-        return None
-    if conv in ("normal_first", "ambient"):
-        return "normal_first"
-    raise ValueError(f"no binding orientation for a V oriented by {conv!r}")
-
-
-def binding_manifold(rep: Representation) -> Submanifold:
-    """The binding K as a submanifold of ambient space, inheriting the
-    sampler registered on the representation.  Its constraint rows are
-    V's, then f_x and f_y, and it is oriented by
-    :func:`binding_orientation`: constraint rows first, so its frames
-    from :func:`tangent_bases` are oriented by the signs of their
-    Householder chain."""
     base = rep.manifold
     f = rep.f
 
     def constraints(p):
-        inner = np.atleast_1d(base.constraints(p)) if base.constraints else \
-            np.zeros(np.shape(p)[:-1] + (0,))
-        fx, fy = f.parts(p)
-        if inner.ndim == np.ndim(fx):
-            inner = inner[..., None]
-        return np.concatenate([inner, fx[..., None], fy[..., None]], axis=-1)
+        rows = [base.constraints(p)] if base.constraints is not None else []
+        return np.concatenate(rows + [np.stack(f.parts(p), axis=-1)], axis=-1)
 
     def jac(p):
         rows = [base.jacobian(p)] if base.constraints is not None else []
-        rows.append(f.grad(p))
-        return np.concatenate(rows, axis=-2)
+        return np.concatenate(rows + [f.grad(p)], axis=-2)
 
-    sampler = rep.binding.sampler if rep.binding is not None else None
     return Submanifold(
         ambient_dim=base.ambient_dim,
         constraints=constraints,
         n_constraints=base.n_constraints + 2,
         name=f"binding[{rep.name or base.name}]",
-        periodic_mask=base.periodic_mask,
-        orientation=binding_orientation(rep),
-        sampler=sampler,
+        oriented=base.oriented,
+        sampler=rep.binding_sampler,
         constraint_jac=jac if base.constraint_jac is not None else None,
     )
 
 
 def binding_contact_values(rep: Representation, binding_samples):
     """alpha restricted to the binding, evaluated on oriented bases of K."""
-    bind = binding_manifold(rep)
+    bind = rep.binding
     nk = (bind.dim - 1) // 2
     return contact_volume(rep.contact.alpha, nk).on_pluecker(
         binding_samples, tangent_pluecker(bind, binding_samples))
@@ -476,10 +457,10 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     manifold = rep.manifold
     f = rep.f
     n_bind = 0 if binding_samples is None else len(binding_samples)
-    # each frame is built once, for (1) and (3); (4) needs only the
-    # Pluecker coordinates
-    bases = tangent_bases(manifold, samples)
-    bind_bases = tangent_bases(manifold, binding_samples) if n_bind else None
+    # one frame call for the samples and the binding samples (a chain frame
+    # does not depend on its batch); (4) needs only Pluecker coordinates
+    pts = np.vstack([samples, binding_samples]) if n_bind else samples
+    bases, bind_bases = np.split(tangent_bases(manifold, pts), [len(samples)])
 
     # (1) 0 is a regular value: (df_x, df_y) restricted to TV has rank 2
     if n_bind > 0:
@@ -487,8 +468,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     else:
         margins = -1.0
     reports.append(make_report(
-        "regular_value", n_samples=0 if binding_samples is None else
-        len(binding_samples),
+        "regular_value", n_samples=n_bind,
         min_margin=margins, tolerance=1e-6, seed=seed,
         note="rank of (df_x, df_y) on TV equals 2 along f = 0"))
 
@@ -515,7 +495,6 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     # (4) ideal Liouville structure on pages: positivity of the smooth
     # volume form (the regularized rho^(n+2) d(theta)^(d(alpha/rho))^n).
     omega = openbook_volume_form(rep)
-    pts = np.vstack([samples, binding_samples]) if n_bind else samples
     reports.append(make_report(
         "page_liouville", n_samples=len(pts),
         min_margin=omega.on_pluecker(pts, tangent_pluecker(manifold, pts)),
@@ -635,10 +614,8 @@ def quadric_defining_function(n: int) -> DefiningFunction:
     return DefiningFunction(m, value, gradient)
 
 
-def _coordinate_binding(n: int) -> Submanifold:
-    """Binding of the z_1 open book: the subsphere {z_1 = 0}."""
-    sphere = standard_sphere(n)
-
+def _coordinate_binding(n: int):
+    """Sampler of the binding of the z_1 open book, the subsphere z_1 = 0."""
     def sampler(rng, count):
         g = rng.normal(size=(count, 2 * n - 2))
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
@@ -646,11 +623,11 @@ def _coordinate_binding(n: int) -> Submanifold:
         out[:, 2:] = g
         return out
 
-    return sphere.with_sampler(sampler)
+    return sampler
 
 
-def _quadric_binding(n: int) -> Submanifold:
-    """Binding of the quadric open book, sampled in closed form.
+def _quadric_binding(n: int):
+    """Sampler of the binding of the quadric open book, in closed form.
 
     With z = x + i y, |z|^2 = |x|^2 + |y|^2 and sum z_j^2 = |x|^2 - |y|^2
     + 2i x . y, so the binding {|z| = 1, sum z_j^2 = 0} is exactly
@@ -662,8 +639,6 @@ def _quadric_binding(n: int) -> Submanifold:
     Stiefel manifold of orthonormal 2-frames, so the samples are invariant
     under O(n) and under the phase z -> e^{i theta} z.  No Newton step or
     linear solve is taken."""
-    sphere = standard_sphere(n)
-
     def sampler(rng, count):
         g = rng.normal(size=(count, 2 * n))
         a = g[:, :n] / np.linalg.norm(g[:, :n], axis=-1, keepdims=True)
@@ -676,7 +651,7 @@ def _quadric_binding(n: int) -> Submanifold:
             b, axis=-1, keepdims=True))
         return out
 
-    return sphere.with_sampler(sampler)
+    return sampler
 
 
 def coordinate_open_book(n: int) -> Representation:
@@ -686,7 +661,7 @@ def coordinate_open_book(n: int) -> Representation:
     return Representation(
         contact=ContactForm(standard_contact_form(n), sphere),
         f=coordinate_defining_function(n),
-        binding=_coordinate_binding(n),
+        binding_sampler=_coordinate_binding(n),
         name=f"z1 book on S^{2 * n - 1}")
 
 
@@ -697,5 +672,5 @@ def quadric_open_book(n: int) -> Representation:
     return Representation(
         contact=ContactForm(standard_contact_form(n), sphere),
         f=quadric_defining_function(n),
-        binding=_quadric_binding(n),
+        binding_sampler=_quadric_binding(n),
         name=f"quadric book on S^{2 * n - 1}")

@@ -61,8 +61,7 @@ class LiouvilleDomain:
 
 def _full_ambient(m, name, sampler):
     return Submanifold(ambient_dim=m, constraints=None, n_constraints=0,
-                       name=name, periodic_mask=np.zeros(m, bool),
-                       orientation="ambient", sampler=sampler)
+                       name=name, sampler=sampler)
 
 
 def quartic_disk_domain(n: int) -> LiouvilleDomain:
@@ -155,7 +154,7 @@ def _leading_pluecker(manifold: Submanifold, pts, k):
     order, broadcast to (N, C): a form takes its coefficient c_I on it
     exactly, which is the value its minors gave, and no frame is built.  Other domains get the
     minors of their :func:`tangent_bases` frames."""
-    if manifold.constraints is None and manifold.orientation == "ambient":
+    if manifold.constraints is None and manifold.oriented:
         row = np.zeros(comb(manifold.ambient_dim, k))
         row[0] = 1.0
         return np.broadcast_to(row, (len(pts), row.size))
@@ -259,6 +258,34 @@ def interior_identification(example_id: str, p):
     raise DomainError(f"unknown identification {example_id!r}")
 
 
+def identification_jacobian(example_id: str, x):
+    """The Jacobian (..., m, m) of :func:`interior_identification` at x:
+    "disk" s I + 2 |z|^2 s^3 z z^T with s = 1 / sqrt(1 - |z|^4), and
+    "disk_bundle" I on q and I / w + 2 p p^T / w^2 on p, w = 1 - |p|^2."""
+    m = x.shape[-1]
+    if example_id == "disk":
+        r4 = np.sum(x * x, axis=-1) ** 2
+        s = 1.0 / np.sqrt(1.0 - r4)
+        eye = np.zeros(np.shape(x)[:-1] + (m, m))
+        idx = np.arange(m)
+        eye[..., idx, idx] = s[..., None]
+        r2 = np.sum(x * x, axis=-1)
+        return eye + 2.0 * (r2 * s ** 3)[..., None, None] \
+            * x[..., :, None] * x[..., None, :]
+    if example_id == "disk_bundle":
+        n = m // 2
+        p = x[..., n:]
+        w = 1.0 - np.sum(p * p, axis=-1)
+        out = np.zeros(np.shape(x)[:-1] + (m, m))
+        idx = np.arange(n)
+        out[..., idx, idx] = 1.0
+        out[..., n + idx, n + idx] = (1.0 / w)[..., None]
+        out[..., n:, n:] += 2.0 / (w ** 2)[..., None, None] \
+            * p[..., :, None] * p[..., None, :]
+        return out
+    raise DomainError(f"unknown identification {example_id!r}")
+
+
 @timed
 def identification_check(example_id: str, ld: LiouvilleDomain, samples,
                          seed=0) -> CheckReport:
@@ -267,35 +294,10 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
     model)."""
     pts = np.asarray(samples, float)
     m = ld.manifold.ambient_dim
-    if example_id == "disk":
-        target = standard_contact_form(m // 2)
-
-        def jac(x):
-            r4 = np.sum(x * x, axis=-1) ** 2
-            s = 1.0 / np.sqrt(1.0 - r4)
-            eye = np.zeros(np.shape(x)[:-1] + (m, m))
-            idx = np.arange(m)
-            eye[..., idx, idx] = s[..., None]
-            r2 = np.sum(x * x, axis=-1)
-            return eye + 2.0 * (r2 * s ** 3)[..., None, None] \
-                * x[..., :, None] * x[..., None, :]
-    else:
-        target = canonical_one_form(m // 2)
-
-        def jac(x):
-            n = m // 2
-            p = x[..., n:]
-            w = 1.0 - np.sum(p * p, axis=-1)
-            out = np.zeros(np.shape(x)[:-1] + (m, m))
-            idx = np.arange(n)
-            out[..., idx, idx] = 1.0
-            out[..., n + idx, n + idx] = (1.0 / w)[..., None]
-            out[..., n:, n:] += 2.0 / (w ** 2)[..., None, None] \
-                * p[..., :, None] * p[..., None, :]
-            return out
-
+    target = (standard_contact_form if example_id == "disk"
+              else canonical_one_form)(m // 2)
     phi = SmoothMap(m, m, lambda x: interior_identification(example_id, x),
-                    jac=jac)
+                    jac=lambda x: identification_jacobian(example_id, x))
     pulled = pullback(phi, target)
     expected = scale_form(lambda x: 1.0 / ld.u(x), ld.lambda_c)
     bases = tangent_bases(ld.manifold, pts)
@@ -379,9 +381,7 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
 
     manifold = Submanifold(
         ambient_dim=m, constraints=constraints, n_constraints=1,
-        name=f"V[{ld.name}]",
-        periodic_mask=np.zeros(m, bool),
-        orientation="normal_first", sampler=sampler, constraint_jac=jac,
+        name=f"V[{ld.name}]", sampler=sampler, constraint_jac=jac,
         newton_step=newton_step if ld.du is _radial_du else None)
 
     # transversality of the ambient Liouville field X_L + (x dx + y dy)/2
@@ -415,8 +415,7 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         out[:, 1] = np.sin(ang)
         return out
 
-    binding = manifold.with_sampler(binding_sampler)
-    rep = Representation(ContactForm(alpha, manifold), f, binding,
+    rep = Representation(ContactForm(alpha, manifold), f, binding_sampler,
                          name=f"hypersurface[{ld.name}]")
     return HypersurfaceData(ld, manifold, rep,
                             float(np.min(margin)))
@@ -507,9 +506,7 @@ def torus_cotangent_weinstein() -> WeinsteinStructure:
         p = rng.uniform(-2.0, 2.0, size=(count, 2))
         return np.concatenate([q, p], axis=-1)
 
-    manifold = Submanifold(4, None, 0, name="T*T^2",
-                           periodic_mask=np.array([True, True, False, False]),
-                           orientation="ambient", sampler=sampler)
+    manifold = _full_ambient(4, "T*T^2", sampler)
     omega = form_from_components(4, 2, {(0, 2): 1.0, (1, 3): 1.0})
 
     def field_eval(x):

@@ -28,18 +28,21 @@ rows to a 2 x 2 triangle and reads its smaller singular value in closed
 form.
 
 A top form needs only the Pluecker coordinates of a frame, and
-:func:`tangent_pluecker` returns them.  On a "normal_first" hypersurface
-the oriented tangent (m-1)-vector e_1 ^ ... ^ e_(m-1) of a frame with
+:func:`tangent_pluecker` returns them.  On an oriented hypersurface the
+tangent (m-1)-vector e_1 ^ ... ^ e_(m-1) of a frame with
 det[u; e_1; ...; e_(m-1)] = +1 is the Hodge dual of the unit normal
 u = grad / |grad|: expanding that determinant along u, the cofactor of
 u_j is u_j, so the minor that leaves out index j is (-1)^j u_j.  No frame,
 sort or minor is computed there.  Every other manifold gets
 ``pluecker(tangent_bases(...))``.
+
+A :class:`Submanifold` holds only what :func:`tangent_bases`,
+:func:`sample` and `monodromy.flow` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,22 +76,17 @@ def rng_for(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Submanifold:
-    """Zero set of `constraints` inside R^m, with orientation convention.
+    """Zero set of `constraints` inside R^m, with its orientation flag.
 
     constraints maps points (..., m) to values (..., n_constraints), and
     constraint_jac, when given, to the Jacobian (..., n_constraints, m).
 
-    orientation is one of
-      - "normal_first": constraint rows first; a tangent basis e is
-        positive when det[J; e] > 0, J the constraint Jacobian with its
-        rows in order.  With one constraint that is the outward gradient
-        first (also correct for hypersurface x torus products, where the
-        gradient has zero angle components);
-      - "ambient": full-dimensional pieces of R^m, oriented by the ambient
-        coordinate order (the same rule with no constraint rows);
-      - None: unoriented (all bases accepted with sign +1);
-      - a callable (points (N, m), bases (N, d, m)) -> signs (N,) of +-1,
-        called once per batch.
+    oriented means "constraint rows first": a tangent basis e is positive
+    when det[J; e] > 0, J the constraint Jacobian with its rows in order.
+    With one constraint that is the outward gradient first (also correct
+    for hypersurface x torus products, where the gradient has zero angle
+    components); with no constraints it is the ambient coordinate order.
+    An unoriented manifold (oriented=False) accepts every basis.
 
     newton_step, when given, is the manifold's own closed form of one
     Gauss-Newton step: newton_step(p, out) must return exactly the bits of
@@ -109,8 +107,7 @@ class Submanifold:
     constraints: Callable | None
     n_constraints: int
     name: str = ""
-    periodic_mask: np.ndarray | None = None
-    orientation: object = "normal_first"
+    oriented: bool = True
     sampler: Callable | None = None
     constraint_jac: Callable | None = None
     newton_step: Callable | None = None
@@ -131,9 +128,6 @@ class Submanifold:
         if self.constraint_jac is not None:
             return self.constraint_jac(p)
         return central_difference(self.constraints, p, FD_STEP)
-
-    def with_sampler(self, sampler):
-        return replace(self, sampler=sampler)
 
 
 def singular_values(mat):
@@ -194,7 +188,7 @@ def _householder(u):
 
 def complement_frames(vectors):
     """Orthonormal bases (N, m-1, m) of the complements of vectors (N, m),
-    and their "normal_first" orientation signs (N,).
+    and their "constraint rows first" orientation signs (N,).
 
     Rows 1..m-1 of the Householder reflection H = I - w w^T / (1 + |u_0|),
     w = u + s e_0 with s = sign(u_0) (u_0 = 0 counting as +), which maps
@@ -267,36 +261,29 @@ def tangent_bases(manifold: Submanifold, points):
     Jacobian that fails it, or is not finite, raises DegenerateSystem
     with its singular values (N, k), computed only then.
 
-    The bases are flipped to be positively oriented: under "normal_first"
-    (or "ambient") by the chain's sign, so det[J; e] > 0 and no
-    determinant is taken; under a callable by its signs; not at all when
-    the orientation is None.  On a "normal_first" hypersurface the frame
-    e satisfies det[u; e] = +1 for the unit normal u, so its Pluecker
-    coordinate that leaves out index j is (-1)^j u_j (the Hodge dual of
-    u), which :func:`tangent_pluecker` returns without building e.
+    An oriented manifold's bases are flipped by the chain's sign, so
+    det[J; e] > 0 and no determinant is taken (the identity frame of a
+    constraint-free manifold needs no flip); an unoriented one's are not
+    flipped.  On an oriented hypersurface the frame e satisfies
+    det[u; e] = +1 for the unit normal u, so its Pluecker coordinate that
+    leaves out index j is (-1)^j u_j (the Hodge dual of u), which
+    :func:`tangent_pluecker` returns without building e.
     """
     pts = np.asarray(points, float)
     _check_on_manifold(manifold, pts)
-    conv = manifold.orientation
-    if not (conv is None or callable(conv)
-            or conv in ("normal_first", "ambient")):
-        raise ValueError(f"unknown orientation convention {conv!r}")
     n, m = pts.shape[0], manifold.ambient_dim
     if manifold.constraints is None:
-        bases, signs = np.broadcast_to(np.eye(m), (n, m, m)).copy(), np.ones(n)
-    else:
-        jac = manifold.jacobian(pts)
-        bases, signs, pivots = _kernel_frames(jac)
-        scale = np.linalg.norm(jac, axis=(-2, -1)) ** jac.shape[-2]
-        if not np.all(np.prod(pivots, axis=-1) > RANK_RATIO * scale):
-            svals = (singular_values(jac) if np.all(np.isfinite(jac))
-                     else np.full(jac.shape[:-1], np.nan))
-            raise DegenerateSystem(
-                "rank-deficient constraint Jacobian in batch",
-                singular_values=svals)
-    if callable(conv):
-        signs = np.asarray(conv(pts, bases))
-    if conv is not None:
+        return np.broadcast_to(np.eye(m), (n, m, m)).copy()
+    jac = manifold.jacobian(pts)
+    bases, signs, pivots = _kernel_frames(jac)
+    scale = np.linalg.norm(jac, axis=(-2, -1)) ** jac.shape[-2]
+    if not np.all(np.prod(pivots, axis=-1) > RANK_RATIO * scale):
+        svals = (singular_values(jac) if np.all(np.isfinite(jac))
+                 else np.full(jac.shape[:-1], np.nan))
+        raise DegenerateSystem(
+            "rank-deficient constraint Jacobian in batch",
+            singular_values=svals)
+    if manifold.oriented:
         flip = signs < 0
         bases[flip, -1, :] = -bases[flip, -1, :]
     return bases
@@ -345,7 +332,7 @@ def tangent_pluecker(manifold: Submanifold, points):
     """Pluecker coordinates (N, C(m, d)) of the oriented frames that
     :func:`tangent_bases` returns at points (N, m).
 
-    On a one-constraint "normal_first" manifold (the spheres, sphere x
+    On an oriented one-constraint manifold (the spheres, sphere x
     torus, the hypersurface V of a Liouville domain) coordinate r leaves
     out index j = m-1-r and is (-1)^j u_j, u = grad / |grad| the unit
     normal: only elementwise operations, a sum and a square root, so the
@@ -354,7 +341,7 @@ def tangent_pluecker(manifold: Submanifold, points):
     OffManifold, a zero or non-finite gradient DegenerateSystem.  Every
     other manifold gets ``pluecker(tangent_bases(manifold, points))``.
     """
-    if manifold.n_constraints != 1 or manifold.orientation != "normal_first":
+    if manifold.n_constraints != 1 or not manifold.oriented:
         return pluecker(tangent_bases(manifold, points))
     pts = np.asarray(points, float)
     _check_on_manifold(manifold, pts)
@@ -458,8 +445,6 @@ def unit_sphere(dim_ambient: int) -> Submanifold:
         constraints=constraints,
         n_constraints=1,
         name=f"S^{dim_ambient - 1}",
-        periodic_mask=np.zeros(dim_ambient, bool),
-        orientation="normal_first",
         sampler=_gaussian_sphere_sampler(dim_ambient),
         constraint_jac=jac,
         newton_step=newton_step,
@@ -467,7 +452,7 @@ def unit_sphere(dim_ambient: int) -> Submanifold:
 
 
 def flat_torus(k: int) -> Submanifold:
-    """k-torus as R^k with all coordinates periodic, oriented by coordinates."""
+    """k-torus as R^k with all coordinates angles, oriented by coordinates."""
     def sampler(rng, n):
         return rng.uniform(0.0, 2 * np.pi, size=(n, k))
 
@@ -476,8 +461,6 @@ def flat_torus(k: int) -> Submanifold:
         constraints=None,
         n_constraints=0,
         name=f"T^{k}",
-        periodic_mask=np.ones(k, bool),
-        orientation="ambient",
         sampler=sampler,
     )
 
@@ -500,18 +483,12 @@ def product_with_torus(base: Submanifold) -> Submanifold:
         ang = angle_rng.uniform(0.0, 2 * np.pi, size=(n, 2))
         return np.concatenate([pts, ang], axis=-1)
 
-    mask = np.concatenate([
-        base.periodic_mask if base.periodic_mask is not None
-        else np.zeros(m, bool),
-        np.ones(2, bool)])
-
     return Submanifold(
         ambient_dim=m + 2,
         constraints=constraints,
         n_constraints=base.n_constraints,
         name=f"{base.name} x T^2",
-        periodic_mask=mask,
-        orientation=base.orientation,
+        oriented=base.oriented,
         sampler=sampler if base.sampler is not None else None,
         constraint_jac=jac if base.constraint_jac is not None else None,
     )
@@ -546,8 +523,7 @@ def disk_cotangent_bundle(n: int) -> Submanifold:
         constraints=constraints,
         n_constraints=2,
         name=f"D(T*S^{n - 1})",
-        periodic_mask=np.zeros(2 * n, bool),
-        orientation=None,
+        oriented=False,
         sampler=sampler,
         constraint_jac=jac,
     )

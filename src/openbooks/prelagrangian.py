@@ -24,6 +24,10 @@ from .report import CheckReport, make_report, merge_reports, timed
 ON_P_TOL = 1e-8
 # intervals of the uniform grid on which Loop.from_function samples a loop
 LOOP_GRID = 2048
+# the angle coordinates phi_1, phi_2 of S^3 x T^2 in R^6, the periodic_mask
+# of a Loop on either pre-Lagrangian
+TORUS_ANGLES = np.array([False] * 4 + [True, True])
+TORUS_ANGLES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,7 @@ def real_circle_torus_prelagrangian() -> PreLagrangian:
     sub = Submanifold(
         ambient_dim=m, constraints=constraints, n_constraints=3,
         name="L x T^2 (real circle)",
-        periodic_mask=np.array([False] * 4 + [True, True]),
-        orientation=None, sampler=sampler, constraint_jac=jac)
+        oriented=False, sampler=sampler, constraint_jac=jac)
     return PreLagrangian(sub, bf.manifold, alpha_hat,
                          name="real circle x T^2")
 
@@ -203,8 +206,7 @@ def binding_torus_prelagrangian() -> PreLagrangian:
     sub = Submanifold(
         ambient_dim=m, constraints=constraints, n_constraints=3,
         name="K x T^2 (quadric binding)",
-        periodic_mask=np.array([False] * 4 + [True, True]),
-        orientation=None, sampler=sampler, constraint_jac=jac)
+        oriented=False, sampler=sampler, constraint_jac=jac)
     return PreLagrangian(sub, bf.manifold, bf.alpha,
                          name="binding x T^2")
 
@@ -280,8 +282,7 @@ def real_circle_submanifold() -> Submanifold:
         return out
 
     return Submanifold(4, constraints, 3, name="real circle",
-                       periodic_mask=np.zeros(4, bool), orientation=None,
-                       sampler=sampler)
+                       oriented=False, sampler=sampler)
 
 
 def hopf_circle_submanifold() -> Submanifold:
@@ -299,8 +300,7 @@ def hopf_circle_submanifold() -> Submanifold:
         return out
 
     return Submanifold(4, constraints, 3, name="Hopf circle",
-                       periodic_mask=np.zeros(4, bool), orientation=None,
-                       sampler=sampler)
+                       oriented=False, sampler=sampler)
 
 
 # ---------------------------------------------------------------------------

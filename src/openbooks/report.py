@@ -52,7 +52,8 @@ class CheckReport:
     results (used for polynomial sweeps and endpoint comparisons): dicts,
     or :class:`SweepRow` mappings.
     ``wall_time_ms`` is the time span of the check function that returned
-    the report (see :func:`timed`); leaves built inside a check read 0.
+    the report (see :func:`timed`), also for a sub-report that a timed
+    check returned inside another check; the other sub-reports read 0.
     The class has slots, no per-instance dict: a sweep keeps many
     reports, and each holds only its fields.
     """

@@ -310,7 +310,7 @@ def test_criterion_10_prelagrangian():
     pts = sample(pl.submanifold, 400, seed=1001)
     flat = prelagrangian.verify_prelagrangian(pl, pts)
     loop = prelagrangian.Loop.from_function(prelagrangian.desk_loop(0.5),
-                                            pl.submanifold.periodic_mask)
+                                            prelagrangian.TORUS_ANGLES)
     _, straight = prelagrangian.straighten_loop(
         loop, pl, np.array([0, 0, 0, 0, 1, 0]))
     named = {d.name: d for d in straight.details}

@@ -97,7 +97,8 @@ def test_invalid_representation_propagates():
     base = coordinate_open_book(2)
     rep = Representation(contact=base.contact,
                          f=DefiningFunction(4, value),
-                         binding=base.binding, name="bad fixture")
+                         binding_sampler=base.binding_sampler,
+                         name="bad fixture")
     report = verify_representation(rep, sample(rep.manifold, 200, seed=0),
                                    sample(rep.binding, 50, seed=1))
     assert not report.passed
@@ -184,7 +185,8 @@ def test_dead_zone_fixture_fails_submersion():
 
     rep = Representation(contact=base.contact,
                          f=DefiningFunction(4, scaled),
-                         binding=base.binding, name="dead-zone fixture")
+                         binding_sampler=base.binding_sampler,
+                         name="dead-zone fixture")
     bf = bourgeois_form(rep)
     report = extract_slice_representation(
         bf, samples=sample(rep.manifold, 600, seed=7),

@@ -14,7 +14,8 @@ from openbooks.contact import (ContactForm, DefiningFunction,
                                verify_representation, volume_form_cross_check)
 from openbooks.errors import DegenerateSystem, OffManifold
 from openbooks.forms import VecField, contact_volume, form_from_components
-from openbooks.manifolds import (Submanifold, flat_torus, sample,
+from openbooks.liouville import hypersurface_build, weinstein_disk_domain
+from openbooks.manifolds import (Submanifold, flat_torus, rng_for, sample,
                                  tangent_bases)
 
 
@@ -42,7 +43,7 @@ def test_reeb_field_of_standard_r3():
     # alpha = dz + x dy on R^3: the Reeb field is d/dz
     alpha = form_from_components(3, 1, {(2,): 1.0,
                                         (1,): lambda p: p[..., 0]})
-    ambient = Submanifold(3, None, 0, name="R^3", orientation="ambient",
+    ambient = Submanifold(3, None, 0, name="R^3", oriented=True,
                           sampler=lambda rng, n: rng.normal(size=(n, 3)))
     cf = ContactForm(alpha, ambient)
     r, residual = reeb_fields(cf, np.array([0.3, -0.2, 0.9]))
@@ -115,13 +116,13 @@ def test_even_dimensional_form_rejected():
     # d(alpha)(R, .) = 0 and alpha(R) = 1: an even-dimensional frame has
     # no Reeb field
     alpha = form_from_components(2, 1, {(1,): lambda p: p[..., 0]})
-    ambient = Submanifold(2, None, 0, name="R^2", orientation="ambient")
+    ambient = Submanifold(2, None, 0, name="R^2", oriented=True)
     with pytest.raises(DegenerateSystem) as err:
         reeb_fields(ContactForm(alpha, ambient), np.array([0.3, -0.2]))
     assert err.value.singular_values.shape == (2,)
 
 
-R3 = Submanifold(3, None, 0, name="R^3", orientation="ambient")
+R3 = Submanifold(3, None, 0, name="R^3", oriented=True)
 
 
 def test_degenerate_form_rejected():
@@ -325,16 +326,23 @@ def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
     reference = verify_representation(rep, pts, bind)
     assert reference.passed
 
-    def negated(rep):
-        # the binding's rule is constraint rows first, the sign of
-        # det[J_V; grad f_x; grad f_y; W]; this orientation is its opposite
-        def orientation(points, bases):
-            rows = np.concatenate([rep.manifold.jacobian(points),
-                                   rep.f.grad(points), bases], axis=-2)
-            return -np.sign(np.linalg.det(rows))
-        return orientation
+    from dataclasses import replace
+    made = contact_module.binding_manifold
 
-    monkeypatch.setattr(contact_module, "binding_orientation", negated)
+    def swapped(rep):
+        # the binding's rule is constraint rows first, the sign of
+        # det[J_V; grad f_x; grad f_y; W]; with the rows of f_x and f_y
+        # swapped it is the opposite
+        manifold = made(rep)
+
+        def constraints(p):
+            return manifold.constraints(p)[..., [0, 2, 1]]
+
+        def jac(p):
+            return manifold.constraint_jac(p)[..., [0, 2, 1], :]
+        return replace(manifold, constraints=constraints, constraint_jac=jac)
+
+    monkeypatch.setattr(contact_module, "binding_manifold", swapped)
     report = verify_representation(rep, pts, bind)
     assert not report.passed
     failed = [d.name for d in report.details if not d.passed]
@@ -400,7 +408,7 @@ def test_squared_coordinate_fails_regular_value():
     rep = Representation(
         contact=ContactForm(standard_contact_form(n), sphere),
         f=DefiningFunction(4, value, gradient),
-        binding=base.binding,        # same zero set {z_1 = 0}
+        binding_sampler=base.binding_sampler,    # same zero set {z_1 = 0}
         name="z1 squared fixture")
     pts = sample(rep.manifold, 300, seed=18)
     bind = sample(rep.binding, 50, seed=19)
@@ -426,22 +434,93 @@ def test_theta_submersion_reads_the_rank_margin_at_the_binding(maker, n):
 
 
 def test_binding_orientation_follows_the_orientation_of_v():
-    # "normal_first" and "ambient" V give K the constraint-rows-first
-    # rule, an unoriented V leaves K unoriented, and a callable
-    # orientation of V, which the rule does not cover, is rejected
+    # an oriented V gives K the constraint-rows-first rule, an unoriented
+    # V leaves K unoriented
     from dataclasses import replace
 
-    from openbooks.contact import binding_manifold, binding_orientation
+    from openbooks.contact import binding_manifold
     rep = quadric_open_book(2)
-    assert binding_manifold(rep).orientation == "normal_first"
-    for conv, want in (("ambient", "normal_first"), (None, None)):
+    assert binding_manifold(rep).oriented
+    for flag in (True, False):
         moved = replace(rep, contact=replace(
-            rep.contact, manifold=replace(rep.manifold, orientation=conv)))
-        assert binding_orientation(moved) == want
-    moved = replace(rep, contact=replace(rep.contact, manifold=replace(
-        rep.manifold, orientation=lambda points, bases: np.ones(len(bases)))))
-    with pytest.raises(ValueError, match="no binding orientation"):
-        binding_manifold(moved)
+            rep.contact, manifold=replace(rep.manifold, oriented=flag)))
+        assert binding_manifold(moved).oriented is flag
+        assert moved.binding.oriented is flag
+
+
+def _constraint_free_v(rep):
+    """rep with V replaced by its ambient space R^m, oriented by the
+    coordinate order."""
+    from dataclasses import replace
+    free = Submanifold(rep.manifold.ambient_dim, None, 0, name="R^m",
+                       sampler=rep.manifold.sampler)
+    return replace(rep, contact=replace(rep.contact, manifold=free))
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: coordinate_open_book(2), lambda: quadric_open_book(3),
+    lambda: hypersurface_build(weinstein_disk_domain()).rep,
+    lambda: _constraint_free_v(coordinate_open_book(2))],
+    ids=["z1 S^3", "quadric S^5", "hypersurface", "constraint-free V"])
+def test_binding_adds_the_two_rows_of_f_to_v(maker):
+    # K = f^{-1}(0) inside V: V's constraints, then f_x and f_y
+    from openbooks.contact import binding_manifold
+    rep = maker()
+    bind = binding_manifold(rep)
+    assert bind.n_constraints == rep.manifold.n_constraints + 2
+    assert bind.dim == rep.manifold.dim - 2
+    pts = sample(rep.binding, 20, seed=3)
+    assert bind.constraints(pts).shape == (20, bind.n_constraints)
+    assert bind.jacobian(pts).shape == (20, bind.n_constraints,
+                                        rep.manifold.ambient_dim)
+
+
+def test_binding_is_the_zero_set_of_the_replaced_f():
+    # replace(rep, f=g).binding is cut out by g: with g = z_2 on S^3 the
+    # circle {z_2 = 0} lies on it and the circle {z_1 = 0} does not
+    from dataclasses import replace
+    rep = coordinate_open_book(2)
+
+    def gradient(p):
+        out = np.zeros(np.shape(p)[:-1] + (2, 4))
+        out[..., 0, 2] = out[..., 1, 3] = 1.0
+        return out
+
+    g = DefiningFunction(4, lambda p: p[..., 2] + 1j * p[..., 3], gradient)
+    moved = replace(rep, f=g)
+    a = np.linspace(0.0, 2 * np.pi, 9)[:, None]
+    z1_circle = np.hstack([0 * a, 0 * a, np.cos(a), np.sin(a)])
+    z2_circle = np.hstack([np.cos(a), np.sin(a), 0 * a, 0 * a])
+    assert np.max(moved.binding.residual(z2_circle)) <= 1e-15
+    np.testing.assert_allclose(moved.binding.residual(z1_circle), 1.0)
+    assert np.max(rep.binding.residual(z1_circle)) <= 1e-15
+    # its tangent line at z = (cos a, sin a, 0, 0) is spanned by i z
+    frames = tangent_bases(moved.binding, z2_circle)[:, 0, :]
+    iz = np.hstack([-np.sin(a), np.cos(a), 0 * a, 0 * a])
+    np.testing.assert_allclose(
+        np.abs(np.einsum("nm,nm->n", frames, iz)), 1.0, atol=1e-15)
+    # the z_1 book's sampler draws points of the old binding only
+    with pytest.raises(OffManifold):
+        sample(moved.binding, 20, seed=0)
+
+
+def test_binding_sampler_off_the_zero_set_of_f_rejected():
+    # sample checks binding points against K, so against f as well as V:
+    # points of S^3 with x_1 = 1e-6 are on V to rounding and 1e-6 off K
+    from dataclasses import replace
+    rep = coordinate_open_book(2)
+
+    def sampler(rng, count):
+        pts = rep.binding_sampler(rng, count)
+        pts[:, 0] = 1e-6
+        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+    moved = replace(rep, binding_sampler=sampler)
+    off = sampler(rng_for(0), 20)
+    assert np.max(rep.manifold.residual(off)) <= 1e-15
+    np.testing.assert_allclose(rep.f.modulus(off), 1e-6)
+    with pytest.raises(OffManifold, match="violated constraints"):
+        sample(moved.binding, 20, seed=0)
 
 
 def test_binding_manifold_orientation_value():
@@ -488,7 +567,7 @@ def test_batched_binding_orientation_matches_per_point(maker, n):
     rep = maker(n)
     bind = binding_manifold(rep)
     pts = sample(rep.binding, 60, seed=23)
-    bases = tangent_bases(replace(bind, orientation=None), pts)
+    bases = tangent_bases(replace(bind, oriented=False), pts)
     flip = np.arange(len(pts)) % 2 == 1
     bases[flip, -1] = -bases[flip, -1]
     # the sign the binding's rule gives these bases: + where they have the

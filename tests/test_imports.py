@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-local a function binds is read.
+"""Every name a package module imports is used in that module, every
+local a function binds is read, and every private module-level function
+or class is referenced by its module.
 
 No linter ships with the project, so this walks the syntax tree instead:
 an imported name counts as used when it appears as a name anywhere in the
@@ -9,6 +10,9 @@ locals are the names bound in its own scope, not in nested defs; a local
 counts as read when it is loaded anywhere in the function, nested defs
 included (closures read their enclosing locals).  Names starting with
 ``_`` are exempt, so ``_, b = pair`` is how a value is dropped on purpose.
+A private helper (a module-level ``def`` or ``class`` whose name starts
+with one ``_``) that no name in its module reads is one that a deletion
+left behind; a helper that only tests import belongs in the tests.
 """
 
 import ast
@@ -102,3 +106,33 @@ def test_checker_finds_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_local(path):
     assert unused_locals(path.read_text()) == []
+
+
+def unused_private(source: str) -> list[str]:
+    """Names of the module-level private functions and classes in source
+    that nothing in it reads."""
+    tree = ast.parse(source)
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    return [name for name in defined if name not in read]
+
+
+def test_checker_finds_an_unused_private_helper():
+    source = ("def _used(x):\n    return x\n"
+              "def _dead(x):\n    return x\n"
+              "class _Dead:\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "def public(x):\n"
+              "    def _nested():\n        return x\n"     # not module level
+              "    return _used(x)\n")
+    assert unused_private(source) == ["_dead", "_Dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_has_no_unused_private_helper(path):
+    assert unused_private(path.read_text()) == []

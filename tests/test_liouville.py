@@ -8,10 +8,12 @@ from openbooks import liouville
 from openbooks.contact import verify_adapted, verify_contact, \
     verify_representation
 from openbooks.errors import DomainError
+from openbooks.forms import central_difference
 from openbooks.liouville import (angle_spinning_field, completion_check,
                                  complex_plane_weinstein,
                                  disk_bundle_domain, hypersurface_build,
                                  identification_check,
+                                 identification_jacobian,
                                  interior_identification, lyapunov_ratio,
                                  page_volume_identity, quartic_disk_domain,
                                  subcritical_check, subcritical_coordinates,
@@ -130,6 +132,35 @@ def test_bundle_identification_pullback():
     report = identification_check("disk_bundle", ld,
                                   pts[ld.u(pts) > 0.05])
     assert report.passed and report.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("example,make", [("disk", quartic_disk_domain),
+                                          ("disk_bundle", disk_bundle_domain)])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_identification_jacobian_matches_the_stencil(example, make, seed):
+    # the hand-written Jacobians against a central difference of the map,
+    # at the u > 0.05 samples the identification checks run on.  At step
+    # 1e-6 the stencil's error is its truncation, h^2/6 of the third
+    # derivative, which grows as u -> 0.05: measured 2.3e-9 to 3.5e-9
+    # relative on the disk and 1.0e-9 to 1.3e-9 on the bundle.  1e-7
+    # leaves 30x of room; a wrong factor in either Jacobian is off by
+    # order 0.1 (the radial term of the disk, 2.0 -> 2.2, reads 0.088).
+    # The pullback check does not see the disk's radial term at all:
+    # alpha_0 vanishes on the radial direction z
+    ld = make(2)
+    pts = sample(ld.manifold, 500, seed=seed)
+    pts = pts[ld.u(pts) > 0.05]
+    got = identification_jacobian(example, pts)
+    want = central_difference(
+        lambda x: interior_identification(example, x), pts, 1e-6)
+    rel = (np.max(np.abs(got - want), axis=(-2, -1))
+           / np.max(np.abs(got), axis=(-2, -1)))
+    assert np.max(rel) <= 1e-7, np.max(rel)
+
+
+def test_identification_jacobian_rejects_an_unknown_example():
+    with pytest.raises(DomainError, match="unknown identification"):
+        identification_jacobian("unknown", np.zeros((1, 4)))
 
 
 def test_identification_rejects_boundary():

@@ -319,7 +319,7 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
     from openbooks.manifolds import complement_frames
-    assert manifold.orientation == "normal_first"
+    assert manifold.oriented
     pts = sample(manifold, 300, seed=33)
     # u_0 = 0 at the first point: the first gradient coordinate of each of
     # these manifolds vanishes with the first coordinate
@@ -421,7 +421,7 @@ def test_sampler_returning_a_nan_row_rejected():
         return pts
 
     with pytest.raises(OffManifold, match="max residual nan"):
-        sample(unit_sphere(4).with_sampler(sampler), 20, seed=0)
+        sample(replace(unit_sphere(4), sampler=sampler), 20, seed=0)
 
 
 # the one-constraint "normal_first" manifolds whose top forms the suites
@@ -579,8 +579,8 @@ def test_tangent_bases_reads_residuals_against_on_manifold_tol():
 
 def test_sampler_off_its_manifold_by_more_than_1e_10_rejected():
     def sampler(scale):
-        return unit_sphere(4).with_sampler(
-            lambda rng, n: _scaled_sphere_points(scale, n))
+        return replace(unit_sphere(4), sampler=lambda rng, n:
+                       _scaled_sphere_points(scale, n))
 
     assert sample(sampler(1.0 + 0.25e-10), 20, seed=0).shape == (20, 4)
     with pytest.raises(OffManifold):

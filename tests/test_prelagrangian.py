@@ -6,7 +6,8 @@ import pytest
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import DimensionMismatch, DomainError, OffManifold
 from openbooks.manifolds import Submanifold, sample
-from openbooks.prelagrangian import (Loop, binding_torus_prelagrangian,
+from openbooks.prelagrangian import (TORUS_ANGLES, Loop,
+                                     binding_torus_prelagrangian,
                                      cumulative_simpson, desk_loop,
                                      hopf_circle_submanifold,
                                      legendrian_check, loop_integral,
@@ -76,8 +77,7 @@ def test_wrong_dimension_fixture_fails():
         return pts
 
     wrong = Submanifold(6, constraints, 4, name="L x S^1",
-                        periodic_mask=pl.submanifold.periodic_mask,
-                        orientation=None, sampler=sampler)
+                        oriented=False, sampler=sampler)
     from openbooks.prelagrangian import PreLagrangian
     fixture = PreLagrangian(wrong, pl.ambient_contact, pl.alpha_hat,
                             name="wrong dimension")
@@ -122,7 +122,7 @@ def test_binding_circle_fails_page_containment():
                          p[..., 1]], axis=-1)
 
     k_circle = Submanifold(4, constraints, 3, name="binding circle",
-                           orientation=None,
+                           oriented=False,
                            sampler=rep.binding.sampler)
     pts = sample(k_circle, 100, seed=8)
     report = legendrian_check(k_circle, rep, pts)
@@ -137,7 +137,7 @@ def test_binding_circle_fails_page_containment():
 
 def test_straighten_desk_loop():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     named = {d.name: d for d in report.details}
@@ -155,7 +155,7 @@ def test_straighten_desk_loop():
 
 def test_already_transverse_loop_is_fixed():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.0), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.0), TORUS_ANGLES)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     assert np.max(np.abs(out.values - loop.values)) < 1e-12
@@ -169,14 +169,14 @@ def test_negative_integral_rejected():
         return np.stack([np.cos(t), zero, np.sin(t), zero, -t, zero],
                         axis=-1)
 
-    loop = Loop.from_function(backwards, pl.submanifold.periodic_mask)
+    loop = Loop.from_function(backwards, TORUS_ANGLES)
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, PHI1)
 
 
 def test_bad_field_rejected():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     # not alpha_hat(Y) = 1
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, np.array([1, 0, 0, 0, 0, 0]))
@@ -191,7 +191,7 @@ def test_nan_direction_rejected(component):
     # NaN fails every comparison, so a guard written `x > bound` lets it
     # through to a report with NaN residuals
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     direction = PHI1.astype(float)
     direction[component] = np.nan
     with pytest.raises(DomainError):
@@ -200,7 +200,7 @@ def test_nan_direction_rejected(component):
 
 def test_nan_loop_rejected():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     values = loop.values.copy()
     values[10, 1] = np.nan
     with pytest.raises(OffManifold):
@@ -214,7 +214,7 @@ def test_nan_loop_rejected():
 ], ids=["five", "row", "per_sample"])
 def test_direction_of_the_wrong_shape_rejected(direction):
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     with pytest.raises(DimensionMismatch):
         straighten_loop(loop, pl, direction)
 
@@ -222,7 +222,7 @@ def test_direction_of_the_wrong_shape_rejected(direction):
 @pytest.mark.parametrize("wobble", [0.5, 0.0, -0.3])
 def test_straightening_is_the_exact_translation(wobble):
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(wobble), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(wobble), TORUS_ANGLES)
     out, report = straighten_loop(loop, pl, PHI1)
     assert report.passed
     c_val, g, t = loop_integral(pl, loop)
@@ -242,14 +242,14 @@ def test_open_loop_rejected():
         return np.stack([np.cos(t / 2), zero, np.sin(t / 2), zero, t, zero],
                         axis=-1)
 
-    loop = Loop.from_function(arc, pl.submanifold.periodic_mask)
+    loop = Loop.from_function(arc, TORUS_ANGLES)
     with pytest.raises(DomainError):
         straighten_loop(loop, pl, PHI1)
 
 
 def test_loop_derivative_stencil_accuracy():
     pl = real_circle_torus_prelagrangian()
-    loop = Loop.from_function(desk_loop(0.5), pl.submanifold.periodic_mask)
+    loop = Loop.from_function(desk_loop(0.5), TORUS_ANGLES)
     der = loop.derivatives()
     t = np.linspace(0, 2 * np.pi, 2049)[:-1]
     exact = np.stack([-np.sin(t), np.zeros_like(t), np.cos(t),
