@@ -62,7 +62,11 @@ when it is there.  Every other derivative of an ambient coefficient, map,
 constraint or defining function, e.g. of a quotient form, a scaled form,
 a pullback or an interior product, is taken by one stencil,
 :func:`central_difference`, which is thereby also an independent route
-against which the exact derivatives are checked.
+against which the exact derivatives are checked.  A derivative that is
+only read on a tangent frame steps along that frame, not along the m
+coordinate axes, with 2d evaluations on a d-frame: d of a 1-form on frame
+pairs is :func:`ext_deriv_on_frame`, a map's differential on a frame one
+``central_difference(..., frame=)``.
 """
 
 from __future__ import annotations
@@ -231,23 +235,41 @@ def pluecker(vectors):
 # the finite-difference stencil
 
 
-def central_difference(fn: Callable, p, step, diff: Callable = np.subtract):
+def central_difference(fn: Callable, p, step, diff: Callable = np.subtract,
+                       frame=None):
     """Central differences of fn at points p (..., m).
 
     Returns (..., *out, m) for fn mapping (..., m) to (..., *out); entry
     [..., i] is diff(fn(p + h e_i), fn(p - h e_i)) / 2h.  step is a scalar
     or a per-point array (...,).  diff replaces the subtraction where the
     values live on a circle, e.g. the angle of a ratio of complex values.
+
+    frame (..., d, m) replaces the coordinate axes by d directions per
+    point, so the result is (..., *out, d), the derivatives along e_1..e_d,
+    from 2d evaluations of fn instead of 2m.  The coordinate stencil is the
+    case of the identity frame, bit for bit.
     """
     p = np.asarray(p, float)
     h = np.asarray(step, float)
+    directions = (np.eye(p.shape[-1]) if frame is None
+                  else np.moveaxis(np.asarray(frame, float), -2, 0))
     cols = []
-    for e in np.eye(p.shape[-1]):
+    for e in directions:
         hp = h[..., None] * e
         d = diff(fn(p + hp), fn(p - hp))
         two_h = (2 * h).reshape(h.shape + (1,) * (np.ndim(d) - h.ndim))
         cols.append(d / two_h)
     return np.stack(cols, axis=-1)
+
+
+def _contract(a, b):
+    """sum_j a[..., j] b[..., j], added in the order j = 0, 1, ...: only
+    elementwise products and sums, so the bits of a row depend neither on
+    the batch it came in nor on the BLAS kernel."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +602,9 @@ def bind_line(a: KForm, b: KForm, points) -> Callable:
     return line
 
 
-def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
-    """Exterior derivative: a.d() when the form carries its exact one,
-    otherwise central differences of the coefficients, with step
-    DEFAULT_FD_STEP.
-
-    d(sum c_I dx_I) = sum_i d_i c_I dx_i ^ dx_I.  ``step_scale`` gives a
-    per-point multiplier for the stencil's step, used to differentiate
-    quotient forms whose derivatives blow up near a singular locus.  The
-    stencil's result carries no d, so a second ext_deriv differentiates it
-    by the stencil again.
-    """
-    if a.d is not None:
-        return a.d()
-    m = a.ambient_dim
-    axes, pos, sign = _ext_deriv_table(m, a.degree)
+def _stencil_inputs(a: KForm, p, step_scale: Callable | None):
+    """The coefficients of a as the stencil reads them, and its per-point
+    step DEFAULT_FD_STEP * step_scale(p) at the points p (...,)."""
     n_src, fc = a.n_indices, a.coeffs
 
     def fa(q):
@@ -604,16 +614,66 @@ def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
             return c
         return np.broadcast_to(c, q.shape[:-1] + (n_src,))
 
+    step = np.full(p.shape[:-1], DEFAULT_FD_STEP)
+    if step_scale is not None:
+        step = step * np.asarray(step_scale(p), float)
+    return fa, step
+
+
+def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
+    """Exterior derivative: a.d() when the form carries its exact one,
+    otherwise central differences of the coefficients, with step
+    DEFAULT_FD_STEP.
+
+    d(sum c_I dx_I) = sum_i d_i c_I dx_i ^ dx_I.  ``step_scale`` gives a
+    per-point multiplier for the stencil's step, used to differentiate
+    quotient forms whose derivatives blow up near a singular locus.  The
+    stencil's result carries no d, so a second ext_deriv differentiates it
+    by the stencil again.  A derivative that is only read on a frame is
+    cheaper by :func:`ext_deriv_on_frame`.
+    """
+    if a.d is not None:
+        return a.d()
+    m = a.ambient_dim
+    axes, pos, sign = _ext_deriv_table(m, a.degree)
+
     def coeffs(p):
         p = np.asarray(p, float)
-        step = np.full(p.shape[:-1], DEFAULT_FD_STEP)
-        if step_scale is not None:
-            step = step * np.asarray(step_scale(p), float)
+        fa, step = _stencil_inputs(a, p, step_scale)
         d = central_difference(fa, p, step)    # (..., n_src, m)
         terms = d[..., pos, axes]              # (..., n_out, k+1)
         return np.einsum("...oa,oa->...o", terms, sign)
 
     return KForm(a.degree + 1, m, coeffs)
+
+
+def ext_deriv_on_frame(a: KForm, p, frame,
+                       step_scale: Callable | None = None):
+    """ext_deriv(a).restrict(p, frame) for a 1-form a: p (..., m), frame
+    (..., d, m), the antisymmetric (..., d, d) of da(e_i, e_j).
+
+    A form that carries its exact d gives a.d().restrict(p, frame).
+    Otherwise the stencil of :func:`ext_deriv`, with its step, runs along
+    the frame: with D_e c the derivative of the coefficients along e,
+    da(e_i, e_j) = <D_{e_i} c, e_j> - <D_{e_j} c, e_i>, from 2d
+    evaluations of a where the axes take 2m.  The pairings are summed in
+    a fixed order (:func:`_contract`), so a point alone gives the bits of
+    its row in a batch.
+    """
+    if a.d is not None:
+        return a.d().restrict(p, frame)
+    if a.degree != 1:
+        raise DimensionMismatch(
+            f"ext_deriv_on_frame needs a 1-form, got degree {a.degree}")
+    p = np.asarray(p, float)
+    e = np.asarray(frame, float)
+    if e.shape[-1] != a.ambient_dim:
+        raise DimensionMismatch("frame dimension does not match form")
+    fa, step = _stencil_inputs(a, p, step_scale)
+    dc = central_difference(fa, p, step, frame=e)      # (..., m, d)
+    g = _contract(np.swapaxes(dc, -1, -2)[..., :, None, :],
+                  e[..., None, :, :])                  # <D_{e_i} c, e_j>
+    return g - np.swapaxes(g, -1, -2)
 
 
 def interior(x: VecField, a: KForm) -> KForm:

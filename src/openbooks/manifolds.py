@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSystem, OffManifold
-from .forms import central_difference, pluecker
+from .forms import _contract, central_difference, pluecker
 
 ON_MANIFOLD_TOL = 1e-8
 RANK_RATIO = 1e-6
@@ -139,16 +139,6 @@ def singular_values(mat):
     diagnostics of a DegenerateSystem."""
     gram = mat @ np.swapaxes(mat, -1, -2)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0))
-
-
-def _contract(a, b):
-    """sum_j a[..., j] b[..., j], added in the order j = 0, 1, ...: only
-    elementwise products and sums, so the bits of a row depend neither on
-    the batch it came in nor on the BLAS kernel."""
-    out = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        out += a[..., j] * b[..., j]
-    return out
 
 
 def frame_product(a, b):

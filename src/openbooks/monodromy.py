@@ -26,9 +26,9 @@ from .contact import (Representation, openbook_volume_form, verify_contact,
                       verify_representation)
 from .errors import (BindingPoint, DegenerateSystem, DimensionMismatch,
                      DomainError, FlowAborted, NonConvergence)
-from .forms import (KForm, SmoothMap, VecField, central_difference,
-                    ext_deriv, interior, pluecker, pullback, scale_form,
-                    wedge, wedge_all, wedge_power)
+from .forms import (DEFAULT_FD_STEP, KForm, VecField, _contract,
+                    central_difference, ext_deriv_on_frame, interior,
+                    pluecker, scale_form, wedge, wedge_all, wedge_power)
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
 from .manifolds import (FD_STEP, boxed, complement_frames,
@@ -302,19 +302,18 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
         max_residual=np.abs(vals / reg.rho2 - 2 * np.pi),
         tolerance=1e-8, seed=seed, note="d(theta)(Y) = 2 pi"))
 
-    # page-structure preservation: d(iota_Y d(lambda)) restricted to pages,
-    # with iota_Y d(lambda) assembled from the regularized contraction
-    lie_two_form = ext_deriv(kernel_defect_form(rep, y),
-                             step_scale=lambda p: np.maximum(
-                                 f.modulus(p), 1e-12))
+    # page-structure preservation: d(iota_Y d(lambda)) on page pairs, with
+    # iota_Y d(lambda) assembled from the regularized contraction
     far = pts[f.modulus(pts) >= 0.1]
     bases = tangent_bases(rep.manifold, far)
     mu_t = np.einsum("nm,njm->nj", f.regularized(far).mu, bases)
     page = frame_product(complement_frames(mu_t)[0], bases)
+    lie_on_pages = ext_deriv_on_frame(
+        kernel_defect_form(rep, y), far, page,
+        step_scale=lambda p: np.maximum(f.modulus(p), 1e-12))
     details.append(make_report(
         "page_structure_preserved", n_samples=len(far),
-        max_residual=np.max(np.abs(lie_two_form.restrict(far, page)),
-                            initial=0.0),
+        max_residual=np.max(np.abs(lie_on_pages), initial=0.0),
         tolerance=1e-5, seed=seed,
         note="Lie derivative of the page symplectic structure vanishes: "
              "d(iota_Y d(lambda)) = 0 on page pairs"))
@@ -619,30 +618,32 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
                               seed=0) -> CheckReport:
     """Pullback identity Phi^* lambda_can = lambda_can - |p| d(rho) with
     lambda_can = -sum p_j dq_j, evaluated on tangent vectors of the
-    bundle; certifies that the twist is an exact symplectomorphism."""
+    bundle; certifies that the twist is an exact symplectomorphism.  D Phi
+    and d rho are read only on the bundle's tangent frame, so each is one
+    central difference along that frame."""
     bundle = disk_cotangent_bundle(n)
     lam = canonical_one_form(n)
 
     def eval_map(x):
         # the twist formula extends smoothly off the constraint set, which
-        # the finite-difference Jacobian needs
+        # the stencil steps onto
         q_out, p_out = twist(x[..., :n], x[..., n:], validate=False)
         return np.concatenate([q_out, p_out], axis=-1)
 
-    phi = SmoothMap(2 * n, 2 * n, eval_map)
     pts = np.asarray(samples_qp, float)
     bases = tangent_bases(bundle, pts)
-    lhs = pullback(phi, lam).restrict(pts, bases)
+    # D Phi and d rho along the frame: column j is the derivative along e_j
+    dphi = central_difference(eval_map, pts, DEFAULT_FD_STEP, frame=bases)
+    lhs = _contract(lam.coeffs(eval_map(pts))[:, None, :],
+                    np.swapaxes(dphi, -1, -2))
 
     r = np.linalg.norm(pts[..., n:], axis=-1)
 
     def rho_of_point(x):
         return twist.angle(np.linalg.norm(x[..., n:], axis=-1))
 
-    drho = central_difference(rho_of_point, pts, FD_STEP)
-    lam_vals = lam.restrict(pts, bases)
-    drho_t = np.einsum("nm,njm->nj", drho, bases)
-    rhs = lam_vals - r[:, None] * drho_t
+    drho_t = central_difference(rho_of_point, pts, FD_STEP, frame=bases)
+    rhs = lam.restrict(pts, bases) - r[:, None] * drho_t
     return make_report(
         "dehn_twist_pullback", n_samples=len(pts),
         max_residual=np.abs(lhs - rhs), tolerance=1e-7, seed=seed,

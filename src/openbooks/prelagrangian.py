@@ -16,7 +16,7 @@ import numpy as np
 from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DimensionMismatch, DomainError, OffManifold
-from .forms import KForm, ext_deriv, scale_form
+from .forms import KForm, ext_deriv_on_frame, scale_form
 from .manifolds import Submanifold, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
 
@@ -217,13 +217,14 @@ def binding_torus_prelagrangian() -> PreLagrangian:
 
 @timed
 def verify_prelagrangian(pl: PreLagrangian, samples, seed=0) -> CheckReport:
-    """Dimension identity and vanishing of d(alpha_hat) on TP."""
+    """Dimension identity and vanishing of d(alpha_hat) on TP, taken by a
+    stencil along the tangent frame of P."""
     pts = np.asarray(samples, float)
     dim_v = pl.ambient_contact.dim
     dim_p = pl.submanifold.dim
     dim_ok = (2 * dim_p == dim_v + 1)
     bases = tangent_bases(pl.submanifold, pts)
-    worst = np.max(np.abs(ext_deriv(pl.alpha_hat).restrict(pts, bases)),
+    worst = np.max(np.abs(ext_deriv_on_frame(pl.alpha_hat, pts, bases)),
                    initial=0.0)
     return make_report(
         f"prelagrangian[{pl.name}]", n_samples=len(pts),

@@ -1,6 +1,7 @@
 """Contact forms, Reeb fields, adaptedness, volume forms, representations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,10 +316,36 @@ def test_representation_passes(maker, n):
     assert report.passed, [(d.name, d.min_margin) for d in report.details]
 
 
-def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
-    # negative control: with the binding oriented the other way, alpha
-    # restricted to the binding circle of the quadric S^3 book pairs to
-    # -1/2 with the oriented unit tangent, and no other condition moves
+def _swapped_fx_fy(manifold):
+    # the binding's rule is constraint rows first, the sign of
+    # det[J_V; grad f_x; grad f_y; W]; with the rows of f_x and f_y
+    # swapped it is the opposite
+    def constraints(p):
+        return manifold.constraints(p)[..., [0, 2, 1]]
+
+    def jac(p):
+        return manifold.constraint_jac(p)[..., [0, 2, 1], :]
+    return replace(manifold, constraints=constraints, constraint_jac=jac)
+
+
+def _negated_fy(manifold):
+    # negating the last constraint row reverses the same orientation
+    def jac(p):
+        rows = manifold.constraint_jac(p).copy()
+        rows[..., -1, :] = -rows[..., -1, :]
+        return rows
+    return replace(manifold, constraint_jac=jac)
+
+
+@pytest.mark.parametrize("reverse", [_swapped_fx_fy, _negated_fy],
+                         ids=["swapped_fx_fy", "negated_fy"])
+def test_reversed_binding_orientation_fails_only_binding_contact(
+        monkeypatch, reverse):
+    # negative control: the binding K is oriented by the signs of its
+    # constraint rows [J_V; grad f_x; grad f_y].  Reversed through those
+    # rows, alpha restricted to the binding circle of the quadric S^3 book
+    # pairs to -1/2 with the oriented unit tangent, and no other condition
+    # moves
     import openbooks.contact as contact_module
     rep = quadric_open_book(2)
     pts = sample(rep.manifold, 500, seed=16)
@@ -326,23 +353,9 @@ def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
     reference = verify_representation(rep, pts, bind)
     assert reference.passed
 
-    from dataclasses import replace
     made = contact_module.binding_manifold
-
-    def swapped(rep):
-        # the binding's rule is constraint rows first, the sign of
-        # det[J_V; grad f_x; grad f_y; W]; with the rows of f_x and f_y
-        # swapped it is the opposite
-        manifold = made(rep)
-
-        def constraints(p):
-            return manifold.constraints(p)[..., [0, 2, 1]]
-
-        def jac(p):
-            return manifold.constraint_jac(p)[..., [0, 2, 1], :]
-        return replace(manifold, constraints=constraints, constraint_jac=jac)
-
-    monkeypatch.setattr(contact_module, "binding_manifold", swapped)
+    monkeypatch.setattr(contact_module, "binding_manifold",
+                        lambda rep: reverse(made(rep)))
     report = verify_representation(rep, pts, bind)
     assert not report.passed
     failed = [d.name for d in report.details if not d.passed]
@@ -352,37 +365,6 @@ def test_negated_binding_orientation_fails_only_binding_contact(monkeypatch):
     for got, want in zip(report.details[:-1], reference.details[:-1]):
         assert (got.min_margin, got.max_residual) == (want.min_margin,
                                                       want.max_residual)
-
-
-def test_negated_grad_fy_row_fails_binding_contact(monkeypatch):
-    # negative control: the binding is oriented by the signs of its
-    # constraint rows [J_V; grad f_x; grad f_y], so negating the last row
-    # reverses it, and alpha pairs to -1/2 with the oriented unit tangent
-    # of the quadric S^3 binding circle
-    from dataclasses import replace
-
-    import openbooks.contact as contact_module
-    rep = quadric_open_book(2)
-    pts = sample(rep.manifold, 500, seed=16)
-    bind = sample(rep.binding, 100, seed=17)
-    made = contact_module.binding_manifold
-
-    def negated_fy(rep):
-        manifold = made(rep)
-
-        def jac(p):
-            rows = manifold.constraint_jac(p).copy()
-            rows[..., -1, :] = -rows[..., -1, :]
-            return rows
-        return replace(manifold, constraint_jac=jac)
-
-    monkeypatch.setattr(contact_module, "binding_manifold", negated_fy)
-    report = verify_representation(rep, pts, bind)
-    assert not report.passed
-    assert [d.name for d in report.details if not d.passed] \
-        == ["binding_contact"]
-    margin = report.details[-1].min_margin
-    assert abs(margin + 0.5) <= 1e-9, margin
 
 
 def test_squared_coordinate_fails_regular_value():
@@ -436,8 +418,6 @@ def test_theta_submersion_reads_the_rank_margin_at_the_binding(maker, n):
 def test_binding_orientation_follows_the_orientation_of_v():
     # an oriented V gives K the constraint-rows-first rule, an unoriented
     # V leaves K unoriented
-    from dataclasses import replace
-
     from openbooks.contact import binding_manifold
     rep = quadric_open_book(2)
     assert binding_manifold(rep).oriented
@@ -451,7 +431,6 @@ def test_binding_orientation_follows_the_orientation_of_v():
 def _constraint_free_v(rep):
     """rep with V replaced by its ambient space R^m, oriented by the
     coordinate order."""
-    from dataclasses import replace
     free = Submanifold(rep.manifold.ambient_dim, None, 0, name="R^m",
                        sampler=rep.manifold.sampler)
     return replace(rep, contact=replace(rep.contact, manifold=free))
@@ -478,7 +457,6 @@ def test_binding_adds_the_two_rows_of_f_to_v(maker):
 def test_binding_is_the_zero_set_of_the_replaced_f():
     # replace(rep, f=g).binding is cut out by g: with g = z_2 on S^3 the
     # circle {z_2 = 0} lies on it and the circle {z_1 = 0} does not
-    from dataclasses import replace
     rep = coordinate_open_book(2)
 
     def gradient(p):
@@ -507,7 +485,6 @@ def test_binding_is_the_zero_set_of_the_replaced_f():
 def test_binding_sampler_off_the_zero_set_of_f_rejected():
     # sample checks binding points against K, so against f as well as V:
     # points of S^3 with x_1 = 1e-6 are on V to rounding and 1e-6 off K
-    from dataclasses import replace
     rep = coordinate_open_book(2)
 
     def sampler(rng, count):
@@ -560,8 +537,6 @@ def _per_point_binding_signs(rep, points, bases):
                                      (quadric_open_book, 2),
                                      (quadric_open_book, 3)])
 def test_batched_binding_orientation_matches_per_point(maker, n):
-    from dataclasses import replace
-
     from openbooks.contact import binding_manifold
     from openbooks.manifolds import tangent_bases
     rep = maker(n)

@@ -21,7 +21,8 @@ from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
                              central_difference,
                              constant_form,
                              contact_volume, coordinate_differential,
-                             ext_deriv, form_from_components,
+                             ext_deriv, ext_deriv_on_frame,
+                             form_from_components,
                              increasing_indices, interior, on_batch,
                              pluecker, pullback, wedge, wedge_power)
 from openbooks.manifolds import FD_STEP, sample, tangent_bases, unit_sphere
@@ -1079,6 +1080,134 @@ def test_stencil_shapes_for_scalar_and_per_point_steps(out):
                               central_difference(fn, pts[k], steps[k]))
     exact = (np.cos(pts @ w.T)[..., None] * w).reshape(per_point.shape)
     np.testing.assert_allclose(per_point, exact, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the stencil along a frame
+
+
+def _coordinate_loop(fn, p, step, diff=np.subtract):
+    """central_difference as it stood before it took a frame: the loop
+    over the coordinate axes."""
+    p = np.asarray(p, float)
+    h = np.asarray(step, float)
+    cols = []
+    for e in np.eye(p.shape[-1]):
+        hp = h[..., None] * e
+        d = diff(fn(p + hp), fn(p - hp))
+        two_h = (2 * h).reshape(h.shape + (1,) * (np.ndim(d) - h.ndim))
+        cols.append(d / two_h)
+    return np.stack(cols, axis=-1)
+
+
+def _polynomial_one_form(m, seed):
+    """A 1-form with cubic coefficients c(p) = A p + |p|^2 b + w p^3 that
+    is not closed and carries no d, and its exact Jacobian
+    [..., t, s] = d c_t / d p_s.  Summed elementwise, so a batch and its
+    rows round the same way."""
+    rng = np.random.default_rng(seed)
+    a, b, w = rng.normal(size=(m, m)), rng.normal(size=m), rng.normal(size=m)
+
+    def coeffs(p):
+        lin = sum(p[..., s, None] * a[:, s] for s in range(m))
+        sq = sum(p[..., s] * p[..., s] for s in range(m))
+        return lin + sq[..., None] * b + w * p ** 3
+
+    def jac(p):
+        return (a + 2 * b[:, None] * p[..., None, :]
+                + np.eye(m) * (3 * w * p ** 2)[..., None, :])
+
+    return KForm(1, m, coeffs), jac
+
+
+def _orthonormal_frames(count, m, d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(count, m, d)))
+    return np.swapaxes(q, -1, -2)
+
+
+def _angle_ratio(a, b):
+    return np.angle(a * np.conj(b))
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_identity_frame_is_the_coordinate_stencil(per_point):
+    # the identity frame steps along the coordinate axes, so every caller
+    # that passes no frame gets the bits of the old loop
+    m = 4
+    rep = quadric_open_book(2)
+    pts = sample(rep.manifold, 40, seed=6)
+    step = 1e-5 * (1.0 + RNG.random(40)) if per_point else 1e-5
+    eye = np.broadcast_to(np.eye(m), (40, m, m))
+    for fn, diff in ((rep.f.value, np.subtract),
+                     (rep.f.value, _angle_ratio),
+                     (_polynomial_one_form(m, 1)[0].coeffs, np.subtract)):
+        ref = _coordinate_loop(fn, pts, step, diff)
+        assert np.array_equal(central_difference(fn, pts, step, diff), ref)
+        assert np.array_equal(
+            central_difference(fn, pts, step, diff, frame=eye), ref)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_frame_derivative_of_a_non_closed_form(m):
+    # oracle: the exact da(e_i, e_j) = <J e_i, e_j> - <J e_j, e_i> of a
+    # cubic form.  Both routes are central differences at step 1e-5: the
+    # truncation error h^2 max|c'''| / 6 is about 1e-10 and the rounding
+    # eps |c| / h a few 1e-10 at |p| ~ 3, so 1e-8 bounds either route
+    # (measured 5e-10 to 9e-10)
+    form, jac = _polynomial_one_form(m, m)
+    rng = np.random.default_rng(100 + m)
+    pts = rng.normal(size=(200, m))
+    frame = _orthonormal_frames(200, m, 3, seed=m)
+    g = np.einsum("nis,nts,njt->nij", frame, jac(pts), frame)
+    exact = g - np.swapaxes(g, -1, -2)
+    assert np.max(np.abs(exact)) > 1.0                  # not closed
+    got = ext_deriv_on_frame(form, pts, frame)
+    assert got.shape == (200, 3, 3)
+    assert np.array_equal(got, -np.swapaxes(got, -1, -2))
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(got, ext_deriv(form).restrict(pts, frame),
+                               rtol=0, atol=1e-8)
+
+
+def test_frame_stencil_point_alone_gives_its_batch_row():
+    m = 6
+    form, _ = _polynomial_one_form(m, 3)
+    pts = RNG.normal(size=(9, m))
+    frame = _orthonormal_frames(9, m, 4, seed=4)
+
+    def scale(p):
+        return 0.5 + np.abs(p[..., 0])
+
+    batch = ext_deriv_on_frame(form, pts, frame, step_scale=scale)
+    cols = central_difference(form.coeffs, pts, 1e-5, frame=frame)
+    for k in range(9):
+        assert np.array_equal(batch[k], ext_deriv_on_frame(
+            form, pts[k], frame[k], step_scale=scale))
+        assert np.array_equal(batch[k:k + 1], ext_deriv_on_frame(
+            form, pts[k:k + 1], frame[k:k + 1], step_scale=scale))
+        assert np.array_equal(cols[k], central_difference(
+            form.coeffs, pts[k], 1e-5, frame=frame[k]))
+
+
+def test_frame_derivative_takes_the_exact_d():
+    # a form that carries d is restricted, not differentiated
+    alpha = standard_contact_form(2)
+    pts = RNG.normal(size=(20, 4))
+    frame = _orthonormal_frames(20, 4, 3, seed=5)
+    assert alpha.d is not None
+    assert np.array_equal(ext_deriv_on_frame(alpha, pts, frame),
+                          alpha.d().restrict(pts, frame))
+
+
+def test_frame_derivative_rejects_other_degrees_and_dimensions():
+    pts = RNG.normal(size=(5, 4))
+    frame = _orthonormal_frames(5, 4, 2, seed=6)
+    with pytest.raises(DimensionMismatch):
+        ext_deriv_on_frame(_random_two_form(4, seed=7), pts, frame)
+    with pytest.raises(DimensionMismatch):
+        ext_deriv_on_frame(_polynomial_one_form(5, 8)[0],
+                           RNG.normal(size=(5, 5)), frame)
 
 
 @settings(max_examples=40, deadline=None)

@@ -299,6 +299,62 @@ def test_definition_check_accepts_both_spinning_fields():
         assert report.passed
 
 
+def _scaled_by_re_z2(y):
+    # g Y with g = 1 + Re(z_2) / 2, through y's own formula
+    def eval(z, out):
+        fval = y.eval(z, out)
+        out *= (1.0 + 0.5 * z[..., 1].real)[..., None]
+        return fval
+
+    return SpinningField(y.rep, eval)
+
+
+def test_scaled_coordinate_field_fails_page_structure():
+    # negative control: iota_{gY} d(lambda) = g iota_Y d(lambda), so on
+    # page pairs d(iota_{gY} d(lambda)) = dg ^ iota_Y d(lambda), which the
+    # scaling g = 1 + Re(z_2) / 2 leaves nonzero; d(theta)(gY) = 2 pi g
+    # fails the pairing as well
+    pts = _off_binding(COORDINATE, 200, seed=8)
+    y = _scaled_by_re_z2(coordinate_spinning_field(COORDINATE))
+    report = spinning_definition_check(COORDINATE, y, pts)
+    assert not report.passed
+    leaves = {d.name: d for d in report.details}
+    assert not leaves["theta_pairing"].passed
+    page = leaves["page_structure_preserved"]
+    assert not page.passed
+    assert 1.54 < page.max_residual < 1.55, page.max_residual
+
+
+@pytest.mark.parametrize("rep", [COORDINATE, QUADRIC],
+                         ids=["coordinate", "quadric"])
+def test_kernel_defect_form_is_evaluated_twice_per_page_direction(
+        monkeypatch, rep):
+    # d(iota_Y d(lambda)) on page pairs is a stencil along the page frame:
+    # pages of S^3 are surfaces, so 4 evaluations of kernel_defect_form,
+    # where the coordinate stencil on R^4 takes 8
+    import openbooks.monodromy as monodromy_module
+    made = monodromy_module.kernel_defect_form
+    calls = []
+
+    def counted(rep, y):
+        form = made(rep, y)
+
+        def coeffs(p):
+            calls.append(p.shape)
+            return form.coeffs(p)
+        return replace(form, coeffs=coeffs)
+
+    pts = _off_binding(rep, 100, seed=9)
+    y = (coordinate_spinning_field if rep is COORDINATE
+         else quadric_spinning_field)(rep)
+    reference = spinning_definition_check(rep, y, pts)
+    monkeypatch.setattr(monodromy_module, "kernel_defect_form", counted)
+    report = spinning_definition_check(rep, y, pts)
+    assert report.passed
+    assert report.max_residual == reference.max_residual
+    assert len(calls) == 4
+
+
 def _negated(y, rep=None):
     # -Y on the book `rep` (y's own by default), through y's own formula
     def eval(z, out):

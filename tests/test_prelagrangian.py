@@ -1,10 +1,13 @@
 """Pre-Lagrangian constructions and the loop straightening procedure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import DimensionMismatch, DomainError, OffManifold
+from openbooks.forms import KForm, scale_form
 from openbooks.manifolds import Submanifold, sample
 from openbooks.prelagrangian import (TORUS_ANGLES, Loop,
                                      binding_torus_prelagrangian,
@@ -38,6 +41,42 @@ def test_circle_torus_restriction_is_dphi1():
     pts = sample(pl.submanifold, 100, seed=2)
     bases, vals = restricted_form_values(pl, pts)
     np.testing.assert_allclose(vals, bases[:, :, 4], atol=1e-12)
+
+
+def test_alpha_hat_scaled_along_the_torus_fails():
+    # negative control: g alpha_hat with g = 1 + sin(phi_2) / 2 is not
+    # closed on L x T^2.  alpha_hat restricts to dphi1 there, so
+    # d(g alpha_hat) restricts to (cos(phi_2) / 2) dphi2 ^ dphi1, and on
+    # an orthonormal frame of TP its largest value is max |cos phi_2| / 2.
+    # The stock form reads exactly 0 on the frame, so this is the only
+    # failing value the leaf is tested at.
+    pl = real_circle_torus_prelagrangian()
+    pts = sample(pl.submanifold, 400, seed=1)
+    bad = replace(pl, alpha_hat=scale_form(
+        lambda p: 1.0 + 0.5 * np.sin(p[..., 5]), pl.alpha_hat))
+    report = verify_prelagrangian(bad, pts)
+    assert not report.passed
+    want = 0.5 * np.max(np.abs(np.cos(pts[:, 5])))
+    assert abs(report.max_residual - want) < 1e-8, report.max_residual
+    assert 0.4999 < report.max_residual <= 0.5
+
+
+def test_alpha_hat_is_evaluated_twice_per_tangent_direction():
+    # d(alpha_hat) on TP is a stencil along the frame of P: 2 dim P = 6
+    # evaluations of alpha_hat, where the coordinate stencil on R^6 takes 12
+    pl = real_circle_torus_prelagrangian()
+    pts = sample(pl.submanifold, 100, seed=2)
+    calls = []
+
+    def counted(p):
+        calls.append(p.shape)
+        return pl.alpha_hat.coeffs(p)
+
+    report = verify_prelagrangian(replace(pl, alpha_hat=KForm(1, 6, counted)),
+                                  pts)
+    assert report.max_residual == verify_prelagrangian(pl, pts).max_residual
+    assert len(calls) == 2 * pl.submanifold.dim == 6
+    assert all(shape == pts.shape for shape in calls)
 
 
 def test_binding_torus_is_prelagrangian():
