@@ -14,11 +14,11 @@ isotopy, and the filling polynomial sweep.
 Run:  python demos/02_product_contact_forms.py
 """
 
-from openbooks import (FillingFamily, bourgeois_form, ext_deriv,
-                       extract_slice_representation, filling_polynomial,
-                       find_inverse_constant, isotopy_check,
-                       profiled_representation, quadric_open_book, sample,
-                       verify_product_contact, verify_inverse_form)
+from openbooks import (bourgeois_form, extract_slice_representation,
+                       filling_polynomial, find_inverse_constant,
+                       isotopy_check, profiled_representation,
+                       quadric_open_book, sample, verify_product_contact,
+                       verify_inverse_form)
 
 rep = quadric_open_book(2)
 bf = bourgeois_form(rep)
@@ -65,11 +65,10 @@ for d in iso.details:
 # With the ball filling of S^3 (omega = d alpha_0) the polynomial
 #   P_eps(T) = alpha_eps ^ (T d alpha_eps + omega + vol_T2)^(n+1)
 # must stay positive for all T >= 0.  The sweep certifies the grid of
-# bourgeois.FILLING_EPS_GRID x FillingFamily.default_t_grid() plus both
+# bourgeois.FILLING_EPS_GRID x bourgeois.FILLING_T_GRID plus both
 # leading coefficients, which control T -> infinity.
 
-family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
-sweep = filling_polynomial(family, sample(bf.manifold, 400, seed=19))
+sweep = filling_polynomial(rep, sample(bf.manifold, 400, seed=19))
 print(f"filling sweep: min margin {sweep.min_margin:.4f} over "
       f"{len(sweep.rows)} grid pairs  (pass={sweep.passed})")
 by_eps = {}

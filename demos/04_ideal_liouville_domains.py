@@ -58,8 +58,8 @@ print(f"center maps to the origin: "
 
 disk2 = weinstein_disk_domain()
 hs = hypersurface_build(disk2)
-pts_v = sample(hs.manifold, 1000, seed=9)
-print(f"hypersurface V (dim {hs.manifold.dim}): contact pass = "
+pts_v = sample(hs.rep.manifold, 1000, seed=9)
+print(f"hypersurface V (dim {hs.rep.manifold.dim}): contact pass = "
       f"{verify_contact(hs.rep.contact, pts_v).passed}, "
       f"transversality margin {hs.transversality_margin:.2f}")
 binding = sample(hs.rep.binding, 100, seed=11)

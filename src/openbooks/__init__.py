@@ -22,7 +22,7 @@ from .contact import (ContactForm, DefiningFunction, Representation,
                       standard_contact_form, standard_sphere,
                       verify_adapted, verify_contact, verify_representation,
                       volume_form_cross_check)
-from .bourgeois import (BourgeoisForm, FillingFamily, bourgeois_form,
+from .bourgeois import (BourgeoisForm, bourgeois_form,
                         extract_slice_representation, filling_polynomial,
                         find_inverse_constant, inverse_form, isotopy_check,
                         profiled_representation, verify_product_contact,

@@ -34,9 +34,13 @@ C_GRID = tuple(2.0 ** k for k in range(11))
 INVERSE_MARGIN_TOL = 1e-3
 # the tau values isotopy_check runs
 TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-# the eps values of filling_polynomial's sweep (its T grid is
-# FillingFamily.default_t_grid())
+# the eps and T values of filling_polynomial's sweep; Python floats (0.25 k
+# is exact), so that each report row's float(T) is the grid's own object,
+# not a new one per row
 FILLING_EPS_GRID = (0.0, 0.01, 0.05, 0.1, 1.0)
+FILLING_T_GRID = tuple(sorted(set(
+    [0.0] + [10.0 ** k for k in range(-2, 3)]
+    + [0.25 * k for k in range(41)])))
 # the radial profile is the identity below R0 and constant above R1
 R0, R1 = 0.2, 0.4
 # |f| below which a sample of verify_inverse_form counts as a binding point,
@@ -327,34 +331,20 @@ def inverse_form(rep: Representation, c: float) -> ContactForm:
     return ContactForm(alpha_minus, rep.manifold)
 
 
-def inverse_line(rep: Representation, samples):
-    """The forms alpha - C mu of every C, bound to the samples (a float
-    array): :func:`bind_line` of (alpha, mu), taken at t = -C."""
-    return bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
-
-
-def inverse_form_margins(rep: Representation, c: float, samples, coords,
-                         line):
-    """Reversed-orientation contact margin of alpha_minus at the samples
-    (positive margin = contact with orientation opposite the reference).
-    ``coords`` is tangent_pluecker(rep.manifold, samples) and
-    ``line`` inverse_line(rep, samples), each built once for all C; the
-    samples are the float array that ``line`` is bound to."""
-    return -_line_volume(line, -c, rep.n, samples, coords)
-
-
 def find_inverse_constant(rep: Representation, samples):
     """Search C in C_GRID = {1, 2, 4, ..., 2^10}, accept the first value
     whose reversed-orientation margin beats INVERSE_MARGIN_TOL, then
     re-verify at 2C (the construction guarantees all sufficiently large C
-    work)."""
+    work).  The margin at C is -alpha_minus ^ (d alpha_minus)^n on the
+    oriented frames (positive when the orientation is reversed), read off
+    the line alpha - C mu bound once for every C."""
     samples = np.asarray(samples, float)
     coords = tangent_pluecker(rep.manifold, samples)
-    line = inverse_line(rep, samples)
+    line = bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
     for c in C_GRID:
-        margins = inverse_form_margins(rep, c, samples, coords, line)
+        margins = -_line_volume(line, -c, rep.n, samples, coords)
         if np.min(margins) > INVERSE_MARGIN_TOL:
-            recheck = inverse_form_margins(rep, 2 * c, samples, coords, line)
+            recheck = -_line_volume(line, -2 * c, rep.n, samples, coords)
             if np.min(recheck) > INVERSE_MARGIN_TOL:
                 return c, float(np.min(margins)), float(np.min(recheck))
     raise DegenerateSystem(
@@ -380,9 +370,9 @@ def verify_inverse_form(rep: Representation, c: float, samples,
             f"sample {worst} has |f| = {rho[worst]:.3e}, inside the binding "
             f"band {PAGE_BINDING_BAND:g}: it has no page frame")
     coords = tangent_pluecker(rep.manifold, samples)
-    line = inverse_line(rep, samples)
-    margins = inverse_form_margins(rep, c, samples, coords, line)
-    margins2 = inverse_form_margins(rep, 2 * c, samples, coords, line)
+    line = bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
+    margins = -_line_volume(line, -c, rep.n, samples, coords)
+    margins2 = -_line_volume(line, -2 * c, rep.n, samples, coords)
     details.append(make_report(
         "reversed_contact", n_samples=2 * len(samples),
         min_margin=[margins, margins2],
@@ -530,31 +520,15 @@ def isotopy_check(rep: Representation, c: float, samples, seed=0
 # weak-filling polynomial
 
 
-@dataclass(frozen=True)
-class FillingFamily:
-    """Data for the filling positivity sweep: the representation and the
-    restriction to V of the filling's symplectic form.  The sweep's grids
-    are FILLING_EPS_GRID and :meth:`default_t_grid`."""
-
-    rep: Representation
-    omega: KForm                  # on the V ambient space
-
-    @staticmethod
-    def default_t_grid():
-        # Python floats (0.25 k is exact), so that each report row's
-        # float(T) is the grid's own object, not a new one per row
-        geometric = [10.0 ** k for k in range(-2, 3)]
-        linear = [0.25 * k for k in range(41)]
-        return tuple(sorted(set([0.0] + geometric + linear)))
-
-
 @timed
-def filling_polynomial(family: FillingFamily, samples, seed=0
+def filling_polynomial(rep: Representation, samples, seed=0
                        ) -> CheckReport:
     """Positivity of P_eps(T) = alpha_eps ^ (T d alpha_eps + omega +
     vol_T2)^(n+1) over the grid of eps in FILLING_EPS_GRID and T in
-    FillingFamily.default_t_grid(), plus the leading-coefficient
-    certificates that control T -> infinity:
+    FILLING_T_GRID, plus the leading-coefficient certificates that control
+    T -> infinity.  omega = d alpha_V is the restriction to V of the
+    filling's symplectic form (the ball's, for the sphere).  The
+    certificates:
 
       - eps = 0: the T^n coefficient (n+1) alpha_V ^ (d alpha_V)^n ^ vol_T2
         is strictly positive (this is the contact condition);
@@ -566,17 +540,16 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
     same exact expansion; for eps = 0 the full product expansion is also
     compared against (n+1) alpha_V ^ (T d alpha_V + omega)^n ^ vol_T2.
     """
-    rep = family.rep
     n = rep.n
     m = rep.manifold.ambient_dim
-    eps_grid, t_grid = FILLING_EPS_GRID, FillingFamily.default_t_grid()
+    eps_grid, t_grid = FILLING_EPS_GRID, FILLING_T_GRID
     pts = np.asarray(samples, float)
     product = bourgeois_form(rep).manifold
     coords = tangent_pluecker(product, pts)
     # every coefficient below is evaluated once on the batch; the sweep
     # combines the bound values, so no derivative is taken per eps, eps
     # power or T
-    omega = on_batch(extend_form(family.omega), pts)
+    omega = on_batch(extend_form(ext_deriv(rep.contact.alpha)), pts)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)
     vol_t2 = on_batch(wedge(dphi1, dphi2), pts)
@@ -607,11 +580,10 @@ def filling_polynomial(family: FillingFamily, samples, seed=0
             lead = coef_vals[n]
             margins.append(lead)
             lead_margins["T^n[eps=0]"] = float(np.min(lead))
-            # independent route for P_0(T)
-            dalpha_v = on_batch(extend_form(ext_deriv(rep.contact.alpha)),
-                                pts)
+            # independent route for P_0(T); omega is d alpha_V, so the
+            # two-form T d alpha_V + omega reads its bound values twice
             for t_val in t_grid:
-                two_form = t_val * dalpha_v + omega
+                two_form = t_val * omega + omega
                 p0 = float(n + 1) * wedge_all(
                     alpha, wedge_power(two_form, n), vol_t2)
                 direct = p0.on_pluecker(pts, coords)

@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from . import bourgeois, contact, liouville, monodromy, prelagrangian
-from .forms import ext_deriv
 from .manifolds import rng_for, sample
 from .report import CheckReport, make_report
 
@@ -187,8 +186,7 @@ def _isotopy_inputs(cfg, seed):
 
 def _filling_inputs(cfg, seed):
     rep = contact.quadric_open_book(2)
-    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha))
-    return fam, sample(bourgeois.bourgeois_form(rep).manifold, 400, seed)
+    return rep, sample(bourgeois.bourgeois_form(rep).manifold, 400, seed)
 
 
 def _completion_disk_inputs(cfg, seed):

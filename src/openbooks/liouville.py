@@ -10,7 +10,7 @@ u * (lambda_c / u) extends to a contact form on the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable
 
@@ -135,11 +135,9 @@ def weinstein_disk_domain() -> LiouvilleDomain:
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
 
     manifold = _full_ambient(2, "D^2", sampler)
-    lam = form_from_components(2, 1, {(0,): lambda p: -0.5 * p[..., 1],
-                                      (1,): lambda p: 0.5 * p[..., 0]})
-
-    return LiouvilleDomain(manifold, lam, VecField(2, lambda p: 0.5 * p),
-                           _disk_u, _radial_du, name="Weinstein 2-disk")
+    return LiouvilleDomain(manifold, standard_contact_form(1),
+                           VecField(2, lambda p: 0.5 * p), _disk_u,
+                           _radial_du, name="Weinstein 2-disk")
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +313,9 @@ def identification_check(example_id: str, ld: LiouvilleDomain, samples,
 
 @dataclass(frozen=True)
 class HypersurfaceData:
-    """Contact hypersurface V = {|z|^2 = u(p)} in F x C with its
-    representation (restriction of lambda_c + 1/2(x dy - y dx), z)."""
+    """Contact hypersurface V = {|z|^2 = u(p)} in F x C, as the manifold
+    of its representation (restriction of lambda_c + 1/2(x dy - y dx), z)."""
 
-    domain: LiouvilleDomain
-    manifold: Submanifold
     rep: Representation
     transversality_margin: float
 
@@ -339,6 +335,11 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     c, which has the bits of `manifolds.gauss_newton_step`.  Every other
     domain gets no ``newton_step``, and `monodromy.flow` projects its V
     through `gauss_newton_step` itself.
+
+    V is ``rep.manifold`` of the returned data.  Its contact form is
+    lambda_c + 1/2 (x dy - y dx), and it carries its exact d, d lambda_c
+    + dx ^ dy, when lambda_c carries one (both model disks do), so no
+    check takes d of it by a stencil.
 
     F must be a full-dimensional domain of its ambient space: V has
     dimension dim F + 1 only if F has no constraints of its own, so a
@@ -391,10 +392,12 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         raise DomainError("ambient Liouville field is not transverse to V: "
                           f"margin {np.min(margin):.3e}")
 
-    # contact form: restriction of lambda_c + 1/2 (x dy - y dx)
-    half_rot = form_from_components(
+    # contact form: restriction of lambda_c + 1/2 (x dy - y dx), whose d
+    # is d lambda_c + dx ^ dy exactly when lambda_c carries its d
+    half_rot = replace(form_from_components(
         m, 1, {(mf,): lambda x: -0.5 * x[..., mf + 1],
-               (mf + 1,): lambda x: 0.5 * x[..., mf]})
+               (mf + 1,): lambda x: 0.5 * x[..., mf]}),
+        d=lambda: form_from_components(m, 2, {(mf, mf + 1): 1.0}))
     alpha = extend_form(ld.lambda_c) + half_rot
 
     def f_value(x):
@@ -417,8 +420,7 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
 
     rep = Representation(ContactForm(alpha, manifold), f, binding_sampler,
                          name=f"hypersurface[{ld.name}]")
-    return HypersurfaceData(ld, manifold, rep,
-                            float(np.min(margin)))
+    return HypersurfaceData(rep, float(np.min(margin)))
 
 
 def angle_spinning_field(rep: Representation):
@@ -476,8 +478,7 @@ class WeinsteinStructure:
     manifold: Submanifold
     omega: KForm
     field: VecField
-    lyapunov: Callable
-    dlyapunov: Callable
+    dlyapunov: Callable            # gradient of the Lyapunov function
     lam: KForm                     # iota_X omega, the Liouville form
     name: str = ""
 
@@ -494,8 +495,8 @@ def complex_plane_weinstein() -> WeinsteinStructure:
     lam = form_from_components(2, 1, {(0,): lambda p: -0.5 * p[..., 1],
                                       (1,): lambda p: 0.5 * p[..., 0]})
     return WeinsteinStructure(
-        manifold, omega, VecField(2, lambda p: 0.5 * p),
-        lambda p: np.sum(p * p, axis=-1), lambda p: 2.0 * p, lam, name="C")
+        manifold, omega, VecField(2, lambda p: 0.5 * p), lambda p: 2.0 * p,
+        lam, name="C")
 
 
 def torus_cotangent_weinstein() -> WeinsteinStructure:
@@ -520,8 +521,7 @@ def torus_cotangent_weinstein() -> WeinsteinStructure:
         return out
 
     return WeinsteinStructure(
-        manifold, omega, VecField(4, field_eval),
-        lambda x: np.sum(x[..., 2:] ** 2, axis=-1), dlyap,
+        manifold, omega, VecField(4, field_eval), dlyap,
         canonical_one_form(2), name="T*T^2")
 
 

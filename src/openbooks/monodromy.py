@@ -678,28 +678,22 @@ def dehn_twist_identities_check(q, g, radii, seed=0) -> CheckReport:
 # page embedding for the quadric book and the monodromy comparison
 
 
-def page_embedding(n: int):
+def page_embedding(q, p):
     """Embedding of the disk cotangent bundle of S^(n-1) onto the closure
     of the zero page {theta = 0} of the quadric book:
 
         (q, p) -> (q + i p) / sqrt(1 + |p|^2).
     """
-    def embed(q, p):
-        return (q + 1j * p) / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
-
-    return embed
+    return (q + 1j * p) / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
 
 
-def page_embedding_inverse(n: int):
-    """Inverse of :func:`page_embedding` on the open page."""
-    def invert(z):
-        w = np.asarray(z, complex)
-        g0 = np.abs(np.sum(w * w, axis=-1))
-        p_norm_sq = (1.0 - g0) / (1.0 + g0)
-        gamma = 1.0 / np.sqrt(1.0 + p_norm_sq)
-        return np.real(w) / gamma[..., None], np.imag(w) / gamma[..., None]
-
-    return invert
+def page_embedding_inverse(z):
+    """Inverse (q, p) of :func:`page_embedding` on the open page."""
+    w = np.asarray(z, complex)
+    g0 = np.abs(np.sum(w * w, axis=-1))
+    p_norm_sq = (1.0 - g0) / (1.0 + g0)
+    gamma = 1.0 / np.sqrt(1.0 + p_norm_sq)
+    return np.real(w) / gamma[..., None], np.imag(w) / gamma[..., None]
 
 
 @timed
@@ -735,8 +729,6 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
     if np.any(np.linalg.norm(p, axis=-1) > 1.0 - COMPARE_BINDING_BAND):
         raise DomainError("fiber radius too close to 1; the flow would "
                           "approach the binding")
-    embed = page_embedding(n)
-    invert = page_embedding_inverse(n)
     twist = standard_twist()
     y = quadric_spinning_field(rep)
     # complex conjugation on the real coordinates (x_j, y_j) -> (x_j, -y_j)
@@ -746,20 +738,21 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
     # the conjugated twist images, whose flow is the time -1 flow
     anchor_q = np.zeros(n)
     anchor_q[0] = 1.0
-    z_anchor = complex_to_real(embed(anchor_q[None], np.zeros((1, n))))
-    z0 = complex_to_real(embed(q, p))
+    z_anchor = complex_to_real(page_embedding(anchor_q[None],
+                                               np.zeros((1, n))))
+    z0 = complex_to_real(page_embedding(q, p))
     q_tw, p_tw = twist(q, p)
-    z_twisted = complex_to_real(embed(q_tw, p_tw))
+    z_twisted = complex_to_real(page_embedding(q_tw, p_tw))
     z_end = flow(y, np.concatenate([z_anchor, z0, conj * z_twisted]), 1.0,
                  FLOW_STEP)
     z1 = z_end[1:1 + len(qp)]
     z_back = conj * z_end[1 + len(qp):]
 
-    qa, pa = invert(real_to_complex(z_end[:1]))
+    qa, pa = page_embedding_inverse(real_to_complex(z_end[:1]))
     tq, tp = twist(anchor_q[None], np.zeros((1, n)))
     anchor_gap = np.max(np.abs(np.concatenate([qa - tq, pa - tp], axis=-1)))
 
-    q_flow, p_flow = invert(real_to_complex(z1))
+    q_flow, p_flow = page_embedding_inverse(real_to_complex(z1))
     gap = np.max(np.abs(np.concatenate([q_flow - q_tw, p_flow - p_tw],
                                        axis=-1)), axis=-1)
 

@@ -8,7 +8,7 @@ dim P = N + 1 and some contact form for the structure has d(alpha)|TP = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,7 @@ from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DimensionMismatch, DomainError, OffManifold
 from .forms import KForm, ext_deriv_on_frame, scale_form
-from .manifolds import Submanifold, tangent_bases
+from .manifolds import Submanifold, product_with_torus, tangent_bases
 from .report import CheckReport, make_report, merge_reports, timed
 
 # residual of the constraints of P below which a point counts as on P
@@ -121,8 +121,9 @@ def real_circle_distance(p):
 
 def real_circle_torus_prelagrangian() -> PreLagrangian:
     """L x T^2 for L the real unit circle in S^3 (the zero section of the
-    quadric book's zero page), with the product contact form rescaled by a
-    nowhere-vanishing extension of Re f |_L:
+    quadric book's zero page), built by `product_with_torus` from
+    :func:`real_circle_submanifold`, with the product contact form
+    rescaled by a nowhere-vanishing extension of Re f |_L:
 
         fhat_x = b(d( . , L)) f_x + (1 - b(d( . , L)))
 
@@ -132,7 +133,6 @@ def real_circle_torus_prelagrangian() -> PreLagrangian:
     """
     rep = quadric_open_book(2)
     bf = bourgeois_form(rep)
-    m = 6
 
     def fhat_x(p):
         fx = np.real(rep.f.value(p[..., :4]))
@@ -140,62 +140,26 @@ def real_circle_torus_prelagrangian() -> PreLagrangian:
         return b * fx + (1.0 - b)
 
     alpha_hat = scale_form(lambda p: 1.0 / fhat_x(p), bf.alpha)
-
-    def constraints(p):
-        return np.stack([np.sum(p[..., :4] ** 2, axis=-1) - 1.0,
-                         p[..., 1], p[..., 3]], axis=-1)
-
-    def jac(p):
-        out = np.zeros(np.shape(p)[:-1] + (3, m))
-        out[..., 0, :4] = 2.0 * p[..., :4]
-        out[..., 1, 1] = 1.0
-        out[..., 2, 3] = 1.0
-        return out
-
-    def sampler(rng, count):
-        t = rng.uniform(0.0, 2 * np.pi, size=count)
-        ang = rng.uniform(0.0, 2 * np.pi, size=(count, 2))
-        out = np.zeros((count, m))
-        out[:, 0] = np.cos(t)
-        out[:, 2] = np.sin(t)
-        out[:, 4:] = ang
-        return out
-
-    sub = Submanifold(
-        ambient_dim=m, constraints=constraints, n_constraints=3,
-        name="L x T^2 (real circle)",
-        oriented=False, sampler=sampler, constraint_jac=jac)
-    return PreLagrangian(sub, bf.manifold, alpha_hat,
-                         name="real circle x T^2")
+    return PreLagrangian(product_with_torus(real_circle_submanifold()),
+                         bf.manifold, alpha_hat, name="real circle x T^2")
 
 
 def binding_torus_prelagrangian() -> PreLagrangian:
-    """K x T^2 for K the binding of the quadric book on S^3 (both defining
-    functions vanish along K x T^2, so the product form itself certifies
-    the pre-Lagrangian).  The sampler parametrizes the two binding circles
-    z = (e^{ia}, +- i e^{ia})/sqrt(2) exactly."""
+    """K x T^2 for K the binding of the quadric book on S^3, built by
+    `product_with_torus` from ``rep.binding`` (both defining functions
+    vanish along K x T^2, so the product form itself certifies the
+    pre-Lagrangian).  Its sampler parametrizes the two binding circles
+    z = (e^{ia}, +- i e^{ia})/sqrt(2) exactly, so f = 0 holds exactly at
+    its points, where the binding's own sampler is off by a few ulps."""
     rep = quadric_open_book(2)
     bf = bourgeois_form(rep)
-    m = 6
-
-    def constraints(p):
-        fx = np.real(rep.f.value(p[..., :4]))
-        fy = np.imag(rep.f.value(p[..., :4]))
-        return np.stack([np.sum(p[..., :4] ** 2, axis=-1) - 1.0, fx, fy],
-                        axis=-1)
-
-    def jac(p):
-        out = np.zeros(np.shape(p)[:-1] + (3, m))
-        out[..., 0, :4] = 2.0 * p[..., :4]
-        out[..., 1:, :4] = rep.f.grad(p[..., :4])
-        return out
 
     def sampler(rng, count):
         a = rng.uniform(0.0, 2 * np.pi, size=count)
         sign = np.where(rng.uniform(size=count) < 0.5, 1.0, -1.0)
         ang = rng.uniform(0.0, 2 * np.pi, size=(count, 2))
         inv = 1.0 / np.sqrt(2.0)
-        out = np.zeros((count, m))
+        out = np.zeros((count, 6))
         out[:, 0] = np.cos(a) * inv
         out[:, 1] = np.sin(a) * inv
         out[:, 2] = -sign * np.sin(a) * inv
@@ -203,12 +167,8 @@ def binding_torus_prelagrangian() -> PreLagrangian:
         out[:, 4:] = ang
         return out
 
-    sub = Submanifold(
-        ambient_dim=m, constraints=constraints, n_constraints=3,
-        name="K x T^2 (quadric binding)",
-        oriented=False, sampler=sampler, constraint_jac=jac)
-    return PreLagrangian(sub, bf.manifold, bf.alpha,
-                         name="binding x T^2")
+    sub = replace(product_with_torus(rep.binding), sampler=sampler)
+    return PreLagrangian(sub, bf.manifold, bf.alpha, name="binding x T^2")
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +230,18 @@ def legendrian_check(l_sub: Submanifold, rep: Representation, samples,
 
 
 def real_circle_submanifold() -> Submanifold:
-    """The real unit circle inside S^3 (interleaved coordinates)."""
+    """The real unit circle inside S^3 (interleaved coordinates): the
+    constraints |p|^2 - 1, y_1 and y_2, with Jacobian rows 2p, e_1, e_3."""
     def constraints(p):
         return np.stack([np.sum(p * p, axis=-1) - 1.0, p[..., 1],
                          p[..., 3]], axis=-1)
+
+    def jac(p):
+        out = np.zeros(np.shape(p)[:-1] + (3, 4))
+        out[..., 0, :] = 2.0 * p
+        out[..., 1, 1] = 1.0
+        out[..., 2, 3] = 1.0
+        return out
 
     def sampler(rng, count):
         t = rng.uniform(0.0, 2 * np.pi, size=count)
@@ -283,7 +251,7 @@ def real_circle_submanifold() -> Submanifold:
         return out
 
     return Submanifold(4, constraints, 3, name="real circle",
-                       oriented=False, sampler=sampler)
+                       oriented=False, sampler=sampler, constraint_jac=jac)
 
 
 def hopf_circle_submanifold() -> Submanifold:

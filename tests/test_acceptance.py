@@ -242,7 +242,7 @@ def test_criterion_07_ideal_liouville():
         disk2, sample(disk2.manifold, 500, seed=704))
 
     hs = liouville.hypersurface_build(disk2)
-    pts_v = sample(hs.manifold, 600, seed=705)
+    pts_v = sample(hs.rep.manifold, 600, seed=705)
     bind = sample(hs.rep.binding, 100, seed=706)
     rep_check = contact.verify_representation(hs.rep, pts_v[:400], bind)
     off = pts_v[hs.rep.f.modulus(pts_v) > 1e-2][:50]
@@ -291,10 +291,9 @@ def test_criterion_09_filling_polynomial():
     full T grid for the sphere filled by the ball, with both leading
     coefficients certified."""
     rep = contact.quadric_open_book(2)
-    fam = bourgeois.FillingFamily(rep, ext_deriv(rep.contact.alpha))
     bf = bourgeois.bourgeois_form(rep)
     pts = sample(bf.manifold, 400, seed=901)
-    report = bourgeois.filling_polynomial(fam, pts)
+    report = bourgeois.filling_polynomial(rep, pts)
     grid_min = min(row["min_margin"] for row in report.rows)
     ok = report.passed and grid_min > 0
     _line(9, ok, f"grid min margin {grid_min:.3e} over "

@@ -8,12 +8,11 @@ import pytest
 
 from openbooks import bourgeois
 from openbooks.bourgeois import (PAGE_BINDING_BAND, BourgeoisForm,
-                                 FillingFamily, bourgeois_form, extend_form,
+                                 _line_volume, bourgeois_form, extend_form,
                                  extract_slice_representation,
                                  family_form, filling_polynomial,
                                  find_inverse_constant,
-                                 inverse_form, inverse_form_margins,
-                                 inverse_line, isotopy_check,
+                                 inverse_form, isotopy_check,
                                  product_assembly_check,
                                  profiled_representation,
                                  radial_profile, radial_profile_slope,
@@ -22,16 +21,18 @@ from openbooks.contact import (ContactForm, DefiningFunction, Representation,
                                coordinate_open_book, quadric_open_book,
                                verify_representation)
 from openbooks.errors import DegenerateSystem
-from openbooks.forms import KForm, contact_volume, ext_deriv, scale_form
+from openbooks.forms import (KForm, bind_line, contact_volume, ext_deriv,
+                             scale_form)
 from openbooks.manifolds import sample, tangent_bases, tangent_pluecker
 from openbooks.report import SweepRow
 
 
 def _margins(rep, c, pts):
-    # inverse_form_margins with the coordinates and the line built for the
-    # call
+    # the reversed-orientation margins of alpha - C mu, with the
+    # coordinates and the line built for the call
     coords = tangent_pluecker(rep.manifold, pts)
-    return inverse_form_margins(rep, c, pts, coords, inverse_line(rep, pts))
+    line = bind_line(rep.contact.alpha, rep.f.mu_form(), pts)
+    return -_line_volume(line, -c, rep.n, pts, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +380,15 @@ def test_endpoint_is_product_form_of_inverse_data():
 # filling polynomial
 
 
-def _ball_filling_family():
-    rep = quadric_open_book(2)
-    return FillingFamily(rep, ext_deriv(rep.contact.alpha))
-
-
 def _with_t_grid(monkeypatch, t_grid):
-    monkeypatch.setattr(FillingFamily, "default_t_grid",
-                        staticmethod(lambda: t_grid))
+    monkeypatch.setattr(bourgeois, "FILLING_T_GRID", t_grid)
 
 
 def test_filling_polynomial_positive():
-    fam = _ball_filling_family()
-    bf = bourgeois_form(fam.rep)
+    rep = quadric_open_book(2)
+    bf = bourgeois_form(rep)
     pts = sample(bf.manifold, 400, seed=20)
-    report = filling_polynomial(fam, pts)
+    report = filling_polynomial(rep, pts)
     assert report.passed
     assert report.min_margin > 1e-9
     assert report.max_residual < 1e-8          # P_0 route agreement
@@ -406,10 +401,10 @@ def test_filling_zero_eps_proportional_to_one_plus_t(monkeypatch):
     # oracle: with omega = d(alpha_V) the eps = 0 polynomial is
     # (n+1) alpha ^ ((1+T) d alpha)^n ^ vol, i.e. proportional to (1+T)
     monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0,))
-    fam = _ball_filling_family()
-    bf = bourgeois_form(fam.rep)
+    rep = quadric_open_book(2)
+    bf = bourgeois_form(rep)
     pts = sample(bf.manifold, 200, seed=21)
-    report = filling_polynomial(fam, pts)
+    report = filling_polynomial(rep, pts)
     rows = {row["T"]: row["min_margin"] for row in report.rows}
     base = rows[0.0]
     for t_val, margin in rows.items():
@@ -418,10 +413,10 @@ def test_filling_zero_eps_proportional_to_one_plus_t(monkeypatch):
 
 
 def test_filling_leading_coefficients_certified():
-    fam = _ball_filling_family()
-    bf = bourgeois_form(fam.rep)
+    rep = quadric_open_book(2)
+    bf = bourgeois_form(rep)
     pts = sample(bf.manifold, 200, seed=22)
-    report = filling_polynomial(fam, pts)
+    report = filling_polynomial(rep, pts)
     assert report.passed
     assert "T^n[eps=0]" in report.note and "T^(n+1)[eps=" in report.note
 
@@ -432,9 +427,9 @@ def test_filling_leading_coefficients_certified():
 
 def test_filling_nan_eps_fails(monkeypatch):
     monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0, float("nan")))
-    fam = _ball_filling_family()
-    bf = bourgeois_form(fam.rep)
-    report = filling_polynomial(fam, sample(bf.manifold, 100, seed=23))
+    rep = quadric_open_book(2)
+    bf = bourgeois_form(rep)
+    report = filling_polynomial(rep, sample(bf.manifold, 100, seed=23))
     assert not report.passed
     assert np.isnan(report.min_margin)
 
@@ -518,12 +513,11 @@ def test_filling_stencil_calls_do_not_grow_with_the_t_grid(monkeypatch):
     calls = _count_calls(monkeypatch, "central_difference")
     monkeypatch.setattr(bourgeois, "FILLING_EPS_GRID", (0.0, 0.1))
     for rep in (exact, _stencil_alpha(exact)):
-        fam = FillingFamily(rep, ext_deriv(rep.contact.alpha))
         counts = []
         for t_grid in [(0.0, 1.0, 10.0), tuple(np.linspace(0.0, 45.0, 46))]:
             _with_t_grid(monkeypatch, t_grid)
             calls.clear()
-            assert filling_polynomial(fam, pts).passed
+            assert filling_polynomial(rep, pts).passed
             counts.append(len(calls))
         if rep is exact:
             assert counts == [0, 0]
@@ -567,10 +561,9 @@ def test_stencil_calls_do_not_grow_with_the_constants(monkeypatch):
             "EPS_VALUES", e, lambda: verify_product_contact(bf, product_pts))
             for e in epss]
         _with_t_grid(monkeypatch, (0.0, 1.0))
-        family = FillingFamily(rep, ext_deriv(rep.contact.alpha))
         fillings = [with_constant(
             "FILLING_EPS_GRID", e,
-            lambda: filling_polynomial(family, product_pts))
+            lambda: filling_polynomial(rep, product_pts))
             for e in [(0.0, 1.0), tuple(np.linspace(0.0, 1.0, 11))]]
         all_counts = (searches, isotopies, products, fillings)
         for counts in all_counts:

@@ -143,7 +143,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_csv_columns_for_filling_sweep(tmp_path):
-    from openbooks.bourgeois import FILLING_EPS_GRID, FillingFamily
+    from openbooks.bourgeois import FILLING_EPS_GRID, FILLING_T_GRID
     from openbooks.monodromy import FLOW_STARTS
 
     cfg = SuiteConfig(suite="g2_s3", seed=7, samples=300)
@@ -155,8 +155,7 @@ def test_csv_columns_for_filling_sweep(tmp_path):
     assert len(header) == len(set(header))
     sweep_rows = [ln for ln in lines if "filling_polynomial" in ln]
     # one per (eps, T) pair
-    assert len(sweep_rows) == len(FILLING_EPS_GRID) * len(
-        FillingFamily.default_t_grid())
+    assert len(sweep_rows) == len(FILLING_EPS_GRID) * len(FILLING_T_GRID)
     # monodromy endpoint comparisons also land one row per sample
     mono_rows = [ln for ln in lines if "monodromy_vs_twist" in ln]
     assert len(mono_rows) == FLOW_STARTS

@@ -12,7 +12,10 @@ included (closures read their enclosing locals).  Names starting with
 ``_`` are exempt, so ``_, b = pair`` is how a value is dropped on purpose.
 A private helper (a module-level ``def`` or ``class`` whose name starts
 with one ``_``) that no name in its module reads is one that a deletion
-left behind; a helper that only tests import belongs in the tests.
+left behind; a helper that only tests import belongs in the tests.  By
+the same rule, an annotated field of a class in the package counts as
+read when some attribute access ``x.field`` loads it in the package or
+in a demo; the match is by attribute name, whatever the class of ``x``.
 """
 
 import ast
@@ -20,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "openbooks"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "openbooks"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -136,3 +141,39 @@ def test_checker_finds_an_unused_private_helper():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_private_helper(path):
     assert unused_private(path.read_text()) == []
+
+
+def unread_fields(sources, readers) -> list[str]:
+    """``Class.field`` for each annotated field of a class in sources that
+    no attribute load in sources or readers reads."""
+    fields, read = [], set()
+    for source in list(sources) + list(readers):
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    for source in sources:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                fields += [(cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_checker_finds_an_unread_field():
+    source = ("class A:\n"
+              "    used: int\n"
+              "    dead: int\n"                     # only written
+              "    by_demo: int = 0\n"
+              "    def f(self):\n"
+              "        self.dead = self.used\n"
+              "        return A(used=1, dead=2)\n")
+    demo = "print(a.by_demo)\n"
+    assert unread_fields([source], [demo]) == ["A.dead"]
+    assert unread_fields([source], []) == ["A.dead", "A.by_demo"]
+
+
+def test_package_has_no_unread_field():
+    assert unread_fields([p.read_text() for p in sorted(SRC.glob("*.py"))],
+                         [p.read_text() for p in DEMOS]) == []

@@ -181,9 +181,9 @@ def hypersurface():
 
 
 def test_hypersurface_is_three_manifold(hypersurface):
-    assert hypersurface.manifold.dim == 3
+    assert hypersurface.rep.manifold.dim == 3
     assert hypersurface.transversality_margin > 1e-3
-    pts = sample(hypersurface.manifold, 2000, seed=9)
+    pts = sample(hypersurface.rep.manifold, 2000, seed=9)
     report = verify_contact(hypersurface.rep.contact, pts)
     assert report.passed
 
@@ -194,7 +194,7 @@ def test_hypersurface_is_three_manifold(hypersurface):
 def test_hypersurface_of_a_full_domain_has_one_more_dimension(domain):
     ld = domain()
     hs = hypersurface_build(ld)
-    assert hs.manifold.dim == ld.manifold.dim + 1 == 3
+    assert hs.rep.manifold.dim == ld.manifold.dim + 1 == 3
 
 
 def test_hypersurface_of_a_constrained_domain_is_rejected():
@@ -313,7 +313,7 @@ def test_zero_field_fixture_fails():
     base = torus_cotangent_weinstein()
     broken = WeinsteinStructure(
         base.manifold, base.omega, VecField(4, lambda p: np.zeros_like(p)),
-        base.lyapunov, base.dlyapunov, base.lam, name="zero field")
+        base.dlyapunov, base.lam, name="zero field")
     pts = sample(base.manifold, 200, seed=19)
     report = weinstein_check(broken, pts, delta=0.1)
     assert not report.passed

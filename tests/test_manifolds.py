@@ -315,7 +315,7 @@ def test_householder_frames_are_oriented_orthonormal_tangent_frames(
 
 @pytest.mark.parametrize("manifold", [
     unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4)),
-    hypersurface_build(weinstein_disk_domain()).manifold],
+    hypersurface_build(weinstein_disk_domain()).rep.manifold],
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_householder_signs_equal_the_determinant_signs(manifold, monkeypatch):
     from openbooks.manifolds import complement_frames
@@ -430,8 +430,8 @@ HYPERSURFACES = {
     "S^3": unit_sphere(4), "S^5": unit_sphere(6), "S^7": unit_sphere(8),
     "S^3 x T^2": product_with_torus(unit_sphere(4)),
     "S^5 x T^2": product_with_torus(unit_sphere(6)),
-    "V[weinstein]": hypersurface_build(weinstein_disk_domain()).manifold,
-    "V[quartic]": hypersurface_build(quartic_disk_domain(1)).manifold}
+    "V[weinstein]": hypersurface_build(weinstein_disk_domain()).rep.manifold,
+    "V[quartic]": hypersurface_build(quartic_disk_domain(1)).rep.manifold}
 
 # Every coordinate of an orthonormal frame has modulus <= 1 (it is u_j, or
 # a minor of an orthonormal frame), so both routes err in ulps of 1.  The
@@ -556,7 +556,7 @@ def test_product_sampler():
 def test_hypersurface_sampler():
     from openbooks.liouville import hypersurface_build, weinstein_disk_domain
     hs = hypersurface_build(weinstein_disk_domain())
-    pts = sample(hs.manifold, 500, seed=7)
+    pts = sample(hs.rep.manifold, 500, seed=7)
     base = pts[:, :2]
     u = 1.0 - np.sum(base * base, axis=-1)
     direct = u - (pts[:, 2] ** 2 + pts[:, 3] ** 2)
@@ -638,7 +638,7 @@ def _solve_step(manifold, p):
 
 @pytest.mark.parametrize("manifold", [
     unit_sphere(4), unit_sphere(6), product_with_torus(unit_sphere(4)),
-    hypersurface_build(weinstein_disk_domain()).manifold],
+    hypersurface_build(weinstein_disk_domain()).rep.manifold],
     ids=["S^3", "S^5", "S^3xT^2", "hypersurface"])
 def test_one_constraint_step_matches_the_solve(manifold):
     pts = sample(manifold, 200, seed=21)
@@ -681,7 +681,7 @@ def test_projection_onto_three_constraint_quadric_binding():
 
 
 @pytest.mark.parametrize("manifold", [
-    unit_sphere(4), hypersurface_build(weinstein_disk_domain()).manifold,
+    unit_sphere(4), hypersurface_build(weinstein_disk_domain()).rep.manifold,
     binding_manifold(quadric_open_book(2)),
     binding_manifold(quadric_open_book(3))],
     ids=["S^3", "hypersurface", "quadric_binding_n2", "quadric_binding_n3"])
@@ -704,7 +704,7 @@ def test_step_written_into_out_has_the_same_bits(manifold):
 # (u = 1 - |p|^2) is the unit S^3 and takes the round-sphere step
 NEWTON_STEPS = {
     "S^3": unit_sphere(4), "S^5": unit_sphere(6), "S^7": unit_sphere(8),
-    "hypersurface": hypersurface_build(weinstein_disk_domain()).manifold}
+    "hypersurface": hypersurface_build(weinstein_disk_domain()).rep.manifold}
 
 
 def _check_newton_step_bits(manifold):
@@ -736,8 +736,8 @@ def test_newton_step_has_the_bits_of_the_generic_step(manifold):
 def test_only_the_radial_hypersurface_has_a_newton_step():
     # the round-sphere step holds where -du(p) is 2p; the quartic disk
     # (u = 1 - |p|^4) has none, so flow projects its V by gauss_newton_step
-    assert hypersurface_build(quartic_disk_domain(1)).manifold.newton_step \
-        is None
+    assert hypersurface_build(
+        quartic_disk_domain(1)).rep.manifold.newton_step is None
 
 
 def _tangent_pluecker_digest():

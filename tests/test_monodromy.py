@@ -1059,26 +1059,22 @@ def test_negated_twist_fails_the_identities(monkeypatch):
 
 
 def test_page_embedding_round_trip():
-    embed = page_embedding(2)
-    invert = page_embedding_inverse(2)
     q, p = _bundle_samples(2, 100, seed=25, r_max=0.99)
-    z = embed(q, p)
+    z = page_embedding(q, p)
     assert np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)) < 1e-12
-    q2, p2 = invert(z)
+    q2, p2 = page_embedding_inverse(z)
     np.testing.assert_allclose(q2, q, atol=1e-10)
     np.testing.assert_allclose(p2, p, atol=1e-10)
 
 
 def test_zero_section_maps_to_antipode():
     rep = QUADRIC
-    embed = page_embedding(2)
-    invert = page_embedding_inverse(2)
     rng = rng_for(26)
     q = rng.normal(size=(10, 2))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    z0 = complex_to_real(embed(q, np.zeros_like(q)))
+    z0 = complex_to_real(page_embedding(q, np.zeros_like(q)))
     z1 = flow(quadric_spinning_field(rep), z0, 1.0, 1e-3)
-    q1, p1 = invert(real_to_complex(z1))
+    q1, p1 = page_embedding_inverse(real_to_complex(z1))
     np.testing.assert_allclose(q1, -q, atol=1e-8)
     np.testing.assert_allclose(p1, 0.0, atol=1e-8)
 
@@ -1167,9 +1163,8 @@ def test_anchor_in_the_batch_matches_a_separate_anchor_flow(monkeypatch,
     else:
         rep, qp, seed = _suite_twist_draw(int(draw[len("suite"):]))
         q, p = qp[:, :2], qp[:, 2:]
-    embed = page_embedding(2)
-    z0 = complex_to_real(embed(q, p))
-    w = complex_to_real(embed(*standard_twist()(q, p)))
+    z0 = complex_to_real(page_embedding(q, p))
+    w = complex_to_real(page_embedding(*standard_twist()(q, p)))
     conj = np.array([1.0, -1.0, 1.0, -1.0])
     calls = []
 
@@ -1292,7 +1287,7 @@ def test_closed_form_coefficients_reconstruct_start():
 
 def test_hypersurface_check_has_identity_monodromy():
     hs = hypersurface_build(weinstein_disk_domain())
-    report = hypersurface_check(hs, sample(hs.manifold, 2000, 9),
+    report = hypersurface_check(hs, sample(hs.rep.manifold, 2000, 9),
                                 sample(hs.rep.binding, 100, 10))
     assert report.passed
     identity = report.details[-1]

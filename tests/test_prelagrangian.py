@@ -7,8 +7,8 @@ import pytest
 
 from openbooks.contact import coordinate_open_book, quadric_open_book
 from openbooks.errors import DimensionMismatch, DomainError, OffManifold
-from openbooks.forms import KForm, scale_form
-from openbooks.manifolds import Submanifold, sample
+from openbooks.forms import KForm, central_difference, scale_form
+from openbooks.manifolds import FD_STEP, Submanifold, sample, tangent_bases
 from openbooks.prelagrangian import (TORUS_ANGLES, Loop,
                                      binding_torus_prelagrangian,
                                      cumulative_simpson, desk_loop,
@@ -101,6 +101,75 @@ def test_binding_torus_beta_part_vanishes_exactly():
     for v in e_phi:
         vals = np.array([beta(p, v) for p in pts])
         assert np.max(np.abs(vals)) == 0.0
+
+
+# the hand-written constraints and Jacobians that L x T^2 and K x T^2 had
+# before they were built by product_with_torus, kept as references
+
+
+def _circle_torus_constraints(p):
+    return np.stack([np.sum(p[..., :4] ** 2, axis=-1) - 1.0,
+                     p[..., 1], p[..., 3]], axis=-1)
+
+
+def _circle_torus_jac(p):
+    out = np.zeros(np.shape(p)[:-1] + (3, 6))
+    out[..., 0, :4] = 2.0 * p[..., :4]
+    out[..., 1, 1] = 1.0
+    out[..., 2, 3] = 1.0
+    return out
+
+
+def _binding_torus_constraints(p):
+    f = quadric_open_book(2).f
+    fx = np.real(f.value(p[..., :4]))
+    fy = np.imag(f.value(p[..., :4]))
+    return np.stack([np.sum(p[..., :4] ** 2, axis=-1) - 1.0, fx, fy],
+                    axis=-1)
+
+
+def _binding_torus_jac(p):
+    out = np.zeros(np.shape(p)[:-1] + (3, 6))
+    out[..., 0, :4] = 2.0 * p[..., :4]
+    out[..., 1:, :4] = quadric_open_book(2).f.grad(p[..., :4])
+    return out
+
+
+# K x T^2 takes its sphere row |p|^2 - 1 from unit_sphere, which sums the
+# squares by np.vecdot, in another order than np.sum: the two differ by at
+# most an ulp of 1.  Every other value is bit for bit
+@pytest.mark.parametrize("build, constraints, jac, sphere_row_err", [
+    (real_circle_torus_prelagrangian, _circle_torus_constraints,
+     _circle_torus_jac, 0.0),
+    (binding_torus_prelagrangian, _binding_torus_constraints,
+     _binding_torus_jac, 2.0 ** -52)], ids=["L x T^2", "K x T^2"])
+def test_torus_product_matches_the_hand_written_prelagrangian(
+        build, constraints, jac, sphere_row_err):
+    sub = build().submanifold
+    pts = sample(sub, 400, seed=7)
+    ref = Submanifold(6, constraints, 3, oriented=False,
+                      constraint_jac=jac)
+    got_c, want_c = sub.constraints(pts), constraints(pts)
+    assert np.array_equal(got_c[:, 1:], want_c[:, 1:])
+    assert np.max(np.abs(got_c[:, 0] - want_c[:, 0])) <= sphere_row_err
+    assert np.array_equal(sub.jacobian(pts), jac(pts))
+    got, want = tangent_bases(sub, pts), tangent_bases(ref, pts)
+    # the product keeps the base's orientation flag, so at most the last
+    # vector of a frame is reversed
+    assert np.array_equal(got[:, :-1], want[:, :-1])
+    last = got[:, -1] == want[:, -1]
+    assert np.all(last.all(axis=-1) | (got[:, -1] == -want[:, -1]).all(
+        axis=-1))
+
+
+def test_real_circle_jacobian_matches_the_stencil():
+    # the constraints are at most quadratic, so the central difference at
+    # step h = FD_STEP has no truncation error, and its rounding error is
+    # at most a few ulps of |c| <= 1 over 2h: about 1e-10
+    circle = real_circle_submanifold()
+    pts = sample(circle, 400, seed=7)
+    fd = central_difference(circle.constraints, pts, FD_STEP)
+    assert np.max(np.abs(circle.jacobian(pts) - fd)) <= 1e-9
 
 
 def test_wrong_dimension_fixture_fails():
