@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import bourgeois, contact, liouville, monodromy, prelagrangian
-from .manifolds import rng_for, sample
+from .manifolds import _sum, rng_for, sample
 from .report import CheckReport, make_report
 
 EXIT_OK = 0
@@ -152,7 +152,7 @@ def _twist_inputs(cfg, seed):
     rng = rng_for(seed)
     count = monodromy.FLOW_STARTS
     q = rng.normal(size=(count, 2))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q /= np.sqrt(_sum(q * q))[:, None]
     g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
     r = rng.uniform(0.0, 1.0 - 2e-3, size=(count, 1))
     return contact.quadric_open_book(2), np.concatenate([q, r * g], axis=-1)
@@ -162,10 +162,10 @@ def _twist_frame_inputs(cfg, seed):
     """200 unit vectors q of R^3, unit covectors g at q, radii in [0, 1)."""
     rng = rng_for(seed)
     q = rng.normal(size=(200, 3))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q /= np.sqrt(_sum(q * q))[:, None]
     g = rng.normal(size=(200, 3))
-    g -= np.sum(g * q, axis=-1, keepdims=True) * q
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    g -= _sum(g * q)[:, None] * q
+    g /= np.sqrt(_sum(g * g))[:, None]
     return q, g, rng.uniform(0.0, 1.0, size=(200, 1))
 
 
@@ -192,14 +192,14 @@ def _filling_inputs(cfg, seed):
 def _completion_disk_inputs(cfg, seed):
     ld, pts = _draw(liouville.quartic_disk_domain(2), cfg, seed, 500)
     b = rng_for(seed + 1).normal(size=(BINDING_SAMPLES, 4))
-    b /= np.linalg.norm(b, axis=-1, keepdims=True)
+    b /= np.sqrt(_sum(b * b))[:, None]
     return ld, pts, b
 
 
 def _completion_bundle_inputs(cfg, seed):
     ld, pts = _draw(liouville.disk_bundle_domain(2), cfg, seed, 500)
     b = pts[:BINDING_SAMPLES].copy()
-    b[:, 2:] /= np.linalg.norm(b[:, 2:], axis=-1, keepdims=True)
+    b[:, 2:] /= np.sqrt(_sum(b[:, 2:] * b[:, 2:]))[:, None]
     return ld, pts, b
 
 

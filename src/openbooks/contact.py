@@ -26,7 +26,7 @@ from .forms import (DEFAULT_FD_STEP, KForm, central_difference,
                     constant_form, contact_volume, ext_deriv,
                     increasing_indices, scale_form, wedge, wedge_all,
                     wedge_power, zero_form)
-from .manifolds import (FD_STEP, Submanifold, singular_values,
+from .manifolds import (FD_STEP, Submanifold, _sum, singular_values,
                         tangent_bases, tangent_pluecker,
                         two_row_min_singular_value, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -264,7 +264,7 @@ def reeb_fields(cf: ContactForm, points):
                          f"manifold", 0)
     kernel = _sub_pfaffians(pair)
     volume = np.einsum("nd,nd->n", arow, kernel)      # (alpha^(dalpha)^n)/n!
-    scale = np.linalg.norm(arow, axis=-1) * np.linalg.norm(
+    scale = np.sqrt(_sum(arow * arow)) * np.linalg.norm(
         pair, axis=(-2, -1)) ** (d // 2)
     nondegenerate = np.abs(volume) > 1e-6 * scale
     if not np.all(nondegenerate):
@@ -276,7 +276,7 @@ def reeb_fields(cf: ContactForm, points):
     # [a; P] R - e_0: only the first row has a right-hand side
     gap = np.concatenate([np.einsum("nd,nd->n", arow, reeb)[:, None] - 1.0,
                           np.einsum("nij,nj->ni", pair, reeb)], axis=-1)
-    residual = np.linalg.norm(gap, axis=-1)
+    residual = np.sqrt(_sum(gap * gap))
     if not np.all(residual <= 1e-8):
         worst = int(np.argmax(residual))       # the first NaN, if any
         raise degenerate(
@@ -482,7 +482,7 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     # rho^2 d(theta) is nonzero; near it, (df_x, df_y) has rank 2.
     mu = rep.f.mu_form()
     mu_restricted = mu.restrict(samples, bases)
-    mu_norm = np.linalg.norm(mu_restricted, axis=-1)
+    mu_norm = np.sqrt(_sum(mu_restricted * mu_restricted))
     rho = f.modulus(samples)
     margins = mu_norm / np.maximum(rho, BINDING_BAND) ** 2
     near = ~(rho >= BINDING_BAND)                  # a NaN modulus is near
@@ -598,8 +598,8 @@ def quadric_defining_function(n: int) -> DefiningFunction:
         # cancellations along the binding survive in floating point
         x = p[..., 0::2]
         y = p[..., 1::2]
-        fx = np.add.reduce(x * x - y * y, axis=-1)
-        fy = 2.0 * np.add.reduce(x * y, axis=-1)
+        fx = _sum(x * x - y * y)
+        fy = 2.0 * _sum(x * y)
         return fx + 1j * fy
 
     def gradient(p):
@@ -618,7 +618,7 @@ def _coordinate_binding(n: int):
     """Sampler of the binding of the z_1 open book, the subsphere z_1 = 0."""
     def sampler(rng, count):
         g = rng.normal(size=(count, 2 * n - 2))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        g /= np.sqrt(_sum(g * g))[:, None]
         out = np.zeros((count, 2 * n))
         out[:, 2:] = g
         return out
@@ -641,14 +641,13 @@ def _quadric_binding(n: int):
     linear solve is taken."""
     def sampler(rng, count):
         g = rng.normal(size=(count, 2 * n))
-        a = g[:, :n] / np.linalg.norm(g[:, :n], axis=-1, keepdims=True)
+        a = g[:, :n] / np.sqrt(_sum(g[:, :n] * g[:, :n]))[:, None]
         b = g[:, n:]
         for _ in range(2):
-            b = b - np.sum(a * b, axis=-1, keepdims=True) * a
+            b = b - _sum(a * b)[:, None] * a
         out = np.empty((count, 2 * n))
         out[:, 0::2] = a * np.sqrt(0.5)
-        out[:, 1::2] = b * (np.sqrt(0.5) / np.linalg.norm(
-            b, axis=-1, keepdims=True))
+        out[:, 1::2] = b * (np.sqrt(0.5) / np.sqrt(_sum(b * b))[:, None])
         return out
 
     return sampler

@@ -262,14 +262,22 @@ def central_difference(fn: Callable, p, step, diff: Callable = np.subtract,
     return np.stack(cols, axis=-1)
 
 
-def _contract(a, b):
-    """sum_j a[..., j] b[..., j], added in the order j = 0, 1, ...: only
-    elementwise products and sums, so the bits of a row depend neither on
-    the batch it came in nor on the BLAS kernel."""
-    out = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        out += a[..., j] * b[..., j]
+def _column_sum(a):
+    """a[..., 0] + a[..., 1] + ..., added column by column, left to right."""
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
+    out = a[..., 0] + a[..., 1]
+    for j in range(2, a.shape[-1]):
+        out += a[..., j]
     return out
+
+
+def _contract(a, b):
+    """sum_j a[..., j] b[..., j] (a and b broadcast), added in the order
+    j = 0, 1, ... at every length: only elementwise products and sums, so
+    the bits of a row depend neither on the batch it came in nor on the
+    BLAS kernel."""
+    return _column_sum(a * b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pluecker, pullback,
                     scale_form, wedge_power)
-from .manifolds import (Submanifold, boxed, disk_cotangent_bundle, rng_for,
-                        tangent_bases)
+from .manifolds import (Submanifold, _sum, boxed, disk_cotangent_bundle,
+                        rng_for, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the interior checks use the points with u >= INTERIOR_BAND
@@ -71,17 +71,17 @@ def quartic_disk_domain(n: int) -> LiouvilleDomain:
 
     def sampler(rng, count):
         g = rng.normal(size=(count, m))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        g /= np.sqrt(_sum(g * g))[:, None]
         r = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / m)
         return r * g
 
     manifold = _full_ambient(m, f"D^{m}", sampler)
 
     def u(p):
-        return 1.0 - np.add.reduce(p * p, axis=-1) ** 2
+        return 1.0 - _sum(p * p) ** 2
 
     def du(p):
-        return -4.0 * np.add.reduce(p * p, axis=-1)[..., None] * p
+        return -4.0 * _sum(p * p)[..., None] * p
 
     field = VecField(m, lambda p: 0.5 * p)
     return LiouvilleDomain(manifold, standard_contact_form(n), field, u, du,
@@ -94,7 +94,7 @@ def disk_bundle_domain(n: int) -> LiouvilleDomain:
     m = 2 * n
 
     def u(x):
-        return 1.0 - np.add.reduce(x[..., n:] ** 2, axis=-1)
+        return 1.0 - _sum(x[..., n:] * x[..., n:])
 
     def du(x):
         out = np.zeros_like(x)
@@ -239,14 +239,14 @@ def interior_identification(example_id: str, p):
     """
     p = np.asarray(p, float)
     if example_id == "disk":
-        w = 1.0 - np.sum(p * p, axis=-1) ** 2
+        w = 1.0 - _sum(p * p) ** 2
         if np.any(w <= 1e-12):
             raise DomainError("identification only defined on the open "
                               "interior", point=p)
         return p / np.sqrt(w)[..., None]
     if example_id == "disk_bundle":
         n = p.shape[-1] // 2
-        w = 1.0 - np.sum(p[..., n:] ** 2, axis=-1)
+        w = 1.0 - _sum(p[..., n:] * p[..., n:])
         if np.any(w <= 1e-12):
             raise DomainError("identification only defined on the open "
                               "interior", point=p)
@@ -262,18 +262,17 @@ def identification_jacobian(example_id: str, x):
     "disk_bundle" I on q and I / w + 2 p p^T / w^2 on p, w = 1 - |p|^2."""
     m = x.shape[-1]
     if example_id == "disk":
-        r4 = np.sum(x * x, axis=-1) ** 2
-        s = 1.0 / np.sqrt(1.0 - r4)
+        r2 = _sum(x * x)
+        s = 1.0 / np.sqrt(1.0 - r2 ** 2)
         eye = np.zeros(np.shape(x)[:-1] + (m, m))
         idx = np.arange(m)
         eye[..., idx, idx] = s[..., None]
-        r2 = np.sum(x * x, axis=-1)
         return eye + 2.0 * (r2 * s ** 3)[..., None, None] \
             * x[..., :, None] * x[..., None, :]
     if example_id == "disk_bundle":
         n = m // 2
         p = x[..., n:]
-        w = 1.0 - np.sum(p * p, axis=-1)
+        w = 1.0 - _sum(p * p)
         out = np.zeros(np.shape(x)[:-1] + (m, m))
         idx = np.arange(n)
         out[..., idx, idx] = 1.0
@@ -536,7 +535,7 @@ def weinstein_check(w: WeinsteinStructure, samples, delta,
     x_vals = w.field(pts)
     df = w.dlyapunov(pts)
     lyap_margin = np.einsum("...m,...m->...", df, x_vals) - delta * (
-        np.sum(x_vals ** 2, axis=-1) + np.sum(df ** 2, axis=-1))
+        _sum(x_vals * x_vals) + _sum(df * df))
     contracted = interior(w.field, w.omega)
     bases = tangent_bases(w.manifold, pts)
     return make_report(
@@ -554,7 +553,7 @@ def lyapunov_ratio(w: WeinsteinStructure, samples):
     x_vals = w.field(pts)
     df = w.dlyapunov(pts)
     return np.einsum("...m,...m->...", df, x_vals) / (
-        np.sum(x_vals ** 2, axis=-1) + np.sum(df ** 2, axis=-1))
+        _sum(x_vals * x_vals) + _sum(df * df))
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +646,9 @@ def subcritical_check(samples, seed=0) -> CheckReport:
              "(lambda_can = -p dq)"))
 
     img = phi(pts)
-    f_target = np.sum(pts[..., :2] ** 2, axis=-1) + np.sum(
-        img[..., 4:] ** 2, axis=-1)
-    f_source = np.sum(pts[..., :2] ** 2, axis=-1) + np.sum(
-        pts[..., 2:4] ** 2, axis=-1)
+    base = _sum(pts[..., :2] * pts[..., :2])
+    f_target = base + _sum(img[..., 4:] * img[..., 4:])
+    f_source = base + _sum(pts[..., 2:4] * pts[..., 2:4])
     details.append(make_report(
         "lyapunov_pullback", n_samples=len(pts),
         max_residual=np.abs(f_target - f_source),

@@ -26,12 +26,13 @@ from .contact import (Representation, openbook_volume_form, verify_contact,
                       verify_representation)
 from .errors import (BindingPoint, DegenerateSystem, DimensionMismatch,
                      DomainError, FlowAborted, NonConvergence)
-from .forms import (DEFAULT_FD_STEP, KForm, VecField, _contract,
-                    central_difference, ext_deriv_on_frame, interior,
-                    pluecker, scale_form, wedge, wedge_all, wedge_power)
+from .forms import (DEFAULT_FD_STEP, KForm, VecField, _column_sum,
+                    _contract, central_difference, ext_deriv_on_frame,
+                    interior, pluecker, scale_form, wedge, wedge_all,
+                    wedge_power)
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
-from .manifolds import (FD_STEP, boxed, complement_frames,
+from .manifolds import (FD_STEP, _sum, boxed, complement_frames,
                         disk_cotangent_bundle, frame_product,
                         gauss_newton_step, project_to_constraints,
                         singular_values, tangent_bases)
@@ -146,16 +147,16 @@ def spinning_field(rep: Representation, p):
     if not np.all(finite):
         raise degenerate("system is not finite", int(np.argmin(finite)))
     mu_k = np.einsum("nd,nd->n", mu_t, k)
-    pinned = np.abs(mu_k) > 1e-6 * np.linalg.norm(mu_t, axis=-1) \
-        * np.linalg.norm(k, axis=-1)
+    pinned = np.abs(mu_k) > 1e-6 * np.sqrt(_sum(mu_t * mu_t)) \
+        * np.sqrt(_sum(k * k))
     if not np.all(pinned):
         raise degenerate("kernel is not pinned by mu", int(np.argmin(pinned)))
     rhs = 2 * np.pi * reg.rho2
     y_t = (rhs / mu_k)[:, None] * k
     gap = np.einsum("nij,nj->ni", mat, y_t)
     gap[:, 0] -= rhs
-    rel = np.linalg.norm(gap, axis=-1) / (
-        np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(y_t, axis=-1)
+    rel = np.sqrt(_sum(gap * gap)) / (
+        np.linalg.norm(mat, axis=(-2, -1)) * np.sqrt(_sum(y_t * y_t))
         + rhs)
     if not np.all(rel <= 1e-8):
         worst = int(np.argmax(rel))
@@ -219,14 +220,7 @@ def quadric_spinning_field(rep: Representation) -> SpinningField:
     equivalently pi Re(f) (y d/dx + x d/dy) + pi Im(f) (y d/dy - x d/dx).
     """
     def eval(z, out):
-        zz = z * z
-        # f = sum z_j^2 column by column, left to right: a reduction over a
-        # short complex axis costs several times more.  For n <= 3 this is
-        # bit for bit np.add.reduce(zz, axis=-1); from n = 4 on the two sum
-        # in different orders.
-        fval = zz[..., 0]
-        for j in range(1, zz.shape[-1]):
-            fval = fval + zz[..., j]
+        fval = _column_sum(z * z)
         np.multiply(_PI_I * fval[..., None], np.conj(z, out), out)
         return fval
 
@@ -497,7 +491,7 @@ def closed_form_quadric_flow(z0, t):
     if single:
         z0 = z0[None, :]
     t = np.broadcast_to(np.asarray(t, float), z0.shape[:-1])
-    fval = np.sum(z0 * z0, axis=-1)
+    fval = _sum(z0 * z0)
     g0 = np.abs(fval)
     if np.any(g0 > 1.0 + 1e-9):
         raise DomainError("|f| exceeds 1; the start is not on the unit "
@@ -539,7 +533,7 @@ def closed_form_flow_check(rep: Representation, samples, seed=0
     pts = pts[(g0 > 0.05) & (g0 < 0.95)][:FLOW_STARTS]
     end_rk = flow(quadric_spinning_field(rep), pts, 1.0, FLOW_STEP)
     end_cf, _ = closed_form_quadric_flow(real_to_complex(pts), 1.0)
-    drift = np.abs(np.abs(np.sum(end_cf * end_cf, axis=-1))
+    drift = np.abs(np.abs(_sum(end_cf * end_cf))
                    - rep.f.modulus(pts))
     return make_report(
         "closed_form_flow", n_samples=len(pts),
@@ -592,11 +586,11 @@ class DehnTwist:
     def __call__(self, q, p, validate=True):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
-        r = np.linalg.norm(p, axis=-1)
+        r = np.sqrt(_sum(p * p))
         if validate and (
-                np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0)
+                np.any(np.abs(np.sqrt(_sum(q * q)) - 1.0)
                        > TWIST_DOMAIN_TOL)
-                or np.any(np.abs(np.sum(q * p, axis=-1)) > TWIST_DOMAIN_TOL)
+                or np.any(np.abs(_sum(q * p)) > TWIST_DOMAIN_TOL)
                 or np.any(r > 1.0 + TWIST_DOMAIN_TOL)):
             raise DomainError("(q, p) violates |q| = 1, q . p = 0, |p| <= 1")
         rho = self.angle(r)
@@ -637,10 +631,10 @@ def dehn_twist_pullback_check(twist: DehnTwist, n: int, samples_qp,
     lhs = _contract(lam.coeffs(eval_map(pts))[:, None, :],
                     np.swapaxes(dphi, -1, -2))
 
-    r = np.linalg.norm(pts[..., n:], axis=-1)
+    r = np.sqrt(_sum(pts[..., n:] * pts[..., n:]))
 
     def rho_of_point(x):
-        return twist.angle(np.linalg.norm(x[..., n:], axis=-1))
+        return twist.angle(np.sqrt(_sum(x[..., n:] * x[..., n:])))
 
     drho_t = central_difference(rho_of_point, pts, FD_STEP, frame=bases)
     rhs = lam.restrict(pts, bases) - r[:, None] * drho_t
@@ -659,8 +653,7 @@ def dehn_twist_identities_check(q, g, radii, seed=0) -> CheckReport:
     p = radii * g
     twist = standard_twist()
     _, p2 = twist(q, p)
-    norm_gap = np.abs(np.linalg.norm(p2, axis=-1)
-                      - np.linalg.norm(p, axis=-1))
+    norm_gap = np.abs(np.sqrt(_sum(p2 * p2)) - np.sqrt(_sum(p * p)))
     qb, pb = twist(q, g)
     boundary_gap = np.abs(np.concatenate([qb - q, pb - g], axis=-1))
     pull = dehn_twist_pullback_check(
@@ -684,13 +677,13 @@ def page_embedding(q, p):
 
         (q, p) -> (q + i p) / sqrt(1 + |p|^2).
     """
-    return (q + 1j * p) / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
+    return (q + 1j * p) / np.sqrt(1.0 + _sum(p * p))[..., None]
 
 
 def page_embedding_inverse(z):
     """Inverse (q, p) of :func:`page_embedding` on the open page."""
     w = np.asarray(z, complex)
-    g0 = np.abs(np.sum(w * w, axis=-1))
+    g0 = np.abs(_sum(w * w))
     p_norm_sq = (1.0 - g0) / (1.0 + g0)
     gamma = 1.0 / np.sqrt(1.0 + p_norm_sq)
     return np.real(w) / gamma[..., None], np.imag(w) / gamma[..., None]
@@ -726,7 +719,7 @@ def monodromy_vs_dehn_twist(rep: Representation, samples_qp, seed=0
     n = rep.manifold.ambient_dim // 2
     qp = np.asarray(samples_qp, float)
     q, p = qp[..., :n], qp[..., n:]
-    if np.any(np.linalg.norm(p, axis=-1) > 1.0 - COMPARE_BINDING_BAND):
+    if np.any(np.sqrt(_sum(p * p)) > 1.0 - COMPARE_BINDING_BAND):
         raise DomainError("fiber radius too close to 1; the flow would "
                           "approach the binding")
     twist = standard_twist()

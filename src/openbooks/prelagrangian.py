@@ -17,7 +17,8 @@ from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DimensionMismatch, DomainError, OffManifold
 from .forms import KForm, ext_deriv_on_frame, scale_form
-from .manifolds import Submanifold, product_with_torus, tangent_bases
+from .manifolds import (Submanifold, _sum, product_with_torus,
+                        tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # residual of the constraints of P below which a point counts as on P
@@ -115,8 +116,7 @@ def real_circle_distance(p):
     y = p[..., 1::2]
     x = x[..., :2]
     y = y[..., :2]
-    return np.sqrt((np.linalg.norm(x, axis=-1) - 1.0) ** 2
-                   + np.sum(y * y, axis=-1))
+    return np.sqrt((np.sqrt(_sum(x * x)) - 1.0) ** 2 + _sum(y * y))
 
 
 def real_circle_torus_prelagrangian() -> PreLagrangian:
@@ -233,8 +233,8 @@ def real_circle_submanifold() -> Submanifold:
     """The real unit circle inside S^3 (interleaved coordinates): the
     constraints |p|^2 - 1, y_1 and y_2, with Jacobian rows 2p, e_1, e_3."""
     def constraints(p):
-        return np.stack([np.sum(p * p, axis=-1) - 1.0, p[..., 1],
-                         p[..., 3]], axis=-1)
+        return np.stack([_sum(p * p) - 1.0, p[..., 1], p[..., 3]],
+                        axis=-1)
 
     def jac(p):
         out = np.zeros(np.shape(p)[:-1] + (3, 4))

@@ -15,9 +15,10 @@ from openbooks.bourgeois import extend_form
 from openbooks.contact import (DefiningFunction, quadric_open_book,
                                standard_contact_form, standard_sphere)
 from openbooks.errors import DimensionMismatch
-from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
-                             _lex_order_sign, _merge_sign, _minors,
-                             _shuffle, _wedge_table, bind_line,
+from openbooks.forms import (KForm, SmoothMap, VecField, _column_sum,
+                             _contract, _ext_deriv_table, _lex_order_sign,
+                             _merge_sign, _minors, _shuffle, _wedge_table,
+                             bind_line,
                              central_difference,
                              constant_form,
                              contact_volume, coordinate_differential,
@@ -25,7 +26,8 @@ from openbooks.forms import (KForm, SmoothMap, VecField, _ext_deriv_table,
                              form_from_components,
                              increasing_indices, interior, on_batch,
                              pluecker, pullback, wedge, wedge_power)
-from openbooks.manifolds import FD_STEP, sample, tangent_bases, unit_sphere
+from openbooks.manifolds import (FD_STEP, _sum, sample, tangent_bases,
+                                 unit_sphere)
 
 RNG = np.random.default_rng(20240211)
 
@@ -1225,3 +1227,86 @@ def test_interior_is_an_antiderivation(seed):
     vecs = rng.normal(size=(2, m))
     np.testing.assert_allclose(lhs.at_basis(p, vecs),
                                rhs.at_basis(p, vecs), atol=1e-10)
+
+
+def _short_axis_batches(terms, dtype):
+    """(name, array) pairs with a trailing axis of `terms` entries: C
+    contiguous batches of 2,000 rows and of one, and a strided column view
+    p[..., 0::2]; entries spread over 16 decades, so that the order of
+    the sum shows in the last bits."""
+    rng = np.random.default_rng(1000 * terms + (dtype is complex))
+
+    def draw(shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(
+                -8, 8, size=shape)
+        return x
+
+    wide = draw((2000, 2 * terms))
+    return [("batch", draw((2000, terms))), ("one_row", draw((1, terms))),
+            ("strided", wide[..., 0::2])]
+
+
+@pytest.mark.parametrize("terms", range(1, 8))
+def test_short_float_sums_are_numpys_bits(terms):
+    # below 8 float64 terms numpy adds left to right as well, so the fixed
+    # order of _contract and the column sums of _sum give numpy's bits
+    for name, x in _short_axis_batches(terms, float):
+        assert np.array_equal(_column_sum(x), np.add.reduce(x, axis=-1)), name
+        assert np.array_equal(_contract(x, x),
+                              np.add.reduce(x * x, axis=-1)), name
+        assert np.array_equal(np.sqrt(_contract(x, x)),
+                              np.linalg.norm(x, axis=-1)), name
+
+
+@pytest.mark.parametrize("terms", range(1, 4))
+def test_short_complex_sums_are_numpys_bits(terms):
+    for name, z in _short_axis_batches(terms, complex):
+        assert np.array_equal(_column_sum(z), np.add.reduce(z, axis=-1)), name
+        assert np.array_equal(_contract(z, z),
+                              np.add.reduce(z * z, axis=-1)), name
+
+
+@pytest.mark.parametrize("dtype, terms",
+                         [(float, t) for t in range(1, 13)]
+                         + [(complex, t) for t in range(1, 7)])
+def test_sum_has_numpys_bits_at_every_length(dtype, terms):
+    # the sites that replaced np.sum, np.add.reduce and np.linalg.norm by
+    # _sum keep numpy's bits on any manifold, however long the axis
+    for name, x in _short_axis_batches(terms, dtype):
+        assert np.array_equal(_sum(x), np.add.reduce(x, axis=-1)), name
+        assert np.array_equal(_sum(x), np.sum(x, axis=-1)), name
+        if dtype is float:
+            assert np.array_equal(np.sqrt(_sum(x * x)),
+                                  np.linalg.norm(x, axis=-1)), name
+
+
+def test_longer_axes_sum_in_another_order():
+    # from 8 float64 terms (4 complex128) numpy sums pairwise and the
+    # fixed order of _contract no longer gives its bits: if a numpy release
+    # changes where that starts, this fails before report bits move
+    for terms, dtype in ((8, float), (4, complex)):
+        x = _short_axis_batches(terms, dtype)[0][1]
+        assert not np.array_equal(_column_sum(x), np.add.reduce(x, axis=-1))
+        assert not np.array_equal(_contract(x, x),
+                                  np.add.reduce(x * x, axis=-1))
+    # one row where the two orders round apart: (((1 + 0) + u) + u) ...
+    # is 1, the pairs (1 + 0) + (u + u) make 1 + 2u (u = 2^-53)
+    row = np.array([1.0, 0.0, 2.0 ** -53, 2.0 ** -53, 0.0, 0.0, 0.0, 0.0])
+    assert _column_sum(row) == 1.0
+    assert np.add.reduce(row) == _sum(row) == 1.0 + 2.0 ** -52
+    assert _column_sum(row.astype(complex)[:4]) == 1.0
+    assert np.add.reduce(row.astype(complex)[:4]) == 1.0 + 2.0 ** -52
+    assert _sum(row.astype(complex)[:4]) == 1.0 + 2.0 ** -52
+
+
+def test_contract_is_the_sum_of_the_products():
+    # broadcast operands, as in the frame pairings
+    a = RNG.normal(size=(30, 1, 5))
+    b = RNG.normal(size=(30, 4, 5))
+    p = a * b
+    expected = p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3] + p[..., 4]
+    assert np.array_equal(_contract(a, b), expected)
+    assert np.array_equal(_column_sum(p[..., :1]), p[..., 0])
+    assert not np.shares_memory(_column_sum(p[..., :1]), p)
