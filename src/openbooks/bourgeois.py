@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contact import (ContactForm, DefiningFunction, Representation,
-                      openbook_volume_form, representation_conditions)
+                      openbook_volume_form, page_frames,
+                      representation_conditions)
 from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
                     coordinate_differential, ext_deriv, increasing_indices,
                     on_batch, pullback, wedge, wedge_all, wedge_power)
-from .manifolds import (Submanifold, complement_frames, frame_product,
-                        product_with_torus, sample, tangent_bases,
-                        tangent_pluecker)
+from .manifolds import (Submanifold, product_with_torus, sample,
+                        tangent_bases, tangent_pluecker)
 from .report import (CheckReport, SweepRow, make_report, merge_reports,
                      timed)
 
@@ -305,7 +305,7 @@ def profiled_representation(rep: Representation) -> Representation:
              - radial_profile(safe)) / safe ** 2)
 
     def value(p):
-        v = f.value(np.asarray(p, float))
+        v = f.value(p)
         return weight(np.abs(v)) * v
 
     def gradient(p):
@@ -337,19 +337,24 @@ def find_inverse_constant(rep: Representation, samples):
     re-verify at 2C (the construction guarantees all sufficiently large C
     work).  The margin at C is -alpha_minus ^ (d alpha_minus)^n on the
     oriented frames (positive when the orientation is reversed), read off
-    the line alpha - C mu bound once for every C."""
+    the line alpha - C mu bound once for every C.  If no C passes, the
+    DegenerateSystem names the largest C tried and the best margin."""
     samples = np.asarray(samples, float)
     coords = tangent_pluecker(rep.manifold, samples)
     line = bind_line(rep.contact.alpha, rep.f.mu_form(), samples)
+    best = -np.inf
     for c in C_GRID:
-        margins = -_line_volume(line, -c, rep.n, samples, coords)
-        if np.min(margins) > INVERSE_MARGIN_TOL:
+        margin = float(np.min(-_line_volume(line, -c, rep.n, samples,
+                                            coords)))
+        best = max(best, margin)
+        if margin > INVERSE_MARGIN_TOL:
             recheck = -_line_volume(line, -2 * c, rep.n, samples, coords)
             if np.min(recheck) > INVERSE_MARGIN_TOL:
-                return c, float(np.min(margins)), float(np.min(recheck))
+                return c, margin, float(np.min(recheck))
     raise DegenerateSystem(
-        "no constant in the search grid produced a reversed-orientation "
-        "contact form; try a larger grid")
+        f"no C up to {max(C_GRID):g} gave a reversed-orientation margin "
+        f"above {INVERSE_MARGIN_TOL:g} at C and 2C; the best margin at C "
+        f"was {best:.3e}")
 
 
 @timed
@@ -385,10 +390,7 @@ def verify_inverse_form(rep: Representation, c: float, samples,
     # frame is the orthonormal complement of mu in the tangent frame, which
     # the band test above keeps away from the binding
     correction = inverse_form(rep, c).alpha - rep.contact.alpha
-    mu = rep.f.mu_form()
-    bases = tangent_bases(rep.manifold, samples)
-    page = frame_product(complement_frames(mu.restrict(samples, bases))[0],
-                         bases)
+    page = page_frames(rep, samples, tangent_bases(rep.manifold, samples))
     page_gap = np.max(np.abs(correction.restrict(samples, page)), axis=-1)
     bind_bases = tangent_bases(rep.manifold, binding_samples)
     bind_gap = np.abs(correction.restrict(binding_samples, bind_bases))
@@ -412,7 +414,7 @@ def shear_map(rep: Representation, tau: float, c: float) -> SmoothMap:
     f = rep.f
 
     def eval(p):
-        out = np.array(p, float, copy=True)
+        out = p.copy()
         fx, fy = f.parts(p[..., :m])
         out[..., m] = p[..., m] - tau * c * fy
         out[..., m + 1] = p[..., m + 1] - tau * c * fx

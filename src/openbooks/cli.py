@@ -36,7 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import bourgeois, contact, liouville, monodromy, prelagrangian
-from .manifolds import _sum, rng_for, sample
+from .manifolds import (_sum, disk_bundle_draw, flat_torus, rng_for, sample,
+                        unit_sphere)
 from .report import CheckReport, make_report
 
 EXIT_OK = 0
@@ -151,22 +152,16 @@ def _twist_inputs(cfg, seed):
     quarter turn from q and |p| < 1 - 2e-3."""
     rng = rng_for(seed)
     count = monodromy.FLOW_STARTS
-    q = rng.normal(size=(count, 2))
-    q /= np.sqrt(_sum(q * q))[:, None]
+    q = unit_sphere(2).sampler(rng, count)
     g = np.stack([-q[:, 1], q[:, 0]], axis=-1)
     r = rng.uniform(0.0, 1.0 - 2e-3, size=(count, 1))
     return contact.quadric_open_book(2), np.concatenate([q, r * g], axis=-1)
 
 
 def _twist_frame_inputs(cfg, seed):
-    """200 unit vectors q of R^3, unit covectors g at q, radii in [0, 1)."""
-    rng = rng_for(seed)
-    q = rng.normal(size=(200, 3))
-    q /= np.sqrt(_sum(q * q))[:, None]
-    g = rng.normal(size=(200, 3))
-    g -= _sum(g * q)[:, None] * q
-    g /= np.sqrt(_sum(g * g))[:, None]
-    return q, g, rng.uniform(0.0, 1.0, size=(200, 1))
+    """200 unit vectors q of R^3, unit covectors g at q, radii in [0, 1):
+    the draw of the disk cotangent bundle of S^2."""
+    return disk_bundle_draw(rng_for(seed), 200, 3)
 
 
 def _inverse_inputs(cfg, seed):
@@ -191,9 +186,7 @@ def _filling_inputs(cfg, seed):
 
 def _completion_disk_inputs(cfg, seed):
     ld, pts = _draw(liouville.quartic_disk_domain(2), cfg, seed, 500)
-    b = rng_for(seed + 1).normal(size=(BINDING_SAMPLES, 4))
-    b /= np.sqrt(_sum(b * b))[:, None]
-    return ld, pts, b
+    return ld, pts, sample(unit_sphere(4), BINDING_SAMPLES, seed + 1)
 
 
 def _completion_bundle_inputs(cfg, seed):
@@ -217,8 +210,7 @@ def _coordinate_inputs(cfg, seed):
     rng = rng_for(seed)
     count = max(cfg.samples, 1000)
     return (np.concatenate([rng.normal(size=(count, 4)),
-                            rng.uniform(0.0, 2 * np.pi, size=(count, 2))],
-                           axis=-1),)
+                            flat_torus(2).sampler(rng, count)], axis=-1),)
 
 
 def _prelagrangian_inputs(pl, cfg, seed):

@@ -26,9 +26,10 @@ from .forms import (DEFAULT_FD_STEP, KForm, central_difference,
                     constant_form, contact_volume, ext_deriv,
                     increasing_indices, scale_form, wedge, wedge_all,
                     wedge_power, zero_form)
-from .manifolds import (FD_STEP, Submanifold, _sum, singular_values,
-                        tangent_bases, tangent_pluecker,
-                        two_row_min_singular_value, unit_sphere)
+from .manifolds import (FD_STEP, Submanifold, _sum, complement_frames,
+                        frame_product, singular_values, tangent_bases,
+                        tangent_pluecker, two_row_min_singular_value,
+                        unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 BINDING_BAND = 1e-3      # |f| below this counts as "near binding"
@@ -92,20 +93,19 @@ class DefiningFunction:
     gradient: Callable | None = None
 
     def __call__(self, p):
-        return self.value(np.asarray(p, float))
+        return self.value(p)
 
     def parts(self, p):
-        v = self.value(np.asarray(p, float))
+        v = self.value(p)
         return np.real(v), np.imag(v)
 
     def modulus(self, p):
-        return np.abs(self.value(np.asarray(p, float)))
+        return np.abs(self.value(p))
 
     def theta(self, p):
-        return np.angle(self.value(np.asarray(p, float)))
+        return np.angle(self.value(p))
 
     def grad(self, p):
-        p = np.asarray(p, float)
         if self.gradient is not None:
             return self.gradient(p)
         g = central_difference(self.value, p, FD_STEP)
@@ -431,12 +431,12 @@ def binding_manifold(rep: Representation) -> Submanifold:
     )
 
 
-def binding_contact_values(rep: Representation, binding_samples):
-    """alpha restricted to the binding, evaluated on oriented bases of K."""
-    bind = rep.binding
-    nk = (bind.dim - 1) // 2
-    return contact_volume(rep.contact.alpha, nk).on_pluecker(
-        binding_samples, tangent_pluecker(bind, binding_samples))
+def page_frames(rep: Representation, pts, bases):
+    """Orthonormal frames (N, d-1, m) of the pages at the float points pts
+    (N, m) off the binding: the complement of mu = f_x df_y - f_y df_x in
+    the frames bases (N, d, m) of T_p V, mapped to ambient space."""
+    mu_t = rep.f.mu_form().restrict(pts, bases)
+    return frame_product(complement_frames(mu_t)[0], bases)
 
 
 def _rank_two_margins(f: DefiningFunction, points, bases):
@@ -504,7 +504,9 @@ def representation_conditions(rep: Representation, samples, binding_samples,
 
     # (5) alpha restricts to a positive contact form on the binding
     if n_bind > 0 and reports[0].passed:
-        margins = binding_contact_values(rep, binding_samples)
+        margins = contact_volume_values(ContactForm(rep.contact.alpha,
+                                                    rep.binding),
+                                        binding_samples)
     else:
         margins = -1.0
     reports.append(make_report(
@@ -617,10 +619,8 @@ def quadric_defining_function(n: int) -> DefiningFunction:
 def _coordinate_binding(n: int):
     """Sampler of the binding of the z_1 open book, the subsphere z_1 = 0."""
     def sampler(rng, count):
-        g = rng.normal(size=(count, 2 * n - 2))
-        g /= np.sqrt(_sum(g * g))[:, None]
         out = np.zeros((count, 2 * n))
-        out[:, 2:] = g
+        out[:, 2:] = unit_sphere(2 * n - 2).sampler(rng, count)
         return out
 
     return sampler

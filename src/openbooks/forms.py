@@ -81,9 +81,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Points are plain float arrays of shape (..., m).  Coordinates flagged as
-# periodic by a manifold are ordinary reals during evaluation and
-# differentiation.
+# Points are plain float arrays of shape (..., m), cast once where a caller
+# hands them in (KForm.__call__, at_basis, restrict, central_difference,
+# the checks); the coefficient closures, fields, maps and defining
+# functions below take them as given.  Coordinates flagged as periodic by
+# a manifold are ordinary reals during evaluation and differentiation.
 Point = np.ndarray
 
 DEFAULT_FD_STEP = 1e-5
@@ -203,9 +205,8 @@ def _lex_order_sign(vectors):
     sign (...,).  Sorting canonicalises evaluation so that permuting the
     arguments flips the result sign exactly.
     """
-    v = np.asarray(vectors, float)
-    k, m = v.shape[-2], v.shape[-1]
-    keys = tuple(v[..., :, i] for i in range(m - 1, -1, -1))
+    k, m = vectors.shape[-2], vectors.shape[-1]
+    keys = tuple(vectors[..., :, i] for i in range(m - 1, -1, -1))
     order = np.lexsort(keys, axis=-1)
     gt = order[..., :, None] > order[..., None, :]
     upper = np.triu(np.ones((k, k), bool), 1)
@@ -345,8 +346,7 @@ class KForm:
             raise DimensionMismatch(
                 f"{self.degree}-form on R^{self.ambient_dim} needs "
                 f"{self.n_indices} Pluecker coordinates, got {coords.shape[-1]}")
-        return np.einsum("...i,...i->...", self.coeffs(np.asarray(p, float)),
-                         coords)
+        return np.einsum("...i,...i->...", self.coeffs(p), coords)
 
     def restrict(self, p, frame):
         """Restriction to a frame: p (..., m), frame (..., d, m).
@@ -450,7 +450,6 @@ def form_from_components(m: int, k: int, components: dict) -> KForm:
         return constant_form(m, k, values)
 
     def coeffs(p):
-        p = np.asarray(p, float)
         out = np.zeros(p.shape[:-1] + (n,))
         for position, c in items:
             out[..., position] = c(p) if callable(c) else c
@@ -467,7 +466,7 @@ class VecField:
     eval: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, p):
-        return self.eval(np.asarray(p, float))
+        return self.eval(p)
 
 
 @dataclass(frozen=True)
@@ -480,12 +479,11 @@ class SmoothMap:
     jac: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, p):
-        return self.eval(np.asarray(p, float))
+        return self.eval(p)
 
     def jacobian(self, p):
         """Jacobian (..., target_dim, source_dim), by central differences
         unless an analytic one was supplied."""
-        p = np.asarray(p, float)
         if self.jac is not None:
             return self.jac(p)
         return central_difference(self.eval, p, DEFAULT_FD_STEP)
@@ -646,7 +644,6 @@ def ext_deriv(a: KForm, step_scale: Callable | None = None) -> KForm:
     axes, pos, sign = _ext_deriv_table(m, a.degree)
 
     def coeffs(p):
-        p = np.asarray(p, float)
         fa, step = _stencil_inputs(a, p, step_scale)
         d = central_difference(fa, p, step)    # (..., n_src, m)
         terms = d[..., pos, axes]              # (..., n_out, k+1)

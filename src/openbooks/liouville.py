@@ -6,6 +6,10 @@ A classical Liouville domain (F, lambda_c) is completed to an ideal one by
 choosing u >= 0 with u^{-1}(0) = boundary(F) regular and du(X) < u, and
 rescaling: omega = d(lambda_c / u) is symplectic on the interior and
 u * (lambda_c / u) extends to a contact form on the boundary.
+Every structure here is its Liouville form lambda and field X: omega is
+d lambda, exact for the model forms alpha_0 and lambda_can, and
+:func:`liouville_relation_residual` checks iota_X d lambda = lambda for
+the completions and the Weinstein structures alike.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .forms import (KForm, SmoothMap, VecField, ext_deriv,
                     form_from_components, interior, pluecker, pullback,
                     scale_form, wedge_power)
 from .manifolds import (Submanifold, _sum, boxed, disk_cotangent_bundle,
-                        rng_for, tangent_bases)
+                        flat_torus, rng_for, tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
 
 # the interior checks use the points with u >= INTERIOR_BAND
@@ -33,13 +37,15 @@ _HALF, _ONE, _MINUS_TWO = boxed(0.5), boxed(1.0), boxed(-2.0)
 
 
 def canonical_one_form(n: int) -> KForm:
-    """lambda_can = - sum p_j dq_j on R^n x R^n (q first, then p)."""
+    """lambda_can = - sum p_j dq_j on R^n x R^n (q first, then p), with its
+    exact d lambda_can = sum dq_j ^ dp_j, a constant form."""
     def coeffs(x):
         out = np.zeros_like(x)
         out[..., :n] = -x[..., n:]
         return out
 
-    return KForm(1, 2 * n, coeffs)
+    return KForm(1, 2 * n, coeffs, lambda: form_from_components(
+        2 * n, 2, {(j, n + j): 1.0 for j in range(n)}))
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class LiouvilleDomain:
     name: str = ""
 
     def du_along_field(self, p):
-        return np.einsum("...m,...m->...", self.du(np.asarray(p, float)),
+        return np.einsum("...m,...m->...", self.du(p),
                          self.liouville_field(p))
 
 
@@ -70,8 +76,7 @@ def quartic_disk_domain(n: int) -> LiouvilleDomain:
     m = 2 * n
 
     def sampler(rng, count):
-        g = rng.normal(size=(count, m))
-        g /= np.sqrt(_sum(g * g))[:, None]
+        g = unit_sphere(m).sampler(rng, count)
         r = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / m)
         return r * g
 
@@ -159,13 +164,13 @@ def _leading_pluecker(manifold: Submanifold, pts, k):
     return pluecker(tangent_bases(manifold, pts)[:, :k, :])
 
 
-def liouville_relation_residual(ld: LiouvilleDomain, samples):
-    """Residual of iota_X d(lambda_c) = lambda_c on tangent vectors."""
-    pts = np.asarray(samples, float)
-    bases = tangent_bases(ld.manifold, pts)
-    contracted = interior(ld.liouville_field, ext_deriv(ld.lambda_c))
-    return np.max(np.abs(contracted.restrict(pts, bases)
-                         - ld.lambda_c.restrict(pts, bases)))
+def liouville_relation_residual(manifold: Submanifold, field: VecField,
+                                lam: KForm, pts):
+    """|iota_X d(lambda) - lambda| (N, d) for X = field and lambda = lam,
+    on the tangent frames of manifold at the float points pts (N, m)."""
+    bases = tangent_bases(manifold, pts)
+    contracted = interior(field, ext_deriv(lam))
+    return np.abs(contracted.restrict(pts, bases) - lam.restrict(pts, bases))
 
 
 @timed
@@ -182,7 +187,8 @@ def completion_check(ld: LiouvilleDomain, samples, boundary_samples,
 
     details.append(make_report(
         "liouville_relation", n_samples=len(pts),
-        max_residual=liouville_relation_residual(ld, pts),
+        max_residual=liouville_relation_residual(
+            ld.manifold, ld.liouville_field, ld.lambda_c, pts),
         tolerance=1e-8, seed=seed,
         note="iota_X d(lambda_c) = lambda_c"))
 
@@ -472,42 +478,39 @@ def page_volume_identity(ld: LiouvilleDomain, samples, seed=0
 
 @dataclass(frozen=True)
 class WeinsteinStructure:
-    """Exact symplectic manifold with Liouville field and Lyapunov data."""
+    """Exact symplectic manifold (manifold, d lam) with Liouville field and
+    Lyapunov data; omega is d lam, so it cannot disagree with lam."""
 
     manifold: Submanifold
-    omega: KForm
     field: VecField
     dlyapunov: Callable            # gradient of the Lyapunov function
-    lam: KForm                     # iota_X omega, the Liouville form
+    lam: KForm                     # the Liouville form, iota_X d lam
     name: str = ""
 
 
 def complex_plane_weinstein() -> WeinsteinStructure:
-    """(C, dx^dy, (x dx + y dy)/2, x^2 + y^2)."""
+    """(C, alpha_0 = (x dy - y dx)/2, (x dx + y dy)/2, x^2 + y^2), whose
+    d alpha_0 = dx ^ dy is exact."""
     def sampler(rng, count):
         ang = rng.uniform(0.0, 2 * np.pi, size=count)
         r = rng.uniform(0.1, 2.0, size=count)
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
 
     manifold = _full_ambient(2, "C", sampler)
-    omega = form_from_components(2, 2, {(0, 1): 1.0})
-    lam = form_from_components(2, 1, {(0,): lambda p: -0.5 * p[..., 1],
-                                      (1,): lambda p: 0.5 * p[..., 0]})
     return WeinsteinStructure(
-        manifold, omega, VecField(2, lambda p: 0.5 * p), lambda p: 2.0 * p,
-        lam, name="C")
+        manifold, VecField(2, lambda p: 0.5 * p), lambda p: 2.0 * p,
+        standard_contact_form(1), name="C")
 
 
 def torus_cotangent_weinstein() -> WeinsteinStructure:
-    """(T* T^2, d lambda_can, p d/dp, p_1^2 + p_2^2), coordinates
+    """(T* T^2, lambda_can, p d/dp, p_1^2 + p_2^2), coordinates
     (q_1, q_2, p_1, p_2) with periodic q."""
     def sampler(rng, count):
-        q = rng.uniform(0.0, 2 * np.pi, size=(count, 2))
+        q = flat_torus(2).sampler(rng, count)
         p = rng.uniform(-2.0, 2.0, size=(count, 2))
         return np.concatenate([q, p], axis=-1)
 
     manifold = _full_ambient(4, "T*T^2", sampler)
-    omega = form_from_components(4, 2, {(0, 2): 1.0, (1, 3): 1.0})
 
     def field_eval(x):
         out = np.zeros_like(x)
@@ -520,29 +523,28 @@ def torus_cotangent_weinstein() -> WeinsteinStructure:
         return out
 
     return WeinsteinStructure(
-        manifold, omega, VecField(4, field_eval), dlyap,
-        canonical_one_form(2), name="T*T^2")
+        manifold, VecField(4, field_eval), dlyap, canonical_one_form(2),
+        name="T*T^2")
 
 
 @timed
 def weinstein_check(w: WeinsteinStructure, samples, delta,
                     seed=0) -> CheckReport:
     """Lyapunov inequality df(X) >= delta (|X|^2 + |df|^2) in the ambient
-    Euclidean metric, and closure of the Liouville relation
-    iota_X omega = lambda.  The inequality is non-strict, so the margin is
-    allowed to touch zero, up to a rounding slack of 1e-12."""
+    Euclidean metric, and the Liouville relation iota_X d(lambda) = lambda
+    (:func:`liouville_relation_residual`).  The inequality is non-strict,
+    so the margin is allowed to touch zero, up to a rounding slack of
+    1e-12."""
     pts = np.asarray(samples, float)
     x_vals = w.field(pts)
     df = w.dlyapunov(pts)
     lyap_margin = np.einsum("...m,...m->...", df, x_vals) - delta * (
         _sum(x_vals * x_vals) + _sum(df * df))
-    contracted = interior(w.field, w.omega)
-    bases = tangent_bases(w.manifold, pts)
     return make_report(
         f"weinstein[{w.name}]", n_samples=len(pts),
         min_margin=lyap_margin,
-        max_residual=np.abs(contracted.restrict(pts, bases)
-                            - w.lam.restrict(pts, bases)),
+        max_residual=liouville_relation_residual(w.manifold, w.field, w.lam,
+                                                 pts),
         tolerance=-1e-12, residual_tolerance=1e-8, seed=seed,
         note=f"df(X) >= {delta} (|X|^2 + |df|^2); iota_X omega = lambda")
 

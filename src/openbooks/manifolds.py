@@ -21,8 +21,9 @@ on the BLAS kernel.
 
 The Householder reflector, built as a frame by :func:`complement_frames`,
 is the one place that takes the orthonormal complement of a vector.
-Besides the chain's links it gives the page frames of an open book: the complement, inside T_p V,
-of the covector (f_x df_y - f_y df_x) restricted to a frame of T_p V.
+Besides the chain's links it gives the page frames of an open book
+(`contact.page_frames`): the complement, inside T_p V, of the covector
+(f_x df_y - f_y df_x) restricted to a frame of T_p V.
 :func:`two_row_min_singular_value` takes the same reduction of a pair of
 rows to a 2 x 2 triangle and reads its smaller singular value in closed
 form.
@@ -38,6 +39,8 @@ sort or minor is computed there.  Every other manifold gets
 
 A :class:`Submanifold` holds only what :func:`tangent_bases`,
 :func:`sample` and `monodromy.flow` read.
+Every Gaussian sphere draw is the sampler of :func:`unit_sphere`, every
+pair of torus angles that of :func:`flat_torus`.
 """
 
 from __future__ import annotations
@@ -119,12 +122,11 @@ class Submanifold:
     def residual(self, p):
         if self.constraints is None:
             return np.zeros(np.shape(p)[:-1])
-        c = np.atleast_1d(self.constraints(np.asarray(p, float)))
+        c = np.atleast_1d(self.constraints(p))
         return np.sqrt(_sum(c * c))
 
     def jacobian(self, p):
         """Constraint Jacobian (..., c, m)."""
-        p = np.asarray(p, float)
         if self.constraint_jac is not None:
             return self.constraint_jac(p)
         return central_difference(self.constraints, p, FD_STEP)
@@ -485,8 +487,8 @@ def product_with_torus(base: Submanifold) -> Submanifold:
     def sampler(rng, n):
         base_rng, angle_rng = rng.spawn(2)
         pts = base.sampler(base_rng, n)
-        ang = angle_rng.uniform(0.0, 2 * np.pi, size=(n, 2))
-        return np.concatenate([pts, ang], axis=-1)
+        return np.concatenate([pts, flat_torus(2).sampler(angle_rng, n)],
+                              axis=-1)
 
     return Submanifold(
         ambient_dim=m + 2,
@@ -497,6 +499,17 @@ def product_with_torus(base: Submanifold) -> Submanifold:
         sampler=sampler if base.sampler is not None else None,
         constraint_jac=jac if base.constraint_jac is not None else None,
     )
+
+
+def disk_bundle_draw(rng, count, n):
+    """Unit vectors q (count, n), unit covectors g at q and radii r
+    (count, 1) in [0, 1), drawn in this order: the draw whose points
+    (q, r g) the sampler of :func:`disk_cotangent_bundle` returns."""
+    q = unit_sphere(n).sampler(rng, count)
+    g = rng.normal(size=(count, n))
+    g -= _sum(g * q)[:, None] * q
+    g /= np.sqrt(_sum(g * g))[:, None]
+    return q, g, rng.uniform(0.0, 1.0, size=(count, 1))
 
 
 def disk_cotangent_bundle(n: int) -> Submanifold:
@@ -514,12 +527,7 @@ def disk_cotangent_bundle(n: int) -> Submanifold:
         return np.stack([row1, row2], axis=-2)
 
     def sampler(rng, count):
-        q = rng.normal(size=(count, n))
-        q /= np.sqrt(_sum(q * q))[:, None]
-        g = rng.normal(size=(count, n))
-        g -= _sum(g * q)[:, None] * q
-        g /= np.sqrt(_sum(g * g))[:, None]
-        r = rng.uniform(0.0, 1.0, size=(count, 1))
+        q, g, r = disk_bundle_draw(rng, count, n)
         return np.concatenate([q, r * g], axis=-1)
 
     return Submanifold(

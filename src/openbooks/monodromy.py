@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import (Representation, openbook_volume_form, verify_contact,
-                      verify_representation)
+from .contact import (Representation, openbook_volume_form, page_frames,
+                      verify_contact, verify_representation)
 from .errors import (BindingPoint, DegenerateSystem, DimensionMismatch,
                      DomainError, FlowAborted, NonConvergence)
 from .forms import (DEFAULT_FD_STEP, KForm, VecField, _column_sum,
@@ -32,8 +32,7 @@ from .forms import (DEFAULT_FD_STEP, KForm, VecField, _column_sum,
                     wedge_power)
 from .liouville import (HypersurfaceData, angle_spinning_field,
                         canonical_one_form)
-from .manifolds import (FD_STEP, _sum, boxed, complement_frames,
-                        disk_cotangent_bundle, frame_product,
+from .manifolds import (FD_STEP, _sum, boxed, disk_cotangent_bundle,
                         gauss_newton_step, project_to_constraints,
                         singular_values, tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -299,9 +298,7 @@ def spinning_definition_check(rep: Representation, y: SpinningField, samples,
     # page-structure preservation: d(iota_Y d(lambda)) on page pairs, with
     # iota_Y d(lambda) assembled from the regularized contraction
     far = pts[f.modulus(pts) >= 0.1]
-    bases = tangent_bases(rep.manifold, far)
-    mu_t = np.einsum("nm,njm->nj", f.regularized(far).mu, bases)
-    page = frame_product(complement_frames(mu_t)[0], bases)
+    page = page_frames(rep, far, tangent_bases(rep.manifold, far))
     lie_on_pages = ext_deriv_on_frame(
         kernel_defect_form(rep, y), far, page,
         step_scale=lambda p: np.maximum(f.modulus(p), 1e-12))
@@ -564,24 +561,17 @@ def real_to_complex(p):
 class DehnTwist:
     """Twist on the unit-disk cotangent bundle of a sphere, rotating each
     fiber by the angle rho(r) = r g(r^2) - pi of the fiber radius r = |p|;
-    g(1) = pi makes it the identity on the boundary."""
+    g(1) = pi makes it the identity on the boundary.
+
+    A call evaluates g once, at r^2, and takes rho and sin(rho) / r from
+    that value: sin(rho) / r is -g(r^2) sinc(r g(r^2) / pi), the smooth
+    even extension, for r <= 1/2, and sin(rho) / r for r > 1/2 (the direct
+    path makes rho(1) = 0 exact on the boundary)."""
 
     g: Callable[[np.ndarray], np.ndarray]
 
     def angle(self, r):
         return r * self.g(r * r) - np.pi
-
-    def sin_over_r(self, r):
-        """sin(rho(r)) / r, evaluated through the smooth even extension
-        sin(r g(r^2))/r = g(r^2) sinc(r g(r^2) / pi) near the zero section
-        and directly elsewhere (the direct path makes rho(1) = 0 exact on
-        the boundary)."""
-        a = r * self.g(r * r)
-        smooth = -self.g(r * r) * np.sinc(a / np.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = np.where(r > 0.5, np.sin(self.angle(np.maximum(r, 0.5)))
-                              / np.maximum(r, 0.5), 0.0)
-        return np.where(r > 0.5, direct, smooth)
 
     def __call__(self, q, p, validate=True):
         q = np.asarray(q, float)
@@ -593,9 +583,13 @@ class DehnTwist:
                 or np.any(np.abs(_sum(q * p)) > TWIST_DOMAIN_TOL)
                 or np.any(r > 1.0 + TWIST_DOMAIN_TOL)):
             raise DomainError("(q, p) violates |q| = 1, q . p = 0, |p| <= 1")
-        rho = self.angle(r)
+        g = self.g(r * r)
+        a = r * g
+        rho = a - np.pi
         cos_r = np.cos(rho)[..., None]
-        sin_over = self.sin_over_r(r)[..., None]
+        # the divisor max(r, 1/2) is r wherever the direct path is read
+        sin_over = np.where(r > 0.5, np.sin(rho) / np.maximum(r, 0.5),
+                            -g * np.sinc(a / np.pi))[..., None]
         q_out = q * cos_r + p * sin_over
         p_out = -(r ** 2)[..., None] * q * sin_over + p * cos_r
         return q_out, p_out

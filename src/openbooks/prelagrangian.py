@@ -17,7 +17,7 @@ from .bourgeois import _smoothstep, bourgeois_form
 from .contact import Representation, quadric_open_book
 from .errors import DimensionMismatch, DomainError, OffManifold
 from .forms import KForm, ext_deriv_on_frame, scale_form
-from .manifolds import (Submanifold, _sum, product_with_torus,
+from .manifolds import (Submanifold, _sum, flat_torus, product_with_torus,
                         tangent_bases)
 from .report import CheckReport, make_report, merge_reports, timed
 
@@ -157,7 +157,7 @@ def binding_torus_prelagrangian() -> PreLagrangian:
     def sampler(rng, count):
         a = rng.uniform(0.0, 2 * np.pi, size=count)
         sign = np.where(rng.uniform(size=count) < 0.5, 1.0, -1.0)
-        ang = rng.uniform(0.0, 2 * np.pi, size=(count, 2))
+        ang = flat_torus(2).sampler(rng, count)
         inv = 1.0 / np.sqrt(2.0)
         out = np.zeros((count, 6))
         out[:, 0] = np.cos(a) * inv

@@ -316,6 +316,21 @@ def test_constant_search_then_doubling():
     assert margin > 1e-3 and margin2 > 1e-3
 
 
+def test_failed_constant_search_names_the_largest_c_and_best_margin(
+        monkeypatch):
+    rep = profiled_representation(quadric_open_book(2))
+    pts = sample(rep.manifold, 300, seed=14)
+    best = max(float(np.min(_margins(rep, c, pts))) for c in bourgeois.C_GRID)
+    assert best > bourgeois.INVERSE_MARGIN_TOL
+    monkeypatch.setattr(bourgeois, "INVERSE_MARGIN_TOL", best + 1.0)
+    with pytest.raises(DegenerateSystem) as info:
+        find_inverse_constant(rep, pts)
+    message = str(info.value)
+    assert "no C up to 1024 " in message
+    assert message.endswith(f"the best margin at C was {best:.3e}")
+    assert "grid" not in message
+
+
 def test_inverse_form_checks_build_each_frame_once(monkeypatch):
     # the Pluecker coordinates once per sample set; frames only for the
     # restrictions to pages and binding

@@ -506,8 +506,9 @@ def test_binding_manifold_orientation_value():
     # parametrized circle)
     rep = quadric_open_book(2)
     bind = sample(rep.binding, 50, seed=20)
-    from openbooks.contact import binding_contact_values
-    vals = binding_contact_values(rep, bind)
+    from openbooks.contact import ContactForm, contact_volume_values
+    vals = contact_volume_values(ContactForm(rep.contact.alpha, rep.binding),
+                                 bind)
     np.testing.assert_allclose(vals, 0.5, atol=1e-9)
 
 

@@ -8,15 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from openbooks import bourgeois
+from openbooks import bourgeois, cli
 from openbooks.bourgeois import (bourgeois_form, extend_form, inverse_form,
                                  profiled_representation,
                                  verify_product_contact)
 from openbooks.contact import (DefiningFunction, coordinate_open_book,
                                quadric_open_book, standard_contact_form,
                                standard_sphere)
-from openbooks.forms import (DEFAULT_FD_STEP, KForm, coordinate_differential,
-                             ext_deriv, wedge)
+from openbooks.forms import (DEFAULT_FD_STEP, KForm, central_difference,
+                             coordinate_differential, ext_deriv, wedge)
+from openbooks.liouville import canonical_one_form
 from openbooks.manifolds import sample
 
 # Central differences with step h = DEFAULT_FD_STEP = 1e-5 err on each
@@ -83,7 +84,17 @@ CASES = {
         lambda: _sphere_points(2, 9), (1.0 + C) * PROFILED),
     "leibniz_mu_wedge_alpha0": (_mu_wedge_alpha,
                                 lambda: _sphere_points(2, 10), POLYNOMIAL),
+    "lambda_can_n1": (lambda: canonical_one_form(1),
+                      lambda: _sphere_points(1, 14), LINEAR),
+    "lambda_can_n2": (lambda: canonical_one_form(2),
+                      lambda: _sphere_points(2, 15), LINEAR),
 }
+
+# central_difference calls of one suite run at seed 7.  What is left is the
+# quotient oracles, the step_scale derivatives of the quotient forms and the
+# frame stencils; a form of a suite that loses its exact d adds calls here.
+STENCIL_CALLS = {"g1_s3": 3, "g2_s3": 4, "g2_s5": 2, "disk_hypersurface": 4,
+                 "subcritical": 0, "prelag": 1}
 
 
 def _stencil(form):
@@ -139,6 +150,21 @@ def test_exact_derivatives_take_no_stencil(monkeypatch, case):
     assert np.all(ext_deriv(ext_deriv(form)).coeffs(pts) == 0.0)
     with pytest.raises(AssertionError, match="central_difference"):
         _stencil(form).coeffs(pts)
+
+
+@pytest.mark.parametrize("suite", sorted(STENCIL_CALLS))
+def test_each_suite_makes_its_stencil_calls(monkeypatch, suite):
+    assert set(STENCIL_CALLS) == set(cli.SUITE_NAMES)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return central_difference(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, "central_difference", counting)
+    reports = cli.run_suite(cli.SuiteConfig(suite=suite, seed=7))
+    assert all(r.passed for r in reports)
+    assert len(calls) == STENCIL_CALLS[suite]
 
 
 def test_wedge_follows_leibniz_only_when_both_factors_carry_d():

@@ -16,6 +16,10 @@ left behind; a helper that only tests import belongs in the tests.  By
 the same rule, an annotated field of a class in the package counts as
 read when some attribute access ``x.field`` loads it in the package or
 in a demo; the match is by attribute name, whatever the class of ``x``.
+Points are cast to float once, at the entry a caller calls: no function
+nested in another function (a coefficient closure, a sampler, a lambda)
+casts to float again.  A cast is ``np.asarray``, ``np.array`` or
+``np.ascontiguousarray`` with a float dtype, or ``.astype(float)``.
 """
 
 import ast
@@ -177,3 +181,66 @@ def test_checker_finds_an_unread_field():
 def test_package_has_no_unread_field():
     assert unread_fields([p.read_text() for p in sorted(SRC.glob("*.py"))],
                          [p.read_text() for p in DEMOS]) == []
+
+
+FLOAT_NAMES = {"float", "float64"}
+CASTS = {"asarray", "array", "ascontiguousarray"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _is_float(node):
+    return ((isinstance(node, ast.Name) and node.id in FLOAT_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES))
+
+
+def _is_float_cast(node):
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr == "astype":
+        return any(_is_float(arg) for arg in node.args)
+    return node.func.attr in CASTS and (
+        (len(node.args) > 1 and _is_float(node.args[1]))
+        or any(k.arg == "dtype" and _is_float(k.value)
+               for k in node.keywords))
+
+
+def nested_float_casts(source: str) -> list[str]:
+    """``function:line`` for each float cast inside a function that is
+    nested in another function; a method counts as an entry."""
+    found = []
+
+    def visit(node, depth, name):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_name = depth, name
+            if isinstance(child, FUNCTIONS):
+                inner = depth + 1
+                inner_name = getattr(child, "name", "<lambda>")
+            if inner >= 2 and _is_float_cast(child):
+                found.append(f"{inner_name}:{child.lineno}")
+            visit(child, inner, inner_name)
+
+    visit(ast.parse(source), 0, "")
+    return found
+
+
+def test_checker_finds_a_nested_float_cast():
+    source = ("import numpy as np\n"
+              "def entry(p):\n"
+              "    p = np.asarray(p, float)\n"           # the entry's cast
+              "    def coeffs(q):\n"
+              "        q = np.asarray(q, dtype=np.float64)\n"
+              "        return np.array(q, float, copy=True)\n"
+              "    f = lambda q: q.astype(float)\n"
+              "    g = lambda q: np.asarray(q, complex)\n"
+              "    return coeffs(p) + f(p) + g(p)\n"
+              "class A:\n"
+              "    def method(self, p):\n"
+              "        return np.asarray(p, float)\n")
+    assert nested_float_casts(source) == ["coeffs:5", "coeffs:6",
+                                          "<lambda>:7"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_casts_no_point_in_a_nested_function(path):
+    assert nested_float_casts(path.read_text()) == []

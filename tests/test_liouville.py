@@ -312,7 +312,7 @@ def test_zero_field_fixture_fails():
     from openbooks.liouville import WeinsteinStructure
     base = torus_cotangent_weinstein()
     broken = WeinsteinStructure(
-        base.manifold, base.omega, VecField(4, lambda p: np.zeros_like(p)),
+        base.manifold, VecField(4, lambda p: np.zeros_like(p)),
         base.dlyapunov, base.lam, name="zero field")
     pts = sample(base.manifold, 200, seed=19)
     report = weinstein_check(broken, pts, delta=0.1)

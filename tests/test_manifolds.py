@@ -498,7 +498,7 @@ def test_page_frames_of_each_site_are_annihilated_by_mu(site, monkeypatch):
     """Each page frame is the complement of mu inside T_p V: mu, taken in
     ambient space, vanishes on the frame's rows mapped through the
     tangent frame."""
-    from openbooks import bourgeois, manifolds, monodromy
+    from openbooks import bourgeois, contact, manifolds, monodromy
     rep = quadric_open_book(2)
     pts = sample(rep.manifold, 600, seed=41)
     # every point is at |f| >= 0.1, so no site drops any of them
@@ -510,13 +510,12 @@ def test_page_frames_of_each_site_are_annihilated_by_mu(site, monkeypatch):
         seen.append(out[0])
         return out
 
+    monkeypatch.setattr(contact, "complement_frames", recording)
     if site == "inverse_form":
         rep = bourgeois.profiled_representation(rep)
-        monkeypatch.setattr(bourgeois, "complement_frames", recording)
         bind = sample(rep.binding, 20, seed=42)
         assert bourgeois.verify_inverse_form(rep, 10.0, pts, bind).passed
     else:
-        monkeypatch.setattr(monodromy, "complement_frames", recording)
         y = monodromy.quadric_spinning_field(rep)
         monodromy.spinning_definition_check(rep, y, pts)
     assert len(seen) == 1

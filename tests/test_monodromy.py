@@ -16,8 +16,9 @@ from openbooks.errors import (BindingPoint, DegenerateSystem,
 from openbooks.forms import KForm
 from openbooks.liouville import (hypersurface_build, quartic_disk_domain,
                                  weinstein_disk_domain)
-from openbooks.manifolds import (complement_frames, project_to_constraints,
-                                 rng_for, sample, tangent_bases)
+from openbooks.manifolds import (_sum, complement_frames,
+                                 project_to_constraints, rng_for, sample,
+                                 tangent_bases)
 from openbooks.monodromy import (FLOW_STARTS, DehnTwist, SpinningField,
                                  closed_form_flow_check,
                                  closed_form_quadric_flow, complex_to_real,
@@ -1008,6 +1009,49 @@ def test_twist_smooth_across_zero_section():
                   + 1e-12)
     assert np.all(np.linalg.norm(p2, axis=-1) <= radii[:, 0] + 1e-15)
     assert np.all(np.isfinite(q2)) and np.all(np.isfinite(p2))
+
+
+def _four_evaluation_twist(g, q, p):
+    """The twist formula that evaluates g four times a call (g(r^2) twice,
+    rho(max(r, 1/2)) and rho(r)): the bits that DehnTwist keeps."""
+    r = np.sqrt(_sum(p * p))
+
+    def angle(s):
+        return s * g(s * s) - np.pi
+
+    a = r * g(r * r)
+    smooth = -g(r * r) * np.sinc(a / np.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.where(r > 0.5, np.sin(angle(np.maximum(r, 0.5)))
+                          / np.maximum(r, 0.5), 0.0)
+    sin_over = np.where(r > 0.5, direct, smooth)[..., None]
+    cos_r = np.cos(angle(r))[..., None]
+    return (q * cos_r + p * sin_over,
+            -(r ** 2)[..., None] * q * sin_over + p * cos_r)
+
+
+def test_twist_evaluates_g_once_with_the_bits_of_four_evaluations():
+    g = standard_twist().g
+    calls = []
+
+    def counting(s):
+        calls.append(1)
+        return g(s)
+
+    twist = DehnTwist(counting)
+    # the draws of the dehn_twist_identities row, and the radii 0, 1/2, 1
+    cases = []
+    for seed in range(7, 23):
+        q, u, radii = cli._twist_frame_inputs(None, seed)
+        cases += [(q, radii * u), (q, u)]
+    q = np.tile(np.eye(3)[0], (3, 1))
+    cases.append((q, np.array([0.0, 0.5, 1.0])[:, None] * np.eye(3)[1]))
+    for q, p in cases:
+        calls.clear()
+        got = twist(q, p)
+        assert len(calls) == 1
+        want = _four_evaluation_twist(g, q, p)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_twist_rejects_invalid_input():
