@@ -299,10 +299,11 @@ def contact_volume_values(cf: ContactForm, points):
 @timed
 def verify_contact(cf: ContactForm, samples, seed=0) -> CheckReport:
     """Contact condition alpha ^ (d alpha)^n > 0 at the sampled points."""
+    pts = np.asarray(samples, float)
     return make_report(
         f"contact[{cf.manifold.name}]",
-        n_samples=len(samples),
-        min_margin=contact_volume_values(cf, samples),
+        n_samples=len(pts),
+        min_margin=contact_volume_values(cf, pts),
         tolerance=CONTACT_MARGIN_TOL,
         seed=seed,
         note="alpha ^ (d alpha)^n positive on oriented orthonormal bases")
@@ -320,6 +321,8 @@ def verify_adapted(cf: ContactForm, h: DefiningFunction, samples,
     if binding_samples is None or len(binding_samples) == 0:
         raise OffManifold("binding sample set is empty; the binding of an "
                           "open book must be non-empty")
+    samples = np.asarray(samples, float)
+    binding_samples = np.asarray(binding_samples, float)
     n = cf.n
     form_i = wedge_all(cf.alpha, wedge_power(cf.d_alpha(), n - 1),
                        h.dfx_form(), h.dfy_form())
@@ -456,10 +459,12 @@ def representation_conditions(rep: Representation, samples, binding_samples,
     reports = []
     manifold = rep.manifold
     f = rep.f
+    samples = np.asarray(samples, float)
     n_bind = 0 if binding_samples is None else len(binding_samples)
     # one frame call for the samples and the binding samples (a chain frame
     # does not depend on its batch); (4) needs only Pluecker coordinates
     pts = np.vstack([samples, binding_samples]) if n_bind else samples
+    binding_samples = pts[len(samples):]
     bases, bind_bases = np.split(tangent_bases(manifold, pts), [len(samples)])
 
     # (1) 0 is a regular value: (df_x, df_y) restricted to TV has rank 2
@@ -535,6 +540,7 @@ def volume_form_cross_check(rep: Representation, samples,
     """Two-sided check of the volume-form identity: the regularized
     expression against |f|^(n+2) d(theta) ^ (d(alpha/|f|))^n computed from
     raw quotient forms, at points with |f| >= the binding band."""
+    samples = np.asarray(samples, float)
     pts = samples[rep.f.modulus(samples) >= BINDING_BAND]
     coords = tangent_pluecker(rep.manifold, pts)
     lhs = openbook_volume_form(rep).on_pluecker(pts, coords)

@@ -421,13 +421,6 @@ def project_to_constraints(manifold: Submanifold, points):
 # stock manifolds and samplers
 
 
-def _gaussian_sphere_sampler(dim_ambient):
-    def sampler(rng, n):
-        g = rng.normal(size=(n, dim_ambient))
-        return g / np.sqrt(_sum(g * g))[:, None]
-    return sampler
-
-
 def unit_sphere(dim_ambient: int) -> Submanifold:
     """Unit sphere in R^m; constraint |x|^2 - 1 so the gradient is outward.
 
@@ -447,12 +440,16 @@ def unit_sphere(dim_ambient: int) -> Submanifold:
         s = np.vecdot(p, p)
         return np.subtract(p, p * (_HALF * ((s - _ONE) / s))[..., None], out)
 
+    def sampler(rng, n):
+        g = rng.normal(size=(n, dim_ambient))
+        return g / np.sqrt(_sum(g * g))[:, None]
+
     return Submanifold(
         ambient_dim=dim_ambient,
         constraints=constraints,
         n_constraints=1,
         name=f"S^{dim_ambient - 1}",
-        sampler=_gaussian_sphere_sampler(dim_ambient),
+        sampler=sampler,
         constraint_jac=jac,
         newton_step=newton_step,
     )

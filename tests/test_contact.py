@@ -500,6 +500,27 @@ def test_binding_sampler_off_the_zero_set_of_f_rejected():
         sample(moved.binding, 20, seed=0)
 
 
+def test_checks_take_integer_points_as_floats():
+    # the checks cast their points once, at the entry; the closures below
+    # (alpha_0 writes into np.empty_like(p)) would truncate integers
+    rep = coordinate_open_book(2)
+    pts = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    bind = np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
+    runs = [lambda p, b: verify_contact(rep.contact, p),
+            lambda p, b: verify_adapted(rep.contact, rep.f, p, b),
+            lambda p, b: verify_representation(rep, p, b),
+            lambda p, b: volume_form_cross_check(rep, p[:2])]
+    for run in runs:
+        want, got = (run(p, b).to_dict() for p, b in (
+            (pts.astype(float), bind.astype(float)), (pts, bind)))
+        assert want["passed"]
+        for report in (want, got):
+            report.pop("wall_time_ms")
+            for detail in report.get("details", []):
+                detail.pop("wall_time_ms")
+        assert got == want
+
+
 def test_binding_manifold_orientation_value():
     # alpha_0 restricted to the binding circle of the quadric book pairs
     # to +1/2 with the oriented unit tangent (hand value at the
