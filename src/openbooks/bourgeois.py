@@ -19,8 +19,8 @@ from .contact import (ContactForm, DefiningFunction, Representation,
                       representation_conditions)
 from .errors import DegenerateSystem
 from .forms import (KForm, SmoothMap, bind_line, contact_volume,
-                    coordinate_differential, ext_deriv, increasing_indices,
-                    on_batch, pullback, wedge, wedge_all, wedge_power)
+                    coordinate_differential, ext_deriv, on_batch,
+                    place_form, pullback, wedge, wedge_all, wedge_power)
 from .manifolds import (Submanifold, product_with_torus, sample,
                         tangent_bases, tangent_pluecker)
 from .report import (CheckReport, SweepRow, make_report, merge_reports,
@@ -48,26 +48,6 @@ R0, R1 = 0.2, 0.4
 PAGE_BINDING_BAND = 1e-6
 
 
-def extend_form(a: KForm) -> KForm:
-    """Reinterpret a form on R^m as a form on R^(m+2) whose
-    coefficients do not involve the two new trailing coordinates; its d
-    is the extension of a's, when a carries one."""
-    m = a.ambient_dim
-    src, tgt = (increasing_indices(n, a.degree) for n in (m, m + 2))
-    cols = np.asarray([tgt.index(idx) for idx in src])
-    fa = a.coeffs
-
-    def coeffs(p):
-        c = fa(p[..., :m])
-        out = np.zeros(c.shape[:-1] + (len(tgt),))
-        out[..., cols] = c
-        return out
-
-    da = a.d
-    return KForm(a.degree, m + 2, coeffs,
-                 None if da is None else (lambda: extend_form(da())))
-
-
 @dataclass(frozen=True)
 class BourgeoisForm:
     """Form alpha_V + f_x dphi1 - f_y dphi2 on V x T^2."""
@@ -91,8 +71,8 @@ def _beta_form(rep: Representation) -> KForm:
     def d():
         dphi1 = coordinate_differential(m + 2, m)
         dphi2 = coordinate_differential(m + 2, m + 1)
-        return (wedge(extend_form(f.dfx_form()), dphi1)
-                - wedge(extend_form(f.dfy_form()), dphi2))
+        return (wedge(place_form(f.dfx_form(), m + 2, 0), dphi1)
+                - wedge(place_form(f.dfy_form(), m + 2, 0), dphi2))
 
     def coeffs(p):
         fx, fy = f.parts(p[..., :m])
@@ -107,7 +87,7 @@ def _beta_form(rep: Representation) -> KForm:
 def bourgeois_form(rep: Representation) -> BourgeoisForm:
     """Assemble the product contact form from a representation."""
     beta = _beta_form(rep)
-    alpha = extend_form(rep.contact.alpha) + beta
+    alpha = place_form(rep.contact.alpha, beta.ambient_dim, 0) + beta
     product = product_with_torus(rep.manifold)
     return BourgeoisForm(rep=rep, manifold=product, alpha=alpha, beta=beta)
 
@@ -129,7 +109,7 @@ def _cartesian_expansion(rep: Representation) -> KForm:
     """
     n = rep.n
     m = rep.manifold.ambient_dim
-    bracket = extend_form(openbook_volume_form(rep))
+    bracket = place_form(openbook_volume_form(rep), m + 2, 0)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)
     return float(n + 1) * wedge_all(bracket, dphi1, dphi2)
@@ -451,7 +431,8 @@ def angle_flip_map(m: int) -> SmoothMap:
 def family_form(rep: Representation, tau: float, c: float) -> KForm:
     """alpha_tau = alpha_V + f_x dphi1 - f_y dphi2 - tau C rho^2 d(theta)."""
     bf = bourgeois_form(rep)
-    return bf.alpha - (tau * c) * extend_form(rep.f.mu_form())
+    return bf.alpha - (tau * c) * place_form(rep.f.mu_form(),
+                                             bf.alpha.ambient_dim, 0)
 
 
 @timed
@@ -470,7 +451,8 @@ def isotopy_check(rep: Representation, c: float, samples, seed=0
     n = rep.n
     alpha0 = bf.alpha
     # alpha_tau = alpha_0 - tau C mu: one line, two derivatives for all tau
-    line = bind_line(alpha0, extend_form(rep.f.mu_form()), pts)
+    mu = place_form(rep.f.mu_form(), product.ambient_dim, 0)
+    line = bind_line(alpha0, mu, pts)
     vol0 = _line_volume(line, 0.0, n + 1, pts, coords)
     details = []
 
@@ -551,7 +533,7 @@ def filling_polynomial(rep: Representation, samples, seed=0
     # every coefficient below is evaluated once on the batch; the sweep
     # combines the bound values, so no derivative is taken per eps, eps
     # power or T
-    omega = on_batch(extend_form(ext_deriv(rep.contact.alpha)), pts)
+    omega = on_batch(place_form(ext_deriv(rep.contact.alpha), m + 2, 0), pts)
     dphi1 = coordinate_differential(m + 2, m)
     dphi2 = coordinate_differential(m + 2, m + 1)
     vol_t2 = on_batch(wedge(dphi1, dphi2), pts)
@@ -568,7 +550,8 @@ def filling_polynomial(rep: Representation, samples, seed=0
         tails.append(on_batch(tail, pts))
 
     # alpha_eps = alpha_V + eps beta and d alpha_eps, bound for every eps
-    line = bind_line(extend_form(rep.contact.alpha), _beta_form(rep), pts)
+    line = bind_line(place_form(rep.contact.alpha, m + 2, 0), _beta_form(rep),
+                     pts)
     rows = []
     margins, rel_gaps = [], []
     lead_margins = {}

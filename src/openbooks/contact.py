@@ -581,17 +581,19 @@ def standard_sphere(n: int) -> Submanifold:
     return unit_sphere(2 * n)
 
 
-def coordinate_defining_function(n: int) -> DefiningFunction:
-    """f(z) = z_1; its zero set in the sphere is an equatorial subsphere."""
+def coordinate_defining_function(n: int, k: int) -> DefiningFunction:
+    """f = x_k + i y_k on C^n, k counted from 0 as in
+    `monodromy.plane_rotation_field`: k = 0 cuts an equatorial subsphere
+    out of the sphere, k = n - 1 is the z of the hypersurface in F x C."""
     m = 2 * n
 
     def value(p):
-        return p[..., 0] + 1j * p[..., 1]
+        return p[..., 2 * k] + 1j * p[..., 2 * k + 1]
 
     def gradient(p):
         g = np.zeros(np.shape(p)[:-1] + (2, m))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
+        g[..., 0, 2 * k] = 1.0
+        g[..., 1, 2 * k + 1] = 1.0
         return g
 
     return DefiningFunction(m, value, gradient)
@@ -665,7 +667,7 @@ def coordinate_open_book(n: int) -> Representation:
     sphere = standard_sphere(n)
     return Representation(
         contact=ContactForm(standard_contact_form(n), sphere),
-        f=coordinate_defining_function(n),
+        f=coordinate_defining_function(n, 0),
         binding_sampler=_coordinate_binding(n),
         name=f"z1 book on S^{2 * n - 1}")
 

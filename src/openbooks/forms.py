@@ -54,18 +54,19 @@ sweep over t takes each derivative once in all, not once per t.
 
 A form may carry its exact exterior derivative, :attr:`KForm.d`, built
 lazily from the rules of the exterior algebra: constant forms are closed,
-d is linear, and a wedge of two forms that carry d follows Leibniz.  The
-modules that build the contact, Bourgeois and open-book forms give their
-pieces d by the same rules (d alpha_0 = sum dx_j ^ dy_j, d(df) = 0,
-d(f_x df_y - f_y df_x) = 2 df_x ^ df_y).  :func:`ext_deriv` returns it
-when it is there.  Every other derivative of an ambient coefficient, map,
-constraint or defining function, e.g. of a quotient form, a scaled form,
-a pullback or an interior product, is taken by one stencil,
-:func:`central_difference`, which is thereby also an independent route
-against which the exact derivatives are checked.  A derivative that is
-only read on a tangent frame steps along that frame, not along the m
-coordinate axes, with 2d evaluations on a d-frame: d of a 1-form on frame
-pairs is :func:`ext_deriv_on_frame`, a map's differential on a frame one
+d is linear, a wedge of two forms that carry d follows Leibniz, and a
+placed form carries the placed d (:func:`place_form`).  The modules that
+build the contact, Bourgeois and open-book forms give their pieces d by
+the same rules (d alpha_0 = sum dx_j ^ dy_j, d(df) = 0, d(f_x df_y - f_y
+df_x) = 2 df_x ^ df_y).  :func:`ext_deriv` returns it when it is there.
+Every other derivative of an ambient coefficient, map, constraint or
+defining function, e.g. of a quotient form, a scaled form, a pullback or
+an interior product, is taken by one stencil, :func:`central_difference`,
+which is thereby also an independent route against which the exact
+derivatives are checked.  A derivative that is only read on a tangent
+frame steps along that frame, not along the m coordinate axes, with 2d
+evaluations on a d-frame: d of a 1-form on frame pairs is
+:func:`ext_deriv_on_frame`, a map's differential on a frame one
 ``central_difference(..., frame=)``.
 """
 
@@ -79,7 +80,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 
 # Points are plain float arrays of shape (..., m), cast once where a caller
 # hands them in (KForm.__call__, at_basis, restrict, central_difference,
@@ -340,7 +341,11 @@ class KForm:
 
     def on_pluecker(self, p, coords):
         """Evaluate on vectors given by their :func:`pluecker` coordinates
-        coords (..., C(m, k)); bit-identical to :meth:`at_basis`."""
+        coords (..., C(m, k)); bit-identical to :meth:`at_basis`.  p is not
+        cast: an integer p raises DomainError, a complex p evaluates."""
+        if p.dtype.kind not in "fc":            # float or complex
+            raise DomainError(f"points of dtype {p.dtype}: pass float or "
+                              "complex points")
         coords = np.asarray(coords, float)
         if coords.shape[-1] != self.n_indices:
             raise DimensionMismatch(
@@ -456,6 +461,29 @@ def form_from_components(m: int, k: int, components: dict) -> KForm:
         return out
 
     return KForm(k, m, coeffs)
+
+
+def place_form(a: KForm, m: int, start: int) -> KForm:
+    """a, a form on R^k, as the form on R^m that is a on the coordinates
+    start .. start + k - 1, with the placed d when a carries one.  A
+    constant form stays one row; the zero padding takes the dtype of a's
+    coefficients, so complex points stay complex."""
+    k, deg = a.ambient_dim, a.degree
+    if not 0 <= start <= m - k:
+        raise DimensionMismatch(f"R^{k} does not fit R^{m} at {start}")
+    pos = _index_positions(m, deg)
+    cols = np.asarray([pos[tuple(start + i for i in idx)]
+                       for idx in increasing_indices(k, deg)], int)
+    n, fa, da = math.comb(m, deg), a.coeffs, a.d
+
+    def coeffs(p):
+        c = fa(p[..., start:start + k])
+        out = np.zeros(c.shape[:-1] + (n,), c.dtype)
+        out[..., cols] = c
+        return out
+
+    return KForm(deg, m, coeffs,
+                 None if da is None else (lambda: place_form(da(), m, start)))
 
 
 @dataclass(frozen=True)

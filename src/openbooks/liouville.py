@@ -14,19 +14,18 @@ the completions and the Weinstein structures alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
 import numpy as np
 
-from .bourgeois import extend_form
-from .contact import (ContactForm, DefiningFunction, Representation,
-                      standard_contact_form)
+from .contact import (ContactForm, Representation,
+                      coordinate_defining_function, standard_contact_form)
 from .errors import DomainError
 from .forms import (KForm, SmoothMap, VecField, ext_deriv,
-                    form_from_components, interior, pluecker, pullback,
-                    scale_form, wedge_power)
+                    form_from_components, interior, place_form, pluecker,
+                    pullback, scale_form, wedge_power)
 from .manifolds import (Submanifold, _sum, boxed, disk_cotangent_bundle,
                         flat_torus, rng_for, tangent_bases, unit_sphere)
 from .report import CheckReport, make_report, merge_reports, timed
@@ -342,9 +341,9 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
     through `gauss_newton_step` itself.
 
     V is ``rep.manifold`` of the returned data.  Its contact form is
-    lambda_c + 1/2 (x dy - y dx), and it carries its exact d, d lambda_c
-    + dx ^ dy, when lambda_c carries one (both model disks do), so no
-    check takes d of it by a stencil.
+    lambda_c on F plus alpha_0 = 1/2 (x dy - y dx) on C (`place_form`),
+    with the exact d lambda_c + dx ^ dy when lambda_c carries its d (both
+    model disks do), and its f is the coordinate z = x + i y.
 
     F must be a full-dimensional domain of its ambient space: V has
     dimension dim F + 1 only if F has no constraints of its own, so a
@@ -397,24 +396,9 @@ def hypersurface_build(ld: LiouvilleDomain) -> HypersurfaceData:
         raise DomainError("ambient Liouville field is not transverse to V: "
                           f"margin {np.min(margin):.3e}")
 
-    # contact form: restriction of lambda_c + 1/2 (x dy - y dx), whose d
-    # is d lambda_c + dx ^ dy exactly when lambda_c carries its d
-    half_rot = replace(form_from_components(
-        m, 1, {(mf,): lambda x: -0.5 * x[..., mf + 1],
-               (mf + 1,): lambda x: 0.5 * x[..., mf]}),
-        d=lambda: form_from_components(m, 2, {(mf, mf + 1): 1.0}))
-    alpha = extend_form(ld.lambda_c) + half_rot
-
-    def f_value(x):
-        return x[..., mf] + 1j * x[..., mf + 1]
-
-    def f_gradient(x):
-        out = np.zeros(np.shape(x)[:-1] + (2, m))
-        out[..., 0, mf] = 1.0
-        out[..., 1, mf + 1] = 1.0
-        return out
-
-    f = DefiningFunction(m, f_value, f_gradient)
+    alpha = (place_form(ld.lambda_c, m, 0)
+             + place_form(standard_contact_form(1), m, mf))
+    f = coordinate_defining_function(m // 2, mf // 2)
 
     def binding_sampler(rng, count):
         ang = rng.uniform(0.0, 2 * np.pi, size=count)
@@ -614,21 +598,16 @@ def subcritical_check(samples, seed=0) -> CheckReport:
         slices).
 
     The T*T^2 coordinates (q1, q2, p1, p2) follow (w1, w2) on the target.
+    lambda_W + lambda_can is alpha_0 on W plus lambda_can on T*T^2
+    (`place_form`), with its exact d; the expected form is hand-written.
     """
     pts = np.asarray(samples, float)
     mw = 2
     m = mw + 4
     phi = subcritical_map(mw)
     details = []
-    can = canonical_one_form(2)
-
-    def lam_can_target(p):
-        out = np.zeros_like(p)
-        out[..., mw:] = can.coeffs(p[..., mw:])
-        return out
-
-    lam_w = form_from_components(m, 1, {(0,): lambda p: -0.5 * p[..., 1],
-                                        (1,): lambda p: 0.5 * p[..., 0]})
+    lam = (place_form(standard_contact_form(1), m, 0)
+           + place_form(canonical_one_form(2), m, mw))
 
     expected = form_from_components(
         m, 1,
@@ -639,7 +618,7 @@ def subcritical_check(samples, seed=0) -> CheckReport:
          (4,): lambda p: p[..., 2],
          (5,): lambda p: -p[..., 3]})
 
-    pulled = pullback(phi, lam_w + KForm(1, m, lam_can_target))
+    pulled = pullback(phi, lam)
     details.append(make_report(
         "one_form_pullback", n_samples=len(pts),
         max_residual=np.abs(pulled.coeffs(pts) - expected.coeffs(pts)),

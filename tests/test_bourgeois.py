@@ -8,7 +8,7 @@ import pytest
 
 from openbooks import bourgeois
 from openbooks.bourgeois import (PAGE_BINDING_BAND, BourgeoisForm,
-                                 _line_volume, bourgeois_form, extend_form,
+                                 _line_volume, bourgeois_form,
                                  extract_slice_representation,
                                  family_form, filling_polynomial,
                                  find_inverse_constant,
@@ -22,7 +22,7 @@ from openbooks.contact import (ContactForm, DefiningFunction, Representation,
                                verify_representation)
 from openbooks.errors import DegenerateSystem
 from openbooks.forms import (KForm, bind_line, contact_volume, ext_deriv,
-                             scale_form)
+                             place_form, scale_form)
 from openbooks.manifolds import sample, tangent_bases, tangent_pluecker
 from openbooks.report import SweepRow
 
@@ -81,7 +81,9 @@ def test_half_beta_fails_product_assembly():
     rep = quadric_open_book(3)
     bf = bourgeois_form(rep)
     half = BourgeoisForm(rep=rep, manifold=bf.manifold,
-                         alpha=extend_form(rep.contact.alpha) + 0.5 * bf.beta,
+                         alpha=place_form(rep.contact.alpha,
+                                          bf.beta.ambient_dim, 0)
+                         + 0.5 * bf.beta,
                          beta=bf.beta)
     report = product_assembly_check(half, sample(bf.manifold, 200, seed=4))
     assert not report.passed
@@ -133,7 +135,8 @@ def test_torus_dependent_beta_fails_eps_scaling():
     bf = bourgeois_form(rep)
     beta = scale_form(lambda p: 1.0 + 0.5 * np.sin(p[..., 4]), bf.beta)
     bent = BourgeoisForm(rep=rep, manifold=bf.manifold,
-                         alpha=extend_form(rep.contact.alpha) + beta,
+                         alpha=place_form(rep.contact.alpha,
+                                          beta.ambient_dim, 0) + beta,
                          beta=beta)
     pts = sample(bf.manifold, 500, seed=3)
     report = verify_product_contact(bent, pts)

@@ -8,16 +8,17 @@ import pytest
 
 from openbooks.contact import (ContactForm, DefiningFunction,
                                Representation, _sub_pfaffians,
+                               contact_volume_values,
                                coordinate_open_book, openbook_volume_form,
                                quadric_open_book, reeb_fields,
                                standard_contact_form, standard_sphere,
                                verify_adapted, verify_contact,
                                verify_representation, volume_form_cross_check)
-from openbooks.errors import DegenerateSystem, OffManifold
+from openbooks.errors import DegenerateSystem, DomainError, OffManifold
 from openbooks.forms import VecField, contact_volume, form_from_components
 from openbooks.liouville import hypersurface_build, weinstein_disk_domain
 from openbooks.manifolds import (Submanifold, flat_torus, rng_for, sample,
-                                 tangent_bases)
+                                 tangent_bases, tangent_pluecker)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +522,44 @@ def test_checks_take_integer_points_as_floats():
         assert got == want
 
 
+_INTEGER_POINTS = np.array([[1, 0, 0, 0], [0, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("case", ["integer_points_raise",
+                                  "float_points_give_half",
+                                  "complex_points_evaluate"])
+def test_on_pluecker_takes_float_or_complex_points_only(case):
+    # alpha_0 writes its coefficients into np.empty_like(p), which an
+    # integer p would truncate; on_pluecker refuses such a p and casts none
+    cf = coordinate_open_book(2).contact
+    top = contact_volume(cf.alpha, cf.n)
+    pts = _INTEGER_POINTS.astype(float)
+    coords = tangent_pluecker(cf.manifold, pts)
+    if case == "integer_points_raise":
+        with pytest.raises(DomainError, match="dtype int"):
+            top.on_pluecker(_INTEGER_POINTS, coords)
+        with pytest.raises(DomainError, match="dtype int"):
+            contact_volume_values(cf, _INTEGER_POINTS)
+    elif case == "float_points_give_half":
+        assert np.array_equal(contact_volume_values(cf, pts), [0.5, 0.5])
+    else:
+        # alpha_0 is linear in p, so its value at x + i y is
+        # alpha_0(x) + i alpha_0(y) on the same frame
+        y = np.random.default_rng(3).normal(size=pts.shape)
+        frames = tangent_bases(cf.manifold, pts)[..., 0, :]
+        got = cf.alpha.on_pluecker(pts + 1j * y, frames)
+        assert got.dtype == complex and np.all(got.imag != 0)
+        np.testing.assert_allclose(
+            got, cf.alpha.on_pluecker(pts, frames)
+            + 1j * cf.alpha.on_pluecker(y, frames), rtol=0, atol=1e-15)
+
+
 def test_binding_manifold_orientation_value():
     # alpha_0 restricted to the binding circle of the quadric book pairs
     # to +1/2 with the oriented unit tangent (hand value at the
     # parametrized circle)
     rep = quadric_open_book(2)
     bind = sample(rep.binding, 50, seed=20)
-    from openbooks.contact import ContactForm, contact_volume_values
     vals = contact_volume_values(ContactForm(rep.contact.alpha, rep.binding),
                                  bind)
     np.testing.assert_allclose(vals, 0.5, atol=1e-9)

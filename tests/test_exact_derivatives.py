@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from openbooks import bourgeois, cli
-from openbooks.bourgeois import (bourgeois_form, extend_form, inverse_form,
+from openbooks.bourgeois import (bourgeois_form, inverse_form,
                                  profiled_representation,
                                  verify_product_contact)
 from openbooks.contact import (DefiningFunction, coordinate_open_book,
                                quadric_open_book, standard_contact_form,
                                standard_sphere)
 from openbooks.forms import (DEFAULT_FD_STEP, KForm, central_difference,
-                             coordinate_differential, ext_deriv, wedge)
-from openbooks.liouville import canonical_one_form
+                             coordinate_differential, ext_deriv,
+                             place_form, wedge)
+from openbooks.liouville import (canonical_one_form, hypersurface_build,
+                                 quartic_disk_domain, weinstein_disk_domain)
 from openbooks.manifolds import sample
 
 # Central differences with step h = DEFAULT_FD_STEP = 1e-5 err on each
@@ -25,8 +27,9 @@ from openbooks.manifolds import sample
 # and eps |p| |c'| / h (rounding of the values and of p +- h e_i, about
 # 1e-11 here), and each coefficient of d a sums at most two partials on
 # these forms.  Hence one bound per kind of coefficient:
-#   - linear or quadratic (alpha_0, both books' alpha and beta): c''' = 0,
-#     rounding only: 1e-10 (measured at most 1.8e-11);
+#   - linear or quadratic (alpha_0, both books' alpha and beta, the
+#     hypersurface alphas, lambda_W + lambda_can): c''' = 0, rounding
+#     only: 1e-10 (measured at most 1.8e-11);
 #   - cubic or quartic (mu = f_x df_y - f_y df_x of the quadric, which has
 #     |c'''| <= 12 on the unit sphere, and mu ^ alpha_0): 2 x 12 h^2/6
 #     = 4e-10 plus rounding, and for the wedge the product rule's
@@ -48,6 +51,22 @@ def _sphere_points(n, seed):
 
 def _product_points(rep, seed):
     return sample(bourgeois_form(rep).manifold, 300, seed)
+
+
+def _hypersurface_case(domain, seed):
+    """The contact form of the hypersurface V over a domain, and points
+    of V."""
+    def rep():
+        return hypersurface_build(domain()).rep
+
+    return (lambda: rep().contact.alpha,
+            lambda: sample(rep().manifold, 300, seed), LINEAR)
+
+
+def _subcritical_lambda():
+    """lambda_W + lambda_can on R^6 as the subcritical check builds it."""
+    return (place_form(standard_contact_form(1), 6, 0)
+            + place_form(canonical_one_form(2), 6, 2))
 
 
 def _mu_wedge_alpha():
@@ -88,6 +107,12 @@ CASES = {
                       lambda: _sphere_points(1, 14), LINEAR),
     "lambda_can_n2": (lambda: canonical_one_form(2),
                       lambda: _sphere_points(2, 15), LINEAR),
+    "hypersurface_weinstein_disk": _hypersurface_case(weinstein_disk_domain,
+                                                      16),
+    "hypersurface_quartic_d4": _hypersurface_case(
+        lambda: quartic_disk_domain(2), 17),
+    "subcritical_lambda": (_subcritical_lambda,
+                           lambda: _sphere_points(3, 18), LINEAR),
 }
 
 # central_difference calls of one suite run at seed 7.  What is left is the
@@ -201,8 +226,8 @@ def _flipped_beta_form(rep):
     def d():
         dphi1 = coordinate_differential(m + 2, m)
         dphi2 = coordinate_differential(m + 2, m + 1)
-        return (wedge(extend_form(f.dfx_form()), dphi1)
-                + wedge(extend_form(f.dfy_form()), dphi2))
+        return (wedge(place_form(f.dfx_form(), m + 2, 0), dphi1)
+                + wedge(place_form(f.dfy_form(), m + 2, 0), dphi2))
 
     return replace(good, d=d)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import openbooks.forms as forms
-from openbooks.bourgeois import extend_form
 from openbooks.contact import (DefiningFunction, quadric_open_book,
                                standard_contact_form, standard_sphere)
 from openbooks.errors import DimensionMismatch
@@ -25,7 +24,8 @@ from openbooks.forms import (KForm, SmoothMap, VecField, _column_sum,
                              ext_deriv, ext_deriv_on_frame,
                              form_from_components,
                              increasing_indices, interior, on_batch,
-                             pluecker, pullback, wedge, wedge_power)
+                             place_form, pluecker, pullback, wedge,
+                             wedge_power)
 from openbooks.manifolds import (FD_STEP, _sum, sample, tangent_bases,
                                  unit_sphere)
 
@@ -603,18 +603,48 @@ def test_stencil_spreads_a_row_over_the_batch():
         assert np.all(d == 0.0)
 
 
+@pytest.mark.parametrize("start", [0, 1, 2])
 @pytest.mark.parametrize("m, k", [(4, 0), (4, 1), (4, 2), (6, 3), (6, 4)])
-def test_extend_form_equals_the_zero_one_product(m, k):
-    form = _random_form(m, k, seed=m + k) if k else constant_form(m, 0, [2.5])
+def test_place_form_equals_the_zero_one_product(m, k, start):
+    # a k-form on R^m placed on coordinates start .. start + m - 1 of
+    # R^(m+2); start = 2 is the last block that fits
+    if k:
+        rough = _random_form(m, k, seed=m + k)
+        form = replace(rough, d=lambda: ext_deriv(rough))   # by the stencil
+    else:
+        form = constant_form(m, 0, [2.5])
     src = increasing_indices(m, k)
     tgt = increasing_indices(m + 2, k)
     scatter = np.zeros((len(src), len(tgt)))
     for j, idx in enumerate(tgt):
-        if not idx or idx[-1] < m:
-            scatter[src.index(idx), j] = 1.0
+        if all(start <= i < start + m for i in idx):
+            scatter[src.index(tuple(i - start for i in idx)), j] = 1.0
     pts = RNG.normal(size=(30, m + 2))
-    got = extend_form(form).coeffs(pts)
-    assert np.array_equal(got, form.coeffs(pts[:, :m]) @ scatter)
+    block = pts[:, start:start + m]
+    placed = place_form(form, m + 2, start)
+    assert np.array_equal(placed.coeffs(pts), form.coeffs(block) @ scatter)
+    # a constant form stays one row
+    values = np.arange(1.0, len(src) + 1.0)
+    row = place_form(constant_form(m, k, values), m + 2, start).coeffs(pts)
+    assert row.shape == (len(tgt),)
+    assert np.array_equal(row, values @ scatter)
+    # the placed form carries the placed d, bit for bit
+    assert np.array_equal(
+        placed.d().coeffs(pts),
+        place_form(form.d(), m + 2, start).coeffs(pts))
+    # complex points keep their imaginary parts
+    z = pts + 1j * RNG.normal(size=pts.shape)
+    alpha0 = place_form(standard_contact_form(1), m + 2, start)
+    want = np.zeros(z.shape, complex)
+    want[:, start] = -0.5 * z[:, start + 1]
+    want[:, start + 1] = 0.5 * z[:, start]
+    got = alpha0.coeffs(z)
+    assert np.array_equal(got, want) and np.all(got.imag[:, start] != 0)
+
+
+def test_place_form_rejects_a_block_that_does_not_fit():
+    with pytest.raises(DimensionMismatch, match="does not fit"):
+        place_form(standard_contact_form(2), 5, 2)
 
 
 def _sorted_pluecker(vectors):
